@@ -241,7 +241,11 @@ func (d *DAG) AddEdge(from, to *Node) error {
 			return nil // already present
 		}
 	}
-	if d.reaches(to, from) {
+	// A cycle needs a path to→…→from, and a node without children starts
+	// none. That is every edge of a DSL compile (operators are wired to
+	// their inputs as they are declared), so the common case skips the
+	// reachability walk.
+	if len(to.children) > 0 && d.reaches(to, from) {
 		return fmt.Errorf("core: edge %q→%q would create a cycle", from.Name, to.Name)
 	}
 	from.children = append(from.children, to)

@@ -47,6 +47,58 @@ func TestAddEdgeRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestAddEdgeRejectsCycleIntoNodeWithChildren: AddEdge skips the
+// reachability walk only for a child-less target; edges wired out of
+// declaration order (the target already has children) still get it.
+func TestAddEdgeRejectsCycleIntoNodeWithChildren(t *testing.T) {
+	d := NewDAG()
+	var ns []*Node
+	for i := 0; i < 4; i++ {
+		ns = append(ns, d.MustAddNode(fmt.Sprintf("a%d", i), KindExtractor, DPR, fmt.Sprintf("op%d", i), true))
+	}
+	// Downstream edges first, so every later target already has children.
+	for _, e := range [][2]int{{2, 3}, {1, 2}, {0, 1}} {
+		if err := d.AddEdge(ns[e[0]], ns[e[1]]); err != nil {
+			t.Fatalf("acyclic edge a%d→a%d rejected: %v", e[0], e[1], err)
+		}
+	}
+	if err := d.AddEdge(ns[3], ns[0]); err == nil {
+		t.Fatal("expected rejection of a3→a0 closing the cycle a0→a1→a2→a3")
+	}
+	if err := d.AddEdge(ns[2], ns[1]); err == nil {
+		t.Fatal("expected rejection of a2→a1 closing the cycle a1→a2")
+	}
+	if err := d.AddEdge(ns[0], ns[2]); err != nil {
+		t.Fatalf("forward shortcut a0→a2 rejected: %v", err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddEdgeToChildlessNodeAllocs: wiring an operator to its inputs as
+// it is declared (the target has no children yet) costs the two slice
+// appends and nothing else — no visited set, no stack.
+func TestAddEdgeToChildlessNodeAllocs(t *testing.T) {
+	const runs = 200
+	d := NewDAG()
+	from := d.MustAddNode("src", KindSource, DPR, "src", true)
+	targets := make([]*Node, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range targets {
+		targets[i] = d.MustAddNode(fmt.Sprintf("t%d", i), KindExtractor, DPR, "op", true)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := d.AddEdge(from, targets[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 2 {
+		t.Fatalf("AddEdge to a child-less node allocates %v times per call, want ≤ 2 (the two appends)", allocs)
+	}
+}
+
 func TestAddEdgeRejectsSelfEdge(t *testing.T) {
 	d := chain(t, 1)
 	if err := d.AddEdge(d.Node("a0"), d.Node("a0")); err == nil {

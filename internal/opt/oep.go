@@ -16,8 +16,9 @@ import (
 var solveCount atomic.Int64
 
 // SolveCount reports the cumulative number of OPT-EXEC-PLAN solves
-// (Solver.OptimalStates invocations, each one max-flow computation)
-// performed by the process so far.
+// (Solver.OptimalStatesDense invocations, directly or through
+// OptimalStates; each is one max-flow computation) performed by the
+// process so far.
 func SolveCount() int64 { return solveCount.Load() }
 
 // Costs holds the per-node inputs to OPT-EXEC-PLAN (paper §5.1).
@@ -46,26 +47,26 @@ type Plan struct {
 
 // Solver solves OPT-EXEC-PLAN instances. The zero value is ready to use;
 // a Solver retained across iterations (the planner pools one) reuses its
-// flow network, profit/prerequisite buffers, and index maps between
-// solves, cutting the steady-state allocation bill of iterative planning.
-// A Solver is not safe for concurrent use.
+// flow network and profit/prerequisite/index buffers between solves, so a
+// steady-state solve allocates only its result. A Solver is not safe for
+// concurrent use.
 type Solver struct {
-	g        *maxflow.Graph
-	idx      map[*core.Node]int
-	live     []*core.Node
-	sc       []solverCost
-	profits  []float64
-	prereqs  []Prereq
-	selected []bool
+	g       *maxflow.Graph
+	slot    []int32 // topological index → position among the solved nodes, -1 outside
+	profits []float64
+	prereqs []Prereq
 }
 
-type solverCost struct{ load, compute float64 }
-
-// OptimalStates solves OPT-EXEC-PLAN (Problem 1) optimally via Algorithm 1:
-// the linear-time reduction to the project selection problem, solved by
-// min-cut. Nodes absent from costs are pruned outright (they are outside
-// the program slice). Equivalent to the package-level OptimalStates but
-// reuses the solver's scratch storage.
+// OptimalStatesDense solves OPT-EXEC-PLAN (Problem 1) optimally via
+// Algorithm 1: the linear-time reduction to the project selection
+// problem, solved by min-cut. It is the one solver; everything is indexed
+// by topological position, the form the planner already holds its inputs
+// in: order is the DAG in topological order, pos maps a node's ID to its
+// index in order, costs[i] belongs to order[i], and solve[i] selects the
+// nodes that take part. Nodes with solve[i] false are outside the program
+// slice (or outside the dirty components of a partial re-solve) and come
+// back pruned; their costs are ignored. The result holds one state per
+// node of order.
 //
 // The reduction builds, per node n_i, project a_i with profit -l_i and
 // project b_i with profit l_i - c_i, with a_i prerequisite to b_i, and
@@ -73,84 +74,75 @@ type solverCost struct{ load, compute float64 }
 // ⇔ Compute, {a_i} ⇔ Load, {} ⇔ Prune.
 //
 // Infinite loads, forced computes and required nodes are encoded with
-// tiered finite magnitudes (bigM, epsilon) so that the flow network stays
+// tiered finite magnitudes (bigM, reward) so that the flow network stays
 // finite; the tiers are separated by more than the total true cost so they
 // can never be traded against real savings.
-func (s *Solver) OptimalStates(d *core.DAG, costs map[*core.Node]Costs) Plan {
+func (s *Solver) OptimalStatesDense(order []*core.Node, pos []int32, costs []Costs, solve []bool) []core.State {
 	solveCount.Add(1)
-	nodes := d.TopoSort()
-	// Index the participating (live) nodes.
-	if s.idx == nil {
-		s.idx = make(map[*core.Node]int, len(nodes))
-	} else {
-		clear(s.idx)
+	// Index the participating nodes and total their true costs.
+	if cap(s.slot) < len(order) {
+		s.slot = make([]int32, len(order))
 	}
-	idx := s.idx
-	live := s.live[:0]
-	for _, n := range nodes {
-		if _, ok := costs[n]; ok {
-			idx[n] = len(live)
-			live = append(live, n)
-		}
-	}
-	s.live = live
-
-	// Tiered magnitudes: sumTrue < bigM < reward, with epsilon far below
-	// any real cost distinction.
+	slot := s.slot[:len(order)]
+	solved := 0
 	var sumTrue float64
-	for _, c := range costs {
-		sumTrue += c.Compute
-		if !math.IsInf(c.Load, 1) {
-			sumTrue += c.Load
+	for i := range order {
+		if !solve[i] {
+			slot[i] = -1
+			continue
+		}
+		slot[i] = int32(solved)
+		solved++
+		sumTrue += costs[i].Compute
+		if !math.IsInf(costs[i].Load, 1) {
+			sumTrue += costs[i].Load
 		}
 	}
+
+	// Tiered magnitudes: sumTrue < bigM < reward.
 	bigM := (sumTrue + 1) * 1e3
 	// reward dominates the worst-case drag of forcing a node: even if every
 	// node in the instance must be loaded at bigM cost to satisfy the
 	// forced selection, the reward still wins. Kept within ~9 decimal
 	// orders of the true costs so float64 additions stay exact enough.
-	reward := bigM * float64(len(live)+1) * 1e3
-
-	// Solver-facing costs: infinite loads become bigM (never attractive,
-	// but finite for the flow network).
-	if cap(s.sc) < len(live) {
-		s.sc = make([]solverCost, len(live))
-	}
-	sc := s.sc[:len(live)]
-	for i, n := range live {
-		c := costs[n]
-		load := c.Load
-		if math.IsInf(load, 1) || c.MustCompute {
-			load = bigM
-		}
-		sc[i] = solverCost{load: load, compute: c.Compute}
-	}
+	reward := bigM * float64(solved+1) * 1e3
 
 	// Projects: a_i at 2i, b_i at 2i+1. Constraint 1 (MustCompute) is
 	// encoded as a dominating reward on b_i (selecting b_i ⇔ Compute);
 	// Required as a dominating reward on a_i (selecting a_i ⇔ not pruned).
-	if cap(s.profits) < 2*len(live) {
-		s.profits = make([]float64, 2*len(live))
+	if cap(s.profits) < 2*solved {
+		s.profits = make([]float64, 2*solved)
 	}
-	profits := s.profits[:2*len(live)]
+	profits := s.profits[:2*solved]
 	prereqs := s.prereqs[:0]
-	for i, n := range live {
-		profits[2*i] = -sc[i].load
-		profits[2*i+1] = sc[i].load - sc[i].compute
-		if costs[n].MustCompute {
-			profits[2*i+1] += reward
+	for i, n := range order {
+		if slot[i] < 0 {
+			continue
 		}
-		if costs[n].Required {
-			profits[2*i] += reward
+		a, b := 2*int(slot[i]), 2*int(slot[i])+1
+		c := costs[i]
+		// Infinite loads become bigM: never attractive, but finite for the
+		// flow network.
+		load := c.Load
+		if math.IsInf(load, 1) || c.MustCompute {
+			load = bigM
 		}
-		prereqs = append(prereqs, Prereq{Project: 2*i + 1, Requires: 2 * i})
+		profits[a] = -load
+		profits[b] = load - c.Compute
+		if c.MustCompute {
+			profits[b] += reward
+		}
+		if c.Required {
+			profits[a] += reward
+		}
+		prereqs = append(prereqs, Prereq{Project: b, Requires: a})
 		for _, child := range n.Children() {
-			j, ok := idx[child]
-			if !ok {
+			j := slot[pos[child.ID]]
+			if j < 0 {
 				continue // child outside the slice
 			}
 			// Computing child b_j requires parent not pruned: a_i.
-			prereqs = append(prereqs, Prereq{Project: 2*j + 1, Requires: 2 * i})
+			prereqs = append(prereqs, Prereq{Project: 2*int(j) + 1, Requires: a})
 		}
 	}
 	s.prereqs = prereqs
@@ -160,29 +152,48 @@ func (s *Solver) OptimalStates(d *core.DAG, costs map[*core.Node]Costs) Plan {
 	} else {
 		s.g.Reset(len(profits) + 2)
 	}
-	if cap(s.selected) < len(profits) {
-		s.selected = make([]bool, len(profits))
-	}
-	selected := s.selected[:len(profits)]
-	solvePSPInto(s.g, profits, prereqs, selected)
+	selected := solvePSPInto(s.g, profits, prereqs)
 
-	plan := Plan{States: make(map[*core.Node]core.State, d.Len())}
-	for _, n := range nodes {
-		i, ok := idx[n]
-		if !ok {
-			plan.States[n] = core.StatePrune
-			continue
-		}
+	states := make([]core.State, len(order))
+	for i := range states {
+		a := 2 * int(slot[i])
 		switch {
-		case selected[2*i] && selected[2*i+1]:
-			plan.States[n] = core.StateCompute
-		case selected[2*i]:
-			plan.States[n] = core.StateLoad
+		case slot[i] < 0 || !selected[a]:
+			states[i] = core.StatePrune
+		case selected[a+1]:
+			states[i] = core.StateCompute
 		default:
-			plan.States[n] = core.StatePrune
+			states[i] = core.StateLoad
 		}
 	}
-	plan.Time = PlanTime(plan.States, costs)
+	return states
+}
+
+// OptimalStates is OptimalStatesDense for callers that hold their costs in
+// a map: nodes absent from costs are outside the program slice and are
+// pruned outright. It flattens the map into topological order, solves,
+// and reports the states as a map plus T(W, s), summed in topological
+// order.
+func (s *Solver) OptimalStates(d *core.DAG, costs map[*core.Node]Costs) Plan {
+	order := d.TopoSort()
+	pos := make([]int32, len(order))
+	dense := make([]Costs, len(order))
+	solve := make([]bool, len(order))
+	for i, n := range order {
+		pos[n.ID] = int32(i)
+		dense[i], solve[i] = costs[n]
+	}
+	states := s.OptimalStatesDense(order, pos, dense, solve)
+	plan := Plan{States: make(map[*core.Node]core.State, len(order))}
+	for i, n := range order {
+		plan.States[n] = states[i]
+		switch states[i] {
+		case core.StateCompute:
+			plan.Time += dense[i].Compute
+		case core.StateLoad:
+			plan.Time += dense[i].Load
+		}
+	}
 	return plan
 }
 

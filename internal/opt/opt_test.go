@@ -516,3 +516,213 @@ func TestSolveCountInstrumentation(t *testing.T) {
 		t.Fatalf("SolveCount delta = %d, want 2", got)
 	}
 }
+
+// --- dense entry point ---
+
+// sparseOEPInstance builds an n-node DAG of planner-like sparsity (up to
+// five parents drawn from the 40 nodes before it) with real-valued costs
+// in seconds, a few required sinks, and a cost map restricted to the
+// backward slice from them — ancestor-closed, as the planner's live set is.
+func sparseOEPInstance(rng *rand.Rand, n int) (*core.DAG, map[*core.Node]Costs) {
+	d := core.NewDAG()
+	nodes := make([]*core.Node, n)
+	for i := range nodes {
+		nodes[i] = d.MustAddNode(fmt.Sprintf("n%d", i), core.KindExtractor, core.DPR, fmt.Sprintf("op%d", i), true)
+		for k := rng.Intn(6); k > 0 && i > 0; k-- {
+			lo := max(0, i-40)
+			if err := d.AddEdge(nodes[lo+rng.Intn(i-lo)], nodes[i]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	required := make([]bool, n)
+	live := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		required[i] = i == n-1 || (len(nodes[i].Children()) == 0 && rng.Intn(3) > 0)
+		live[i] = required[i]
+		for _, c := range nodes[i].Children() {
+			live[i] = live[i] || live[c.ID]
+		}
+	}
+	costs := make(map[*core.Node]Costs, n)
+	for i, node := range nodes {
+		c := Costs{
+			Compute:  1e-4 + rng.Float64()*2,
+			Load:     1e-4 + rng.Float64(),
+			Required: required[i],
+		}
+		switch r := rng.Float64(); {
+		case r < 0.15:
+			c.MustCompute, c.Load = true, math.Inf(1)
+		case r < 0.45:
+			c.Load = math.Inf(1)
+		}
+		if live[i] {
+			costs[node] = c
+		}
+	}
+	return d, costs
+}
+
+// planWideInstance is the benchmark's plan-wide shape — 50 layers × 20
+// nodes, fan-in 5, the last layer required — in the small-edit situation:
+// operators cost 50–250 µs, most have a stored result, a few were edited.
+func planWideInstance(seed int64) (*core.DAG, map[*core.Node]Costs) {
+	const layers, width, fanIn = 50, 20, 5
+	rng := rand.New(rand.NewSource(seed))
+	d := core.NewDAG()
+	costs := make(map[*core.Node]Costs, layers*width)
+	var prev []*core.Node
+	for l := 0; l < layers; l++ {
+		cur := make([]*core.Node, width)
+		for w := range cur {
+			cur[w] = d.MustAddNode(fmt.Sprintf("n%d_%d", l, w), core.KindExtractor, core.DPR, fmt.Sprintf("op%d_%d", l, w), true)
+			for k := 0; k < fanIn && l > 0; k++ {
+				if err := d.AddEdge(prev[(w+k)%width], cur[w]); err != nil {
+					panic(err)
+				}
+			}
+			c := Costs{Compute: (50 + 200*rng.Float64()) * 1e-6, Load: (20 + 200*rng.Float64()) * 1e-6, Required: l == layers-1}
+			switch r := rng.Float64(); {
+			case r < 0.02:
+				c.MustCompute, c.Load = true, math.Inf(1)
+			case r < 0.2:
+				c.Load = math.Inf(1)
+			}
+			costs[cur[w]] = c
+		}
+		prev = cur
+	}
+	return d, costs
+}
+
+// flatten puts a cost map into the dense form OptimalStatesDense takes.
+func flatten(d *core.DAG, costs map[*core.Node]Costs) (order []*core.Node, pos []int32, dense []Costs, solve []bool) {
+	order = d.TopoSort()
+	pos, dense, solve = make([]int32, len(order)), make([]Costs, len(order)), make([]bool, len(order))
+	for i, n := range order {
+		pos[n.ID] = int32(i)
+		dense[i], solve[i] = costs[n]
+	}
+	return order, pos, dense, solve
+}
+
+// TestDenseMatchesMapWrapper: the dense entry point on a reused Solver and
+// the map wrapper on a throwaway one return the same state for every node
+// and the same T(W,s), on sparse random DAGs of 200–1000 nodes and on the
+// plan-wide shape; the plan is feasible and leaves nodes outside the
+// solve mask pruned.
+func TestDenseMatchesMapWrapper(t *testing.T) {
+	type instance struct {
+		label string
+		d     *core.DAG
+		costs map[*core.Node]Costs
+	}
+	var instances []instance
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{200, 350, 500, 750, 1000} {
+		d, costs := sparseOEPInstance(rng, n)
+		instances = append(instances, instance{fmt.Sprintf("sparse-%d", n), d, costs})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		d, costs := planWideInstance(seed)
+		instances = append(instances, instance{fmt.Sprintf("plan-wide-%d", seed), d, costs})
+	}
+	var pooled Solver
+	for _, in := range instances {
+		order, pos, dense, solve := flatten(in.d, in.costs)
+		before := SolveCount()
+		states := pooled.OptimalStatesDense(order, pos, dense, solve)
+		if got := SolveCount() - before; got != 1 {
+			t.Fatalf("%s: dense solve ticked SolveCount by %d, want 1", in.label, got)
+		}
+		want := OptimalStates(in.d, in.costs)
+		var total float64
+		counts := map[core.State]int{}
+		for i, n := range order {
+			if states[i] != want.States[n] {
+				t.Fatalf("%s node %s: dense %v, map wrapper %v", in.label, n.Name, states[i], want.States[n])
+			}
+			if !solve[i] && states[i] != core.StatePrune {
+				t.Fatalf("%s node %s: outside the solve mask but %v", in.label, n.Name, states[i])
+			}
+			switch states[i] {
+			case core.StateCompute:
+				total += dense[i].Compute
+			case core.StateLoad:
+				total += dense[i].Load
+			}
+			counts[states[i]]++
+		}
+		if total != want.Time {
+			t.Fatalf("%s: T(W,s) dense %v, map wrapper %v", in.label, total, want.Time)
+		}
+		if err := CheckFeasible(in.d, in.costs, want.States); err != nil {
+			t.Fatalf("%s: %v", in.label, err)
+		}
+		if counts[core.StateCompute] == 0 || counts[core.StateLoad] == 0 || counts[core.StatePrune] == 0 {
+			t.Fatalf("%s: degenerate instance, state counts %v", in.label, counts)
+		}
+	}
+}
+
+// TestDenseSolveMaskRestrictsTheSolve: masking a node out is the same as
+// leaving it out of the cost map — the planner's partial re-solve depends
+// on exactly this.
+func TestDenseSolveMaskRestrictsTheSolve(t *testing.T) {
+	// Two independent chains a0→a1 and b0→b1; solve only the b chain.
+	d := buildDAG(t, 4, [][2]int{{0, 1}, {2, 3}})
+	ns := d.Nodes()
+	costs := map[*core.Node]Costs{
+		ns[0]: {Compute: 1, Load: math.Inf(1)},
+		ns[1]: {Compute: 1, Load: math.Inf(1), Required: true},
+		ns[2]: {Compute: 5, Load: math.Inf(1)},
+		ns[3]: {Compute: 5, Load: 1, Required: true},
+	}
+	order, pos, dense, solve := flatten(d, costs)
+	solve[pos[ns[0].ID]], solve[pos[ns[1].ID]] = false, false
+	var s Solver
+	states := s.OptimalStatesDense(order, pos, dense, solve)
+	want := map[*core.Node]core.State{
+		ns[0]: core.StatePrune, ns[1]: core.StatePrune, // masked out, Required or not
+		ns[2]: core.StatePrune, ns[3]: core.StateLoad,
+	}
+	for i, n := range order {
+		if states[i] != want[n] {
+			t.Fatalf("node %s: %v, want %v", n.Name, states[i], want[n])
+		}
+	}
+}
+
+// TestReusedSolverAllocatesOnlyTheResult pins the planner's steady state:
+// a dense solve on a Solver that has seen the shape before allocates the
+// returned state slice and nothing else.
+func TestReusedSolverAllocatesOnlyTheResult(t *testing.T) {
+	d, costs := planWideInstance(1)
+	order, pos, dense, solve := flatten(d, costs)
+	var s Solver
+	s.OptimalStatesDense(order, pos, dense, solve)
+	allocs := testing.AllocsPerRun(10, func() {
+		s.OptimalStatesDense(order, pos, dense, solve)
+	})
+	if allocs != 1 {
+		t.Fatalf("reused-solver dense solve allocates %v times per run, want 1 (the result)", allocs)
+	}
+}
+
+var benchStates []core.State
+
+// BenchmarkOptimalStatesPlanWide times the planner's solve step — cost
+// tiers, project-selection network, max-flow, min-cut, states — on the
+// plan-wide shape with a reused Solver.
+func BenchmarkOptimalStatesPlanWide(b *testing.B) {
+	d, costs := planWideInstance(1)
+	order, pos, dense, solve := flatten(d, costs)
+	var s Solver
+	s.OptimalStatesDense(order, pos, dense, solve) // size the scratch once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStates = s.OptimalStatesDense(order, pos, dense, solve)
+	}
+}

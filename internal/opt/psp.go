@@ -39,15 +39,14 @@ type Prereq struct {
 // pairs get infinite-capacity edges project→prerequisite. The source side
 // of a minimum cut is an optimal selection.
 func SolvePSP(profits []float64, prereqs []Prereq) []bool {
-	selected := make([]bool, len(profits))
-	solvePSPInto(maxflow.New(len(profits)+2), profits, prereqs, selected)
-	return selected
+	return solvePSPInto(maxflow.New(len(profits)+2), profits, prereqs)
 }
 
 // solvePSPInto is SolvePSP over a caller-provided graph (already sized to
-// len(profits)+2 nodes, typically via Reset) and result buffer, so
-// iterative callers can amortize the flow network across solves.
-func solvePSPInto(g *maxflow.Graph, profits []float64, prereqs []Prereq, selected []bool) {
+// len(profits)+2 nodes, typically via Reset), so iterative callers can
+// amortize the flow network across solves. The selection it returns is
+// the graph's own min-cut scratch: valid until g is reset or cut again.
+func solvePSPInto(g *maxflow.Graph, profits []float64, prereqs []Prereq) []bool {
 	n := len(profits)
 	s, t := n, n+1
 	for i, p := range profits {
@@ -62,8 +61,7 @@ func solvePSPInto(g *maxflow.Graph, profits []float64, prereqs []Prereq, selecte
 		g.AddEdge(pr.Project, pr.Requires, maxflow.Inf)
 	}
 	g.MaxFlow(s, t)
-	cut := g.MinCut(s)
-	copy(selected, cut[:n])
+	return g.MinCut(s)[:n]
 }
 
 // PSPValue returns the total profit of a selection, or false if the

@@ -21,15 +21,18 @@
 // signatures, the store's materialized-set view, carried cost statistics,
 // and the planning options. A Planner given a Cache compares the
 // fingerprint against the previous iteration's: on a full match the prior
-// Plan is reused wholesale (no slicing, no ancestor-bitset construction,
-// no max-flow solve — the dominant O(V²)+solve cost on large DAGs); on a
-// topology match with localized changes, the ancestor bitsets and the
-// unchanged rows are reused and only the weakly-connected live components
-// containing a changed node are re-solved. Reuse is sound because the
-// fingerprint covers every input the solve depends on, and the
-// project-selection objective is separable across weakly-connected
-// components of the live slice — an untouched component's cached states
-// remain exactly optimal.
+// Plan is reused wholesale (no purge spec, no ancestor-bitset
+// construction, no max-flow solve); on a topology match with localized
+// changes, the ancestor bitsets and the unchanged rows are reused and only
+// the weakly-connected live components containing a changed node are
+// re-solved. The saving is a millisecond or two, not an order of
+// magnitude: on a 1000-node, 5000-edge DAG a cold plan costs ~2 ms — the
+// exact solve (Dinic, over the dense inputs gather already holds) is
+// ~0.4 ms of it — against ~0.9 ms for the gather and fingerprint every
+// call pays, hit or not. Reuse is sound because the fingerprint covers
+// every input the solve depends on, and the project-selection objective
+// is separable across weakly-connected components of the live slice — an
+// untouched component's cached states remain exactly optimal.
 //
 // helixlint (plandeterminism) holds this package to byte-stable output:
 // no wall clocks, no global randomness, no map iteration into
@@ -457,26 +460,30 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 		anc, words = buildAncestors(in.order, in.pos)
 	}
 
-	// 6. OPT-EXEC-PLAN (Problem 1) via the MAX-FLOW reduction, restricted
-	// to the dirty slice on a partial hit. A partial hit whose dirty set
-	// contains no live node (e.g. only a sliced-away branch changed)
-	// needs no solve at all: every non-reused row is non-live and prunes.
-	var dirty []bool
+	// 6. OPT-EXEC-PLAN (Problem 1) via the MAX-FLOW reduction, handed to
+	// the solver in the topological-index form gather built. A cold solve
+	// covers the live slice; a partial hit restricts it to the live nodes
+	// whose row was not reused, and needs no solve at all when there are
+	// none (e.g. only a sliced-away branch changed): every non-reused row
+	// is then non-live and prunes.
+	solve := in.live
+	needSolve := true
 	if outcome == CachePartial {
-		dirty = make([]bool, len(in.order))
-		for i := range reused {
-			dirty[i] = reused[i] == nil
+		solve = make([]bool, len(in.order))
+		needSolve = false
+		for i := range solve {
+			solve[i] = in.live[i] && reused[i] == nil
+			needSolve = needSolve || solve[i]
 		}
 	}
-	solveCosts := in.solveCosts(dirty)
-	var states map[*core.Node]core.State
+	var states []core.State
 	solves := 0
-	if outcome != CachePartial || len(solveCosts) > 0 {
+	if needSolve {
 		solver := pl.Solver
 		if solver == nil {
 			solver = new(opt.Solver)
 		}
-		states = solver.OptimalStates(d, solveCosts).States
+		states = solver.OptimalStatesDense(in.order, in.pos, in.costs, solve)
 		solves = 1
 	}
 
@@ -587,24 +594,6 @@ func (pl *Planner) gather(d *core.DAG, prev *core.DAG, iteration int) *planInput
 	return in
 }
 
-// solveCosts materializes the solver-facing cost map for the live nodes
-// the caller wants solved: all of them on a cold solve, only the dirty
-// ones on a partial hit (dirty == nil means all). The map is built here,
-// off the hit path — a fingerprint hit never needs it.
-func (in *planInputs) solveCosts(dirty []bool) map[*core.Node]opt.Costs {
-	m := make(map[*core.Node]opt.Costs, len(in.order))
-	for i, nd := range in.order {
-		if !in.live[i] {
-			continue
-		}
-		if dirty != nil && !dirty[i] {
-			continue
-		}
-		m[nd] = in.costs[i]
-	}
-	return m
-}
-
 // buildPurge records the planner's purge decision: an original node's old
 // results can never be reused (§6.6). Applied by the executor; suppressed
 // when reuse is off (the no-reuse systems — KeystoneML, DeepDive — never
@@ -652,11 +641,12 @@ func buildAncestors(order []*core.Node, pos []int32) ([]uint64, int) {
 	return anc, words
 }
 
-// assemble builds the Plan artifact from solver states and/or reused
-// cached rows: per-node rows with rationale, state counts, cumulative
-// times C(n) from the ancestor bitsets, downstream critical-path tails
-// for the scheduler, and the Equation-1 projection.
-func (pl *Planner) assemble(in *planInputs, states map[*core.Node]core.State, anc []uint64, words int, reused []*NodePlan, outcome CacheOutcome, fp Fingerprint) *Plan {
+// assemble builds the Plan artifact from solver states (indexed like
+// in.order; nil when no solve ran) and/or reused cached rows: per-node
+// rows with rationale, state counts, cumulative times C(n) from the
+// ancestor bitsets, downstream critical-path tails for the scheduler, and
+// the Equation-1 projection.
+func (pl *Planner) assemble(in *planInputs, states []core.State, anc []uint64, words int, reused []*NodePlan, outcome CacheOutcome, fp Fingerprint) *Plan {
 	order := in.order
 	p := &Plan{
 		Iteration:   in.iteration,
@@ -681,13 +671,12 @@ func (pl *Planner) assemble(in *planInputs, states map[*core.Node]core.State, an
 			np.Node = n
 			np.Reused = true
 		} else {
-			// Nodes outside the (possibly restricted) solve are pruned:
-			// in a full solve the state map covers every node, and in a
-			// partial one every non-reused node missing from it is
-			// non-live.
+			// The solver prunes every node outside the (possibly
+			// restricted) solve, and with no solve at all every
+			// non-reused node is non-live.
 			state := core.StatePrune
-			if s, ok := states[n]; ok {
-				state = s
+			if states != nil {
+				state = states[i]
 			}
 			*np = NodePlan{
 				Index:        i,

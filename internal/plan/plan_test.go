@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -433,5 +435,107 @@ func TestSolverMatchesBruteForceOnPlans(t *testing.T) {
 	}
 	if err := opt.CheckFeasible(d, costs, states); err != nil {
 		t.Fatalf("plan infeasible: %v", err)
+	}
+}
+
+// layered builds a layers × width DAG with the given fan-in (node w of a
+// layer reads nodes w…w+fanIn-1 mod width of the one above; the last layer
+// is the outputs) plus up to extra random edges from layers further up.
+// Operators named in edited get a new version tag, making them — and
+// everything downstream — original against an unedited build.
+func layered(rng *rand.Rand, layers, width, fanIn, extra int, edited map[string]bool) *core.DAG {
+	d := core.NewDAG()
+	var all, prev []*core.Node
+	for l := 0; l < layers; l++ {
+		cur := make([]*core.Node, width)
+		for w := range cur {
+			name := fmt.Sprintf("n%d_%d", l, w)
+			version := "-v1"
+			if edited[name] {
+				version = "-v2"
+			}
+			cur[w] = d.MustAddNode(name, core.KindExtractor, core.DPR, name+version, true)
+			for k := 0; k < fanIn && l > 0; k++ {
+				if err := d.AddEdge(prev[(w+k)%width], cur[w]); err != nil {
+					panic(err)
+				}
+			}
+			for k := rng.Intn(extra + 1); k > 0 && len(all) > 0; k-- {
+				if err := d.AddEdge(all[rng.Intn(len(all))], cur[w]); err != nil {
+					panic(err)
+				}
+			}
+		}
+		all = append(all, prev...)
+		prev = cur
+	}
+	for _, n := range prev {
+		d.MarkOutput(n)
+	}
+	return d
+}
+
+// TestPlannerMatchesMapSolver: the planner hands the solver its inputs in
+// topological-index form; the states and T(W,s) it assembles must be the
+// ones the map-based opt.OptimalStates returns for the same live costs —
+// on the plan-wide shape (50 × 20, fan-in 5) and on random layered DAGs
+// of 200–1000 nodes, cold and through a partial re-solve.
+func TestPlannerMatchesMapSolver(t *testing.T) {
+	shapes := []struct{ layers, width, fanIn, extra int }{
+		{50, 20, 5, 0}, // plan-wide
+		{20, 10, 2, 2},
+		{25, 20, 3, 1},
+		{100, 10, 1, 3},
+	}
+	for si, sh := range shapes {
+		seed := int64(100 + si)
+		build := func(edited map[string]bool) *core.DAG {
+			return layered(rand.New(rand.NewSource(seed)), sh.layers, sh.width, sh.fanIn, sh.extra, edited)
+		}
+		// The previous iteration ran everything: measured compute times,
+		// and a stored result for four nodes in five.
+		rng := rand.New(rand.NewSource(seed))
+		prev := build(nil)
+		prev.ComputeSignatures()
+		sizes := map[string]int64{}
+		for _, n := range prev.Nodes() {
+			n.Metrics = core.Metrics{Compute: time.Duration(50+rng.Intn(200)) * time.Microsecond, Known: true}
+			if rng.Intn(5) > 0 {
+				sizes[n.ChainSignature()] = int64(1+rng.Intn(64)) << 10
+			}
+		}
+		mid := fmt.Sprintf("n%d_%d", sh.layers/2, sh.width/2)
+		leaf := fmt.Sprintf("n%d_0", sh.layers-1)
+		cache := NewCache("test")
+		for step, edited := range []map[string]bool{{mid: true}, {mid: true, leaf: true}} {
+			pl := &Planner{View: fakeView{sizes: sizes, rate: 200 << 20}, Solver: new(opt.Solver),
+				Cache: cache, Opts: Options{MaterializeOutputs: true}}
+			d := build(edited)
+			p, err := pl.Plan(d, prev, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []CacheOutcome{CacheCold, CachePartial}[step]; p.Cache != want || p.Solves != 1 {
+				t.Fatalf("shape %d step %d: outcome %v with %d solves, want %v with 1", si, step, p.Cache, p.Solves, want)
+			}
+			costs := make(map[*core.Node]opt.Costs)
+			for _, np := range p.Nodes {
+				if np.Live {
+					costs[np.Node] = np.Costs
+				}
+			}
+			want := opt.OptimalStates(d, costs)
+			for _, np := range p.Nodes {
+				if np.State != want.States[np.Node] {
+					t.Fatalf("shape %d step %d node %s: planner %v, map solver %v", si, step, np.Node.Name, np.State, want.States[np.Node])
+				}
+			}
+			if p.ProjectedSeconds != want.Time {
+				t.Fatalf("shape %d step %d: T(W,s) planner %v, map solver %v", si, step, p.ProjectedSeconds, want.Time)
+			}
+			if p.Counts[core.StateCompute] == 0 || p.Counts[core.StateLoad] == 0 || p.Counts[core.StatePrune] == 0 {
+				t.Fatalf("shape %d step %d: degenerate plan, counts %v", si, step, p.Counts)
+			}
+		}
 	}
 }

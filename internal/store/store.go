@@ -53,7 +53,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -479,6 +481,7 @@ func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
 			doomed = append(doomed, k)
 		}
 	}
+	removed := false
 	for _, k := range doomed {
 		if s.shared != nil && s.Pinned(k) {
 			continue
@@ -492,12 +495,19 @@ func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
 		}
 		sh.mu.Unlock()
 		if ok {
+			removed = true
 			freed += e.Size
 			if rmErr := os.Remove(s.path(k)); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
 				err = fmt.Errorf("store: purge %q: %w", k, rmErr)
 			}
 		}
 		s.keyLocks.unlock(k)
+	}
+	// The entry table is unchanged when nothing was removed (the common
+	// case: most iterations deprecate no stored result), so the
+	// whole-table manifest rewrite would reproduce the file already there.
+	if !removed {
+		return 0, nil
 	}
 	if ferr := s.flushManifest(); ferr != nil && err == nil {
 		err = ferr
@@ -565,7 +575,7 @@ func (s *Store) snapshotEntries() []Entry {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 	return entries
 }
 
@@ -577,7 +587,9 @@ func (s *Store) flushManifest() error {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
 	entries := s.snapshotEntries()
-	data, err := json.MarshalIndent(entries, "", "  ")
+	// Compact JSON: the manifest is rewritten whole on every flush and
+	// only ever read back by json.Unmarshal, which takes either form.
+	data, err := json.Marshal(entries)
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
 	}

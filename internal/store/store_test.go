@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,6 +147,106 @@ func TestManifestPersistsAcrossOpen(t *testing.T) {
 	e, _ := s2.Entry("k")
 	if e.Iteration != 5 {
 		t.Fatalf("iteration lost on reopen: %d", e.Iteration)
+	}
+}
+
+// TestManifestRoundTrip: the manifest is written as compact JSON, sorted
+// by key, and Open reads both that and the indented form stores wrote
+// before — every entry comes back field for field.
+func TestManifestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []string{"zeta", "alpha", "mid"} {
+		if _, err := s1.Put(k, "node-"+k, payload{N: i, Rows: []string{k}}, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s1.snapshotEntries()
+	if len(want) != 3 || want[0].Key != "alpha" || want[1].Key != "mid" || want[2].Key != "zeta" {
+		t.Fatalf("snapshot not sorted by key: %+v", want)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.ContainsAny(data, "\n ") {
+		t.Fatalf("manifest is not compact JSON: %q", data)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.snapshotEntries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened compact manifest = %+v, want %+v", got, want)
+	}
+
+	// A manifest in the indented form earlier versions wrote, by hand.
+	legacy := t.TempDir()
+	const indented = `[
+  {
+    "key": "k1",
+    "name": "rows",
+    "size": 1234,
+    "write_time": 5000000,
+    "iteration": 7
+  },
+  {
+    "key": "k2",
+    "name": "model",
+    "size": 99,
+    "write_time": 1,
+    "iteration": 8,
+    "tenant": "alice",
+    "refs": 2
+  }
+]`
+	if err := os.WriteFile(filepath.Join(legacy, "manifest.json"), []byte(indented), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Refs is stamped from the live pin table at snapshot time, so the
+	// persisted count does not survive a reopen.
+	wantLegacy := []Entry{
+		{Key: "k1", Name: "rows", Size: 1234, WriteTime: 5 * time.Millisecond, Iteration: 7},
+		{Key: "k2", Name: "model", Size: 99, WriteTime: 1, Iteration: 8, Tenant: "alice"},
+	}
+	if got := s3.snapshotEntries(); !reflect.DeepEqual(got, wantLegacy) {
+		t.Fatalf("reopened indented manifest = %+v, want %+v", got, wantLegacy)
+	}
+}
+
+// TestPurgeNothingLeavesManifestAlone: a purge that removes no entry must
+// not rewrite the manifest (it ran once per iteration, whole table, even
+// when every stored result was kept).
+func TestPurgeNothingLeavesManifestAlone(t *testing.T) {
+	s := open(t)
+	if _, err := s.Put("k", "n", payload{N: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(s.Dir(), "manifest.json")
+	sentinel := []byte("untouched")
+	if err := os.WriteFile(manifest, sentinel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	freed, err := s.Purge(func(string) bool { return true })
+	if err != nil || freed != 0 {
+		t.Fatalf("Purge = %d, %v; want 0, nil", freed, err)
+	}
+	if got, _ := os.ReadFile(manifest); !bytes.Equal(got, sentinel) {
+		t.Fatalf("no-op purge rewrote the manifest: %q", got)
+	}
+	// One that does remove something still persists the new table.
+	if _, err := s.Purge(func(string) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(manifest); string(got) != "null" && string(got) != "[]" {
+		t.Fatalf("manifest after purging everything = %q, want an empty table", got)
 	}
 }
 
