@@ -16,9 +16,12 @@
 // scope, retire() hands the value to the store's bounded background
 // writer pool (store.PutAsync) and computation proceeds immediately;
 // gob-encoding, the size-dependent policy check, the disk write, and the
-// manifest update all happen off the critical path. Run drains the pool
-// with a store.Flush barrier after the last node finishes, before the
-// Result is assembled — so Result.MatTime still reports the full
+// manifest update all happen off the critical path — for values whose
+// fate depends on their size: one the policy refuses even at an empty
+// artifact's load time (MatPolicy.Worthwhile) is evicted at retirement
+// and never serialized, in either mode. Run drains the pool with a
+// store.Flush barrier after the last node finishes, before the Result
+// is assembled — so Result.MatTime still reports the full
 // serialize+write cost, cross-iteration reuse observes every accepted
 // materialization, and the manifest is current when Run returns.
 // Result.Wall covers only the compute critical path; the (mostly
@@ -998,8 +1001,8 @@ type runState struct {
 	fallbackMu sync.Mutex
 }
 
-// evict drops a run's in-memory value (eager cache pruning, §5.4) under
-// the run's own valMu. Ordinary child reads of r.value are ordered by
+// evict drops a non-output run's in-memory value (eager cache pruning,
+// §5.4) under the run's own valMu. Ordinary child reads of r.value are ordered by
 // the scheduler and the pending counter protocol — a child runs only
 // after its parents completed, and a parent cannot retire until every
 // computing child has finished — but the load-failure fallback reads
@@ -1008,6 +1011,9 @@ type runState struct {
 // retirements on the hot path never contend with each other or with an
 // in-flight recomputation's user code.
 func (s *runState) evict(r *nodeRun) {
+	if s.outputs[r.node] {
+		return // outputs keep their value for Result
+	}
 	r.valMu.Lock()
 	r.value = nil
 	r.valMu.Unlock()
@@ -1255,7 +1261,7 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		// reference. Pruned nodes have no value. (The store lookup also
 		// reports honestly when a load fell back to recomputation after
 		// its materialization vanished.)
-		if r.state == core.StateLoad && !s.outputs[n] {
+		if r.state == core.StateLoad {
 			s.evict(r)
 		}
 		onDisk := r.err == nil && r.state == core.StateLoad && s.engine.Store.Has(n.ChainSignature())
@@ -1269,18 +1275,14 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		// it only wastes storage and time. Cost-aware policies skip it;
 		// blind ones (HELIX AM, DeepDive) pay for it — the paper's reason
 		// AM fails to finish MNIST (§6.6). Evict unless it is an output.
-		if !s.outputs[n] {
-			s.evict(r)
-		}
+		s.evict(r)
 		return false, 0
 	}
 	key := n.ChainSignature()
 	if e.Store.Has(key) {
 		// Equivalent result already materialized: nothing to write, but
 		// eager cache pruning (§5.4) still applies.
-		if !s.outputs[n] {
-			s.evict(r)
-		}
+		s.evict(r)
 		return true, n.Metrics.Size
 	}
 
@@ -1299,6 +1301,14 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		s.plan.ForEachAncestor(r.np.Index, func(j int) {
 			cum += math.Float64frombits(s.times[j].Load())
 		})
+		// Ask before paying for the answer: no artifact loads faster than
+		// an empty one, so a value refused at that load time is refused at
+		// any size and is evicted here, not serialized (on this goroutine
+		// or a writer's) to learn a size that cannot change the answer.
+		if pol == nil || !pol.Worthwhile(n, cum, e.Store.EstimateLoad(0).Seconds()) {
+			s.evict(r)
+			return false, 0
+		}
 	}
 	if s.opts.SyncMaterialization {
 		return s.retireSync(r, key, mandatory, cum)
@@ -1307,7 +1317,8 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 }
 
 // retireSync is the historical inline path: serialize and write on the
-// retiring goroutine, charging the full cost to the critical path.
+// retiring goroutine, charging the full cost to the critical path. Only
+// values the policy found worthwhile at zero size (or mandatory) arrive.
 func (s *runState) retireSync(r *nodeRun, key string, mandatory bool, cum float64) (materialized bool, bytes int64) {
 	e := s.engine
 	n := r.node
@@ -1321,7 +1332,7 @@ func (s *runState) retireSync(r *nodeRun, key string, mandatory bool, cum float6
 	if !mandatory {
 		if size < 0 {
 			// No cheap size available: serialize to learn it. The encode
-			// time is charged as materialization overhead.
+			// time is charged as materialization overhead, kept or not.
 			encStart := time.Now()
 			var err error
 			data, err = e.Store.EncodeValue(r.value)
@@ -1333,12 +1344,10 @@ func (s *runState) retireSync(r *nodeRun, key string, mandatory bool, cum float6
 			size = int64(len(data))
 		}
 		load := e.Store.EstimateLoad(size).Seconds()
-		decided = pol != nil && pol.Decide(n, cum, load, size)
+		decided = pol.Decide(n, cum, load, size)
 	}
 	if !mandatory && !decided {
-		if !s.outputs[n] {
-			s.evict(r) // outputs keep their value for Result
-		}
+		s.evict(r)
 		return false, 0
 	}
 
@@ -1369,19 +1378,18 @@ func (s *runState) retireSync(r *nodeRun, key string, mandatory bool, cum float6
 	r.bytes = ent.Size
 	n.Metrics.Size = ent.Size
 	n.Metrics.Load = e.Store.EstimateLoad(ent.Size)
-	if !s.outputs[n] {
-		s.evict(r)
-	}
+	s.evict(r)
 	return true, ent.Size
 }
 
 // retireAsync is the write-behind path: hand the value to the store's
 // writer pool and return immediately, so the nodes waiting on this
-// goroutine are not held behind serialization or disk. Values that can
-// report their size cheaply (Sizer) get their policy decision inline —
-// skipping the enqueue entirely on a "no" — while the rest defer the
-// decision to the writer goroutine, which learns the size by encoding
-// there. The OnDone callback's writes to the nodeRun and node metrics are
+// goroutine are not held behind serialization or disk. Of the values the
+// policy found worthwhile at zero size, those that can report their size
+// cheaply (Sizer) get their policy decision inline — skipping the enqueue
+// entirely on a "no" — while the rest defer the decision to the writer
+// goroutine, which learns the size by encoding there. The OnDone
+// callback's writes to the nodeRun and node metrics are
 // published to Run by the store.Flush barrier. The enqueued write is
 // still in flight when the node retires, so this path always reports
 // unmaterialized; Result.Nodes carries the settled outcome after Flush.
@@ -1389,7 +1397,6 @@ func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float
 	e := s.engine
 	n := r.node
 	pol := s.opts.Policy
-	isOutput := s.outputs[n]
 	req := store.WriteRequest{
 		Key:       key,
 		Name:      n.Name,
@@ -1407,17 +1414,15 @@ func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float
 		if sz, ok := r.value.(Sizer); ok {
 			size := sz.ApproxBytes()
 			load := e.Store.EstimateLoad(size).Seconds()
-			if pol == nil || !pol.Decide(n, cum, load, size) {
-				if !isOutput {
-					s.evict(r)
-				}
+			if !pol.Decide(n, cum, load, size) {
+				s.evict(r)
 				return false, 0
 			}
 			reservedSize = size
 		} else {
 			req.Decide = func(size int64) bool {
 				load := e.Store.EstimateLoad(size).Seconds()
-				if pol == nil || !pol.Decide(n, cum, load, size) {
+				if !pol.Decide(n, cum, load, size) {
 					return false
 				}
 				reservedSize = size
@@ -1447,11 +1452,9 @@ func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float
 		}
 	}
 	e.Store.PutAsync(req)
-	if !isOutput {
-		// Eager cache pruning still applies: the writer pool now holds the
-		// only reference needed for the pending write.
-		s.evict(r)
-	}
+	// Eager cache pruning still applies: the writer pool now holds the
+	// only reference needed for the pending write.
+	s.evict(r)
 	return false, 0
 }
 

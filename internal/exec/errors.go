@@ -17,6 +17,10 @@ var (
 	// ErrNoFunction reports a node scheduled for compute that has no
 	// function — a Source fed no value, or a recompute of an opaque node.
 	ErrNoFunction = errors.New("no function for node")
+	// ErrRowType reports a streamable operator whose input value or fused
+	// neighbour has another element type than it was declared over: found
+	// when the chain is bound, before any row function runs.
+	ErrRowType = errors.New("exec: streaming element type mismatch")
 )
 
 // NodeError reports the failure of one operator during an iteration. It

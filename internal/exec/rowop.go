@@ -3,117 +3,106 @@ package exec
 import (
 	"context"
 	"fmt"
-	"iter"
 )
 
 // RowOp is the per-row implementation of a streamable operator: a unary
-// row-wise transformation (map / flatMap / filter) expressed as untyped
-// closures over the operator's element type. The DSL's streaming helpers
-// construct one per declared operator and register it in Program.Rows;
-// the planner then fuses linear chains of such operators (plan.Fused)
-// and the engine executes a fused run as a single scheduled unit with
-// per-element pull — only the chain's tail value is ever built.
-//
-// The same RowOp also backs the operator's ordinary batch execution
-// (RunRowOp), so streaming-on and streaming-off runs share one
-// implementation and produce byte-identical values.
+// row-wise transformation (map / flatMap / filter) from element type In
+// to element type Out, built by the DSL's streaming helpers (NewRowOp)
+// and registered in Program.Rows. The planner fuses linear chains of them
+// (plan.Fused); the engine runs a chain as one scheduled unit, a typed
+// push pipeline bound once per chain in which every row travels as its
+// own Go type from the head's input slice to the tail's output slice.
+// The fields are untyped only so stages of differing element types fit
+// one slice: the one type assertion per stage happens at bind time, never
+// per row. Batch execution (RunRowOp) is the same code over a chain of
+// one, so streaming-on and streaming-off runs are byte-identical.
 type RowOp struct {
-	// Seq returns a pull iterator over the rows of the operator's single
-	// input value. Only the chain head's Seq runs — interior inputs are
-	// never built. An error means the value had an unexpected type.
-	Seq func(v any) (iter.Seq[any], error)
-	// Apply transforms one row into zero or more rows via emit: a map
-	// emits once, a filter zero or one time, a flatMap any number. emit
-	// reports whether the consumer wants more rows; Apply must stop
-	// emitting (and return nil) once it returns false.
-	Apply func(row any, emit func(any) bool) error
-	// Build assembles the operator's output value from the transformed
-	// row stream. Only the chain tail's Build runs.
-	Build func(rows iter.Seq[any]) (any, error)
+	// Bind wraps the downstream sink, a func(Out), into this stage's
+	// func(In): a map calls down once per row, a filter at most once, a
+	// flatMap any number of times. A down of another type means the
+	// neighbours disagree on the element type (ErrRowType).
+	Bind func(down any) (up any, err error)
+	// Drive pushes every row of the head's single input — an []In, or
+	// untyped nil (pruned or empty upstream) for zero rows; anything else
+	// is ErrRowType — into up, the chain's bound func(In), polling ctx
+	// every rowCheckInterval rows. Interior inputs are never built.
+	Drive func(ctx context.Context, input, up any) error
+	// Collect returns the tail's func(Out), which appends to a fresh
+	// []Out, and the finish func that hands that slice over as the value.
+	Collect func() (sink any, finish func() any)
 }
 
-// rowCheckInterval is how many pipeline rows pass between context
-// checks: frequent enough that mid-run cancellation lands promptly, rare
-// enough to stay invisible next to per-row work.
+// NewRowOp returns the RowOp of one typed stage: stage wraps the
+// downstream sink into the function applied to each input row.
+func NewRowOp[In, Out any](stage func(down func(Out)) func(In)) *RowOp {
+	return &RowOp{
+		Bind: func(down any) (any, error) {
+			d, ok := down.(func(Out))
+			if !ok {
+				return nil, fmt.Errorf("%w: operator emits %T, its consumer is a %T", ErrRowType, []Out(nil), down)
+			}
+			return stage(d), nil
+		},
+		Drive: func(ctx context.Context, input, up any) error {
+			if input == nil {
+				return nil
+			}
+			in, ok := input.([]In)
+			if !ok {
+				return fmt.Errorf("%w: operator expects %T input, got %T", ErrRowType, in, input)
+			}
+			return driveRows(ctx, in, up.(func(In)))
+		},
+		Collect: func() (any, func() any) {
+			// Zero rows leave out a typed nil, matching the append-based
+			// batch operators byte for byte under encoding.
+			var out []Out
+			return func(r Out) { out = append(out, r) }, func() any { return out }
+		},
+	}
+}
+
+// rowCheckInterval is how many head rows pass between context checks:
+// prompt for cancellation, invisible next to per-row work.
 const rowCheckInterval = 1024
 
-// runRowOps drives a fused chain over the head's single input value:
-// head.Seq pulls input rows, every member's Apply runs per element, and
-// tail.Build assembles the only value the chain ever constructs. A nil
-// error pointer result travels back through errp-style capture because
-// iter.Seq yields carry no error channel.
-func runRowOps(ctx context.Context, ops []*RowOp, input any) (any, error) {
-	seq, err := ops[0].Seq(input)
-	if err != nil {
-		return nil, err
+// driveRows is the one row loop of the executor: a canceled run stops
+// within rowCheckInterval head rows instead of draining a large input.
+func driveRows[In any](ctx context.Context, in []In, up func(In)) error {
+	for i, r := range in {
+		if i%rowCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		up(r)
 	}
-	var pipeErr error
-	cur := checkedSeq(ctx, seq, &pipeErr)
-	for _, op := range ops {
-		cur = applySeq(op, cur, &pipeErr)
-	}
-	out, err := ops[len(ops)-1].Build(cur)
-	if pipeErr != nil {
-		return nil, pipeErr
-	}
-	return out, err
+	return nil
 }
 
-// RunRowOp executes one streamable operator in ordinary batch mode —
-// the operator's OpFunc when it is not part of a fused run. Sharing the
-// Seq/Apply/Build path with runRowOps is what guarantees streaming-on
-// and streaming-off produce identical values.
+// runRowOps executes a chain over the head's single input value: bind the
+// tail's collector through every member back to the head, drive the
+// head's rows through it; the tail's slice is the only value ever built.
+func runRowOps(ctx context.Context, ops []*RowOp, input any) (any, error) {
+	sink, finish := ops[len(ops)-1].Collect()
+	for i := len(ops) - 1; i >= 0; i-- {
+		up, err := ops[i].Bind(sink)
+		if err != nil {
+			return nil, fmt.Errorf("fused stage %d of %d: %w", i+1, len(ops), err)
+		}
+		sink = up
+	}
+	if err := ops[0].Drive(ctx, input, sink); err != nil {
+		return nil, err
+	}
+	return finish(), nil
+}
+
+// RunRowOp executes one streamable operator in ordinary batch mode — its
+// OpFunc when it is not part of a fused run: runRowOps over a chain of one.
 func RunRowOp(ctx context.Context, op *RowOp, inputs []any) (any, error) {
 	if len(inputs) != 1 {
 		return nil, fmt.Errorf("%w: streamable operator expects 1 input, got %d", ErrBadPlan, len(inputs))
 	}
 	return runRowOps(ctx, []*RowOp{op}, inputs[0])
-}
-
-// checkedSeq passes rows through while polling ctx every
-// rowCheckInterval rows, so a canceled run stops mid-stream instead of
-// draining a large input first.
-func checkedSeq(ctx context.Context, in iter.Seq[any], errp *error) iter.Seq[any] {
-	return func(yield func(any) bool) {
-		n := 0
-		for v := range in {
-			if n++; n%rowCheckInterval == 0 {
-				if err := ctx.Err(); err != nil {
-					*errp = err
-					return
-				}
-			}
-			if !yield(v) {
-				return
-			}
-		}
-	}
-}
-
-// applySeq lifts one RowOp's Apply into a lazy sequence stage,
-// short-circuiting the pipeline on the first row error.
-func applySeq(op *RowOp, in iter.Seq[any], errp *error) iter.Seq[any] {
-	return func(yield func(any) bool) {
-		stopped := false
-		for row := range in {
-			if *errp != nil {
-				return
-			}
-			if err := op.Apply(row, func(out any) bool {
-				if !yield(out) {
-					stopped = true
-					return false
-				}
-				return true
-			}); err != nil {
-				if *errp == nil {
-					*errp = err
-				}
-				return
-			}
-			if stopped {
-				return
-			}
-		}
-	}
 }

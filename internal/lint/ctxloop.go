@@ -5,68 +5,70 @@ import (
 	"go/types"
 )
 
-// CtxLoop enforces the 1024-row cancellation rule: inside a function
-// that takes a context, a loop ranging over a row stream (an iter.Seq-
-// shaped func value or a channel) must poll the context — a ctx.Err() /
-// ctx.Done() call somewhere in the body, typically on a bounded stride —
-// or range over a sequence produced by a function annotated
-// `//lint:ctxchecked` (checkedSeq), which polls on the caller's behalf.
-// Without the poll, a cancelled run streams every remaining row before
-// noticing.
+// CtxLoop enforces the 1024-row cancellation rule: inside a function or
+// function literal that takes a context, a loop ranging over a row
+// stream must poll the context — a ctx.Err() / ctx.Done() call somewhere
+// in the body, typically on a bounded stride. A row stream is an
+// iter.Seq-shaped func value, a channel, or — the shape of the push
+// executor's one row loop, exec.driveRows — a slice whose loop body hands
+// rows to a sink: a call of a func-typed parameter. Without the poll, a
+// cancelled run streams every remaining row before noticing.
 var CtxLoop = &Analyzer{
 	Name: nameCtxLoop,
-	Doc:  "per-row streaming loops must poll ctx on a bounded stride or range a //lint:ctxchecked sequence",
+	Doc:  "per-row streaming loops must poll ctx on a bounded stride",
 	Run:  runCtxLoop,
 }
 
 func runCtxLoop(p *Pass) []Diagnostic {
-	checked := ctxCheckedFuncs(p)
 	var diags []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasContextParam(p, fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
+			sinks := sinkParams(p, fd)
+			// A literal inherits its enclosing function's context and may
+			// bring its own.
+			var visit func(ft *ast.FuncType, body *ast.BlockStmt, hasCtx bool)
+			visit = func(ft *ast.FuncType, body *ast.BlockStmt, hasCtx bool) {
+				hasCtx = hasCtx || hasContextParam(p, ft)
+				ast.Inspect(body, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						visit(lit.Type, lit.Body, hasCtx)
+						return false
+					}
+					rng, ok := n.(*ast.RangeStmt)
+					if ok && hasCtx && isStreamRange(p, rng, sinks) && !pollsContext(p, rng.Body) {
+						diags = append(diags, p.report(nameCtxLoop, rng,
+							"streaming loop never polls ctx; check ctx.Err() on a bounded stride (rowCheckInterval)"))
+					}
 					return true
-				}
-				if !isStreamRange(p, rng) {
-					return true
-				}
-				if pollsContext(p, rng.Body) || rangesCheckedSeq(p, rng.X, checked) {
-					return true
-				}
-				diags = append(diags, p.report(nameCtxLoop, rng,
-					"streaming loop never polls ctx; check ctx.Err() on a bounded stride (rowCheckInterval) or range a //lint:ctxchecked sequence"))
-				return true
-			})
+				})
+			}
+			visit(fd.Type, fd.Body, false)
 		}
 	}
 	return diags
 }
 
-// ctxCheckedFuncs collects package functions annotated //lint:ctxchecked
-// — their returned sequences poll the context internally.
-func ctxCheckedFuncs(p *Pass) map[*types.Func]bool {
-	out := make(map[*types.Func]bool)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if _, ok := directive("ctxchecked", fd.Doc); !ok {
-				continue
-			}
-			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				out[obj] = true
+// sinkParams collects the func-typed parameters of fd and of the
+// function literals inside it: the values a row loop pushes into.
+func sinkParams(p *Pass, fd *ast.FuncDecl) map[types.Object]bool {
+	sinks := make(map[types.Object]bool)
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if ft, ok := n.(*ast.FuncType); ok && ft.Params != nil {
+			for _, field := range ft.Params.List {
+				for _, name := range field.Names {
+					if _, ok := p.Info.TypeOf(name).Underlying().(*types.Signature); ok {
+						sinks[p.Info.Defs[name]] = true
+					}
+				}
 			}
 		}
-	}
-	return out
+		return true
+	})
+	return sinks
 }
 
 func isContextType(t types.Type) bool {
@@ -75,11 +77,11 @@ func isContextType(t types.Type) bool {
 		named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
 }
 
-func hasContextParam(p *Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
+func hasContextParam(p *Pass, ft *ast.FuncType) bool {
+	if ft.Params == nil {
 		return false
 	}
-	for _, field := range fd.Type.Params.List {
+	for _, field := range ft.Params.List {
 		if tv, ok := p.Info.Types[field.Type]; ok && isContextType(tv.Type) {
 			return true
 		}
@@ -88,9 +90,9 @@ func hasContextParam(p *Pass, fd *ast.FuncDecl) bool {
 }
 
 // isStreamRange reports whether the range target is a row stream: an
-// iter.Seq-shaped func (single func(...) bool parameter, no results) or
-// a channel.
-func isStreamRange(p *Pass, rng *ast.RangeStmt) bool {
+// iter.Seq-shaped func (single func(...) bool parameter, no results), a
+// channel, or a slice whose loop body calls one of sinks.
+func isStreamRange(p *Pass, rng *ast.RangeStmt, sinks map[types.Object]bool) bool {
 	tv, ok := p.Info.Types[rng.X]
 	if !ok {
 		return false
@@ -98,6 +100,17 @@ func isStreamRange(p *Pass, rng *ast.RangeStmt) bool {
 	switch t := tv.Type.Underlying().(type) {
 	case *types.Chan:
 		return true
+	case *types.Slice:
+		pushes := false
+		ast.Inspect(rng.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && sinks[p.Info.Uses[id]] {
+					pushes = true
+				}
+			}
+			return !pushes
+		})
+		return pushes
 	case *types.Signature:
 		if t.Params().Len() != 1 || t.Results().Len() != 0 {
 			return false
@@ -122,21 +135,6 @@ func pollsContext(p *Pass, body *ast.BlockStmt) bool {
 				if tv, ok := p.Info.Types[sel.X]; ok && isContextType(tv.Type) {
 					found = true
 				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// rangesCheckedSeq reports whether the ranged expression is (or
-// contains) a call to a //lint:ctxchecked sequence constructor.
-func rangesCheckedSeq(p *Pass, x ast.Expr, checked map[*types.Func]bool) bool {
-	found := false
-	ast.Inspect(x, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if checked[calleeFunc(p.Info, call)] {
-				found = true
 			}
 		}
 		return !found

@@ -47,8 +47,6 @@
 //	//lint:nolockio            (mutex field) never held across I/O
 //	//lint:deterministic       (package doc) enables plandeterminism
 //	//lint:errtaxonomy         (package doc) enables errtaxonomy
-//	//lint:ctxchecked          (func doc) returned sequence already
-//	                           polls ctx; consumers may range freely
 //	//lint:exempt <analyzer> <reason>  suppresses that analyzer's
 //	                           diagnostics on this (or the next) line
 //

@@ -28,33 +28,6 @@ func drainStride(ctx context.Context, rows seq) int {
 	return n
 }
 
-// checked wraps rows with a context poll on a bounded stride, so
-// consumers may range it freely.
-//
-//lint:ctxchecked
-func checked(ctx context.Context, rows seq) seq {
-	return func(yield func(row) bool) {
-		n := 0
-		for r := range rows {
-			n++
-			if n%1024 == 0 && ctx.Err() != nil {
-				return
-			}
-			if !yield(r) {
-				return
-			}
-		}
-	}
-}
-
-func drainViaChecked(ctx context.Context, rows seq) int {
-	n := 0
-	for range checked(ctx, rows) {
-		n++
-	}
-	return n
-}
-
 func drainChan(ctx context.Context, ch chan row) int {
 	n := 0
 	for range ch { // want "streaming loop never polls ctx"
@@ -70,4 +43,44 @@ func noCtx(rows seq) int {
 		n++
 	}
 	return n
+}
+
+// The push executor's row loop: a slice ranged in a context-taking
+// function, each row handed to a sink parameter.
+
+func pushUnchecked(ctx context.Context, rows []row, sink func(row)) {
+	for _, r := range rows { // want "streaming loop never polls ctx"
+		sink(r)
+	}
+}
+
+func pushStride(ctx context.Context, rows []row, sink func(row)) error {
+	for i, r := range rows {
+		if i%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		sink(r)
+	}
+	return nil
+}
+
+// A context-taking literal is held to the same rule as a declaration.
+func pushFromLiteral(rows []row, sink func(row)) func(context.Context) {
+	return func(ctx context.Context) {
+		for _, r := range rows { // want "streaming loop never polls ctx"
+			sink(r)
+		}
+	}
+}
+
+// sumRows ranges a slice without pushing anywhere: a bounded in-memory
+// pass, not a stream.
+func sumRows(ctx context.Context, rows []row, weigh func(row) int) int {
+	total := 0
+	for _, r := range rows {
+		total += r.id
+	}
+	return total + weigh(row{})
 }

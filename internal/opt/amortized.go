@@ -91,13 +91,19 @@ func (p *AmortizedOMP) Name() string { return "helix-opt-amortized" }
 // Blind implements MatPolicy.
 func (p *AmortizedOMP) Blind() bool { return false }
 
-// Decide implements MatPolicy: C(n)·p(reuse) > threshold·load and budget.
-func (p *AmortizedOMP) Decide(n *core.Node, cumulative, load float64, size int64) bool {
+// Worthwhile implements MatPolicy: C(n)·p(reuse) > threshold·load
+// (negated refusal, as in StreamingOMP).
+func (p *AmortizedOMP) Worthwhile(n *core.Node, cumulative, load float64) bool {
 	th := p.Threshold
 	if th <= 0 {
 		th = 2
 	}
-	if cumulative*p.Model.ReuseProbability(n) <= th*load {
+	return !(cumulative*p.Model.ReuseProbability(n) <= th*load)
+}
+
+// Decide implements MatPolicy: C(n)·p(reuse) > threshold·load and budget.
+func (p *AmortizedOMP) Decide(n *core.Node, cumulative, load float64, size int64) bool {
+	if !p.Worthwhile(n, cumulative, load) {
 		return false
 	}
 	if p.unbounded {

@@ -9,16 +9,25 @@ import (
 // MatPolicy decides, when a node goes out of scope during execution
 // (Definition 5: all children computed or loaded), whether to materialize
 // its result to disk (paper §5.3, Constraint 3: materialize immediately or
-// evict). Implementations must be safe for concurrent use: the execution
-// engine retires nodes from multiple worker goroutines, and with
-// write-behind materialization Decide is also invoked from the store's
-// background writer goroutines (for values whose size is only known
-// after serialization), concurrently with worker-side calls. All budget
-// bookkeeping must therefore be internally synchronized — a true return
-// reserves budget atomically with the decision.
+// evict). The engine asks in two steps: Worthwhile first, with the load
+// time of a zero-byte artifact — a lower bound on the real one — so a
+// value the policy refuses whatever its size is evicted without ever
+// being serialized; then, for the values that pass, Decide with the real
+// size and load time. Implementations must be safe for concurrent use:
+// the execution engine retires nodes from multiple worker goroutines, and
+// with write-behind materialization Decide is also invoked from the
+// store's background writer goroutines (for values whose size is only
+// known after serialization), concurrently with worker-side calls. All
+// budget bookkeeping must therefore be internally synchronized — a true
+// return from Decide reserves budget atomically with the decision.
 type MatPolicy interface {
 	// Name identifies the policy in benchmark output.
 	Name() string
+	// Worthwhile is the payoff half of Decide, without the size: false
+	// means Decide(n, cumulative, l, size) is false for every size and
+	// every l ≥ load. It has no side effects — it reserves no budget and
+	// pins no decision — so asking costs nothing and commits to nothing.
+	Worthwhile(n *core.Node, cumulative, load float64) bool
 	// Decide reports whether to materialize node n given its cumulative
 	// run time C(n) (Definition 6), projected load time, and on-disk size,
 	// all in seconds/bytes. A true return also reserves any budget.
@@ -59,9 +68,16 @@ func (p *StreamingOMP) Name() string { return "helix-opt" }
 // results that cannot be reused.
 func (p *StreamingOMP) Blind() bool { return false }
 
+// Worthwhile implements MatPolicy (Algorithm 2 line 5, first half:
+// C(n) > 2·l). Written as the negated refusal so a NaN cost passes, as
+// it always has.
+func (p *StreamingOMP) Worthwhile(_ *core.Node, cumulative, load float64) bool {
+	return !(cumulative <= p.Threshold*load)
+}
+
 // Decide implements MatPolicy (Algorithm 2 line 5: C(n) > 2·l and budget).
-func (p *StreamingOMP) Decide(_ *core.Node, cumulative, load float64, size int64) bool {
-	if cumulative <= p.Threshold*load {
+func (p *StreamingOMP) Decide(n *core.Node, cumulative, load float64, size int64) bool {
+	if !p.Worthwhile(n, cumulative, load) {
 		return false
 	}
 	if p.unbounded {
@@ -107,6 +123,9 @@ func (AlwaysMat) Name() string { return "helix-am" }
 // Blind implements MatPolicy: AM materializes indiscriminately.
 func (AlwaysMat) Blind() bool { return true }
 
+// Worthwhile implements MatPolicy: always true.
+func (AlwaysMat) Worthwhile(*core.Node, float64, float64) bool { return true }
+
 // Decide implements MatPolicy: always true.
 func (AlwaysMat) Decide(*core.Node, float64, float64, int64) bool { return true }
 
@@ -119,6 +138,10 @@ func (NeverMat) Name() string { return "helix-nm" }
 
 // Blind implements MatPolicy: trivially not (it writes nothing).
 func (NeverMat) Blind() bool { return false }
+
+// Worthwhile implements MatPolicy: always false, so under NM no value is
+// ever serialized.
+func (NeverMat) Worthwhile(*core.Node, float64, float64) bool { return false }
 
 // Decide implements MatPolicy: always false.
 func (NeverMat) Decide(*core.Node, float64, float64, int64) bool { return false }
@@ -163,15 +186,30 @@ func (p *MiniBatchOMP) Name() string { return "helix-opt-minibatch" }
 // Blind implements MatPolicy.
 func (p *MiniBatchOMP) Blind() bool { return p.Inner.Blind() }
 
+// pinned returns the operator's first-batch decision, if one was made.
+func (p *MiniBatchOMP) pinned(n *core.Node) (decision, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	decision, ok = p.decisions[n.Name]
+	return decision, ok
+}
+
+// Worthwhile implements MatPolicy: a pinned decision answers for itself.
+// An operator not yet decided always passes, even when Inner would
+// refuse it on payoff alone: only Decide may pin, and a refusal that was
+// never pinned could turn into a yes on a later batch — the per-batch
+// fragmentation this policy exists to prevent.
+func (p *MiniBatchOMP) Worthwhile(n *core.Node, _, _ float64) bool {
+	d, ok := p.pinned(n)
+	return !ok || d
+}
+
 // Decide implements MatPolicy: the first decision per operator name is
 // delegated to Inner and pinned; later batches replay it.
 func (p *MiniBatchOMP) Decide(n *core.Node, cumulative, load float64, size int64) bool {
-	p.mu.Lock()
-	if d, ok := p.decisions[n.Name]; ok {
-		p.mu.Unlock()
+	if d, ok := p.pinned(n); ok {
 		return d
 	}
-	p.mu.Unlock()
 	d := p.Inner.Decide(n, cumulative, load, size)
 	p.mu.Lock()
 	if prev, ok := p.decisions[n.Name]; ok {

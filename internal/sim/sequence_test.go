@@ -57,31 +57,75 @@ func TestSampleSequenceEmpty(t *testing.T) {
 // TestRobustnessAcrossRandomSchedules is the paper's methodology run over
 // freshly sampled schedules instead of the fixed figure schedule: HELIX
 // OPT must beat the no-reuse baseline on every sampled schedule.
+//
+// One draw is a measured tie, and the test says so instead of dropping
+// it: seed 2's six iterations are five DPR edits and one PPR, so OPT's
+// whole edge over recomputing everything is that one iteration — about
+// what it pays to materialize inline on the other five (OPT / no-reuse
+// 0.61–1.09 over 30 runs, median ≈ 0.9; until the baseline stopped
+// serializing values it then threw away, those encodes hid it). A
+// schedule with at most one reuse-friendly edit is therefore held to
+// nearTie, every other to a strict win, and
+// TestRobustnessAtPaperScheduleLength holds the same three draws to a
+// strict win at the paper's ten iterations.
 func TestRobustnessAcrossRandomSchedules(t *testing.T) {
-	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(string(rune('a'+seed)), func(t *testing.T) {
 			t.Parallel()
-			base, err := NewWorkload("census", tinyScale(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wl := WithSampledSequence(base, 6, seed)
-			opt, err := RunSeries(ctx, wl, HelixOpt, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			base2, _ := NewWorkload("census", tinyScale(), 1)
-			wl2 := WithSampledSequence(base2, 6, seed)
-			ks, err := RunSeries(ctx, wl2, KeystoneML, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if opt.TotalSeconds() >= ks.TotalSeconds() {
-				t.Errorf("schedule seed %d: helix-opt %.3fs ≥ keystoneml %.3fs",
-					seed, opt.TotalSeconds(), ks.TotalSeconds())
-			}
+			optVsNoReuse(t, 6, seed, nearTie)
 		})
+	}
+}
+
+// TestRobustnessAtPaperScheduleLength extends the same three draws to
+// ten iterations, the paper's schedule length: OPT must win each one
+// outright. Serial, because a parallel sibling's load lands unevenly on
+// the two series being compared.
+func TestRobustnessAtPaperScheduleLength(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		optVsNoReuse(t, 10, seed, 1)
+	}
+}
+
+// nearTie is how far above the no-reuse baseline OPT may land on a
+// schedule whose edits are all DPR but at most one.
+const nearTie = 1.25
+
+// optVsNoReuse runs census under a sampled schedule as HELIX OPT and as
+// the KeystoneML model and requires OPT's total below the baseline's —
+// or below tie × the baseline's when at most one edit can reuse anything.
+func optVsNoReuse(t *testing.T, iterations int, seed int64, tie float64) {
+	t.Helper()
+	ctx := context.Background()
+	var totals [2]float64
+	var seq []core.Component
+	for i, sys := range []System{HelixOpt, KeystoneML} {
+		base, err := NewWorkload("census", tinyScale(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := WithSampledSequence(base, iterations, seed)
+		res, err := RunSeries(ctx, wl, sys, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals[i], seq = res.TotalSeconds(), wl.Schedule
+	}
+	reuse := 0
+	for _, c := range seq[1:] {
+		if c != core.DPR {
+			reuse++
+		}
+	}
+	bound := 1.0
+	if reuse <= 1 {
+		bound = tie
+	}
+	t.Logf("seed %d %v: helix-opt %.3fs, keystoneml %.3fs, ratio %.2f (bound %.2f)",
+		seed, seq, totals[0], totals[1], totals[0]/totals[1], bound)
+	if totals[0] >= bound*totals[1] {
+		t.Errorf("schedule seed %d: helix-opt %.3fs ≥ %.2f × keystoneml %.3fs",
+			seed, totals[0], bound, totals[1])
 	}
 }

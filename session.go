@@ -3,6 +3,7 @@ package helix
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -605,6 +606,11 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	started := time.Now()
 	res, err := s.engine.RunWith(ctx, prog, prev, iter, eo)
 	if err != nil {
+		if errors.Is(err, exec.ErrRowType) {
+			// A streamable operator declared over the wrong element type:
+			// the declaration is at fault, not the run.
+			err = tagged(ErrBadWorkflow, err)
+		}
 		return nil, err
 	}
 	// Write-behind barrier: the engine already drains its own iteration's

@@ -2,21 +2,25 @@ package helix
 
 import (
 	"context"
-	"fmt"
-	"iter"
 
 	"helix/internal/exec"
 )
 
 // Streaming row-wise operators. MapRows, FilterRows, and FlatMapRows
 // declare operators the planner may fuse: a linear chain of them executes
-// as one scheduled unit with per-element pull, so only the chain's
-// endpoints are ever fully built — no per-operator barrier, no interior
-// collection proportional to the data. Fusion is a pure execution
-// strategy: each member keeps its own chain signature, so plan
-// fingerprints, materialization keys, and cross-iteration reuse behave
-// exactly as they do for batch operators, and the fuzz harness proves
-// streaming-on and streaming-off runs byte-identical.
+// as one scheduled unit, a typed push pipeline in which each head row is
+// handed from stage to stage as a plain function call, so only the
+// chain's endpoints are ever fully built — no per-operator barrier, no
+// interior collection proportional to the data, and no engine work per
+// row beyond those calls. Fusion is a pure execution strategy: each
+// member keeps its own chain signature, so plan fingerprints,
+// materialization keys, and cross-iteration reuse behave exactly as they
+// do for batch operators, and the fuzz harness proves streaming-on and
+// streaming-off runs byte-identical.
+//
+// Adjacent operators must agree on the element type; a mismatch (or an
+// input value that is not an []In) fails the run with ErrBadWorkflow
+// before any row function is called.
 //
 // They are free functions rather than Workflow methods because Go
 // methods cannot introduce type parameters.
@@ -28,23 +32,21 @@ import (
 // enabled (the default) the planner may fuse it with adjacent row-wise
 // operators.
 func MapRows[In, Out any](w *Workflow, name, params string, f func(In) Out, input *Op) *Op {
-	return declareRowOp[In, Out](w, name, extractorKind, params, input,
-		func(row any, emit func(any) bool) error {
-			emit(f(row.(In)))
-			return nil
-		})
+	return declareRowOp(w, name, extractorKind, params, input, func(down func(Out)) func(In) {
+		return func(row In) { down(f(row)) }
+	})
 }
 
 // FilterRows declares a row-wise predicate over a []T input, keeping the
 // rows for which pred is true. Streamable, like MapRows.
 func FilterRows[T any](w *Workflow, name, params string, pred func(T) bool, input *Op) *Op {
-	return declareRowOp[T, T](w, name, extractorKind, params, input,
-		func(row any, emit func(any) bool) error {
-			if pred(row.(T)) {
-				emit(row)
+	return declareRowOp(w, name, extractorKind, params, input, func(down func(T)) func(T) {
+		return func(row T) {
+			if pred(row) {
+				down(row)
 			}
-			return nil
-		})
+		}
+	})
 }
 
 // FlatMapRows declares a row-wise 1:N expansion over a []In input,
@@ -52,27 +54,21 @@ func FilterRows[T any](w *Workflow, name, params string, pred func(T) bool, inpu
 // records behavior, and declared as a Scanner (parsing ∈ F). Streamable,
 // like MapRows.
 func FlatMapRows[In, Out any](w *Workflow, name, params string, f func(In) []Out, input *Op) *Op {
-	return declareRowOp[In, Out](w, name, scannerKind, params, input,
-		func(row any, emit func(any) bool) error {
-			for _, u := range f(row.(In)) {
-				if !emit(u) {
-					return nil
-				}
+	return declareRowOp(w, name, scannerKind, params, input, func(down func(Out)) func(In) {
+		return func(row In) {
+			for _, u := range f(row) {
+				down(u)
 			}
-			return nil
-		})
+		}
+	})
 }
 
-// declareRowOp declares one streamable operator: the untyped RowOp the
-// engine fuses, plus a batch OpFunc over the very same RowOp — sharing
-// the per-row implementation is what makes streaming-on and
-// streaming-off produce byte-identical values.
-func declareRowOp[In, Out any](w *Workflow, name string, kind opKind, params string, input *Op, apply func(row any, emit func(any) bool) error) *Op {
-	row := &exec.RowOp{
-		Seq:   rowSeq[In],
-		Apply: apply,
-		Build: buildRows[Out],
-	}
+// declareRowOp declares one streamable operator: the RowOp the engine
+// fuses, plus a batch OpFunc over the very same RowOp — sharing the
+// per-row implementation is what makes streaming-on and streaming-off
+// produce byte-identical values.
+func declareRowOp[In, Out any](w *Workflow, name string, kind opKind, params string, input *Op, stage func(down func(Out)) func(In)) *Op {
+	row := exec.NewRowOp(stage)
 	fn := func(ctx context.Context, inputs []Value) (Value, error) {
 		return exec.RunRowOp(ctx, row, inputs)
 	}
@@ -95,34 +91,3 @@ const (
 	extractorKind opKind = iota
 	scannerKind
 )
-
-// rowSeq adapts a []In operator input into the untyped row stream a
-// fused chain's head pulls from. An untyped nil (pruned or empty
-// upstream) streams zero rows.
-func rowSeq[In any](v any) (iter.Seq[any], error) {
-	if v == nil {
-		return func(yield func(any) bool) {}, nil
-	}
-	in, ok := v.([]In)
-	if !ok {
-		return nil, tagged(ErrBadWorkflow, fmt.Errorf("helix: streaming operator expects %T input, got %T", in, v))
-	}
-	return func(yield func(any) bool) {
-		for _, r := range in {
-			if !yield(r) {
-				return
-			}
-		}
-	}, nil
-}
-
-// buildRows assembles a streamable operator's []Out output from its
-// transformed row stream. An empty stream yields nil, matching the
-// append-based batch operators byte-for-byte under encoding.
-func buildRows[Out any](rows iter.Seq[any]) (any, error) {
-	var out []Out
-	for r := range rows {
-		out = append(out, r.(Out))
-	}
-	return out, nil
-}

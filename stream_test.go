@@ -3,8 +3,10 @@ package helix
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,5 +209,49 @@ func TestSingleStreamableNodeRunsUnfused(t *testing.T) {
 	got := res.Values["dbl"].([]float64)
 	if len(got) != 3 || got[0] != 2 || got[2] != 6 {
 		t.Fatalf("dbl = %v", got)
+	}
+}
+
+// Adjacent streamable operators that disagree on the element type are a
+// declaration error in both execution modes: batch mode finds it when
+// the consumer sees its input value, fused mode when the chain is bound
+// — before any row function has run (it used to panic a worker
+// goroutine on the first row's type assertion).
+func TestStreamingElementTypeMismatchIsBadWorkflow(t *testing.T) {
+	for _, streaming := range []bool{true, false} {
+		var parseCalls, halveCalls atomic.Int64
+		wf := New("mismatch")
+		src := wf.Source("lines", "v1", func(ctx context.Context, in []Value) (Value, error) {
+			return []string{"1 2", "3"}, nil
+		})
+		parse := FlatMapRows(wf, "parse", "ints", func(line string) []int {
+			parseCalls.Add(1)
+			return []int{len(line)}
+		}, src)
+		MapRows(wf, "halve", "/2", func(v float64) float64 {
+			halveCalls.Add(1)
+			return v / 2
+		}, parse).IsOutput()
+
+		sess, err := Open(t.TempDir(), WithStreaming(streaming))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.Run(context.Background(), wf)
+		sess.Close()
+		if !errors.Is(err, ErrBadWorkflow) {
+			t.Fatalf("streaming=%v: err = %v, want ErrBadWorkflow", streaming, err)
+		}
+		var ne *NodeError
+		if !errors.As(err, &ne) {
+			t.Fatalf("streaming=%v: err = %v, want a *NodeError", streaming, err)
+		}
+		t.Logf("streaming=%v: %v", streaming, err)
+		if halveCalls.Load() != 0 {
+			t.Fatalf("streaming=%v: halve ran %d times on rows of the wrong type", streaming, halveCalls.Load())
+		}
+		if streaming && parseCalls.Load() != 0 {
+			t.Fatalf("fused chain ran parse %d times before the mismatch was reported", parseCalls.Load())
+		}
 	}
 }
