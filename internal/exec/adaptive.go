@@ -200,12 +200,8 @@ func (ad *adaptState) arm(st *runState, runs []*nodeRun) {
 // is released so a slow observer never blocks claims.
 func (ad *adaptState) note(s *runState, r *nodeRun, ready *readyQueue) {
 	ad.mu.Lock()
-	if r.unit != nil {
-		for _, m := range r.unit {
-			ad.noteOne(m)
-		}
-	} else {
-		ad.noteOne(r)
+	for _, m := range r.unit {
+		ad.noteOne(m)
 	}
 	var ev ReplanEvent
 	replanned := false
@@ -292,7 +288,7 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 		if atomic.LoadInt32(&r.started) != 0 || r.state != core.StateCompute {
 			continue
 		}
-		if r.unit != nil || r.fusedInto != nil {
+		if len(r.unit) > 1 {
 			// Fused units share one measured wall; per-member correction
 			// would be guesswork. Leave them to post-run observation.
 			continue
@@ -348,7 +344,7 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 			break // defensive: plan/run misalignment, adopt nothing further
 		}
 		r := ad.runs[i]
-		if atomic.LoadInt32(&r.started) != 0 || r.unit != nil || r.fusedInto != nil {
+		if atomic.LoadInt32(&r.started) != 0 || len(r.unit) > 1 {
 			continue
 		}
 		if r.state == np2.State {

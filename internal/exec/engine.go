@@ -26,9 +26,10 @@
 // materialization, and the manifest is current when Run returns.
 // Result.Wall covers only the compute critical path; the (mostly
 // overlapped) tail spent waiting at the barrier is reported separately as
-// Result.FlushWait. Options.SyncMaterialization restores the historical
-// inline behavior — serialize and write on the worker goroutine that
-// computed the value — for A/B comparison in internal/bench.
+// Result.FlushWait. Options.SyncMaterialization changes only who
+// processes the request retirement builds: the retiring worker, in place
+// (store.Write), instead of the pool — the paper-figure systems in
+// internal/sim measure materialization on the critical path that way.
 //
 // helixlint (errtaxonomy) holds this package's error returns to the
 // typed taxonomy: wrapped sentinels (ErrBadPlan, ErrNoFunction, the
@@ -96,9 +97,10 @@ type Options struct {
 	// never-materialize baseline.
 	MaterializeOutputs bool
 	// DPRSlowdown multiplies the cost of DPR operators by sleeping
-	// (factor-1)·elapsed after each DPR compute. Models DeepDive's
-	// Python/shell preprocessing being ~2× slower than Spark (paper
-	// §6.5.2). 0 or 1 means no slowdown.
+	// (factor-1)·elapsed after each DPR compute — for a fused run's
+	// member, elapsed is its even share of the unit's time. Models
+	// DeepDive's Python/shell preprocessing being ~2× slower than Spark
+	// (paper §6.5.2). 0 or 1 means no slowdown.
 	//
 	//lint:fpexempt execution-side sleep; its effect reaches the fingerprint through the carried cost statistics of the runs it slows
 	DPRSlowdown float64
@@ -409,15 +411,14 @@ type nodeRun struct {
 	// value; when it reaches zero the node is out of scope (Definition 5).
 	pending int32
 	retired int32
-	// unit, on a fused run's head, lists every member (head first, tail
-	// last): the head's execution drives the whole chain with per-element
-	// pull. fusedInto points non-head members at their head; they never
-	// occupy a scheduler slot of their own. streamed marks members whose
-	// value is never built (every member but the tail): retirement skips
-	// the materialization decision for them.
-	unit      []*nodeRun
-	fusedInto *nodeRun
-	streamed  bool
+	// unit is the scheduled unit the run executes in, head first, tail
+	// last: the run alone for an ordinary operator or a load (a one-element
+	// view of execute's run slice), the shared member list for every member
+	// of a fused run. Only the head (unit[0]) occupies a scheduler slot.
+	// streamed marks members whose value is never built (every member but
+	// the tail): retirement skips the materialization decision for them.
+	unit     []*nodeRun
+	streamed bool
 
 	// started is set (under the adaptive monitor's read lock, when armed)
 	// by the worker that claims the run; the re-planner only touches runs
@@ -547,6 +548,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 	}
 
 	// Per-node execution records, indexed both by plan order and by node.
+	// Every run starts as a unit of one: a view of its own slot in runs, so
+	// the executor has one shape to run and no per-node slice is allocated.
 	runs := make([]*nodeRun, len(p.Nodes))
 	byNode := make(map[*core.Node]*nodeRun, len(p.Nodes))
 	for i, np := range p.Nodes {
@@ -556,6 +559,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 			fn:    prog.Fns[np.Node],
 			state: np.State,
 			done:  make(chan struct{}),
+			unit:  runs[i : i+1 : i+1],
 		}
 		runs[i] = r
 		byNode[np.Node] = r
@@ -580,16 +584,11 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 		if !ok {
 			continue
 		}
-		head := runs[g[0]]
-		head.unit = make([]*nodeRun, len(g))
+		unit := make([]*nodeRun, len(g))
 		for k, i := range g {
-			head.unit[k] = runs[i]
-			if k > 0 {
-				runs[i].fusedInto = head
-			}
-			if k < len(g)-1 {
-				runs[i].streamed = true
-			}
+			unit[k] = runs[i]
+			runs[i].unit = unit
+			runs[i].streamed = k < len(g)-1
 		}
 	}
 
@@ -608,7 +607,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 		// Fused-run members ride inside their head's scheduler slot: they
 		// still track pending (retirement) but never count as scheduled
 		// work of their own.
-		if r.fusedInto == nil {
+		if r.unit[0] == r {
 			scheduled++
 		}
 		var pending int32
@@ -644,12 +643,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 		runs:      byNode,
 		rows:      prog.Rows,
 		times:     make([]atomic.Uint64, len(runs)),
-		outputs:   make(map[*core.Node]bool, len(d.Outputs())),
 		iteration: p.Iteration,
 		cancel:    cancel,
-	}
-	for _, o := range d.Outputs() {
-		st.outputs[o] = true
 	}
 	if ad != nil {
 		ad.arm(st, runs)
@@ -663,9 +658,9 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 	// the caller observe the store. Runs on the error paths too, so a
 	// failed iteration still quiesces its background writes. The flush
 	// error is deliberately discarded: a failed write degrades to "not
-	// materialized" exactly as the sync path does (retireSync ignores
-	// PutBytes errors), keeping the two modes' failure semantics
-	// identical for A/B comparison.
+	// materialized", which the request's OnDone has already settled — in
+	// either mode. Sync runs skip the barrier (nothing was handed off, and
+	// Result.FlushWait is documented as zero there).
 	var flushWait time.Duration
 	if !opts.SyncMaterialization {
 		flushStart := time.Now()
@@ -747,10 +742,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 		}
 		res.Breakdown[r.node.Component] += time.Duration(r.ownSecs * float64(time.Second))
 		res.MatTime += time.Duration(r.matSecs * float64(time.Second))
-	}
-	for _, o := range d.Outputs() {
-		if r := byNode[o]; r != nil {
-			res.Values[o.Name] = r.value
+		if r.np.Output {
+			res.Values[r.node.Name] = r.value
 		}
 	}
 	if sampler != nil {
@@ -850,7 +843,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 
 	ready := newReadyQueue()
 	for _, r := range runs { // topological order: parents enqueue first
-		if r.state == core.StateCompute && r.fusedInto == nil && atomic.LoadInt32(&r.deps) == 0 {
+		if r.state == core.StateCompute && r.unit[0] == r && atomic.LoadInt32(&r.deps) == 0 {
 			ready.push(r)
 		}
 	}
@@ -886,7 +879,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 		}
 		for _, ch := range n.Children() {
 			cr := st.runs[ch]
-			if cr == nil || cr.state != core.StateCompute || cr.fusedInto != nil {
+			if cr == nil || cr.state != core.StateCompute || cr.unit[0] != cr {
 				continue
 			}
 			if atomic.AddInt32(&cr.deps, -1) == 0 {
@@ -899,15 +892,11 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 			st.cancel()
 			return
 		}
-		if r.unit != nil {
-			// A fused unit's completion releases the children of every
-			// member at once — interiors have none outside the unit by the
-			// fusion rule, but the tail (and load/prune-fed interiors) can.
-			for _, m := range r.unit {
-				release(m.node)
-			}
-		} else {
-			release(r.node)
+		// A fused unit's completion releases the children of every member
+		// at once — interiors have none outside the unit by the fusion
+		// rule, but the tail (and load/prune-fed interiors) can.
+		for _, m := range r.unit {
+			release(m.node)
 		}
 		if ad := st.adapt; ad != nil {
 			// Feed the divergence monitor; this may trigger an inline
@@ -986,7 +975,6 @@ type runState struct {
 	// unfinished time is simply not part of the chain's bill, exactly as
 	// the old done-channel gate behaved.
 	times     []atomic.Uint64
-	outputs   map[*core.Node]bool
 	iteration int
 	cancel    context.CancelFunc
 	// adapt, when non-nil, is the armed mid-run divergence monitor
@@ -1011,7 +999,7 @@ type runState struct {
 // retirements on the hot path never contend with each other or with an
 // in-flight recomputation's user code.
 func (s *runState) evict(r *nodeRun) {
-	if s.outputs[r.node] {
+	if r.np.Output {
 		return // outputs keep their value for Result
 	}
 	r.valMu.Lock()
@@ -1019,12 +1007,21 @@ func (s *runState) evict(r *nodeRun) {
 	r.valMu.Unlock()
 }
 
-// execNode runs a single node to completion: loads or computes, records
-// timing, then retires out-of-scope nodes. The scheduler guarantees that
-// a Compute node's parents have already finished, so inputs are read
-// directly — no per-parent waiting.
+// execNode runs one scheduled unit to completion: loads, or computes the
+// head's function (a unit of one) or streams the head's input rows
+// through every member's row operator (a fused run: only the tail's value
+// is ever built), records timing, then retires out-of-scope nodes. The
+// scheduler guarantees that a Compute node's parents have already
+// finished, so inputs are read directly — no per-parent waiting.
 func (s *runState) execNode(ctx context.Context, r *nodeRun) {
-	defer close(r.done)
+	unit := r.unit
+	// Every member completes (successfully or not) exactly when the head
+	// does.
+	defer func() {
+		for _, m := range unit {
+			close(m.done)
+		}
+	}()
 	n := r.node
 
 	// A canceled run must not start new work: queued nodes can still win
@@ -1047,13 +1044,12 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 		ad.mu.RUnlock()
 	}
 
-	if r.unit != nil {
-		s.execFused(ctx, r)
-		return
+	fused := len(unit) > 1
+	for _, m := range unit {
+		s.em.node(m.node.Name, NodeStarted, m.state, 0, false, 0, fused)
 	}
 
-	s.em.node(n.Name, NodeStarted, r.state, 0, false, 0, false)
-
+	tail := unit[len(unit)-1]
 	switch r.state {
 	case core.StateLoad:
 		value, dur, err := s.engine.Store.Get(n.ChainSignature())
@@ -1087,42 +1083,69 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 			}
 			inputs[i] = pr.value
 		}
-		if r.fn == nil {
-			r.err = ErrNoFunction
-			return
+		var (
+			value any
+			err   error
+			start = time.Now()
+		)
+		if fused {
+			ops := make([]*RowOp, len(unit))
+			for i, m := range unit {
+				ops[i] = s.rows[m.node]
+			}
+			value, err = RunRowOps(ctx, ops, inputs)
+		} else if r.fn == nil {
+			err = ErrNoFunction
+		} else {
+			value, err = r.fn(ctx, inputs)
 		}
-		start := time.Now()
-		value, err := r.fn(ctx, inputs)
 		if err != nil {
 			r.err = err
 			return
 		}
-		elapsed := time.Since(start)
-		if f := s.opts.DPRSlowdown; f > 1 && n.Component == core.DPR {
-			extra := time.Duration(float64(elapsed) * (f - 1))
-			time.Sleep(extra)
-			elapsed += extra
+		tail.value = value
+		// Per-member timing is unobservable inside a fused pipeline by
+		// design: each member is charged an even share of the measured
+		// wall, which keeps C(n) sums and Metrics-based cost models finite
+		// and order-of-magnitude right. The modelled slowdown of a member's
+		// own component (Options.DPRSlowdown / LISlowdown) applies to its
+		// share, slept out here so the critical path pays it.
+		share := time.Since(start) / time.Duration(len(unit))
+		for _, m := range unit {
+			elapsed, f := share, 1.0
+			switch m.node.Component {
+			case core.DPR:
+				f = s.opts.DPRSlowdown
+			case core.LI:
+				f = s.opts.LISlowdown
+			}
+			if f > 1 {
+				extra := time.Duration(float64(elapsed) * (f - 1))
+				time.Sleep(extra)
+				elapsed += extra
+			}
+			m.ownSecs = elapsed.Seconds()
+			m.measured = elapsed
+			m.measuredOK = true
 		}
-		if f := s.opts.LISlowdown; f > 1 && n.Component == core.LI {
-			extra := time.Duration(float64(elapsed) * (f - 1))
-			time.Sleep(extra)
-			elapsed += extra
-		}
-		r.value = value
-		r.ownSecs = elapsed.Seconds()
-		r.measured = elapsed
-		r.measuredOK = true
 	}
 
-	// Publish the measured time for ancestor C(n) sums before any
-	// retirement can read it.
-	s.times[r.np.Index].Store(math.Float64bits(r.ownSecs))
+	// Publish the measured times for ancestor C(n) sums before any
+	// retirement can read them. finished is set before the cascade so an
+	// adaptive swap's pending decrement racing with the tail's self-check
+	// below retires the node on exactly one side.
+	for _, m := range unit {
+		s.times[m.np.Index].Store(math.Float64bits(m.ownSecs))
+		atomic.StoreInt32(&m.finished, 1)
+	}
 
-	// Retirement cascade: this node's completion may put parents (and
-	// itself, if it has no computing children) out of scope. finished is
-	// set first so an adaptive swap's pending decrement racing with the
-	// self-check below retires this node on exactly one side.
-	atomic.StoreInt32(&r.finished, 1)
+	// Retirement cascade: the unit's completion may put the head's parents
+	// out of scope; each interior's (never-built) value was consumed by
+	// the next member, so interiors retire as the stream passes — their
+	// streamed flag short-circuits the materialization decision; the tail
+	// retires if it has no computing children, and can materialize under
+	// its own chain signature, keeping cross-iteration reuse keyed exactly
+	// as batch execution would.
 	if r.state == core.StateCompute {
 		for _, p := range n.Parents() {
 			pr := s.runs[p]
@@ -1134,89 +1157,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 			}
 		}
 	}
-	if atomic.LoadInt32(&r.pending) == 0 {
-		s.retire(r)
-	}
-}
-
-// execFused executes a fused run as one scheduled unit: the head's input
-// rows stream through every member's per-row Apply and only the tail's
-// value is ever built (runRowOps). Interiors never allocate an output
-// proportional to the data and never occupy a worker slot of their own.
-// Measured wall time is attributed evenly across members — per-member
-// timing is unobservable inside a fused pipeline by design, and an even
-// share keeps C(n) sums and Metrics-based cost models finite and
-// order-of-magnitude right.
-func (s *runState) execFused(ctx context.Context, r *nodeRun) {
-	// The head's own done channel is closed by execNode's defer; the rest
-	// of the unit completes (successfully or not) exactly when the head
-	// does.
-	defer func() {
-		for _, m := range r.unit[1:] {
-			close(m.done)
-		}
-	}()
-
-	for _, m := range r.unit {
-		s.em.node(m.node.Name, NodeStarted, m.state, 0, false, 0, true)
-	}
-
-	inputs := make([]any, len(r.node.Parents()))
-	for i, p := range r.node.Parents() {
-		pr := s.runs[p]
-		if pr == nil || pr.state == core.StatePrune {
-			continue
-		}
-		if pr.err != nil {
-			r.err = fmt.Errorf("input %q failed", p.Name)
-			return
-		}
-		inputs[i] = pr.value
-	}
-	if len(inputs) != 1 {
-		r.err = fmt.Errorf("fused run head %q has %d inputs, want 1", r.node.Name, len(inputs))
-		return
-	}
-	ops := make([]*RowOp, len(r.unit))
-	for i, m := range r.unit {
-		ops[i] = s.rows[m.node]
-	}
-
-	start := time.Now()
-	value, err := runRowOps(ctx, ops, inputs[0])
-	if err != nil {
-		r.err = err
-		return
-	}
-	elapsed := time.Since(start)
-
-	share := elapsed / time.Duration(len(r.unit))
-	tail := r.unit[len(r.unit)-1]
-	tail.value = value
-	for _, m := range r.unit {
-		m.ownSecs = share.Seconds()
-		m.measured = share
-		m.measuredOK = true
-		s.times[m.np.Index].Store(math.Float64bits(m.ownSecs))
-		atomic.StoreInt32(&m.finished, 1)
-	}
-
-	// Retirement cascade. The head consumed its boundary parents' values;
-	// each interior's (never-built) value was consumed by the next member,
-	// so interiors retire as the stream passes — their streamed flag
-	// short-circuits the materialization decision. The tail retires
-	// normally and can materialize under its own chain signature, keeping
-	// cross-iteration reuse keyed exactly as batch execution would.
-	for _, p := range r.node.Parents() {
-		pr := s.runs[p]
-		if pr == nil {
-			continue
-		}
-		if atomic.AddInt32(&pr.pending, -1) == 0 {
-			s.retire(pr)
-		}
-	}
-	for _, m := range r.unit[:len(r.unit)-1] {
+	for _, m := range unit[:len(unit)-1] {
 		if atomic.AddInt32(&m.pending, -1) == 0 {
 			s.retire(m)
 		}
@@ -1237,8 +1178,7 @@ func (s *runState) retire(r *nodeRun) {
 	}
 	materialized, bytes := s.retireValue(r)
 	if r.err == nil {
-		fused := r.unit != nil || r.fusedInto != nil
-		s.em.node(r.node.Name, NodeRetired, r.state, r.ownSecs, materialized, bytes, fused)
+		s.em.node(r.node.Name, NodeRetired, r.state, r.ownSecs, materialized, bytes, len(r.unit) > 1)
 	}
 }
 
@@ -1310,93 +1250,11 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 			return false, 0
 		}
 	}
-	if s.opts.SyncMaterialization {
-		return s.retireSync(r, key, mandatory, cum)
-	}
-	return s.retireAsync(r, key, mandatory, cum)
-}
 
-// retireSync is the historical inline path: serialize and write on the
-// retiring goroutine, charging the full cost to the critical path. Only
-// values the policy found worthwhile at zero size (or mandatory) arrive.
-func (s *runState) retireSync(r *nodeRun, key string, mandatory bool, cum float64) (materialized bool, bytes int64) {
-	e := s.engine
-	n := r.node
-	pol := s.opts.Policy
-	var decided, encoded bool
-	var data []byte
-	size := int64(-1)
-	if sz, ok := r.value.(Sizer); ok {
-		size = sz.ApproxBytes()
-	}
-	if !mandatory {
-		if size < 0 {
-			// No cheap size available: serialize to learn it. The encode
-			// time is charged as materialization overhead, kept or not.
-			encStart := time.Now()
-			var err error
-			data, err = e.Store.EncodeValue(r.value)
-			if err != nil {
-				return false, 0 // unserializable values are simply not materialized
-			}
-			r.matSecs += time.Since(encStart).Seconds()
-			encoded = true
-			size = int64(len(data))
-		}
-		load := e.Store.EstimateLoad(size).Seconds()
-		decided = pol.Decide(n, cum, load, size)
-	}
-	if !mandatory && !decided {
-		s.evict(r)
-		return false, 0
-	}
-
-	matStart := time.Now()
-	if !encoded {
-		var err error
-		data, err = e.Store.EncodeValue(r.value)
-		if err != nil {
-			return false, 0
-		}
-	}
-	ent, wrote, err := e.Store.PutBytesTenant(key, n.Name, data, s.iteration, s.opts.Tenant)
-	r.matSecs += time.Since(matStart).Seconds()
-	if err != nil {
-		return false, 0 // a failed write degrades to no materialization
-	}
-	if !wrote {
-		// Shared-mode dedup: another session published the signature
-		// between the Has check and the write. The artifact is on disk
-		// either way; refund the budget this tenant's Decide reserved for
-		// the skipped write.
-		if decided {
-			if rel, ok := pol.(interface{ Release(int64) }); ok {
-				rel.Release(size)
-			}
-		}
-	}
-	r.bytes = ent.Size
-	n.Metrics.Size = ent.Size
-	n.Metrics.Load = e.Store.EstimateLoad(ent.Size)
-	s.evict(r)
-	return true, ent.Size
-}
-
-// retireAsync is the write-behind path: hand the value to the store's
-// writer pool and return immediately, so the nodes waiting on this
-// goroutine are not held behind serialization or disk. Of the values the
-// policy found worthwhile at zero size, those that can report their size
-// cheaply (Sizer) get their policy decision inline — skipping the enqueue
-// entirely on a "no" — while the rest defer the decision to the writer
-// goroutine, which learns the size by encoding there. The OnDone
-// callback's writes to the nodeRun and node metrics are
-// published to Run by the store.Flush barrier. The enqueued write is
-// still in flight when the node retires, so this path always reports
-// unmaterialized; Result.Nodes carries the settled outcome after Flush.
-func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float64) (materialized bool, bytes int64) {
-	e := s.engine
-	n := r.node
-	pol := s.opts.Policy
+	// One request, whoever processes it. Values that can report their size
+	// cheaply (Sizer) get the size-dependent policy decision here —
+	// skipping the request entirely on a "no" — while the rest defer it to
+	// the request's Decide, which learns the size by encoding.
 	req := store.WriteRequest{
 		Key:       key,
 		Name:      n.Name,
@@ -1407,22 +1265,20 @@ func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float
 	// reservedSize tracks bytes a "yes" from Decide reserved against the
 	// policy's budget, so a shared-mode dedup (another session published
 	// the signature first; the write is skipped) can refund them. Decide
-	// and OnDone run sequentially on the same writer goroutine, so plain
-	// closure variables suffice.
+	// and OnDone run sequentially on one goroutine, so plain closure
+	// variables suffice.
 	reservedSize := int64(-1)
 	if !mandatory {
 		if sz, ok := r.value.(Sizer); ok {
 			size := sz.ApproxBytes()
-			load := e.Store.EstimateLoad(size).Seconds()
-			if !pol.Decide(n, cum, load, size) {
+			if !pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds(), size) {
 				s.evict(r)
 				return false, 0
 			}
 			reservedSize = size
 		} else {
 			req.Decide = func(size int64) bool {
-				load := e.Store.EstimateLoad(size).Seconds()
-				if !pol.Decide(n, cum, load, size) {
+				if !pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds(), size) {
 					return false
 				}
 				reservedSize = size
@@ -1431,31 +1287,43 @@ func (s *runState) retireAsync(r *nodeRun, key string, mandatory bool, cum float
 		}
 	}
 	req.OnDone = func(out store.WriteOutcome) {
-		// Runs on a writer goroutine; Run reads these after Flush.
+		// May run on a writer goroutine; Run reads these after Flush.
 		r.matSecs += out.Secs
-		if out.Written {
+		if out.OnDisk() {
+			// Written here, or a deduplicated publish (another session's
+			// write won): the artifact exists either way, at this size.
 			r.bytes = out.Entry.Size
 			n.Metrics.Size = out.Entry.Size
 			n.Metrics.Load = e.Store.EstimateLoad(out.Entry.Size)
-		} else if out.Err == nil && reservedSize >= 0 {
-			// Decide said yes but nothing landed — either a deduplicated
-			// publish (another session's write won; the artifact exists) or
-			// an unserializable value. The reservation goes back to the
+		}
+		if !out.Written && out.Err == nil && reservedSize >= 0 {
+			// Decide said yes but nothing landed — a deduplicated publish
+			// or an unserializable value. The reservation goes back to the
 			// tenant's budget in both cases.
 			if rel, ok := pol.(interface{ Release(int64) }); ok {
 				rel.Release(reservedSize)
 			}
-			if out.Entry.Size > 0 {
-				n.Metrics.Size = out.Entry.Size
-				n.Metrics.Load = e.Store.EstimateLoad(out.Entry.Size)
-			}
 		}
 	}
-	e.Store.PutAsync(req)
-	// Eager cache pruning still applies: the writer pool now holds the
-	// only reference needed for the pending write.
+	// SyncMaterialization selects only who processes the request: this
+	// goroutine, in place, charging serialization and the write to the
+	// critical path (and knowing the outcome at retirement), or the
+	// store's writer pool, so the nodes waiting on this goroutine are not
+	// held behind either — the write is then still in flight when the node
+	// retires and reports unmaterialized; Result.Nodes carries the settled
+	// outcome after Flush. A failed encode or write degrades to "not
+	// materialized" in both.
+	if s.opts.SyncMaterialization {
+		if out := e.Store.Write(req); out.OnDisk() {
+			materialized, bytes = true, out.Entry.Size
+		}
+	} else {
+		e.Store.PutAsync(req)
+	}
+	// Eager cache pruning applies either way: a queued request holds the
+	// only reference its pending write needs.
 	s.evict(r)
-	return false, 0
+	return materialized, bytes
 }
 
 // recompute computes a node's value on demand, recursively ensuring parent

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -117,5 +120,228 @@ func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 				t.Errorf("%s (sync=%v): MatTime %v, the written artifacts account for %v", tc.name, sync, res.MatTime, bill)
 			}
 		}
+	}
+}
+
+// sizedInts reports its size cheaply, so Algorithm 2's size-dependent
+// half is decided at retirement instead of after an encode.
+type sizedInts []int
+
+func (v sizedInts) ApproxBytes() int64 { return int64(8 * len(v)) }
+
+// blob is a Sizer the codec below cannot serialize: the policy says yes
+// (and reserves budget) before the encode fails.
+type blob struct{ payload [256]byte }
+
+func (*blob) ApproxBytes() int64 { return 256 }
+
+// modesCodec encodes sizedInts as the []int it is and refuses *blob.
+type modesCodec struct{ store.BinaryCodec }
+
+func (c modesCodec) Encode(v any) ([]byte, error) {
+	switch v := v.(type) {
+	case sizedInts:
+		return c.BinaryCodec.Encode([]int(v))
+	case *blob:
+		return nil, errors.New("blob is not serializable")
+	}
+	return c.BinaryCodec.Encode(v)
+}
+
+// modesProgram is lines → features → sized → blob → use → probe → score:
+// a cheap source Algorithm 2 refuses, an extractor it keeps after a
+// deferred decision (the size is learnt by encoding), a Sizer decided at
+// retirement, a Sizer whose encode fails, and two more kept operators
+// before the mandatory output. blob retires when use finishes; probe,
+// which runs next at Parallelism 1, reports through released whether the
+// blob's memory was reclaimable by then.
+func modesProgram(released *atomic.Bool) *Program {
+	d := core.NewDAG()
+	names := []string{"lines", "features", "sized", "blob", "use", "probe", "score"}
+	nodes := make([]*core.Node, len(names))
+	for i, name := range names {
+		kind, comp := core.KindExtractor, core.DPR
+		switch name {
+		case "lines":
+			kind = core.KindSource
+		case "score":
+			kind, comp = core.KindReducer, core.PPR
+		}
+		nodes[i] = d.MustAddNode(name, kind, comp, name+"-v1", true)
+		if i > 0 {
+			mustEdge(d, nodes[i-1], nodes[i])
+		}
+	}
+	d.MarkOutput(nodes[len(nodes)-1])
+	var finalized atomic.Bool
+	slow := func(f func(in any) any) OpFunc {
+		return func(ctx context.Context, in []any) (any, error) {
+			time.Sleep(opDelay)
+			return f(in[0]), nil
+		}
+	}
+	return &Program{DAG: d, Fns: map[*core.Node]OpFunc{
+		nodes[0]: func(ctx context.Context, in []any) (any, error) { return []string{"a", "b", "c"}, nil },
+		nodes[1]: slow(func(in any) any { return make([]int, 100*len(in.([]string))) }),
+		nodes[2]: slow(func(in any) any { return sizedInts(in.([]int)) }),
+		nodes[3]: slow(func(in any) any {
+			b := &blob{}
+			runtime.SetFinalizer(b, func(*blob) { finalized.Store(true) })
+			return b
+		}),
+		nodes[4]: slow(func(in any) any { return len(in.(*blob).payload) }),
+		nodes[5]: slow(func(in any) any {
+			for deadline := time.Now().Add(2 * time.Second); !finalized.Load() && time.Now().Before(deadline); {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			released.Store(finalized.Load())
+			return in.(int) + 1
+		}),
+		nodes[6]: slow(func(in any) any { return float64(in.(int)) }),
+	}}
+}
+
+// racingPolicy plays another session attached to the same shared store:
+// asked to Decide one of its victims — after retirement's Has check,
+// before the store's write — it publishes that signature first, so this
+// session's write is deduplicated.
+type racingPolicy struct {
+	*opt.StreamingOMP
+	st      *store.Store
+	victims []string
+}
+
+const racedPayload = "published by another session"
+
+func (p racingPolicy) Decide(n *core.Node, cum, load float64, size int64) bool {
+	ok := p.StreamingOMP.Decide(n, cum, load, size)
+	if ok && slices.Contains(p.victims, n.Name) {
+		if _, err := p.st.PutBytes(n.ChainSignature(), n.Name, []byte(racedPayload), 0); err != nil {
+			panic(err)
+		}
+	}
+	return ok
+}
+
+// TestRetireModesAgree: SyncMaterialization selects who processes a
+// retired value's write request, nothing else. Under a budgeted
+// StreamingOMP the two modes land the same artifacts, settle the same
+// per-node bytes, materialization bill and carried sizes, leave the
+// policy the same budget (the reservation of the value that failed to
+// encode is refunded), and release every retired value at retirement —
+// including the one whose encode failed. They differ only in what is
+// known at retirement: an inline write reports its outcome in the
+// NodeRetired event — the same outcome Result.Nodes settles on — a
+// handed-off one reports unmaterialized. The raced case repeats all of it
+// on a shared store where another session wins the publish of a Sizer
+// (found when the request is picked up) and of a deferred decision (found
+// by the write-once check): both modes adopt the artifact that is there
+// and refund what they had reserved for their own.
+func TestRetireModesAgree(t *testing.T) {
+	type settled struct {
+		keys      []string
+		bytes     map[string]int64
+		billed    map[string]bool
+		sizes     map[string]int64
+		remaining int64
+	}
+	const budget = 1 << 20
+	run := func(t *testing.T, sync, raced bool) settled {
+		omp := opt.NewStreamingOMP(budget)
+		var (
+			st  *store.Store
+			pol opt.MatPolicy = omp
+			err error
+		)
+		if raced {
+			var sh *store.Shared
+			if sh, err = store.OpenShared(t.TempDir()); err == nil {
+				st = sh.Store()
+				pol = racingPolicy{omp, st, []string{"sized", "use"}}
+			}
+		} else {
+			st, err = store.Open(t.TempDir())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		st.Codec = modesCodec{}
+		retired := map[string]NodeEvent{}
+		e := &Engine{Store: st, Opts: Options{
+			Policy:              pol,
+			MaterializeOutputs:  true,
+			SyncMaterialization: sync,
+			Parallelism:         1,
+			Observer: func(ev Event) {
+				if ne, ok := ev.(NodeEvent); ok && ne.Phase == NodeRetired {
+					retired[ne.Name] = ne
+				}
+			},
+		}}
+		var released atomic.Bool
+		prog := modesProgram(&released)
+		res, err := e.Run(context.Background(), prog, nil, 0)
+		if err != nil {
+			t.Fatalf("sync=%v: %v", sync, err)
+		}
+		if !released.Load() {
+			t.Errorf("sync=%v: blob's value was still referenced after it retired", sync)
+		}
+		out := settled{bytes: map[string]int64{}, billed: map[string]bool{}, sizes: map[string]int64{}, remaining: omp.Remaining()}
+		for _, key := range st.Keys() {
+			ent, _ := st.Entry(key)
+			out.keys = append(out.keys, ent.Name)
+		}
+		slices.Sort(out.keys)
+		for name, rep := range res.Nodes {
+			out.bytes[name] = rep.Bytes
+			out.billed[name] = rep.MatSecs > 0
+			out.sizes[name] = prog.DAG.Node(name).Metrics.Size
+			// Known at retirement only inline, and then it is what settles.
+			wantMat, wantBytes := sync && rep.Bytes > 0, int64(0)
+			if sync {
+				wantBytes = rep.Bytes
+			}
+			if ev := retired[name]; ev.Materialized != wantMat || ev.Bytes != wantBytes {
+				t.Errorf("sync=%v: NodeRetired(%s) reported materialized=%v bytes=%d, want %v and %d (Result.Nodes settled on %d bytes)",
+					sync, name, ev.Materialized, ev.Bytes, wantMat, wantBytes, rep.Bytes)
+			}
+		}
+		return out
+	}
+	for _, raced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "uncontended", true: "raced"}[raced], func(t *testing.T) {
+			async, sync := run(t, false, raced), run(t, true, raced)
+			if want := []string{"features", "probe", "score", "sized", "use"}; !slices.Equal(async.keys, want) {
+				t.Errorf("write-behind materialized %v, want %v", async.keys, want)
+			}
+			if async.bytes["blob"] != 0 || async.sizes["blob"] != 0 || async.bytes["lines"] != 0 {
+				t.Errorf("the unserializable value settled as %d bytes (carried size %d) and the refused source as %d, want not materialized",
+					async.bytes["blob"], async.sizes["blob"], async.bytes["lines"])
+			}
+			// What stays reserved: the encoded size of each deferred decision
+			// that landed and the Sizer's own estimate for sized; nothing for
+			// the mandatory output, nothing for blob, whose reservation was
+			// refunded — and nothing for a publish another session won.
+			reserved := async.bytes["features"] + async.bytes["probe"]
+			if raced {
+				for _, name := range []string{"sized", "use"} {
+					if got := async.bytes[name]; got != int64(len(racedPayload)) || async.sizes[name] != got {
+						t.Errorf("%s settled as %d bytes (carried size %d), want the %d of the artifact that won the publish",
+							name, got, async.sizes[name], len(racedPayload))
+					}
+				}
+			} else {
+				reserved += async.bytes["use"] + sizedInts(make([]int, 300)).ApproxBytes()
+			}
+			if async.remaining != budget-reserved {
+				t.Errorf("write-behind left %d of a %d budget, want %d: a reservation for a write that never landed was not refunded", async.remaining, budget, budget-reserved)
+			}
+			if !reflect.DeepEqual(async, sync) {
+				t.Errorf("the two modes settled differently:\nwrite-behind %+v\ninline       %+v", async, sync)
+			}
+		})
 	}
 }

@@ -80,10 +80,18 @@ func driveRows[In any](ctx context.Context, in []In, up func(In)) error {
 	return nil
 }
 
-// runRowOps executes a chain over the head's single input value: bind the
+// RunRowOps executes a chain over the head's single input value: bind the
 // tail's collector through every member back to the head, drive the
 // head's rows through it; the tail's slice is the only value ever built.
-func runRowOps(ctx context.Context, ops []*RowOp, input any) (any, error) {
+// It is the engine's one way to run row operators — a fused unit passes
+// its members, RunRowOp a chain of one.
+func RunRowOps(ctx context.Context, ops []*RowOp, inputs []any) (any, error) {
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("%w: empty row-operator chain", ErrBadPlan)
+	}
+	if len(inputs) != 1 {
+		return nil, fmt.Errorf("%w: streamable operator expects 1 input, got %d", ErrBadPlan, len(inputs))
+	}
 	sink, finish := ops[len(ops)-1].Collect()
 	for i := len(ops) - 1; i >= 0; i-- {
 		up, err := ops[i].Bind(sink)
@@ -92,17 +100,14 @@ func runRowOps(ctx context.Context, ops []*RowOp, input any) (any, error) {
 		}
 		sink = up
 	}
-	if err := ops[0].Drive(ctx, input, sink); err != nil {
+	if err := ops[0].Drive(ctx, inputs[0], sink); err != nil {
 		return nil, err
 	}
 	return finish(), nil
 }
 
 // RunRowOp executes one streamable operator in ordinary batch mode — its
-// OpFunc when it is not part of a fused run: runRowOps over a chain of one.
+// OpFunc when it is not part of a fused run: RunRowOps over a chain of one.
 func RunRowOp(ctx context.Context, op *RowOp, inputs []any) (any, error) {
-	if len(inputs) != 1 {
-		return nil, fmt.Errorf("%w: streamable operator expects 1 input, got %d", ErrBadPlan, len(inputs))
-	}
-	return runRowOps(ctx, []*RowOp{op}, inputs[0])
+	return RunRowOps(ctx, []*RowOp{op}, inputs)
 }

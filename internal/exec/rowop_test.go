@@ -44,7 +44,7 @@ func TestRunRowOpsChainsStages(t *testing.T) {
 		mapOp(func(v int) float64 { return float64(v) / 2 }),
 		filterOp(func(v float64) bool { return v > 1 }),
 	}
-	got, err := runRowOps(context.Background(), ops, []string{"a", "bcd"})
+	got, err := RunRowOps(context.Background(), ops, []any{[]string{"a", "bcd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +52,16 @@ func TestRunRowOpsChainsStages(t *testing.T) {
 	vs, ok := got.([]float64)
 	if !ok || len(vs) != len(want) || vs[0] != want[0] || vs[1] != want[1] {
 		t.Fatalf("chain produced %#v, want %v", got, want)
+	}
+	// The exported entry point refuses what the planner never builds: no
+	// members, or anything but the head's one input.
+	for _, bad := range []struct {
+		ops    []*RowOp
+		inputs []any
+	}{{nil, []any{[]string{"a"}}}, {ops, nil}, {ops, []any{[]string{"a"}, []string{"b"}}}} {
+		if _, err := RunRowOps(context.Background(), bad.ops, bad.inputs); !errors.Is(err, ErrBadPlan) {
+			t.Errorf("RunRowOps(%d ops, %d inputs): err = %v, want ErrBadPlan", len(bad.ops), len(bad.inputs), err)
+		}
 	}
 }
 
@@ -63,7 +73,7 @@ func TestBindRejectsMismatchedNeighbours(t *testing.T) {
 		flatMapOp(func(s string) []int { calls++; return []int{len(s)} }),
 		mapOp(func(v float64) float64 { calls++; return v }),
 	}
-	_, err := runRowOps(context.Background(), ops, []string{"a", "b"})
+	_, err := RunRowOps(context.Background(), ops, []any{[]string{"a", "b"}})
 	if !errors.Is(err, ErrRowType) {
 		t.Fatalf("err = %v, want ErrRowType", err)
 	}
@@ -116,12 +126,7 @@ func TestCancelStopsWithinCheckInterval(t *testing.T) {
 		for len(ops) < stages {
 			ops = append(ops, mapOp(func(v int) int { return v }))
 		}
-		var err error
-		if stages == 1 {
-			_, err = RunRowOp(ctx, ops[0], []any{in})
-		} else {
-			_, err = runRowOps(ctx, ops, in)
-		}
+		_, err := RunRowOps(ctx, ops, []any{in})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", mode, err)
@@ -164,9 +169,9 @@ func TestFusedChainAllocsIndependentOfRows(t *testing.T) {
 	}
 	ctx := context.Background()
 	engineAllocs := func(rows int) int {
-		in := make([]int, rows)
+		in := []any{make([]int, rows)}
 		total := testing.AllocsPerRun(5, func() {
-			if _, err := runRowOps(ctx, ops, in); err != nil {
+			if _, err := RunRowOps(ctx, ops, in); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -210,16 +215,17 @@ func rowstreamKeep(v float64) bool { return v > 0.18 }
 var benchSink any
 
 // BenchmarkFusedChain runs the rowstream-ingest chain (300 k lines →
-// parse, a flatMap of three → norm → keep) through runRowOps, and the
+// parse, a flatMap of three → norm → keep) through RunRowOps, and the
 // same three functions through a hand-written typed loop as the floor.
 // engine-allocs/row is the chain's allocations minus the loop's, per
 // input line: what the executor adds to the user's own code.
 func BenchmarkFusedChain(b *testing.B) {
 	lines := rowstreamLines(300_000)
+	inputs := []any{lines}
 	ops := []*RowOp{flatMapOp(rowstreamParse), mapOp(rowstreamNorm), filterOp(rowstreamKeep)}
 	ctx := context.Background()
 	chain := func() {
-		out, err := runRowOps(ctx, ops, lines)
+		out, err := RunRowOps(ctx, ops, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -67,12 +67,12 @@ func TestSampleSequenceEmpty(t *testing.T) {
 // schedule with at most one reuse-friendly edit is therefore held to
 // nearTie, every other to a strict win, and
 // TestRobustnessAtPaperScheduleLength holds the same three draws to a
-// strict win at the paper's ten iterations.
+// strict win at the paper's ten iterations. Serial for the same reason
+// that one is: a parallel sibling's load lands unevenly on the two series
+// being compared.
 func TestRobustnessAcrossRandomSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
 		t.Run(string(rune('a'+seed)), func(t *testing.T) {
-			t.Parallel()
 			optVsNoReuse(t, 6, seed, nearTie)
 		})
 	}
@@ -95,12 +95,15 @@ const nearTie = 1.25
 // optVsNoReuse runs census under a sampled schedule as HELIX OPT and as
 // the KeystoneML model and requires OPT's total below the baseline's —
 // or below tie × the baseline's when at most one edit can reuse anything.
+// The two series are timed apart, so a burst from another test binary
+// sharing the CPUs can land on one of them alone: each system's total is
+// the smaller of two attempts, run opt, baseline, baseline, opt.
 func optVsNoReuse(t *testing.T, iterations int, seed int64, tie float64) {
 	t.Helper()
 	ctx := context.Background()
-	var totals [2]float64
+	var attempts [4]float64
 	var seq []core.Component
-	for i, sys := range []System{HelixOpt, KeystoneML} {
+	for i, sys := range []System{HelixOpt, KeystoneML, KeystoneML, HelixOpt} {
 		base, err := NewWorkload("census", tinyScale(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -110,8 +113,9 @@ func optVsNoReuse(t *testing.T, iterations int, seed int64, tie float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		totals[i], seq = res.TotalSeconds(), wl.Schedule
+		attempts[i], seq = res.TotalSeconds(), wl.Schedule
 	}
+	totals := [2]float64{min(attempts[0], attempts[3]), min(attempts[1], attempts[2])}
 	reuse := 0
 	for _, c := range seq[1:] {
 		if c != core.DPR {
@@ -122,8 +126,8 @@ func optVsNoReuse(t *testing.T, iterations int, seed int64, tie float64) {
 	if reuse <= 1 {
 		bound = tie
 	}
-	t.Logf("seed %d %v: helix-opt %.3fs, keystoneml %.3fs, ratio %.2f (bound %.2f)",
-		seed, seq, totals[0], totals[1], totals[0]/totals[1], bound)
+	t.Logf("seed %d %v: helix-opt %.3fs (of %.3f, %.3f), keystoneml %.3fs (of %.3f, %.3f), ratio %.2f (bound %.2f)",
+		seed, seq, totals[0], attempts[0], attempts[3], totals[1], attempts[1], attempts[2], totals[0]/totals[1], bound)
 	if totals[0] >= bound*totals[1] {
 		t.Errorf("schedule seed %d: helix-opt %.3fs ≥ %.2f × keystoneml %.3fs",
 			seed, totals[0], bound, totals[1])

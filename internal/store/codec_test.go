@@ -35,6 +35,13 @@ func init() {
 	RegisterValueType([][]float64(nil))
 	RegisterValueType([][]string(nil))
 	RegisterValueType(map[string]float64(nil))
+	// gob numbers user types process-wide in first-use order and writes
+	// the numbers into the payload. Sending migrationRecord before any test
+	// runs gives it the numbers the committed gob.bin carries under every
+	// -shuffle order, so TestGoldenFixtures can compare those bytes too.
+	if _, err := (BinaryCodec{}).Encode(migrationRecord{}); err != nil {
+		panic(err)
+	}
 }
 
 // goldenValues is the fixture set: one entry per value tag, with repeated

@@ -42,8 +42,9 @@
 // PutAsync enqueues a write to a bounded pool of background writer
 // goroutines and returns immediately; Flush is the barrier that waits for
 // every enqueued write (and its manifest update) to land. See writer.go
-// for the contract. Synchronous Put/PutBytes remain available and are
-// what SyncMaterialization mode uses.
+// for the contract. Write processes the same request in place on the
+// caller's goroutine — what the engine's SyncMaterialization mode uses;
+// Put/PutBytes remain as the plain synchronous writes.
 package store
 
 import (
@@ -220,7 +221,7 @@ func (s *Store) throttle(size int64) {
 }
 
 // Encode gob-encodes a value. This is NOT the store's on-disk codec (see
-// EncodeValue) — it is the codec-independent canonical encoding used to
+// Store.Codec) — it is the codec-independent canonical encoding used to
 // compare values across sessions regardless of their configured codec
 // (the fuzz harness's byte-for-byte oracle) and the payload format of
 // GobCodec.
@@ -230,14 +231,6 @@ func Encode(value any) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-// EncodeValue encodes a value with the store's configured codec,
-// returning its on-disk representation. Exposed so callers can learn a
-// result's size (for the OMP budget and load-time estimate) before
-// deciding to write it.
-func (s *Store) EncodeValue(value any) ([]byte, error) {
-	return s.codec().Encode(value)
 }
 
 // EstimateLoad predicts the time to load size bytes, per the paper's model
@@ -277,19 +270,11 @@ func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, e
 	return e, err
 }
 
-// PutBytesTenant is PutBytes with a tenant label for shared-mode byte
-// accounting. The second result reports whether the payload actually
-// landed: false (with a nil error) means the signature was already
-// published — content-addressed dedup — and the caller may refund any
-// budget it reserved for the write.
-func (s *Store) PutBytesTenant(key, name string, data []byte, iteration int, tenant string) (Entry, bool, error) {
-	return s.putBytes(key, name, data, iteration, tenant, true)
-}
-
-// putBytes is PutBytes with the manifest flush optional: the write-behind
-// pool passes syncManifest=false and defers the (whole-table) manifest
-// rewrite to the Flush barrier, so N background writes cost one manifest
-// flush instead of N serialized ones.
+// putBytes is PutBytes with a tenant label (shared-mode byte accounting)
+// and the manifest flush optional: the write-behind pool passes
+// syncManifest=false and defers the (whole-table) manifest rewrite to the
+// Flush barrier, so N background writes cost one manifest flush instead
+// of N serialized ones.
 //
 // The payload lands atomically: it is written to a same-directory temp
 // file and renamed over the final path, so no reader — in this process or
@@ -346,7 +331,7 @@ func (s *Store) putBytes(key, name string, data []byte, iteration int, tenant st
 
 // Put encodes (with the store's codec) and writes a value under key.
 func (s *Store) Put(key, name string, value any, iteration int) (Entry, error) {
-	data, err := s.EncodeValue(value)
+	data, err := s.codec().Encode(value)
 	if err != nil {
 		return Entry{}, err
 	}

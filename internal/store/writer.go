@@ -16,10 +16,12 @@ const DefaultWriters = 4
 // the memory pinned by values awaiting serialization.
 const DefaultQueueDepth = 64
 
-// WriteRequest is one unit of write-behind work handed to the writer pool.
+// WriteRequest is one unit of materialization work: handed to the writer
+// pool (PutAsync) or processed in place on the caller's goroutine (Write).
 // Exactly one of Data or Value supplies the payload: when Data is nil the
-// pool encodes Value (with the store's codec) on a writer goroutine,
-// keeping serialization cost off the caller's critical path.
+// processor encodes Value (with the store's codec) — on a writer
+// goroutine under PutAsync, keeping serialization cost off the caller's
+// critical path.
 type WriteRequest struct {
 	Key       string
 	Name      string
@@ -38,15 +40,16 @@ type WriteRequest struct {
 
 	// Decide, when non-nil, is consulted after encoding with the encoded
 	// size; returning false drops the write. This is how the engine defers
-	// the materialization-policy check (Algorithm 2 needs the size) to the
-	// writer goroutine for values that cannot report their size cheaply.
+	// the materialization-policy check (Algorithm 2 needs the size) to
+	// whoever encodes, for values that cannot report their size cheaply.
 	// It must be safe to call from a writer goroutine.
 	Decide func(size int64) bool
 
-	// OnDone, when non-nil, receives the outcome on the writer goroutine.
-	// It runs before the request is counted as drained, so everything it
-	// writes is visible to any goroutine that returns from Flush —
-	// callers need no additional synchronization for Flush-ordered reads.
+	// OnDone, when non-nil, receives the outcome on the goroutine that
+	// processed the request. Under PutAsync it runs before the request is
+	// counted as drained, so everything it writes is visible to any
+	// goroutine that returns from Flush — callers need no additional
+	// synchronization for Flush-ordered reads.
 	OnDone func(WriteOutcome)
 }
 
@@ -63,11 +66,18 @@ type WriteOutcome struct {
 	// Err is the write error, if any. A failed write leaves the store
 	// without the entry — callers degrade to "not materialized".
 	Err error
-	// Secs is the time spent on the writer goroutine: serialization,
-	// the policy check, the file write, simulated-disk throttle, and the
-	// manifest update. Queue wait is excluded — this is the cost the
-	// write-behind design moves off the critical path.
+	// Secs is the time spent processing the request: serialization, the
+	// policy check, the file write, simulated-disk throttle, and (inline
+	// only) the manifest update. Queue wait is excluded — this is the cost
+	// the write-behind design moves off the critical path.
 	Secs float64
+}
+
+// OnDisk reports whether the request's artifact is known to be in the
+// store: this request wrote it, or a deduplicated one found it there
+// (Entry is then what is on disk, whatever its size).
+func (o WriteOutcome) OnDisk() bool {
+	return o.Written || (o.Err == nil && o.Entry.Key != "")
 }
 
 // WriterPoolSize reports the effective size of the write-behind writer
@@ -103,8 +113,8 @@ func (w *writerPool) init() {
 // PutAsync enqueues a write-behind request and returns as soon as it is
 // queued; encoding, the deferred policy check, the disk write, and the
 // manifest update all happen on a background writer goroutine. A full
-// queue blocks (backpressure). After Close the request is processed
-// synchronously on the caller's goroutine instead.
+// queue blocks (backpressure). After Close the request is processed in
+// place on the caller's goroutine instead (Write).
 //
 // Requests for the same key are not ordered relative to one another; the
 // engine never issues concurrent writes for one key (retirement is
@@ -114,12 +124,7 @@ func (s *Store) PutAsync(req WriteRequest) {
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
-		// Synchronous fallback: no Flush barrier is guaranteed to follow,
-		// so the manifest must be flushed inline like any sync Put.
-		out := s.processWrite(req, true)
-		if req.OnDone != nil {
-			req.OnDone(out)
-		}
+		s.Write(req)
 		return
 	}
 	if !w.started {
@@ -141,6 +146,18 @@ func (s *Store) PutAsync(req WriteRequest) {
 	queue := w.queue
 	w.mu.Unlock()
 	queue <- req
+}
+
+// Write processes one request in place on the caller's goroutine — what a
+// writer goroutine does for a queued one — and returns the outcome after
+// OnDone has seen it. No Flush barrier is guaranteed to follow, so the
+// manifest is flushed inline like any synchronous Put.
+func (s *Store) Write(req WriteRequest) WriteOutcome {
+	out := s.processWrite(req, true)
+	if req.OnDone != nil {
+		req.OnDone(out)
+	}
+	return out
 }
 
 // writerLoop drains the queue until Close. The pending count is
@@ -171,10 +188,10 @@ func (s *Store) writerLoop() {
 }
 
 // processWrite performs one request: encode if needed, consult Decide,
-// write through the synchronous path. Timing starts here — queue wait is
-// deliberately not charged as materialization cost. With syncManifest
-// false (writer goroutines) the manifest update is deferred to the Flush
-// barrier instead of rewritten per write.
+// write. Timing starts here — queue wait is deliberately not charged as
+// materialization cost. With syncManifest false (writer goroutines) the
+// manifest update is deferred to the Flush barrier instead of rewritten
+// per write.
 func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	start := time.Now()
 	if ent, ok := s.Entry(req.Key); ok {
@@ -186,7 +203,7 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	data := req.Data
 	if data == nil {
 		var err error
-		data, err = s.EncodeValue(req.Value)
+		data, err = s.codec().Encode(req.Value)
 		if err != nil {
 			// Unserializable values are simply not materialized; the encode
 			// attempt is still charged as materialization overhead.

@@ -182,13 +182,17 @@ func WithMemorySampling(enabled bool) Option {
 }
 
 // WithDPRSlowdown multiplies DPR operator cost (models DeepDive's
-// Python/shell preprocessing, §6.5.2). 0 or 1 disables.
+// Python/shell preprocessing, §6.5.2). 0 or 1 disables. A fused run
+// (WithStreaming) charges each member its even share of the run's
+// measured time multiplied by its own component's factor.
 func WithDPRSlowdown(factor float64) Option {
 	return Option{name: "WithDPRSlowdown", apply: func(c *config) { c.o.DPRSlowdown = factor }}
 }
 
 // WithLISlowdown multiplies L/I operator cost (models KeystoneML's
-// training-data caching miss, §6.5.2). 0 or 1 disables.
+// training-data caching miss, §6.5.2). 0 or 1 disables. A fused run
+// charges each member its even share times its own component's factor,
+// as under WithDPRSlowdown.
 func WithLISlowdown(factor float64) Option {
 	return Option{name: "WithLISlowdown", apply: func(c *config) { c.o.LISlowdown = factor }}
 }
