@@ -3,7 +3,7 @@
 // row-wise operators), random edit sequences, random session
 // configurations, and randomly scheduled mid-sequence restarts and
 // mid-run cancellations, each executed through a real Session and
-// cross-checked against cache-off, FIFO, streaming-off, gob-codec,
+// cross-checked against streaming-off, adaptive, shared-store,
 // fresh-solve, and from-scratch oracles.
 //
 // Usage:

@@ -28,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,26 +40,49 @@ import (
 	"helix/internal/workloads"
 )
 
+// flags is the parsed command line.
+type flags struct {
+	workload, system, dir, tenant                   string
+	scale, cost, iters, parallelism                 int
+	seed                                            int64
+	shared, writeBehind, explain, progress, verbose bool
+}
+
+// validate rejects flag combinations that would silently do nothing.
+func (f *flags) validate() error {
+	if f.tenant != "" && !f.shared {
+		return fmt.Errorf("-tenant %s needs -shared: a private store keeps no per-tenant accounting", f.tenant)
+	}
+	if f.shared && f.dir == "" {
+		return errors.New("-shared needs -dir: a store in a temporary directory is shared with nobody")
+	}
+	return nil
+}
+
 func main() {
-	workload := flag.String("workload", "census", "workload to run (census|census10x|genomics|nlp|mnist)")
-	system := flag.String("system", "helix-opt", "system to model (helix-opt|helix-am|helix-nm|keystoneml|deepdive)")
-	scale := flag.Int("scale", 1, "workload size multiplier")
-	cost := flag.Int("cost", 40, "NLP parse cost factor")
-	seed := flag.Int64("seed", 1, "data generation seed")
-	iters := flag.Int("iters", 0, "iterations to run (0 = paper schedule)")
-	dir := flag.String("dir", "", "materialization directory (default: temp, removed at exit)")
-	shared := flag.Bool("shared", false, "attach to a shared content-addressed store at -dir: artifacts publish once per chain signature and are reused by any session (or process) sharing the directory")
-	tenant := flag.String("tenant", "", "tenant label for shared-store byte accounting (only with -shared)")
-	writeBehind := flag.Bool("writebehind", false, "materialize via the background writer pool instead of the paper-faithful inline write")
-	parallelism := flag.Int("parallelism", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
-	planCache := flag.Bool("plancache", true, "reuse the previous iteration's plan when the planning fingerprint matches")
-	sched := flag.String("sched", "critpath", "ready-queue ordering: critpath (longest projected chain first) or fifo")
-	explain := flag.Bool("explain", false, "print the optimizer's per-node decision table before each iteration")
-	progress := flag.Bool("progress", false, "stream per-node live progress from the run's event stream")
-	verbose := flag.Bool("v", false, "print per-operator states")
+	var f flags
+	flag.StringVar(&f.workload, "workload", "census", "workload to run (census|census10x|genomics|nlp|mnist)")
+	flag.StringVar(&f.system, "system", "helix-opt", "system to model (helix-opt|helix-am|helix-nm|keystoneml|deepdive)")
+	flag.IntVar(&f.scale, "scale", 1, "workload size multiplier")
+	flag.IntVar(&f.cost, "cost", 40, "NLP parse cost factor")
+	flag.Int64Var(&f.seed, "seed", 1, "data generation seed")
+	flag.IntVar(&f.iters, "iters", 0, "iterations to run (0 = paper schedule)")
+	flag.StringVar(&f.dir, "dir", "", "materialization directory (default: temp, removed at exit)")
+	flag.BoolVar(&f.shared, "shared", false, "attach to a shared content-addressed store at -dir (required): artifacts publish once per chain signature and are reused by any session (or process) sharing the directory")
+	flag.StringVar(&f.tenant, "tenant", "", "tenant label for shared-store byte accounting (only with -shared)")
+	flag.BoolVar(&f.writeBehind, "writebehind", false, "materialize via the background writer pool instead of the paper-faithful inline write")
+	flag.IntVar(&f.parallelism, "parallelism", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
+	flag.BoolVar(&f.explain, "explain", false, "print the optimizer's per-node decision table before each iteration")
+	flag.BoolVar(&f.progress, "progress", false, "stream per-node live progress from the run's event stream")
+	flag.BoolVar(&f.verbose, "v", false, "print per-operator states")
 	flag.Parse()
 
-	if err := run(*workload, *system, *scale, *cost, *seed, *iters, *dir, *shared, *tenant, *parallelism, *writeBehind, *planCache, *sched, *explain, *progress, *verbose); err != nil {
+	if err := f.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "helixrun:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(f); err != nil {
 		fmt.Fprintln(os.Stderr, "helixrun:", err)
 		os.Exit(1)
 	}
@@ -98,19 +122,20 @@ func systemByName(name string) (sim.System, error) {
 	return sim.System{}, fmt.Errorf("unknown system %q", name)
 }
 
-func run(workload, system string, scale, cost int, seed int64, iters int, dir string, shared bool, tenant string, parallelism int, writeBehind, planCache bool, sched string, explain, progress, verbose bool) error {
+func run(f flags) error {
 	workloads.RegisterAll()
-	sys, err := systemByName(system)
+	sys, err := systemByName(f.system)
 	if err != nil {
 		return err
 	}
-	if !sim.Supports(sys.Name, workload) {
-		return fmt.Errorf("%s does not support the %s workflow (paper Table 2)", sys.Name, workload)
+	if !sim.Supports(sys.Name, f.workload) {
+		return fmt.Errorf("%s does not support the %s workflow (paper Table 2)", sys.Name, f.workload)
 	}
-	wl, err := sim.NewWorkload(workload, workloads.Scale{Rows: scale, CostFactor: cost}, seed)
+	wl, err := sim.NewWorkload(f.workload, workloads.Scale{Rows: f.scale, CostFactor: f.cost}, f.seed)
 	if err != nil {
 		return err
 	}
+	dir := f.dir
 	if dir == "" {
 		dir, err = os.MkdirTemp("", "helixrun-*")
 		if err != nil {
@@ -122,34 +147,21 @@ func run(workload, system string, scale, cost int, seed int64, iters int, dir st
 	// exposes; the system preset supplies the baseline and the flags
 	// append overrides (later options win).
 	opts := append([]helix.Option(nil), sys.Options...)
-	if writeBehind {
+	if f.writeBehind {
 		opts = append(opts, helix.WithSyncMaterialization(false))
 	}
-	opts = append(opts, helix.WithParallelism(parallelism))
-	if !planCache {
-		opts = append(opts, helix.WithPlanCache(helix.PlanCacheOff))
-	}
+	opts = append(opts, helix.WithParallelism(f.parallelism))
 	// -shared attaches to a content-addressed store rooted at -dir: a
 	// second invocation on the same directory loads this one's artifacts
-	// instead of recomputing (run with an explicit -dir, or the temp
-	// directory vanishes at exit and the store is shared with nobody).
+	// instead of recomputing.
 	var sharedStore *helix.SharedStore
-	if shared {
-		var err error
+	if f.shared {
 		sharedStore, err = helix.OpenSharedStore(dir)
 		if err != nil {
 			return err
 		}
 		defer sharedStore.Close()
-		opts = append(opts, helix.WithSharedStore(sharedStore), helix.WithTenant(tenant))
-	}
-	switch sched {
-	case "critpath", "":
-		opts = append(opts, helix.WithScheduler(helix.SchedCriticalPath))
-	case "fifo":
-		opts = append(opts, helix.WithScheduler(helix.SchedFIFO))
-	default:
-		return fmt.Errorf("unknown -sched %q (want critpath or fifo)", sched)
+		opts = append(opts, helix.WithSharedStore(sharedStore), helix.WithTenant(f.tenant))
 	}
 	sess, err := helix.Open(dir, opts...)
 	if err != nil {
@@ -160,17 +172,18 @@ func run(workload, system string, scale, cost int, seed int64, iters int, dir st
 	// -progress installs the observer per run (a run-scoped option), so
 	// the final outputs re-run below stays quiet.
 	var runOpts []helix.Option
-	if progress {
+	if f.progress {
 		runOpts = append(runOpts, helix.WithObserver(progressObserver))
 	}
 
 	seq := wl.Sequence()
+	iters := f.iters
 	if iters <= 0 || iters > len(seq) {
 		iters = len(seq)
 	}
 	ctx := context.Background()
 	var cum float64
-	fmt.Printf("workload=%s system=%s store=%s\n\n", workload, sys.Name, dir)
+	fmt.Printf("workload=%s system=%s store=%s\n\n", f.workload, sys.Name, dir)
 	// seconds covers the compute critical path; flush(s) is the extra wait
 	// at the write-behind barrier before Run returns (0 when inline).
 	// Both count toward cum — the latency the user actually observes.
@@ -186,14 +199,14 @@ func run(workload, system string, scale, cost int, seed int64, iters int, dir st
 			wl.Mutate(t, seq[t])
 		}
 		wf := wl.Build()
-		if explain {
+		if f.explain {
 			pl, err := sess.Plan(wf)
 			if err != nil {
 				return fmt.Errorf("iteration %d: plan: %w", t, err)
 			}
 			fmt.Println(pl.Explain())
 		}
-		if progress {
+		if f.progress {
 			fmt.Printf("iteration %d:\n", t)
 		}
 		res, err := sess.Run(ctx, wf, runOpts...)
@@ -212,7 +225,7 @@ func run(workload, system string, scale, cost int, seed int64, iters int, dir st
 			res.StateCounts[core.StateLoad],
 			res.StateCounts[core.StatePrune],
 			res.MatTime.Seconds(), res.StorageBytes/1024)
-		if verbose {
+		if f.verbose {
 			printNodes(res)
 		}
 	}
@@ -221,8 +234,8 @@ func run(workload, system string, scale, cost int, seed int64, iters int, dir st
 		fmt.Printf("\nshared store: artifacts=%d bytes=%d sessions=%d plan-cache hits=%d partial=%d misses=%d",
 			sharedStore.Artifacts(), sharedStore.StorageBytes(), sharedStore.Sessions(),
 			st.Hits, st.Partials, st.Misses)
-		if tenant != "" {
-			fmt.Printf(" tenant[%s]=%dB", tenant, sharedStore.TenantBytes(tenant))
+		if f.tenant != "" {
+			fmt.Printf(" tenant[%s]=%dB", f.tenant, sharedStore.TenantBytes(f.tenant))
 		}
 		fmt.Println()
 	}

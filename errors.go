@@ -24,8 +24,7 @@ var (
 	// every Session method that compiles a workflow.
 	ErrBadWorkflow = errors.New("helix: invalid workflow")
 	// ErrPolicyUnknown tags configuration with a Policy value outside the
-	// declared constants, from Open, the NewSession shim, or a run-scoped
-	// WithPolicy override.
+	// declared constants, from Open or a run-scoped WithPolicy override.
 	ErrPolicyUnknown = errors.New("helix: unknown materialization policy")
 	// ErrSessionClosed is returned by Run and Plan after Close.
 	ErrSessionClosed = errors.New("helix: session is closed")
@@ -34,18 +33,20 @@ var (
 	// iteration's change tracking is defined against the previous
 	// iteration, so interleaving two would silently corrupt both.
 	ErrConcurrentRun = errors.New("helix: Run already in progress on this session")
-	// ErrSessionOption tags a session-scoped option (storage and plan-
-	// cache configuration) passed to the run scope of Run or Plan.
+	// ErrSessionOption tags a session-scoped option (store configuration:
+	// WithDiskThroughput, WithWorkerClass(WorkerMat, …), WithSharedStore,
+	// WithTenant) passed to the run scope of Run or Plan.
 	ErrSessionOption = errors.New("helix: option is session-scoped")
 	// ErrSharedConfig tags a session opened against a SharedStore with
-	// store-level settings (disk throughput, codec, writer-pool size)
-	// conflicting with those the store was configured with by its first
-	// session. Store-level configuration belongs to the shared store, not
+	// store-level settings (disk throughput, writer-pool size) conflicting
+	// with those the store was configured with by its first session.
+	// Store-level configuration belongs to the shared store, not
 	// to any one attaching session.
 	ErrSharedConfig = errors.New("helix: conflicting shared-store configuration")
-	// ErrBadConfig tags malformed session construction: conflicting or
-	// over-supplied configuration values, such as passing more than one
-	// legacy Options struct to NewSession.
+	// ErrBadConfig tags an option value that can never configure a
+	// session: an unknown WithWorkerClass class or WithSharedStore(nil) —
+	// returned by whichever of Open, Run or Plan the option was passed to
+	// — and, from Open, a WithTenant label without WithSharedStore.
 	ErrBadConfig = errors.New("helix: invalid configuration")
 )
 

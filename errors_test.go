@@ -53,9 +53,6 @@ func TestErrPolicyUnknown(t *testing.T) {
 	if _, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.Policy(99))); !errors.Is(err, helix.ErrPolicyUnknown) {
 		t.Fatalf("Open err = %v, want ErrPolicyUnknown", err)
 	}
-	if _, err := helix.NewSession(t.TempDir(), helix.Options{Policy: helix.Policy(99)}); !errors.Is(err, helix.ErrPolicyUnknown) {
-		t.Fatalf("NewSession err = %v, want ErrPolicyUnknown", err)
-	}
 	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

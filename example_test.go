@@ -48,7 +48,7 @@ func Example() {
 		return wf
 	}
 
-	sess, err := helix.NewSession(dir)
+	sess, err := helix.Open(dir)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -122,7 +122,7 @@ func TestAdaptiveReplansStayUnderSolveBudget(t *testing.T) {
 	// projections — their completions re-trigger the monitor, exercising
 	// the idempotent (free) path.
 	opts.Parallelism = 3
-	opts.DisableReuse = true // all-compute run: corrections only, no swaps
+	opts.Plan.DisableReuse = true // all-compute run: corrections only, no swaps
 	opts.AdaptiveThreshold = 0.5
 	opts.AdaptiveMaxSolves = 2
 	opts.Observer = log.observe
@@ -294,7 +294,7 @@ func TestAdaptiveDisabledEmitsNothing(t *testing.T) {
 	e := newEngine(t)
 	var log adaptiveEventLog
 	opts := e.Opts
-	opts.DisableReuse = true
+	opts.Plan.DisableReuse = true
 	opts.Observer = log.observe
 	if _, err := e.RunWith(context.Background(), prog, prev, 1, opts); err != nil {
 		t.Fatal(err)

@@ -77,51 +77,38 @@ type Sizer interface {
 	ApproxBytes() int64
 }
 
-// Options configures an engine run.
-// helixlint (fingerprintfields) requires every field to be read by
-// planWithView — i.e. folded into plan identity — or to carry a
-// //lint:fpexempt reason saying why it is fingerprint-neutral.
-//
-//lint:fingerprint planWithView
+// Options configures an engine run. The planner's knobs travel as one
+// plan.Options value the engine never inspects, so what conditions plan
+// identity is decided in exactly one place (plan.Options, which helixlint
+// checks field by field against the fingerprint) plus ConfigToken; every
+// other field here acts at execution time only.
 type Options struct {
-	// Policy decides which out-of-scope intermediates to materialize.
-	//
-	//lint:fpexempt acts at retire time (OMP), not plan time; cache safety comes from the session ConfigToken, which encodes the policy
+	// Policy decides which out-of-scope intermediates to materialize. It
+	// acts at retire time (Algorithm 2), not plan time; the session's
+	// ConfigToken encodes which policy it is.
 	Policy opt.MatPolicy
-	// DisableReuse makes the engine ignore existing materializations when
-	// planning (used to model KeystoneML and DeepDive, which do not
-	// perform automatic cross-iteration reuse).
-	DisableReuse bool
-	// MaterializeOutputs forces output nodes to disk regardless of Policy
-	// (the paper's "mandatory output" drums in Figure 3). Disabled for the
-	// never-materialize baseline.
-	MaterializeOutputs bool
+	// Plan is handed to the planner untouched: reuse, pruning, mandatory
+	// output materialization, operator fusion (streaming) and shared-store
+	// originality. The zero value plans batch-only with nothing mandatory;
+	// New turns MaterializeOutputs and Streaming on, as a Session does.
+	Plan plan.Options
 	// DPRSlowdown multiplies the cost of DPR operators by sleeping
 	// (factor-1)·elapsed after each DPR compute — for a fused run's
 	// member, elapsed is its even share of the unit's time. Models
 	// DeepDive's Python/shell preprocessing being ~2× slower than Spark
-	// (paper §6.5.2). 0 or 1 means no slowdown.
-	//
-	//lint:fpexempt execution-side sleep; its effect reaches the fingerprint through the carried cost statistics of the runs it slows
+	// (paper §6.5.2). 0 or 1 means no slowdown. Its effect reaches the
+	// fingerprint through the carried cost statistics of the runs it slows.
 	DPRSlowdown float64
 	// LISlowdown does the same for L/I operators. Models KeystoneML's
 	// "longer L/I time incurred by its caching optimizer's failing to
 	// cache the training data for learning" (paper §6.5.2).
-	//
-	//lint:fpexempt execution-side sleep; its effect reaches the fingerprint through the carried cost statistics of the runs it slows
 	LISlowdown float64
 	// SampleMemory enables the memory sampler (Figure 10).
-	//
-	//lint:fpexempt observability only; sampling never changes what is planned or computed
 	SampleMemory bool
-	// DisablePruning turns off program slicing (ablation).
-	DisablePruning bool
 	// SyncMaterialization disables write-behind: retire() serializes and
 	// writes inline on the worker goroutine, putting the full
 	// materialization cost back on the critical path. Kept as an escape
 	// hatch and for A/B benchmarking against the async default.
-	//
-	//lint:fpexempt write-behind vs inline changes when bytes hit disk, not what is planned; the fuzzer proves results identical
 	SyncMaterialization bool
 	// Parallelism bounds the scheduler's compute worker pool: at most
 	// this many operators compute concurrently, regardless of DAG width.
@@ -129,24 +116,19 @@ type Options struct {
 	// small I/O pool (max(Parallelism, 4), capped by the plan's load
 	// count): loads are disk/throttle-bound, not CPU-bound, and must not
 	// serialize behind compute on narrow hosts.
-	//
-	//lint:fpexempt scheduling width, not plan identity; encoded in the session ConfigToken for cache hygiene
 	Parallelism int
 	// Sched selects the ready-queue ordering. The zero value,
 	// SchedCriticalPath, pops the ready node with the longest projected
 	// downstream compute chain first (NodePlan.ProjectedTail), so
 	// stragglers start early on unbalanced DAGs; when no projections
 	// exist (iteration 0) all priorities are zero and the order degrades
-	// to exact FIFO. SchedFIFO forces pure arrival order.
-	//
-	//lint:fpexempt ready-queue ordering changes execution interleaving, never the plan
+	// to exact FIFO. SchedFIFO forces pure arrival order; no Session sets
+	// it — it is the oracle the engine's own tests compare against.
 	Sched SchedMode
 	// IOWorkers sizes the Load-state I/O pool explicitly (the "io"
 	// worker class). ≤0 keeps the heuristic max(Parallelism,
 	// minLoadWorkers); either way the pool is capped by the plan's load
 	// count.
-	//
-	//lint:fpexempt I/O pool sizing, not plan identity
 	IOWorkers int
 	// ConfigToken describes the engine-level configuration the run
 	// executes under, for the plan cache's fingerprint: two runs with
@@ -157,26 +139,9 @@ type Options struct {
 	// decided, node started/retired, flush barrier, iteration done).
 	// Events are delivered serially but from worker goroutines; a nil
 	// observer costs nothing.
-	//
-	//lint:fpexempt observer wiring never affects plan identity
 	Observer Observer
-	// DisableStreaming turns off operator fusion: every streamable node
-	// executes as an ordinary batch operator with its own scheduler slot
-	// and fully built output. Kept as an escape hatch
-	// (helix.WithStreaming(false)) and for A/B benchmarking; the fuzz
-	// harness proves the two modes byte-identical.
-	DisableStreaming bool
-	// Shared marks the run as executing against a content-addressed
-	// shared store (store.OpenShared): planning derives originality from
-	// the store instead of the previous DAG and never deprecates names
-	// (plan.Options.Shared), and the engine skips the purge pass —
-	// eviction of shared entries is the store's refcounted concern, never
-	// one session's.
-	Shared bool
 	// Tenant labels this run's published artifacts for per-tenant byte
 	// accounting in a shared store; empty outside shared mode.
-	//
-	//lint:fpexempt byte-accounting label on published artifacts; content addressing already keys identity
 	Tenant string
 	// AdaptiveThreshold, when > 0, arms the mid-run divergence monitor:
 	// whenever the cumulative measured time of completed nodes diverges
@@ -189,16 +154,12 @@ type Options struct {
 	// corrected estimate makes loading cheaper are swapped to Load.
 	// Applies to Run/RunWith only; Execute carries a prebuilt plan out
 	// verbatim. ≤ 0 disables (the default).
-	//
-	//lint:fpexempt gates mid-run re-planning, not the initial plan; encoded in the session ConfigToken
 	AdaptiveThreshold float64
 	// AdaptiveMaxSolves bounds the extra max-flow solves mid-run
 	// re-planning may consume per run; once reached the monitor disarms.
 	// Re-plan attempts that hit the plan cache (or change no estimate)
 	// cost no solve and are not counted against it. ≤ 0 means the
 	// default of 3.
-	//
-	//lint:fpexempt bounds re-plan speculation, not the initial plan; encoded in the session ConfigToken
 	AdaptiveMaxSolves int
 }
 
@@ -211,17 +172,9 @@ const (
 	// projections are absent. The default.
 	SchedCriticalPath SchedMode = iota
 	// SchedFIFO preserves pure arrival order (the historical behavior);
-	// kept for A/B benchmarking and as an escape hatch.
+	// kept as the engine tests' and internal/bench's A/B oracle.
 	SchedFIFO
 )
-
-// String names the mode for flags and benchmark tables.
-func (m SchedMode) String() string {
-	if m == SchedFIFO {
-		return "fifo"
-	}
-	return "critpath"
-}
 
 // NodeReport is the per-node outcome of a run.
 type NodeReport struct {
@@ -281,8 +234,8 @@ type Engine struct {
 	// calls fingerprint their inputs against the previous iteration's
 	// plan and reuse whatever the fingerprint proves unchanged —
 	// wholesale on a full match (zero solves), per-component on a
-	// partial one. Session installs one unless the caller disabled it; a
-	// bare Engine plans cold every time.
+	// partial one. A Session always installs one; a bare Engine plans
+	// cold every time.
 	Cache *plan.Cache
 	// Shared, when non-nil, is the process-wide plan cache + frozen
 	// statistics board for shared-store mode. Session sets Cache to
@@ -304,13 +257,14 @@ type Engine struct {
 }
 
 // New returns an engine with the paper's default configuration: streaming
-// OMP with the given storage budget and mandatory output materialization.
+// OMP with the given storage budget, mandatory output materialization and
+// operator fusion on.
 func New(st *store.Store, budget int64) *Engine {
 	return &Engine{
 		Store: st,
 		Opts: Options{
-			Policy:             opt.NewStreamingOMP(budget),
-			MaterializeOutputs: true,
+			Policy: opt.NewStreamingOMP(budget),
+			Plan:   plan.Options{MaterializeOutputs: true, Streaming: true},
 		},
 	}
 }
@@ -355,16 +309,8 @@ func (e *Engine) planWithView(d *core.DAG, prev *core.DAG, iteration int, opts O
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	pl := &plan.Planner{
-		// The planner's Options.DisableReuse is the single switch: it
-		// ignores the view and suppresses the purge spec by itself.
-		View: view,
-		Opts: plan.Options{
-			DisableReuse:       opts.DisableReuse,
-			DisablePruning:     opts.DisablePruning,
-			MaterializeOutputs: opts.MaterializeOutputs,
-			Streaming:          !opts.DisableStreaming,
-			Shared:             opts.Shared,
-		},
+		View:        view,
+		Opts:        opts.Plan,
 		Cache:       e.Cache,
 		Shared:      e.Shared,
 		Solver:      &e.solver,

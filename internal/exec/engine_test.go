@@ -11,6 +11,7 @@ import (
 
 	"helix/internal/core"
 	"helix/internal/opt"
+	"helix/internal/plan"
 	"helix/internal/store"
 )
 
@@ -224,7 +225,7 @@ func TestPruningSkipsNonContributing(t *testing.T) {
 
 func TestDisablePruningRunsEverything(t *testing.T) {
 	e := newEngine(t)
-	e.Opts.DisablePruning = true
+	e.Opts.Plan.DisablePruning = true
 	var c counters
 	prog := testProgram(&c)
 	var deadRuns atomic.Int32
@@ -247,7 +248,7 @@ func TestNeverMatPolicyStoresOnlyNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.NeverMat{}, MaterializeOutputs: false}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.NeverMat{}, Plan: plan.Options{MaterializeOutputs: false, Streaming: true}}}
 	var c counters
 	prog := testProgram(&c)
 	if _, err := e.Run(context.Background(), prog, nil, 0); err != nil {
@@ -263,7 +264,7 @@ func TestAlwaysMatPolicyStoresEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	var c counters
 	prog := testProgram(&c)
 	if _, err := e.Run(context.Background(), prog, nil, 0); err != nil {
@@ -279,14 +280,14 @@ func TestDisableReuseRecomputesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
 	if _, err := e.Run(ctx, prog, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	e.Opts.DisableReuse = true
+	e.Opts.Plan.DisableReuse = true
 	var c2 counters
 	prog2 := testProgram(&c2)
 	if _, err := e.Run(ctx, prog2, prog.DAG, 1); err != nil {
@@ -303,7 +304,7 @@ func TestLoadFailureFallsBackToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
@@ -442,7 +443,7 @@ func TestDeprecatedMaterializationsPurged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
@@ -524,7 +525,7 @@ func TestBlindPolicyStoresNondeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Store: st, Opts: Options{Policy: tc.policy, MaterializeOutputs: false}}
+		e := &Engine{Store: st, Opts: Options{Policy: tc.policy, Plan: plan.Options{MaterializeOutputs: false, Streaming: true}}}
 		var c counters
 		prog := testProgram(&c)
 		d := prog.DAG
@@ -565,7 +566,7 @@ func TestPurgeReleasesOMPBudget(t *testing.T) {
 	// deprecated results must return the bytes so the next iteration's
 	// versions can be materialized too.
 	policy := opt.NewStreamingOMP(64 << 10)
-	e := &Engine{Store: st, Opts: Options{Policy: policy, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: policy, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 
 	var c counters

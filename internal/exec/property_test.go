@@ -8,13 +8,17 @@ import (
 
 	"helix/internal/core"
 	"helix/internal/opt"
+	"helix/internal/plan"
 	"helix/internal/store"
 )
 
-// randomProgram builds a random layered DAG of integer operators. Each
-// operator's output is a deterministic function of its inputs and its
-// version number, so any change tracking error surfaces as a wrong
-// integer. versions[i] selects operator i's behavior.
+// randomProgram builds a random DAG of integer operators. Each
+// operator's output is a deterministic, order-sensitive function of its
+// inputs and its version number, so any change tracking error — or an
+// input delivered out of parent order — surfaces as a wrong integer.
+// versions[i] selects operator i's behavior. The DAG is connected but
+// not a chain: several nodes are ready at once, so the ready queue has
+// something to order, and every sink is an output.
 func randomProgram(rng *rand.Rand, nNodes int, versions []int) *Program {
 	d := core.NewDAG()
 	nodes := make([]*core.Node, nNodes)
@@ -30,16 +34,17 @@ func randomProgram(rng *rand.Rand, nNodes int, versions []int) *Program {
 		v := versions[i]
 		nodes[i] = d.MustAddNode(fmt.Sprintf("n%d", i), core.KindExtractor, comp,
 			fmt.Sprintf("op%d-v%d", i, v), true)
-		// Wire to a random subset of earlier nodes (connected chain base).
+		// Wire to a random subset of earlier nodes, at least one.
 		if i > 0 {
-			if err := d.AddEdge(nodes[i-1], nodes[i]); err != nil {
-				panic(err)
+			parents := []int{rng.Intn(i)}
+			for j := 0; j < i; j++ {
+				if j != parents[0] && rng.Float64() < 0.25 {
+					parents = append(parents, j)
+				}
 			}
-			for j := 0; j < i-1; j++ {
-				if rng.Float64() < 0.25 {
-					if err := d.AddEdge(nodes[j], nodes[i]); err != nil {
-						panic(err)
-					}
+			for _, j := range parents {
+				if err := d.AddEdge(nodes[j], nodes[i]); err != nil {
+					panic(err)
 				}
 			}
 		}
@@ -52,13 +57,21 @@ func randomProgram(rng *rand.Rand, nNodes int, versions []int) *Program {
 			return acc % 1000003, nil
 		}
 	}
-	d.MarkOutput(nodes[nNodes-1])
+	for _, n := range nodes {
+		if len(n.Children()) == 0 {
+			d.MarkOutput(n)
+		}
+	}
 	return prog
 }
 
 // TestPropertyReuseMatchesScratch runs random mutation sequences through
-// a reusing engine and a from-scratch engine and requires identical
-// outputs at every iteration — Theorem 1 under randomized workloads.
+// a reusing engine, a second reusing engine whose ready queue is FIFO
+// instead of critical-path ordered, and a from-scratch engine, and
+// requires identical outputs at every iteration — Theorem 1 under
+// randomized workloads, and scheduler equivalence (the fuzz harness's
+// former invariant 2: ready-queue order may change when a node runs,
+// never what it computes).
 func TestPropertyReuseMatchesScratch(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 8; trial++ {
@@ -74,13 +87,19 @@ func TestPropertyReuseMatchesScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			reuse := New(stReuse, -1)
+			stFIFO, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fifo := New(stFIFO, -1)
+			fifo.Opts.Sched = SchedFIFO
 			stScratch, err := store.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratch := &Engine{Store: stScratch, Opts: Options{Policy: opt.NeverMat{}, DisableReuse: true}}
+			scratch := &Engine{Store: stScratch, Opts: Options{Policy: opt.NeverMat{}, Plan: plan.Options{DisableReuse: true, Streaming: true}}}
 
-			var prevReuse, prevScratch *core.DAG
+			var prevReuse, prevFIFO, prevScratch *core.DAG
 			for iter := 0; iter < 6; iter++ {
 				if iter > 0 {
 					// Mutate 1-2 random operators.
@@ -92,6 +111,7 @@ func TestPropertyReuseMatchesScratch(t *testing.T) {
 				structSeed := int64(trial)*1000 + 7
 				progA := randomProgram(rand.New(rand.NewSource(structSeed)), nNodes, versions)
 				progB := randomProgram(rand.New(rand.NewSource(structSeed)), nNodes, versions)
+				progC := randomProgram(rand.New(rand.NewSource(structSeed)), nNodes, versions)
 
 				resA, err := reuse.Run(ctx, progA, prevReuse, iter)
 				if err != nil {
@@ -101,12 +121,24 @@ func TestPropertyReuseMatchesScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := fmt.Sprintf("n%d", nNodes-1)
-				if resA.Values[out] != resB.Values[out] {
-					t.Fatalf("iteration %d: reuse output %v != scratch %v (Theorem 1)",
-						iter, resA.Values[out], resB.Values[out])
+				resC, err := fifo.Run(ctx, progC, prevFIFO, iter)
+				if err != nil {
+					t.Fatal(err)
 				}
-				prevReuse, prevScratch = progA.DAG, progB.DAG
+				if len(resB.Values) == 0 {
+					t.Fatal("program has no outputs")
+				}
+				for out, want := range resB.Values {
+					if resA.Values[out] != want {
+						t.Fatalf("iteration %d: reuse output %s = %v != scratch %v (Theorem 1)",
+							iter, out, resA.Values[out], want)
+					}
+					if resC.Values[out] != want {
+						t.Fatalf("iteration %d: FIFO-scheduled output %s = %v != scratch %v (critical-path run: %v)",
+							iter, out, resC.Values[out], want, resA.Values[out])
+					}
+				}
+				prevReuse, prevFIFO, prevScratch = progA.DAG, progC.DAG, progB.DAG
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 
 	"helix/internal/core"
 	"helix/internal/opt"
+	"helix/internal/plan"
 	"helix/internal/store"
 )
 
@@ -89,7 +90,7 @@ func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 			st.Codec = codec
 			e := &Engine{Store: st, Opts: Options{
 				Policy:              tc.policy(),
-				MaterializeOutputs:  tc.outputs,
+				Plan:                plan.Options{MaterializeOutputs: tc.outputs, Streaming: true},
 				SyncMaterialization: sync,
 			}}
 			res, err := e.Run(context.Background(), tc.prog, nil, 0)
@@ -271,7 +272,7 @@ func TestRetireModesAgree(t *testing.T) {
 		retired := map[string]NodeEvent{}
 		e := &Engine{Store: st, Opts: Options{
 			Policy:              pol,
-			MaterializeOutputs:  true,
+			Plan:                plan.Options{MaterializeOutputs: true, Streaming: true},
 			SyncMaterialization: sync,
 			Parallelism:         1,
 			Observer: func(ev Event) {

@@ -75,13 +75,13 @@ func TestSlowdownAppliesToFusedChain(t *testing.T) {
 		})
 		e := newEngine(t)
 		e.Opts.DPRSlowdown = 3
-		e.Opts.DisableStreaming = batch
+		e.Opts.Plan.Streaming = !batch
 		res, err := e.Run(context.Background(), prog, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fused := len(res.Plan.Fused) == 1; fused == batch {
-			t.Fatalf("DisableStreaming=%v: plan has %d fused runs", batch, len(res.Plan.Fused))
+			t.Fatalf("batch=%v: plan has %d fused runs", batch, len(res.Plan.Fused))
 		}
 		T := time.Duration(busy.Load()).Seconds()
 		if T < 0.030 {
@@ -89,7 +89,7 @@ func TestSlowdownAppliesToFusedChain(t *testing.T) {
 		}
 		got := res.Nodes["parse"].Seconds + res.Nodes["norm"].Seconds + res.Nodes["keep"].Seconds
 		if got < 0.9*3*T {
-			t.Errorf("DisableStreaming=%v: chain members report %.3fs for %.3fs of row work under DPRSlowdown 3, want ≥ %.3fs",
+			t.Errorf("batch=%v: chain members report %.3fs for %.3fs of row work under DPRSlowdown 3, want ≥ %.3fs",
 				batch, got, T, 0.9*3*T)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"helix/internal/core"
 	"helix/internal/opt"
+	"helix/internal/plan"
 	"helix/internal/store"
 )
 
@@ -67,7 +68,7 @@ func runChain(t *testing.T, sync bool) *Result {
 	st.Writers = 8
 	e := &Engine{Store: st, Opts: Options{
 		Policy:              opt.AlwaysMat{},
-		MaterializeOutputs:  true,
+		Plan:                plan.Options{MaterializeOutputs: true, Streaming: true},
 		SyncMaterialization: sync,
 		// Pinned pool width: this test compares sync/async timing, and on a
 		// single-CPU host the GOMAXPROCS default would leave one worker
@@ -151,7 +152,7 @@ func TestFlushMakesRunNVisibleToRunN1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
@@ -184,7 +185,7 @@ func TestLoadFailureRecoversWithAsyncWritesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
@@ -242,7 +243,7 @@ func TestAsyncPreservesBudgetedPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := opt.NewStreamingOMP(64 << 10)
-	e := &Engine{Store: st, Opts: Options{Policy: policy, MaterializeOutputs: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: policy, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)

@@ -93,8 +93,8 @@ func TestDirectedChainCoverage(t *testing.T) {
 // three row-wise operators between batch endpoints, run through five
 // iterations with a mid-sequence restart before iteration 2 and a
 // cancellation attempt during iteration 3. It deterministically exercises
-// invariants 6 (restart history, cancellation behavior), 7 (streaming ≡
-// batch), and 8 (binary codec ≡ gob).
+// invariants 6 (restart history, cancellation behavior) and 7 (streaming
+// ≡ batch).
 func streamChainCase() *Case {
 	return &Case{
 		Seed:   2,
@@ -133,7 +133,7 @@ func TestDirectedStreamRestartCancel(t *testing.T) {
 }
 
 // TestFuzzSmoke is the CI smoke budget's little sibling: a few dozen
-// random cases through the full eight-invariant harness. The dedicated
+// random cases through the full harness. The dedicated
 // fuzz-smoke CI job runs the same harness at ≥200 cases via
 // cmd/helixfuzz.
 func TestFuzzSmoke(t *testing.T) {

@@ -88,8 +88,8 @@ type Options struct {
 	// deterministic, streamable compute nodes are grouped into fused runs
 	// (Plan.Fused) the engine executes as single scheduled units with
 	// per-element pull, never building the interior collections. Off in
-	// the zero value; the engine enables it unless the caller opted out
-	// (helix.WithStreaming(false)).
+	// the zero value; exec.New and helix.Open turn it on, and
+	// helix.WithStreaming(false) turns it back off.
 	Streaming bool
 	// Shared plans against a content-addressed shared store: originality
 	// (Definition 2's "no equivalent in the previous iteration") is

@@ -182,14 +182,6 @@ type Config struct {
 	// Parallelism bounds the execution scheduler's worker pool (0 keeps
 	// the session default of GOMAXPROCS).
 	Parallelism int
-	// PlanCache overrides the session's plan-cache setting (the zero
-	// value keeps the default of enabled); PlanCacheOff forces a cold
-	// solve every iteration, for A/B comparison.
-	PlanCache helix.PlanCacheMode
-	// Sched overrides the scheduler's ready-queue ordering (the zero
-	// value keeps the default critical-path priority); SchedFIFO
-	// restores pure arrival order, for A/B comparison.
-	Sched helix.SchedMode
 }
 
 // MatMode selects how a simulated run materializes intermediates.
@@ -285,10 +277,7 @@ func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Confi
 	if cfg.Parallelism > 0 {
 		opts = append(opts, helix.WithParallelism(cfg.Parallelism))
 	}
-	opts = append(opts,
-		helix.WithPlanCache(cfg.PlanCache),
-		helix.WithScheduler(cfg.Sched),
-		helix.WithObserver(tally.observe))
+	opts = append(opts, helix.WithObserver(tally.observe))
 	sess, err := helix.Open(dir, opts...)
 	if err != nil {
 		return nil, err

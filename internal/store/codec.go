@@ -85,9 +85,9 @@ type BinaryCodec struct{}
 
 func (BinaryCodec) Name() string { return "binary" }
 
-// GobCodec is the legacy encoding, kept as an escape hatch
-// (helix.WithCodec(helix.CodecGob)) and as the reference encoder the
-// fuzz harness compares cross-codec outputs through.
+// GobCodec is the legacy encoding: the reference encoder the codec tests
+// and the fuzz harness compare values through, and a Store.Codec a test
+// can install. Sessions always write BinaryCodec.
 type GobCodec struct{}
 
 func (GobCodec) Name() string { return "gob" }

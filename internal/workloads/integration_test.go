@@ -18,11 +18,11 @@ func TestGenomicsFullScheduleTheorem1(t *testing.T) {
 		t.Skip("full schedule is slow")
 	}
 	ctx := context.Background()
-	reuse, err := helix.NewSession(t.TempDir())
+	reuse, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := helix.NewSession(t.TempDir(), helix.Options{Policy: helix.PolicyNever, DisableReuse: true})
+	scratch, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.PolicyNever), helix.WithReuse(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMNISTFullScheduleRuns(t *testing.T) {
 		t.Skip("full schedule is slow")
 	}
 	ctx := context.Background()
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCensusClusterWorkersProduceSameResult(t *testing.T) {
 	ctx := context.Background()
 	var accs []float64
 	for _, workers := range []int{1, 4} {
-		sess, err := helix.NewSession(t.TempDir())
+		sess, err := helix.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // TestMNISTAccuracyDiagnostic logs the achieved accuracy so tuning
 // regressions are visible in verbose runs.
 func TestMNISTAccuracyDiagnostic(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestAllWorkloadsRunEndToEnd(t *testing.T) {
 		wl := wl
 		t.Run(wl.Name(), func(t *testing.T) {
 			t.Parallel()
-			sess, err := helix.NewSession(t.TempDir())
+			sess, err := helix.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestAllWorkloadsRunEndToEnd(t *testing.T) {
 }
 
 func TestCensusLearnsIncome(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCensusDPRMutationTogglesField(t *testing.T) {
 }
 
 func TestGenomicsClusterSummaryShape(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGenomicsClusterSummaryShape(t *testing.T) {
 func TestGenomicsEmbeddingsRecoverFunctionGroups(t *testing.T) {
 	// The clustering should group genes of the same latent function more
 	// often than chance: measure purity of the dominant group per cluster.
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestGenomicsEmbeddingsRecoverFunctionGroups(t *testing.T) {
 }
 
 func TestIEFindsSpouses(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestIEMutationsNeverTouchParse(t *testing.T) {
 }
 
 func TestMNISTClassifiesDigits(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestMNISTRFFNeverReused(t *testing.T) {
 	// When the learner changes (L/I iteration), its nondeterministic input
 	// must be recomputed — never loaded from a previous draw (Definition 3)
 	// — and its output must never reach the store.
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestMNISTRFFNeverReused(t *testing.T) {
 
 func TestMNISTPPRIterationReusesLI(t *testing.T) {
 	// A PPR change reuses the materialized L/I output: DPR and L/I prune.
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSessionHistoryRecordsIterations(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWorkflowDOT(t *testing.T) {
 }
 
 func TestWorkflowDOTWithResult(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,11 @@ package helix
 
 import (
 	"fmt"
+
+	"helix/internal/exec"
+	"helix/internal/opt"
+	"helix/internal/plan"
+	"helix/internal/store"
 )
 
 // Option configures a Session. Options apply at two scopes:
@@ -14,105 +19,121 @@ import (
 //
 // Run-scoped overrides are safe with the plan cache: every knob that can
 // change planning or execution decisions is folded into the plan
-// fingerprint's configuration token, so a plan built under one
-// configuration is never reused under another, and reverting an override
-// restores full-fingerprint hits against the earlier configuration's
-// cached plan.
+// fingerprint, so a plan built under one configuration is never reused
+// under another, and reverting an override restores full-fingerprint
+// hits against the earlier configuration's cached plan.
 //
-// A few options configure the store or the plan cache itself, which
-// exist once per session; those are marked session-scoped in their
-// documentation, and passing one to Run or Plan returns an error
-// satisfying errors.Is(err, ErrSessionOption).
+// A few options configure the store, which exists once per session;
+// those are marked session-scoped in their documentation, and passing
+// one to Run or Plan returns an error satisfying
+// errors.Is(err, ErrSessionOption).
+//
+// Every knob is declared once: a With… function writes one field of
+// config, and that field is what the engine, the planner or the store
+// reads. Adding a knob is one field and one With….
 type Option struct {
 	name        string
 	sessionOnly bool
 	apply       func(*config)
-}
-
-// config is a Session's resolved configuration: the legacy Options knob
-// set plus the option-only additions. A Session keeps its baseline
-// config; Run/Plan copy it and apply run-scoped overrides.
-//
-// helixlint (fingerprintfields) checks every field against configToken,
-// the plan-cache conditioning token: a new field must either feed the
-// token or carry an //lint:fpexempt reason saying why plan reuse is
-// safe without it.
-//
-//lint:fingerprint configToken
-type config struct {
-	o Options
-	//lint:fpexempt I/O pool sizing, not plan identity (mirrors exec.Options.IOWorkers)
-	ioWorkers int
-	//lint:fpexempt observer wiring never affects plan identity
-	observer RunObserver
-	// shared attaches the session to a cross-session content-addressed
-	// store + plan cache (WithSharedStore); nil opens a private store.
-	//lint:fpexempt store attachment, not plan identity; the store's materialized view enters the fingerprint as per-node chain signatures
-	shared *SharedStore
-	// tenant labels published artifacts for shared-store byte accounting
-	// (WithTenant). Deliberately not part of configToken: tenants under
-	// identical configurations share plans — only byte accounting is
-	// namespaced.
-	//lint:fpexempt byte-accounting label on published artifacts; content addressing already keys identity
-	tenant string
-	// adaptive arms mid-run adaptive re-planning with the given divergence
-	// threshold (WithAdaptive); 0 disables.
-	adaptive float64
-	// adaptiveSolves bounds the extra max-flow solves adaptive re-planning
-	// may spend per run; ≤0 uses the engine default.
-	adaptiveSolves int
-	// runScope records which scope the options are being applied at, for
-	// options whose scope depends on their arguments (WithWorkerClass).
-	//lint:fpexempt transient apply-time state, discarded before planning
-	runScope bool
-	// err records the first invalid option value; checked after apply.
-	//lint:fpexempt transient apply-time state, discarded before planning
+	// err marks an option whose arguments were invalid when it was
+	// built; applying it fails with this (ErrBadConfig-tagged) error.
 	err error
 }
 
+// policyConfig selects and parameterizes the materialization policy.
+// It is comparable and keys Session.policies directly: a run-scoped
+// override that reverts to an earlier configuration resumes that
+// configuration's policy instance (e.g. OMP's consumed budget) instead
+// of resetting it.
+type policyConfig struct {
+	Policy    Policy
+	Budget    int64 // resolved: never ≤ 0
+	Threshold float64
+	Domain    string
+}
+
+// storeConfig holds the settings that belong to the store rather than
+// to a run. Comparable: a shared store pins the first attaching
+// session's value and refuses a later session whose value differs
+// (ErrSharedConfig).
+type storeConfig struct {
+	DiskBytesPerSec float64
+	MatWriters      int
+}
+
+func (sc storeConfig) applyTo(st *store.Store) {
+	st.DiskBytesPerSec = sc.DiskBytesPerSec
+	st.Writers = sc.MatWriters
+}
+
+// config is a Session's resolved configuration. A Session keeps its
+// baseline; Run/Plan copy it and apply run-scoped overrides.
+type config struct {
+	policy policyConfig
+	store  storeConfig
+	// exec is what the engine runs under. The With… functions write its
+	// fields directly — the planner's knobs sit in exec.Plan, which the
+	// engine hands to the planner untouched — and execOptions fills in
+	// the two derived ones, Policy and ConfigToken.
+	exec exec.Options
+	// shared attaches the session to a cross-session content-addressed
+	// store + plan cache (WithSharedStore); nil opens a private store.
+	shared *SharedStore
+}
+
+// defaultConfig is the configuration Open starts from: HELIX OPT under
+// the paper's storage budget, outputs materialized, streaming on.
+func defaultConfig() config {
+	return config{
+		policy: policyConfig{Budget: DefaultStorageBudget},
+		exec:   exec.Options{Plan: plan.Options{MaterializeOutputs: true, Streaming: true}},
+	}
+}
+
 // apply folds opts into the config. runScope rejects session-only
-// options; any invalid option value surfaces as the returned error.
+// options; an option built from invalid arguments fails here.
 func (c *config) apply(opts []Option, runScope bool) error {
-	c.runScope = runScope
 	for _, op := range opts {
-		if op.apply == nil {
-			continue
-		}
-		if runScope && op.sessionOnly {
+		switch {
+		case op.err != nil:
+			return op.err
+		case runScope && op.sessionOnly:
 			return tagged(ErrSessionOption, fmt.Errorf("helix: %s is session-scoped, pass it to Open", op.name))
+		case op.apply != nil:
+			op.apply(c)
 		}
-		op.apply(c)
 	}
-	return c.err
+	return nil
 }
 
-// budget resolves the effective storage budget (the paper's 10 GB
-// default, §6.3).
-func (c *config) budget() int64 {
-	if c.o.StorageBudget > 0 {
-		return c.o.StorageBudget
-	}
-	return DefaultStorageBudget
+// identity is every setting outside plan.Options that plan reuse is
+// conditioned on: the policy configuration (it decides what the next
+// iteration finds in the store), the compute width and the adaptive
+// threshold. The planner's own knobs are fingerprinted separately, field
+// by field, as plan.Options.
+type identity struct {
+	policyConfig
+	Parallelism int
+	Adaptive    float64
 }
 
-// policyKey identifies the materialization-policy configuration. The
-// session memoizes one policy instance per key, so a run-scoped override
-// that reverts to an earlier configuration resumes that configuration's
-// policy state (e.g. OMP's consumed budget) instead of resetting it.
-func (c *config) policyKey() string {
-	return fmt.Sprintf("policy=%d budget=%d threshold=%g domain=%q",
-		c.o.Policy, c.budget(), c.o.OMPThreshold, c.o.Domain)
+func (c *config) identity() identity {
+	return identity{c.policy, c.exec.Parallelism, c.exec.AdaptiveThreshold}
 }
 
-// configToken is the plan-cache conditioning token: every engine-level
-// setting plan reuse must be conditioned on. Two runs whose tokens
-// differ fingerprint differently and can never reuse each other's plans.
-// (Planner-level knobs — reuse, pruning, output materialization — are
-// fingerprinted separately as plan.Options.)
-func (c *config) configToken() string {
-	return fmt.Sprintf("policy=%d budget=%d threshold=%g domain=%q parallelism=%d adaptive=%g/%d",
-		c.o.Policy, c.budget(), c.o.OMPThreshold, c.o.Domain, c.o.Parallelism,
-		c.adaptive, c.adaptiveSolves)
+// configToken renders an identity as the plan-cache conditioning token.
+// Two runs whose tokens differ fingerprint differently and can never
+// reuse each other's plans; %+v names every field, so a field added to
+// identity is in the token by construction.
+func configToken(id identity) string { return fmt.Sprintf("%+v", id) }
+
+// execOptions completes the engine options one Plan/Run call executes
+// under: the memoized policy instance and the identity token.
+func (c *config) execOptions(pol opt.MatPolicy) exec.Options {
+	eo := c.exec
+	eo.Policy = pol
+	eo.ConfigToken = configToken(c.identity())
+	return eo
 }
 
 // WorkerClass names one of the execution scheduler's worker pools, for
@@ -121,7 +142,7 @@ type WorkerClass string
 
 const (
 	// WorkerCompute is the compute pool: at most this many operators
-	// compute concurrently (the Options.Parallelism knob).
+	// compute concurrently (WithParallelism).
 	WorkerCompute WorkerClass = "compute"
 	// WorkerIO is the I/O pool draining Load-state nodes; loads are
 	// disk/throttle-bound, so the pool is sized independently of compute
@@ -131,54 +152,60 @@ const (
 	// WorkerMat is the store's background writer pool flushing
 	// write-behind materializations (≤0 restores the store default).
 	// Session-scoped — the pool belongs to the store — so this class is
-	// only accepted by Open; WithWorkerClass(WorkerMat, n) is equivalent
-	// to WithMatWriters(n).
+	// only accepted by Open.
 	WorkerMat WorkerClass = "mat"
 )
 
 // WithPolicy selects the materialization strategy (the paper's system
 // variants, §6.1). Run-scoped overrides A/B policies within one session;
 // each distinct policy configuration keeps its own policy instance, so
-// budget accounting survives switching away and back.
+// budget accounting survives switching away and back. PolicyNever also
+// drops the mandatory materialization of outputs.
 func WithPolicy(p Policy) Option {
-	return Option{name: "WithPolicy", apply: func(c *config) { c.o.Policy = p }}
+	return Option{name: "WithPolicy", apply: func(c *config) {
+		c.policy.Policy = p
+		c.exec.Plan.MaterializeOutputs = p != PolicyNever
+	}}
 }
 
 // WithStorageBudget caps materialized bytes for the budgeted policies;
 // ≤0 restores the paper's 10 GB default (§6.3).
 func WithStorageBudget(bytes int64) Option {
-	return Option{name: "WithStorageBudget", apply: func(c *config) { c.o.StorageBudget = bytes }}
+	if bytes <= 0 {
+		bytes = DefaultStorageBudget
+	}
+	return Option{name: "WithStorageBudget", apply: func(c *config) { c.policy.Budget = bytes }}
 }
 
 // WithOMPThreshold overrides Algorithm 2's load-cost multiplier; 0
 // restores the paper's value of 2.
 func WithOMPThreshold(t float64) Option {
-	return Option{name: "WithOMPThreshold", apply: func(c *config) { c.o.OMPThreshold = t }}
+	return Option{name: "WithOMPThreshold", apply: func(c *config) { c.policy.Threshold = t }}
 }
 
 // WithDomain selects the change-probability distribution for
 // PolicyOptAmortized ("census", "nlp", "genomics", "mnist").
 func WithDomain(domain string) Option {
-	return Option{name: "WithDomain", apply: func(c *config) { c.o.Domain = domain }}
+	return Option{name: "WithDomain", apply: func(c *config) { c.policy.Domain = domain }}
 }
 
 // WithReuse toggles cross-iteration reuse of materialized results;
 // disabling models the KeystoneML/DeepDive baselines, which never reuse
 // automatically. Default on.
 func WithReuse(enabled bool) Option {
-	return Option{name: "WithReuse", apply: func(c *config) { c.o.DisableReuse = !enabled }}
+	return Option{name: "WithReuse", apply: func(c *config) { c.exec.Plan.DisableReuse = !enabled }}
 }
 
 // WithPruning toggles program slicing (§5.4); disabling is the ablation
 // baseline. Default on.
 func WithPruning(enabled bool) Option {
-	return Option{name: "WithPruning", apply: func(c *config) { c.o.DisablePruning = !enabled }}
+	return Option{name: "WithPruning", apply: func(c *config) { c.exec.Plan.DisablePruning = !enabled }}
 }
 
 // WithMemorySampling toggles heap sampling for Figure 10; costs a
 // background goroutine while a run is in flight. Default off.
 func WithMemorySampling(enabled bool) Option {
-	return Option{name: "WithMemorySampling", apply: func(c *config) { c.o.SampleMemory = enabled }}
+	return Option{name: "WithMemorySampling", apply: func(c *config) { c.exec.SampleMemory = enabled }}
 }
 
 // WithDPRSlowdown multiplies DPR operator cost (models DeepDive's
@@ -186,7 +213,7 @@ func WithMemorySampling(enabled bool) Option {
 // (WithStreaming) charges each member its even share of the run's
 // measured time multiplied by its own component's factor.
 func WithDPRSlowdown(factor float64) Option {
-	return Option{name: "WithDPRSlowdown", apply: func(c *config) { c.o.DPRSlowdown = factor }}
+	return Option{name: "WithDPRSlowdown", apply: func(c *config) { c.exec.DPRSlowdown = factor }}
 }
 
 // WithLISlowdown multiplies L/I operator cost (models KeystoneML's
@@ -194,7 +221,7 @@ func WithDPRSlowdown(factor float64) Option {
 // charges each member its even share times its own component's factor,
 // as under WithDPRSlowdown.
 func WithLISlowdown(factor float64) Option {
-	return Option{name: "WithLISlowdown", apply: func(c *config) { c.o.LISlowdown = factor }}
+	return Option{name: "WithLISlowdown", apply: func(c *config) { c.exec.LISlowdown = factor }}
 }
 
 // WithStreaming toggles fused streaming execution of row-wise operators
@@ -206,17 +233,7 @@ func WithLISlowdown(factor float64) Option {
 // operator. Run-scoped overrides are plan-cache safe: the streaming bit
 // is part of the plan fingerprint.
 func WithStreaming(enabled bool) Option {
-	return Option{name: "WithStreaming", apply: func(c *config) { c.o.DisableStreaming = !enabled }}
-}
-
-// WithCodec selects the store's serialization format: CodecBinary (the
-// default columnar binary codec) or CodecGob (legacy encoding/gob).
-// Readers sniff the format per artifact, so a store written under one
-// codec stays loadable under the other. Session-scoped: the codec
-// belongs to the store.
-func WithCodec(c Codec) Option {
-	return Option{name: "WithCodec", sessionOnly: true,
-		apply: func(cfg *config) { cfg.o.Codec = c }}
+	return Option{name: "WithStreaming", apply: func(c *config) { c.exec.Plan.Streaming = enabled }}
 }
 
 // WithSyncMaterialization, when enabled, serializes and writes
@@ -224,14 +241,14 @@ func WithCodec(c Codec) Option {
 // the paper-faithful accounting — instead of the default write-behind
 // pipeline.
 func WithSyncMaterialization(enabled bool) Option {
-	return Option{name: "WithSyncMaterialization", apply: func(c *config) { c.o.SyncMaterialization = enabled }}
+	return Option{name: "WithSyncMaterialization", apply: func(c *config) { c.exec.SyncMaterialization = enabled }}
 }
 
 // WithParallelism bounds the compute worker pool: at most n operators
 // compute concurrently regardless of DAG width; ≤0 uses
 // runtime.GOMAXPROCS(0). Equivalent to WithWorkerClass(WorkerCompute, n).
 func WithParallelism(n int) Option {
-	return Option{name: "WithParallelism", apply: func(c *config) { c.o.Parallelism = n }}
+	return Option{name: "WithParallelism", apply: func(c *config) { c.exec.Parallelism = n }}
 }
 
 // WithWorkerClass sizes one of the session's worker pools:
@@ -240,36 +257,22 @@ func WithParallelism(n int) Option {
 // and WorkerMat sizes the store's write-behind materialization pool.
 // WorkerMat is session-scoped (the pool belongs to the store); passing
 // it to Run or Plan returns an error satisfying
-// errors.Is(err, ErrSessionOption). Unknown classes are rejected when
-// the options are applied.
+// errors.Is(err, ErrSessionOption). An unknown class fails the call the
+// option is passed to with an error satisfying
+// errors.Is(err, ErrBadConfig).
 func WithWorkerClass(class WorkerClass, size int) Option {
-	return Option{name: "WithWorkerClass", apply: func(c *config) {
-		switch class {
-		case WorkerCompute:
-			c.o.Parallelism = size
-		case WorkerIO:
-			c.ioWorkers = size
-		case WorkerMat:
-			if c.runScope {
-				if c.err == nil {
-					c.err = tagged(ErrSessionOption, fmt.Errorf("helix: WithWorkerClass(WorkerMat, …) is session-scoped, pass it to Open"))
-				}
-				return
-			}
-			c.o.MatWriters = size
-		default:
-			if c.err == nil {
-				c.err = fmt.Errorf("helix: unknown worker class %q (want %q, %q or %q)", class, WorkerCompute, WorkerIO, WorkerMat)
-			}
-		}
-	}}
-}
-
-// WithScheduler selects the ready-queue ordering: SchedCriticalPath
-// (default) starts the node with the longest projected downstream chain
-// first; SchedFIFO forces pure arrival order.
-func WithScheduler(mode SchedMode) Option {
-	return Option{name: "WithScheduler", apply: func(c *config) { c.o.CriticalPath = mode }}
+	switch class {
+	case WorkerCompute:
+		return WithParallelism(size)
+	case WorkerIO:
+		return Option{name: "WithWorkerClass", apply: func(c *config) { c.exec.IOWorkers = size }}
+	case WorkerMat:
+		return Option{name: "WithWorkerClass(WorkerMat, …)", sessionOnly: true,
+			apply: func(c *config) { c.store.MatWriters = size }}
+	default:
+		return Option{name: "WithWorkerClass", err: tagged(ErrBadConfig,
+			fmt.Errorf("helix: unknown worker class %q (want %q, %q or %q)", class, WorkerCompute, WorkerIO, WorkerMat))}
+	}
 }
 
 // WithAdaptive arms mid-run adaptive re-planning with the given
@@ -294,21 +297,19 @@ func WithScheduler(mode SchedMode) Option {
 // cache's partial path re-solves just those components, reusing the rest
 // row-for-row. A re-plan whose corrections all fall inside the gating
 // bands writes nothing, fingerprints identically, and costs zero solves.
-// The threshold (and solve bound) are folded into the configuration
-// token, so adaptive and non-adaptive runs never share cache entries.
+// The threshold is folded into the configuration token, so adaptive and
+// non-adaptive runs never share cache entries.
 //
-// Extra max-flow solves per run are bounded (default 3) to keep
-// speculation cheap; once the bound is spent the monitor disarms for the
-// rest of the run. Usable at session scope (every run adapts) or run
-// scope (that run only). See BENCH_adaptive.json (README) for the
-// measured static-vs-adaptive comparison.
+// Extra max-flow solves per run are bounded (3) to keep speculation
+// cheap; once the bound is spent the monitor disarms for the rest of the
+// run. Usable at session scope (every run adapts) or run scope (that run
+// only). See BENCH_adaptive.json (README) for the measured
+// static-vs-adaptive comparison.
 func WithAdaptive(threshold float64) Option {
-	return Option{name: "WithAdaptive", apply: func(c *config) {
-		if threshold < 0 {
-			threshold = 0
-		}
-		c.adaptive = threshold
-	}}
+	if threshold < 0 {
+		threshold = 0
+	}
+	return Option{name: "WithAdaptive", apply: func(c *config) { c.exec.AdaptiveThreshold = threshold }}
 }
 
 // WithObserver installs a RunObserver receiving the run's structured
@@ -316,7 +317,7 @@ func WithAdaptive(threshold float64) Option {
 // WithObserver replaces it for that call (WithObserver(nil) silences one
 // run).
 func WithObserver(obs RunObserver) Option {
-	return Option{name: "WithObserver", apply: func(c *config) { c.observer = obs }}
+	return Option{name: "WithObserver", apply: func(c *config) { c.exec.Observer = obs }}
 }
 
 // WithDiskThroughput simulates a disk with the given byte/s throughput
@@ -324,30 +325,5 @@ func WithObserver(obs RunObserver) Option {
 // is 170 MB/s (§6.3). Session-scoped: the store is configured once.
 func WithDiskThroughput(bytesPerSec float64) Option {
 	return Option{name: "WithDiskThroughput", sessionOnly: true,
-		apply: func(c *config) { c.o.DiskBytesPerSec = bytesPerSec }}
-}
-
-// WithMatWriters sizes the store's background writer pool for
-// write-behind materialization; ≤0 uses the store default.
-// Session-scoped: the pool belongs to the store. Equivalent to
-// WithWorkerClass(WorkerMat, n).
-func WithMatWriters(n int) Option {
-	return Option{name: "WithMatWriters", sessionOnly: true,
-		apply: func(c *config) { c.o.MatWriters = n }}
-}
-
-// WithPlanCache toggles the iteration-over-iteration plan cache.
-// Session-scoped: the cache holds cross-iteration state.
-func WithPlanCache(mode PlanCacheMode) Option {
-	return Option{name: "WithPlanCache", sessionOnly: true,
-		apply: func(c *config) { c.o.PlanCache = mode }}
-}
-
-// WithOptions applies a legacy Options struct wholesale — the bridge the
-// deprecated NewSession shim is built on, and a one-line migration step
-// for existing call sites. Later options override its fields.
-// Session-scoped because the struct carries store-level settings.
-func WithOptions(o Options) Option {
-	return Option{name: "WithOptions", sessionOnly: true,
-		apply: func(c *config) { c.o = o }}
+		apply: func(c *config) { c.store.DiskBytesPerSec = bytesPerSec }}
 }

@@ -3,13 +3,15 @@ package helix_test
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"helix"
-	"helix/internal/core"
 	"helix/internal/sim"
 	"helix/internal/workloads"
 )
@@ -150,45 +152,123 @@ func TestRunScopedOverrideChangesMaterialization(t *testing.T) {
 	}
 }
 
-// TestSessionScopedOptionRejectedAtRunScope: options that configure the
-// store or the plan cache are session-scoped; Run and Plan must reject
-// them with ErrSessionOption instead of silently ignoring them.
-func TestSessionScopedOptionRejectedAtRunScope(t *testing.T) {
-	sess, err := helix.Open(t.TempDir())
+type optionRow struct {
+	sessionScoped bool
+	opt           helix.Option
+}
+
+// optionRows is the option surface, one row per exported With…
+// constructor: its scope and a sample value. TestOptionTableComplete
+// proves the table complete against the source.
+func optionRows(t *testing.T) map[string]optionRow {
+	shared, err := helix.OpenSharedStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	var c atomic.Int64
-	wf := optWorkflow(&c, "LR reg=0.1")
-	for _, opt := range []helix.Option{
-		helix.WithPlanCache(helix.PlanCacheOff),
-		helix.WithMatWriters(2),
-		helix.WithDiskThroughput(1e6),
-		helix.WithOptions(helix.Options{}),
-	} {
-		if _, err := sess.Run(context.Background(), wf, opt); !errors.Is(err, helix.ErrSessionOption) {
-			t.Fatalf("Run with session-scoped option: err = %v, want ErrSessionOption", err)
+	t.Cleanup(func() { shared.Close() })
+	return map[string]optionRow{
+		"WithPolicy":              {false, helix.WithPolicy(helix.PolicyAlways)},
+		"WithStorageBudget":       {false, helix.WithStorageBudget(1 << 20)},
+		"WithOMPThreshold":        {false, helix.WithOMPThreshold(3)},
+		"WithDomain":              {false, helix.WithDomain("census")},
+		"WithReuse":               {false, helix.WithReuse(false)},
+		"WithPruning":             {false, helix.WithPruning(false)},
+		"WithMemorySampling":      {false, helix.WithMemorySampling(true)},
+		"WithDPRSlowdown":         {false, helix.WithDPRSlowdown(1.5)},
+		"WithLISlowdown":          {false, helix.WithLISlowdown(1.5)},
+		"WithStreaming":           {false, helix.WithStreaming(false)},
+		"WithSyncMaterialization": {false, helix.WithSyncMaterialization(true)},
+		"WithParallelism":         {false, helix.WithParallelism(2)},
+		"WithWorkerClass":         {false, helix.WithWorkerClass(helix.WorkerIO, 2)},
+		"WithAdaptive":            {false, helix.WithAdaptive(0.5)},
+		"WithObserver":            {false, helix.WithObserver(func(helix.RunEvent) {})},
+		"WithDiskThroughput":      {true, helix.WithDiskThroughput(1e6)},
+		"WithSharedStore":         {true, helix.WithSharedStore(shared)},
+		"WithTenant":              {true, helix.WithTenant("alice")},
+	}
+}
+
+// TestOptionTableComplete walks the two files that declare options and
+// requires exactly one optionRows entry per exported With… constructor,
+// so a new knob cannot land without declaring (and testing) its scope.
+func TestOptionTableComplete(t *testing.T) {
+	rows := optionRows(t)
+	declared := map[string]bool{}
+	for _, file := range []string{"options.go", "shared.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := sess.Plan(wf, opt); !errors.Is(err, helix.ErrSessionOption) {
-			t.Fatalf("Plan with session-scoped option: err = %v, want ErrSessionOption", err)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "With") {
+				continue
+			}
+			declared[fd.Name.Name] = true
+			if _, ok := rows[fd.Name.Name]; !ok {
+				t.Errorf("%s: %s has no row in optionRows", file, fd.Name.Name)
+			}
 		}
 	}
-	if c.Load() != 0 {
-		t.Fatal("rejected run executed operators")
+	for name := range rows {
+		if !declared[name] {
+			t.Errorf("optionRows has a row for %s, which options.go and shared.go do not declare", name)
+		}
 	}
-	if sess.Iteration() != 0 {
-		t.Fatal("rejected run advanced the iteration counter")
+}
+
+// TestSessionScopedOptionRejectedAtRunScope: a session-scoped option configures the store, which
+// exists once per session, so Run and Plan must reject it with
+// ErrSessionOption — executing nothing and leaving the iteration counter
+// alone — instead of silently ignoring it; every other option is
+// accepted by Open, Run and Plan alike.
+func TestSessionScopedOptionRejectedAtRunScope(t *testing.T) {
+	ctx := context.Background()
+	for name, row := range optionRows(t) {
+		t.Run(name, func(t *testing.T) {
+			sess, err := helix.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var c atomic.Int64
+			wf := optWorkflow(&c, "LR reg=0.1")
+			_, planErr := sess.Plan(wf, row.opt)
+			_, runErr := sess.Run(ctx, wf, row.opt)
+			if row.sessionScoped {
+				if !errors.Is(runErr, helix.ErrSessionOption) {
+					t.Fatalf("Run with session-scoped option: err = %v, want ErrSessionOption", runErr)
+				}
+				if !errors.Is(planErr, helix.ErrSessionOption) {
+					t.Fatalf("Plan with session-scoped option: err = %v, want ErrSessionOption", planErr)
+				}
+				if c.Load() != 0 {
+					t.Fatal("rejected run executed operators")
+				}
+				if sess.Iteration() != 0 {
+					t.Fatal("rejected run advanced the iteration counter")
+				}
+				return
+			}
+			if planErr != nil || runErr != nil {
+				t.Fatalf("run-scoped option rejected at run scope: Plan err = %v, Run err = %v", planErr, runErr)
+			}
+			atOpen, err := helix.Open(t.TempDir(), row.opt)
+			if err != nil {
+				t.Fatalf("run-scoped option rejected by Open: %v", err)
+			}
+			atOpen.Close()
+		})
 	}
 }
 
 // TestWithWorkerClass: compute resizes the compute pool, io the load
-// pool, anything else is rejected at option-application time with a
-// message naming the class.
+// pool, anything else is rejected — by whichever call the option is
+// passed to — with ErrBadConfig and a message naming the class.
 func TestWithWorkerClass(t *testing.T) {
-	if _, err := helix.Open(t.TempDir(), helix.WithWorkerClass("gpu", 2)); err == nil ||
+	if _, err := helix.Open(t.TempDir(), helix.WithWorkerClass("gpu", 2)); !errors.Is(err, helix.ErrBadConfig) ||
 		!strings.Contains(err.Error(), "gpu") {
-		t.Fatalf("unknown worker class: err = %v", err)
+		t.Fatalf("unknown worker class: err = %v, want ErrBadConfig naming gpu", err)
 	}
 	sess, err := helix.Open(t.TempDir(),
 		helix.WithWorkerClass(helix.WorkerCompute, 2),
@@ -202,70 +282,44 @@ func TestWithWorkerClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c2 atomic.Int64
-	if _, err := sess.Run(context.Background(), optWorkflow(&c2, "LR reg=0.1"),
-		helix.WithWorkerClass("tpu", 1)); err == nil || !strings.Contains(err.Error(), "tpu") {
-		t.Fatalf("unknown run-scoped worker class: err = %v", err)
+	wf := optWorkflow(&c2, "LR reg=0.1")
+	if _, err := sess.Run(context.Background(), wf, helix.WithWorkerClass("tpu", 1)); !errors.Is(err, helix.ErrBadConfig) ||
+		!strings.Contains(err.Error(), "tpu") {
+		t.Fatalf("unknown run-scoped worker class: Run err = %v, want ErrBadConfig naming tpu", err)
+	}
+	if _, err := sess.Plan(wf, helix.WithWorkerClass("tpu", 1)); !errors.Is(err, helix.ErrBadConfig) {
+		t.Fatalf("unknown run-scoped worker class: Plan err = %v, want ErrBadConfig", err)
+	}
+	if c2.Load() != 0 {
+		t.Fatal("run rejected for a bad option executed operators")
 	}
 }
 
-// TestOptionsShimEquivalence: the deprecated Options-struct constructor
-// must behave identically to the functional-option path — including
-// resuming a session fixture the new path created.
-func TestOptionsShimEquivalence(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-
-	// Build the fixture with the new path.
-	s1, err := helix.Open(dir,
-		helix.WithPolicy(helix.PolicyAlways), helix.WithParallelism(2))
+// TestBadConfigValues: a nil shared store can configure nothing, at
+// either scope, and a tenant label without a shared store would be
+// dropped on the floor — both are ErrBadConfig, not a session that
+// quietly ignores what it was told.
+func TestBadConfigValues(t *testing.T) {
+	if _, err := helix.Open(t.TempDir(), helix.WithSharedStore(nil)); !errors.Is(err, helix.ErrBadConfig) {
+		t.Fatalf("Open(WithSharedStore(nil)): err = %v, want ErrBadConfig", err)
+	}
+	if _, err := helix.Open(t.TempDir(), helix.WithTenant("alice")); !errors.Is(err, helix.ErrBadConfig) {
+		t.Fatalf("Open(WithTenant) without a shared store: err = %v, want ErrBadConfig", err)
+	}
+	sess, err := helix.Open(t.TempDir(), helix.WithTenant(""))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("an empty tenant label is no label: %v", err)
 	}
-	var c1 atomic.Int64
-	res1, err := s1.Run(ctx, optWorkflow(&c1, "LR reg=0.1"))
-	if err != nil {
-		t.Fatal(err)
+	defer sess.Close()
+	var c atomic.Int64
+	wf := optWorkflow(&c, "LR reg=0.1")
+	if _, err := sess.Run(context.Background(), wf, helix.WithSharedStore(nil)); !errors.Is(err, helix.ErrBadConfig) {
+		t.Fatalf("Run(WithSharedStore(nil)): err = %v, want ErrBadConfig", err)
 	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := sess.Plan(wf, helix.WithSharedStore(nil)); !errors.Is(err, helix.ErrBadConfig) {
+		t.Fatalf("Plan(WithSharedStore(nil)): err = %v, want ErrBadConfig", err)
 	}
-
-	// Reopen the same directory through the shim with the equivalent
-	// struct: change tracking must resume (zero recomputation) and the
-	// outputs must match.
-	s2, err := helix.NewSession(dir, helix.Options{Policy: helix.PolicyAlways, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	var c2 atomic.Int64
-	res2, err := s2.Run(ctx, optWorkflow(&c2, "LR reg=0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Load() != 0 {
-		t.Fatalf("shim session recomputed %d operators on the fixture", c2.Load())
-	}
-	if res2.Values["checked"] != res1.Values["checked"] {
-		t.Fatalf("shim output %v != new-path output %v", res2.Values["checked"], res1.Values["checked"])
-	}
-	if res2.StateCounts[core.StateCompute] != 0 {
-		t.Fatalf("shim session computed %d nodes, want full reuse", res2.StateCounts[core.StateCompute])
-	}
-
-	// And a fresh shim session behaves like a fresh new-path session on
-	// the same configuration (same outputs, same storage decision).
-	s3, err := helix.NewSession(t.TempDir(), helix.Options{Policy: helix.PolicyNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	var c3 atomic.Int64
-	res3, err := s3.Run(ctx, optWorkflow(&c3, "LR reg=0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Values["checked"] != 300.0 || s3.StorageBytes() != 0 {
-		t.Fatalf("shim PolicyNever: output %v storage %d", res3.Values["checked"], s3.StorageBytes())
+	if c.Load() != 0 || sess.Iteration() != 0 {
+		t.Fatal("run rejected for a bad option executed operators or advanced the iteration")
 	}
 }

@@ -109,7 +109,7 @@ func TestPlanExplainGoldenCensus(t *testing.T) {
 // otherwise mutate the store — the next Run must still see full reuse.
 func TestSessionPlanLeavesSessionUntouched(t *testing.T) {
 	dir := t.TempDir()
-	sess, err := helix.NewSession(dir)
+	sess, err := helix.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSessionPlanLeavesSessionUntouched(t *testing.T) {
 // TestSessionPlanMatchesExecutedPlan: the plan Session.Plan returns for a
 // workflow agrees with the plan Run executes immediately afterwards.
 func TestSessionPlanMatchesExecutedPlan(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPlanDOTGoldenCensus(t *testing.T) {
 
 // TestPlanDOTAnnotations: PlanDOT renders plan states and rationale.
 func TestPlanDOTAnnotations(t *testing.T) {
-	sess, err := helix.NewSession(t.TempDir())
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,141 +45,8 @@ const (
 	// PolicyOptAmortized extends the streaming heuristic with the paper's
 	// future-work user model (§5.3): materialization payoff is weighted
 	// by the survey-derived probability that the operator survives the
-	// next iteration's change. Set Options.Domain to select the change
-	// distribution.
+	// next iteration's change. WithDomain selects the change distribution.
 	PolicyOptAmortized
-)
-
-// Options is the original monolithic configuration struct, kept as a
-// compatibility shim: NewSession(dir, Options{...}) behaves exactly like
-// Open(dir, WithOptions(Options{...})), and every field has a functional
-// option counterpart (see the Option constructors and the README's
-// migration table).
-//
-// Deprecated: configure sessions with Open and functional options, which
-// additionally support run-scoped overrides on Run and Plan.
-//
-// helixlint (fingerprintfields) checks every field against configToken
-// (and its budget helper), the plan-cache conditioning token: a new
-// engine-level knob must feed the token or carry an //lint:fpexempt
-// reason saying why plan reuse is safe without it.
-//
-//lint:fingerprint configToken budget
-type Options struct {
-	// Policy selects the materialization strategy. Default PolicyOpt.
-	Policy Policy
-	// StorageBudget caps materialized bytes for PolicyOpt; ≤0 means the
-	// paper's default of 10 GB (§6.3).
-	StorageBudget int64
-	// OMPThreshold overrides Algorithm 2's load-cost multiplier for
-	// PolicyOpt; 0 means the paper's value of 2. Exposed for the ablation
-	// benchmark.
-	OMPThreshold float64
-	// Domain selects the change-probability distribution for
-	// PolicyOptAmortized ("census", "nlp", "genomics", "mnist").
-	Domain string
-	// DisableReuse turns off cross-iteration reuse (the KeystoneML and
-	// DeepDive baselines do not reuse automatically).
-	//lint:fpexempt planner-level knob; enters the fingerprint via plan.Options.DisableReuse
-	DisableReuse bool
-	// DisablePruning turns off program slicing (ablation).
-	//lint:fpexempt planner-level knob; enters the fingerprint via plan.Options.DisablePruning
-	DisablePruning bool
-	// SampleMemory enables heap sampling for Figure 10.
-	//lint:fpexempt observability only; sampling never changes what is planned or computed
-	SampleMemory bool
-	// DPRSlowdown multiplies DPR operator cost (models DeepDive's
-	// Python/shell preprocessing; §6.5.2). 0 or 1 disables.
-	//lint:fpexempt execution-side sleep; its effect reaches the fingerprint through the carried cost statistics of the runs it slows
-	DPRSlowdown float64
-	// LISlowdown multiplies L/I operator cost (models KeystoneML's
-	// training-data caching miss; §6.5.2). 0 or 1 disables.
-	//lint:fpexempt execution-side sleep; its effect reaches the fingerprint through the carried cost statistics of the runs it slows
-	LISlowdown float64
-	// DiskBytesPerSec simulates a disk with the given throughput for
-	// loads and writes; 0 uses real disk speed. The paper's environment
-	// is 170 MB/s (§6.3).
-	//lint:fpexempt simulated throughput shapes measured load costs, which reach the fingerprint as per-node load estimates
-	DiskBytesPerSec float64
-	// SyncMaterialization disables write-behind materialization: results
-	// are serialized and written inline on the worker goroutine that
-	// computed them, putting the full materialization cost back on each
-	// iteration's critical path. Default false (write-behind).
-	//lint:fpexempt write-behind vs inline changes when bytes hit disk, not what is planned
-	SyncMaterialization bool
-	// MatWriters sizes the store's background writer pool for write-behind
-	// materialization; ≤0 uses the store default.
-	//lint:fpexempt store writer-pool sizing, not plan identity
-	MatWriters int
-	// Parallelism bounds the execution scheduler's worker pool: at most
-	// this many operators run concurrently, regardless of DAG width. ≤0
-	// uses runtime.GOMAXPROCS(0).
-	Parallelism int
-	// PlanCache controls the iteration-over-iteration plan cache. The
-	// zero value, PlanCacheOn, fingerprints every iteration's planning
-	// inputs (DAG topology, chain signatures, the store's materialized
-	// set, carried statistics, options) and reuses the previous
-	// iteration's plan wholesale on a full match — skipping slicing,
-	// ancestor-bitset construction, and the max-flow solve — or
-	// re-solves only the changed components on a partial match.
-	// PlanCacheOff forces a cold solve every iteration.
-	//lint:fpexempt controls the plan cache itself; a mode change can only force cold solves, never stale reuse
-	PlanCache PlanCacheMode
-	// CriticalPath selects the execution scheduler's ready-queue
-	// ordering. The zero value, SchedCriticalPath, starts the ready node
-	// with the longest projected downstream chain first (using the
-	// plan's ProjectedTail values) so stragglers on unbalanced DAGs
-	// claim workers early; it degrades to FIFO when no projections
-	// exist. SchedFIFO forces pure arrival order.
-	//lint:fpexempt ready-queue ordering changes execution interleaving, never the plan
-	CriticalPath SchedMode
-	// DisableStreaming turns off fused streaming execution: every
-	// streamable operator (MapRows/FilterRows/FlatMapRows) runs as an
-	// ordinary batch operator with its own scheduler slot and fully
-	// built output. Default false (streaming on).
-	//lint:fpexempt planner-level knob; enters the fingerprint via plan.Options.Streaming
-	DisableStreaming bool
-	// Codec selects the store's serialization format. The zero value,
-	// CodecBinary, is the columnar binary codec; CodecGob writes legacy
-	// encoding/gob. Both read either format (the binary header is
-	// sniffed), so existing artifacts stay loadable across the switch.
-	//lint:fpexempt serialization format; both codecs read either format, so materialized artifacts stay valid across a switch
-	Codec Codec
-}
-
-// Codec selects the materialization store's serialization format
-// (Options.Codec, WithCodec).
-type Codec int
-
-const (
-	// CodecBinary writes the columnar binary format: varint numerics,
-	// interned strings, columnar layouts for the repo's row types, a
-	// gob escape hatch for everything else — behind a versioned header.
-	CodecBinary Codec = iota
-	// CodecGob writes legacy encoding/gob, for A/B comparison and
-	// byte-level compatibility testing. Reads both formats.
-	CodecGob
-)
-
-// PlanCacheMode toggles the session's plan cache (Options.PlanCache).
-type PlanCacheMode int
-
-const (
-	// PlanCacheOn enables incremental planning (the default).
-	PlanCacheOn PlanCacheMode = iota
-	// PlanCacheOff re-solves the execution plan from scratch every
-	// iteration (the pre-cache behavior).
-	PlanCacheOff
-)
-
-// SchedMode selects the scheduler's ready-queue ordering
-// (Options.CriticalPath).
-type SchedMode = exec.SchedMode
-
-// Scheduler orderings: critical-path priority (default) or pure FIFO.
-const (
-	SchedCriticalPath = exec.SchedCriticalPath
-	SchedFIFO         = exec.SchedFIFO
 )
 
 // DefaultStorageBudget is the paper's experimental storage budget (§6.3).
@@ -211,12 +78,12 @@ type Session struct {
 	base config
 
 	// polMu guards policies, the memoized materialization-policy
-	// instances keyed by config.policyKey. Memoization makes run-scoped
+	// instances keyed by their configuration. Memoization makes run-scoped
 	// policy overrides stateful in the useful sense: reverting to a
 	// configuration resumes its policy's budget accounting.
 	//lint:nolockio
 	polMu    sync.Mutex
-	policies map[string]opt.MatPolicy
+	policies map[policyConfig]opt.MatPolicy
 
 	// running rejects concurrent Run calls (ErrConcurrentRun).
 	running atomic.Bool
@@ -262,72 +129,57 @@ type sessionState struct {
 // configuration; Run and Plan accept the same (run-scoped) options as
 // per-call overrides.
 func Open(dir string, opts ...Option) (*Session, error) {
-	var cfg config
+	cfg := defaultConfig()
 	if err := cfg.apply(opts, false); err != nil {
 		return nil, err
+	}
+	if cfg.exec.Tenant != "" && cfg.shared == nil {
+		return nil, tagged(ErrBadConfig, fmt.Errorf("helix: WithTenant(%q) needs WithSharedStore: a private store keeps no per-tenant accounting", cfg.exec.Tenant))
 	}
 	// Build and validate the materialization policy before anything
 	// stateful opens: the historical unknown-policy branch returned after
 	// store.Open without closing it, leaking the writer pool. Failing
 	// first means a bad configuration can never leak resources.
-	pol, err := buildPolicy(&cfg)
+	pol, err := buildPolicy(cfg.policy)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		st  *store.Store
-		att *store.Attachment
-	)
+	s := &Session{base: cfg, policies: map[policyConfig]opt.MatPolicy{cfg.policy: pol}}
+	s.runDone = sync.NewCond(&s.mu)
+	s.engine = &exec.Engine{Opts: cfg.execOptions(pol)}
 	if cfg.shared != nil {
 		// Shared mode: attach to the cross-session store (dir is ignored —
 		// the store owns its directory). Store-level settings were either
 		// adopted from this config (first attach) or validated against the
 		// first session's (ErrSharedConfig on conflict).
-		att, err = cfg.shared.attach(&cfg)
+		s.att, err = cfg.shared.attach(cfg.store, cfg.exec.Tenant)
 		if err != nil {
 			return nil, err
 		}
-		st = att.Store()
-	} else {
-		st, err = store.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		st.DiskBytesPerSec = cfg.o.DiskBytesPerSec
-		st.Writers = cfg.o.MatWriters
-		if cfg.o.Codec == CodecGob {
-			st.Codec = store.GobCodec{}
-		}
-	}
-	s := &Session{
-		store:    st,
-		att:      att,
-		dir:      st.Dir(),
-		base:     cfg,
-		policies: map[string]opt.MatPolicy{cfg.policyKey(): pol},
-	}
-	s.runDone = sync.NewCond(&s.mu)
-	s.engine = &exec.Engine{Store: st, Opts: s.execOptions(&cfg, pol)}
-	switch {
-	case cfg.shared != nil:
+		s.store = s.att.Store()
 		// The process-wide plan cache + frozen statistics board replace the
 		// per-session MRU: a workflow any attached session planned is a
 		// zero-solve fingerprint hit for every other session under the same
 		// configuration (the config token is still hashed per call, so
 		// differing configurations never share decisions).
 		s.engine.Shared = cfg.shared.cache
-		if cfg.o.PlanCache != PlanCacheOff {
-			s.engine.Cache = cfg.shared.cache.Cache()
+		s.engine.Cache = cfg.shared.cache.Cache()
+	} else {
+		s.store, err = store.Open(dir)
+		if err != nil {
+			return nil, err
 		}
-	case cfg.o.PlanCache != PlanCacheOff:
+		cfg.store.applyTo(s.store)
 		// The config token pins every engine-level setting plan reuse
 		// must be conditioned on: a run under a different policy, budget,
 		// threshold, domain, or parallelism — whether a differently
 		// opened session or a run-scoped override — fingerprints
 		// differently and can never reuse this configuration's decisions.
-		s.engine.Cache = plan.NewCache(cfg.configToken())
+		s.engine.Cache = plan.NewCache(s.engine.Opts.ConfigToken)
 	}
-	if att == nil {
+	s.engine.Store = s.store
+	s.dir = s.store.Dir()
+	if s.att == nil {
 		// session.json is per-session state; shared-mode sessions share one
 		// directory and resume reuse through the content-addressed store
 		// and shared plan cache instead.
@@ -336,30 +188,14 @@ func Open(dir string, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// NewSession opens a session configured by at most one legacy Options
-// struct. It is a shim over Open: NewSession(dir, o) ≡
-// Open(dir, WithOptions(o)).
-//
-// Deprecated: use Open with functional options.
-func NewSession(dir string, options ...Options) (*Session, error) {
-	if len(options) > 1 {
-		return nil, tagged(ErrBadConfig, fmt.Errorf("helix: at most one Options value"))
-	}
-	if len(options) == 1 {
-		return Open(dir, WithOptions(options[0]))
-	}
-	return Open(dir)
-}
-
-// buildPolicy constructs the materialization policy a config selects, or
-// an error satisfying errors.Is(err, ErrPolicyUnknown).
-func buildPolicy(cfg *config) (opt.MatPolicy, error) {
-	budget := cfg.budget()
-	switch cfg.o.Policy {
+// buildPolicy constructs the materialization policy pc selects, or an
+// error satisfying errors.Is(err, ErrPolicyUnknown).
+func buildPolicy(pc policyConfig) (opt.MatPolicy, error) {
+	switch pc.Policy {
 	case PolicyOpt:
-		somp := opt.NewStreamingOMP(budget)
-		if cfg.o.OMPThreshold > 0 {
-			somp.Threshold = cfg.o.OMPThreshold
+		somp := opt.NewStreamingOMP(pc.Budget)
+		if pc.Threshold > 0 {
+			somp.Threshold = pc.Threshold
 		}
 		return somp, nil
 	case PolicyAlways:
@@ -367,62 +203,36 @@ func buildPolicy(cfg *config) (opt.MatPolicy, error) {
 	case PolicyNever:
 		return opt.NeverMat{}, nil
 	case PolicyOptMiniBatch:
-		somp := opt.NewStreamingOMP(budget)
-		if cfg.o.OMPThreshold > 0 {
-			somp.Threshold = cfg.o.OMPThreshold
+		somp := opt.NewStreamingOMP(pc.Budget)
+		if pc.Threshold > 0 {
+			somp.Threshold = pc.Threshold
 		}
 		return opt.NewMiniBatchOMP(somp), nil
 	case PolicyOptAmortized:
-		aomp := opt.NewAmortizedOMP(opt.SurveyChangeModel(cfg.o.Domain), budget)
-		if cfg.o.OMPThreshold > 0 {
-			aomp.Threshold = cfg.o.OMPThreshold
+		aomp := opt.NewAmortizedOMP(opt.SurveyChangeModel(pc.Domain), pc.Budget)
+		if pc.Threshold > 0 {
+			aomp.Threshold = pc.Threshold
 		}
 		return aomp, nil
 	default:
-		return nil, tagged(ErrPolicyUnknown, fmt.Errorf("helix: unknown policy %d", cfg.o.Policy))
+		return nil, tagged(ErrPolicyUnknown, fmt.Errorf("helix: unknown policy %d", pc.Policy))
 	}
 }
 
-// policyFor returns the memoized policy instance for cfg's policy
-// configuration, constructing it on first use.
-func (s *Session) policyFor(cfg *config) (opt.MatPolicy, error) {
-	key := cfg.policyKey()
+// policyFor returns the memoized policy instance for pc, constructing it
+// on first use.
+func (s *Session) policyFor(pc policyConfig) (opt.MatPolicy, error) {
 	s.polMu.Lock()
 	defer s.polMu.Unlock()
-	if pol, ok := s.policies[key]; ok {
+	if pol, ok := s.policies[pc]; ok {
 		return pol, nil
 	}
-	pol, err := buildPolicy(cfg)
+	pol, err := buildPolicy(pc)
 	if err != nil {
 		return nil, err
 	}
-	s.policies[key] = pol
+	s.policies[pc] = pol
 	return pol, nil
-}
-
-// execOptions lowers a resolved config (plus its policy instance) to the
-// engine-level options one Plan/Run call executes under.
-func (s *Session) execOptions(cfg *config, pol opt.MatPolicy) exec.Options {
-	return exec.Options{
-		Policy:              pol,
-		DisableReuse:        cfg.o.DisableReuse,
-		MaterializeOutputs:  cfg.o.Policy != PolicyNever,
-		DPRSlowdown:         cfg.o.DPRSlowdown,
-		LISlowdown:          cfg.o.LISlowdown,
-		SampleMemory:        cfg.o.SampleMemory,
-		DisablePruning:      cfg.o.DisablePruning,
-		SyncMaterialization: cfg.o.SyncMaterialization,
-		DisableStreaming:    cfg.o.DisableStreaming,
-		Parallelism:         cfg.o.Parallelism,
-		Sched:               cfg.o.CriticalPath,
-		IOWorkers:           cfg.ioWorkers,
-		ConfigToken:         cfg.configToken(),
-		Observer:            cfg.observer,
-		Shared:              cfg.shared != nil,
-		Tenant:              cfg.tenant,
-		AdaptiveThreshold:   cfg.adaptive,
-		AdaptiveMaxSolves:   cfg.adaptiveSolves,
-	}
 }
 
 // runConfig resolves one Run/Plan call's effective configuration: the
@@ -430,27 +240,20 @@ func (s *Session) execOptions(cfg *config, pol opt.MatPolicy) exec.Options {
 // and every cache-relevant knob folded into the config token.
 func (s *Session) runConfig(opts []Option) (exec.Options, error) {
 	cfg := s.base
-	cfg.err = nil
 	if err := cfg.apply(opts, true); err != nil {
 		return exec.Options{}, err
 	}
-	pol, err := s.policyFor(&cfg)
+	pol, err := s.policyFor(cfg.policy)
 	if err != nil {
 		return exec.Options{}, err
 	}
-	return s.execOptions(&cfg, pol), nil
+	return cfg.execOptions(pol), nil
 }
 
 // PlanCacheStats reports the session's plan-cache consultation counters:
 // full fingerprint hits (plans reused with zero solves), partial hits
-// (only dirty components re-solved), and misses (cold solves). All zero
-// when the cache is disabled.
-func (s *Session) PlanCacheStats() plan.CacheStats {
-	if s.engine.Cache == nil {
-		return plan.CacheStats{}
-	}
-	return s.engine.Cache.Stats()
-}
+// (only dirty components re-solved), and misses (cold solves).
+func (s *Session) PlanCacheStats() plan.CacheStats { return s.engine.Cache.Stats() }
 
 // loadState restores persisted change-tracking state; absence or
 // corruption silently degrades to a fresh session (everything original).
@@ -564,8 +367,8 @@ func (s *Session) Plan(wf *Workflow, opts ...Option) (*Plan, error) {
 // fed back to HELIX marks the beginning of a new iteration").
 //
 // Run-scoped options override the session baseline for this call only —
-// policy, budget, parallelism, worker classes, scheduler, reuse/pruning
-// toggles, observer. Overrides are plan-cache safe: the effective
+// policy, budget, parallelism, worker classes, reuse/pruning toggles,
+// observer. Overrides are plan-cache safe: the effective
 // configuration is folded into the plan fingerprint, so differing
 // configurations never reuse each other's plans, and reverting an
 // override hits the earlier configuration's cached plan again.

@@ -12,7 +12,7 @@ import (
 // directory. This is the Session.Close half of the Flush() contract.
 func TestSessionCloseFlushesForRestart(t *testing.T) {
 	dir := t.TempDir()
-	sess, err := NewSession(dir)
+	sess, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSessionCloseFlushesForRestart(t *testing.T) {
 		t.Fatal("Close must be idempotent:", err)
 	}
 
-	resumed, err := NewSession(dir)
+	resumed, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSessionCloseFlushesForRestart(t *testing.T) {
 // materialization bill back on the iteration's critical path while
 // producing identical results and reuse behavior.
 func TestSessionSyncMaterializationOption(t *testing.T) {
-	sess, err := NewSession(t.TempDir(), Options{SyncMaterialization: true})
+	sess, err := Open(t.TempDir(), WithSyncMaterialization(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestSessionRestartResumesReuse(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	sess1, err := NewSession(dir)
+	sess1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSessionRestartResumesReuse(t *testing.T) {
 	}
 
 	// "Restart": a fresh Session on the same directory.
-	sess2, err := NewSession(dir)
+	sess2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSessionRestartResumesReuse(t *testing.T) {
 func TestSessionRestartDetectsChange(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	sess1, err := NewSession(dir)
+	sess1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSessionRestartDetectsChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess2, err := NewSession(dir)
+	sess2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionRestartDetectsChange(t *testing.T) {
 func TestSessionCorruptStateDegrades(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	sess1, err := NewSession(dir)
+	sess1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSessionCorruptStateDegrades(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, sessionStateFile), []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sess2, err := NewSession(dir)
+	sess2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func buildWorkflow(calls *atomic.Int64, learnerParams string) *Workflow {
 }
 
 func TestSessionFirstIterationComputesAll(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSessionFirstIterationComputesAll(t *testing.T) {
 }
 
 func TestSessionIdenticalRerunLoadsOutput(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSessionIdenticalRerunLoadsOutput(t *testing.T) {
 
 func TestSessionLIIterationReusesDPR(t *testing.T) {
 	// Paper §2.3: on an L/I change, DPR results are loaded, not recomputed.
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSessionLIIterationReusesDPR(t *testing.T) {
 }
 
 func TestSessionDisableReuseRecomputes(t *testing.T) {
-	sess, err := NewSession(t.TempDir(), Options{DisableReuse: true, Policy: PolicyNever})
+	sess, err := Open(t.TempDir(), WithReuse(false), WithPolicy(PolicyNever))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSessionDisableReuseRecomputes(t *testing.T) {
 }
 
 func TestSessionPolicyAlwaysStoresEverything(t *testing.T) {
-	sess, err := NewSession(t.TempDir(), Options{Policy: PolicyAlways})
+	sess, err := Open(t.TempDir(), WithPolicy(PolicyAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +156,13 @@ func TestSessionPolicyAlwaysStoresEverything(t *testing.T) {
 }
 
 func TestSessionInvalidOptions(t *testing.T) {
-	if _, err := NewSession(t.TempDir(), Options{Policy: Policy(99)}); err == nil {
+	if _, err := Open(t.TempDir(), WithPolicy(Policy(99))); err == nil {
 		t.Fatal("expected error for unknown policy")
-	}
-	if _, err := NewSession(t.TempDir(), Options{}, Options{}); err == nil {
-		t.Fatal("expected error for multiple Options")
 	}
 }
 
 func TestSessionCompileErrorSurfaced(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +177,7 @@ func TestSessionCompileErrorSurfaced(t *testing.T) {
 }
 
 func TestSessionRunTimed(t *testing.T) {
-	sess, err := NewSession(t.TempDir())
+	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +195,11 @@ func TestSessionRunTimed(t *testing.T) {
 // every component and checks outputs always match a reuse-free session.
 func TestSessionTheorem1AcrossManyChanges(t *testing.T) {
 	ctx := context.Background()
-	withReuse, err := NewSession(t.TempDir())
+	withReuse, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	noReuse, err := NewSession(t.TempDir(), Options{DisableReuse: true, Policy: PolicyNever})
+	noReuse, err := Open(t.TempDir(), WithReuse(false), WithPolicy(PolicyNever))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,16 +32,17 @@ type SharedStore struct {
 	handle *store.Shared
 	cache  *plan.SharedCache
 
-	// mu guards the first-attach store-level configuration below.
+	// mu guards pinned, the store-level settings the first attaching
+	// session chose (nil until then).
 	//lint:nolockio
 	mu     sync.Mutex
-	cfgSig string // store-level settings pinned by the first session
+	pinned *storeConfig
 }
 
 // OpenSharedStore opens (creating if needed) a shared artifact store
-// rooted at dir. Store-level settings — disk throughput, codec, writer
-// pool — are adopted from the first session that attaches; a later
-// session requesting different ones fails with ErrSharedConfig.
+// rooted at dir. Store-level settings — disk throughput, writer pool —
+// are adopted from the first session that attaches; a later session
+// requesting different ones fails with ErrSharedConfig.
 func OpenSharedStore(dir string) (*SharedStore, error) {
 	h, err := store.OpenShared(dir)
 	if err != nil {
@@ -76,33 +77,22 @@ func (h *SharedStore) PlanCacheStats() plan.CacheStats { return h.cache.Stats() 
 // writes degrade to synchronous); new attachments fail.
 func (h *SharedStore) Close() error { return h.handle.Close() }
 
-// storeConfigSig renders the store-level settings a config requests, for
-// first-attach-wins conflict detection.
-func storeConfigSig(cfg *config) string {
-	return fmt.Sprintf("disk=%g writers=%d codec=%d",
-		cfg.o.DiskBytesPerSec, cfg.o.MatWriters, cfg.o.Codec)
-}
-
-// attach validates cfg's store-level settings against the shared store's
-// (first session wins, later conflicts error) and registers the session.
-func (h *SharedStore) attach(cfg *config) (*store.Attachment, error) {
-	sig := storeConfigSig(cfg)
+// attach validates a session's store-level settings against the shared
+// store's (first session wins, later conflicts error) and registers the
+// session under its tenant label.
+func (h *SharedStore) attach(sc storeConfig, tenant string) (*store.Attachment, error) {
 	h.mu.Lock()
-	if h.cfgSig == "" {
-		h.cfgSig = sig
-		st := h.handle.Store()
-		st.DiskBytesPerSec = cfg.o.DiskBytesPerSec
-		st.Writers = cfg.o.MatWriters
-		if cfg.o.Codec == CodecGob {
-			st.Codec = store.GobCodec{}
-		}
-	} else if h.cfgSig != sig {
-		h.mu.Unlock()
-		return nil, tagged(ErrSharedConfig, fmt.Errorf(
-			"helix: shared store %s is configured with %q, session requested %q", h.Dir(), h.cfgSig, sig))
+	if h.pinned == nil {
+		h.pinned = &sc
+		sc.applyTo(h.handle.Store())
 	}
+	pinned := *h.pinned
 	h.mu.Unlock()
-	return h.handle.Attach(cfg.tenant)
+	if pinned != sc {
+		return nil, tagged(ErrSharedConfig, fmt.Errorf(
+			"helix: shared store %s is configured with %+v, session requested %+v", h.Dir(), pinned, sc))
+	}
+	return h.handle.Attach(tenant)
 }
 
 // WithSharedStore attaches the session to a shared content-addressed
@@ -113,15 +103,13 @@ func (h *SharedStore) attach(cfg *config) (*store.Attachment, error) {
 // next). Session-scoped. Combine with WithTenant to label published
 // bytes for per-tenant accounting.
 func WithSharedStore(h *SharedStore) Option {
+	if h == nil {
+		return Option{name: "WithSharedStore", err: tagged(ErrBadConfig, fmt.Errorf("helix: WithSharedStore(nil)"))}
+	}
 	return Option{name: "WithSharedStore", sessionOnly: true,
 		apply: func(c *config) {
-			if h == nil {
-				if c.err == nil {
-					c.err = fmt.Errorf("helix: WithSharedStore(nil)")
-				}
-				return
-			}
 			c.shared = h
+			c.exec.Plan.Shared = true
 		}}
 }
 
@@ -129,9 +117,10 @@ func WithSharedStore(h *SharedStore) Option {
 // namespace for shared-store byte accounting (SharedStore.TenantBytes).
 // The label does not partition reuse — equivalent artifacts are shared
 // across tenants — and does not affect planning, so sessions of different
-// tenants still share each other's plans. Session-scoped; only meaningful
-// with WithSharedStore.
+// tenants still share each other's plans. Session-scoped, and only with
+// WithSharedStore: a private store keeps no per-tenant accounting, so
+// Open rejects a non-empty tenant without one (ErrBadConfig).
 func WithTenant(name string) Option {
 	return Option{name: "WithTenant", sessionOnly: true,
-		apply: func(c *config) { c.tenant = name }}
+		apply: func(c *config) { c.exec.Tenant = name }}
 }

@@ -3,6 +3,7 @@ package helix
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,6 +170,47 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 	}
 	if got := st.Len(); got != 0 {
 		t.Fatalf("purge with no live sessions left %d artifacts", got)
+	}
+}
+
+// TestSharedConfigConflict: store-level settings belong to the shared
+// store, not to any one session — the first attaching session's are
+// adopted, an identical request attaches, and a differing disk
+// throughput or writer-pool size fails with ErrSharedConfig (and
+// attaches nothing).
+func TestSharedConfigConflict(t *testing.T) {
+	h, err := OpenSharedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	first, err := Open("", WithSharedStore(h), WithDiskThroughput(170e6), WithWorkerClass(WorkerMat, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if first.store.DiskBytesPerSec != 170e6 || first.store.Writers != 2 {
+		t.Fatalf("first session's settings not adopted: disk %g writers %d", first.store.DiskBytesPerSec, first.store.Writers)
+	}
+	same, err := Open("", WithSharedStore(h), WithWorkerClass(WorkerMat, 2), WithDiskThroughput(170e6), WithPolicy(PolicyAlways))
+	if err != nil {
+		t.Fatalf("identical store-level settings (run-level ones differ) refused: %v", err)
+	}
+	defer same.Close()
+	for name, conflicting := range map[string][]Option{
+		"disk throughput": {WithDiskThroughput(1e6), WithWorkerClass(WorkerMat, 2)},
+		"mat writers":     {WithDiskThroughput(170e6), WithWorkerClass(WorkerMat, 3)},
+		"defaults":        nil,
+	} {
+		if _, err := Open("", append(conflicting, WithSharedStore(h))...); !errors.Is(err, ErrSharedConfig) {
+			t.Errorf("%s: err = %v, want ErrSharedConfig", name, err)
+		}
+	}
+	if got := h.Sessions(); got != 2 {
+		t.Fatalf("%d sessions attached, want 2: a refused session must not attach", got)
+	}
+	if first.store.DiskBytesPerSec != 170e6 || first.store.Writers != 2 {
+		t.Fatalf("a refused session rewrote the store's settings: disk %g writers %d", first.store.DiskBytesPerSec, first.store.Writers)
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 // TestWorkerClassPoolSizes pins the routing of every worker class to its
 // pool: WorkerCompute → the engine's compute parallelism, WorkerIO → the
 // engine's load pool, WorkerMat → the store's write-behind writer pool.
-// WithMatWriters and WithWorkerClass(WorkerMat, …) must be one surface:
-// both land in the same store field, and the effective pool size is what
-// the store will actually spawn.
+// The effective mat pool size is what the store will actually spawn.
 func TestWorkerClassPoolSizes(t *testing.T) {
 	sess, err := Open(t.TempDir(),
 		WithWorkerClass(WorkerCompute, 3),
@@ -35,17 +33,6 @@ func TestWorkerClassPoolSizes(t *testing.T) {
 	}
 	if got := sess.store.WriterPoolSize(); got != 2 {
 		t.Errorf("effective mat writer pool = %d, want 2", got)
-	}
-
-	// WithMatWriters is the same knob: identical routing, identical pool.
-	viaMat, err := Open(t.TempDir(), WithMatWriters(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaMat.Close()
-	if viaMat.store.Writers != sess.store.Writers {
-		t.Errorf("WithMatWriters(2) → pool %d, WithWorkerClass(WorkerMat, 2) → pool %d; want equal",
-			viaMat.store.Writers, sess.store.Writers)
 	}
 
 	// Unset falls back to the store default.
