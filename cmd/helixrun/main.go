@@ -183,6 +183,7 @@ func run(f flags) error {
 	}
 	ctx := context.Background()
 	var cum float64
+	warned := map[string]bool{} // nodes whose failed materialization was already reported
 	fmt.Printf("workload=%s system=%s store=%s\n\n", f.workload, sys.Name, dir)
 	// seconds covers the compute critical path; flush(s) is the extra wait
 	// at the write-behind barrier before Run returns (0 when inline).
@@ -228,6 +229,7 @@ func run(f flags) error {
 		if f.verbose {
 			printNodes(res)
 		}
+		warnUnmaterialized(res, warned)
 	}
 	if sharedStore != nil {
 		st := sharedStore.PlanCacheStats()
@@ -242,6 +244,23 @@ func run(f flags) error {
 	fmt.Printf("\noutputs of the final iteration:\n")
 	printOutputs(wl, sess)
 	return nil
+}
+
+// warnUnmaterialized prints one line per operator whose result the policy
+// chose to store and the store could not take: the series still runs, but
+// that operator is recomputed where it would have been loaded.
+func warnUnmaterialized(res *helix.Result, warned map[string]bool) {
+	names := make([]string, 0, len(res.Nodes))
+	for name, n := range res.Nodes {
+		if n.MatErr != nil && !warned[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		warned[name] = true
+		fmt.Fprintf(os.Stderr, "helixrun: warning: iteration %d: %v\n", res.Iteration, res.Nodes[name].MatErr)
+	}
 }
 
 func printNodes(res *helix.Result) {

@@ -48,6 +48,13 @@ var (
 	// returned by whichever of Open, Run or Plan the option was passed to
 	// — and, from Open, a WithTenant label without WithSharedStore.
 	ErrBadConfig = errors.New("helix: invalid configuration")
+	// ErrUnserializable is what NodeReport.MatErr and NodeEvent.MatErr wrap
+	// when an operator's result could not be stored because its Go type is
+	// not serializable — most often a type behind an interface that was
+	// never passed to RegisterType. Run never returns it: the operator is
+	// simply recomputed in every later iteration instead of loaded, which
+	// is why the report is worth checking.
+	ErrUnserializable = exec.ErrUnserializable
 )
 
 // NodeError reports the failure of one operator during Run. Retrieve it

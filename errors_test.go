@@ -207,3 +207,72 @@ func TestNodeError(t *testing.T) {
 		t.Fatalf("err %v does not unwrap to the operator's error", err)
 	}
 }
+
+// unregisteredResult is deliberately never passed to helix.RegisterType:
+// behind the Value interface the codec's gob escape hatch refuses it.
+type unregisteredResult struct{ N int }
+
+// TestUnserializableResultIsReported: an operator whose result type was
+// never registered used to be recomputed in every iteration with nothing
+// in Result, the event stream or Explain saying so. The run still
+// succeeds, the report names the node and matches ErrUnserializable, and
+// the second iteration reports the same thing at retirement without
+// paying for another encode.
+func TestUnserializableResultIsReported(t *testing.T) {
+	build := func(reducer string) *helix.Workflow {
+		wf := helix.New("unserializable")
+		src := wf.Source("src", "v1", func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			time.Sleep(5 * time.Millisecond) // worth materializing under PolicyOpt
+			return unregisteredResult{N: 7}, nil
+		})
+		wf.Reducer("out", reducer, func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			return in[0].(unregisteredResult).N, nil
+		}, src).IsOutput()
+		return wf
+	}
+	for _, sync := range []bool{true, false} {
+		sess, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.PolicyAlways), helix.WithSyncMaterialization(sync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var retired []helix.NodeEvent
+		obs := helix.WithObserver(func(ev helix.RunEvent) {
+			if ne, ok := ev.(helix.NodeEvent); ok && ne.Phase == helix.NodeRetired && ne.Name == "src" {
+				retired = append(retired, ne)
+			}
+		})
+		for it, reducer := range []string{"a", "b"} {
+			res, err := sess.Run(context.Background(), build(reducer), obs)
+			if err != nil {
+				t.Fatalf("sync=%v iteration %d: %v", sync, it, err)
+			}
+			if res.Values["out"] != 7 {
+				t.Fatalf("sync=%v iteration %d: out = %v", sync, it, res.Values["out"])
+			}
+			rep := res.Nodes["src"]
+			if !errors.Is(rep.MatErr, helix.ErrUnserializable) || !strings.Contains(rep.MatErr.Error(), `"src"`) {
+				t.Fatalf("sync=%v iteration %d: src MatErr = %v, want ErrUnserializable naming the node", sync, it, rep.MatErr)
+			}
+			if res.Nodes["out"].MatErr != nil {
+				t.Fatalf("sync=%v iteration %d: out (an int) reported %v", sync, it, res.Nodes["out"].MatErr)
+			}
+			if it == 1 && rep.MatSecs != 0 {
+				t.Fatalf("sync=%v: second iteration spent %.6fs encoding a type already known to fail", sync, rep.MatSecs)
+			}
+		}
+		if len(retired) != 2 {
+			t.Fatalf("sync=%v: %d retirement events for src, want 2", sync, len(retired))
+		}
+		// The first write-behind failure is still in the writer pool when the
+		// node retires; everything else is known by then.
+		if sync && !errors.Is(retired[0].MatErr, helix.ErrUnserializable) {
+			t.Fatalf("inline write: retirement event carries %v", retired[0].MatErr)
+		}
+		if !errors.Is(retired[1].MatErr, helix.ErrUnserializable) {
+			t.Fatalf("sync=%v: second retirement event carries %v", sync, retired[1].MatErr)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

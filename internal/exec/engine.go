@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -183,6 +184,12 @@ type NodeReport struct {
 	Seconds   float64 // own time t(n): compute or load duration
 	MatSecs   float64 // materialization (serialize+write) time, if any
 	Bytes     int64   // serialized size, if known
+	// MatErr is why a result the policy chose to materialize is not in the
+	// store: ErrUnserializable (wrapping the codec's error) when its type
+	// could not be encoded, otherwise the disk write error. The run still
+	// succeeded — the node is recomputed instead of loaded from now on —
+	// so this is the only place the failure shows.
+	MatErr error
 }
 
 // Result summarizes one iteration's execution.
@@ -254,6 +261,12 @@ type Engine struct {
 	// buffers are reused across iterations instead of reallocated per
 	// solve.
 	solver opt.Solver
+
+	// unserializable remembers, by reflect.Type, the error of every value
+	// type the store's codec has refused in this engine's lifetime, so a
+	// later retirement of the same type reports it without paying for
+	// another doomed encode.
+	unserializable sync.Map
 }
 
 // New returns an engine with the paper's default configuration: streaming
@@ -343,6 +356,7 @@ type nodeRun struct {
 	ownSecs float64
 	matSecs float64
 	bytes   int64
+	matErr  error // NodeReport.MatErr
 	// deps counts not-yet-finished non-pruned parents; the scheduler
 	// enqueues the node when it reaches zero. Loaded nodes start at zero:
 	// they read from disk, not from parents.
@@ -546,7 +560,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 			// run starts: it will never execute. Non-live nodes are
 			// outside the program slice and emit nothing.
 			if r.np.Live {
-				em.node(r.node.Name, NodeRetired, core.StatePrune, 0, false, 0, false)
+				em.node(r.node.Name, NodeRetired, core.StatePrune, 0, false, 0, nil, false)
 			}
 			continue
 		}
@@ -603,10 +617,11 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 	// store's writer pool before touching per-node accounting or letting
 	// the caller observe the store. Runs on the error paths too, so a
 	// failed iteration still quiesces its background writes. The flush
-	// error is deliberately discarded: a failed write degrades to "not
-	// materialized", which the request's OnDone has already settled — in
-	// either mode. Sync runs skip the barrier (nothing was handed off, and
-	// Result.FlushWait is documented as zero there).
+	// error is not returned: a failed write degrades to "not materialized",
+	// and the request's OnDone has already recorded it on the node it
+	// belongs to (NodeReport.MatErr) — in either mode. Sync runs skip the
+	// barrier (nothing was handed off, and Result.FlushWait is documented
+	// as zero there).
 	var flushWait time.Duration
 	if !opts.SyncMaterialization {
 		flushStart := time.Now()
@@ -685,6 +700,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 			Seconds:   r.ownSecs,
 			MatSecs:   r.matSecs,
 			Bytes:     r.bytes,
+			MatErr:    r.matErr,
 		}
 		res.Breakdown[r.node.Component] += time.Duration(r.ownSecs * float64(time.Second))
 		res.MatTime += time.Duration(r.matSecs * float64(time.Second))
@@ -992,7 +1008,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 
 	fused := len(unit) > 1
 	for _, m := range unit {
-		s.em.node(m.node.Name, NodeStarted, m.state, 0, false, 0, fused)
+		s.em.node(m.node.Name, NodeStarted, m.state, 0, false, 0, nil, fused)
 	}
 
 	tail := unit[len(unit)-1]
@@ -1122,25 +1138,27 @@ func (s *runState) retire(r *nodeRun) {
 	if !atomic.CompareAndSwapInt32(&r.retired, 0, 1) {
 		return
 	}
-	materialized, bytes := s.retireValue(r)
+	materialized, bytes, matErr := s.retireValue(r)
 	if r.err == nil {
-		s.em.node(r.node.Name, NodeRetired, r.state, r.ownSecs, materialized, bytes, len(r.unit) > 1)
+		s.em.node(r.node.Name, NodeRetired, r.state, r.ownSecs, materialized, bytes, matErr, len(r.unit) > 1)
 	}
 }
 
 // retireValue applies the retirement decision and reports whether the
 // node's result is known to be on disk at this point, plus its serialized
-// size when known. The policy and materialization mode come from the
-// run's effective options, so a run-scoped policy override governs this
-// run's materialization decisions too, not only its plan.
-func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
+// size when known, and why a write the policy asked for did not happen
+// when that is already known (see NodeEvent.MatErr). The policy and
+// materialization mode come from the run's effective options, so a
+// run-scoped policy override governs this run's materialization decisions
+// too, not only its plan.
+func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matErr error) {
 	n := r.node
 	if r.streamed {
 		// A fused run's non-tail member: its value was never built (rows
 		// streamed straight through), so there is nothing to evict and
 		// nothing the policy could materialize. The member's equivalent
 		// result remains reconstructible via the recompute fallback.
-		return false, 0
+		return false, 0, nil
 	}
 	if r.state != core.StateCompute || r.err != nil {
 		// Loaded results are already on disk: just release the cache
@@ -1151,7 +1169,7 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 			s.evict(r)
 		}
 		onDisk := r.err == nil && r.state == core.StateLoad && s.engine.Store.Has(n.ChainSignature())
-		return onDisk, n.Metrics.Size
+		return onDisk, n.Metrics.Size, nil
 	}
 	e := s.engine
 	pol := s.opts.Policy
@@ -1162,14 +1180,14 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		// blind ones (HELIX AM, DeepDive) pay for it — the paper's reason
 		// AM fails to finish MNIST (§6.6). Evict unless it is an output.
 		s.evict(r)
-		return false, 0
+		return false, 0, nil
 	}
 	key := n.ChainSignature()
 	if e.Store.Has(key) {
 		// Equivalent result already materialized: nothing to write, but
 		// eager cache pruning (§5.4) still applies.
 		s.evict(r)
-		return true, n.Metrics.Size
+		return true, n.Metrics.Size, nil
 	}
 
 	mandatory := r.np.MandatoryMat
@@ -1193,8 +1211,17 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		// or a writer's) to learn a size that cannot change the answer.
 		if pol == nil || !pol.Worthwhile(n, cum, e.Store.EstimateLoad(0).Seconds()) {
 			s.evict(r)
-			return false, 0
+			return false, 0, nil
 		}
+	}
+	// A type the codec has already refused fails the same way again: report
+	// it without encoding (mandatory outputs included — they are lost to
+	// the store either way).
+	valueType := reflect.TypeOf(r.value)
+	if prior, failed := e.unserializable.Load(valueType); failed {
+		r.matErr = prior.(error)
+		s.evict(r)
+		return false, 0, r.matErr
 	}
 
 	// One request, whoever processes it. Values that can report their size
@@ -1219,7 +1246,7 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 			size := sz.ApproxBytes()
 			if !pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds(), size) {
 				s.evict(r)
-				return false, 0
+				return false, 0, nil
 			}
 			reservedSize = size
 		} else {
@@ -1235,6 +1262,13 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 	req.OnDone = func(out store.WriteOutcome) {
 		// May run on a writer goroutine; Run reads these after Flush.
 		r.matSecs += out.Secs
+		switch {
+		case out.EncodeErr != nil:
+			r.matErr = fmt.Errorf("%w: node %q (%v): %v", ErrUnserializable, n.Name, valueType, out.EncodeErr)
+			e.unserializable.Store(valueType, r.matErr)
+		case out.Err != nil:
+			r.matErr = fmt.Errorf("exec: node %q not materialized: %w", n.Name, out.Err)
+		}
 		if out.OnDisk() {
 			// Written here, or a deduplicated publish (another session's
 			// write won): the artifact exists either way, at this size.
@@ -1263,13 +1297,14 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64) {
 		if out := e.Store.Write(req); out.OnDisk() {
 			materialized, bytes = true, out.Entry.Size
 		}
+		matErr = r.matErr
 	} else {
 		e.Store.PutAsync(req)
 	}
 	// Eager cache pruning applies either way: a queued request holds the
 	// only reference its pending write needs.
 	s.evict(r)
-	return materialized, bytes
+	return materialized, bytes, matErr
 }
 
 // recompute computes a node's value on demand, recursively ensuring parent

@@ -21,6 +21,13 @@ var (
 	// neighbour has another element type than it was declared over: found
 	// when the chain is bound, before any row function runs.
 	ErrRowType = errors.New("exec: streaming element type mismatch")
+	// ErrUnserializable reports a result the materialization policy chose
+	// to store whose type the store's codec could not encode — usually a
+	// concrete type behind an interface that was never registered. It
+	// never fails a run (loading is only ever an optimization over
+	// computing); it is carried by NodeReport.MatErr and NodeEvent.MatErr,
+	// wrapping the codec's own message.
+	ErrUnserializable = errors.New("exec: result not materialized: value type cannot be serialized")
 )
 
 // NodeError reports the failure of one operator during an iteration. It

@@ -84,6 +84,13 @@ type NodeEvent struct {
 	Materialized bool
 	// Bytes is the serialized size when known at emission time.
 	Bytes int64
+	// MatErr is why a result the policy chose to materialize is not in the
+	// store, when that is known at retirement: an inline synchronous write
+	// that failed, or a value type this session has already seen the codec
+	// refuse (ErrUnserializable). The first failure of a write-behind
+	// write is still in the writer pool — Result.Nodes has the settled
+	// NodeReport.MatErr after the run.
+	MatErr error
 	// Fused reports that the node executed as a member of a streaming
 	// fused run: its Seconds are an even share of the unit's measured
 	// wall time (times any modelled slowdown of its own component), and
@@ -214,7 +221,7 @@ func (em *emitter) plan(p *plan.Plan, planTime time.Duration) {
 
 // node emits one node lifecycle event. Scalar arguments keep the call
 // sites allocation-free when the emitter is nil.
-func (em *emitter) node(name string, phase NodePhase, state core.State, secs float64, materialized bool, bytes int64, fused bool) {
+func (em *emitter) node(name string, phase NodePhase, state core.State, secs float64, materialized bool, bytes int64, matErr error, fused bool) {
 	if em == nil {
 		return
 	}
@@ -226,6 +233,7 @@ func (em *emitter) node(name string, phase NodePhase, state core.State, secs flo
 		Seconds:      secs,
 		Materialized: materialized,
 		Bytes:        bytes,
+		MatErr:       matErr,
 		Fused:        fused,
 	})
 }

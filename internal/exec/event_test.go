@@ -22,8 +22,8 @@ func TestEmitterNilCostsNothing(t *testing.T) {
 	p := &planStub
 	if allocs := testing.AllocsPerRun(100, func() {
 		em.plan(p, time.Millisecond)
-		em.node("n", NodeStarted, core.StateCompute, 0, false, 0, false)
-		em.node("n", NodeRetired, core.StateCompute, 0.5, true, 128, true)
+		em.node("n", NodeStarted, core.StateCompute, 0, false, 0, nil, false)
+		em.node("n", NodeRetired, core.StateCompute, 0.5, true, 128, nil, true)
 		em.flush(time.Millisecond)
 		em.done(time.Second, time.Millisecond)
 	}); allocs != 0 {

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"iter"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Codec serializes values for the materialization store. Implementations
@@ -47,6 +50,31 @@ type Codec interface {
 // or a literal that assigns the next id — so repeated categorical values
 // (the census columns, row keys) cost one varint after first sight.
 // Slices of numerics are laid out flat (columnar), not per-element.
+//
+// Extensions (RegisterExt) build their layouts from the same primitives
+// plus the record kernels below, which the native tags do not use (their
+// bytes are pinned): per-column string dictionaries (Dict, DictString),
+// un-interned strings (RawString), bitmaps (Bitmap) and zero-aware float
+// columns (PackedFloat64s).
+//
+// # Layout changes
+//
+// Native tags are append-only and never change meaning. An extension whose
+// layout changes takes a new Name ("workloads.TaggedRows/2") and its old
+// encoder and decoder are deleted: an artifact written under the old name
+// then fails to decode with "unknown codec extension", which the engine
+// treats like a vanished materialization and recomputes. There is never a
+// second decoder to keep honest.
+//
+// # Decoded values own their memory, in slabs
+//
+// Nothing a decoder returns aliases the payload. A decoder may, however,
+// back the many small slices of one value with a few large allocations
+// (slabs): every vector of a decoded dataset is a window of one []float64.
+// Each window's capacity is cut to its length, so appending to one
+// reallocates instead of overwriting its neighbour, and writing through
+// one never reaches another. Stored values are immutable by the store's
+// contract anyway (Get shares one decode between concurrent callers).
 //
 // A payload that does not start with the magic is treated as a legacy
 // gob artifact and decoded by gob: old store directories migrate in
@@ -117,7 +145,9 @@ func RegisterValueType(v any) { gob.Register(v) }
 // row types, example types) opt into the binary format instead of the
 // gob escape hatch.
 type Ext struct {
-	// Name is the stable on-disk type tag. Renaming it orphans artifacts.
+	// Name is the on-disk type tag. Renaming it orphans the artifacts
+	// written under the old one — which is what a layout change must do
+	// (see "Layout changes" above) and nothing else should.
 	Name string
 	// Type is the concrete type handled, e.g. reflect.TypeOf([]Row(nil)).
 	Type reflect.Type
@@ -153,6 +183,19 @@ func RegisterExt(ext Ext) {
 	extByName[ext.Name] = &e
 }
 
+// Extensions lists the names of the registered extensions, sorted: what a
+// round-trip test has to cover.
+func Extensions() []string {
+	extMu.RLock()
+	defer extMu.RUnlock()
+	names := make([]string, 0, len(extByName))
+	for name := range extByName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func lookupExt(v any) *Ext {
 	extMu.RLock()
 	defer extMu.RUnlock()
@@ -170,13 +213,37 @@ func hasBinaryHeader(data []byte) bool {
 }
 
 func (BinaryCodec) Encode(value any) ([]byte, error) {
-	w := NewWriter()
+	var w Writer
+	w.Grow(sizeHint(value) + 16)
 	w.buf = append(w.buf, binaryMagic[:]...)
 	w.buf = append(w.buf, binaryVersion)
 	if err := w.Value(value); err != nil {
 		return nil, fmt.Errorf("store: encode: %w", err)
 	}
 	return w.buf, nil
+}
+
+// maxSizeHint caps what a value's own size estimate may make Encode
+// allocate up front; a larger message grows from there.
+const maxSizeHint = 1 << 28
+
+// sizeHint is a cheap guess at value's encoded size, so the message buffer
+// is allocated once instead of doubling its way up through append (which
+// copies a multi-megabyte message several times over). Values that report
+// their own size (the engine's Sizer) are believed; extensions whose type
+// cannot carry a method call Writer.Grow themselves.
+func sizeHint(value any) int {
+	switch v := value.(type) {
+	case interface{ ApproxBytes() int64 }:
+		return int(min(max(v.ApproxBytes(), 0), maxSizeHint))
+	case string:
+		return min(len(v), maxSizeHint)
+	case []byte:
+		return min(len(v), maxSizeHint)
+	case []float64:
+		return min(8*len(v), maxSizeHint)
+	}
+	return 0
 }
 
 func (BinaryCodec) Decode(data []byte) (any, error) {
@@ -189,6 +256,11 @@ func (BinaryCodec) Decode(data []byte) (any, error) {
 	}
 	r := NewReader(data[5:])
 	v, err := r.Value()
+	if err == nil && r.Remaining() != 0 {
+		// A decoder that stops short of what its encoder wrote would also
+		// accept that value's truncations.
+		err = fmt.Errorf("%d bytes left over after the value", r.Remaining())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: decode: %w", err)
 	}
@@ -203,6 +275,41 @@ func gobDecode(data []byte) (any, error) {
 	return value, nil
 }
 
+// nativeLittleEndian reports that a []float64's memory already is the
+// wire format of a float column, so a column moves with one copy.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putFloat64s fills dst (8 bytes per element of src) with src as
+// little-endian IEEE-754 bits.
+func putFloat64s(dst []byte, src []float64) {
+	if len(src) == 0 {
+		return
+	}
+	if nativeLittleEndian {
+		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), 8*len(src)))
+		return
+	}
+	for i, f := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
+	}
+}
+
+// getFloat64s is the inverse of putFloat64s: dst is filled from the
+// first 8*len(dst) bytes of src. A copy, never a view: dst is memory
+// the caller allocated as []float64.
+func getFloat64s(dst []float64, src []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	if nativeLittleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
 // Writer serializes values into the binary format. It is the primitive
 // surface extensions build on; one Writer serves one message, carrying
 // the message-scoped intern table.
@@ -214,10 +321,25 @@ type Writer struct {
 
 // NewWriter returns an empty Writer (no header — BinaryCodec.Encode owns
 // the header; extensions receive a Writer mid-message).
-func NewWriter() *Writer { return &Writer{intern: make(map[string]uint64)} }
+func NewWriter() *Writer { return &Writer{} }
+
+// Grow makes room for n more bytes with at most one allocation. An
+// extension that knows (a bound on) its encoded size calls it first.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// extend appends n bytes and returns them for the caller to fill.
+func (w *Writer) extend(n int) []byte {
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:off+n]
+	return w.buf[off:]
+}
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(u uint64) {
+	if u < 0x80 {
+		w.buf = append(w.buf, byte(u))
+		return
+	}
 	n := binary.PutUvarint(w.tmp[:], u)
 	w.buf = append(w.buf, w.tmp[:n]...)
 }
@@ -242,16 +364,27 @@ func (w *Writer) Bool(b bool) {
 	}
 }
 
-// String appends an interned string: 0 followed by len+bytes the first
-// time a string is seen (assigning it the next id), or id+1 as a
-// back-reference on every later occurrence.
+// String appends a string interned across the whole message: 0 followed
+// by len+bytes the first time a string is seen (assigning it the next
+// id), or id+1 as a back-reference on every later occurrence. Right for
+// names and small vocabularies; a bulk column wants DictString (a table
+// of its own) or RawString (none).
 func (w *Writer) String(s string) {
 	if id, ok := w.intern[s]; ok {
 		w.Uvarint(id + 1)
 		return
 	}
+	if w.intern == nil {
+		w.intern = make(map[string]uint64)
+	}
 	w.intern[s] = uint64(len(w.intern))
 	w.Uvarint(0)
+	w.RawString(s)
+}
+
+// RawString appends len+bytes with no interning: for text that does not
+// repeat (file contents, identifiers).
+func (w *Writer) RawString(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 }
@@ -262,17 +395,156 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Float64s appends a flat column of float64s (count + raw values). The
-// buffer is grown once and filled in place: per-element append growth
-// would copy megabyte columns several times over.
+// dictMax bounds one column's dictionary. A column with more distinct
+// values than this (census fnlwgt: one per row) is not worth a table: the
+// map outgrows the cache and nearly every lookup misses. Strings met once
+// the table is full are written as plain literals.
+const dictMax = 4096
+
+// Dict is the encoder's state for one dictionary-coded string column: the
+// zero value is an empty dictionary. Each column of a record layout gets
+// its own, so a column's references stay small whatever its neighbours
+// hold, and a high-cardinality column cannot bloat the others' table.
+type Dict struct {
+	ids map[string]uint64
+	// recent is a direct-mapped cache in front of ids, indexed by a
+	// few-instruction hash of the cell: a categorical column's handful of
+	// values, and any run of equal cells, are answered by one string
+	// comparison instead of a map lookup. ref is the cell's reference as
+	// written (id+2); 0 marks an empty slot.
+	recent [16]struct {
+		s   string
+		ref uint64
+	}
+	literals uint64 // ids handed out so far
+}
+
+// DictString appends s as the next cell of the column d tracks:
+//
+//	0 len bytes   a literal that takes the column's next id
+//	1 len bytes   a literal that takes none (the dictionary is full)
+//	id+2          the literal that took id
+func (w *Writer) DictString(d *Dict, s string) {
+	slot := &d.recent[0]
+	if n := len(s); n > 0 {
+		slot = &d.recent[(n*31+int(s[0])*7+int(s[n/2])*3+int(s[n-1]))&15]
+	}
+	if slot.ref != 0 && slot.s == s {
+		w.Uvarint(slot.ref)
+		return
+	}
+	if id, ok := d.ids[s]; ok {
+		slot.s, slot.ref = s, id+2
+		w.Uvarint(id + 2)
+		return
+	}
+	if len(d.ids) >= dictMax {
+		w.buf = append(w.buf, 1)
+		w.RawString(s)
+		return
+	}
+	if d.ids == nil {
+		d.ids = make(map[string]uint64)
+	}
+	d.ids[s] = d.literals
+	slot.s, slot.ref = s, d.literals+2
+	d.literals++
+	w.buf = append(w.buf, 0)
+	w.RawString(s)
+}
+
+// Float64s appends a flat column of float64s (count + raw values),
+// moved into the message in one copy.
 func (w *Writer) Float64s(fs []float64) {
 	w.Uvarint(uint64(len(fs)))
-	off := len(w.buf)
-	w.buf = slices.Grow(w.buf, 8*len(fs))[:off+8*len(fs)]
-	for _, f := range fs {
-		binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(f))
-		off += 8
+	putFloat64s(w.extend(8*len(fs)), fs)
+}
+
+// PackedFloat64s appends a float column in the smallest of three forms:
+//
+//	count  0  raw values, as Float64s
+//	count  1  bitmap(count)  the non-zero values only
+//	count  2  zigzag varints, when every value is a whole number
+//
+// Image pixels and dense feature vectors are often half zeros, labels and
+// class scores are small whole numbers, and gob spends one to three bytes
+// on either, so a raw 8-byte column would store them larger than the
+// escape hatch did. Values round-trip bit for bit: -0 and NaN count as
+// non-zero and as not whole (the tests are on the bits).
+func (w *Writer) PackedFloat64s(fs []float64) {
+	w.PackedFloat64Chunks(func(yield func([]float64) bool) { yield(fs) })
+}
+
+// PackedFloat64Chunks is PackedFloat64s over a column that exists only in
+// pieces — every vector of a dataset — so the encoder need not gather
+// them into one slice first. chunks is ranged over twice.
+func (w *Writer) PackedFloat64Chunks(chunks iter.Seq[[]float64]) {
+	count, nonzero, whole, varintBytes := 0, 0, true, 0
+	for fs := range chunks {
+		count += len(fs)
+		for _, f := range fs {
+			if math.Float64bits(f) != 0 {
+				nonzero++
+			}
+			if whole {
+				i := int64(f)
+				if whole = math.Abs(f) < 1<<53 && math.Float64bits(float64(i)) == math.Float64bits(f); whole {
+					varintBytes += (bits.Len64(uint64(i<<1)^uint64(i>>63)|1) + 6) / 7
+				}
+			}
+		}
 	}
+	raw, sparse := 8*count, 8*nonzero+(count+7)/8
+	w.Uvarint(uint64(count))
+	switch {
+	case whole && varintBytes < min(raw, sparse):
+		w.buf = append(w.buf, 2)
+		w.Grow(varintBytes)
+		for fs := range chunks {
+			for _, f := range fs {
+				w.Varint(int64(f))
+			}
+		}
+	case sparse < raw:
+		w.buf = append(w.buf, 1)
+		dst := w.extend((count+7)/8 + 8*nonzero)
+		present, values := dst[:(count+7)/8], dst[(count+7)/8:]
+		clear(present)
+		i := 0
+		for fs := range chunks {
+			for _, f := range fs {
+				if b := math.Float64bits(f); b != 0 {
+					present[i>>3] |= 1 << (i & 7)
+					binary.LittleEndian.PutUint64(values, b)
+					values = values[8:]
+				}
+				i++
+			}
+		}
+	default:
+		w.buf = append(w.buf, 0)
+		for fs := range chunks {
+			putFloat64s(w.extend(8*len(fs)), fs)
+		}
+	}
+}
+
+// Bitmap appends n bits, 8 per byte, LSB first; bit(i) supplies bit i.
+// The count is the caller's to write: most layouts already carry it.
+func (w *Writer) Bitmap(n int, bit func(i int) bool) {
+	dst := w.extend((n + 7) / 8)
+	clear(dst)
+	for i := 0; i < n; i++ {
+		if bit(i) {
+			dst[i>>3] |= 1 << (i & 7)
+		}
+	}
+}
+
+// Bools appends a []bool as its count and a bitmap.
+func (w *Writer) Bools(v []bool) {
+	w.Uvarint(uint64(len(v)))
+	w.Bitmap(len(v), func(i int) bool { return v[i] })
 }
 
 // Value appends one tagged value using the native encodings, a
@@ -322,8 +594,7 @@ func (w *Writer) Value(value any) error {
 		}
 	case []bool:
 		w.buf = append(w.buf, tagBools)
-		w.Uvarint(uint64(len(v)))
-		w.bitmap(v)
+		w.Bools(v)
 	case [][]float64:
 		w.buf = append(w.buf, tagFloatMat)
 		w.Uvarint(uint64(len(v)))
@@ -332,13 +603,10 @@ func (w *Writer) Value(value any) error {
 			w.Uvarint(uint64(len(row)))
 			total += len(row)
 		}
-		off := len(w.buf)
-		w.buf = slices.Grow(w.buf, 8*total)[:off+8*total]
+		dst := w.extend(8 * total)
 		for _, row := range v {
-			for _, f := range row {
-				binary.LittleEndian.PutUint64(w.buf[off:], math.Float64bits(f))
-				off += 8
-			}
+			putFloat64s(dst, row)
+			dst = dst[8*len(row):]
 		}
 	case [][]string:
 		w.buf = append(w.buf, tagStrMat)
@@ -379,25 +647,11 @@ func (w *Writer) Value(value any) error {
 	return nil
 }
 
-// bitmap packs bools 8 per byte, LSB first.
-func (w *Writer) bitmap(v []bool) {
-	var cur byte
-	for i, b := range v {
-		if b {
-			cur |= 1 << (i & 7)
-		}
-		if i&7 == 7 {
-			w.buf = append(w.buf, cur)
-			cur = 0
-		}
-	}
-	if len(v)&7 != 0 {
-		w.buf = append(w.buf, cur)
-	}
-}
-
 // Reader deserializes the binary format. Every method bounds-checks, so
-// truncated or corrupt payloads surface as errors, never panics.
+// truncated or corrupt payloads surface as errors, never panics; and every
+// count is checked against the bytes that remain before anything is
+// allocated from it, so a corrupt length cannot demand more than a fixed
+// multiple of the payload's own size.
 type Reader struct {
 	data   []byte
 	pos    int
@@ -409,8 +663,26 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
 var errTruncated = fmt.Errorf("truncated payload")
 
+// Remaining reports the bytes not yet consumed: the bound any count read
+// from the payload has to respect.
+func (r *Reader) Remaining() int { return len(r.data) - r.pos }
+
+// take consumes n bytes and returns them (aliasing the payload).
+func (r *Reader) take(n int) ([]byte, error) {
+	if n < 0 || n > r.Remaining() {
+		return nil, errTruncated
+	}
+	b := r.data[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {
+	if r.pos < len(r.data) && r.data[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.data[r.pos-1]), nil
+	}
 	u, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
 		return 0, errTruncated
@@ -431,25 +703,23 @@ func (r *Reader) Varint() (int64, error) {
 
 // Float64 reads 8 little-endian bytes.
 func (r *Reader) Float64() (float64, error) {
-	if r.pos+8 > len(r.data) {
-		return 0, errTruncated
+	b, err := r.take(8)
+	if err != nil {
+		return 0, err
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
-	r.pos += 8
-	return f, nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
 // Bool reads one byte.
 func (r *Reader) Bool() (bool, error) {
-	if r.pos >= len(r.data) {
-		return false, errTruncated
+	b, err := r.take(1)
+	if err != nil {
+		return false, err
 	}
-	b := r.data[r.pos]
-	r.pos++
-	return b != 0, nil
+	return b[0] != 0, nil
 }
 
-// String reads an interned string reference or literal.
+// String reads a message-interned string reference or literal.
 func (r *Reader) String() (string, error) {
 	ref, err := r.Uvarint()
 	if err != nil {
@@ -462,17 +732,39 @@ func (r *Reader) String() (string, error) {
 		}
 		return r.intern[id], nil
 	}
-	n, err := r.Uvarint()
+	s, err := r.RawString()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(len(r.data)-r.pos) {
-		return "", errTruncated
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
 	r.intern = append(r.intern, s)
 	return s, nil
+}
+
+// RawString reads a string written by Writer.RawString.
+func (r *Reader) RawString() (string, error) {
+	b, err := r.Bytes()
+	return string(b), err
+}
+
+// DictString reads one cell of a dictionary-coded column; table is that
+// column's decoder state, starting nil (see Writer.DictString).
+func (r *Reader) DictString(table *[]string) (string, error) {
+	ref, err := r.Uvarint()
+	if err != nil {
+		return "", err
+	}
+	if ref >= 2 {
+		id := ref - 2
+		if id >= uint64(len(*table)) {
+			return "", fmt.Errorf("dictionary reference %d out of range", id)
+		}
+		return (*table)[id], nil
+	}
+	s, err := r.RawString()
+	if err == nil && ref == 0 {
+		*table = append(*table, s)
+	}
+	return s, err
 }
 
 // Bytes reads a length-prefixed byte slice (aliasing the input).
@@ -481,54 +773,157 @@ func (r *Reader) Bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(r.data)-r.pos) {
+	if n > uint64(r.Remaining()) {
 		return nil, errTruncated
 	}
-	b := r.data[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b, nil
+	return r.take(int(n))
 }
 
-// count reads a length prefix and sanity-bounds it against the remaining
-// bytes (each element costs at least minBytes), so a corrupt length
-// cannot trigger a huge allocation.
-func (r *Reader) count(minBytes int) (int, error) {
+// Count reads a length prefix and bounds it by the remaining bytes: each
+// of the counted elements occupies at least minBytes (≥ 1) further bytes
+// of payload, so a corrupt length fails here instead of driving a giant
+// allocation.
+func (r *Reader) Count(minBytes int) (int, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if minBytes > 0 && n > uint64(len(r.data)-r.pos)/uint64(minBytes) {
+	if n > uint64(r.Remaining())/uint64(minBytes) {
 		return 0, errTruncated
 	}
 	return int(n), nil
 }
 
-// Float64s reads a flat column written by Writer.Float64s.
-func (r *Reader) Float64s() ([]float64, error) {
-	n, err := r.count(8)
+// Bits is a bitmap read by Reader.Bitmap: a view of the payload, valid
+// while the payload is.
+type Bits []byte
+
+// At reports bit i.
+func (b Bits) At(i int) bool { return b[i>>3]&(1<<(i&7)) != 0 }
+
+// Count reports how many of the first n bits are set.
+func (b Bits) Count(n int) int {
+	set := 0
+	for _, x := range b[:n>>3] {
+		set += bits.OnesCount8(x)
+	}
+	if n&7 != 0 {
+		set += bits.OnesCount8(b[n>>3] & (1<<(n&7) - 1))
+	}
+	return set
+}
+
+// Bitmap reads n bits written by Writer.Bitmap.
+func (r *Reader) Bitmap(n int) (Bits, error) {
+	if n < 0 || n > 8*r.Remaining() {
+		return nil, errTruncated
+	}
+	return r.take((n + 7) / 8)
+}
+
+// Bools reads a []bool written by Writer.Bools (nil when empty).
+func (r *Reader) Bools() ([]bool, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if n > 8*uint64(r.Remaining()) {
+		return nil, errTruncated
+	}
+	bits, err := r.Bitmap(int(n))
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	bs := make([]bool, n)
+	for i := range bs {
+		bs[i] = bits.At(i)
+	}
+	return bs, nil
+}
+
+// Float64s reads a flat column written by Writer.Float64s into a slice
+// of its own.
+func (r *Reader) Float64s() ([]float64, error) {
+	n, err := r.Count(8)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	fs := make([]float64, n)
+	raw, _ := r.take(8 * n)
+	getFloat64s(fs, raw)
+	return fs, nil
+}
+
+// PackedFloat64s reads a column written by Writer.PackedFloat64s into a
+// slice of its own. The bitmap form costs a bit per element, so a corrupt
+// count can demand at most 64 bytes of slice per byte of payload.
+func (r *Reader) PackedFloat64s() ([]float64, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	form, err := r.take(1)
+	if err != nil {
+		return nil, err
+	}
+	// Every form spends at least a bit per element.
+	if n > 8*uint64(r.Remaining()) {
+		return nil, errTruncated
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	fs := make([]float64, n)
-	col := r.data[r.pos:]
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
+	switch form[0] {
+	case 0:
+		raw, err := r.take(8 * int(n))
+		if err != nil {
+			return nil, err
+		}
+		fs := make([]float64, n)
+		getFloat64s(fs, raw)
+		return fs, nil
+	case 1:
+		present, err := r.Bitmap(int(n))
+		if err != nil {
+			return nil, err
+		}
+		raw, err := r.take(8 * present.Count(int(n)))
+		if err != nil {
+			return nil, err
+		}
+		fs := make([]float64, n)
+		for i := range fs {
+			if present.At(i) {
+				fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+				raw = raw[8:]
+			}
+		}
+		return fs, nil
+	case 2:
+		if n > uint64(r.Remaining()) {
+			return nil, errTruncated
+		}
+		fs := make([]float64, n)
+		for i := range fs {
+			v, err := r.Varint()
+			if err != nil {
+				return nil, err
+			}
+			fs[i] = float64(v)
+		}
+		return fs, nil
+	default:
+		return nil, fmt.Errorf("unknown float column form %d", form[0])
 	}
-	r.pos += 8 * n
-	return fs, nil
 }
 
 // Value reads one tagged value.
 func (r *Reader) Value() (any, error) {
-	if r.pos >= len(r.data) {
-		return nil, errTruncated
+	t, err := r.take(1)
+	if err != nil {
+		return nil, err
 	}
-	tag := r.data[r.pos]
-	r.pos++
-	switch tag {
+	switch tag := t[0]; tag {
 	case tagNil:
 		return nil, nil
 	case tagBool:
@@ -549,7 +944,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		return append([]byte(nil), b...), nil
 	case tagInts:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -566,7 +961,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		return is, nil
 	case tagInt64s:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -585,7 +980,7 @@ func (r *Reader) Value() (any, error) {
 	case tagFloat64s:
 		return r.Float64s()
 	case tagStrings:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -600,24 +995,9 @@ func (r *Reader) Value() (any, error) {
 		}
 		return ss, nil
 	case tagBools:
-		n, err := r.count(0)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n) > uint64(len(r.data)-r.pos)*8 {
-			return nil, errTruncated
-		}
-		if n == 0 {
-			return []bool(nil), nil
-		}
-		bs := make([]bool, n)
-		for i := range bs {
-			bs[i] = r.data[r.pos+i/8]&(1<<(i&7)) != 0
-		}
-		r.pos += (n + 7) / 8
-		return bs, nil
+		return r.Bools()
 	case tagFloatMat:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -627,22 +1007,22 @@ func (r *Reader) Value() (any, error) {
 		lens := make([]int, n)
 		total := 0
 		for i := range lens {
-			l, err := r.count(0)
+			l, err := r.Count(1)
 			if err != nil {
 				return nil, err
 			}
 			lens[i] = l
-			total += l
+			// Checked as it grows, so a hostile total cannot overflow.
+			if total += l; total > r.Remaining() {
+				return nil, errTruncated
+			}
 		}
-		if uint64(total) > uint64(len(r.data)-r.pos)/8 {
-			return nil, errTruncated
+		raw, err := r.take(8 * total)
+		if err != nil {
+			return nil, err
 		}
 		flat := make([]float64, total)
-		col := r.data[r.pos:]
-		for i := range flat {
-			flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
-		}
-		r.pos += 8 * total
+		getFloat64s(flat, raw)
 		rows := make([][]float64, n)
 		off := 0
 		for i, l := range lens {
@@ -653,7 +1033,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		return rows, nil
 	case tagStrMat:
-		n, err := r.count(1)
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -662,7 +1042,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		lens := make([]int, n)
 		for i := range lens {
-			if lens[i], err = r.count(0); err != nil {
+			if lens[i], err = r.Count(1); err != nil {
 				return nil, err
 			}
 		}
@@ -670,6 +1050,9 @@ func (r *Reader) Value() (any, error) {
 		for i, l := range lens {
 			if l == 0 {
 				continue
+			}
+			if l > r.Remaining() {
+				return nil, errTruncated
 			}
 			rows[i] = make([]string, l)
 			for j := range rows[i] {
@@ -680,7 +1063,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		return rows, nil
 	case tagMapSF:
-		n, err := r.count(2)
+		n, err := r.Count(9)
 		if err != nil {
 			return nil, err
 		}

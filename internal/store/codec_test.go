@@ -5,9 +5,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -300,4 +302,232 @@ func TestTruncatedErrorIsSentinel(t *testing.T) {
 	if _, err := r.Uvarint(); !errors.Is(err, errTruncated) {
 		t.Fatalf("Uvarint on empty reader = %v, want errTruncated", err)
 	}
+}
+
+// TestPackedFloat64sForms: the column takes whichever of its three forms
+// is smallest, every form returns the values bit for bit (-0, NaN and the
+// infinities included), and a column handed over in chunks encodes to the
+// bytes of the same column handed over whole.
+func TestPackedFloat64sForms(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	halfZeros := make([]float64, 64)
+	for i := range halfZeros {
+		if i%2 == 0 {
+			halfZeros[i] = 0.125 + float64(i)/1000
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fs   []float64
+		form byte
+	}{
+		{"empty", nil, 0},
+		{"full-precision", []float64{0.1, 0.2, 0.30000000000000004, math.Pi}, 0},
+		{"specials-stay-raw", []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero, 1e300}, 0},
+		{"half-zeros", halfZeros, 1},
+		{"labels", []float64{0, 1, 1, 0, 1, 0, 0, 0, 9, -3}, 2},
+		{"whole-but-huge", []float64{1 << 53, 1, 2}, 0}, // 2^53 is past what a float holds exactly
+		{"neg-zero-is-not-zero", []float64{negZero, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWriter()
+			w.PackedFloat64s(tc.fs)
+			if got := w.buf[uvarintLen(uint64(len(tc.fs)))]; got != tc.form {
+				t.Errorf("form %d, want %d (%d bytes)", got, tc.form, len(w.buf))
+			}
+			r := NewReader(w.buf)
+			back, err := r.PackedFloat64s()
+			if err != nil || r.Remaining() != 0 {
+				t.Fatalf("decode: %v, %d bytes left", err, r.Remaining())
+			}
+			if len(back) != len(tc.fs) {
+				t.Fatalf("%d values back, want %d", len(back), len(tc.fs))
+			}
+			for i := range back {
+				if math.Float64bits(back[i]) != math.Float64bits(tc.fs[i]) {
+					t.Fatalf("value %d: %x, want %x", i, math.Float64bits(back[i]), math.Float64bits(tc.fs[i]))
+				}
+			}
+			if len(tc.fs) > 2 {
+				chunked := NewWriter()
+				chunked.PackedFloat64Chunks(func(yield func([]float64) bool) {
+					_ = yield(tc.fs[:1]) && yield(nil) && yield(tc.fs[1:])
+				})
+				if !bytes.Equal(chunked.buf, w.buf) {
+					t.Errorf("chunked encoding differs: %x vs %x", chunked.buf, w.buf)
+				}
+			}
+		})
+	}
+}
+
+func uvarintLen(u uint64) int {
+	n := 1
+	for ; u >= 0x80; u >>= 7 {
+		n++
+	}
+	return n
+}
+
+// TestDictStringBoundedTable: a column with more distinct cells than a
+// dictionary holds still round-trips; its late cells are plain literals
+// that take no id, so neither side's table outgrows dictMax, and the early
+// cells stay referable.
+func TestDictStringBoundedTable(t *testing.T) {
+	cells := make([]string, 0, 3*dictMax)
+	for i := 0; i < 2*dictMax; i++ {
+		cells = append(cells, fmt.Sprint("cell-", i))
+	}
+	for i := 0; i < dictMax; i++ {
+		cells = append(cells, fmt.Sprint("cell-", i%7), "", "same", "same")
+	}
+	w := NewWriter()
+	var d Dict
+	for _, s := range cells {
+		w.DictString(&d, s)
+	}
+	if len(d.ids) > dictMax {
+		t.Fatalf("encoder table holds %d entries, cap %d", len(d.ids), dictMax)
+	}
+	r := NewReader(w.buf)
+	var table []string
+	for i, want := range cells {
+		got, err := r.DictString(&table)
+		if err != nil || got != want {
+			t.Fatalf("cell %d: %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if r.Remaining() != 0 || len(table) > dictMax {
+		t.Fatalf("%d bytes left, decoder table %d entries", r.Remaining(), len(table))
+	}
+	// A repeated early cell costs its reference only.
+	before := len(w.buf)
+	w.DictString(&d, "cell-3")
+	if n := len(w.buf) - before; n > 2 {
+		t.Errorf("repeat of an interned cell took %d bytes", n)
+	}
+	// A reference past the table is an error, not a panic.
+	bad := NewReader([]byte{9})
+	if _, err := bad.DictString(new([]string)); err == nil {
+		t.Error("dangling dictionary reference decoded")
+	}
+}
+
+// TestBitmapRoundTrip covers widths around the byte boundary and the
+// counting the record layouts size their maps with.
+func TestBitmapRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 300} {
+		w := NewWriter()
+		set := func(i int) bool { return i%3 == 0 || i == n-1 }
+		w.Bitmap(n, set)
+		if len(w.buf) != (n+7)/8 {
+			t.Fatalf("n=%d: %d bytes", n, len(w.buf))
+		}
+		r := NewReader(w.buf)
+		bits, err := r.Bitmap(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for i := 0; i < n; i++ {
+			if bits.At(i) != set(i) {
+				t.Fatalf("n=%d bit %d", n, i)
+			}
+			if set(i) {
+				want++
+			}
+		}
+		if got := bits.Count(n); got != want {
+			t.Fatalf("n=%d: Count = %d, want %d", n, got, want)
+		}
+		if _, err := NewReader(w.buf).Bitmap(8*len(w.buf) + 1); err == nil {
+			t.Fatalf("n=%d: a bitmap longer than the payload decoded", n)
+		}
+	}
+}
+
+// TestHostileCountsAllocateNothing: a length prefix the payload cannot
+// back fails before anything is allocated from it, for every native tag
+// that carries one.
+func TestHostileCountsAllocateNothing(t *testing.T) {
+	for _, tag := range []byte{tagBytes, tagInts, tagInt64s, tagFloat64s, tagStrings, tagBools, tagFloatMat, tagStrMat, tagMapSF} {
+		w := NewWriter()
+		w.buf = append(append(w.buf, binaryMagic[:]...), binaryVersion, tag)
+		w.Uvarint(1 << 40)
+		w.buf = append(w.buf, 1, 2, 3)
+		payload := w.buf
+		allocated := testing.AllocsPerRun(5, func() {
+			if _, err := (BinaryCodec{}).Decode(payload); err == nil {
+				t.Fatalf("tag 0x%02x: a 2^40 count decoded", tag)
+			}
+		})
+		if allocated > 8 { // the Reader and the wrapped error
+			t.Errorf("tag 0x%02x: %v allocations on the refusal path", tag, allocated)
+		}
+	}
+}
+
+// TestTrailingBytesRejected: a payload longer than its value is corrupt.
+func TestTrailingBytesRejected(t *testing.T) {
+	enc, err := BinaryCodec{}.Encode([]float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (BinaryCodec{}).Decode(append(enc, 0)); err == nil || !strings.Contains(err.Error(), "left over") {
+		t.Fatalf("decode with a trailing byte = %v", err)
+	}
+}
+
+// allocationBound is what a decode of n payload bytes may allocate: a
+// packed zero is a bit on disk and 8 bytes in memory, a packed
+// FeatureValue 40, so legitimate payloads expand a few hundredfold — but
+// never by more than a fixed multiple, whatever their length prefixes say.
+func allocationBound(n int) uint64 { return 512*uint64(n) + 64<<10 }
+
+// heapAllocated is the process's cumulative heap allocation in bytes. It
+// is read without stopping the world (a fuzz target runs it twice per
+// input) and may lag by what sits in per-P caches — small next to the one
+// oversized make the bound exists to catch.
+func heapAllocated() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// FuzzBinaryDecode: any byte string decodes to a value or an error — no
+// panic, and no allocation beyond a fixed multiple of the input (payloads
+// that route to gob are excused the second half: its decoder's appetite is
+// its own).
+func FuzzBinaryDecode(f *testing.F) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "codec", "*.bin"))
+	if err != nil || len(fixtures) == 0 {
+		f.Fatalf("no seed fixtures: %v", err)
+	}
+	for _, path := range fixtures {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := heapAllocated()
+		v, err := BinaryCodec{}.Decode(data)
+		grown := heapAllocated() - before
+		if hasBinaryHeader(data) && len(data) > 5 && data[5] != tagGob && grown > allocationBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grown)
+		}
+		if err != nil {
+			return
+		}
+		// What decoded must encode again (to possibly different bytes: the
+		// fuzzer finds non-canonical payloads) and come back equal.
+		enc, err := BinaryCodec{}.Encode(v)
+		if err != nil {
+			t.Fatalf("decoded value %#v does not encode: %v", v, err)
+		}
+		if _, err := (BinaryCodec{}).Decode(enc); err != nil {
+			t.Fatalf("re-encoded value does not decode: %v", err)
+		}
+	})
 }

@@ -8,8 +8,13 @@
 // construction only retrievable by an equivalent operator. Values are
 // serialized by a pluggable Codec (codec.go) — the default is a
 // purpose-built binary format with columnar layouts, varint numerics and
-// interned strings; legacy gob artifacts keep decoding via a header
-// sniff. An optional simulated disk speed reproduces the paper's
+// interned strings, extended per type by the packages that own the types
+// (RegisterExt); legacy gob artifacts keep decoding via a header sniff.
+// An artifact's file is named <signature>.gob whatever it holds: the name
+// dates from the gob-only store and renaming it would orphan every
+// existing directory, so read the extension as "artifact", not as the
+// format (the first four bytes, "HXB1", say that). An optional simulated
+// disk speed reproduces the paper's
 // 170 MB/s HDD environment on faster local storage; it is applied as a
 // sleep proportional to the byte count on both reads and writes.
 //

@@ -61,11 +61,19 @@ type WriteOutcome struct {
 	// budget reserved for the deduplicated write.
 	Entry Entry
 	// Written reports whether the payload landed in the store. False when
-	// Decide declined, an equivalent entry already existed, or Err is set.
+	// Decide declined, an equivalent entry already existed, or Err or
+	// EncodeErr is set.
 	Written bool
-	// Err is the write error, if any. A failed write leaves the store
+	// Err is the disk write error, if any. A failed write leaves the store
 	// without the entry — callers degrade to "not materialized".
 	Err error
+	// EncodeErr is the codec's refusal of Value (typically a type behind
+	// an interface that was never passed to RegisterValueType). It is kept
+	// apart from Err because it is not a fault of the disk and not
+	// transient: the same type fails the same way on every later attempt,
+	// so it never fails a Flush, and the caller decides whether to stop
+	// asking.
+	EncodeErr error
 	// Secs is the time spent processing the request: serialization, the
 	// policy check, the file write, simulated-disk throttle, and (inline
 	// only) the manifest update. Queue wait is excluded — this is the cost
@@ -205,9 +213,9 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 		var err error
 		data, err = s.codec().Encode(req.Value)
 		if err != nil {
-			// Unserializable values are simply not materialized; the encode
-			// attempt is still charged as materialization overhead.
-			return WriteOutcome{Secs: time.Since(start).Seconds()}
+			// Unserializable values are not materialized; the encode attempt
+			// is still charged as materialization overhead.
+			return WriteOutcome{EncodeErr: err, Secs: time.Since(start).Seconds()}
 		}
 	}
 	if req.Decide != nil && !req.Decide(int64(len(data))) {

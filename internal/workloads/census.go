@@ -30,19 +30,13 @@ type TaggedRow struct {
 }
 
 // Column is an extractor's output: one raw feature value per row, aligned
-// with the scanner's row order — the semantic-unit output of §3.2.1.
+// with the scanner's row order — the semantic-unit output of §3.2.1. It
+// is deliberately not a Sizer: an estimate would have to walk every value
+// at every retirement, and its encoder (codec.go) makes the same walk and
+// reports the exact size to the materialization policy.
 type Column struct {
 	Name   string
 	Values []ml.FeatureValue
-}
-
-// ApproxBytes implements the engine's Sizer.
-func (c Column) ApproxBytes() int64 {
-	var b int64 = int64(len(c.Name)) + 16
-	for _, v := range c.Values {
-		b += int64(len(v.Str)) + 16
-	}
-	return b
 }
 
 // Census is the income-prediction workflow of Figure 3a: CSV scan, field

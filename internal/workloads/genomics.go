@@ -25,7 +25,9 @@ func (g GenomicsCorpus) ApproxBytes() int64 {
 	for _, a := range g.Articles {
 		b += int64(len(a.ID) + len(a.Text))
 	}
-	b += int64(len(g.KB.Genes) * 16)
+	if g.KB != nil {
+		b += int64(len(g.KB.Genes) * 16)
+	}
 	return b
 }
 

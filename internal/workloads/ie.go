@@ -25,7 +25,9 @@ func (c IECorpus) ApproxBytes() int64 {
 	for _, a := range c.Articles {
 		b += int64(len(a.ID) + len(a.Text))
 	}
-	b += int64(len(c.KB.Pairs) * 24)
+	if c.KB != nil {
+		b += int64(len(c.KB.Pairs) * 24)
+	}
 	return b
 }
 
