@@ -1,239 +1,26 @@
 package helix_test
 
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6). Each benchmark runs the corresponding experiment via
-// internal/bench and reports paper-shaped custom metrics alongside Go's
-// ns/op. Run all of them with:
+// Micro-benchmarks of the substrate the paper's workloads run on: the
+// OPT-EXEC-PLAN solver and the operators that dominate Figure 6's
+// breakdowns. The paper's tables and figures themselves are model-time
+// results, not Go benchmarks: `go run ./cmd/helixrun -paper` prints them,
+// internal/sim/testdata/paper.golden pins them, and `sh benchmark/run.sh`
+// measures the end-to-end workloads on the host. Run these with:
 //
-//	go test -bench=. -benchmem
-//
-// The helixbench command prints the full row-by-row output:
-//
-//	go run ./cmd/helixbench -exp all
+//	go test -run '^$' -bench . -benchmem
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
 
-	"helix/internal/bench"
 	"helix/internal/core"
 	"helix/internal/data"
 	"helix/internal/ml"
 	"helix/internal/nlp"
 	"helix/internal/opt"
 	"helix/internal/store"
-	"helix/internal/workloads"
 )
-
-func init() { workloads.RegisterAll() }
-
-func benchConfig() bench.Config {
-	return bench.Config{Scale: workloads.Scale{Rows: 1, CostFactor: 40}, Seed: 1}
-}
-
-// BenchmarkTable1_BasisCoverage checks the static Scikit-learn coverage
-// mapping renders (Table 1); it is a table, not a timing, so the bench
-// simply exercises the path.
-func BenchmarkTable1_BasisCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(bench.Table1()) != 9 {
-			b.Fatal("Table 1 must have 9 rows")
-		}
-	}
-}
-
-// BenchmarkTable2_UseCaseSupport regenerates the support matrix (Table 2).
-func BenchmarkTable2_UseCaseSupport(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.Table2()
-		if len(rows) != 4 {
-			b.Fatal("Table 2 must have 4 workloads")
-		}
-	}
-}
-
-// BenchmarkFigure5_CumulativeRunTime regenerates Figure 5: cumulative run
-// time across iterations for HELIX OPT vs KeystoneML vs DeepDive on all
-// four workflows. Custom metrics report the headline speedups.
-func BenchmarkFigure5_CumulativeRunTime(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig5(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Speedup("census", "keystoneml"), "census-speedup-vs-keystoneml")
-		b.ReportMetric(r.Speedup("genomics", "keystoneml"), "genomics-speedup-vs-keystoneml")
-		b.ReportMetric(r.Speedup("nlp", "deepdive"), "nlp-speedup-vs-deepdive")
-		b.ReportMetric(r.Speedup("mnist", "keystoneml"), "mnist-speedup-vs-keystoneml")
-	}
-}
-
-// BenchmarkFigure6_Breakdown regenerates Figure 6: HELIX OPT's
-// per-iteration run time broken down by DPR / L/I / PPR plus
-// materialization time.
-func BenchmarkFigure6_Breakdown(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig6(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// PPR iterations of census should be near-free vs iteration 0.
-		s := r.Series["census"]
-		if len(s.Seconds) < 9 {
-			b.Fatal("census series too short")
-		}
-		b.ReportMetric(s.Seconds[0]/s.Seconds[8], "census-iter0-over-ppr-iter")
-	}
-}
-
-// BenchmarkFigure7a_DataScaling regenerates Figure 7a: census vs
-// census10x cumulative time for HELIX and KeystoneML on one node.
-func BenchmarkFigure7a_DataScaling(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig7a(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hx := r.SizeScaling["census10x"]["helix-opt"] / r.SizeScaling["census"]["helix-opt"]
-		ks := r.SizeScaling["census10x"]["keystoneml"] / r.SizeScaling["census"]["keystoneml"]
-		b.ReportMetric(hx, "helix-10x-scale-factor")
-		b.ReportMetric(ks, "keystoneml-10x-scale-factor")
-	}
-}
-
-// BenchmarkFigure7b_ClusterScaling regenerates Figure 7b: census10x on
-// simulated clusters of 2/4/8 workers.
-func BenchmarkFigure7b_ClusterScaling(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig7b(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.ClusterScaling[2]["helix-opt"], "helix-2workers-s")
-		b.ReportMetric(r.ClusterScaling[4]["helix-opt"], "helix-4workers-s")
-		b.ReportMetric(r.ClusterScaling[8]["helix-opt"], "helix-8workers-s")
-	}
-}
-
-// BenchmarkFigure8_StateFractions regenerates Figure 8: the fraction of
-// nodes in S_p/S_l/S_c per iteration under HELIX OPT vs HELIX AM.
-func BenchmarkFigure8_StateFractions(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig8(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// OPT should achieve the same compute fractions as AM (paper:
-		// "HELIX OPT enables the exact same reuse as HELIX AM").
-		optS := r.Series["census"]["helix-opt"].States
-		amS := r.Series["census"]["helix-am"].States
-		var mismatch float64
-		for it := range optS {
-			_, _, scOpt := bench.Fractions(optS[it])
-			_, _, scAM := bench.Fractions(amS[it])
-			d := scOpt - scAM
-			if d < 0 {
-				d = -d
-			}
-			mismatch += d
-		}
-		b.ReportMetric(mismatch, "census-compute-fraction-gap")
-	}
-}
-
-// BenchmarkFigure9_MatPolicies regenerates Figure 9: cumulative run time
-// for HELIX OPT vs AM vs NM, and storage for OPT vs AM.
-func BenchmarkFigure9_MatPolicies(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig9(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tc := r.Totals("census")
-		b.ReportMetric(tc["helix-nm"]/tc["helix-opt"], "census-nm-over-opt")
-		b.ReportMetric(tc["helix-am"]/tc["helix-opt"], "census-am-over-opt")
-		st := r.FinalStorage("genomics")
-		if st["helix-opt"] > 0 {
-			b.ReportMetric(float64(st["helix-am"])/float64(st["helix-opt"]), "genomics-am-storage-over-opt")
-		}
-	}
-}
-
-// BenchmarkFigure10_Memory regenerates Figure 10: peak and average memory
-// per iteration for HELIX.
-func BenchmarkFigure10_Memory(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Fig10(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var peak uint64
-		for _, s := range r.Series {
-			for _, p := range s.PeakMem {
-				if p > peak {
-					peak = p
-				}
-			}
-		}
-		b.ReportMetric(float64(peak)/(1<<20), "peak-mem-MB")
-	}
-}
-
-// BenchmarkAblation_OMPThreshold sweeps Algorithm 2's load-cost threshold
-// (the paper's choice is 2).
-func BenchmarkAblation_OMPThreshold(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res, thresholds, err := bench.AblationOMPThreshold(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, th := range thresholds {
-			b.ReportMetric(res[th], "census-s-th"+itoa(int(th)))
-		}
-	}
-}
-
-// BenchmarkAblation_OEPvsGreedy quantifies the optimality gap of a greedy
-// local reuse rule against the min-cut OEP solution on random DAGs.
-func BenchmarkAblation_OEPvsGreedy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mean, worst := bench.AblationOEPGreedy(200, 1)
-		b.ReportMetric(mean*100, "mean-regret-pct")
-		b.ReportMetric(worst*100, "worst-regret-pct")
-	}
-}
-
-// BenchmarkAblation_Pruning measures the benefit of program slicing
-// (paper §5.4).
-func BenchmarkAblation_Pruning(b *testing.B) {
-	ctx := context.Background()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		on, off, err := bench.AblationPruning(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(off/on, "pruning-off-over-on")
-	}
-}
 
 // BenchmarkOEPSolver times the MAX-FLOW-based optimal execution planner
 // itself (Algorithm 1) on random DAGs of increasing size — the
@@ -344,7 +131,7 @@ func BenchmarkSubstrate_LogisticRegression(b *testing.B) {
 }
 
 // BenchmarkSubstrate_StoreRoundTrip times a materialize+load cycle of a
-// census-sized intermediate through the gob store.
+// census-sized intermediate through the store's default HXB1 codec.
 func BenchmarkSubstrate_StoreRoundTrip(b *testing.B) {
 	dir := b.TempDir()
 	st, err := store.Open(dir)

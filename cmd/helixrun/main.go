@@ -9,6 +9,7 @@
 //	helixrun -workload genomics -system helix-am # always-materialize
 //	helixrun -workload nlp -iters 3 -v           # per-operator detail
 //	helixrun -workload census -explain           # per-node decision table
+//	helixrun -paper -cost 10                     # the paper's tables, model time
 //
 // Workloads: census, census10x, genomics, nlp, mnist.
 // Systems: helix-opt, helix-am, helix-nm, keystoneml, deepdive.
@@ -24,6 +25,13 @@
 // operator's start and retirement with measured seconds and
 // materialization outcome, the flush barrier, and completion — instead
 // of going silent until the end-of-iteration table row.
+//
+// With -paper, helixrun runs internal/sim's paper suite instead of one
+// series — every (workload, system) pair Figures 5–10 and the ablations
+// read, once each, at -scale/-cost/-seed/-iters — and prints the paper's
+// tables in model seconds (internal/sim's model clock), Figure 10's
+// measured heap included. At -cost 10 with the other defaults the output
+// is internal/sim/testdata/paper.golden plus Figure 10.
 package main
 
 import (
@@ -46,6 +54,7 @@ type flags struct {
 	scale, cost, iters, parallelism                 int
 	seed                                            int64
 	shared, writeBehind, explain, progress, verbose bool
+	paper                                           bool
 }
 
 // validate rejects flag combinations that would silently do nothing.
@@ -75,14 +84,32 @@ func main() {
 	flag.BoolVar(&f.explain, "explain", false, "print the optimizer's per-node decision table before each iteration")
 	flag.BoolVar(&f.progress, "progress", false, "stream per-node live progress from the run's event stream")
 	flag.BoolVar(&f.verbose, "v", false, "print per-operator states")
+	flag.BoolVar(&f.paper, "paper", false, "print the paper's tables (Table 2, Figures 5-10, ablations) in model seconds at -scale/-cost/-seed/-iters instead of running one series")
 	flag.Parse()
 
-	if err := f.validate(); err != nil {
+	err := f.validate()
+	if f.paper && err == nil {
+		// The suite fixes its own workloads, systems and stores: every flag
+		// but the scale ones would be dropped silently.
+		flag.Visit(func(fl *flag.Flag) {
+			switch fl.Name {
+			case "paper", "scale", "cost", "seed", "iters":
+			default:
+				err = fmt.Errorf("-paper takes only -scale, -cost, -seed and -iters, not -%s", fl.Name)
+			}
+		})
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "helixrun:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(f); err != nil {
+	if f.paper {
+		err = paper(f)
+	} else {
+		err = run(f)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "helixrun:", err)
 		os.Exit(1)
 	}
@@ -111,6 +138,21 @@ func progressObserver(ev helix.RunEvent) {
 	case helix.DoneEvent:
 		fmt.Printf("      done  iteration %d wall=%.3fs\n", e.Iteration, e.Wall.Seconds())
 	}
+}
+
+// paper prints internal/sim's paper suite at the flags' scale.
+func paper(f flags) error {
+	workloads.RegisterAll()
+	p, err := sim.RunPaper(context.Background(), sim.PaperConfig{
+		Scale:      workloads.Scale{Rows: f.scale, CostFactor: f.cost},
+		Seed:       f.seed,
+		Iterations: f.iters,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Print(p.Tables(true))
+	return nil
 }
 
 func systemByName(name string) (sim.System, error) {

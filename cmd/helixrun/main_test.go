@@ -25,7 +25,8 @@ func runBin(t *testing.T, bin string, args ...string) (string, int) {
 }
 
 // TestSmoke drives the built binary end to end: a short census series
-// exits 0 and prints the iteration table; flag combinations that used to
+// exits 0 and prints the iteration table; -paper prints the paper's tables
+// (one iteration per series, to stay quick); flag combinations that used to
 // do nothing silently (-tenant without -shared, -shared without -dir) are
 // usage errors; and the flags that left with WithScheduler and
 // WithPlanCache are unknown.
@@ -53,6 +54,19 @@ func TestSmoke(t *testing.T) {
 		}
 	}
 
+	out, code = runBin(t, bin, "-paper", "-cost", "10", "-iters", "1")
+	if code != 0 {
+		t.Fatalf("-paper: exit %d, want 0\n%s", code, out)
+	}
+	for _, want := range []string{
+		"HELIX paper tables — model seconds (scale 1, cost 10, seed 1, iters 1)",
+		"Figure 5 — census", "Figure 9 — mnist", "Figure 10 — census: HELIX OPT heap", "Ablation — program slicing",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-paper output missing %q:\n%s", want, out)
+		}
+	}
+
 	shared := t.TempDir()
 	if out, code := runBin(t, bin, "-iters", "1", "-shared", "-dir", shared, "-tenant", "alice"); code != 0 ||
 		!strings.Contains(out, "tenant[alice]=") {
@@ -66,6 +80,7 @@ func TestSmoke(t *testing.T) {
 	}{
 		{"tenant without shared", []string{"-tenant", "alice"}, "-tenant alice needs -shared"},
 		{"shared without dir", []string{"-shared"}, "-shared needs -dir"},
+		{"paper with a series flag", []string{"-paper", "-workload", "nlp"}, "-paper takes only -scale, -cost, -seed and -iters, not -workload"},
 		{"removed -sched", []string{"-sched", "fifo"}, "flag provided but not defined: -sched"},
 		{"removed -plancache", []string{"-plancache=false"}, "flag provided but not defined: -plancache"},
 	} {

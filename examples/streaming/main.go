@@ -5,11 +5,11 @@
 // into one slot or is quiet. Because node names are stable, a delivery
 // dirties only that slot's chain plus the suffix — the plan cache serves
 // a partial hit and the clean slots are loaded, not recomputed — while a
-// quiet stretch converges to full fingerprint hits with near-zero wall
+// quiet stretch converges to full fingerprint hits with near-zero run
 // time.
 //
-// The demo prints the per-tick table: plan-cache outcome, state mix, and
-// the compute time reuse avoided.
+// The demo prints the per-tick table, in internal/sim's model seconds:
+// plan-cache outcome, state mix, and the compute time reuse avoided.
 //
 //	go run ./examples/streaming
 package main
@@ -23,10 +23,7 @@ import (
 )
 
 func main() {
-	rep, err := sim.RunIngest(context.Background(), sim.IngestConfig{
-		Window:      4,
-		Parallelism: 2,
-	})
+	rep, err := sim.RunIngest(context.Background(), sim.IngestConfig{Window: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

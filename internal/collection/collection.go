@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"helix/internal/clock"
 )
 
 // Env configures the execution environment of a collection, standing in
@@ -25,6 +27,21 @@ type Env struct {
 	// modeling the scheduling + shuffle communication cost of a cluster.
 	// Zero for single-node runs.
 	BarrierOverhead time.Duration
+
+	// clock is what the barrier sleeps on; nil is the host's clock.
+	clock clock.Clock
+}
+
+// On returns a copy of e whose barrier overhead is slept on c — the clock
+// of the run the operator executes in (clock.From of its context). An
+// environment with no overhead has nothing to sleep and is returned as is.
+func (e *Env) On(c clock.Clock) *Env {
+	if e == nil || e.BarrierOverhead <= 0 {
+		return e
+	}
+	cp := *e
+	cp.clock = c
+	return &cp
 }
 
 // DefaultEnv is a single-node environment with 4 workers and no simulated
@@ -44,7 +61,11 @@ func (e *Env) barrier() {
 	if e == nil || e.BarrierOverhead <= 0 {
 		return
 	}
-	time.Sleep(e.BarrierOverhead * time.Duration(e.normalize()))
+	c := e.clock
+	if c == nil {
+		c = clock.Real{}
+	}
+	c.Sleep(e.BarrierOverhead * time.Duration(e.normalize()))
 }
 
 // Collection is an immutable, partitioned dataset of T — the physical

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"helix/internal/clock"
 )
 
 func ints(n int) []int {
@@ -187,13 +189,20 @@ func TestRepartition(t *testing.T) {
 	}
 }
 
+// TestBarrierOverheadCharged: every parallel operation sleeps the barrier
+// overhead once per worker on the environment's clock — exactly, on a
+// model clock — and an environment taken On a clock leaves the original's
+// untouched.
 func TestBarrierOverheadCharged(t *testing.T) {
-	env := &Env{Workers: 4, BarrierOverhead: 2 * time.Millisecond}
-	c := New(env, ints(4))
-	start := time.Now()
-	Map(c, func(i int) int { return i })
-	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
-		t.Fatalf("barrier overhead not charged: elapsed %v < 8ms", elapsed)
+	base := &Env{Workers: 4, BarrierOverhead: 2 * time.Millisecond}
+	m := new(clock.Model)
+	c := New(base.On(m), ints(4))
+	Filter(Map(c, func(i int) int { return i }), func(int) bool { return true })
+	if got := m.Elapsed(); got != 2*8*time.Millisecond {
+		t.Fatalf("two operations on 4 workers billed %v, want exactly 2 × 4 × 2ms", got)
+	}
+	if base.clock != nil {
+		t.Fatal("On mutated the environment it copied")
 	}
 }
 

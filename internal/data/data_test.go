@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,6 +189,20 @@ func TestGenerateIEStructure(t *testing.T) {
 	}
 	if posEvidence == 0 {
 		t.Fatal("no marriage evidence in corpus")
+	}
+}
+
+// TestGenerateIEDeterministic: the seed alone decides the corpus (the
+// spouse pairs used to be drawn in map order, so two calls with one seed
+// wrote different articles).
+func TestGenerateIEDeterministic(t *testing.T) {
+	cfg := IEConfig{Articles: 40, SentencesPerArticle: 6, People: 30, SpousePairs: 10, Seed: 1}
+	first, _ := GenerateIE(cfg)
+	for i := 0; i < 5; i++ {
+		again, _ := GenerateIE(cfg)
+		if !reflect.DeepEqual(first, again) {
+			t.Fatal("two corpora from one seed differ")
+		}
 	}
 }
 

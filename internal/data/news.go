@@ -2,7 +2,9 @@ package data
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -90,8 +92,9 @@ func GenerateIE(cfg IEConfig) ([]Article, *SpouseKB) {
 	if sentences < 1 {
 		sentences = 6
 	}
+	// Sorted, not map order: the seed alone must decide the corpus.
 	kbPairs := make([][2]string, 0, len(kb.Pairs))
-	for k := range kb.Pairs {
+	for _, k := range slices.Sorted(maps.Keys(kb.Pairs)) {
 		parts := strings.SplitN(k, "|", 2)
 		kbPairs = append(kbPairs, [2]string{parts[0], parts[1]})
 	}

@@ -31,6 +31,15 @@
 // (store.Write), instead of the pool — the paper-figure systems in
 // internal/sim measure materialization on the critical path that way.
 //
+// # Clocks
+//
+// Every duration the engine reports is read from the run's clock
+// (internal/clock), which arrives on Run's context and is resolved once
+// per run: the host's clock unless the caller installed another. A clock
+// that is also a Biller is a model (internal/sim's): the run then executes
+// one node at a time, so each node is timed with exactly what it was
+// billed and the run's wall is the serial sum.
+//
 // helixlint (errtaxonomy) holds this package's error returns to the
 // typed taxonomy: wrapped sentinels (ErrBadPlan, ErrNoFunction, the
 // context errors) and *NodeError, never bare leaf errors.
@@ -50,6 +59,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/opt"
 	"helix/internal/plan"
@@ -76,6 +86,16 @@ type Program struct {
 // serialization cost for results it will not materialize.
 type Sizer interface {
 	ApproxBytes() int64
+}
+
+// Biller is a model clock: besides whatever an operator sleeps on it, it
+// bills every computed unit a modelled charge — for a fused run, the head
+// with the head's inputs and the tail's output — advancing itself by the
+// charge it returns. A run on a Biller executes one node at a time, loads
+// included, on one worker.
+type Biller interface {
+	clock.Clock
+	Bill(n *core.Node, inputs []any, output any) time.Duration
 }
 
 // Options configures an engine run. The planner's knobs travel as one
@@ -173,7 +193,7 @@ const (
 	// projections are absent. The default.
 	SchedCriticalPath SchedMode = iota
 	// SchedFIFO preserves pure arrival order (the historical behavior);
-	// kept as the engine tests' and internal/bench's A/B oracle.
+	// kept as the engine tests' A/B oracle.
 	SchedFIFO
 )
 
@@ -418,7 +438,8 @@ func (e *Engine) Run(ctx context.Context, prog *Program, prev *core.DAG, iterati
 // call only, so one engine can execute successive iterations under
 // run-scoped overrides.
 func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, iteration int, opts Options) (*Result, error) {
-	start := time.Now()
+	clk := clock.From(ctx)
+	start := clk.Now()
 	var (
 		view plan.MatView = storeView{e.Store}
 		ad   *adaptState
@@ -441,7 +462,7 @@ func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, ite
 	// stay on the bill exactly as when they lived inline here. The
 	// planning share is reported separately as Result.PlanTime, which is
 	// what the plan cache shrinks on fingerprint hits.
-	return e.execute(ctx, prog, p, start, time.Since(start), &opts, ad)
+	return e.execute(ctx, prog, p, clk, start, clk.Since(start), &opts, ad)
 }
 
 // Execute carries out a previously built plan against the program it was
@@ -451,10 +472,11 @@ func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, ite
 // bounded scheduler. Result.Wall is measured from Execute entry; Run
 // measures from its own entry so planning time is included there.
 func (e *Engine) Execute(ctx context.Context, prog *Program, p *plan.Plan) (*Result, error) {
-	return e.execute(ctx, prog, p, time.Now(), 0, &e.Opts, nil)
+	clk := clock.From(ctx)
+	return e.execute(ctx, prog, p, clk, clk.Now(), 0, &e.Opts, nil)
 }
 
-func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start time.Time, planTime time.Duration, opts *Options, ad *adaptState) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk clock.Clock, start time.Time, planTime time.Duration, opts *Options, ad *adaptState) (*Result, error) {
 	d := prog.DAG
 	// Fail fast on plan/program mispairing: fn lookup is by node pointer,
 	// so a plan built from a different Compile of even the same workflow
@@ -595,9 +617,12 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	bill, _ := clk.(Biller)
 	st := &runState{
 		engine:    e,
 		opts:      opts,
+		clk:       clk,
+		bill:      bill,
 		em:        em,
 		plan:      p,
 		runs:      byNode,
@@ -611,7 +636,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 	}
 
 	e.schedule(rctx, st, runs, scheduled)
-	computeWall := time.Since(start)
+	computeWall := clk.Since(start)
 
 	// Write-behind barrier: wait for every materialization handed to the
 	// store's writer pool before touching per-node accounting or letting
@@ -624,9 +649,9 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, start
 	// as zero there).
 	var flushWait time.Duration
 	if !opts.SyncMaterialization {
-		flushStart := time.Now()
+		flushStart := clk.Now()
 		_ = e.Store.Flush()
-		flushWait = time.Since(flushStart)
+		flushWait = clk.Since(flushStart)
 	}
 	em.flush(flushWait)
 
@@ -774,6 +799,12 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	// A model run is serial: one worker, and loads queue beside computes
+	// instead of overlapping them on the I/O pool.
+	serial := st.bill != nil
+	if serial {
+		par = 1
+	}
 	if par > scheduled {
 		par = scheduled
 	}
@@ -788,7 +819,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 	// the I/O queue is fully populated here and never written again.
 	var loadRuns []*nodeRun
 	for _, r := range runs {
-		if r.state == core.StateLoad {
+		if r.state == core.StateLoad && !serial {
 			loadRuns = append(loadRuns, r)
 		}
 	}
@@ -805,7 +836,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 
 	ready := newReadyQueue()
 	for _, r := range runs { // topological order: parents enqueue first
-		if r.state == core.StateCompute && r.unit[0] == r && atomic.LoadInt32(&r.deps) == 0 {
+		if (r.state == core.StateCompute || serial && r.state == core.StateLoad) && r.unit[0] == r && atomic.LoadInt32(&r.deps) == 0 {
 			ready.push(r)
 		}
 	}
@@ -922,6 +953,9 @@ type runState struct {
 	// opts is the run's effective configuration: the engine's own Opts
 	// for Run/Execute, or the per-call override for RunWith.
 	opts *Options
+	// clk times the run; bill is clk when it is a model (Biller), else nil.
+	clk  clock.Clock
+	bill Biller
 	// em delivers observer events; nil when no observer is installed
 	// (every emit method nil-checks the receiver).
 	em   *emitter
@@ -1014,7 +1048,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	tail := unit[len(unit)-1]
 	switch r.state {
 	case core.StateLoad:
-		value, dur, err := s.engine.Store.Get(n.ChainSignature())
+		value, dur, err := s.engine.Store.Load(s.clk, n.ChainSignature())
 		if err != nil {
 			// Failure injection path: a corrupt or missing materialization
 			// must not abort the iteration — recompute instead (possibly
@@ -1048,7 +1082,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 		var (
 			value any
 			err   error
-			start = time.Now()
+			start = s.clk.Now()
 		)
 		if fused {
 			ops := make([]*RowOp, len(unit))
@@ -1066,13 +1100,17 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 			return
 		}
 		tail.value = value
+		elapsed := s.clk.Since(start)
+		if s.bill != nil {
+			elapsed += s.bill.Bill(n, inputs, value)
+		}
 		// Per-member timing is unobservable inside a fused pipeline by
 		// design: each member is charged an even share of the measured
 		// wall, which keeps C(n) sums and Metrics-based cost models finite
 		// and order-of-magnitude right. The modelled slowdown of a member's
 		// own component (Options.DPRSlowdown / LISlowdown) applies to its
 		// share, slept out here so the critical path pays it.
-		share := time.Since(start) / time.Duration(len(unit))
+		share := elapsed / time.Duration(len(unit))
 		for _, m := range unit {
 			elapsed, f := share, 1.0
 			switch m.node.Component {
@@ -1083,7 +1121,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 			}
 			if f > 1 {
 				extra := time.Duration(float64(elapsed) * (f - 1))
-				time.Sleep(extra)
+				s.clk.Sleep(extra)
 				elapsed += extra
 			}
 			m.ownSecs = elapsed.Seconds()
@@ -1234,6 +1272,7 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 		Iteration: s.iteration,
 		Tenant:    s.opts.Tenant,
 		Value:     r.value,
+		Clock:     s.clk,
 	}
 	// reservedSize tracks bytes a "yes" from Decide reserved against the
 	// policy's budget, so a shared-mode dedup (another session published

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/opt"
 	"helix/internal/plan"
@@ -405,36 +406,30 @@ func TestMemorySampling(t *testing.T) {
 	}
 }
 
+// TestDPRSlowdown: a DPR operator under DPRSlowdown 3 is billed exactly
+// three times what it slept — on a model clock, so the check is an
+// equality rather than a bound on host time.
 func TestDPRSlowdown(t *testing.T) {
-	e := newEngine(t)
-	var c counters
-	prog := testProgram(&c)
-	src := prog.DAG.Node("source")
-	prog.Fns[src] = func(ctx context.Context, in []any) (any, error) {
-		time.Sleep(20 * time.Millisecond)
-		return []string{"r"}, nil
+	source := func(slowdown float64) float64 {
+		e := newEngine(t)
+		e.Opts.DPRSlowdown = slowdown
+		var c counters
+		prog := testProgram(&c)
+		prog.Fns[prog.DAG.Node("source")] = func(ctx context.Context, in []any) (any, error) {
+			clock.From(ctx).Sleep(20 * time.Millisecond)
+			return []string{"r"}, nil
+		}
+		res, err := e.Run(clock.With(context.Background(), new(clock.Model)), prog, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Nodes["source"].Seconds
 	}
-	res, err := e.Run(context.Background(), prog, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	if base := source(0); base != (20 * time.Millisecond).Seconds() {
+		t.Fatalf("source billed %vs without a slowdown, want exactly its 20ms sleep", base)
 	}
-	base := res.Nodes["source"].Seconds
-
-	e2 := newEngine(t)
-	e2.Opts.DPRSlowdown = 3
-	var c2 counters
-	prog2 := testProgram(&c2)
-	src2 := prog2.DAG.Node("source")
-	prog2.Fns[src2] = func(ctx context.Context, in []any) (any, error) {
-		time.Sleep(20 * time.Millisecond)
-		return []string{"r"}, nil
-	}
-	res2, err := e2.Run(context.Background(), prog2, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Nodes["source"].Seconds < 2*base {
-		t.Fatalf("DPR slowdown not applied: %v vs base %v", res2.Nodes["source"].Seconds, base)
+	if got := source(3); got != (60 * time.Millisecond).Seconds() {
+		t.Fatalf("source billed %vs under DPRSlowdown 3, want exactly 3 × 20ms", got)
 	}
 }
 

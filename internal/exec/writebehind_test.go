@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/opt"
 	"helix/internal/plan"
@@ -20,7 +21,7 @@ func init() {
 }
 
 // chainProgram builds a linear chain of n nodes, each sleeping compute
-// per step and emitting a fresh ~payloadFloats·8-byte slice. A linear
+// per step on the run's clock and emitting a fresh ~payloadFloats·8-byte slice. A linear
 // chain puts every materialization on the critical path in sync mode:
 // node i's write happens on the goroutine of node i+1 before i+1's done
 // channel closes, so node i+2 cannot start until the write finishes.
@@ -38,7 +39,7 @@ func chainProgram(n int, compute time.Duration, payloadFloats int) *Program {
 			mustEdge(d, prev, node)
 		}
 		fns[node] = func(ctx context.Context, in []any) (any, error) {
-			time.Sleep(compute)
+			clock.From(ctx).Sleep(compute)
 			out := make([]float64, payloadFloats)
 			for j := range out {
 				out[j] = 1 / float64(i*payloadFloats+j+1)
@@ -55,7 +56,7 @@ func chainProgram(n int, compute time.Duration, payloadFloats int) *Program {
 // 512 KiB write.
 const chainDiskBytesPerSec = 8 << 20
 
-func runChain(t *testing.T, sync bool) *Result {
+func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -77,7 +78,7 @@ func runChain(t *testing.T, sync bool) *Result {
 		Parallelism: 4,
 	}}
 	prog := chainProgram(8, 5*time.Millisecond, 1<<16) // ~512 KiB encoded each
-	res, err := e.Run(context.Background(), prog, nil, 0)
+	res, err := e.Run(ctx, prog, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +93,8 @@ func runChain(t *testing.T, sync bool) *Result {
 // least 80% of the simulated-disk time that sync mode pays on the
 // critical path, while MatTime accounting stays honest in both modes.
 func TestWriteBehindExcludesMatFromWall(t *testing.T) {
-	syncRes := runChain(t, true)
-	asyncRes := runChain(t, false)
+	syncRes := runChain(t, context.Background(), true)
+	asyncRes := runChain(t, context.Background(), false)
 
 	// Sanity: the workload is actually materialization-heavy — the
 	// simulated disk alone costs 8 × ~64ms.
@@ -137,6 +138,35 @@ func TestWriteBehindExcludesMatFromWall(t *testing.T) {
 	if excluded < min {
 		t.Errorf("write-behind excluded only %v of %v simulated-disk time (want ≥ %v); sync wall %v, async wall %v + flush %v",
 			excluded, diskTime, min, syncRes.Wall, asyncRes.Wall, asyncRes.FlushWait)
+	}
+	if syncRes.FlushWait != 0 {
+		t.Errorf("sync run reported FlushWait %v", syncRes.FlushWait)
+	}
+}
+
+// TestWriteBehindComparison is the sync-vs-async A/B on a model clock,
+// where only the chain's compute and the simulated disk move time, so the
+// invariants that hold at any scale hold exactly. Both modes sleep the same
+// total (same compute, same bytes through the same disk); sync sleeps it
+// all on the critical path, one thing at a time. Write-behind therefore
+// stores the same bytes, never adds to end-to-end latency, and still
+// reports at least the whole materialization bill — a writer's span on the
+// shared model clock also covers whatever slept beside it, so it can only
+// bill more.
+func TestWriteBehindComparison(t *testing.T) {
+	syncRes := runChain(t, clock.With(context.Background(), &clock.Model{}), true)
+	asyncRes := runChain(t, clock.With(context.Background(), &clock.Model{}), false)
+	if syncRes.MatTime <= 0 || asyncRes.MatTime < syncRes.MatTime {
+		t.Errorf("MatTime: sync %v, async %v: want sync positive and async no less", syncRes.MatTime, asyncRes.MatTime)
+	}
+	if syncRes.StorageBytes != asyncRes.StorageBytes {
+		t.Errorf("StorageBytes: sync %d, async %d: want equal", syncRes.StorageBytes, asyncRes.StorageBytes)
+	}
+	if syncRes.Wall < syncRes.MatTime {
+		t.Errorf("sync wall %v below its materialization bill %v: writes left the critical path", syncRes.Wall, syncRes.MatTime)
+	}
+	if total := asyncRes.Wall + asyncRes.FlushWait; total > syncRes.Wall {
+		t.Errorf("async wall %v + flush %v exceeds sync wall %v", asyncRes.Wall, asyncRes.FlushWait, syncRes.Wall)
 	}
 	if syncRes.FlushWait != 0 {
 		t.Errorf("sync run reported FlushWait %v", syncRes.FlushWait)

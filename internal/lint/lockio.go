@@ -3,13 +3,15 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // LockIO enforces the store/session locking design rule: a mutex field
 // annotated `//lint:nolockio` guards in-memory state only and must never
 // be held across I/O — a disk syscall (package os/syscall), a
-// Flush/Sync, or the simulated-disk throttle's time.Sleep — directly or
-// through any chain of same-package calls.
+// Flush/Sync, or the simulated-disk throttle's sleep (time.Sleep, or Sleep
+// on an internal/clock Clock) — directly or through any chain of
+// same-package calls.
 //
 // The check is a source-order sweep per function: between a Lock/RLock
 // on an annotated mutex and its matching Unlock (a deferred Unlock pins
@@ -101,8 +103,8 @@ func isMutexType(t types.Type) bool {
 }
 
 // directIO reports whether calling obj performs I/O on its own: any
-// os/syscall entry point, time.Sleep (the simulated-disk throttle), or a
-// Flush/Sync method.
+// os/syscall entry point, time.Sleep or a clock's Sleep (the simulated-disk
+// throttle), or a Flush/Sync method.
 func directIO(obj *types.Func) bool {
 	if obj == nil {
 		return false
@@ -118,6 +120,9 @@ func directIO(obj *types.Func) bool {
 	}
 	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if obj.Name() == "Flush" || obj.Name() == "Sync" {
+			return true
+		}
+		if obj.Name() == "Sleep" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "/internal/clock") {
 			return true
 		}
 	}

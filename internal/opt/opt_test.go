@@ -262,7 +262,9 @@ func TestQuickOEPFeasibleLarge(t *testing.T) {
 }
 
 // TestQuickGreedyFeasibleAndNeverBeatsOptimal: the greedy ablation baseline
-// is always feasible and never better than the optimal plan.
+// is always feasible and never better than the optimal plan — and, over a
+// fixed seeded set of instances, strictly worse on at least one (the OEP
+// ablation: the global min-cut is worth having).
 func TestQuickGreedyFeasibleAndNeverBeatsOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -279,6 +281,18 @@ func TestQuickGreedyFeasibleAndNeverBeatsOptimal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+	// The OEP ablation's claim: greedy is strictly worse than the min-cut
+	// on some instance of a seeded draw.
+	t.Run("GreedyHasRegret", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 300; trial++ {
+			d, costs := randomOEPInstance(rng, 2+rng.Intn(20))
+			if GreedyStates(d, costs).Time > OptimalStates(d, costs).Time+1e-6 {
+				return
+			}
+		}
+		t.Fatal("greedy matched the optimal plan on all 300 seeded instances: the OEP ablation does not discriminate")
+	})
 }
 
 func TestGreedySuboptimalExample(t *testing.T) {

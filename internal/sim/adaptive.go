@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"helix"
+	"helix/internal/clock"
 	"helix/internal/store"
 )
 
 // The adaptive proof harness: a deliberately skewed workload that makes
 // the carried cost model wrong mid-series, run twice — once statically,
-// once with the mid-run divergence monitor armed — so the benchmark can
-// measure what adaptation buys on the tick where the skew hits.
+// once with the mid-run divergence monitor armed — so the test can measure
+// what adaptation buys on the tick where the skew hits, in model seconds.
 //
 // Tick 0 runs every operator in a cheap mode: the session materializes
 // all twelve fan outputs and carries per-operator statistics saying
@@ -34,11 +35,8 @@ const (
 	// adaptiveFan is the number of slow fan outputs.
 	adaptiveFan = 12
 	// adaptiveArtifact sizes each child artifact (2 MiB): large enough
-	// that loads are real work under the simulated disk, far above the
-	// store's bandwidth-model floor — and that the ~13ms load estimate
-	// clears the fast compute cost with room for instrumented (race
-	// detector) runs, whose overhead inflates measured op time but not the
-	// sleep- and throttle-dominated costs the comparison turns on.
+	// that loads are real work under the simulated disk (a ~13ms load
+	// estimate, far above the store's bandwidth-model floor).
 	adaptiveArtifact = 2 << 20
 	// adaptiveFastDelay/adaptiveSlowDelay are the per-child compute costs
 	// in the two modes. Fast sits well below the ~13ms simulated-disk load
@@ -47,31 +45,30 @@ const (
 	// the model is corrected).
 	adaptiveFastDelay = 3 * time.Millisecond
 	adaptiveSlowDelay = 80 * time.Millisecond
-	// DefaultAdaptiveThreshold is the divergence threshold RunAdaptive
-	// arms when the caller passes ≤0.
-	DefaultAdaptiveThreshold = 0.5
+	// adaptiveThreshold is the divergence threshold the adaptive mode arms.
+	adaptiveThreshold = 0.5
 )
 
 // AdaptiveTick is one iteration of one mode of the adaptive comparison.
 type AdaptiveTick struct {
-	Iteration int     `json:"iteration"`
-	Seconds   float64 `json:"seconds"`
+	Iteration int
+	Seconds   float64
 	// ProjectedSeconds is the plan's final T(W,s) projection — the initial
 	// plan's, or the last mid-run re-plan's when one was adopted.
-	ProjectedSeconds float64 `json:"projected_seconds"`
+	ProjectedSeconds float64
 	// GapSeconds is |Seconds − ProjectedSeconds|: the residual projection
 	// error of the cost model on this tick.
-	GapSeconds float64 `json:"gap_seconds"`
-	PlanCache  string  `json:"plan_cache"`
-	Replans    int     `json:"replans"`
-	Solves     int     `json:"solves"`
-	Swapped    int     `json:"swapped"`
+	GapSeconds float64
+	PlanCache  string
+	Replans    int
+	Solves     int
+	Swapped    int
 }
 
 // AdaptiveMode is one full series (static or adaptive).
 type AdaptiveMode struct {
-	Ticks        []AdaptiveTick `json:"ticks"`
-	TotalSeconds float64        `json:"total_seconds"`
+	Ticks        []AdaptiveTick
+	TotalSeconds float64
 }
 
 // SkewTick returns the metrics of the tick where the cost skew hit
@@ -79,15 +76,14 @@ type AdaptiveMode struct {
 func (m *AdaptiveMode) SkewTick() AdaptiveTick { return m.Ticks[1] }
 
 // AdaptiveReport is the static-versus-adaptive comparison RunAdaptive
-// produces and BenchmarkAdaptive persists as BENCH_adaptive.json.
+// produces.
 type AdaptiveReport struct {
-	Threshold float64      `json:"threshold"`
-	Static    AdaptiveMode `json:"static"`
-	Adaptive  AdaptiveMode `json:"adaptive"`
+	Threshold float64
+	Static    AdaptiveMode
+	Adaptive  AdaptiveMode
 }
 
-// String renders the static-versus-adaptive per-tick table helixbench
-// prints.
+// String renders the static-versus-adaptive per-tick table.
 func (r *AdaptiveReport) String() string {
 	out := fmt.Sprintf("Adaptive re-planning (threshold %.2f): static %.3fs vs adaptive %.3fs total",
 		r.Threshold, r.Static.TotalSeconds, r.Adaptive.TotalSeconds)
@@ -124,13 +120,10 @@ func adaptiveWorkflow(slow *atomic.Bool) *helix.Workflow {
 			if slow.Load() {
 				d = adaptiveSlowDelay
 			}
-			time.Sleep(d)
+			clock.From(ctx).Sleep(d)
 			// The artifact is raw bytes, bulk-zeroed: []byte encodes and
-			// decodes by block copy, so both the op's cost and a load's
-			// cost stay dominated by the sleep and the simulated-disk
-			// throttle (the knobs the comparison turns on) even when
-			// instrumentation — the race detector in CI — multiplies
-			// per-element memory-access cost.
+			// decodes by block copy, so building and storing it is cheap
+			// host work beside the billed sleep.
 			rows := make([]byte, adaptiveArtifact)
 			rows[0] = byte(i + 1)
 			return rows, nil
@@ -142,19 +135,16 @@ func adaptiveWorkflow(slow *atomic.Bool) *helix.Workflow {
 // RunAdaptive drives the skewed fan through three ticks under one mode
 // pair — static (adaptive off) and adaptive (run-scoped WithAdaptive on
 // the skewed tick and after) — in separate sessions with identical
-// workloads, and reports per-tick wall time, projection gap, and planner
-// counters. threshold ≤ 0 selects DefaultAdaptiveThreshold.
-func RunAdaptive(ctx context.Context, cfg Config, threshold float64) (*AdaptiveReport, error) {
-	if threshold <= 0 {
-		threshold = DefaultAdaptiveThreshold
-	}
+// workloads, each on its own model clock, and reports per-tick model
+// seconds, projection gap, and planner counters.
+func RunAdaptive(ctx context.Context) (*AdaptiveReport, error) {
 	store.RegisterValueType([]byte(nil))
-	rep := &AdaptiveReport{Threshold: threshold}
+	rep := &AdaptiveReport{Threshold: adaptiveThreshold}
 	var err error
-	if rep.Static, err = runAdaptiveMode(ctx, cfg, 0); err != nil {
+	if rep.Static, err = runAdaptiveMode(ctx, 0); err != nil {
 		return nil, fmt.Errorf("sim: adaptive comparison, static mode: %w", err)
 	}
-	if rep.Adaptive, err = runAdaptiveMode(ctx, cfg, threshold); err != nil {
+	if rep.Adaptive, err = runAdaptiveMode(ctx, adaptiveThreshold); err != nil {
 		return nil, fmt.Errorf("sim: adaptive comparison, adaptive mode: %w", err)
 	}
 	return rep, nil
@@ -163,29 +153,18 @@ func RunAdaptive(ctx context.Context, cfg Config, threshold float64) (*AdaptiveR
 // runAdaptiveMode runs one session through the three-tick sequence;
 // threshold 0 leaves the divergence monitor disarmed (the static
 // baseline).
-func runAdaptiveMode(ctx context.Context, cfg Config, threshold float64) (AdaptiveMode, error) {
+func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, error) {
 	var mode AdaptiveMode
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "helix-adaptive-*")
-		if err != nil {
-			return mode, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "helix-adaptive-*")
+	if err != nil {
+		return mode, err
 	}
-	parallelism := cfg.Parallelism
-	if parallelism <= 0 {
-		// Two workers: enough concurrency to exercise the monitor's claim
-		// protocol, few enough that most of the fan is still unstarted when
-		// the first completions trip the threshold.
-		parallelism = 2
-	}
+	defer os.RemoveAll(dir)
+	ctx = clock.With(ctx, newModel())
 	var tally runTally
 	sess, err := helix.Open(dir,
 		helix.WithDiskThroughput(PaperDiskBytesPerSec),
 		helix.WithSyncMaterialization(true),
-		helix.WithParallelism(parallelism),
 		helix.WithObserver(tally.observe))
 	if err != nil {
 		return mode, err

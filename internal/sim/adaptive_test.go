@@ -6,14 +6,15 @@ import (
 )
 
 // TestRunAdaptiveBeatsStaticOnSkew is the end-to-end adaptive acceptance
-// scenario: on the tick where the carried cost model is ~20× wrong, the
-// adaptive session re-plans mid-run and finishes well ahead of the static
-// session; on every other tick the two are equivalent.
+// scenario, on model time: on the tick where the carried cost model is
+// ~20× wrong, the adaptive session re-plans mid-run and finishes ahead of
+// the static session; on every other tick the two are billed the same.
 func TestRunAdaptiveBeatsStaticOnSkew(t *testing.T) {
-	rep, err := RunAdaptive(context.Background(), Config{}, 0)
+	rep, err := RunAdaptive(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("\n%s", rep)
 	st, ad := rep.Static.SkewTick(), rep.Adaptive.SkewTick()
 
 	// The static baseline must never re-plan; the adaptive run must.
@@ -33,33 +34,29 @@ func TestRunAdaptiveBeatsStaticOnSkew(t *testing.T) {
 		t.Fatalf("adaptive skew tick consumed %d solves, budget allows 4", ad.Solves)
 	}
 
-	// The payoff: adaptation must beat the static recompute decisively on
-	// the skewed tick (the probe shows ~3.5×; 25% margin keeps CI noise
-	// out), and its corrected projection must track reality more closely.
-	if ad.Seconds >= st.Seconds*0.75 {
-		t.Fatalf("adaptive skew tick %.3fs not decisively faster than static %.3fs", ad.Seconds, st.Seconds)
+	// The payoff, in model seconds: adaptation beats the static recompute
+	// on the skewed tick, and its corrected projection tracks the bill more
+	// closely.
+	if !(ad.Seconds < st.Seconds) {
+		t.Fatalf("adaptive skew tick %.4fs not below static %.4fs", ad.Seconds, st.Seconds)
 	}
-	if ad.GapSeconds >= st.GapSeconds {
-		t.Fatalf("adaptive projection gap %.3fs not tighter than static %.3fs", ad.GapSeconds, st.GapSeconds)
+	if !(ad.GapSeconds < st.GapSeconds) {
+		t.Fatalf("adaptive projection gap %.4fs not tighter than static %.4fs", ad.GapSeconds, st.GapSeconds)
 	}
 
-	// Tick 2: post-run observation has corrected the carried statistics in
-	// both sessions, so even the static one plans the cheap path — the two
-	// modes should be back within noise of each other.
-	st2, ad2 := rep.Static.Ticks[2], rep.Adaptive.Ticks[2]
-	if st2.Seconds > rep.Static.SkewTick().Seconds/2 {
-		t.Fatalf("static tick 2 (%.3fs) did not recover from the skew tick (%.3fs): carried statistics failed to self-correct", st2.Seconds, rep.Static.SkewTick().Seconds)
+	// Adaptation changes only the tick where the model was wrong: tick 0
+	// precedes the skew, and by tick 2 post-run observation has corrected
+	// the carried statistics in both sessions, so the two bills are equal
+	// there — and both below the static skew tick.
+	for _, i := range []int{0, 2} {
+		if s, a := rep.Static.Ticks[i].Seconds, rep.Adaptive.Ticks[i].Seconds; s != a {
+			t.Fatalf("tick %d: static %.4fs, adaptive %.4fs: want equal", i, s, a)
+		}
 	}
-	// Tick 2's plan is usually already right for the adaptive session too —
-	// but loading through the skew tick means some operators were never
-	// re-measured, so when sampling noise leaves the shared-signature
-	// statistics borderline, one more corrective round is legitimate. What
-	// must hold is that tick 2 stays bounded and cheap: within the solve
-	// budget and nowhere near the static session's skew-tick cost.
-	if ad2.Solves > 1+3 {
+	if st2 := rep.Static.Ticks[2]; !(st2.Seconds < st.Seconds) {
+		t.Fatalf("static tick 2 (%.4fs) did not recover from the skew tick (%.4fs): carried statistics failed to self-correct", st2.Seconds, st.Seconds)
+	}
+	if ad2 := rep.Adaptive.Ticks[2]; ad2.Solves > 1+3 {
 		t.Fatalf("adaptive tick 2 consumed %d solves, budget allows 4: %+v", ad2.Solves, ad2)
-	}
-	if ad2.Seconds >= st.Seconds*0.75 {
-		t.Fatalf("adaptive tick 2 (%.3fs) regressed toward static-skew cost (%.3fs)", ad2.Seconds, st.Seconds)
 	}
 }

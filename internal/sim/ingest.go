@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"helix"
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/workloads"
 )
@@ -27,13 +28,6 @@ type IngestConfig struct {
 	Sliding bool
 	// Scale multiplies the per-batch row count.
 	Scale workloads.Scale
-	// Dir is the materialization directory; empty uses a temp dir that is
-	// removed afterwards.
-	Dir string
-	// Parallelism bounds the worker pool (0 = session default).
-	Parallelism int
-	// StorageBudget overrides the session's byte budget (0 = default).
-	StorageBudget int64
 }
 
 // DefaultIngestSchedule is the canonical tick pattern: an initial build,
@@ -57,73 +51,61 @@ func DefaultIngestSchedule(window int) []int {
 // IngestTick is one tick's outcome.
 type IngestTick struct {
 	// Tick is the 0-based tick index.
-	Tick int `json:"tick"`
+	Tick int
 	// Slot is the slot that received a batch this tick, or -1 (quiet).
-	Slot int `json:"slot"`
-	// Seconds is the tick's wall-clock run time.
-	Seconds float64 `json:"seconds"`
-	// PlanSeconds is the planning share of Seconds.
-	PlanSeconds float64 `json:"plan_seconds"`
+	Slot int
+	// Seconds is the tick's run time in model seconds.
+	Seconds float64
 	// PlanCache is the plan-cache outcome: "cold", "partial", or "hit".
-	PlanCache string `json:"plan_cache"`
+	PlanCache string
 	// Computed/Loaded/Pruned count live nodes per assigned state.
-	Computed int `json:"computed"`
-	Loaded   int `json:"loaded"`
-	Pruned   int `json:"pruned"`
+	Computed int
+	Loaded   int
+	Pruned   int
 	// ReuseSavedSeconds estimates the compute time reuse avoided this
 	// tick: for every live node served by a store load, the node's known
 	// compute cost minus the actual load time; for every live node pruned
 	// outright, its full compute cost.
-	ReuseSavedSeconds float64 `json:"reuse_saved_seconds"`
-	// StorageBytes is cumulative store usage after the tick.
-	StorageBytes int64 `json:"storage_bytes"`
+	ReuseSavedSeconds float64
 }
 
 // IngestReport aggregates a continuous-ingest run.
 type IngestReport struct {
-	Window      int          `json:"window"`
-	Mode        string       `json:"mode"`
-	Ticks       []IngestTick `json:"ticks"`
-	ColdPlans   int          `json:"cold_plans"`
-	PartialHits int          `json:"partial_hits"`
-	FullHits    int          `json:"full_hits"`
-	// TotalSeconds sums tick wall-clock times; TotalSavedSeconds sums
-	// per-tick reuse savings.
-	TotalSeconds      float64 `json:"total_seconds"`
-	TotalSavedSeconds float64 `json:"total_saved_seconds"`
+	Window      int
+	Mode        string
+	Ticks       []IngestTick
+	ColdPlans   int
+	PartialHits int
+	FullHits    int
+	// TotalSeconds sums tick run times; TotalSavedSeconds sums per-tick
+	// reuse savings.
+	TotalSeconds      float64
+	TotalSavedSeconds float64
 }
 
-// PartialHitRate is the fraction of ticks planned via a partial hit.
-func (r *IngestReport) PartialHitRate() float64 {
-	if len(r.Ticks) == 0 {
-		return 0
-	}
-	return float64(r.PartialHits) / float64(len(r.Ticks))
-}
-
-// String renders the per-tick table helixbench prints.
+// String renders the per-tick table.
 func (r *IngestReport) String() string {
-	out := fmt.Sprintf("Continuous ingest (%d %s slots, %d ticks): %d cold / %d partial / %d full-hit plans, %.1f%% partial-hit rate\n",
-		r.Window, r.Mode, len(r.Ticks), r.ColdPlans, r.PartialHits, r.FullHits, 100*r.PartialHitRate())
-	out += fmt.Sprintf("total %.3fs wall, ≈%.3fs compute avoided by reuse\n", r.TotalSeconds, r.TotalSavedSeconds)
-	out += "tick  slot   cache    wall(s)  plan(s)  C/L/P     saved(s)\n"
+	out := fmt.Sprintf("Continuous ingest (%d %s slots, %d ticks): %d cold / %d partial / %d full-hit plans\n",
+		r.Window, r.Mode, len(r.Ticks), r.ColdPlans, r.PartialHits, r.FullHits)
+	out += fmt.Sprintf("total %.3fs, ≈%.3fs compute avoided by reuse\n", r.TotalSeconds, r.TotalSavedSeconds)
+	out += "tick  slot   cache    time(s)  C/L/P     saved(s)\n"
 	for _, t := range r.Ticks {
 		slot := "-"
 		if t.Slot >= 0 {
 			slot = fmt.Sprintf("%d", t.Slot)
 		}
-		out += fmt.Sprintf("%-5d %-6s %-8s %-8.3f %-8.4f %d/%d/%-5d %.3f\n",
-			t.Tick, slot, t.PlanCache, t.Seconds, t.PlanSeconds,
+		out += fmt.Sprintf("%-5d %-6s %-8s %-8.4f %d/%d/%-5d %.4f\n",
+			t.Tick, slot, t.PlanCache, t.Seconds,
 			t.Computed, t.Loaded, t.Pruned, t.ReuseSavedSeconds)
 	}
 	return out
 }
 
 // RunIngest drives the continuous-ingest workload through cfg.Schedule in
-// one long-lived session (helix-opt configuration: PolicyOpt at the
-// paper's disk throughput) and reports per-tick plan-cache outcomes and
-// reuse savings. Batch ids are tick numbers, so every delivery is new
-// data.
+// one long-lived session on a model clock (helix-opt configuration:
+// PolicyOpt at the paper's disk throughput, materialization inline) and
+// reports per-tick plan-cache outcomes and reuse savings. Batch ids are
+// tick numbers, so every delivery is new data.
 func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 	workloads.RegisterAll()
 	window := cfg.Window
@@ -134,29 +116,15 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 	if schedule == nil {
 		schedule = DefaultIngestSchedule(window)
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "helix-ingest-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "helix-ingest-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	ctx = clock.With(ctx, newModel())
 
 	var tally runTally
-	opts := []helix.Option{
-		helix.WithPolicy(helix.PolicyOpt),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithObserver(tally.observe),
-	}
-	if cfg.Parallelism > 0 {
-		opts = append(opts, helix.WithParallelism(cfg.Parallelism))
-	}
-	if cfg.StorageBudget > 0 {
-		opts = append(opts, helix.WithStorageBudget(cfg.StorageBudget))
-	}
-	sess, err := helix.Open(dir, opts...)
+	sess, err := helix.Open(dir, HelixOpt.options(helix.WithObserver(tally.observe))...)
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +148,8 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: ingest tick %d: %w", tick, err)
 		}
-		t := IngestTick{
-			Tick:         tick,
-			Slot:         slot,
-			Seconds:      res.Wall.Seconds(),
-			StorageBytes: res.StorageBytes,
-		}
+		t := IngestTick{Tick: tick, Slot: slot, Seconds: res.Wall.Seconds()}
 		if p := tally.plan; p != nil {
-			t.PlanSeconds = p.PlanTime.Seconds()
 			t.PlanCache = p.Outcome.String()
 			t.Computed, t.Loaded, t.Pruned = p.Compute, p.Load, p.Prune
 			switch p.Outcome {

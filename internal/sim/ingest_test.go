@@ -14,9 +14,8 @@ import (
 // and accumulate positive reuse savings.
 func TestContinuousIngest(t *testing.T) {
 	rep, err := RunIngest(context.Background(), IngestConfig{
-		Window:      3,
-		Scale:       workloads.Scale{},
-		Parallelism: 2,
+		Window: 3,
+		Scale:  workloads.Scale{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,10 +54,9 @@ func TestContinuousIngest(t *testing.T) {
 // W-1 surviving slot chains are served from the store every tick.
 func TestContinuousIngestSliding(t *testing.T) {
 	rep, err := RunIngest(context.Background(), IngestConfig{
-		Window:      3,
-		Sliding:     true,
-		Scale:       workloads.Scale{},
-		Parallelism: 2,
+		Window:  3,
+		Sliding: true,
+		Scale:   workloads.Scale{},
 	})
 	if err != nil {
 		t.Fatal(err)

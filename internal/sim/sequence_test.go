@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"helix/internal/core"
@@ -54,82 +55,77 @@ func TestSampleSequenceEmpty(t *testing.T) {
 	}
 }
 
+// robustness runs census under each of three schedules drawn from the
+// survey distribution (seeds 1–3, the paper's ten iterations) as HELIX
+// OPT and as the KeystoneML model, once per test binary. A schedule's
+// first six draws are the six-iteration schedule of the same seed, and a
+// series' first six iterations depend on nothing after them, so the
+// six-iteration claim reads the same series' sixth cumulative entry.
+var robustness struct {
+	once    sync.Once
+	opt, ks [3]*SeriesResult
+	err     error
+}
+
+func robustSeries(t *testing.T, seed int64) (opt, ks *SeriesResult) {
+	t.Helper()
+	robustness.once.Do(func() {
+		for i := range robustness.opt {
+			for _, sys := range []System{HelixOpt, KeystoneML} {
+				base, err := NewWorkload(census, paperScale, 1)
+				if err != nil {
+					robustness.err = err
+					return
+				}
+				res, err := RunSeries(context.Background(), WithSampledSequence(base, 10, int64(i+1)), sys, Config{})
+				if err != nil {
+					robustness.err = err
+					return
+				}
+				if sys.Name == HelixOpt.Name {
+					robustness.opt[i] = res
+				} else {
+					robustness.ks[i] = res
+				}
+			}
+		}
+	})
+	if robustness.err != nil {
+		t.Fatal(robustness.err)
+	}
+	return robustness.opt[seed-1], robustness.ks[seed-1]
+}
+
+// optVsNoReuse returns HELIX OPT's and the KeystoneML model's cumulative
+// model seconds after the given number of iterations of a seed's schedule.
+func optVsNoReuse(t *testing.T, iterations int, seed int64) (opt, ks float64) {
+	t.Helper()
+	o, k := robustSeries(t, seed)
+	opt, ks = o.Cumulative()[iterations-1], k.Cumulative()[iterations-1]
+	t.Logf("seed %d %v: helix-opt %.4fs, keystoneml %.4fs, ratio %.3f",
+		seed, SampleSequence(census, iterations, seed), opt, ks, opt/ks)
+	return opt, ks
+}
+
 // TestRobustnessAcrossRandomSchedules is the paper's methodology run over
-// freshly sampled schedules instead of the fixed figure schedule: HELIX
-// OPT must beat the no-reuse baseline on every sampled schedule.
-//
-// One draw is a measured tie, and the test says so instead of dropping
-// it: seed 2's six iterations are five DPR edits and one PPR, so OPT's
-// whole edge over recomputing everything is that one iteration — about
-// what it pays to materialize inline on the other five (OPT / no-reuse
-// 0.61–1.09 over 30 runs, median ≈ 0.9; until the baseline stopped
-// serializing values it then threw away, those encodes hid it). A
-// schedule with at most one reuse-friendly edit is therefore held to
-// nearTie, every other to a strict win, and
-// TestRobustnessAtPaperScheduleLength holds the same three draws to a
-// strict win at the paper's ten iterations. Serial for the same reason
-// that one is: a parallel sibling's load lands unevenly on the two series
-// being compared.
+// sampled schedules instead of the fixed figure schedule: HELIX OPT beats
+// the no-reuse baseline within six iterations on every draw.
 func TestRobustnessAcrossRandomSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(string(rune('a'+seed)), func(t *testing.T) {
-			optVsNoReuse(t, 6, seed, nearTie)
+			if opt, ks := optVsNoReuse(t, 6, seed); !(opt < ks) {
+				t.Errorf("schedule seed %d: helix-opt %.4fs not below keystoneml %.4fs", seed, opt, ks)
+			}
 		})
 	}
 }
 
-// TestRobustnessAtPaperScheduleLength extends the same three draws to
-// ten iterations, the paper's schedule length: OPT must win each one
-// outright. Serial, because a parallel sibling's load lands unevenly on
-// the two series being compared.
+// TestRobustnessAtPaperScheduleLength: the same three draws at the
+// paper's ten iterations, OPT strictly below on each.
 func TestRobustnessAtPaperScheduleLength(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		optVsNoReuse(t, 10, seed, 1)
-	}
-}
-
-// nearTie is how far above the no-reuse baseline OPT may land on a
-// schedule whose edits are all DPR but at most one.
-const nearTie = 1.25
-
-// optVsNoReuse runs census under a sampled schedule as HELIX OPT and as
-// the KeystoneML model and requires OPT's total below the baseline's —
-// or below tie × the baseline's when at most one edit can reuse anything.
-// The two series are timed apart, so a burst from another test binary
-// sharing the CPUs can land on one of them alone: each system's total is
-// the smaller of two attempts, run opt, baseline, baseline, opt.
-func optVsNoReuse(t *testing.T, iterations int, seed int64, tie float64) {
-	t.Helper()
-	ctx := context.Background()
-	var attempts [4]float64
-	var seq []core.Component
-	for i, sys := range []System{HelixOpt, KeystoneML, KeystoneML, HelixOpt} {
-		base, err := NewWorkload("census", tinyScale(), 1)
-		if err != nil {
-			t.Fatal(err)
+		if opt, ks := optVsNoReuse(t, 10, seed); !(opt < ks) {
+			t.Errorf("schedule seed %d: helix-opt %.4fs not below keystoneml %.4fs", seed, opt, ks)
 		}
-		wl := WithSampledSequence(base, iterations, seed)
-		res, err := RunSeries(ctx, wl, sys, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		attempts[i], seq = res.TotalSeconds(), wl.Schedule
-	}
-	totals := [2]float64{min(attempts[0], attempts[3]), min(attempts[1], attempts[2])}
-	reuse := 0
-	for _, c := range seq[1:] {
-		if c != core.DPR {
-			reuse++
-		}
-	}
-	bound := 1.0
-	if reuse <= 1 {
-		bound = tie
-	}
-	t.Logf("seed %d %v: helix-opt %.3fs (of %.3f, %.3f), keystoneml %.3fs (of %.3f, %.3f), ratio %.2f (bound %.2f)",
-		seed, seq, totals[0], attempts[0], attempts[3], totals[1], attempts[1], attempts[2], totals[0]/totals[1], bound)
-	if totals[0] >= bound*totals[1] {
-		t.Errorf("schedule seed %d: helix-opt %.3fs ≥ %.2f × keystoneml %.3fs",
-			seed, totals[0], bound, totals[1])
 	}
 }

@@ -6,24 +6,22 @@ import (
 	"os"
 
 	"helix"
+	"helix/internal/clock"
 	"helix/internal/opt"
 	"helix/internal/workloads"
 )
 
 // SharedRun captures one session's run against a shared artifact store:
-// its wall-clock, how its plan was obtained, how many max-flow solves
-// the plan cost, and the plan's state mix. The Solves delta is the
+// its model seconds, how its plan was obtained, how many max-flow solves
+// the plan cost, and how many operators it computed. The Solves delta is the
 // cross-session plan-cache claim in its sharpest form — a warm session's
 // first plan must be a full hit with zero solves.
 type SharedRun struct {
 	Session   int
-	Tenant    string
 	Seconds   float64
 	PlanCache string
 	Solves    int64
 	Computes  int
-	Loads     int
-	Prunes    int
 }
 
 // SharedSeries is the outcome of RunSharedWarmStart: one cold session
@@ -31,7 +29,6 @@ type SharedRun struct {
 // identical workflow, and one suffix session that reruns a mutated
 // variant sharing the workflow's prefix.
 type SharedSeries struct {
-	Workload string
 	// Cold is session 0's first run: an empty store, so every live node
 	// computes and the intermediates are published under their chain
 	// signatures.
@@ -43,34 +40,31 @@ type SharedSeries struct {
 	// shares the unchanged prefix with the published artifacts, so only
 	// the mutated suffix computes.
 	Suffix SharedRun
-	// Artifacts / StorageBytes snapshot the store after the cold session
+	// Artifacts counts the store's artifacts after the cold session
 	// settled; ArtifactsAfter re-counts after every other session ran.
 	// Equality of the two counts is the write-once dedup claim: warm
 	// sessions publish nothing new.
 	Artifacts      int
 	ArtifactsAfter int
-	StorageBytes   int64
 }
 
-// RunSharedWarmStart drives the cross-session reuse scenario: sessions+1
-// sessions attach to one shared store rooted at dir (a temp directory
-// when empty) and run the named workload. Session 0 runs it twice — the
-// cold publish, then a settle run that caches the steady-state plan —
-// and each of the remaining sessions runs it once, warm. A final session
+// RunSharedWarmStart drives the cross-session reuse scenario on a model
+// clock: sessions+1 sessions attach to one shared store in a temporary
+// directory and run the named workload. Session 0 runs it twice — the
+// cold publish, then a settle run that caches the steady-state plan — and
+// each of the remaining sessions runs it once, warm. A final session
 // applies the workload's first scheduled mutation and runs that, so the
 // series also measures prefix sharing under change.
-func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale, seed int64, sessions int, dir string) (*SharedSeries, error) {
+func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale, seed int64, sessions int) (*SharedSeries, error) {
 	if sessions < 2 {
 		return nil, fmt.Errorf("sim: shared warm start needs at least 2 sessions, got %d", sessions)
 	}
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "helix-shared-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "helix-shared-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	ctx = clock.With(ctx, newModel())
 	shared, err := helix.OpenSharedStore(dir)
 	if err != nil {
 		return nil, err
@@ -81,7 +75,7 @@ func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale,
 	// One run of one session: fresh workload instance (mutations are
 	// stateful), fresh session attached to the shared store under its own
 	// tenant label, paper-faithful inline materialization so the cold
-	// session's publish cost is visible in its wall-clock.
+	// session's publish cost is on its bill.
 	runOnce := func(i int, mutate bool) (SharedRun, error) {
 		wl, err := NewWorkload(name, scale, seed)
 		if err != nil {
@@ -91,9 +85,8 @@ func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale,
 		if i == 0 {
 			runs = 2 // cold publish + settle (caches the steady-state plan)
 		}
-		tenant := fmt.Sprintf("tenant-%d", i)
 		sess, err := helix.Open("", helix.WithSharedStore(shared),
-			helix.WithTenant(tenant),
+			helix.WithTenant(fmt.Sprintf("tenant-%d", i)),
 			helix.WithDiskThroughput(PaperDiskBytesPerSec),
 			helix.WithSyncMaterialization(true),
 			helix.WithObserver(tally.observe))
@@ -118,26 +111,19 @@ func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale,
 			if r > 0 {
 				continue
 			}
-			first = SharedRun{
-				Session: i,
-				Tenant:  tenant,
-				Seconds: out.Wall.Seconds() + out.FlushWait.Seconds(),
-				Solves:  opt.SolveCount() - before,
-			}
+			first = SharedRun{Session: i, Seconds: out.Wall.Seconds(), Solves: opt.SolveCount() - before}
 			if p := tally.plan; p != nil {
-				first.PlanCache = p.Outcome.String()
-				first.Computes, first.Loads, first.Prunes = p.Compute, p.Load, p.Prune
+				first.PlanCache, first.Computes = p.Outcome.String(), p.Compute
 			}
 		}
 		return first, nil
 	}
 
-	res := &SharedSeries{Workload: name}
+	res := &SharedSeries{}
 	if res.Cold, err = runOnce(0, false); err != nil {
 		return nil, err
 	}
 	res.Artifacts = shared.Artifacts()
-	res.StorageBytes = shared.StorageBytes()
 	for i := 1; i < sessions; i++ {
 		warm, err := runOnce(i, false)
 		if err != nil {

@@ -2,7 +2,12 @@
 // driving a workload through its iteration sequence under each compared
 // system — HELIX OPT / AM / NM, KeystoneML, and DeepDive — and collecting
 // the per-iteration metrics behind every figure of §6 (cumulative run
-// time, component breakdown, state fractions, storage, memory).
+// time, component breakdown, state fractions, storage, memory). RunPaper
+// runs every series the figures need once and renders the paper's tables.
+//
+// Every series runs on model time (model.go): a clock that moves only by
+// what is billed, so the figures — and the claims the tests make about
+// them — are exact and independent of the host.
 //
 // KeystoneML and DeepDive are modeled as execution policies over the same
 // workflow DAG, isolating exactly the materialization/reuse strategy the
@@ -19,6 +24,7 @@ import (
 	"os"
 
 	"helix"
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/workloads"
 )
@@ -36,22 +42,30 @@ type System struct {
 	DPROnly bool
 }
 
+// options returns the system's options followed by extra, in a fresh
+// slice.
+func (s System) options(extra ...helix.Option) []helix.Option {
+	return append(append([]helix.Option(nil), s.Options...), extra...)
+}
+
+// PaperDiskBytesPerSec is the simulated disk throughput of the paper's
+// environment: 170 MB/s HDD for both reads and writes (§6.3).
+const PaperDiskBytesPerSec = 170e6
+
 // The compared systems. DeepDive's 2× DPR slowdown models its Python and
 // shell preprocessing versus Spark (paper §6.5.2: "the 2× reduction
 // between HELIX OPT and DeepDive is due to the fact that DeepDive does
 // data preprocessing with Python and shell scripts, while HELIX OPT uses
 // Spark").
-// PaperDiskBytesPerSec is the simulated disk throughput of the paper's
-// environment: 170 MB/s HDD for both reads and writes (§6.3).
-const PaperDiskBytesPerSec = 170e6
-
-// The predefined systems force SyncMaterialization: every system the
-// paper measures serializes and writes intermediates on its execution
-// critical path, and the evaluation's comparative shapes (e.g. AM losing
-// to OPT precisely because it pays materialization inline, §6.6) depend
-// on that cost being visible in wall-clock time. The write-behind
-// pipeline — this reproduction's own improvement — is benchmarked
-// separately (internal/bench.WriteBehind) or forced via Config.Mat.
+//
+// Every system forces SyncMaterialization: each system the paper
+// measures serializes and writes intermediates on its execution critical
+// path, and the evaluation's comparative shapes (e.g. AM losing to OPT
+// precisely because it pays materialization inline, §6.6) depend on that
+// cost being on the run's wall. The write-behind pipeline — this
+// reproduction's own improvement — overlaps real work with real writes,
+// which a serial model cannot show; exec.TestWriteBehindExcludesMatFromWall
+// asserts it on the host's clock.
 var (
 	HelixOpt = System{Name: "helix-opt", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyOpt),
@@ -99,35 +113,18 @@ func Supports(system, workload string) bool {
 type IterationMetrics struct {
 	Iteration int
 	Type      core.Component
-	// Seconds is the iteration's wall-clock run time (includes
+	// Seconds is the iteration's run time in model seconds (includes
 	// materialization time, as the paper measures).
 	Seconds float64
-	// ProjectedSeconds is T(W,s) from Equation 1: what the executed plan
-	// projected the iteration would cost under the known per-node
-	// statistics. Comparing it against Seconds measures the cost model's
-	// fidelity (0 at iteration 0, when no statistics exist yet).
-	ProjectedSeconds float64
-	// PlanSeconds is the iteration's planning share of Seconds: change
-	// tracking, slicing, fingerprinting, and (unless the plan cache hit)
-	// the OPT-EXEC-PLAN solve. Cold-vs-cached deltas of this column are
-	// the plan cache's payoff.
-	PlanSeconds float64
-	// PlanCache reports how the iteration's plan was obtained: "cold",
-	// "partial", or "hit".
-	PlanCache string
 	// Breakdown is per-component operator time (Figure 6).
 	Breakdown map[core.Component]float64
-	// MatSeconds is materialization overhead (Figure 6, gray). With
-	// write-behind it largely overlaps computation instead of extending
-	// Seconds.
+	// MatSeconds is materialization overhead (Figure 6, gray).
 	MatSeconds float64
-	// FlushSeconds is the post-compute wait for write-behind stragglers
-	// at the iteration's flush barrier (0 with SyncMaterialization).
-	FlushSeconds float64
 	// StorageBytes is cumulative store usage after the iteration
 	// (Figure 9c,d).
 	StorageBytes int64
-	// PeakMemBytes/AvgMemBytes are heap statistics (Figure 10).
+	// PeakMemBytes/AvgMemBytes are heap statistics (Figure 10), sampled
+	// on the host: the one measurement that is not modelled.
 	PeakMemBytes, AvgMemBytes uint64
 	// States counts live nodes per execution state (Figure 8).
 	States map[core.State]int
@@ -170,32 +167,7 @@ type Config struct {
 	Iterations int
 	// SampleMemory enables heap sampling (Figure 10); costs a goroutine.
 	SampleMemory bool
-	// StorageBudget overrides the session's byte budget (0 = default).
-	StorageBudget int64
-	// Dir is the materialization directory; empty uses a temp dir that is
-	// removed afterwards.
-	Dir string
-	// Mat overrides the system's materialization pipeline (MatDefault
-	// keeps the system's own setting). Used by the write-behind A/B
-	// benchmark.
-	Mat MatMode
-	// Parallelism bounds the execution scheduler's worker pool (0 keeps
-	// the session default of GOMAXPROCS).
-	Parallelism int
 }
-
-// MatMode selects how a simulated run materializes intermediates.
-type MatMode int
-
-const (
-	// MatDefault keeps the System's configured pipeline (the predefined
-	// systems are all paper-faithful inline).
-	MatDefault MatMode = iota
-	// MatSync forces inline write-through materialization.
-	MatSync
-	// MatAsync forces the write-behind pipeline.
-	MatAsync
-)
 
 // NewWorkload constructs a fresh workload instance by name at the given
 // scale. Fresh instances matter: mutations are stateful.
@@ -217,14 +189,12 @@ func NewWorkload(name string, scale workloads.Scale, seed int64) (workloads.Work
 }
 
 // runTally collects one iteration's structured run events. The observer
-// is invoked serially by the engine; plan/flush/done are emitted on the
-// Run caller's goroutine and re-plan events on worker goroutines the run
-// joins before returning, so reading the tally after Run returns needs no
-// extra synchronization.
+// is invoked serially by the engine; plan and run-stats events are emitted
+// on the Run caller's goroutine and re-plan events on worker goroutines
+// the run joins before returning, so reading the tally after Run returns
+// needs no extra synchronization.
 type runTally struct {
 	plan    *helix.PlanEvent
-	flush   *helix.FlushEvent
-	done    *helix.DoneEvent
 	replans []helix.ReplanEvent
 	stats   *helix.RunStatsEvent
 }
@@ -233,10 +203,6 @@ func (t *runTally) observe(ev helix.RunEvent) {
 	switch e := ev.(type) {
 	case helix.PlanEvent:
 		t.plan = &e
-	case helix.FlushEvent:
-		t.flush = &e
-	case helix.DoneEvent:
-		t.done = &e
 	case helix.ReplanEvent:
 		t.replans = append(t.replans, e)
 	case helix.RunStatsEvent:
@@ -247,38 +213,19 @@ func (t *runTally) observe(ev helix.RunEvent) {
 func (t *runTally) reset() { *t = runTally{} }
 
 // RunSeries drives wl through its iteration sequence under the given
-// system, returning per-iteration metrics. Iteration 0 runs the initial
-// workflow; iteration t ≥ 1 first applies the sequence's mutation for t.
-// Planning metrics (projection, planning time, cache outcome, state mix,
-// flush wait) come from the session's structured event stream rather
-// than post-hoc Result scraping.
+// system on a fresh model clock, returning per-iteration metrics.
+// Iteration 0 runs the initial workflow; iteration t ≥ 1 first applies the
+// sequence's mutation for t. The state mix comes from the session's
+// structured event stream rather than post-hoc Result scraping.
 func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Config) (*SeriesResult, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "helix-sim-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "helix-sim-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	ctx = clock.With(ctx, newModel())
 	var tally runTally
-	opts := append([]helix.Option(nil), sys.Options...)
-	opts = append(opts, helix.WithMemorySampling(cfg.SampleMemory))
-	switch cfg.Mat {
-	case MatSync:
-		opts = append(opts, helix.WithSyncMaterialization(true))
-	case MatAsync:
-		opts = append(opts, helix.WithSyncMaterialization(false))
-	}
-	if cfg.StorageBudget > 0 {
-		opts = append(opts, helix.WithStorageBudget(cfg.StorageBudget))
-	}
-	if cfg.Parallelism > 0 {
-		opts = append(opts, helix.WithParallelism(cfg.Parallelism))
-	}
-	opts = append(opts, helix.WithObserver(tally.observe))
-	sess, err := helix.Open(dir, opts...)
+	sess, err := helix.Open(dir, sys.options(helix.WithMemorySampling(cfg.SampleMemory), helix.WithObserver(tally.observe))...)
 	if err != nil {
 		return nil, err
 	}
@@ -313,20 +260,14 @@ func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Confi
 			AvgMemBytes:  out.AvgMemBytes,
 			Outputs:      out.Values,
 		}
-		// Planning and barrier metrics come from the run's event stream —
-		// the same typed events a live progress consumer sees.
+		// Planning metrics come from the run's event stream — the same typed
+		// events a live progress consumer sees.
 		if p := tally.plan; p != nil {
-			m.ProjectedSeconds = p.ProjectedSeconds
-			m.PlanSeconds = p.PlanTime.Seconds()
-			m.PlanCache = p.Outcome.String()
 			m.States = map[core.State]int{
 				core.StateCompute: p.Compute,
 				core.StateLoad:    p.Load,
 				core.StatePrune:   p.Prune,
 			}
-		}
-		if f := tally.flush; f != nil {
-			m.FlushSeconds = f.Wait.Seconds()
 		}
 		for comp, d := range out.Breakdown {
 			m.Breakdown[comp] = d.Seconds()

@@ -16,7 +16,9 @@
 // format (the first four bytes, "HXB1", say that). An optional simulated
 // disk speed reproduces the paper's
 // 170 MB/s HDD environment on faster local storage; it is applied as a
-// sleep proportional to the byte count on both reads and writes.
+// sleep proportional to the byte count on both reads and writes, taken on
+// the caller's clock (internal/clock): the host's, or a model clock that
+// the sleep advances instead.
 //
 // # Concurrency model
 //
@@ -65,6 +67,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"helix/internal/clock"
 )
 
 // Entry describes one materialized result.
@@ -219,9 +223,9 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".gob")
 }
 
-func (s *Store) throttle(size int64) {
+func (s *Store) throttle(c clock.Clock, size int64) {
 	if s.DiskBytesPerSec > 0 {
-		time.Sleep(time.Duration(float64(size) / s.DiskBytesPerSec * float64(time.Second)))
+		c.Sleep(time.Duration(float64(size) / s.DiskBytesPerSec * float64(time.Second)))
 	}
 }
 
@@ -271,12 +275,12 @@ func (s *Store) staticBandwidth() float64 {
 // observe a half-updated file/manifest pair; no shard lock is held during
 // I/O. The manifest is flushed before returning.
 func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, error) {
-	e, _, err := s.putBytes(key, name, data, iteration, "", true)
+	e, _, err := s.putBytes(clock.Real{}, key, name, data, iteration, "", true)
 	return e, err
 }
 
-// putBytes is PutBytes with a tenant label (shared-mode byte accounting)
-// and the manifest flush optional: the write-behind pool passes
+// putBytes is PutBytes on a given clock, with a tenant label (shared-mode
+// byte accounting) and the manifest flush optional: the write-behind pool passes
 // syncManifest=false and defers the (whole-table) manifest rewrite to the
 // Flush barrier, so N background writes cost one manifest flush instead
 // of N serialized ones.
@@ -288,8 +292,8 @@ func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, e
 // if the key is already present when the per-key lock is acquired, the
 // write is skipped (same signature ⇒ equivalent value, Definition 3) and
 // the existing entry is returned with written=false.
-func (s *Store) putBytes(key, name string, data []byte, iteration int, tenant string, syncManifest bool) (Entry, bool, error) {
-	start := time.Now()
+func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration int, tenant string, syncManifest bool) (Entry, bool, error) {
+	start := c.Now()
 	s.keyLocks.lock(key)
 	if s.shared != nil {
 		sh := s.shardFor(key)
@@ -310,12 +314,12 @@ func (s *Store) putBytes(key, name string, data []byte, iteration int, tenant st
 		s.keyLocks.unlock(key)
 		return Entry{}, false, fmt.Errorf("store: publish %q: %w", key, err)
 	}
-	s.throttle(int64(len(data)))
+	s.throttle(c, int64(len(data)))
 	e := Entry{
 		Key:       key,
 		Name:      name,
 		Size:      int64(len(data)),
-		WriteTime: time.Since(start),
+		WriteTime: c.Since(start),
 		Iteration: iteration,
 		Tenant:    tenant,
 	}
@@ -350,35 +354,42 @@ type flightCall struct {
 	err  error
 }
 
-// Get loads and decodes the value stored under key, returning the value and
-// the caller's measured wait (including simulated disk delay). Concurrent
-// Gets of the same key share a single disk read and decode; the returned
-// value must therefore be treated as immutable, which the engine already
-// guarantees for everything it stores.
+// Get loads and decodes the value stored under key on the host's clock
+// (see Load).
 func (s *Store) Get(key string) (any, time.Duration, error) {
-	start := time.Now()
+	return s.Load(clock.Real{}, key)
+}
+
+// Load loads and decodes the value stored under key, returning the value
+// and the caller's wait measured on c (including simulated disk delay,
+// which c is slept on). Concurrent loads of the same key share a single
+// disk read and decode; the returned value must therefore be treated as
+// immutable, which the engine already guarantees for everything it
+// stores.
+func (s *Store) Load(c clock.Clock, key string) (any, time.Duration, error) {
+	start := c.Now()
 	s.flightMu.Lock()
-	if c, ok := s.flight[key]; ok {
+	if f, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
-		<-c.done
-		return c.val, time.Since(start), c.err
+		<-f.done
+		return f.val, c.Since(start), f.err
 	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
+	f := &flightCall{done: make(chan struct{})}
+	s.flight[key] = f
 	s.flightMu.Unlock()
 
-	c.val, c.err = s.load(key)
+	f.val, f.err = s.read(c, key)
 
 	s.flightMu.Lock()
 	delete(s.flight, key)
 	s.flightMu.Unlock()
-	close(c.done)
-	return c.val, time.Since(start), c.err
+	close(f.done)
+	return f.val, c.Since(start), f.err
 }
 
-// load performs the physical read for Get under the key's per-key lock, so
-// it cannot interleave with a Put or Delete of the same key.
-func (s *Store) load(key string) (any, error) {
+// read performs the physical read for Load under the key's per-key lock,
+// so it cannot interleave with a Put or Delete of the same key.
+func (s *Store) read(c clock.Clock, key string) (any, error) {
 	s.keyLocks.lock(key)
 	defer s.keyLocks.unlock(key)
 	sh := s.shardFor(key)
@@ -388,19 +399,19 @@ func (s *Store) load(key string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: no entry for key %q", key)
 	}
-	start := time.Now()
+	start := c.Now()
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return nil, fmt.Errorf("store: read %q: %w", key, err)
 	}
-	s.throttle(e.Size)
+	s.throttle(c, e.Size)
 	// Feed the bandwidth model the physical transfer only (read plus any
 	// simulated throttle). Decode time is deliberately excluded: the
 	// paper's load model is l_i = s_i / (disk read speed) (§5.3), so the
 	// self-correcting term is the disk-speed denominator, not codec cost —
 	// folding decode in would report a "disk" many times slower than the
 	// one configured and skew every load/compute trade-off.
-	readDur := time.Since(start)
+	readDur := c.Since(start)
 	value, err := s.codec().Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: %q: %w", key, err)

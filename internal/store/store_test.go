@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"helix/internal/clock"
 )
 
 type payload struct {
@@ -269,26 +271,36 @@ func TestCorruptedFileReturnsError(t *testing.T) {
 	}
 }
 
+// TestSimulatedDiskSlowsIO: the simulated disk bills a write and a read
+// exactly bytes ÷ throughput on the caller's clock — a model clock, so
+// the check is an equality, not a lower bound on host time.
 func TestSimulatedDiskSlowsIO(t *testing.T) {
 	s := open(t)
 	data := make([]float64, 1<<14) // ≈128 KiB encoded
 	for i := range data {
-		data[i] = 0.1 + float64(i) // non-zero: gob varint-compresses zeros
+		data[i] = 0.1 + float64(i)
 	}
-	s.DiskBytesPerSec = 1 << 20 // 1 MiB/s: ~130ms for this payload
-	start := time.Now()
-	if _, err := s.Put("k", "n", data, 0); err != nil {
-		t.Fatal(err)
+	s.DiskBytesPerSec = 1 << 20
+	m := new(clock.Model)
+	out := s.Write(WriteRequest{Key: "k", Name: "n", Value: data, Clock: m})
+	if !out.Written {
+		t.Fatalf("write failed: %+v", out)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("simulated disk not throttling writes: %v", elapsed)
+	want := time.Duration(float64(out.Entry.Size) / s.DiskBytesPerSec * float64(time.Second))
+	if want < 100*time.Millisecond {
+		t.Fatalf("payload of %d bytes throttles only %v: not a test of the throttle", out.Entry.Size, want)
 	}
-	start = time.Now()
-	if _, _, err := s.Get("k"); err != nil {
-		t.Fatal(err)
+	if got := m.Elapsed(); got != want {
+		t.Fatalf("write moved the model clock %v, want bytes ÷ throughput = %v", got, want)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("simulated disk not throttling reads: %v", elapsed)
+	if out.Entry.WriteTime != want || out.Secs != want.Seconds() {
+		t.Fatalf("write timed %v / %.6fs, want %v", out.Entry.WriteTime, out.Secs, want)
+	}
+	if _, dur, err := s.Load(m, "k"); err != nil || dur != want {
+		t.Fatalf("read measured %v (err %v), want %v", dur, err, want)
+	}
+	if got := m.Elapsed(); got != 2*want {
+		t.Fatalf("write + read moved the model clock %v, want %v", got, 2*want)
 	}
 }
 

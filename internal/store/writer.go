@@ -2,7 +2,8 @@ package store
 
 import (
 	"sync"
-	"time"
+
+	"helix/internal/clock"
 )
 
 // DefaultWriters is the writer-pool size used when Store.Writers is unset.
@@ -44,6 +45,10 @@ type WriteRequest struct {
 	// whoever encodes, for values that cannot report their size cheaply.
 	// It must be safe to call from a writer goroutine.
 	Decide func(size int64) bool
+
+	// Clock times the request (WriteOutcome.Secs, Entry.WriteTime) and
+	// takes its simulated-disk throttle; nil is the host's clock.
+	Clock clock.Clock
 
 	// OnDone, when non-nil, receives the outcome on the goroutine that
 	// processed the request. Under PutAsync it runs before the request is
@@ -201,12 +206,16 @@ func (s *Store) writerLoop() {
 // manifest update is deferred to the Flush barrier instead of rewritten
 // per write.
 func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
-	start := time.Now()
+	c := req.Clock
+	if c == nil {
+		c = clock.Real{}
+	}
+	start := c.Now()
 	if ent, ok := s.Entry(req.Key); ok {
 		// An equivalent result landed since the request was enqueued. The
 		// existing entry is reported so callers can refund reserved budget
 		// and adopt the artifact's size.
-		return WriteOutcome{Entry: ent, Secs: time.Since(start).Seconds()}
+		return WriteOutcome{Entry: ent, Secs: c.Since(start).Seconds()}
 	}
 	data := req.Data
 	if data == nil {
@@ -215,18 +224,18 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 		if err != nil {
 			// Unserializable values are not materialized; the encode attempt
 			// is still charged as materialization overhead.
-			return WriteOutcome{EncodeErr: err, Secs: time.Since(start).Seconds()}
+			return WriteOutcome{EncodeErr: err, Secs: c.Since(start).Seconds()}
 		}
 	}
 	if req.Decide != nil && !req.Decide(int64(len(data))) {
-		return WriteOutcome{Secs: time.Since(start).Seconds()}
+		return WriteOutcome{Secs: c.Since(start).Seconds()}
 	}
-	ent, wrote, err := s.putBytes(req.Key, req.Name, data, req.Iteration, req.Tenant, syncManifest)
+	ent, wrote, err := s.putBytes(c, req.Key, req.Name, data, req.Iteration, req.Tenant, syncManifest)
 	return WriteOutcome{
 		Entry:   ent,
 		Written: wrote && err == nil,
 		Err:     err,
-		Secs:    time.Since(start).Seconds(),
+		Secs:    c.Since(start).Seconds(),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"helix"
+	"helix/internal/clock"
 )
 
 // Ingest is the continuous-ingest workload: the paper's mini-batch
@@ -26,10 +27,11 @@ import (
 // and a quiet tick following a tick that computed nothing is a full
 // fingerprint hit.
 //
-// Operator bodies sleep for a few milliseconds of simulated compute (the
-// values themselves are cheap deterministic arithmetic), so loading a
-// materialized slot (~1 ms at the paper's 170 MB/s disk) genuinely beats
-// recomputing it and the solver's load-vs-compute trade-off is real.
+// Operator bodies sleep for a few milliseconds of simulated compute on the
+// run's clock (the values themselves are cheap deterministic arithmetic),
+// so loading a materialized slot (~1 ms at the paper's 170 MB/s disk)
+// genuinely beats recomputing it and the solver's load-vs-compute
+// trade-off is real.
 type Ingest struct {
 	window int
 	rows   int
@@ -122,13 +124,13 @@ func (g *Ingest) Build() *helix.Workflow {
 		src := wf.Source(fmt.Sprintf("batch%d", i),
 			fmt.Sprintf("ingest slot=%d batch=%d", i, id),
 			func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-				time.Sleep(sleepSource)
+				clock.From(ctx).Sleep(sleepSource)
 				return batchRows(slot, id, rows), nil
 			})
 
 		parse := wf.Scanner(fmt.Sprintf("parse%d", i), "decode v1",
 			func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-				time.Sleep(sleepParse)
+				clock.From(ctx).Sleep(sleepParse)
 				rows := in[0].([]float64)
 				out := make([]float64, len(rows))
 				for j, v := range rows {
@@ -139,7 +141,7 @@ func (g *Ingest) Build() *helix.Workflow {
 
 		feats[i] = wf.Extractor(fmt.Sprintf("feat%d", i), "slot stats v1",
 			func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-				time.Sleep(sleepFeat)
+				clock.From(ctx).Sleep(sleepFeat)
 				rows := in[0].([]float64)
 				var sum, sq, mx float64
 				for _, v := range rows {
@@ -169,7 +171,7 @@ func (g *Ingest) Build() *helix.Workflow {
 	sliding := g.sliding
 	win := wf.Synthesizer("window", winParam,
 		func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-			time.Sleep(sleepWindow)
+			clock.From(ctx).Sleep(sleepWindow)
 			var out []float64
 			for i := range in {
 				j := i
@@ -183,7 +185,7 @@ func (g *Ingest) Build() *helix.Workflow {
 
 	model := wf.Learner("model", "ridge v1",
 		func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-			time.Sleep(sleepModel)
+			clock.From(ctx).Sleep(sleepModel)
 			f := in[0].([]float64)
 			w := make([]float64, 4)
 			for j, v := range f {
@@ -194,7 +196,7 @@ func (g *Ingest) Build() *helix.Workflow {
 
 	wf.Reducer("metrics", "window eval v1",
 		func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-			time.Sleep(sleepMetrics)
+			clock.From(ctx).Sleep(sleepMetrics)
 			w := in[0].([]float64)
 			var norm float64
 			for _, v := range w {

@@ -303,8 +303,9 @@ func WithWorkerClass(class WorkerClass, size int) Option {
 // Extra max-flow solves per run are bounded (3) to keep speculation
 // cheap; once the bound is spent the monitor disarms for the rest of the
 // run. Usable at session scope (every run adapts) or run scope (that run
-// only). See BENCH_adaptive.json (README) for the measured
-// static-vs-adaptive comparison.
+// only). internal/sim's TestRunAdaptiveBeatsStaticOnSkew holds the
+// static-vs-adaptive comparison on model time (README, "Adaptive mid-run
+// re-planning").
 func WithAdaptive(threshold float64) Option {
 	if threshold < 0 {
 		threshold = 0

@@ -17,6 +17,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
+func init() { workloads.RegisterAll() }
+
 // censusProgramDAG compiles the census workflow and returns its DAG with
 // signatures computed.
 func censusProgramDAG(t *testing.T) *core.DAG {

@@ -406,7 +406,7 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	started := time.Now()
+	started := time.Now() // IterationRecord.Started: a calendar timestamp, not a timer
 	res, err := s.engine.RunWith(ctx, prog, prev, iter, eo)
 	if err != nil {
 		if errors.Is(err, exec.ErrRowType) {
@@ -445,14 +445,6 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 		s.saveState()
 	}
 	return res, nil
-}
-
-// RunTimed is Run plus a convenience wall-clock duration, for harness
-// code that aggregates cumulative run time (Figure 5).
-func (s *Session) RunTimed(ctx context.Context, wf *Workflow, opts ...Option) (*Result, time.Duration, error) {
-	start := time.Now()
-	res, err := s.Run(ctx, wf, opts...)
-	return res, time.Since(start), err
 }
 
 // Close flushes any write-behind materializations still in flight, stops

@@ -176,18 +176,20 @@ func TestSessionCompileErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestSessionRunTimed: a Run's one timer, Result.Wall, covers its
+// operators (RunTimed, the second timer it once sat beside, is gone).
 func TestSessionRunTimed(t *testing.T) {
 	sess, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c atomic.Int64
-	_, dur, err := sess.RunTimed(context.Background(), buildWorkflow(&c, "LR reg=0.1"))
+	res, err := sess.Run(context.Background(), buildWorkflow(&c, "LR reg=0.1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dur < 40*time.Millisecond {
-		t.Fatalf("duration %v implausibly small for 4 sleeping operators", dur)
+	if res.Wall < 40*time.Millisecond {
+		t.Fatalf("Result.Wall %v implausibly small for 4 sleeping operators", res.Wall)
 	}
 }
 
