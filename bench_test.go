@@ -130,6 +130,48 @@ func BenchmarkSubstrate_LogisticRegression(b *testing.B) {
 	}
 }
 
+// digitsDataset is the MNIST workflow's pixel dataset at test scale: 1 900
+// images of 16×16 (256 dense features).
+func digitsDataset() *ml.Dataset {
+	imgs := data.GenerateDigits(data.DigitsConfig{TrainImages: 1500, TestImages: 400, Side: 16, Seed: 1})
+	ds := &ml.Dataset{Dim: 256, Examples: make([]ml.Example, len(imgs))}
+	for i, im := range imgs {
+		ds.Examples[i] = ml.Example{X: ml.DenseVector(im.Pixels), Y: float64(im.Label), Train: im.Train}
+	}
+	return ds
+}
+
+// BenchmarkSubstrate_RFFProject times the MNIST workflow's random Fourier
+// projection (256 → 192 features), the operator that dominates its
+// computed iterations and can never be reused (Figure 6d).
+func BenchmarkSubstrate_RFFProject(b *testing.B) {
+	ds := digitsDataset()
+	proj, err := ml.NewRFF(ds.Dim, 192, 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = proj.ProjectDataset(ds)
+	}
+}
+
+// BenchmarkSubstrate_SoftmaxFit times the MNIST workflow's learner on the
+// projected features, at the workflow's initial knobs.
+func BenchmarkSubstrate_SoftmaxFit(b *testing.B) {
+	proj, err := ml.NewRFF(256, 192, 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := proj.ProjectDataset(digitsDataset())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (ml.SoftmaxRegression{Classes: 10, RegParam: 0.01, Epochs: 12, LearningRate: 0.5, Seed: 7}).Fit(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSubstrate_StoreRoundTrip times a materialize+load cycle of a
 // census-sized intermediate through the store's default HXB1 codec.
 func BenchmarkSubstrate_StoreRoundTrip(b *testing.B) {

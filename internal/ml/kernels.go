@@ -1,0 +1,105 @@
+package ml
+
+import "fmt"
+
+// The concrete kernels behind the hot loops (see the package comment).
+// Each sums in index order with one accumulator per output, exactly as the
+// in-order loop it replaces; the blocked ones run four such sums side by
+// side, so the loop is no longer bound by one add-latency chain but no sum
+// is reassociated. The callers guarantee the lengths: dot, dot4 and axpy
+// read y (or w) only up to len(x), and dotSparse indexes w by stored
+// coordinates.
+
+// dot returns Σ x[i]·y[i].
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
+}
+
+// dot4 returns the four dot products of x with w0…w3.
+func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	w0, w1, w2, w3 = w0[:n], w1[:n], w2[:n], w3[:n]
+	for i, v := range x {
+		s0 += w0[i] * v
+		s1 += w1[i] * v
+		s2 += w2[i] * v
+		s3 += w3[i] * v
+	}
+	return s0, s1, s2, s3
+}
+
+// dotSparse returns Σ_j val[j]·w[idx[j]].
+func dotSparse(idx []int, val []float64, w []float64) float64 {
+	val = val[:len(idx)]
+	var s float64
+	for j, i := range idx {
+		s += val[j] * w[i]
+	}
+	return s
+}
+
+// axpy adds a·x to y.
+func axpy(y []float64, a float64, x []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += a * v
+	}
+}
+
+// scaleAxpy sets y to c·y + a·x in one pass. The conversion rounds c·y
+// before the add, as the two passes (Scale, then AddScaled) it replaces
+// stored it, so no multiply-add is fused that they could not fuse.
+func scaleAxpy(y []float64, c, a float64, x []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = float64(y[i]*c) + a*v
+	}
+}
+
+// dotDense returns x·w for a vector of either representation without
+// boxing w. It panics on dimension mismatch, as Vector.Dot does.
+func dotDense(x Vector, w DenseVector) float64 {
+	switch x := x.(type) {
+	case DenseVector:
+		checkDim("dot", len(x), len(w))
+		return dot(x, w)
+	case *SparseVector:
+		checkDim("dot", x.N, len(w))
+		return dotSparse(x.Idx, x.Val, w)
+	default:
+		checkDim("dot", x.Dim(), len(w))
+		var s float64
+		x.ForEach(func(i int, v float64) { s += w[i] * v })
+		return s
+	}
+}
+
+// axpyDense adds a·x to y for a vector x of either representation. It
+// panics on dimension mismatch.
+func axpyDense(y DenseVector, a float64, x Vector) {
+	switch x := x.(type) {
+	case DenseVector:
+		checkDim("add-scaled", len(y), len(x))
+		axpy(y, a, x)
+	case *SparseVector:
+		checkDim("add-scaled", len(y), x.N)
+		val := x.Val[:len(x.Idx)]
+		for j, i := range x.Idx {
+			y[i] += a * val[j]
+		}
+	default:
+		checkDim("add-scaled", len(y), x.Dim())
+		x.ForEach(func(i int, v float64) { y[i] += a * v })
+	}
+}
+
+func checkDim(op string, a, b int) {
+	if a != b {
+		panic(fmt.Sprintf("ml: %s dimension mismatch %d vs %d", op, a, b))
+	}
+}

@@ -56,7 +56,7 @@ func sqDist(c DenseVector, x Vector) float64 {
 	for _, v := range c {
 		cc += v * v
 	}
-	cx := x.Dot(c)
+	cx := dotDense(x, c)
 	x.ForEach(func(_ int, v float64) { xx += v * v })
 	d := cc - 2*cx + xx
 	if d < 0 {

@@ -37,7 +37,7 @@ type LRModel struct {
 }
 
 // Predict returns P(y=1 | x).
-func (m *LRModel) Predict(x Vector) float64 { return sigmoid(x.Dot(m.W) + m.Bias) }
+func (m *LRModel) Predict(x Vector) float64 { return sigmoid(dotDense(x, m.W) + m.Bias) }
 
 // PredictClass returns the hard 0/1 decision at threshold 0.5.
 func (m *LRModel) PredictClass(x Vector) float64 {
@@ -64,7 +64,7 @@ func sigmoid(z float64) float64 {
 
 // Fit trains on the labeled training examples of d and returns the model.
 func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
-	var train []Example
+	train := make([]Example, 0, len(d.Examples))
 	for _, e := range d.Examples {
 		if e.Train && e.HasLabel() {
 			train = append(train, e)
@@ -111,8 +111,8 @@ func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
 			var gBias float64
 			for _, j := range order[off:end] {
 				e := train[j]
-				err := sigmoid(e.X.Dot(w)+bias) - e.Y
-				grad.AddScaled(err, e.X)
+				err := sigmoid(dotDense(e.X, w)+bias) - e.Y
+				axpyDense(grad, err, e.X)
 				gBias += err
 			}
 			inv := 1 / float64(end-off)
@@ -120,7 +120,7 @@ func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
 			if lr.RegParam > 0 {
 				w.Scale(1 - step*lr.RegParam)
 			}
-			w.AddScaled(-step*inv, grad)
+			axpy(w, -step*inv, grad)
 			bias -= step * inv * gBias
 		}
 	}
@@ -147,18 +147,37 @@ type SoftmaxModel struct {
 // Scores returns the unnormalized class scores for x.
 func (m *SoftmaxModel) Scores(x Vector) DenseVector {
 	out := make(DenseVector, len(m.W))
-	for k, w := range m.W {
-		out[k] = x.Dot(w) + m.Bias[k]
-	}
+	m.scoresInto(out, x)
 	return out
+}
+
+// scoresInto writes Scores(x) into out. A dense x is scored against four
+// classes at a time; each w_k·x still sums in index order.
+func (m *SoftmaxModel) scoresInto(out DenseVector, x Vector) {
+	out, bias := out[:len(m.W)], m.Bias[:len(m.W)]
+	k := 0
+	if dx, ok := x.(DenseVector); ok {
+		for _, w := range m.W {
+			checkDim("dot", len(dx), len(w))
+		}
+		for ; k+4 <= len(out); k += 4 {
+			s0, s1, s2, s3 := dot4(m.W[k], m.W[k+1], m.W[k+2], m.W[k+3], dx)
+			out[k] = s0 + bias[k]
+			out[k+1] = s1 + bias[k+1]
+			out[k+2] = s2 + bias[k+2]
+			out[k+3] = s3 + bias[k+3]
+		}
+	}
+	for ; k < len(out); k++ {
+		out[k] = dotDense(x, m.W[k]) + bias[k]
+	}
 }
 
 // Predict implements Model: it returns the argmax class as a float64.
 func (m *SoftmaxModel) Predict(x Vector) float64 {
-	scores := m.Scores(x)
 	best, bestV := 0, math.Inf(-1)
-	for k, v := range scores {
-		if v > bestV {
+	for k, w := range m.W {
+		if v := dotDense(x, w) + m.Bias[k]; v > bestV {
 			best, bestV = k, v
 		}
 	}
@@ -179,7 +198,7 @@ func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 	if sr.Classes < 2 {
 		return nil, fmt.Errorf("ml: softmax regression: need ≥2 classes, got %d", sr.Classes)
 	}
-	var train []Example
+	train := make([]Example, 0, len(d.Examples))
 	for _, e := range d.Examples {
 		if e.Train && e.HasLabel() {
 			train = append(train, e)
@@ -213,7 +232,7 @@ func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 	for i := range order {
 		order[i] = i
 	}
-	probs := make([]float64, sr.Classes)
+	scores, probs := Zeros(sr.Classes), make([]float64, sr.Classes)
 	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		step := rate / (1 + 0.1*float64(ep))
@@ -225,21 +244,31 @@ func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 			inv := 1 / float64(end-off)
 			for _, j := range order[off:end] {
 				e := train[j]
-				scores := m.Scores(e.X)
+				m.scoresInto(scores, e.X)
 				softmaxInPlace(scores, probs)
 				y := int(e.Y)
 				if y < 0 || y >= sr.Classes {
 					return nil, fmt.Errorf("ml: softmax regression: label %v out of range [0,%d)", e.Y, sr.Classes)
 				}
+				dx, dense := e.X.(DenseVector)
 				for k := 0; k < sr.Classes; k++ {
 					g := probs[k]
 					if k == y {
 						g -= 1
 					}
-					if sr.RegParam > 0 {
-						m.W[k].Scale(1 - step*inv*sr.RegParam)
+					// L2 shrinkage then gradient step: one pass for a dense
+					// x, two for a sparse one (the shrinkage touches every
+					// weight, the step only x's stored coordinates).
+					a := -step * inv * g
+					if sr.RegParam > 0 && dense {
+						checkDim("add-scaled", len(m.W[k]), len(dx))
+						scaleAxpy(m.W[k], 1-step*inv*sr.RegParam, a, dx)
+					} else {
+						if sr.RegParam > 0 {
+							m.W[k].Scale(1 - step*inv*sr.RegParam)
+						}
+						axpyDense(m.W[k], a, e.X)
 					}
-					m.W[k].AddScaled(-step*inv*g, e.X)
 					m.Bias[k] -= step * inv * g
 				}
 			}

@@ -55,17 +55,39 @@ func NewRFF(inDim, outDim int, gamma float64, seed int64) (*RandomFourierFeature
 }
 
 // Project maps x into the random feature space: z_j = √(2/D)·cos(w_j·x+b_j).
+// A dense x is projected onto four rows of w at a time; each w_j·x still
+// sums i = 0…InDim−1 in order.
 func (r *RandomFourierFeatures) Project(x Vector) DenseVector {
 	if x.Dim() != r.InDim {
 		panic(fmt.Sprintf("ml: rff: input dim %d, want %d", x.Dim(), r.InDim))
 	}
 	out := make(DenseVector, r.OutDim)
 	norm := math.Sqrt(2 / float64(r.OutDim))
-	for j := 0; j < r.OutDim; j++ {
-		var dot float64
-		w := r.w[j]
-		x.ForEach(func(i int, v float64) { dot += w[i] * v })
-		out[j] = norm * math.Cos(dot+r.b[j])
+	b := r.b[:len(out)]
+	switch x := x.(type) {
+	case DenseVector:
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			s0, s1, s2, s3 := dot4(r.w[j], r.w[j+1], r.w[j+2], r.w[j+3], x)
+			out[j] = norm * math.Cos(s0+b[j])
+			out[j+1] = norm * math.Cos(s1+b[j+1])
+			out[j+2] = norm * math.Cos(s2+b[j+2])
+			out[j+3] = norm * math.Cos(s3+b[j+3])
+		}
+		for ; j < len(out); j++ {
+			out[j] = norm * math.Cos(dot(x, r.w[j])+b[j])
+		}
+	case *SparseVector:
+		for j := range out {
+			out[j] = norm * math.Cos(dotSparse(x.Idx, x.Val, r.w[j])+b[j])
+		}
+	default:
+		for j := range out {
+			var dot float64
+			w := r.w[j]
+			x.ForEach(func(i int, v float64) { dot += w[i] * v })
+			out[j] = norm * math.Cos(dot+b[j])
+		}
 	}
 	return out
 }

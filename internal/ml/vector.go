@@ -9,6 +9,15 @@
 // Everything is deterministic given an explicit seed, which is what lets
 // the workflow layer distinguish reusable operators from nondeterministic
 // ones (paper §6.2, MNIST workflow).
+//
+// Kernel contract. The hot loops (the learners' Fit and Predict, the
+// random projection, the embedding updates) call concrete kernels over
+// DenseVector (kernels.go) that switch once on an input's representation;
+// they never box a DenseVector into a Vector or call a closure per
+// coordinate. The Vector interface methods (Dot, ForEach, At) serve the
+// cold paths. Every kernel is bit-identical to the in-order sum it
+// replaces: the same summation order, no reassociation, and no fused
+// multiply-add the in-order loop could not form.
 package ml
 
 import (
@@ -69,23 +78,7 @@ func (v DenseVector) ForEach(f func(i int, x float64)) {
 func (v DenseVector) ApproxBytes() int64 { return int64(8 * len(v)) }
 
 // Dot implements Vector.
-func (v DenseVector) Dot(other Vector) float64 {
-	if v.Dim() != other.Dim() {
-		panic(fmt.Sprintf("ml: dot dimension mismatch %d vs %d", v.Dim(), other.Dim()))
-	}
-	switch o := other.(type) {
-	case DenseVector:
-		var s float64
-		for i, x := range v {
-			s += x * o[i]
-		}
-		return s
-	default:
-		var s float64
-		other.ForEach(func(i int, x float64) { s += v[i] * x })
-		return s
-	}
-}
+func (v DenseVector) Dot(other Vector) float64 { return dotDense(other, v) }
 
 // Clone returns a copy of v.
 func (v DenseVector) Clone() DenseVector {
@@ -94,10 +87,9 @@ func (v DenseVector) Clone() DenseVector {
 	return out
 }
 
-// AddScaled adds alpha*other to v in place. other may be sparse.
-func (v DenseVector) AddScaled(alpha float64, other Vector) {
-	other.ForEach(func(i int, x float64) { v[i] += alpha * x })
-}
+// AddScaled adds alpha*other to v in place. other may be sparse. Panics
+// on dimension mismatch.
+func (v DenseVector) AddScaled(alpha float64, other Vector) { axpyDense(v, alpha, other) }
 
 // Scale multiplies v by alpha in place.
 func (v DenseVector) Scale(alpha float64) {
@@ -107,7 +99,7 @@ func (v DenseVector) Scale(alpha float64) {
 }
 
 // Norm2 returns the Euclidean norm.
-func (v DenseVector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
+func (v DenseVector) Norm2() float64 { return math.Sqrt(dot(v, v)) }
 
 // SparseVector stores only non-zero coordinates, sorted by index.
 type SparseVector struct {
@@ -162,6 +154,9 @@ func (v *SparseVector) ApproxBytes() int64 { return int64(16 * len(v.Idx)) }
 func (v *SparseVector) Dot(other Vector) float64 {
 	if v.Dim() != other.Dim() {
 		panic(fmt.Sprintf("ml: dot dimension mismatch %d vs %d", v.Dim(), other.Dim()))
+	}
+	if o, ok := other.(DenseVector); ok {
+		return dotSparse(v.Idx, v.Val, o)
 	}
 	var s float64
 	for j, i := range v.Idx {

@@ -178,11 +178,12 @@ func (w2v Word2Vec) Fit(sentences [][]string) (*Embeddings, error) {
 	}
 
 	gradIn := make(DenseVector, dim)
+	var ids []int
 	for ep := 0; ep < epochs; ep++ {
 		step := rate / (1 + 0.5*float64(ep))
 		for _, sent := range sentences {
 			// Map to ids, dropping out-of-vocabulary tokens.
-			ids := make([]int, 0, len(sent))
+			ids = ids[:0]
 			for _, w := range sent {
 				if i, ok := id[w]; ok {
 					ids = append(ids, i)
@@ -215,7 +216,7 @@ func (w2v Word2Vec) Fit(sentences [][]string) (*Embeddings, error) {
 						}
 						sgnsUpdate(in[center], out[n], 0, step, gradIn)
 					}
-					in[center].AddScaled(1, gradIn)
+					axpy(in[center], 1, gradIn)
 				}
 			}
 		}
@@ -232,7 +233,7 @@ func (w2v Word2Vec) Fit(sentences [][]string) (*Embeddings, error) {
 // updating the context vector in place and accumulating the input-vector
 // gradient into gradIn (applied by the caller after all samples).
 func sgnsUpdate(w, c DenseVector, y float64, step float64, gradIn DenseVector) {
-	g := (sigmoid(w.Dot(c)) - y) * step
+	g := (sigmoid(dot(w, c)) - y) * step
 	for i := range c {
 		gradIn[i] -= g * c[i]
 		c[i] -= g * w[i]
