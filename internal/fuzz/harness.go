@@ -505,21 +505,15 @@ func valueDiff(got, want any) string {
 	return ""
 }
 
-// readManifest snapshots the store's on-disk manifest as chain-signature
-// → size. After Session.Run returns, the write-behind barrier has
-// flushed the manifest, so this is the authoritative post-iteration
-// usage — without reaching into the live session's store.
+// readManifest snapshots the store's on-disk manifest (base plus
+// journal) as chain-signature → size. After Session.Run returns, the
+// write-behind barrier has journaled every entry change, so this is the
+// authoritative post-iteration usage — without reaching into the live
+// session's store.
 func readManifest(dir string) (map[string]int64, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	entries, err := store.ReadManifest(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]int64{}, nil
-		}
-		return nil, err
-	}
-	var entries []store.Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("fuzz: parse %s manifest: %w", dir, err)
+		return nil, fmt.Errorf("fuzz: read %s manifest: %w", dir, err)
 	}
 	m := make(map[string]int64, len(entries))
 	for _, e := range entries {

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -157,10 +158,21 @@ func (ix *Indexer) ApproxBytes() int64 {
 // "determined globally across D" (paper §3.2.1) by sorting feature names,
 // and categorical features are expanded one-hot.
 type FeatureSpace struct {
-	// slots maps "feature=value" (categorical) or "feature" (numeric) to a
-	// dense coordinate.
-	slots map[string]int
-	names []string
+	// byName maps a raw feature's name to its slots; names[i] is slot i's
+	// key, "feature=value" (categorical) or "feature" (numeric), and slots
+	// maps each key back to its slot.
+	byName map[string]*featureSlots
+	slots  map[string]int
+	names  []string
+}
+
+// featureSlots are one raw feature's coordinates: num for its numeric
+// form (-1 when it never was a number), cats per categorical value. A
+// numeric feature named "a=b" and the value b of a categorical feature a
+// share one key, and so one slot.
+type featureSlots struct {
+	num  int
+	cats map[string]int
 }
 
 // RawFeatures is the human-readable feature map produced by extractors:
@@ -183,24 +195,73 @@ func Cat(s string) FeatureValue { return FeatureValue{Str: s} }
 
 // FitFeatureSpace learns the global feature index from all raw feature
 // maps in one pass (the paper's loop-fused "delayed and batched" learning
-// of DPR functions, §3.2.1).
+// of DPR functions, §3.2.1). Keys are built once per distinct feature
+// and value, not per cell.
 func FitFeatureSpace(all []RawFeatures) *FeatureSpace {
-	seen := make(map[string]bool)
+	fs := &FeatureSpace{byName: make(map[string]*featureSlots)}
 	for _, rf := range all {
 		for name, v := range rf {
-			seen[slotKey(name, v)] = true
+			f := fs.byName[name]
+			if f == nil {
+				f = &featureSlots{num: -1, cats: make(map[string]int)}
+				fs.byName[name] = f
+			}
+			if v.IsNumber {
+				f.num = 0 // seen as a number; the slot is assigned below
+			} else if _, ok := f.cats[v.Str]; !ok {
+				f.cats[v.Str] = 0
+			}
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for k := range seen {
-		names = append(names, k)
+	// One reference per distinct key, sorted; equal keys share a slot.
+	type slotRef struct {
+		key string
+		f   *featureSlots
+		cat string
+		num bool
 	}
-	sort.Strings(names)
-	slots := make(map[string]int, len(names))
-	for i, k := range names {
-		slots[k] = i
+	var refs []slotRef
+	for name, f := range fs.byName {
+		if f.num == 0 {
+			refs = append(refs, slotRef{key: name, f: f, num: true})
+		}
+		for v := range f.cats {
+			refs = append(refs, slotRef{key: name + "=" + v, f: f, cat: v})
+		}
 	}
-	return &FeatureSpace{slots: slots, names: names}
+	sort.Slice(refs, func(a, b int) bool { return refs[a].key < refs[b].key })
+	fs.slots = make(map[string]int, len(refs))
+	for _, r := range refs {
+		if len(fs.names) == 0 || fs.names[len(fs.names)-1] != r.key {
+			fs.slots[r.key] = len(fs.names)
+			fs.names = append(fs.names, r.key)
+		}
+		slot := len(fs.names) - 1
+		if r.num {
+			r.f.num = slot
+		} else {
+			r.f.cats[r.cat] = slot
+		}
+	}
+	return fs
+}
+
+// slotOf returns the slot of feature name's value v.
+func (fs *FeatureSpace) slotOf(name string, v FeatureValue) (int, bool) {
+	if f := fs.byName[name]; f != nil {
+		if !v.IsNumber {
+			if s, ok := f.cats[v.Str]; ok {
+				return s, true
+			}
+		} else if f.num >= 0 {
+			return f.num, true
+		}
+	}
+	// A key fit never saw under this feature may still be another's (a
+	// numeric "a=b" is categorical a's value b): the one path that builds
+	// the key, taken only on a miss.
+	s, ok := fs.slots[slotKey(name, v)]
+	return s, ok
 }
 
 func slotKey(name string, v FeatureValue) string {
@@ -219,21 +280,35 @@ func (fs *FeatureSpace) Dim() int { return len(fs.names) }
 func (fs *FeatureSpace) SlotName(i int) string { return fs.names[i] }
 
 // Vectorize converts a raw feature map into a sparse vector in the learned
-// space. Unseen categorical values map to nothing.
+// space. Unseen categorical values map to nothing. Should one row carry
+// both halves of a colliding key (see featureSlots), the slot holds the
+// larger value.
 func (fs *FeatureSpace) Vectorize(rf RawFeatures) Vector {
-	elems := make(map[int]float64, len(rf))
+	idx := make([]int, 0, len(rf))
+	val := make([]float64, 0, len(rf))
 	for name, v := range rf {
-		slot, ok := fs.slots[slotKey(name, v)]
+		slot, ok := fs.slotOf(name, v)
 		if !ok {
 			continue
 		}
-		if v.IsNumber {
-			elems[slot] = v.Num
-		} else {
-			elems[slot] = 1
+		x := v.Num
+		if !v.IsNumber {
+			x = 1
 		}
+		// Insertion into the sorted prefix: a row holds a handful of
+		// features.
+		k := len(idx)
+		for k > 0 && idx[k-1] > slot {
+			k--
+		}
+		if k > 0 && idx[k-1] == slot {
+			val[k-1] = max(val[k-1], x)
+			continue
+		}
+		idx = slices.Insert(idx, k, slot)
+		val = slices.Insert(val, k, x)
 	}
-	return Sparse(len(fs.names), elems)
+	return &SparseVector{N: len(fs.names), Idx: idx, Val: val}
 }
 
 // ApproxBytes implements the engine's Sizer.

@@ -3,9 +3,15 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"helix/internal/data"
 )
 
 func TestBucketizerEqualFrequency(t *testing.T) {
@@ -295,5 +301,131 @@ func TestSummarizeClusters(t *testing.T) {
 	}
 	if len(s.TopMembers[0]) != 2 || s.TopMembers[0][0] != "near-origin" {
 		t.Fatalf("members = %v", s.TopMembers)
+	}
+}
+
+// referenceFeatureSpace is FitFeatureSpace and Vectorize as they were
+// written first — a "name=value" key per cell and a map per row — kept as
+// the oracle the allocation-free version must match bit for bit.
+type referenceFeatureSpace struct {
+	slots map[string]int
+	names []string
+}
+
+func fitReference(all []RawFeatures) *referenceFeatureSpace {
+	seen := make(map[string]bool)
+	for _, rf := range all {
+		for name, v := range rf {
+			seen[slotKey(name, v)] = true
+		}
+	}
+	names := make([]string, 0, len(seen))
+	for k := range seen {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	slots := make(map[string]int, len(names))
+	for i, k := range names {
+		slots[k] = i
+	}
+	return &referenceFeatureSpace{slots: slots, names: names}
+}
+
+func (fs *referenceFeatureSpace) vectorize(rf RawFeatures) *SparseVector {
+	elems := make(map[int]float64, len(rf))
+	for name, v := range rf {
+		slot, ok := fs.slots[slotKey(name, v)]
+		if !ok {
+			continue
+		}
+		if v.IsNumber {
+			elems[slot] = v.Num
+		} else {
+			elems[slot] = 1
+		}
+	}
+	return Sparse(len(fs.names), elems)
+}
+
+// censusRawFeatures parses generated census rows the way the census
+// synthesizer sees them: numeric columns as numbers, the rest as
+// categories. Rows whose race is not White also carry a numeric feature
+// named "race=White", whose key collides with the categorical one's.
+func censusRawFeatures(t *testing.T) []RawFeatures {
+	t.Helper()
+	train, test := data.GenerateCensusCSV(data.CensusConfig{TrainRows: 400, TestRows: 100, Seed: 7})
+	numeric := map[string]bool{"age": true, "fnlwgt": true, "education_num": true, "capital_gain": true, "capital_loss": true, "hours_per_week": true}
+	var raw []RawFeatures
+	for _, csv := range []string{train, test} {
+		lines := strings.Split(strings.TrimSpace(csv), "\n")
+		for i, line := range lines[1:] {
+			cells := strings.Split(line, ",")
+			rf := make(RawFeatures, len(cells)+1)
+			for c, name := range data.CensusColumns {
+				if name == "target" {
+					continue
+				}
+				if numeric[name] {
+					x, err := strconv.ParseFloat(cells[c], 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rf[name] = Num(x)
+				} else {
+					rf[name] = Cat(cells[c])
+				}
+			}
+			if rf["race"].Str != "White" {
+				rf["race=White"] = Num(float64(i % 5))
+			}
+			raw = append(raw, rf)
+		}
+	}
+	return raw
+}
+
+// TestFeatureSpaceMatchesReference: on census rows, slot numbering and
+// every vector equal the per-cell-key implementation's, including a
+// numeric feature whose name is another feature's "name=value" key, and
+// values fit never saw.
+func TestFeatureSpaceMatchesReference(t *testing.T) {
+	raw := censusRawFeatures(t)
+	fs, ref := FitFeatureSpace(raw), fitReference(raw)
+	if !reflect.DeepEqual(fs.names, ref.names) {
+		t.Fatalf("slot names differ:\n got %v\nwant %v", fs.names, ref.names)
+	}
+	shared := 0
+	probes := append(raw, RawFeatures{"race": Cat("Martian"), "age": Cat("old"), "race=White": Num(3), "nobody": Num(1)},
+		RawFeatures{"race=Black": Num(2), "workclass=Private": Num(4)})
+	for i, rf := range probes {
+		got, want := fs.Vectorize(rf).(*SparseVector), ref.vectorize(rf)
+		if got.N != want.N || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("row %d: %+v, want %+v", i, got, want)
+		}
+		if _, ok := rf["race=White"]; ok && i < len(raw) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no row exercised the colliding key")
+	}
+	if n := testing.AllocsPerRun(20, func() { fs.Vectorize(raw[0]) }); n > 3 {
+		t.Errorf("Vectorize allocates %v times per row, want at most 3 (indices, values, vector)", n)
+	}
+}
+
+// TestFeatureSpaceCollisionInOneRow: a row carrying both halves of a
+// colliding key gets one entry, the larger value, whatever the map order.
+func TestFeatureSpaceCollisionInOneRow(t *testing.T) {
+	rf := RawFeatures{"a": Cat("b"), "a=b": Num(0.25), "z": Num(2)}
+	fs := FitFeatureSpace([]RawFeatures{rf})
+	if fs.Dim() != 2 {
+		t.Fatalf("dim %d, want 2 (a=b shared, z)", fs.Dim())
+	}
+	for i := 0; i < 20; i++ {
+		v := fs.Vectorize(rf).(*SparseVector)
+		if !slices.Equal(v.Idx, []int{0, 1}) || !slices.Equal(v.Val, []float64{1, 2}) {
+			t.Fatalf("vector %+v, want idx [0 1] val [1 2]", v)
+		}
 	}
 }

@@ -48,11 +48,12 @@ type sharedState struct {
 }
 
 // OpenShared opens (creating if needed) a shared content-addressed store
-// rooted at dir. Store-level configuration (codec, writer-pool size, disk
-// simulation) is set once on the underlying Store() before the first use;
-// attaching sessions inherit it.
+// rooted at dir. Unlike Open it leaves temp files alone: another process
+// may be mid-publish into the same directory. Store-level configuration
+// (codec, writer-pool size, disk simulation) is set once on the
+// underlying Store() before the first use; attaching sessions inherit it.
 func OpenShared(dir string) (*Shared, error) {
-	s, err := Open(dir)
+	s, err := openStore(dir, false)
 	if err != nil {
 		return nil, err
 	}

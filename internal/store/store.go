@@ -38,11 +38,15 @@
 //     value. Stored values are treated as immutable (the engine already
 //     shares them freely across node goroutines), so sharing the decode
 //     is safe.
-//   - The manifest is rewritten atomically (tmp file + rename) under a
-//     dedicated mutex after every synchronous mutation. Write-behind
-//     writes instead mark the table dirty and batch the (whole-table)
-//     manifest rewrite into the Flush barrier, so the writer pool is
-//     never serialized behind per-write manifest flushes.
+//   - The manifest is manifest.json, a compacted base, plus
+//     manifest.journal, an append-only record of the keys changed since
+//     (journal.go). Every mutation marks its key dirty; a synchronous
+//     Put/Delete/Purge appends put/delete records for the dirty keys at
+//     once, and write-behind writes leave theirs to the Flush barrier, so
+//     N background writes cost one append, not N. Appending is one
+//     write(2) under a dedicated mutex, never an fsync: the base is
+//     rewritten (tmp file + fsync + rename) only by the compaction in Close
+//     and in Open when a journal is present.
 //
 // # Write-behind
 //
@@ -65,7 +69,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"helix/internal/clock"
@@ -142,12 +145,23 @@ type Store struct {
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
 
-	// manifestMu serializes manifest snapshots and their tmp+rename.
+	// manifestMu serializes journal appends and compactions, and guards
+	// journal, journaled and persistErr. It is held across that I/O.
 	manifestMu sync.Mutex
-	// manifestDirty marks entry-table mutations whose manifest flush was
-	// deferred to the next Flush barrier (write-behind writes only —
-	// synchronous mutations flush inline).
-	manifestDirty atomic.Bool
+	journal    *Journal
+	// journaled reports that the journal may hold records the base does
+	// not: a compaction is due at Close.
+	journaled bool
+	// persistErr is the first failed journal append or compaction, which
+	// no mutation fails on (the entry is in the table, and the next
+	// compaction records it); Close returns it.
+	persistErr error
+
+	// dirtyMu guards dirty, the keys mutated since the journal last
+	// recorded them.
+	//lint:nolockio
+	dirtyMu sync.Mutex
+	dirty   map[string]struct{}
 
 	wp writerPool
 
@@ -173,35 +187,151 @@ func (s *Store) codec() Codec {
 // CodecName reports the effective codec's name.
 func (s *Store) CodecName() string { return s.codec().Name() }
 
-// Open opens (creating if needed) a store rooted at dir and loads its
-// manifest.
-func Open(dir string) (*Store, error) {
+// The manifest's base and journal within the store directory.
+const (
+	manifestFile        = "manifest.json"
+	manifestJournalFile = "manifest.journal"
+)
+
+// Open opens (creating if needed) a private store rooted at dir and loads
+// its manifest: the base, then whatever the journal recorded after it.
+// When a journal is present it is compacted into the base at once. Open
+// also removes what a crash mid-write leaves: a <key>.gob.tmp that never
+// got renamed, and a stale manifest temp file.
+func Open(dir string) (*Store, error) { return openStore(dir, true) }
+
+// openStore is Open, with the sweep of temp files optional: a shared store
+// skips it, since another process may be publishing into the directory
+// right now.
+func openStore(dir string, sweep bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	s := &Store{dir: dir, flight: make(map[string]*flightCall)}
+	if sweep {
+		sweepTemps(dir)
+	}
+	entries, journaled, err := readManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{
+		dir:     dir,
+		flight:  make(map[string]*flightCall),
+		journal: NewJournal(filepath.Join(dir, manifestJournalFile)),
+		dirty:   make(map[string]struct{}),
+	}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]Entry)
 	}
 	s.keyLocks.init()
 	s.wp.init()
-	manifest := filepath.Join(dir, "manifest.json")
-	data, err := os.ReadFile(manifest)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read manifest: %w", err)
-	}
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("store: decode manifest: %w", err)
-	}
 	for _, e := range entries {
-		sh := s.shardFor(e.Key)
-		sh.entries[e.Key] = e
+		s.shardFor(e.Key).entries[e.Key] = e
+	}
+	if journaled {
+		// Start from an empty journal: a torn tail a crash left would
+		// otherwise hide every record appended behind it. Should this
+		// compaction fail, Close tries again.
+		s.manifestMu.Lock()
+		s.journaled = true
+		s.compactManifest()
+		s.manifestMu.Unlock()
 	}
 	return s, nil
+}
+
+// sweepTemps removes the temp files of writes a crash interrupted: an
+// artifact's <key>.gob.tmp (putBytes) and the manifest's temp file, under
+// both the name WriteFileSync gives it and the fixed one older builds
+// used. Best effort: what cannot be removed is only wasted space.
+func sweepTemps(dir string) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, de := range des {
+		name := de.Name()
+		if strings.HasSuffix(name, ".gob.tmp") || name == manifestFile+".tmp" || strings.HasPrefix(name, manifestFile+".tmp-") {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
+}
+
+// manifestRecord is one manifest.journal record: a key's entry after a
+// mutation, or its deletion. Exactly one field is set.
+type manifestRecord struct {
+	Put    *Entry `json:"put,omitempty"`
+	Delete string `json:"delete,omitempty"`
+}
+
+// ReadManifest reads the manifest of the store in dir as Open does — the
+// base, then the journal's intact prefix — sorted by key. It is for
+// readers outside a live Store (tests, the fuzz harness); a missing
+// manifest is an empty one.
+func ReadManifest(dir string) ([]Entry, error) {
+	byKey, _, err := readManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, 0, len(byKey))
+	for _, e := range byKey {
+		entries = append(entries, e)
+	}
+	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	return entries, nil
+}
+
+// readManifest loads the base and replays the journal over it, reporting
+// whether a journal file was there. A base that is unreadable or not a
+// manifest is an error; a journal is trusted up to its first torn or
+// corrupt record, whatever follows.
+func readManifest(dir string) (map[string]Entry, bool, error) {
+	byKey := make(map[string]Entry)
+	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	switch {
+	case err == nil:
+		var entries []Entry
+		if err := json.Unmarshal(data, &entries); err != nil {
+			return nil, false, fmt.Errorf("store: decode manifest: %w", err)
+		}
+		for _, e := range entries {
+			byKey[e.Key] = e
+		}
+	case !os.IsNotExist(err):
+		return nil, false, fmt.Errorf("store: read manifest: %w", err)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, manifestJournalFile))
+	if os.IsNotExist(err) {
+		return byKey, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: read manifest journal: %w", err)
+	}
+	replayManifest(byKey, journal)
+	return byKey, true, nil
+}
+
+// replayManifest applies the journal's intact records to byKey and
+// returns the length of the prefix it applied. A record that is not
+// exactly one put of a keyed entry or one delete ends the replay like a
+// torn frame. Records are idempotent per key, so replaying a journal
+// over the base it was compacted into changes nothing.
+func replayManifest(byKey map[string]Entry, journal []byte) int {
+	return Frames(journal, func(payload []byte) bool {
+		var rec manifestRecord
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
+		}
+		switch {
+		case rec.Put != nil && rec.Delete == "" && rec.Put.Key != "":
+			byKey[rec.Put.Key] = *rec.Put
+		case rec.Put == nil && rec.Delete != "":
+			delete(byKey, rec.Delete)
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // Dir returns the store's root directory.
@@ -273,17 +403,17 @@ func (s *Store) staticBandwidth() float64 {
 // stored in the entry and returned. The key's per-key lock is held across
 // the file write so a concurrent Delete or Get of the same key cannot
 // observe a half-updated file/manifest pair; no shard lock is held during
-// I/O. The manifest is flushed before returning.
+// I/O. The manifest journal records the entry before returning.
 func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, error) {
 	e, _, err := s.putBytes(clock.Real{}, key, name, data, iteration, "", true)
 	return e, err
 }
 
 // putBytes is PutBytes on a given clock, with a tenant label (shared-mode
-// byte accounting) and the manifest flush optional: the write-behind pool passes
-// syncManifest=false and defers the (whole-table) manifest rewrite to the
-// Flush barrier, so N background writes cost one manifest flush instead
-// of N serialized ones.
+// byte accounting) and the manifest record optional: the write-behind
+// pool passes syncManifest=false and leaves the key dirty for the Flush
+// barrier, so N background writes cost one journal append instead of N
+// serialized ones.
 //
 // The payload lands atomically: it is written to a same-directory temp
 // file and renamed over the final path, so no reader — in this process or
@@ -328,12 +458,9 @@ func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration
 	sh.entries[key] = e
 	sh.mu.Unlock()
 	s.keyLocks.unlock(key)
-	if !syncManifest {
-		s.manifestDirty.Store(true)
-		return e, true, nil
-	}
-	if err := s.flushManifest(); err != nil {
-		return e, true, err
+	s.markDirty(key)
+	if syncManifest {
+		s.flushManifest()
 	}
 	return e, true, nil
 }
@@ -455,10 +582,12 @@ func (s *Store) Delete(key string) error {
 	if !ok {
 		return nil
 	}
+	s.markDirty(key)
+	s.flushManifest()
 	if rmErr != nil && !os.IsNotExist(rmErr) {
 		return fmt.Errorf("store: delete %q: %w", key, rmErr)
 	}
-	return s.flushManifest()
+	return nil
 }
 
 // Purge removes every entry for which keep returns false, returning the
@@ -482,7 +611,7 @@ func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
 			doomed = append(doomed, k)
 		}
 	}
-	removed := false
+	var removed []string
 	for _, k := range doomed {
 		if s.shared != nil && s.Pinned(k) {
 			continue
@@ -496,7 +625,7 @@ func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
 		}
 		sh.mu.Unlock()
 		if ok {
-			removed = true
+			removed = append(removed, k)
 			freed += e.Size
 			if rmErr := os.Remove(s.path(k)); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
 				err = fmt.Errorf("store: purge %q: %w", k, rmErr)
@@ -504,15 +633,13 @@ func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
 		}
 		s.keyLocks.unlock(k)
 	}
-	// The entry table is unchanged when nothing was removed (the common
-	// case: most iterations deprecate no stored result), so the
-	// whole-table manifest rewrite would reproduce the file already there.
-	if !removed {
+	// The common case — most iterations deprecate no stored result —
+	// leaves the manifest untouched.
+	if len(removed) == 0 {
 		return 0, nil
 	}
-	if ferr := s.flushManifest(); ferr != nil && err == nil {
-		err = ferr
-	}
+	s.markDirty(removed...)
+	s.flushManifest()
 	return freed, err
 }
 
@@ -580,28 +707,84 @@ func (s *Store) snapshotEntries() []Entry {
 	return entries
 }
 
-// flushManifest persists the entry table atomically. manifestMu is taken
-// before the snapshot so concurrent flushes cannot commit an older table
-// over a newer one; every mutation triggers its own flush, so the last
-// writer always leaves the manifest current.
-func (s *Store) flushManifest() error {
+// markDirty records that keys' entries changed since the journal last
+// recorded them.
+func (s *Store) markDirty(keys ...string) {
+	s.dirtyMu.Lock()
+	for _, k := range keys {
+		s.dirty[k] = struct{}{}
+	}
+	s.dirtyMu.Unlock()
+}
+
+// flushManifest appends one journal record per dirty key — its entry as
+// the table holds it now, or its deletion — in a single write. Reading
+// the table under manifestMu makes the last record appended for a key
+// its latest state, whatever order concurrent mutations flush in. A
+// failed append fails no mutation: it is kept for Close, whose
+// compaction writes the table whole.
+func (s *Store) flushManifest() {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
-	entries := s.snapshotEntries()
-	// Compact JSON: the manifest is rewritten whole on every flush and
-	// only ever read back by json.Unmarshal, which takes either form.
-	data, err := json.Marshal(entries)
+	s.dirtyMu.Lock()
+	keys := make([]string, 0, len(s.dirty))
+	for k := range s.dirty {
+		keys = append(keys, k)
+	}
+	clear(s.dirty)
+	s.dirtyMu.Unlock()
+	if len(keys) == 0 {
+		return
+	}
+	sort.Strings(keys)
+	s.journaled = true
+	payloads := make([][]byte, 0, len(keys))
+	for _, k := range keys {
+		var rec manifestRecord
+		if e, ok := s.Entry(k); ok {
+			e.Refs = s.Refs(k)
+			rec.Put = &e
+		} else {
+			rec.Delete = k
+		}
+		data, _ := json.Marshal(rec) // strings and integers: always encodes
+		payloads = append(payloads, data)
+	}
+	s.keepErr(s.journal.Append(payloads...))
+}
+
+// compactManifest writes the whole entry table as the base and removes
+// the journal. Dirty keys are cleared first, not appended: the table
+// already holds their changes, and a mutation landing after the clear
+// marks its key again. The caller holds manifestMu. A mutation racing
+// the snapshot (only another attachment of a shared store can) is in the
+// base but not yet in the journal, so a crash between the rename and the
+// removal would replay that key's older record over it: a missing entry
+// or a failed load, which costs recomputation, never a wrong value.
+func (s *Store) compactManifest() {
+	s.dirtyMu.Lock()
+	clear(s.dirty)
+	s.dirtyMu.Unlock()
+	data, err := json.Marshal(s.snapshotEntries())
+	if err == nil {
+		err = WriteFileSync(filepath.Join(s.dir, manifestFile), data)
+	}
 	if err != nil {
-		return fmt.Errorf("store: encode manifest: %w", err)
+		// The journal is still the only record of what the base lacks.
+		s.keepErr(err)
+		s.journal.Close()
+		return
 	}
-	tmp := filepath.Join(s.dir, "manifest.json.tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: write manifest: %w", err)
+	s.journaled = false
+	s.keepErr(s.journal.Remove())
+}
+
+// keepErr remembers err if it is the first persistence error since the
+// last Close. The caller holds manifestMu.
+func (s *Store) keepErr(err error) {
+	if s.persistErr == nil {
+		s.persistErr = err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "manifest.json")); err != nil {
-		return fmt.Errorf("store: commit manifest: %w", err)
-	}
-	return nil
 }
 
 // keyedMutex provides a mutex per string key, created on demand and

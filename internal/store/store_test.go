@@ -152,9 +152,10 @@ func TestManifestPersistsAcrossOpen(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: the manifest is written as compact JSON, sorted
-// by key, and Open reads both that and the indented form stores wrote
-// before — every entry comes back field for field.
+// TestManifestRoundTrip: the journal records every Put before Close,
+// Close compacts it into a manifest of compact JSON sorted by key, and
+// Open reads both that and the indented form stores wrote before — every
+// entry comes back field for field.
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
@@ -169,6 +170,15 @@ func TestManifestRoundTrip(t *testing.T) {
 	want := s1.snapshotEntries()
 	if len(want) != 3 || want[0].Key != "alpha" || want[1].Key != "mid" || want[2].Key != "zeta" {
 		t.Fatalf("snapshot not sorted by key: %+v", want)
+	}
+	if got, err := ReadManifest(dir); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest before Close = %+v, %v; want %+v", got, err, want)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestJournalFile)); !os.IsNotExist(err) {
+		t.Fatalf("journal survived Close's compaction: %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -223,32 +233,31 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPurgeNothingLeavesManifestAlone: a purge that removes no entry must
-// not rewrite the manifest (it ran once per iteration, whole table, even
-// when every stored result was kept).
+// TestPurgeNothingLeavesManifestAlone: a purge that removes no entry —
+// what most iterations' purges do — appends nothing to the journal.
 func TestPurgeNothingLeavesManifestAlone(t *testing.T) {
 	s := open(t)
 	if _, err := s.Put("k", "n", payload{N: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	manifest := filepath.Join(s.Dir(), "manifest.json")
-	sentinel := []byte("untouched")
-	if err := os.WriteFile(manifest, sentinel, 0o644); err != nil {
+	journal := filepath.Join(s.Dir(), manifestJournalFile)
+	before, err := os.ReadFile(journal)
+	if err != nil {
 		t.Fatal(err)
 	}
 	freed, err := s.Purge(func(string) bool { return true })
 	if err != nil || freed != 0 {
 		t.Fatalf("Purge = %d, %v; want 0, nil", freed, err)
 	}
-	if got, _ := os.ReadFile(manifest); !bytes.Equal(got, sentinel) {
-		t.Fatalf("no-op purge rewrote the manifest: %q", got)
+	if got, _ := os.ReadFile(journal); !bytes.Equal(got, before) {
+		t.Fatalf("no-op purge appended to the journal: %d → %d bytes", len(before), len(got))
 	}
-	// One that does remove something still persists the new table.
+	// One that does remove something still records the new table.
 	if _, err := s.Purge(func(string) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(manifest); string(got) != "null" && string(got) != "[]" {
-		t.Fatalf("manifest after purging everything = %q, want an empty table", got)
+	if got, err := ReadManifest(s.Dir()); err != nil || len(got) != 0 {
+		t.Fatalf("manifest after purging everything = %+v, %v; want an empty table", got, err)
 	}
 }
 

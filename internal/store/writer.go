@@ -164,7 +164,7 @@ func (s *Store) PutAsync(req WriteRequest) {
 // Write processes one request in place on the caller's goroutine — what a
 // writer goroutine does for a queued one — and returns the outcome after
 // OnDone has seen it. No Flush barrier is guaranteed to follow, so the
-// manifest is flushed inline like any synchronous Put.
+// manifest journal records it inline like any synchronous Put.
 func (s *Store) Write(req WriteRequest) WriteOutcome {
 	out := s.processWrite(req, true)
 	if req.OnDone != nil {
@@ -203,7 +203,7 @@ func (s *Store) writerLoop() {
 // processWrite performs one request: encode if needed, consult Decide,
 // write. Timing starts here — queue wait is deliberately not charged as
 // materialization cost. With syncManifest false (writer goroutines) the
-// manifest update is deferred to the Flush barrier instead of rewritten
+// manifest record is deferred to the Flush barrier instead of appended
 // per write.
 func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	c := req.Clock
@@ -241,7 +241,7 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 
 // Flush is the write-behind barrier: it blocks until every request
 // enqueued before the call (and any enqueued while it waits) has fully
-// drained — payload on disk, manifest updated, OnDone returned. It
+// drained — payload on disk, manifest journal appended, OnDone returned. It
 // returns the first background write error since the previous Flush, if
 // any. Callers that need cross-iteration reuse or a durable manifest
 // (Session.Run, Session.Close) call this between iterations.
@@ -254,19 +254,19 @@ func (s *Store) Flush() error {
 	err := w.err
 	w.err = nil
 	w.mu.Unlock()
-	// Batched manifest update: writer goroutines only mark the table
-	// dirty; the one whole-table rewrite happens here, once per barrier.
-	if s.manifestDirty.CompareAndSwap(true, false) {
-		if ferr := s.flushManifest(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
+	// Batched manifest update: writer goroutines only mark their keys
+	// dirty; the journal records them here, in one append per barrier.
+	s.flushManifest()
 	return err
 }
 
-// Close flushes pending writes and stops the writer pool. The store
-// remains usable afterwards: subsequent PutAsync calls degrade to
-// synchronous writes on the caller's goroutine.
+// Close flushes pending writes, stops the writer pool and compacts the
+// manifest: the base is rewritten durably and the journal removed — the
+// store's only fsyncs. It returns the first error among the barrier's and
+// every journal append or compaction since the store opened or last
+// closed. The store remains usable afterwards: subsequent PutAsync calls
+// degrade to synchronous writes on the caller's goroutine, and their
+// records start a new journal.
 //
 // stopped is set before the flush: from that point every new PutAsync
 // takes the synchronous path, so once Flush observes a drained queue no
@@ -282,5 +282,14 @@ func (s *Store) Close() error {
 	if !already {
 		close(w.stop)
 	}
+	s.manifestMu.Lock()
+	defer s.manifestMu.Unlock()
+	if s.journaled {
+		s.compactManifest()
+	}
+	if err == nil {
+		err = s.persistErr
+	}
+	s.persistErr = nil
 	return err
 }

@@ -140,9 +140,21 @@ func TestSessionPlanLeavesSessionUntouched(t *testing.T) {
 	}
 	iterBefore := sess.Iteration()
 	storageBefore := sess.StorageBytes()
-	stateBefore, err := os.ReadFile(filepath.Join(dir, "session.json"))
-	if err != nil {
-		t.Fatal(err)
+	// The persisted state is the base and the journal together.
+	persisted := func() string {
+		var all string
+		for _, name := range []string{"session.json", "session.journal"} {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			all += name + ":" + string(data) + "\n"
+		}
+		return all
+	}
+	stateBefore := persisted()
+	if !strings.Contains(stateBefore, `"iteration":1`) {
+		t.Fatalf("the Run persisted no state: %q", stateBefore)
 	}
 
 	// Plan a CHANGED workflow several times: the changed reducer must be
@@ -167,11 +179,7 @@ func TestSessionPlanLeavesSessionUntouched(t *testing.T) {
 	if got := sess.StorageBytes(); got != storageBefore {
 		t.Fatalf("Plan changed store usage: %d → %d bytes", storageBefore, got)
 	}
-	stateAfter, err := os.ReadFile(filepath.Join(dir, "session.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stateBefore) != string(stateAfter) {
+	if stateBefore != persisted() {
 		t.Fatal("Plan rewrote persisted session state")
 	}
 

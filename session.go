@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,7 +58,9 @@ const DefaultStorageBudget = 10 << 30
 // workflow lifecycle of Figure 2. Sessions persist their change-tracking
 // state (node signatures, operator statistics, and iteration history)
 // next to the store, so reopening a session on the same directory
-// resumes reuse across process restarts.
+// resumes reuse across process restarts. The state is session.json, a
+// base rewritten only when it is compacted, plus session.journal, one
+// appended record per Run since; Run and Close say what survives what.
 //
 // A Session supports one Run at a time: a second concurrent Run returns
 // ErrConcurrentRun rather than queueing (see Run). Plan is read-only and
@@ -69,7 +72,7 @@ type Session struct {
 	// att is the session's handle on a shared store (WithSharedStore);
 	// nil for a private store. When set, the session detaches on Close
 	// instead of closing the store, pins its last executed plan's
-	// signatures against purging, and skips session.json persistence —
+	// signatures against purging, and skips session-state persistence —
 	// many sessions share one directory, and cross-session reuse flows
 	// through the content-addressed store and shared plan cache instead.
 	att *store.Attachment
@@ -103,16 +106,169 @@ type Session struct {
 	// store is never torn down under an executing iteration.
 	runActive bool
 	runDone   *sync.Cond
+
+	// The persistence state below belongs to whoever holds the run slot —
+	// Open, a Run after its state update (runActive still set), Close after
+	// runs drained — so it needs no lock, and no lock is held across its
+	// I/O. persisted is the snapshot the base and journal on disk add up
+	// to, the baseline of the next record's delta; dirty says the journal
+	// holds records the base lacks (or failed to take one), so Close
+	// compacts; persistErr is the first failed append or compaction, which
+	// Close returns.
+	persisted  []core.NodeSnapshot
+	journal    *store.Journal
+	dirty      bool
+	persistErr error
 }
 
-// sessionStateFile holds the persisted snapshot within the store dir.
-const sessionStateFile = "session.json"
+// The session state's base and journal within the store dir.
+const (
+	sessionStateFile   = "session.json"
+	sessionJournalFile = "session.journal"
+)
 
-// sessionState is the on-disk session record.
+// sessionState is the base: the whole state as of its Iteration.
 type sessionState struct {
 	Iteration int               `json:"iteration"`
 	Snapshot  core.Snapshot     `json:"snapshot"`
 	History   []IterationRecord `json:"history,omitempty"`
+}
+
+// sessionRecord is one session.journal record: what one Run changed.
+type sessionRecord struct {
+	// Iteration is the session's iteration counter after the run. Replay
+	// skips a record the base already covers, so a crash between a
+	// compaction's rename and its removal of the journal is harmless.
+	Iteration int             `json:"iteration"`
+	Record    IterationRecord `json:"record"`
+	Delta     snapshotDelta   `json:"delta"`
+}
+
+// snapshotDelta turns one snapshot into the next: about twenty nodes on a
+// thousand-node DAG's no-op or leaf edit, where the whole snapshot is a
+// thousand.
+type snapshotDelta struct {
+	// Set holds the nodes that are new or whose chain signature or
+	// metrics changed.
+	Set []core.NodeSnapshot `json:"set,omitempty"`
+	// Order lists every node name, in order, and is null unless the
+	// sequence of names changed; a node that disappeared is one Order
+	// leaves out. (An empty, non-null Order is an empty snapshot.)
+	Order []string `json:"order"`
+}
+
+// diffSnapshot is the delta that turns old into cur.
+func diffSnapshot(old, cur []core.NodeSnapshot) snapshotDelta {
+	var d snapshotDelta
+	same := len(old) == len(cur)
+	for i := 0; same && i < len(cur); i++ {
+		same = old[i].Name == cur[i].Name
+	}
+	if same {
+		for i := range cur {
+			if cur[i] != old[i] {
+				d.Set = append(d.Set, cur[i])
+			}
+		}
+		return d
+	}
+	byName := make(map[string]core.NodeSnapshot, len(old))
+	for _, n := range old {
+		byName[n.Name] = n
+	}
+	d.Order = make([]string, len(cur))
+	for i, n := range cur {
+		d.Order[i] = n.Name
+		if p, ok := byName[n.Name]; !ok || p != n {
+			d.Set = append(d.Set, n)
+		}
+	}
+	return d
+}
+
+// apply turns old, whose name → position index is pos, into the next
+// snapshot and returns it with its index, or false when d does not fit
+// old: a Set node old lacks with no Order to place it, a name in neither,
+// a name twice, a Set node Order leaves out. Without an Order, old and
+// pos are updated in place (the replay owns them), so a record costs what
+// it carries, not the size of the snapshot.
+func (d snapshotDelta) apply(old []core.NodeSnapshot, pos map[string]int) ([]core.NodeSnapshot, map[string]int, bool) {
+	if d.Order == nil {
+		for _, n := range d.Set {
+			if _, ok := pos[n.Name]; !ok {
+				return nil, nil, false
+			}
+		}
+		for _, n := range d.Set {
+			old[pos[n.Name]] = n
+		}
+		return old, pos, true
+	}
+	set := make(map[string]core.NodeSnapshot, len(d.Set))
+	for _, n := range d.Set {
+		if _, dup := set[n.Name]; dup {
+			return nil, nil, false
+		}
+		set[n.Name] = n
+	}
+	out := make([]core.NodeSnapshot, len(d.Order))
+	outPos := make(map[string]int, len(d.Order))
+	used := 0
+	for i, name := range d.Order {
+		if _, dup := outPos[name]; dup {
+			return nil, nil, false
+		}
+		outPos[name] = i
+		if n, ok := set[name]; ok {
+			out[i] = n
+			used++
+		} else if j, ok := pos[name]; ok {
+			out[i] = old[j]
+		} else {
+			return nil, nil, false
+		}
+	}
+	return out, outPos, used == len(set)
+}
+
+// replayState applies the intact prefix of journal to st, a parsed base,
+// record by record, and returns the result with the prefix's length in
+// bytes. A record past a gap in the iterations, or whose delta does not
+// fit, ends the replay like a torn frame. The base snapshot is taken as
+// FromSnapshot reads it (first of duplicate names), which is what the
+// deltas were computed against.
+func replayState(st sessionState, journal []byte) (sessionState, int) {
+	if len(journal) == 0 {
+		return st, 0
+	}
+	st.History = slices.Clip(st.History) // appends never write into the caller's array
+	nodes := core.FromSnapshot(st.Snapshot).Snapshot().Nodes
+	pos := make(map[string]int, len(nodes))
+	for i, n := range nodes {
+		pos[n.Name] = i
+	}
+	n := store.Frames(journal, func(payload []byte) bool {
+		var rec sessionRecord
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
+		}
+		if rec.Iteration <= st.Iteration {
+			return true
+		}
+		if rec.Iteration != st.Iteration+1 {
+			return false
+		}
+		next, nextPos, ok := rec.Delta.apply(nodes, pos)
+		if !ok {
+			return false
+		}
+		nodes, pos = next, nextPos
+		st.Iteration = rec.Iteration
+		st.History = append(st.History, rec.Record)
+		return true
+	})
+	st.Snapshot = core.Snapshot{Nodes: nodes}
+	return st, n
 }
 
 // Open opens a session whose materialization store lives in dir,
@@ -170,6 +326,16 @@ func Open(dir string, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 		cfg.store.applyTo(s.store)
+		// What the store already holds was admitted under this budget by
+		// an earlier process; a fresh policy that ignored it would let a
+		// reopened store grow to twice its budget. Charged whole, mandatory
+		// outputs included: Open cannot tell them apart, and a purge
+		// releases every byte it frees (Release of a negative size).
+		if used := s.store.UsedBytes(); used > 0 {
+			if rel, ok := pol.(interface{ Release(int64) }); ok {
+				rel.Release(-used)
+			}
+		}
 		// The config token pins every engine-level setting plan reuse
 		// must be conditioned on: a run under a different policy, budget,
 		// threshold, domain, or parallelism — whether a differently
@@ -180,7 +346,7 @@ func Open(dir string, opts ...Option) (*Session, error) {
 	s.engine.Store = s.store
 	s.dir = s.store.Dir()
 	if s.att == nil {
-		// session.json is per-session state; shared-mode sessions share one
+		// Session state is per-session; shared-mode sessions share one
 		// directory and resume reuse through the content-addressed store
 		// and shared plan cache instead.
 		s.loadState()
@@ -255,71 +421,88 @@ func (s *Session) runConfig(opts []Option) (exec.Options, error) {
 // (only dirty components re-solved), and misses (cold solves).
 func (s *Session) PlanCacheStats() plan.CacheStats { return s.engine.Cache.Stats() }
 
-// loadState restores persisted change-tracking state; absence or
-// corruption silently degrades to a fresh session (everything original).
-// Stale saveState temp files (a process that crashed between CreateTemp
-// and Rename) are swept here so they cannot accumulate across restarts.
+// loadState restores persisted change-tracking state: the base, then the
+// journal's intact prefix. Absence degrades silently to a fresh session
+// (everything original), and so does a corrupt base — its journal holds
+// deltas against a state nobody can read any more. A journal that was
+// there is compacted at once, so appends never land behind a torn tail.
+// Compactions that crashed before their rename leave temp files, swept
+// here so they cannot accumulate across restarts.
 func (s *Session) loadState() {
 	if stale, err := filepath.Glob(filepath.Join(s.dir, sessionStateFile+".tmp-*")); err == nil {
 		for _, f := range stale {
 			os.Remove(f)
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, sessionStateFile))
-	if err != nil {
-		return
-	}
+	s.journal = store.NewJournal(filepath.Join(s.dir, sessionJournalFile))
 	var st sessionState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return
+	data, err := os.ReadFile(filepath.Join(s.dir, sessionStateFile))
+	fresh := os.IsNotExist(err)
+	valid := err == nil && json.Unmarshal(data, &st) == nil
+	journal, jerr := os.ReadFile(filepath.Join(s.dir, sessionJournalFile))
+	if fresh || valid {
+		st, _ = replayState(st, journal)
+		if valid || st.Iteration > 0 {
+			s.iter = st.Iteration
+			s.prev = core.FromSnapshot(st.Snapshot)
+			s.history = st.History
+			s.persisted = s.prev.Snapshot().Nodes // as replay reads the base
+		}
 	}
-	s.iter = st.Iteration
-	s.prev = core.FromSnapshot(st.Snapshot)
-	s.history = st.History
+	if !os.IsNotExist(jerr) {
+		s.dirty = true
+		s.compactState()
+	}
 }
 
-// saveState persists change-tracking state (and the iteration history)
-// for restart resumption. A failed write is non-fatal: the next process
-// simply recomputes. The write is atomic — temp file then rename — so a
-// crash mid-write can never leave a truncated session.json behind; the
-// previous snapshot (or none) survives intact and loadState's corruption
-// handling is reserved for genuinely external damage.
-func (s *Session) saveState() {
-	s.mu.Lock()
-	if s.prev == nil {
-		s.mu.Unlock()
+// journalState appends what this Run changed to the journal: the
+// iteration's record and the snapshot's delta against the persisted one.
+// That is one small marshal and one write(2) — no fsync, no rename, no
+// copy of the history. A failure fails nothing: it is kept for Close,
+// whose compaction writes the whole state.
+func (s *Session) journalState(dag *core.DAG, iter int, rec IterationRecord) {
+	nodes := dag.Snapshot().Nodes
+	data, err := json.Marshal(sessionRecord{Iteration: iter, Record: rec, Delta: diffSnapshot(s.persisted, nodes)})
+	s.persisted = nodes
+	s.dirty = true
+	if err == nil {
+		err = s.journal.Append(data)
+	}
+	s.keepErr(err)
+}
+
+// compactState writes the whole state as the base — temp file, fsync,
+// rename — and removes the journal: the only fsync session persistence
+// makes. With no state yet there is no base to write, and a journal
+// left over is stale. A failed write keeps the journal, which is still
+// the only record of what the base lacks.
+func (s *Session) compactState() {
+	if !s.dirty {
 		return
 	}
-	st := sessionState{
-		Iteration: s.iter,
-		Snapshot:  s.prev.Snapshot(),
-		History:   append([]IterationRecord(nil), s.history...),
+	if s.prev != nil {
+		data, err := json.Marshal(sessionState{
+			Iteration: s.iter,
+			Snapshot:  core.Snapshot{Nodes: s.persisted},
+			History:   s.history,
+		})
+		if err == nil {
+			err = store.WriteFileSync(filepath.Join(s.dir, sessionStateFile), data)
+		}
+		if err != nil {
+			s.keepErr(err)
+			s.journal.Close()
+			return
+		}
 	}
-	s.mu.Unlock()
-	data, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, sessionStateFile+".tmp-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	// CreateTemp opens 0600; restore the file's historical 0644 so external
-	// tooling inspecting the session directory keeps read access.
-	merr := tmp.Chmod(0o644)
-	// Sync before the rename: POSIX does not order data writes against the
-	// rename, so without it a system crash could make the new name durable
-	// while its contents are not — the truncated-file outcome this whole
-	// dance exists to rule out.
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || merr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, sessionStateFile)); err != nil {
-		os.Remove(tmp.Name())
+	s.dirty = false
+	s.keepErr(s.journal.Remove())
+}
+
+// keepErr remembers err if it is the session's first persistence error.
+func (s *Session) keepErr(err error) {
+	if err != nil && s.persistErr == nil {
+		s.persistErr = fmt.Errorf("helix: persist session state: %w", err)
 	}
 }
 
@@ -379,6 +562,15 @@ func (s *Session) Plan(wf *Workflow, opts ...Option) (*Plan, error) {
 // completed iteration and queueing would make the result order (and thus
 // every subsequent plan) depend on scheduler timing. Run after Close
 // returns ErrSessionClosed.
+//
+// Durability: before Run returns, the iteration's change-tracking state
+// is appended to the session journal — written, not fsynced. It survives
+// a crash of the process (the kernel holds it) but not necessarily a
+// power loss; Close makes it durable. A journal cut short by either
+// restores an earlier iteration's state, exactly what a crash just before
+// the append would leave, and because reuse is keyed by chain signature
+// that costs recomputation, never a wrong value. A failed append does not
+// fail Run; Close reports it.
 func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Result, error) {
 	if !s.running.CompareAndSwap(false, true) {
 		return nil, ErrConcurrentRun
@@ -419,7 +611,7 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	// Write-behind barrier: the engine already drains its own iteration's
 	// writes, but the explicit Flush here is the documented contract — no
 	// materialization accepted by run N may be invisible to run N+1, and
-	// the manifest on disk reflects everything this iteration stored.
+	// the manifest journal records everything this iteration stored.
 	// The error is discarded on purpose: an individual write failure
 	// degrades to "not materialized" (identically in sync and async
 	// modes), it never fails the iteration — the computed outputs are
@@ -438,18 +630,24 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	}
 	s.mu.Lock()
 	s.recordHistory(wf, res, started, changedOperators(prog.DAG, prev))
+	rec := s.history[len(s.history)-1]
 	s.prev = prog.DAG
 	s.iter++
+	iterNow := s.iter
 	s.mu.Unlock()
 	if s.att == nil {
-		s.saveState()
+		s.journalState(prog.DAG, iterNow, rec)
 	}
 	return res, nil
 }
 
 // Close flushes any write-behind materializations still in flight, stops
-// the store's writer pool, and persists the session's change-tracking
-// state. The session and its store directory remain readable afterwards;
+// the store's writer pool, and compacts the session state and the store's
+// manifest: each base is rewritten with an fsync and its journal removed,
+// so once Close returns the state survives a power loss. It returns the
+// first error persistence met since Open — a failed journal append, a
+// failed compaction — wrapped so errors.Is reaches the cause, or else the
+// store's. The session and its store directory remain readable afterwards;
 // a session reopened on the same directory resumes reuse and its
 // iteration history. Always call Close (directly or deferred) when done
 // with a session — otherwise background writes may still be in flight
@@ -477,6 +675,10 @@ func (s *Session) Close() error {
 		// by SharedStore.Close.
 		return s.att.Detach()
 	}
-	s.saveState()
-	return s.store.Close()
+	s.compactState()
+	serr := s.store.Close()
+	if s.persistErr != nil {
+		return s.persistErr
+	}
+	return serr
 }

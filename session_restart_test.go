@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+
+	"helix/internal/opt"
 )
 
 // TestSessionRestartResumesReuse: reopening a session on the same
@@ -115,5 +117,42 @@ func TestSessionCorruptStateDegrades(t *testing.T) {
 	}
 	if c2.Load() != 4 {
 		t.Fatalf("fresh session should recompute all 4 operators, got %d", c2.Load())
+	}
+}
+
+// TestSessionReopenChargesStoredBytes: a session reopened on a store that
+// already holds materializations starts its budget net of them, so a
+// restart cannot let the store grow past its budget (the seed-15
+// eviction-pressure failure: the store held two budgets' worth after a
+// restart at iteration 1).
+func TestSessionReopenChargesStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 1 << 20
+	sess1, err := Open(dir, WithStorageBudget(budget), WithPolicy(PolicyAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c atomic.Int64
+	if _, err := sess1.Run(context.Background(), buildWorkflow(&c, "LR reg=0.1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sess2, err := Open(dir, WithStorageBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess2.Close()
+	used := sess2.StorageBytes()
+	if used == 0 {
+		t.Fatal("the first session stored nothing")
+	}
+	omp, ok := sess2.policies[sess2.base.policy].(*opt.StreamingOMP)
+	if !ok {
+		t.Fatalf("policy %T, want *opt.StreamingOMP", sess2.policies[sess2.base.policy])
+	}
+	if got := omp.Remaining(); got != budget-used {
+		t.Fatalf("reopened budget remaining %d, want %d − %d stored = %d", got, budget, used, budget-used)
 	}
 }

@@ -2,7 +2,6 @@ package helix
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -342,12 +341,8 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(h.Dir(), "manifest.json"))
+	entries, err := store.ReadManifest(h.Dir())
 	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []store.Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool, len(entries))
