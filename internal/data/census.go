@@ -8,8 +8,8 @@
 package data
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -64,38 +64,40 @@ type CensusConfig struct {
 // a header row, mimicking the two CSV files of Figure 3a line 3.
 func GenerateCensusCSV(cfg CensusConfig) (train, test string) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	reps := cfg.Replicas
-	if reps < 1 {
-		reps = 1
-	}
+	reps := max(cfg.Replicas, 1)
+	var body []byte
 	gen := func(rows int) string {
-		var b strings.Builder
-		b.WriteString(strings.Join(CensusColumns, ","))
-		b.WriteByte('\n')
-		lines := make([]string, rows)
+		body = body[:0]
 		for i := 0; i < rows; i++ {
-			lines[i] = censusRow(rng)
+			body = appendCensusRow(body, rng)
+			body = append(body, '\n')
 		}
+		var b strings.Builder
+		b.Grow(len(censusHeader) + reps*len(body))
+		b.WriteString(censusHeader)
 		for r := 0; r < reps; r++ {
-			for _, l := range lines {
-				b.WriteString(l)
-				b.WriteByte('\n')
-			}
+			b.Write(body)
 		}
 		return b.String()
 	}
 	return gen(cfg.TrainRows), gen(cfg.TestRows)
 }
 
-// censusRow draws one row whose income label correlates with education,
-// age, hours, capital gains, marital status and occupation, so that a
-// linear model genuinely has signal to learn.
-func censusRow(rng *rand.Rand) string {
+// censusHeader is the header line of both files.
+var censusHeader = strings.Join(CensusColumns, ",") + "\n"
+
+// eduNums[i] is educations[i]'s years of schooling.
+var eduNums = []int{9, 10, 13, 14, 16, 7, 12}
+
+// appendCensusRow appends one row whose income label correlates with
+// education, age, hours, capital gains, marital status and occupation, so
+// that a linear model genuinely has signal to learn.
+func appendCensusRow(b []byte, rng *rand.Rand) []byte {
 	age := 17 + rng.Intn(63)
 	wc := pick(rng, workclasses)
 	fnlwgt := 10000 + rng.Intn(700000)
-	edu := pick(rng, educations)
-	eduNum := map[string]int{"11th": 7, "HS-grad": 9, "Some-college": 10, "Assoc": 12, "Bachelors": 13, "Masters": 14, "Doctorate": 16}[edu]
+	e := rng.Intn(len(educations))
+	edu, eduNum := educations[e], eduNums[e]
 	marital := pick(rng, maritals)
 	occ := pick(rng, occupations)
 	rel := pick(rng, relationships)
@@ -128,11 +130,24 @@ func censusRow(rng *rand.Rand) string {
 	if score > 2.0 {
 		target = ">50K"
 	}
+	country := pick(rng, countries)
+	note := noteTemplates[rng.Intn(len(noteTemplates))]
 
-	return fmt.Sprintf("%d,%s,%d,%s,%d,%s,%s,%s,%s,%s,%d,%d,%d,%s,%s,%s",
-		age, wc, fnlwgt, edu, eduNum, marital, occ, rel, race, sex,
-		gain, loss, hours, pick(rng, countries),
-		noteTemplates[rng.Intn(len(noteTemplates))], target)
+	b = strconv.AppendInt(b, int64(age), 10)
+	b = append(append(b, ','), wc...)
+	b = strconv.AppendInt(append(b, ','), int64(fnlwgt), 10)
+	b = append(append(b, ','), edu...)
+	b = strconv.AppendInt(append(b, ','), int64(eduNum), 10)
+	for _, s := range [...]string{marital, occ, rel, race, sex} {
+		b = append(append(b, ','), s...)
+	}
+	for _, n := range [...]int{gain, loss, hours} {
+		b = strconv.AppendInt(append(b, ','), int64(n), 10)
+	}
+	for _, s := range [...]string{country, note, target} {
+		b = append(append(b, ','), s...)
+	}
+	return b
 }
 
 func pick(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }

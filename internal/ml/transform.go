@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -201,19 +200,52 @@ func FitFeatureSpace(all []RawFeatures) *FeatureSpace {
 	fs := &FeatureSpace{byName: make(map[string]*featureSlots)}
 	for _, rf := range all {
 		for name, v := range rf {
-			f := fs.byName[name]
-			if f == nil {
-				f = &featureSlots{num: -1, cats: make(map[string]int)}
-				fs.byName[name] = f
-			}
-			if v.IsNumber {
-				f.num = 0 // seen as a number; the slot is assigned below
-			} else if _, ok := f.cats[v.Str]; !ok {
-				f.cats[v.Str] = 0
-			}
+			fs.feature(name).observe(v)
 		}
 	}
-	// One reference per distinct key, sorted; equal keys share a slot.
+	fs.assignSlots()
+	return fs
+}
+
+// FitFeatureSpaceColumns is FitFeatureSpace for rows that arrive
+// column-major: cols[j][i] is row i's value of feature names[j]. The
+// slots are those FitFeatureSpace gives the rows' maps; a feature is
+// looked up once per column, not once per cell.
+func FitFeatureSpaceColumns(names []string, cols [][]FeatureValue) *FeatureSpace {
+	fs := &FeatureSpace{byName: make(map[string]*featureSlots)}
+	for j, col := range cols {
+		f := fs.feature(names[j])
+		for i := range col {
+			f.observe(col[i])
+		}
+	}
+	fs.assignSlots()
+	return fs
+}
+
+// feature returns name's slots, creating them on first sight.
+func (fs *FeatureSpace) feature(name string) *featureSlots {
+	f := fs.byName[name]
+	if f == nil {
+		f = &featureSlots{num: -1, cats: make(map[string]int)}
+		fs.byName[name] = f
+	}
+	return f
+}
+
+// observe records that the feature took value v.
+func (f *featureSlots) observe(v FeatureValue) {
+	if v.IsNumber {
+		f.num = 0 // seen as a number; the slot is assigned by assignSlots
+	} else if _, ok := f.cats[v.Str]; !ok {
+		f.cats[v.Str] = 0
+	}
+}
+
+// assignSlots is the slot rule: every observed key — "name" for a numeric
+// feature, "name=value" for each categorical value — sorted, with equal
+// keys sharing a slot.
+func (fs *FeatureSpace) assignSlots() {
 	type slotRef struct {
 		key string
 		f   *featureSlots
@@ -243,12 +275,12 @@ func FitFeatureSpace(all []RawFeatures) *FeatureSpace {
 			r.f.cats[r.cat] = slot
 		}
 	}
-	return fs
 }
 
-// slotOf returns the slot of feature name's value v.
-func (fs *FeatureSpace) slotOf(name string, v FeatureValue) (int, bool) {
-	if f := fs.byName[name]; f != nil {
+// slotOf returns the slot of feature f's value v; f is nil for a feature
+// fit never saw.
+func (fs *FeatureSpace) slotOf(f *featureSlots, name string, v FeatureValue) (int, bool) {
+	if f != nil {
 		if !v.IsNumber {
 			if s, ok := f.cats[v.Str]; ok {
 				return s, true
@@ -271,6 +303,25 @@ func slotKey(name string, v FeatureValue) string {
 	return name + "=" + v.Str
 }
 
+// insertSorted adds (slot, x) to the sorted entries idx[:n], val[:n],
+// which have room for one more, and returns the new count. Should the row
+// already hold slot — both halves of a colliding key (see featureSlots) —
+// the slot keeps the larger value.
+func insertSorted(idx []int, val []float64, n, slot int, x float64) int {
+	k := n
+	for k > 0 && idx[k-1] > slot {
+		k--
+	}
+	if k > 0 && idx[k-1] == slot {
+		val[k-1] = max(val[k-1], x)
+		return n
+	}
+	copy(idx[k+1:n+1], idx[k:n])
+	copy(val[k+1:n+1], val[k:n])
+	idx[k], val[k] = slot, x
+	return n + 1
+}
+
 // Dim returns the dimensionality of the assembled vector space.
 func (fs *FeatureSpace) Dim() int { return len(fs.names) }
 
@@ -280,35 +331,56 @@ func (fs *FeatureSpace) Dim() int { return len(fs.names) }
 func (fs *FeatureSpace) SlotName(i int) string { return fs.names[i] }
 
 // Vectorize converts a raw feature map into a sparse vector in the learned
-// space. Unseen categorical values map to nothing. Should one row carry
-// both halves of a colliding key (see featureSlots), the slot holds the
-// larger value.
+// space. Unseen categorical values map to nothing.
 func (fs *FeatureSpace) Vectorize(rf RawFeatures) Vector {
-	idx := make([]int, 0, len(rf))
-	val := make([]float64, 0, len(rf))
+	idx := make([]int, len(rf))
+	val := make([]float64, len(rf))
+	n := 0
 	for name, v := range rf {
-		slot, ok := fs.slotOf(name, v)
-		if !ok {
-			continue
+		if slot, ok := fs.slotOf(fs.byName[name], name, v); ok {
+			n = insertSorted(idx, val, n, slot, v.value())
 		}
-		x := v.Num
-		if !v.IsNumber {
-			x = 1
-		}
-		// Insertion into the sorted prefix: a row holds a handful of
-		// features.
-		k := len(idx)
-		for k > 0 && idx[k-1] > slot {
-			k--
-		}
-		if k > 0 && idx[k-1] == slot {
-			val[k-1] = max(val[k-1], x)
-			continue
-		}
-		idx = slices.Insert(idx, k, slot)
-		val = slices.Insert(val, k, x)
 	}
-	return &SparseVector{N: len(fs.names), Idx: idx, Val: val}
+	return &SparseVector{N: len(fs.names), Idx: idx[:n], Val: val[:n]}
+}
+
+// VectorizeColumns is Vectorize for every row of column-major features
+// (see FitFeatureSpaceColumns): row i's vector has the coordinates
+// Vectorize gives row i's map. The vectors are cap-limited windows of one
+// index slab and one value slab, in one slab of structs.
+func (fs *FeatureSpace) VectorizeColumns(names []string, cols [][]FeatureValue) []SparseVector {
+	rows := 0
+	if len(cols) > 0 {
+		rows = len(cols[0])
+	}
+	feats := make([]*featureSlots, len(cols))
+	for j := range cols {
+		feats[j] = fs.byName[names[j]]
+	}
+	idx := make([]int, rows*len(cols))
+	val := make([]float64, rows*len(cols))
+	out := make([]SparseVector, rows)
+	at := 0
+	for i := range out {
+		ri, rv := idx[at:at+len(cols)], val[at:at+len(cols)]
+		n := 0
+		for j, col := range cols {
+			if slot, ok := fs.slotOf(feats[j], names[j], col[i]); ok {
+				n = insertSorted(ri, rv, n, slot, col[i].value())
+			}
+		}
+		out[i] = SparseVector{N: len(fs.names), Idx: ri[:n:n], Val: rv[:n:n]}
+		at += n
+	}
+	return out
+}
+
+// value is v's coordinate: its number, or 1 for a categorical value.
+func (v FeatureValue) value() float64 {
+	if v.IsNumber {
+		return v.Num
+	}
+	return 1
 }
 
 // ApproxBytes implements the engine's Sizer.

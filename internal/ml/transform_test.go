@@ -429,3 +429,75 @@ func TestFeatureSpaceCollisionInOneRow(t *testing.T) {
 		}
 	}
 }
+
+// censusColumns is censusRawFeatures' rows column-major, with the
+// colliding numeric "race=White" present in every row — in the rows whose
+// race is White too, so both halves of that key meet in one row — and the
+// same rows as maps, the oracle's input.
+func censusColumns(t *testing.T) (names []string, cols [][]FeatureValue, rows []RawFeatures) {
+	t.Helper()
+	raw := censusRawFeatures(t)
+	for name := range raw[0] {
+		if name != "race=White" {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	names = append(names, "race=White")
+	cols = make([][]FeatureValue, len(names))
+	rows = make([]RawFeatures, len(raw))
+	for i, rf := range raw {
+		rows[i] = make(RawFeatures, len(names))
+		for j, name := range names {
+			v, ok := rf[name]
+			if !ok {
+				v = Num(float64(i%3) / 2) // includes 0 and values below the categorical 1
+			}
+			cols[j] = append(cols[j], v)
+			rows[i][name] = v
+		}
+	}
+	return names, cols, rows
+}
+
+// TestFeatureSpaceColumnsMatchesMaps: the column-major entry points give
+// the slots, dimension and per-row coordinates FitFeatureSpace and
+// Vectorize give the same rows as maps, on 500 census rows with a numeric
+// column whose name is a categorical slot's key.
+func TestFeatureSpaceColumnsMatchesMaps(t *testing.T) {
+	names, cols, rows := censusColumns(t)
+	if len(rows) != 500 {
+		t.Fatalf("%d rows, want 500", len(rows))
+	}
+	got, want := FitFeatureSpaceColumns(names, cols), FitFeatureSpace(rows)
+	if got.Dim() != want.Dim() || !reflect.DeepEqual(got.names, want.names) {
+		t.Fatalf("slots differ:\n got %d %v\nwant %d %v", got.Dim(), got.names, want.Dim(), want.names)
+	}
+	vecs := got.VectorizeColumns(names, cols)
+	if len(vecs) != len(rows) {
+		t.Fatalf("%d vectors for %d rows", len(vecs), len(rows))
+	}
+	collided := 0
+	for i, rf := range rows {
+		w := want.Vectorize(rf).(*SparseVector)
+		g := vecs[i]
+		if g.N != w.N || !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.Val, w.Val) {
+			t.Fatalf("row %d: %+v, want %+v", i, g, *w)
+		}
+		if rf["race"].Str == "White" {
+			collided++
+		}
+	}
+	if collided == 0 {
+		t.Fatal("no row held both halves of the colliding key")
+	}
+	// Windows of shared slabs: appending to one vector leaves the next alone.
+	next := slices.Clone(vecs[1].Idx)
+	vecs[0].Idx = append(vecs[0].Idx, -1)
+	if !slices.Equal(vecs[1].Idx, next) {
+		t.Fatal("appending to vector 0 changed vector 1")
+	}
+	if n := testing.AllocsPerRun(5, func() { got.VectorizeColumns(names, cols) }); n > 4 {
+		t.Errorf("VectorizeColumns allocates %v times, want at most 4 (lookups, two slabs, vectors)", n)
+	}
+}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"helix"
@@ -24,10 +24,11 @@ type CensusData struct {
 // ApproxBytes implements the engine's Sizer.
 func (c CensusData) ApproxBytes() int64 { return int64(len(c.Train) + len(c.Test)) }
 
-// TaggedRow is one parsed census row with its split flag.
-type TaggedRow struct {
-	Row   data.Row
-	Train bool
+// CensusTable is the scanner's output: both CSV files in one column-major
+// table, the training file's rows first, and each row's split flag.
+type CensusTable struct {
+	data.Table
+	Train []bool
 }
 
 // Column is an extractor's output: one raw feature value per row, aligned
@@ -187,24 +188,7 @@ func (c *Census) Build() *helix.Workflow {
 
 	env := c.env()
 	rows := wf.Scanner("rows", "CSVScanner(all-columns)", func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-		cd := in[0].(CensusData)
-		env := env.On(clock.From(ctx))
-		trainRows, err := parseCSVParallel(env, cd.Train)
-		if err != nil {
-			return nil, err
-		}
-		testRows, err := parseCSVParallel(env, cd.Test)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]TaggedRow, 0, len(trainRows)+len(testRows))
-		for _, r := range trainRows {
-			out = append(out, TaggedRow{Row: r, Train: true})
-		}
-		for _, r := range testRows {
-			out = append(out, TaggedRow{Row: r, Train: false})
-		}
-		return out, nil
+		return scanCensus(env.On(clock.From(ctx)), in[0].(CensusData))
 	}, src)
 
 	// One field extractor per active field (Figure 3a lines 5-10).
@@ -240,9 +224,13 @@ func (c *Census) Build() *helix.Workflow {
 				if err != nil {
 					return nil, err
 				}
+				labels := make([]string, bk.NumBuckets())
+				for b := range labels {
+					labels[b] = "b" + strconv.Itoa(b)
+				}
 				out := Column{Name: "ageBucket", Values: make([]ml.FeatureValue, len(col.Values))}
 				for i, v := range col.Values {
-					out.Values[i] = ml.Cat(fmt.Sprintf("b%d", int(bk.Transform(v.Num))))
+					out.Values[i] = ml.Cat(labels[int(bk.Transform(v.Num))])
 				}
 				return out, nil
 			}, ageExt)
@@ -257,9 +245,18 @@ func (c *Census) Build() *helix.Workflow {
 				if len(a.Values) != len(b.Values) {
 					return nil, fmt.Errorf("census: interaction arity mismatch %d vs %d", len(a.Values), len(b.Values))
 				}
+				// One string per distinct pair, not per row.
+				type pair struct{ a, b string }
+				joined := make(map[pair]string)
 				out := Column{Name: "eduXocc", Values: make([]ml.FeatureValue, len(a.Values))}
 				for i := range a.Values {
-					out.Values[i] = ml.Cat(a.Values[i].Str + "|" + b.Values[i].Str)
+					k := pair{a.Values[i].Str, b.Values[i].Str}
+					s, ok := joined[k]
+					if !ok {
+						s = k.a + "|" + k.b
+						joined[k] = s
+					}
+					out.Values[i] = ml.Cat(s)
 				}
 				return out, nil
 			}, eduExt, occExt)
@@ -273,10 +270,13 @@ func (c *Census) Build() *helix.Workflow {
 	wf.Extractor("raceExt", "FieldExtractor(race)", fieldExtractor(env, "race"), rows)
 
 	target := wf.Extractor("target", "FieldExtractor(target)", func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-		rs := in[0].([]TaggedRow)
-		out := Column{Name: "target", Values: make([]ml.FeatureValue, len(rs))}
-		for i, r := range rs {
-			if r.Row["target"] == ">50K" {
+		cells, err := in[0].(CensusTable).Col("target")
+		if err != nil {
+			return nil, fmt.Errorf("census: %w", err)
+		}
+		out := Column{Name: "target", Values: make([]ml.FeatureValue, len(cells))}
+		for i, cell := range cells {
+			if cell == ">50K" {
 				out.Values[i] = ml.Num(1)
 			} else {
 				out.Values[i] = ml.Num(0)
@@ -291,56 +291,51 @@ func (c *Census) Build() *helix.Workflow {
 	synthIn = append(synthIn, target)
 	income := wf.Synthesizer("income", fmt.Sprintf("examples(features=%d, label=target, scale=standard)", len(extractors)),
 		func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-			rs := in[0].([]TaggedRow)
+			split := in[0].(CensusTable).Train
 			nf := len(in) - 2
-			cols := make([]Column, nf)
-			for i := 0; i < nf; i++ {
-				cols[i] = in[1+i].(Column)
-			}
+			names := make([]string, nf)
+			cols := make([][]ml.FeatureValue, nf)
 			labels := in[len(in)-1].(Column)
+			if len(labels.Values) != len(split) {
+				return nil, fmt.Errorf("census: %d labels for %d rows", len(labels.Values), len(split))
+			}
 			// Standardize numeric columns: a data-dependent DPR function
 			// whose statistics are learned in the same pass that assembles
 			// examples (the paper's batched learning of DPR functions,
 			// §3.2.1). Unscaled magnitudes (e.g. capital_loss in the
 			// thousands) destabilize SGD.
-			for ci, col := range cols {
-				var vals []float64
+			var nums []float64
+			for ci := range cols {
+				col := in[1+ci].(Column)
+				if len(col.Values) != len(split) {
+					return nil, fmt.Errorf("census: column %s has %d values for %d rows", col.Name, len(col.Values), len(split))
+				}
+				names[ci], cols[ci] = col.Name, col.Values
+				nums = nums[:0]
 				for _, v := range col.Values {
 					if v.IsNumber {
-						vals = append(vals, v.Num)
+						nums = append(nums, v.Num)
 					}
 				}
-				if len(vals) != len(col.Values) {
+				if len(nums) != len(col.Values) {
 					continue // categorical column
 				}
-				sc, err := ml.FitStandardScaler(vals)
+				sc, err := ml.FitStandardScaler(nums)
 				if err != nil {
 					continue
 				}
-				scaled := Column{Name: col.Name, Values: make([]ml.FeatureValue, len(col.Values))}
-				for i, v := range col.Values {
-					scaled.Values[i] = ml.Num(sc.Transform(v.Num))
+				scaled := make([]ml.FeatureValue, len(nums))
+				for i, x := range nums {
+					scaled[i] = ml.Num(sc.Transform(x))
 				}
 				cols[ci] = scaled
 			}
-			raw := make([]ml.RawFeatures, len(rs))
-			for i := range rs {
-				rf := make(ml.RawFeatures, nf)
-				for _, col := range cols {
-					if i < len(col.Values) {
-						rf[col.Name] = col.Values[i]
-					}
-				}
-				raw[i] = rf
-			}
-			fs := ml.FitFeatureSpace(raw)
-			ds := &ml.Dataset{Dim: fs.Dim(), Examples: make([]ml.Example, len(rs))}
-			for i := range rs {
-				ds.Examples[i] = ml.Example{
-					X:     fs.Vectorize(raw[i]),
-					Y:     labels.Values[i].Num,
-					Train: rs[i].Train,
-				}
+			// Assembled from the columns: no per-row feature map.
+			fs := ml.FitFeatureSpaceColumns(names, cols)
+			xs := fs.VectorizeColumns(names, cols)
+			ds := &ml.Dataset{Dim: fs.Dim(), Examples: make([]ml.Example, len(split))}
+			for i := range ds.Examples {
+				ds.Examples[i] = ml.Example{X: &xs[i], Y: labels.Values[i].Num, Train: split[i]}
 			}
 			return ds, nil
 		}, synthIn...)
@@ -380,75 +375,53 @@ func (c *Census) Build() *helix.Workflow {
 	return wf
 }
 
-// parseCSVParallel parses a header-led CSV text on the dataflow substrate,
-// distributing row parsing across the environment's workers (the loop
-// fusion + parallelism the paper gets from Spark).
-func parseCSVParallel(env *collection.Env, text string) ([]data.Row, error) {
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		return nil, fmt.Errorf("census: empty CSV input")
+// scanCensus parses both CSV files into one table on the dataflow
+// substrate: one data-parallel map over each file's lines (the loop fusion
+// and parallelism the paper gets from Spark).
+func scanCensus(env *collection.Env, cd CensusData) (CensusTable, error) {
+	tab, counts, err := data.ParseCSV(func(n int, row func(int) bool) bool {
+		lines := make([]int, n)
+		for i := range lines {
+			lines[i] = i
+		}
+		return !slices.Contains(collection.Map(collection.New(env, lines), row).Collect(), false)
+	}, cd.Train, cd.Test)
+	if err != nil {
+		return CensusTable{}, fmt.Errorf("census: %w", err)
 	}
-	header := strings.Split(lines[0], ",")
-	type parsed struct {
-		row data.Row
-		err error
+	train := make([]bool, tab.Rows())
+	for i := range counts[0] {
+		train[i] = true
 	}
-	coll := collection.Map(collection.New(env, lines[1:]), func(line string) parsed {
-		if line == "" {
-			return parsed{}
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != len(header) {
-			return parsed{err: fmt.Errorf("census: row has %d fields, want %d", len(fields), len(header))}
-		}
-		r := make(data.Row, len(header))
-		for j, c := range header {
-			r[c] = fields[j]
-		}
-		return parsed{row: r}
-	})
-	all := coll.Collect()
-	rows := make([]data.Row, 0, len(all))
-	for _, p := range all {
-		if p.err != nil {
-			return nil, p.err
-		}
-		if p.row != nil {
-			rows = append(rows, p.row)
-		}
-	}
-	return rows, nil
+	return CensusTable{Table: tab, Train: train}, nil
 }
 
-// fieldExtractor returns the Func for a simple per-row field extractor,
-// executed data-parallel on the workload's environment.
+// fieldExtractor returns the Func for a simple per-row field extractor:
+// one data-parallel map over the field's column.
 func fieldExtractor(env *collection.Env, field string) helix.Func {
 	numeric := numericCensusFields[field]
 	return func(ctx context.Context, in []helix.Value) (helix.Value, error) {
-		rs := in[0].([]TaggedRow)
-		type extracted struct {
-			v   ml.FeatureValue
-			err error
+		cells, err := in[0].(CensusTable).Col(field)
+		if err != nil {
+			return nil, fmt.Errorf("census: %w", err)
 		}
-		vals := collection.Map(collection.New(env.On(clock.From(ctx)), rs), func(r TaggedRow) extracted {
-			raw := r.Row[field]
-			if numeric {
-				f, err := strconv.ParseFloat(raw, 64)
-				if err != nil {
-					return extracted{err: fmt.Errorf("census: field %s: %w", field, err)}
-				}
-				return extracted{v: ml.Num(f)}
+		vals := collection.Map(collection.New(env.On(clock.From(ctx)), cells), func(cell string) ml.FeatureValue {
+			if !numeric {
+				return ml.Cat(cell)
 			}
-			return extracted{v: ml.Cat(raw)}
+			f, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return ml.FeatureValue{} // not a number: reported below
+			}
+			return ml.Num(f)
 		}).Collect()
-		out := Column{Name: field, Values: make([]ml.FeatureValue, len(vals))}
-		for i, e := range vals {
-			if e.err != nil {
-				return nil, e.err
+		for i := 0; numeric && i < len(vals); i++ {
+			if !vals[i].IsNumber {
+				_, err := strconv.ParseFloat(cells[i], 64)
+				return nil, fmt.Errorf("census: field %s: %w", field, err)
 			}
-			out.Values[i] = e.v
 		}
-		return out, nil
+		return Column{Name: field, Values: vals}, nil
 	}
 }
 

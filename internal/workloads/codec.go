@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 
 	"helix/internal/data"
@@ -12,8 +11,8 @@ import (
 )
 
 // Native layouts for the values the built-in workloads flow between
-// operators and the engine therefore writes and loads: tens of thousands
-// of parsed census rows, feature columns, score vectors, the raw input
+// operators and the engine therefore writes and loads: the parsed census
+// table, feature columns, score vectors, the raw input
 // pair, the reducers' reports, the IE workflow's candidates. (The types
 // owned by internal/ml, internal/data and internal/nlp register theirs
 // beside the type.) Without an extension the binary codec routes a value
@@ -37,7 +36,7 @@ import (
 // that path tested.
 func init() {
 	for _, ext := range []store.Ext{
-		{Name: "workloads.TaggedRows/2", Type: reflect.TypeOf([]TaggedRow(nil)), Encode: encodeTaggedRows, Decode: decodeTaggedRows},
+		{Name: "workloads.CensusTable", Type: reflect.TypeOf(CensusTable{}), Encode: encodeCensusTable, Decode: decodeCensusTable},
 		{Name: "workloads.Column/2", Type: reflect.TypeOf(Column{}), Encode: encodeColumn, Decode: decodeColumn},
 		{Name: "workloads.Predictions/2", Type: reflect.TypeOf(Predictions{}), Encode: encodePredictions, Decode: decodePredictions},
 		{Name: "workloads.CensusData", Type: reflect.TypeOf(CensusData{}), Encode: encodeCensusData, Decode: decodeCensusData},
@@ -50,146 +49,123 @@ func init() {
 	}
 }
 
-// Row shapes of the TaggedRows layout.
-const (
-	rowFull    = 0 // a cell for every key seen so far
-	rowPartial = 1 // a presence bitmap over the keys seen so far, then the present cells
-	rowNewKeys = 2 // count + names of the keys this row is first to hold, then as rowPartial
-	rowNil     = 3 // a nil map: no cells (gob tells nil from empty, so this does too)
-)
-
-// encodeTaggedRows stores parsed rows row-major, one record per row:
+// encodeCensusTable stores the parsed table column-major, the way it is
+// held:
 //
-//	n  train bitmap(n)  n × ( shape [new keys] [presence bitmap] cells )
+//	n  train bitmap(n)  width  header  width × ( n cells )
 //
-// The key table starts empty and grows as rows introduce keys (sorted
-// within a row, so equal values encode to equal bytes); CSV rows share one
-// schema, so the first row introduces every key and every later one is a
-// rowFull byte followed by its cells. Each key's cells go through that
-// key's own dictionary. A row's map is visited once, with one lookup per
-// cell, while it is in cache.
-func encodeTaggedRows(w *store.Writer, v any) error {
-	rows := v.([]TaggedRow)
-	w.Uvarint(uint64(len(rows)))
-	if len(rows) == 0 {
-		return nil
+// Each column's cells go through that column's own dictionary, so a
+// categorical column costs a byte a cell and a column with more distinct
+// values than a dictionary holds (fnlwgt) cannot crowd the others out.
+func encodeCensusTable(w *store.Writer, v any) error {
+	t := v.(CensusTable)
+	n := len(t.Train)
+	if len(t.Cols) != len(t.Header) {
+		return fmt.Errorf("census table: %d columns under %d names", len(t.Cols), len(t.Header))
 	}
-	w.Grow(len(rows) * (2*len(rows[0].Row) + 8))
-	w.Bitmap(len(rows), func(i int) bool { return rows[i].Train })
-	var (
-		keys  []string
-		dicts []store.Dict
-		vals  []string // this row's cell for keys[k], if has[k]
-		has   []bool
-	)
-	presence := func(k int) bool { return has[k] }
-	for _, tr := range rows {
-		if tr.Row == nil {
-			w.Uvarint(rowNil)
-			continue
+	for j, col := range t.Cols {
+		if len(col) != n {
+			return fmt.Errorf("census table: column %q holds %d cells for %d rows", t.Header[j], len(col), n)
 		}
-		found := 0
-		for k, key := range keys {
-			if vals[k], has[k] = tr.Row[key]; has[k] {
-				found++
-			}
-		}
-		switch {
-		case found < len(tr.Row):
-			known := len(keys)
-			for key := range tr.Row {
-				if !slices.Contains(keys[:known], key) {
-					keys = append(keys, key)
-				}
-			}
-			sort.Strings(keys[known:]) // map order is random; the bytes must not be
-			w.Uvarint(rowNewKeys)
-			w.Uvarint(uint64(len(keys) - known))
-			for _, key := range keys[known:] {
-				w.RawString(key)
-				vals, has = append(vals, tr.Row[key]), append(has, true)
-			}
-			dicts = append(dicts, make([]store.Dict, len(keys)-known)...)
-			w.Bitmap(len(keys), presence)
-		case found < len(keys):
-			w.Uvarint(rowPartial)
-			w.Bitmap(len(keys), presence)
-		default:
-			w.Uvarint(rowFull)
-		}
-		for k := range keys {
-			if has[k] {
-				w.DictString(&dicts[k], vals[k])
-			}
+	}
+	w.Grow(n*len(t.Cols)*2 + n/8 + 16)
+	w.Uvarint(uint64(n))
+	w.Bitmap(n, func(i int) bool { return t.Train[i] })
+	w.Uvarint(uint64(len(t.Header)))
+	for _, name := range t.Header {
+		w.RawString(name)
+	}
+	for _, col := range t.Cols {
+		var dict store.Dict
+		for _, cell := range col {
+			w.DictString(&dict, cell)
 		}
 	}
 	return nil
 }
 
-// decodeTaggedRows creates each row's map once, at its final size, and
-// fills it while the row's cells stream past.
-func decodeTaggedRows(r *store.Reader) (any, error) {
-	n, err := r.Count(1)
-	if err != nil || n == 0 {
-		return []TaggedRow(nil), err
+// decodeCensusTable cuts every column from one slab of cells, and copies
+// each column's literals into one string its cells are cut from: a table
+// decodes in a handful of allocations a column, however many distinct
+// cells it holds. It reads the cells Writer.DictString wrote (a literal
+// that takes the next dictionary id, a literal that takes none, or id+2)
+// itself, for that arena. An empty table's slices are nil.
+func decodeCensusTable(r *store.Reader) (any, error) {
+	count, err := r.Uvarint()
+	if err != nil {
+		return nil, err
 	}
+	if count > 8*uint64(r.Remaining()) { // a bit each, in the bitmap
+		return nil, fmt.Errorf("census table: %d rows in %d bytes", count, r.Remaining())
+	}
+	n := int(count)
 	train, err := r.Bitmap(n)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]TaggedRow, n)
-	var (
-		keys   []string
-		tables [][]string // per key: its dictionary so far
-	)
-	for i := range rows {
-		rows[i].Train = train.At(i)
-		shape, err := r.Uvarint()
-		if err != nil {
+	width, err := r.Count(1)
+	if err != nil {
+		return nil, err
+	}
+	var t CensusTable
+	if width > 0 {
+		t.Header, t.Cols = make([]string, width), make([][]string, width)
+	}
+	for j := range t.Header {
+		if t.Header[j], err = r.RawString(); err != nil {
 			return nil, err
 		}
-		switch shape {
-		case rowNil:
-			continue
-		case rowNewKeys:
-			fresh, err := r.Count(1)
+	}
+	if n == 0 {
+		return t, nil
+	}
+	if width > r.Remaining()/n { // a cell takes a byte at the least
+		return nil, fmt.Errorf("census table: %d × %d cells in %d bytes", width, n, r.Remaining())
+	}
+	t.Train = make([]bool, n)
+	for i := range t.Train {
+		t.Train[i] = train.At(i)
+	}
+	if width == 0 {
+		return t, nil
+	}
+	slab := make([]string, width*n)
+	var (
+		span  = make([][2]int, n) // cell i is arena[span[i][0]:span[i][1]]
+		ids   [][2]int            // dictionary id → its literal's span
+		arena []byte
+	)
+	for j := range t.Cols {
+		ids, arena = ids[:0], arena[:0]
+		for i := range span {
+			ref, err := r.Uvarint()
 			if err != nil {
 				return nil, err
 			}
-			for ; fresh > 0; fresh-- {
-				key, err := r.RawString()
-				if err != nil {
-					return nil, err
+			if ref >= 2 {
+				if ref-2 >= uint64(len(ids)) {
+					return nil, fmt.Errorf("census table: column %q: dictionary reference %d out of range", t.Header[j], ref-2)
 				}
-				keys, tables = append(keys, key), append(tables, nil)
-			}
-		case rowFull, rowPartial:
-		default:
-			return nil, fmt.Errorf("tagged rows: row %d has unknown shape %d", i, shape)
-		}
-		width := len(keys)
-		var present store.Bits
-		if shape != rowFull {
-			if present, err = r.Bitmap(len(keys)); err != nil {
-				return nil, err
-			}
-			width = present.Count(len(keys))
-		}
-		if width > r.Remaining() {
-			return nil, fmt.Errorf("tagged rows: row %d claims %d cells, %d bytes remain", i, width, r.Remaining())
-		}
-		row := make(data.Row, width)
-		for k, key := range keys {
-			if present != nil && !present.At(k) {
+				span[i] = ids[ref-2]
 				continue
 			}
-			if row[key], err = r.DictString(&tables[k]); err != nil {
+			b, err := r.Bytes()
+			if err != nil {
 				return nil, err
 			}
+			span[i] = [2]int{len(arena), len(arena) + len(b)}
+			arena = append(arena, b...)
+			if ref == 0 {
+				ids = append(ids, span[i])
+			}
 		}
-		rows[i].Row = row
+		s := string(arena)
+		t.Cols[j], slab = slab[:n:n], slab[n:]
+		for i, sp := range span {
+			t.Cols[j][i] = s[sp[0]:sp[1]]
+		}
 	}
-	return rows, nil
+	return t, nil
 }
 
 // Column forms: what the cells are.

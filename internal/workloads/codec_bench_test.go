@@ -17,8 +17,7 @@ import (
 //
 //	go test ./internal/workloads -run '^$' -bench 'Encode|Decode|RowsParse' -benchmem -cpu 1
 //
-// MB/s is over the encoded size. The file only uses names the parent
-// commit has too, so the same file times both sides of a comparison.
+// MB/s is over the encoded size.
 
 // benchScale is what benchmark/workloads.go runs census-iter at;
 // mnist-iter runs at Scale{Rows: 1}.
@@ -125,22 +124,11 @@ func BenchmarkRowsParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		train, err := parseCSVParallel(env, cd.Train)
+		t, err := scanCensus(env, cd)
 		if err != nil {
 			b.Fatal(err)
 		}
-		test, err := parseCSVParallel(env, cd.Test)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out := make([]TaggedRow, 0, len(train)+len(test))
-		for _, r := range train {
-			out = append(out, TaggedRow{Row: r, Train: true})
-		}
-		for _, r := range test {
-			out = append(out, TaggedRow{Row: r})
-		}
-		benchSink = out
+		benchSink = t
 	}
 }
 

@@ -57,7 +57,7 @@ func (s Scale) rows(base int) int {
 // operators, so materialized results decode across sessions.
 func RegisterAll() {
 	helix.RegisterType(CensusData{})
-	helix.RegisterType([]TaggedRow(nil))
+	helix.RegisterType(CensusTable{})
 	helix.RegisterType(Column{})
 	helix.RegisterType([]data.Article(nil))
 	helix.RegisterType(&data.GeneKB{})
