@@ -10,10 +10,14 @@ package helix_test
 //	go test -run '^$' -bench . -benchmem
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"helix"
 	"helix/internal/core"
 	"helix/internal/data"
 	"helix/internal/ml"
@@ -190,6 +194,94 @@ func BenchmarkSubstrate_StoreRoundTrip(b *testing.B) {
 		if _, _, err := st.Get(key); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSmallEdit times one Session.Run — compile included — of a
+// workflow shaped like the repo benchmark's plan-wide (50 layers × 20
+// operators, each reading five of the layer below; the last layer is
+// output) whose operators return a constant, after a cold run that
+// materialized every node. What is left is the engine's own per-iteration
+// cost: "noop" reruns the same workflow (a plan-cache hit), "leaf-edit"
+// gives one output a new params string every run (a partial plan: that
+// node computed, its five parents and the other outputs loaded).
+// plan-ns/op is Result.PlanTime.
+func BenchmarkSmallEdit(b *testing.B) {
+	const layers, width, fanIn = 50, 20, 5
+	// Each operator returns a constant after ~100 µs of arithmetic: enough
+	// that the solver loads a materialized node rather than recompute its
+	// ancestry (a load is priced at ~1 ms), as on plan-wide.
+	constant := func(context.Context, []helix.Value) (helix.Value, error) {
+		x := 0.0
+		for i := 0; i < 100000; i++ {
+			x += float64(i) * 1e-9
+		}
+		if x < 0 {
+			return nil, fmt.Errorf("negative sum")
+		}
+		return 1.0, nil
+	}
+	build := func(leaf int) *helix.Workflow {
+		wf := helix.New("small-edit")
+		prev := make([]*helix.Op, width)
+		cur := make([]*helix.Op, width)
+		for l := 0; l < layers; l++ {
+			for w := 0; w < width; w++ {
+				name, params := fmt.Sprintf("n%d_%d", l, w), "v0"
+				if l == layers-1 && w == 0 {
+					params = fmt.Sprintf("v%d", leaf)
+				}
+				if l == 0 {
+					cur[w] = wf.Source(name, params, constant)
+					continue
+				}
+				ins := make([]*helix.Op, fanIn)
+				for k := range ins {
+					ins[k] = prev[(w+k)%width]
+				}
+				cur[w] = wf.Extractor(name, params, constant, ins...)
+				if l == layers-1 {
+					cur[w].IsOutput()
+				}
+			}
+			prev, cur = cur, prev
+		}
+		return wf
+	}
+	for _, bc := range []struct {
+		name string
+		edit bool // bump the leaf's version on every run
+	}{{"noop", false}, {"leaf-edit", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sess, err := helix.Open(b.TempDir(), helix.WithPolicy(helix.PolicyAlways))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			ctx := context.Background()
+			version := 0
+			run := func() *helix.Result {
+				if bc.edit {
+					version++
+				}
+				res, err := sess.Run(ctx, build(version))
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			// The cold run, then one warm run so the timed ones start
+			// from a steady state.
+			run()
+			run()
+			var plan time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan += run().PlanTime
+			}
+			b.ReportMetric(float64(plan)/float64(b.N), "plan-ns/op")
+		})
 	}
 }
 

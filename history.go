@@ -62,13 +62,15 @@ func (s *Session) recordHistory(wf *Workflow, res *Result, started time.Time, ch
 	s.history = append(s.history, rec)
 }
 
-// changedOperators lists nodes marked original by the engine's change
-// tracking. It recomputes signatures against the previous DAG, matching
-// what the engine did during the run.
-func changedOperators(d *core.DAG, prev *core.DAG) []string {
+// changedOperators lists the nodes the run's change tracking marked
+// original (Node.Original: no equivalent in the previous iteration's DAG),
+// sorted by name.
+func changedOperators(d *core.DAG) []string {
 	var out []string
-	for n := range d.OriginalNodes(prev) {
-		out = append(out, n.Name)
+	for _, n := range d.Nodes() {
+		if n.Original() {
+			out = append(out, n.Name)
+		}
 	}
 	sort.Strings(out)
 	return out

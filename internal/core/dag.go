@@ -4,6 +4,27 @@
 // operators. The package also implements change tracking across iterations
 // via representational equivalence (Definition 2), and the program-slicing
 // pruning of §5.4.
+//
+// # Change tracking
+//
+// DAG.Track is the one walk that compares an iteration's DAG with the
+// previous one: it computes every chain signature, marks each node original
+// or not (Node.Original), and carries the metrics of equivalent nodes
+// forward. A node whose same-named predecessor has the same operator
+// signature and parents with equal chain signatures in the same order takes
+// the predecessor's chain signature without hashing — the hash of equal
+// bytes — so a small edit hashes only the nodes downstream of it. Which
+// previous node is equivalent to which is likewise answered without a
+// signature index when the previous DAG's signatures are known to be
+// distinct: a reused signature's holder is its predecessor, and a hashed
+// node's can only be a child of its first parent's equivalent. Otherwise
+// the walk falls back to the previous DAG's signature index, whose
+// last-wins rule for repeated signatures (hand-built DAGs may repeat an
+// operator signature across names) is the contract OriginalNodes and the
+// carried metrics keep. A DSL workflow's signatures are distinct (its
+// operator signatures hold the unique names), so from the third iteration
+// of a session on, an edit that hashes k nodes costs O(k) lookups, not a
+// thousand-entry map.
 package core
 
 import (
@@ -11,7 +32,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -140,8 +163,14 @@ type Node struct {
 	children []*Node
 
 	// chainSig is the chained signature implementing Definition 2; computed
-	// lazily by DAG.ComputeSignatures.
+	// by DAG.Track (ComputeSignatures is Track without a previous DAG).
 	chainSig string
+	// sigOp is the operator signature chainSig was computed from: a later
+	// edit of OpSignature must not let another DAG reuse a stale chainSig.
+	sigOp string
+	// original is Track's verdict: no node of the previous DAG has an equal
+	// chain signature.
+	original bool
 }
 
 // Parents returns the node's direct inputs in insertion order. The returned
@@ -159,6 +188,11 @@ func (n *Node) Children() []*Node { return n.children }
 // Empty until DAG.ComputeSignatures has run.
 func (n *Node) ChainSignature() string { return n.chainSig }
 
+// Original reports whether the last DAG.Track found no equivalent of the
+// node in the previous DAG (Definition 2) — what OriginalNodes(prev) would
+// say of it. Every node is original after a Track without a previous DAG.
+func (n *Node) Original() bool { return n.original }
+
 // DAG is a workflow DAG G_W = (N, E). Nodes are identified by unique names
 // (the HML variable bound with refers_to).
 type DAG struct {
@@ -171,17 +205,32 @@ type DAG struct {
 	// duplicated subgraphs) the last node wins, matching the historical
 	// map-build behavior.
 	bySig map[string]*Node
+	// block holds the nodes Grow made room for; slab backs the parent and
+	// child lists Reserve sizes.
+	block []Node
+	slab  []*Node
+	// valid records a successful Validate; signed records a Track whose
+	// signatures still describe the DAG's structure, the condition for
+	// another DAG's walk to reuse them. Every mutation clears both.
+	valid, signed bool
+	// distinct records that the chain signatures are known to be
+	// distinct; every Track resets it. nul records that an operator
+	// signature the chain signatures were hashed from holds a NUL byte,
+	// the separator of the hashed bytes: only without one do equal chain
+	// signatures imply equal operators and parents.
+	distinct, nul bool
 }
 
-// SigIndex returns the signature→node index, building it on first use.
-// Valid only after ComputeSignatures (or FromSnapshot) populated the
-// chain signatures. The returned map must not be modified.
-func (d *DAG) SigIndex() map[string]*Node {
+// sigIndex returns the signature→node index, building it on first use
+// (and learning from it whether the signatures are distinct). Valid only
+// after Track (or FromSnapshot) populated the chain signatures.
+func (d *DAG) sigIndex() map[string]*Node {
 	if d.bySig == nil {
 		d.bySig = make(map[string]*Node, len(d.nodes))
 		for _, n := range d.nodes {
 			d.bySig[n.chainSig] = n
 		}
+		d.distinct = len(d.bySig) == len(d.nodes)
 	}
 	return d.bySig
 }
@@ -200,7 +249,14 @@ func (d *DAG) AddNode(name string, kind Kind, comp Component, opSig string, dete
 	if _, ok := d.byName[name]; ok {
 		return nil, fmt.Errorf("core: duplicate node %q", name)
 	}
-	n := &Node{
+	var n *Node
+	if len(d.block) < cap(d.block) {
+		d.block = d.block[:len(d.block)+1]
+		n = &d.block[len(d.block)-1]
+	} else {
+		n = new(Node)
+	}
+	*n = Node{
 		ID:            len(d.nodes),
 		Name:          name,
 		Kind:          kind,
@@ -210,7 +266,33 @@ func (d *DAG) AddNode(name string, kind Kind, comp Component, opSig string, dete
 	}
 	d.nodes = append(d.nodes, n)
 	d.byName[name] = n
+	d.valid, d.signed = false, false
 	return n, nil
+}
+
+// Grow makes room for n more nodes: the next n AddNode calls take their
+// nodes from one block and index them without growing.
+func (d *DAG) Grow(n int) {
+	d.nodes = slices.Grow(d.nodes, n)
+	if len(d.byName) == 0 {
+		d.byName = make(map[string]*Node, n)
+	}
+	d.block = make([]Node, 0, n)
+}
+
+// Reserve sizes n's parent and child lists for the given degrees, carving
+// them from one slab the DAG owns, so wiring a node whose degree is known
+// up front appends without growing. A list that outgrows its reservation
+// grows as usual. Call it before n's first edge.
+func (d *DAG) Reserve(n *Node, parents, children int) {
+	need := parents + children
+	if cap(d.slab)-len(d.slab) < need {
+		d.slab = make([]*Node, 0, max(need, 256))
+	}
+	at := len(d.slab)
+	d.slab = d.slab[:at+need]
+	n.parents = d.slab[at : at : at+parents]
+	n.children = d.slab[at+parents : at+parents : at+need]
 }
 
 // MustAddNode is AddNode but panics on error; for use in tests and
@@ -230,7 +312,7 @@ func (d *DAG) AddEdge(from, to *Node) error {
 	if from == nil || to == nil {
 		return fmt.Errorf("core: nil node in edge")
 	}
-	if d.byName[from.Name] != from || d.byName[to.Name] != to {
+	if !d.owns(from) || !d.owns(to) {
 		return fmt.Errorf("core: edge endpoints not in this DAG")
 	}
 	if from == to {
@@ -250,7 +332,13 @@ func (d *DAG) AddEdge(from, to *Node) error {
 	}
 	from.children = append(from.children, to)
 	to.parents = append(to.parents, from)
+	d.valid, d.signed = false, false
 	return nil
+}
+
+// owns reports whether n is a node of d: IDs are positions in d.nodes.
+func (d *DAG) owns(n *Node) bool {
+	return n.ID >= 0 && n.ID < len(d.nodes) && d.nodes[n.ID] == n
 }
 
 // reaches reports whether dst is reachable from src following child edges.
@@ -284,6 +372,7 @@ func (d *DAG) MarkOutput(n *Node) {
 		}
 	}
 	d.outputs = append(d.outputs, n)
+	d.valid = false
 }
 
 // Outputs returns the declared output nodes.
@@ -434,7 +523,8 @@ func (d *DAG) Slice() map[*Node]bool {
 // H(opSignature ‖ sorted parent chain signatures); per Definition 2 two
 // nodes are equivalent iff their operator declarations and all ancestors
 // match, which is exactly what the chained hash captures (up to hash
-// collisions).
+// collisions). It is Track without a previous DAG: every node is hashed
+// and marked original.
 //
 // Nondeterministic nodes get stable signatures like any other: an
 // unchanged nondeterministic operator does not deprecate its descendants'
@@ -443,16 +533,57 @@ func (d *DAG) Slice() map[*Node]bool {
 // forbids is reusing the node's own output — it never has an equivalent
 // materialization (Definition 3) — which the execution engine enforces by
 // never materializing or loading such nodes.
-func (d *DAG) ComputeSignatures() {
-	// One digest and scratch buffer serve the whole pass: signature
-	// computation runs on every iteration's planning path (a freshly
-	// compiled DAG has no signatures), so per-node allocations here were
-	// measurable on 1000-node workflows.
+func (d *DAG) ComputeSignatures() { d.Track(nil) }
+
+// scanLimit bounds the hashed nodes without parents Track resolves by
+// scanning a whole DAG: past a handful of such scans one signature index
+// is cheaper.
+const scanLimit = 16
+
+// Track is change tracking (§4.2) against prev, the previous iteration's
+// DAG (nil at iteration 0), in one walk: it computes every node's chain
+// signature (see ComputeSignatures), marks each node original when prev
+// holds no node with an equal signature (Node.Original, Definition 2), and
+// copies the measured metrics of that equivalent node — the last one in
+// prev's order when signatures repeat — into the node (§5.2: statistics
+// from past iterations are accurate for equivalent nodes because the exact
+// same operator ran before). Nodes without an equivalent keep their
+// metrics. The results equal ComputeSignatures followed by OriginalNodes
+// and the metric carry; what is saved is the hashing of unchanged chains
+// and, once prev's signatures are known distinct, every signature index.
+func (d *DAG) Track(prev *DAG) {
+	// A node may take its same-named predecessor's signature only from a
+	// DAG whose signatures describe its own structure: not a snapshot
+	// ghost, not a DAG edited since it was signed, not d itself.
+	reuse := prev != nil && prev != d && prev.signed
+	d.bySig = nil
+	// equiv[n.ID] is the predecessor whose signature n took, then n's
+	// equivalent in prev.
+	var equiv []*Node
+	if reuse {
+		equiv = make([]*Node, len(d.nodes))
+	}
+	// One digest and scratch buffer serve the whole pass.
 	h := sha256.New()
-	var sum [sha256.Size]byte
-	var buf []byte
-	var sigs []string
+	var (
+		sum    [sha256.Size]byte
+		buf    []byte
+		sigs   []string
+		hashed []*Node
+	)
+	nul := false
 	for _, n := range d.TopoSort() {
+		if reuse {
+			p := prev.predecessor(n)
+			if p != nil && p.sigOp == n.OpSignature && sameSigs(p.parents, n.parents) {
+				n.chainSig, n.sigOp = p.chainSig, p.sigOp
+				nul = nul || prev.nul && strings.IndexByte(n.sigOp, 0) >= 0
+				equiv[n.ID] = p
+				continue
+			}
+		}
+		n.sigOp = n.OpSignature
+		nul = nul || strings.IndexByte(n.sigOp, 0) >= 0
 		h.Reset()
 		buf = append(buf[:0], n.OpSignature...)
 		buf = append(buf, 0)
@@ -470,14 +601,131 @@ func (d *DAG) ComputeSignatures() {
 		h.Write(buf)
 		h.Sum(sum[:0])
 		n.chainSig = hex.EncodeToString(sum[:])
+		if reuse {
+			hashed = append(hashed, n)
+		}
 	}
-	d.bySig = nil // signatures changed; rebuild the index on next use
+	d.signed, d.distinct, d.nul = true, false, nul
+
+	if prev == nil {
+		for _, n := range d.nodes {
+			n.original = true
+		}
+		return
+	}
+	// Equivalents. Without a NUL in any operator signature, a node with
+	// n's chain signature has n's operator and parents with n's parents'
+	// signatures. In a prev whose signatures are distinct, a reused
+	// signature's holder is then the predecessor it came from, and a
+	// hashed node's is a child of its first parent's equivalent — or, for
+	// a node without parents, whatever a scan of prev finds. Otherwise
+	// prev's index decides, last node winning.
+	scans := 0
+	for _, n := range hashed {
+		if len(n.parents) == 0 {
+			scans++
+		}
+	}
+	cheap := reuse && !nul && scans <= scanLimit
+	if cheap && prev.distinct && !prev.nul {
+		for _, n := range hashed {
+			equiv[n.ID] = prev.holder(n, equiv)
+		}
+	} else {
+		idx := prev.sigIndex()
+		if equiv == nil {
+			equiv = make([]*Node, len(d.nodes))
+		}
+		for _, n := range d.nodes {
+			equiv[n.ID] = idx[n.chainSig]
+		}
+	}
+	for _, n := range d.nodes {
+		p := equiv[n.ID]
+		n.original = p == nil
+		if p != nil && p.Metrics.Known {
+			n.Metrics = p.Metrics
+		}
+	}
+	// d's signatures are distinct when prev's are (an index just built
+	// may have told) and no hashed node repeats one: reused signatures
+	// came from distinct predecessors.
+	if cheap && prev.distinct {
+		d.distinct = !slices.ContainsFunc(hashed, d.repeats)
+	}
+}
+
+// holder returns the node of d, whose signatures are distinct and hashed
+// from NUL-free operator signatures, that has n's chain signature, or
+// nil. equiv holds the holders of n's parents.
+func (d *DAG) holder(n *Node, equiv []*Node) *Node {
+	if len(n.parents) == 0 {
+		for _, m := range d.nodes {
+			if m.chainSig == n.chainSig {
+				return m
+			}
+		}
+		return nil
+	}
+	if p := equiv[n.parents[0].ID]; p != nil {
+		for _, c := range p.children {
+			if c.chainSig == n.chainSig {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// repeats reports whether another node of d shares n's chain signature,
+// as far as the distinctness of d's signatures depends on n: operator
+// signatures are NUL-free, so the first colliding pair in topological
+// order shares its first parent (an earlier pair would collide through
+// two different parents), or has no parents at all.
+func (d *DAG) repeats(n *Node) bool {
+	cands := d.nodes
+	if len(n.parents) > 0 {
+		cands = n.parents[0].children
+	}
+	for _, m := range cands {
+		if m != n && m.chainSig == n.chainSig {
+			return true
+		}
+	}
+	return false
+}
+
+// predecessor returns the node of d named like n: by position first (a
+// recompiled workflow declares its operators in the same order), else by
+// name.
+func (d *DAG) predecessor(n *Node) *Node {
+	if n.ID < len(d.nodes) {
+		if p := d.nodes[n.ID]; p.Name == n.Name {
+			return p
+		}
+	}
+	return d.byName[n.Name]
+}
+
+// sameSigs reports whether two parent lists have equal chain signatures in
+// the same order.
+func sameSigs(a, b []*Node) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].chainSig != b[i].chainSig {
+			return false
+		}
+	}
+	return true
 }
 
 // OriginalNodes compares this DAG against the previous iteration's DAG and
 // returns the set of nodes in d that are original (Definition 2: having no
 // equivalent node in prev). Both DAGs must have had ComputeSignatures
-// called. A nil prev marks every node original (iteration 0).
+// called. A nil prev marks every node original (iteration 0). It builds
+// the sets Track's Node.Original answers without; the two agree.
 func (d *DAG) OriginalNodes(prev *DAG) map[*Node]bool {
 	orig := make(map[*Node]bool, len(d.nodes))
 	if prev == nil {
@@ -486,7 +734,7 @@ func (d *DAG) OriginalNodes(prev *DAG) map[*Node]bool {
 		}
 		return orig
 	}
-	prevSigs := prev.SigIndex()
+	prevSigs := prev.sigIndex()
 	for _, n := range d.nodes {
 		if _, ok := prevSigs[n.chainSig]; !ok {
 			orig[n] = true
@@ -495,26 +743,17 @@ func (d *DAG) OriginalNodes(prev *DAG) map[*Node]bool {
 	return orig
 }
 
-// CarryMetrics copies measured metrics from equivalent nodes of a previous
-// iteration into this DAG (paper §5.2: statistics from past iterations are
-// accurate for equivalent nodes because the exact same operator ran
-// before). Nodes without an equivalent keep their zero metrics.
-func (d *DAG) CarryMetrics(prev *DAG) {
-	if prev == nil {
-		return
-	}
-	bySig := prev.SigIndex()
-	for _, n := range d.nodes {
-		if p, ok := bySig[n.chainSig]; ok && p.Metrics.Known {
-			n.Metrics = p.Metrics
-		}
-	}
-}
-
 // Validate checks structural invariants: unique names, acyclicity,
 // edge symmetry (parent/child lists agree). It returns the first violation
 // found.
+//
+// A DAG is checked once: success is recorded, and only AddNode, AddEdge
+// or MarkOutput clear the record, so the planner's check of a DAG the
+// compiler has just validated costs nothing.
 func (d *DAG) Validate() error {
+	if d.valid {
+		return nil
+	}
 	seen := make(map[string]bool, len(d.nodes))
 	for _, n := range d.nodes {
 		if seen[n.Name] {
@@ -535,6 +774,7 @@ func (d *DAG) Validate() error {
 	if got := len(d.TopoSort()); got != len(d.nodes) {
 		return fmt.Errorf("core: cycle detected (topo sort visited %d of %d nodes)", got, len(d.nodes))
 	}
+	d.valid = true
 	return nil
 }
 

@@ -284,7 +284,7 @@ func TestCarryMetrics(t *testing.T) {
 	cur.ComputeSignatures()
 	prev.Node("a0").Metrics = Metrics{Compute: time.Second, Load: time.Millisecond, Size: 42, Known: true}
 	prev.Node("a2").Metrics = Metrics{Compute: time.Minute, Known: true}
-	cur.CarryMetrics(prev)
+	cur.Track(prev)
 	if got := cur.Node("a0").Metrics; !got.Known || got.Compute != time.Second || got.Size != 42 {
 		t.Fatalf("metrics not carried for equivalent node: %+v", got)
 	}

@@ -36,7 +36,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("identical DAG has %d original nodes vs ghost", len(orig))
 	}
 	// And metrics carry over.
-	d2.CarryMetrics(ghost)
+	d2.Track(ghost)
 	if got := d2.Node("a1").Metrics; !got.Known || got.Compute != 2*time.Second || got.Size != 99 {
 		t.Fatalf("metrics not carried via ghost: %+v", got)
 	}

@@ -57,6 +57,18 @@ func (s *CostStat) Var() float64 {
 // Std returns the decayed weighted standard deviation.
 func (s *CostStat) Std() float64 { return math.Sqrt(s.Var()) }
 
+// sanitized returns s, or the empty estimator when s cannot have come
+// from Observe: a non-positive or non-finite weight, or a non-finite mean
+// or variance sum.
+func (s CostStat) sanitized() CostStat {
+	if s.Weight > 0 && !math.IsInf(s.Weight, 0) && finite(s.Mean) && finite(s.M2) {
+		return s
+	}
+	return CostStat{}
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Empty reports whether the estimator has seen no observations.
 func (s *CostStat) Empty() bool { return s.Weight == 0 }
 

@@ -89,7 +89,7 @@ func TestCarryMetricsCarriesStats(t *testing.T) {
 	next := NewDAG()
 	b := next.MustAddNode("a", KindSource, DPR, "src|a|v1", true)
 	next.ComputeSignatures()
-	next.CarryMetrics(prev)
+	next.Track(prev)
 	if b.Metrics.ComputeStat.Weight != a.Metrics.ComputeStat.Weight {
 		t.Fatalf("estimator weight not carried: %v vs %v",
 			b.Metrics.ComputeStat.Weight, a.Metrics.ComputeStat.Weight)

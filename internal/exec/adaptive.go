@@ -391,11 +391,7 @@ func (ad *adaptState) swapLocked(s *runState, r *nodeRun, np2 *plan.NodePlan, re
 	// retires on its own completion path (its finished flag is set before
 	// its own pending check, so exactly one side fires).
 	for _, p := range r.node.Parents() {
-		pr := s.runs[p]
-		if pr == nil {
-			continue
-		}
-		if atomic.AddInt32(&pr.pending, -1) == 0 && atomic.LoadInt32(&pr.finished) == 1 {
+		if pr := s.runs[p.ID]; atomic.AddInt32(&pr.pending, -1) == 0 && atomic.LoadInt32(&pr.finished) == 1 {
 			s.retire(pr)
 		}
 	}

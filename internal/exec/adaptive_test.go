@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/plan"
 )
@@ -187,10 +188,13 @@ func TestAdaptiveReplansStayUnderSolveBudget(t *testing.T) {
 // operators have become slow. The divergence monitor corrects the
 // frontier from the first measured completions, the re-solve flips the
 // unstarted children to loads, and the run finishes by loading instead
-// of recomputing, with identical outputs.
+// of recomputing, with identical outputs. Both runs are on model time:
+// operators sleep on the run's clock, which moves by exactly what they
+// sleep, so no host delay decides what was measured.
 func TestAdaptiveSwapsComputeToLoad(t *testing.T) {
 	const (
 		fan  = 10
+		fast = 50 * time.Microsecond
 		slow = 50 * time.Millisecond
 	)
 	child := func(runs *atomic.Int32, delay time.Duration) func(i int) OpFunc {
@@ -199,19 +203,22 @@ func TestAdaptiveSwapsComputeToLoad(t *testing.T) {
 				if runs != nil {
 					runs.Add(1)
 				}
-				time.Sleep(delay)
+				clock.From(ctx).Sleep(delay)
 				return i * 10, nil
 			}
 		}
 	}
-	fastSrc := func(ctx context.Context, in []any) (any, error) { return 0, nil }
+	fastSrc := func(ctx context.Context, in []any) (any, error) {
+		clock.From(ctx).Sleep(fast)
+		return 0, nil
+	}
 
 	e := newEngine(t)
 	e.Cache = plan.NewCache("adaptive-swap-test")
-	ctx := context.Background()
+	ctx := clock.With(context.Background(), new(clock.Model))
 
-	// Iteration 0: everything computes instantly and materializes.
-	prog0 := fanProgram(fan, false, fastSrc, child(nil, 0))
+	// Iteration 0: everything computes quickly and materializes.
+	prog0 := fanProgram(fan, false, fastSrc, child(nil, fast))
 	if _, err := e.Run(ctx, prog0, nil, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -357,6 +357,14 @@ func (e *Engine) planWithView(d *core.DAG, prev *core.DAG, iteration int, opts O
 	return p, nil
 }
 
+// closedDone is the done channel of every pruned run: it never runs, so it
+// is done from the start.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // nodeRun is the mutable per-node execution record.
 type nodeRun struct {
 	node  *core.Node
@@ -487,9 +495,10 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	if len(p.Nodes) != d.Len() {
 		return nil, fmt.Errorf("%w: plan covers %d nodes, program has %d", ErrBadPlan, len(p.Nodes), d.Len())
 	}
+	nodes := d.Nodes()
 	for _, np := range p.Nodes {
-		if d.Node(np.Node.Name) != np.Node {
-			return nil, fmt.Errorf("%w: plan node %q does not belong to this program", ErrBadPlan, np.Node.Name)
+		if n := np.Node; n.ID < 0 || n.ID >= len(nodes) || nodes[n.ID] != n {
+			return nil, fmt.Errorf("%w: plan node %q does not belong to this program", ErrBadPlan, n.Name)
 		}
 	}
 
@@ -504,12 +513,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	// never deprecates) the keep predicate retains every entry, so the
 	// whole scan is skipped.
 	if p.Purge != nil && len(p.Purge.DeprecatedNames) > 0 {
-		freed, err := e.Store.Purge(func(key string) bool {
-			if p.Purge.CurrentSigs[key] {
-				return true
-			}
-			ent, ok := e.Store.Entry(key)
-			return ok && !p.Purge.DeprecatedNames[ent.Name]
+		freed, err := e.Store.Purge(func(key string, ent store.Entry) bool {
+			return p.Purge.CurrentSigs[key] || !p.Purge.DeprecatedNames[ent.Name]
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exec: purge: %w", err)
@@ -529,22 +534,27 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		}
 	}
 
-	// Per-node execution records, indexed both by plan order and by node.
-	// Every run starts as a unit of one: a view of its own slot in runs, so
-	// the executor has one shape to run and no per-node slice is allocated.
+	// Per-node execution records, allocated in one slab and indexed both by
+	// plan order and by node ID. Every run starts as a unit of one: a view
+	// of its own slot in runs, so the executor has one shape to run and no
+	// per-node slice is allocated. Only what runs gets a done channel of
+	// its own (closed when it finishes) and its function looked up; every
+	// pruned node shares one channel that is closed already.
+	slab := make([]nodeRun, len(p.Nodes))
 	runs := make([]*nodeRun, len(p.Nodes))
-	byNode := make(map[*core.Node]*nodeRun, len(p.Nodes))
+	byID := make([]*nodeRun, len(p.Nodes))
 	for i, np := range p.Nodes {
-		r := &nodeRun{
-			node:  np.Node,
-			np:    np,
-			fn:    prog.Fns[np.Node],
-			state: np.State,
-			done:  make(chan struct{}),
-			unit:  runs[i : i+1 : i+1],
+		r := &slab[i]
+		r.node, r.np, r.state = np.Node, np, np.State
+		r.unit = runs[i : i+1 : i+1]
+		if r.state == core.StatePrune {
+			r.done = closedDone
+		} else {
+			r.done = make(chan struct{})
+			r.fn = prog.Fns[np.Node]
 		}
 		runs[i] = r
-		byNode[np.Node] = r
+		byID[np.Node.ID] = r
 	}
 
 	// Wire the plan's fused runs into execution units. Each group is
@@ -577,7 +587,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	scheduled := 0
 	for _, r := range runs {
 		if r.state == core.StatePrune {
-			close(r.done)
 			// A live node the solver pruned is "retired" the moment the
 			// run starts: it will never execute. Non-live nodes are
 			// outside the program slice and emit nothing.
@@ -594,7 +603,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		}
 		var pending int32
 		for _, ch := range r.node.Children() {
-			if cr := byNode[ch]; cr != nil && cr.state == core.StateCompute {
+			if byID[ch.ID].state == core.StateCompute {
 				pending++
 			}
 		}
@@ -602,7 +611,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		if r.state == core.StateCompute {
 			var deps int32
 			for _, par := range r.node.Parents() {
-				if pr := byNode[par]; pr != nil && pr.state != core.StatePrune {
+				if byID[par.ID].state != core.StatePrune {
 					deps++
 				}
 			}
@@ -625,7 +634,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		bill:      bill,
 		em:        em,
 		plan:      p,
-		runs:      byNode,
+		runs:      byID,
+		fns:       prog.Fns,
 		rows:      prog.Rows,
 		times:     make([]atomic.Uint64, len(runs)),
 		iteration: p.Iteration,
@@ -871,8 +881,8 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 			defer ad.mu.RUnlock()
 		}
 		for _, ch := range n.Children() {
-			cr := st.runs[ch]
-			if cr == nil || cr.state != core.StateCompute || cr.unit[0] != cr {
+			cr := st.runs[ch.ID]
+			if cr.state != core.StateCompute || cr.unit[0] != cr {
 				continue
 			}
 			if atomic.AddInt32(&cr.deps, -1) == 0 {
@@ -960,7 +970,11 @@ type runState struct {
 	// (every emit method nil-checks the receiver).
 	em   *emitter
 	plan *plan.Plan
-	runs map[*core.Node]*nodeRun
+	// runs holds every node's run, indexed by node ID.
+	runs []*nodeRun
+	// fns is Program.Fns, consulted by the load-failure fallback for
+	// nodes that were not going to run.
+	fns map[*core.Node]OpFunc
 	// rows is Program.Rows: per-row implementations for streamable
 	// operators, consulted when executing fused units.
 	rows map[*core.Node]*RowOp
@@ -1069,8 +1083,8 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	case core.StateCompute:
 		inputs := make([]any, len(n.Parents()))
 		for i, p := range n.Parents() {
-			pr := s.runs[p]
-			if pr == nil || pr.state == core.StatePrune {
+			pr := s.runs[p.ID]
+			if pr.state == core.StatePrune {
 				continue // infeasible per Constraint 2; nil input defensively
 			}
 			if pr.err != nil {
@@ -1148,11 +1162,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	// as batch execution would.
 	if r.state == core.StateCompute {
 		for _, p := range n.Parents() {
-			pr := s.runs[p]
-			if pr == nil {
-				continue
-			}
-			if atomic.AddInt32(&pr.pending, -1) == 0 {
+			if pr := s.runs[p.ID]; atomic.AddInt32(&pr.pending, -1) == 0 {
 				s.retire(pr)
 			}
 		}
@@ -1359,22 +1369,21 @@ func (s *runState) recomputeLocked(ctx context.Context, n *core.Node, memo map[*
 	if v, ok := memo[n]; ok {
 		return v, nil
 	}
-	if r := s.runs[n]; r != nil {
-		select {
-		case <-r.done:
-			if r.err == nil {
-				r.valMu.Lock()
-				v := r.value
-				r.valMu.Unlock()
-				if v != nil {
-					memo[n] = v
-					return v, nil
-				}
+	r := s.runs[n.ID]
+	select {
+	case <-r.done:
+		if r.err == nil {
+			r.valMu.Lock()
+			v := r.value
+			r.valMu.Unlock()
+			if v != nil {
+				memo[n] = v
+				return v, nil
 			}
-		default:
 		}
+	default:
 	}
-	fn := s.runs[n].fn
+	fn := s.fns[n]
 	if fn == nil {
 		return nil, fmt.Errorf("exec: cannot recompute %q: %w", n.Name, ErrNoFunction)
 	}

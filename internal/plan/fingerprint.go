@@ -63,10 +63,10 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 	parents := make([]int32, 0, 2*len(in.order))
 	h := sha256.New()
 
-	// The digest material is staged per node in one reusable buffer and
-	// written in a single call: fingerprinting runs on every iteration —
-	// it is the whole cost of a cache hit — so thousands of tiny
-	// hash-writes and string conversions were a measurable tax. The chain
+	// The digest material is staged in one reusable buffer and written a
+	// few kilobytes at a time: fingerprinting runs on every iteration — it
+	// is the whole cost of a cache hit — so thousands of tiny hash-writes
+	// and string conversions were a measurable tax. The chain
 	// signature contributes its first 32 hex chars (128 bits of the
 	// underlying sha256): ample collision resistance for equality
 	// evidence at half the hashing volume.
@@ -95,7 +95,6 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 	bit(opts.Streaming)
 	bit(opts.Shared)
 	u64(uint64(len(in.order)))
-	h.Write(buf)
 
 	for i, n := range in.order {
 		k := nodeKey{
@@ -111,7 +110,10 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 		}
 		keys[i] = k
 
-		buf = buf[:0]
+		if len(buf) >= 8<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 		str(k.name)
 		sig := k.chainSig
 		if len(sig) > 32 {
@@ -135,8 +137,8 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 			parents = append(parents, int32(j))
 			u64(uint64(j))
 		}
-		h.Write(buf)
 	}
+	h.Write(buf)
 
 	var fp Fingerprint
 	h.Sum(fp[:0])

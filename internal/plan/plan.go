@@ -357,15 +357,16 @@ type Planner struct {
 	// Shared, when non-nil, is the process-wide plan cache + frozen
 	// statistics board (shared-store mode). The caller still sets Cache to
 	// Shared.Cache(); this reference exists so Plan can apply the frozen
-	// per-signature metrics after CarryMetrics, keeping every session's
-	// solver inputs — and therefore fingerprints — identical.
+	// per-signature metrics after the change-tracking carry, keeping every
+	// session's solver inputs — and therefore fingerprints — identical.
 	Shared *SharedCache
-	// SkipCarry suppresses the change-tracking metric carry (CarryMetrics
-	// and the shared-stats overlay) for this call: the DAG's current
-	// metrics are taken as authoritative. The adaptive re-planner sets it
-	// when re-planning mid-run — it has just written corrected frontier
-	// metrics into the very DAG being planned, and carrying the previous
-	// iteration's statistics back over them would undo the correction.
+	// SkipCarry suppresses change tracking (DAG.Track, with its metric
+	// carry, and the shared-stats overlay) for this call: the DAG's
+	// current metrics are taken as authoritative. The adaptive re-planner
+	// sets it when re-planning mid-run — it has just written corrected
+	// frontier metrics into the very DAG being planned, and carrying the
+	// previous iteration's statistics back over them would undo the
+	// correction.
 	// Deliberately NOT part of Options: it changes no planning decision
 	// given the same metrics, and folding it into the fingerprinted
 	// options would sever re-plans from the run's own cache entries.
@@ -405,15 +406,15 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 		return nil, fmt.Errorf("plan: invalid workflow: %w", err)
 	}
 
-	// 1. Change tracking (§4.2). A SkipCarry call trusts the DAG as-is:
-	// signatures were computed by the run's initial plan and executor
-	// goroutines are concurrently reading them, so recomputing (even to
+	// 1. Change tracking (§4.2): signatures, originality and the metric
+	// carry in one walk against prev. A SkipCarry call trusts the DAG
+	// as-is: the run's initial plan tracked it and executor goroutines are
+	// concurrently reading its signatures, so recomputing (even to
 	// identical values) would be a data race — and carrying the previous
 	// iteration's statistics would undo the corrections the re-planner
 	// just wrote.
 	if !pl.SkipCarry {
-		d.ComputeSignatures()
-		d.CarryMetrics(prev)
+		d.Track(prev)
 		if pl.Shared != nil {
 			pl.Shared.ApplyStats(d)
 		}
@@ -422,7 +423,7 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 	// 2-3. Originality, slicing, and cost assembly — the cheap O(V+E)
 	// stages every call pays, because they are what the fingerprint is
 	// computed from.
-	in := pl.gather(d, prev, iteration)
+	in := pl.gather(d, iteration)
 
 	// 5. Fingerprint the planning inputs and consult the cache: a full
 	// match reuses the previous plan wholesale (no solve at all); a
@@ -506,7 +507,7 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 // cached plan may never survive a store eviction unseen). The purge
 // decision is NOT built here: see buildPurge, which runs only on misses
 // and partial hits — a full hit reuses the cached spec.
-func (pl *Planner) gather(d *core.DAG, prev *core.DAG, iteration int) *planInputs {
+func (pl *Planner) gather(d *core.DAG, iteration int) *planInputs {
 	in := &planInputs{d: d, iteration: iteration}
 	in.order = d.TopoSort()
 	n := len(in.order)
@@ -515,27 +516,18 @@ func (pl *Planner) gather(d *core.DAG, prev *core.DAG, iteration int) *planInput
 		in.pos[nd.ID] = int32(i)
 	}
 
-	// Originality (Definition 2): no equivalent node in prev. In shared
-	// mode originality is vacuously false for every node: content
-	// addressing subsumes Constraint 1 (a changed chain's new signature
-	// has no published artifact, so Load is +Inf and the solver computes
-	// or prunes it regardless), and a prev-derived flag would make a warm
-	// session's first fingerprint — where prev is nil and everything looks
-	// original — differ from the steady-state fingerprint another session
-	// cached, forfeiting the zero-solve hit.
+	// Originality (Definition 2): no equivalent node in prev, as Track
+	// found it. In shared mode originality is vacuously false for every
+	// node: content addressing subsumes Constraint 1 (a changed chain's
+	// new signature has no published artifact, so Load is +Inf and the
+	// solver computes or prunes it regardless), and a prev-derived flag
+	// would make a warm session's first fingerprint — where prev is nil
+	// and everything looks original — differ from the steady-state
+	// fingerprint another session cached, forfeiting the zero-solve hit.
 	in.originals = make([]bool, n)
-	if pl.Opts.Shared {
-		// all false
-	} else if prev == nil {
-		for i := range in.originals {
-			in.originals[i] = true
-		}
-	} else {
-		prevSigs := prev.SigIndex()
+	if !pl.Opts.Shared {
 		for i, nd := range in.order {
-			if _, ok := prevSigs[nd.ChainSignature()]; !ok {
-				in.originals[i] = true
-			}
+			in.originals[i] = nd.Original()
 		}
 	}
 
@@ -703,12 +695,27 @@ func (pl *Planner) assemble(in *planInputs, states []core.State, anc []uint64, w
 		p.Nodes[i] = np
 	}
 
-	// Projected cumulative times from the bitsets (pruned ancestors carry
-	// zero ProjectedOwn, so no filtering is needed), and the Equation-1
-	// total: the sum of every chosen state's own time.
+	// Projected cumulative times from the bitsets, and the Equation-1
+	// total: the sum of every chosen state's own time. Only ancestors with
+	// a non-zero own time can move a sum (pruned ones carry zero), so each
+	// ancestor row is masked down to those before it is scanned: a small
+	// edit's plan has a few dozen of them among a thousand nodes. The
+	// terms are added in the same ascending order either way, so the
+	// floats are the unmasked sum's, bit for bit.
+	mask := make([]uint64, words)
+	for i, t := range own {
+		if t != 0 {
+			mask[i/64] |= 1 << uint(i%64)
+		}
+	}
 	for i, np := range p.Nodes {
 		cum := own[i]
-		p.ForEachAncestor(i, func(j int) { cum += own[j] })
+		row := anc[i*words : (i+1)*words]
+		for w, m := range mask {
+			for word := row[w] & m; word != 0; word &= word - 1 {
+				cum += own[w*64+bits.TrailingZeros64(word)]
+			}
+		}
 		np.ProjectedCum = cum
 		p.ProjectedSeconds += own[i]
 	}

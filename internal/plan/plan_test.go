@@ -46,7 +46,7 @@ func chain(names ...string) *core.DAG {
 }
 
 // withMetrics returns an equivalent prev DAG whose nodes carry the given
-// per-node compute seconds, so CarryMetrics seeds the planner's costs.
+// per-node compute seconds, so the metric carry seeds the planner's costs.
 func withMetrics(build func() *core.DAG, secs map[string]float64) *core.DAG {
 	prev := build()
 	prev.ComputeSignatures()

@@ -74,8 +74,8 @@ func (sc *SharedCache) PublishStats(d *core.DAG) {
 
 // ApplyStats overwrites the DAG's carried metrics with the frozen board
 // wherever a node's chain signature has an entry. Called by the planner
-// after CarryMetrics, so a session's privately measured numbers never
-// leak into a fingerprint other sessions must reproduce.
+// after DAG.Track's metric carry, so a session's privately measured
+// numbers never leak into a fingerprint other sessions must reproduce.
 func (sc *SharedCache) ApplyStats(d *core.DAG) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

@@ -70,7 +70,7 @@ func TestConcurrentStress(t *testing.T) {
 					s.UsedBytes()
 				case 9:
 					victim := keys[rng.Intn(keySpan)]
-					if _, err := s.Purge(func(key string) bool { return key != victim }); err != nil {
+					if _, err := s.Purge(func(key string, _ Entry) bool { return key != victim }); err != nil {
 						t.Errorf("Purge: %v", err)
 					}
 				}

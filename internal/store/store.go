@@ -63,6 +63,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"slices"
@@ -133,6 +134,7 @@ type Store struct {
 	dir string
 
 	shards [shardCount]shard
+	seed   maphash.Seed // shardFor's
 
 	// keyLocks serializes file operations per key (Put vs Delete vs load
 	// races on the same key) without any cross-key contention.
@@ -215,6 +217,7 @@ func openStore(dir string, sweep bool) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
+		seed:    maphash.MakeSeed(),
 		dir:     dir,
 		flight:  make(map[string]*flightCall),
 		journal: NewJournal(filepath.Join(dir, manifestJournalFile)),
@@ -226,6 +229,17 @@ func openStore(dir string, sweep bool) (*Store, error) {
 	s.keyLocks.init()
 	s.wp.init()
 	for _, e := range entries {
+		if e.Size < 0 {
+			// A size is where the manifest's statistics enter planning
+			// (the load estimate), and a negative one is garbage: read it
+			// as unknown and ask the artifact itself. An artifact that is
+			// gone takes its entry with it.
+			fi, err := os.Stat(s.path(e.Key))
+			if err != nil {
+				continue
+			}
+			e.Size = fi.Size()
+		}
 		s.shardFor(e.Key).entries[e.Key] = e
 	}
 	if journaled {
@@ -337,16 +351,13 @@ func replayManifest(byKey map[string]Entry, journal []byte) int {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// shardFor picks a key's shard by inline FNV-1a: this sits on every
-// metadata operation from every worker and writer goroutine, and the
-// hash.Hash32 route would pay two heap allocations per call.
+// shardFor picks a key's shard. This sits on every metadata operation
+// from every worker and writer goroutine, and on one lookup per live node
+// of every plan, so it takes the runtime's hash of the key (seeded per
+// store): a byte-at-a-time loop over a 64-character signature cost more
+// than the map lookup it precedes.
 func (s *Store) shardFor(key string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.shards[h&(shardCount-1)]
+	return &s.shards[maphash.String(s.seed, key)&(shardCount-1)]
 }
 
 func (s *Store) path(key string) string {
@@ -593,23 +604,26 @@ func (s *Store) Delete(key string) error {
 // Purge removes every entry for which keep returns false, returning the
 // bytes freed. Used to deprecate old results when operators change (paper
 // §6.6: "HELIX purges any previous materialization of original operators
-// prior to execution").
+// prior to execution"). keep sees each key with its entry, under the
+// lock of the key's shard: it must not call back into the store.
 //
 // In shared mode an entry pinned by any live attachment is never purged,
 // regardless of keep: a pin means some attached session's last executed
 // plan depends on the artifact, and evicting it under that session would
 // invalidate results it may still load. The pin check is re-taken per key
-// at deletion time, so a Repin that lands between the snapshot and the
+// at deletion time, so a Repin that lands between the visit and the
 // delete still protects its entries.
-func (s *Store) Purge(keep func(key string) bool) (freed int64, err error) {
-	// Snapshot first: keep may call back into the store (e.g. Entry), so it
-	// must run without any shard lock held.
-	keys := s.Keys()
+func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err error) {
 	var doomed []string
-	for _, k := range keys {
-		if !keep(k) {
-			doomed = append(doomed, k)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for k, e := range sh.entries {
+			if !keep(k, e) {
+				doomed = append(doomed, k)
+			}
 		}
+		sh.mu.Unlock()
 	}
 	var removed []string
 	for _, k := range doomed {

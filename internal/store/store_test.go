@@ -98,7 +98,7 @@ func TestPurgeKeepsSelected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	freed, err := s.Purge(func(k string) bool { return k == "b" })
+	freed, err := s.Purge(func(k string, _ Entry) bool { return k == "b" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestPurgeNothingLeavesManifestAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freed, err := s.Purge(func(string) bool { return true })
+	freed, err := s.Purge(func(string, Entry) bool { return true })
 	if err != nil || freed != 0 {
 		t.Fatalf("Purge = %d, %v; want 0, nil", freed, err)
 	}
@@ -253,7 +253,7 @@ func TestPurgeNothingLeavesManifestAlone(t *testing.T) {
 		t.Fatalf("no-op purge appended to the journal: %d → %d bytes", len(before), len(got))
 	}
 	// One that does remove something still records the new table.
-	if _, err := s.Purge(func(string) bool { return false }); err != nil {
+	if _, err := s.Purge(func(string, Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := ReadManifest(s.Dir()); err != nil || len(got) != 0 {

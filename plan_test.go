@@ -3,8 +3,11 @@ package helix_test
 import (
 	"context"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -312,5 +315,96 @@ func TestPlanDOTAnnotations(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("PlanDOT missing %q:\n%s", want, dot)
 		}
+	}
+}
+
+// TestProjectedCumMatchesUnmaskedSum: the planner sums C(n) only over the
+// ancestors with a non-zero own time. Every ProjectedCum, and the plan's
+// ProjectedSeconds, must equal the plain in-order sum over all ancestors
+// bit for bit — on the census golden scenario and on a plan-wide-shaped
+// DAG (50 layers × 20, fan-in 5) after a leaf and a mid-layer edit.
+func TestProjectedCumMatchesUnmaskedSum(t *testing.T) {
+	check := func(name string, p *plan.Plan) {
+		t.Helper()
+		nonzero, total := 0, 0.0
+		for i, np := range p.Nodes {
+			cum := np.ProjectedOwn
+			p.ForEachAncestor(i, func(j int) { cum += p.Nodes[j].ProjectedOwn })
+			if math.Float64bits(cum) != math.Float64bits(np.ProjectedCum) {
+				t.Fatalf("%s: %s ProjectedCum %v, unmasked sum %v", name, np.Node.Name, np.ProjectedCum, cum)
+			}
+			total += np.ProjectedOwn
+			if np.ProjectedOwn != 0 {
+				nonzero++
+			}
+		}
+		if math.Float64bits(total) != math.Float64bits(p.ProjectedSeconds) {
+			t.Fatalf("%s: ProjectedSeconds %v, in-order sum %v", name, p.ProjectedSeconds, total)
+		}
+		if nonzero == 0 || nonzero == len(p.Nodes) {
+			t.Fatalf("%s: %d of %d nodes have an own time; the scenario must mix both", name, nonzero, len(p.Nodes))
+		}
+	}
+
+	d, prev := censusProgramDAG(t), censusProgramDAG(t)
+	sizes := make(map[string]int64)
+	for i, n := range prev.Nodes() {
+		n.Metrics = core.Metrics{Compute: time.Duration(i+1) * 100 * time.Millisecond, Known: true}
+		if n.Component == core.DPR {
+			sizes[n.ChainSignature()] = int64(i+1) << 20
+		}
+	}
+	d.Node("predictions").OpSignature += "|regParam=0.01"
+	planner := &plan.Planner{View: deterministicView{sizes: sizes}, Opts: plan.Options{MaterializeOutputs: true}}
+	p, err := planner.Plan(d, prev, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("census", p)
+
+	const layers, width, fanIn = 50, 20, 5
+	wide := func(edited ...string) *core.DAG {
+		d := core.NewDAG()
+		var below []*core.Node
+		for l := 0; l < layers; l++ {
+			var cur []*core.Node
+			for w := 0; w < width; w++ {
+				name := fmt.Sprintf("n%d_%d", l, w)
+				op := "Extractor|" + name + "|v0"
+				if slices.Contains(edited, name) {
+					op += "'"
+				}
+				n := d.MustAddNode(name, core.KindExtractor, core.DPR, op, true)
+				// Irregular costs, so that summing in another order would
+				// round differently; originals keep theirs.
+				n.Metrics = core.Metrics{Compute: time.Duration(1+(n.ID*7919)%9973) * time.Microsecond, Known: true}
+				for k := 0; l > 0 && k < fanIn; k++ {
+					if err := d.AddEdge(below[(w+k)%width], n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if l == layers-1 {
+					d.MarkOutput(n)
+				}
+				cur = append(cur, n)
+			}
+			below = cur
+		}
+		return d
+	}
+	prev = wide()
+	prev.ComputeSignatures()
+	sizes = make(map[string]int64)
+	for i, n := range prev.Nodes() {
+		n.Metrics.Compute *= 50
+		sizes[n.ChainSignature()] = int64(1+(i*104729)%65536) << 10
+	}
+	cached := &plan.Planner{View: deterministicView{sizes: sizes}, Opts: plan.Options{MaterializeOutputs: true}, Cache: plan.NewCache("wide")}
+	for _, edit := range [][]string{nil, {"n49_3"}, {"n25_7"}, {"n49_3", "n0_0"}} {
+		p, err := cached.Plan(wide(edit...), prev, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("plan-wide %v (%s)", edit, p.Cache), p)
 	}
 }

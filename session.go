@@ -629,7 +629,7 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 		s.att.Repin(sigs)
 	}
 	s.mu.Lock()
-	s.recordHistory(wf, res, started, changedOperators(prog.DAG, prev))
+	s.recordHistory(wf, res, started, changedOperators(prog.DAG))
 	rec := s.history[len(s.history)-1]
 	s.prev = prog.DAG
 	s.iter++

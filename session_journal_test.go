@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"syscall"
 	"testing"
+	"time"
 
 	"helix/internal/core"
 	"helix/internal/store"
@@ -363,4 +365,108 @@ func FuzzSessionJournal(f *testing.F) {
 			t.Fatalf("Open restored iteration %d, the replay %d (%+v vs %+v)", got.iter, wantView.iter, got, wantView)
 		}
 	})
+}
+
+// TestGarbageStatisticsReadAsUnknown: statistics enter planning from the
+// session state (base and journal replay) and from the manifest's entry
+// sizes. A directory whose CRC-valid journal records carry garbage there —
+// negative times and sizes, cost estimators with a non-positive weight —
+// must open and run as a fresh session does, and no plan may price a node
+// at a negative or non-finite cost (a load may be +Inf: nothing to load).
+func TestGarbageStatisticsReadAsUnknown(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ctx, journalWorkflow(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var st sessionState
+	data, err := os.ReadFile(filepath.Join(dir, sessionStateFile))
+	if err != nil || json.Unmarshal(data, &st) != nil {
+		t.Fatalf("read base: %v", err)
+	}
+	nodes := st.Snapshot.Nodes
+	for i := range nodes {
+		nodes[i].Metrics = core.Metrics{
+			Compute: -time.Second, Load: -time.Second, Size: -1, Known: true,
+			ComputeStat: core.CostStat{Mean: 2, M2: 1, Weight: -1},
+			// 1 + 0.6·w = 0: the next observation would divide by zero.
+			LoadStat: core.CostStat{Mean: -3, Weight: -1 / 0.6},
+		}
+	}
+	rec, err := json.Marshal(sessionRecord{
+		Iteration: st.Iteration + 1,
+		Record:    IterationRecord{Iteration: st.Iteration, WorkflowName: "journal"},
+		Delta:     snapshotDelta{Set: nodes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, filepath.Join(dir, sessionJournalFile), rec)
+	entries, err := store.ReadManifest(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("manifest: %d entries, %v", len(entries), err)
+	}
+	var puts [][]byte
+	for _, e := range entries {
+		e.Size = -1 << 40
+		b, err := json.Marshal(map[string]*store.Entry{"put": &e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		puts = append(puts, b)
+	}
+	appendRecords(t, filepath.Join(dir, "manifest.journal"), puts...)
+
+	garbage, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	if got := garbage.Iteration(); got != st.Iteration+1 {
+		t.Fatalf("the garbage record was not replayed: iteration %d, want %d", got, st.Iteration+1)
+	}
+	fresh, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, v := range []int{0, 0, 1, 2, 2} {
+		want, err := fresh.Run(ctx, journalWorkflow(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := garbage.Run(ctx, journalWorkflow(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Values, want.Values) {
+			t.Fatalf("version %d: outputs %v, fresh session %v", v, got.Values, want.Values)
+		}
+		for _, np := range got.Plan.Nodes {
+			c := np.Costs
+			if math.IsNaN(c.Compute) || math.IsInf(c.Compute, 0) || c.Compute < 0 || math.IsNaN(c.Load) || c.Load < 0 {
+				t.Fatalf("version %d: %s priced at compute %v, load %v", v, np.Node.Name, c.Compute, c.Load)
+			}
+		}
+	}
+}
+
+// appendRecords appends framed, CRC-checked records to the journal at path.
+func appendRecords(t *testing.T, path string, payloads ...[]byte) {
+	t.Helper()
+	j := store.NewJournal(path)
+	if err := j.Append(payloads...); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -134,7 +134,7 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 
 	// A keep-nothing purge — the harshest possible eviction — must leave
 	// every pinned entry alone.
-	if _, err := st.Purge(func(string) bool { return false }); err != nil {
+	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Len(); got != n {
@@ -145,7 +145,7 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Purge(func(string) bool { return false }); err != nil {
+	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Len(); got != n {
@@ -164,7 +164,7 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Purge(func(string) bool { return false }); err != nil {
+	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Len(); got != 0 {
@@ -313,7 +313,7 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := st.Purge(func(string) bool { return false }); err != nil {
+				if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 					t.Errorf("purge: %v", err)
 					return
 				}
@@ -387,7 +387,7 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 			t.Fatalf("key %s still pinned after every session detached", key)
 		}
 	}
-	if _, err := st.Purge(func(string) bool { return false }); err != nil {
+	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Len(); got != 0 {

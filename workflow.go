@@ -3,6 +3,7 @@ package helix
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"helix/internal/core"
 	"helix/internal/exec"
@@ -21,6 +22,7 @@ type Func func(ctx context.Context, inputs []Value) (Value, error)
 // fluently (Uses, IsOutput, Nondeterministic).
 type Op struct {
 	wf     *Workflow
+	idx    int // position in wf.ops
 	name   string
 	kind   core.Kind
 	comp   core.Component
@@ -108,7 +110,7 @@ func (w *Workflow) fail(err error) {
 
 // declare registers a new operator.
 func (w *Workflow) declare(name string, kind core.Kind, comp core.Component, params string, fn Func, inputs []*Op) *Op {
-	o := &Op{wf: w, name: name, kind: kind, comp: comp, params: params, fn: fn}
+	o := &Op{wf: w, idx: len(w.ops), name: name, kind: kind, comp: comp, params: params, fn: fn}
 	if name == "" {
 		w.fail(fmt.Errorf("helix: operator with empty name"))
 	}
@@ -118,6 +120,7 @@ func (w *Workflow) declare(name string, kind core.Kind, comp core.Component, par
 	if fn == nil {
 		w.fail(fmt.Errorf("helix: operator %q has no function", name))
 	}
+	o.inputs = make([]*Op, 0, len(inputs))
 	for _, in := range inputs {
 		if in == nil {
 			w.fail(fmt.Errorf("helix: operator %q has nil input", name))
@@ -194,20 +197,41 @@ func (w *Workflow) compile() (*exec.Program, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
+	// node maps an operator of this workflow to its DAG node (nil for a
+	// foreign one, which AddEdge rejects); outdeg sizes each node's child
+	// list up front.
+	nodes := make([]*core.Node, len(w.ops))
+	node := func(o *Op) *core.Node {
+		if o.wf != w {
+			return nil
+		}
+		return nodes[o.idx]
+	}
+	outdeg := make([]int, len(w.ops))
+	for _, o := range w.ops {
+		for _, in := range o.inputs {
+			outdeg[in.idx]++
+		}
+		for _, u := range o.uses {
+			if u.wf == w {
+				outdeg[u.idx]++
+			}
+		}
+	}
 	d := core.NewDAG()
-	nodes := make(map[*Op]*core.Node, len(w.ops))
+	d.Grow(len(w.ops))
 	prog := &exec.Program{
 		DAG:  d,
 		Fns:  make(map[*core.Node]exec.OpFunc, len(w.ops)),
 		Rows: make(map[*core.Node]*exec.RowOp),
 	}
-	for _, o := range w.ops {
-		sig := fmt.Sprintf("%s|%s|%s", o.kind, o.name, o.params)
-		n, err := d.AddNode(o.name, o.kind, o.comp, sig, !o.nondet)
+	for i, o := range w.ops {
+		n, err := d.AddNode(o.name, o.kind, o.comp, opSignature(o), !o.nondet)
 		if err != nil {
 			return nil, err
 		}
-		nodes[o] = n
+		d.Reserve(n, len(o.inputs)+len(o.uses), outdeg[i])
+		nodes[i] = n
 		if o.output {
 			d.MarkOutput(n)
 		}
@@ -215,26 +239,43 @@ func (w *Workflow) compile() (*exec.Program, error) {
 			n.Streamable = true
 			prog.Rows[n] = o.row
 		}
+		prog.Fns[n] = exec.OpFunc(o.fn)
 	}
-	for _, o := range w.ops {
-		n := nodes[o]
+	for i, o := range w.ops {
+		n := nodes[i]
 		for _, in := range o.inputs {
-			if err := d.AddEdge(nodes[in], n); err != nil {
+			if err := d.AddEdge(node(in), n); err != nil {
 				return nil, err
 			}
 		}
 		for _, u := range o.uses {
-			if err := d.AddEdge(nodes[u], n); err != nil {
+			if err := d.AddEdge(node(u), n); err != nil {
 				return nil, err
 			}
-		}
-		fn := o.fn
-		prog.Fns[n] = func(ctx context.Context, inputs []any) (any, error) {
-			return fn(ctx, inputs)
 		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// opSignature is the operator's declaration as one string,
+// kind|name|params. The name's `\` and `|` are escaped, so the string
+// says where the name ends and two different declarations never share it;
+// a name without those bytes reads exactly as it did unescaped, which
+// keeps every stored artifact's key.
+func opSignature(o *Op) string {
+	name := o.name
+	if strings.ContainsAny(name, `\|`) {
+		var b strings.Builder
+		for i := 0; i < len(name); i++ {
+			if c := name[i]; c == '\\' || c == '|' {
+				b.WriteByte('\\')
+			}
+			b.WriteByte(name[i])
+		}
+		name = b.String()
+	}
+	return o.kind.String() + "|" + name + "|" + o.params
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 func passthrough(v Value) Func {
@@ -173,5 +174,48 @@ func TestOpAccessors(t *testing.T) {
 	}
 	if wf.Err() != nil {
 		t.Fatal("unexpected sticky error")
+	}
+}
+
+// TestOpSignatureEscapesName: kind|name|params must say where the name
+// ends. Unescaped, Extractor("a", "b|c") and Extractor("a|b", "c") over
+// one source declare the same string, so the two nodes share a chain
+// signature and, once it is materialized, load each other's value. Each
+// must return its own value on every iteration. The operators take 20 ms
+// so that loading their outputs beats recomputing them.
+func TestOpSignatureEscapesName(t *testing.T) {
+	sess, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	slow := func(v Value) Func {
+		return func(context.Context, []Value) (Value, error) {
+			time.Sleep(20 * time.Millisecond)
+			return v, nil
+		}
+	}
+	for iter := 0; iter < 3; iter++ {
+		wf := New("escape")
+		src := wf.Source("src", "v1", slow("src"))
+		wf.Extractor("a", "b|c", slow("from a"), src).IsOutput()
+		wf.Extractor("a|b", "c", slow("from a|b"), src).IsOutput()
+		wf.Extractor(`a\`, `|b`, slow(`from a\`), src).IsOutput()
+		res, err := sess.Run(context.Background(), wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]string{"a": "from a", "a|b": "from a|b", `a\`: `from a\`} {
+			if got := res.Values[name]; got != want {
+				t.Fatalf("iteration %d: %q = %v, want %q", iter, name, got, want)
+			}
+		}
+	}
+	prog, err := New("plain").Source("x", "v1", passthrough(1)).wf.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.DAG.Node("x").OpSignature; got != "Source|x|v1" {
+		t.Fatalf("a name without | or \\ must keep its signature, got %q", got)
 	}
 }
