@@ -14,17 +14,12 @@
 // signature and parents with equal chain signatures in the same order takes
 // the predecessor's chain signature without hashing — the hash of equal
 // bytes — so a small edit hashes only the nodes downstream of it. Which
-// previous node is equivalent to which is likewise answered without a
-// signature index when the previous DAG's signatures are known to be
-// distinct: a reused signature's holder is its predecessor, and a hashed
-// node's can only be a child of its first parent's equivalent. Otherwise
-// the walk falls back to the previous DAG's signature index, whose
-// last-wins rule for repeated signatures (hand-built DAGs may repeat an
-// operator signature across names) is the contract OriginalNodes and the
-// carried metrics keep. A DSL workflow's signatures are distinct (its
-// operator signatures hold the unique names), so from the third iteration
-// of a session on, an edit that hashes k nodes costs O(k) lookups, not a
-// thousand-entry map.
+// previous node is equivalent to which comes from one lookup per node in
+// the previous DAG's signature index, whose last-wins rule for repeated
+// signatures (hand-built DAGs may repeat an operator signature across
+// names) is the contract OriginalNodes and the carried metrics keep. The
+// same pass gives originality and the carried metrics, so no caller builds
+// an index or an original-node set of its own.
 package core
 
 import (
@@ -32,9 +27,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -205,32 +198,20 @@ type DAG struct {
 	// duplicated subgraphs) the last node wins, matching the historical
 	// map-build behavior.
 	bySig map[string]*Node
-	// block holds the nodes Grow made room for; slab backs the parent and
-	// child lists Reserve sizes.
-	block []Node
-	slab  []*Node
 	// valid records a successful Validate; signed records a Track whose
 	// signatures still describe the DAG's structure, the condition for
 	// another DAG's walk to reuse them. Every mutation clears both.
 	valid, signed bool
-	// distinct records that the chain signatures are known to be
-	// distinct; every Track resets it. nul records that an operator
-	// signature the chain signatures were hashed from holds a NUL byte,
-	// the separator of the hashed bytes: only without one do equal chain
-	// signatures imply equal operators and parents.
-	distinct, nul bool
 }
 
-// sigIndex returns the signature→node index, building it on first use
-// (and learning from it whether the signatures are distinct). Valid only
-// after Track (or FromSnapshot) populated the chain signatures.
+// sigIndex returns the signature→node index, building it on first use.
+// Valid only after Track (or FromSnapshot) populated the chain signatures.
 func (d *DAG) sigIndex() map[string]*Node {
 	if d.bySig == nil {
 		d.bySig = make(map[string]*Node, len(d.nodes))
 		for _, n := range d.nodes {
 			d.bySig[n.chainSig] = n
 		}
-		d.distinct = len(d.bySig) == len(d.nodes)
 	}
 	return d.bySig
 }
@@ -249,14 +230,7 @@ func (d *DAG) AddNode(name string, kind Kind, comp Component, opSig string, dete
 	if _, ok := d.byName[name]; ok {
 		return nil, fmt.Errorf("core: duplicate node %q", name)
 	}
-	var n *Node
-	if len(d.block) < cap(d.block) {
-		d.block = d.block[:len(d.block)+1]
-		n = &d.block[len(d.block)-1]
-	} else {
-		n = new(Node)
-	}
-	*n = Node{
+	n := &Node{
 		ID:            len(d.nodes),
 		Name:          name,
 		Kind:          kind,
@@ -270,29 +244,20 @@ func (d *DAG) AddNode(name string, kind Kind, comp Component, opSig string, dete
 	return n, nil
 }
 
-// Grow makes room for n more nodes: the next n AddNode calls take their
-// nodes from one block and index them without growing.
-func (d *DAG) Grow(n int) {
-	d.nodes = slices.Grow(d.nodes, n)
-	if len(d.byName) == 0 {
-		d.byName = make(map[string]*Node, n)
+// Reserve sizes n's parent and child lists for the given degrees, so wiring
+// a node whose degree is known up front appends without growing. A list
+// that outgrows its reservation grows as usual. It refuses a node of
+// another DAG or one that already has an edge.
+func (d *DAG) Reserve(n *Node, parents, children int) error {
+	if n == nil || !d.owns(n) {
+		return fmt.Errorf("core: reserve: node not in this DAG")
 	}
-	d.block = make([]Node, 0, n)
-}
-
-// Reserve sizes n's parent and child lists for the given degrees, carving
-// them from one slab the DAG owns, so wiring a node whose degree is known
-// up front appends without growing. A list that outgrows its reservation
-// grows as usual. Call it before n's first edge.
-func (d *DAG) Reserve(n *Node, parents, children int) {
-	need := parents + children
-	if cap(d.slab)-len(d.slab) < need {
-		d.slab = make([]*Node, 0, max(need, 256))
+	if len(n.parents) > 0 || len(n.children) > 0 {
+		return fmt.Errorf("core: reserve: %q already has edges", n.Name)
 	}
-	at := len(d.slab)
-	d.slab = d.slab[:at+need]
-	n.parents = d.slab[at : at : at+parents]
-	n.children = d.slab[at+parents : at+parents : at+need]
+	n.parents = make([]*Node, 0, parents)
+	n.children = make([]*Node, 0, children)
+	return nil
 }
 
 // MustAddNode is AddNode but panics on error; for use in tests and
@@ -535,11 +500,6 @@ func (d *DAG) Slice() map[*Node]bool {
 // never materializing or loading such nodes.
 func (d *DAG) ComputeSignatures() { d.Track(nil) }
 
-// scanLimit bounds the hashed nodes without parents Track resolves by
-// scanning a whole DAG: past a handful of such scans one signature index
-// is cheaper.
-const scanLimit = 16
-
 // Track is change tracking (§4.2) against prev, the previous iteration's
 // DAG (nil at iteration 0), in one walk: it computes every node's chain
 // signature (see ComputeSignatures), marks each node original when prev
@@ -549,41 +509,29 @@ const scanLimit = 16
 // from past iterations are accurate for equivalent nodes because the exact
 // same operator ran before). Nodes without an equivalent keep their
 // metrics. The results equal ComputeSignatures followed by OriginalNodes
-// and the metric carry; what is saved is the hashing of unchanged chains
-// and, once prev's signatures are known distinct, every signature index.
+// and the metric carry; what is saved is the hashing of unchanged chains.
 func (d *DAG) Track(prev *DAG) {
 	// A node may take its same-named predecessor's signature only from a
 	// DAG whose signatures describe its own structure: not a snapshot
 	// ghost, not a DAG edited since it was signed, not d itself.
 	reuse := prev != nil && prev != d && prev.signed
 	d.bySig = nil
-	// equiv[n.ID] is the predecessor whose signature n took, then n's
-	// equivalent in prev.
-	var equiv []*Node
-	if reuse {
-		equiv = make([]*Node, len(d.nodes))
-	}
 	// One digest and scratch buffer serve the whole pass.
 	h := sha256.New()
 	var (
-		sum    [sha256.Size]byte
-		buf    []byte
-		sigs   []string
-		hashed []*Node
+		sum  [sha256.Size]byte
+		buf  []byte
+		sigs []string
 	)
-	nul := false
 	for _, n := range d.TopoSort() {
 		if reuse {
 			p := prev.predecessor(n)
 			if p != nil && p.sigOp == n.OpSignature && sameSigs(p.parents, n.parents) {
 				n.chainSig, n.sigOp = p.chainSig, p.sigOp
-				nul = nul || prev.nul && strings.IndexByte(n.sigOp, 0) >= 0
-				equiv[n.ID] = p
 				continue
 			}
 		}
 		n.sigOp = n.OpSignature
-		nul = nul || strings.IndexByte(n.sigOp, 0) >= 0
 		h.Reset()
 		buf = append(buf[:0], n.OpSignature...)
 		buf = append(buf, 0)
@@ -601,11 +549,8 @@ func (d *DAG) Track(prev *DAG) {
 		h.Write(buf)
 		h.Sum(sum[:0])
 		n.chainSig = hex.EncodeToString(sum[:])
-		if reuse {
-			hashed = append(hashed, n)
-		}
 	}
-	d.signed, d.distinct, d.nul = true, false, nul
+	d.signed = true
 
 	if prev == nil {
 		for _, n := range d.nodes {
@@ -613,86 +558,15 @@ func (d *DAG) Track(prev *DAG) {
 		}
 		return
 	}
-	// Equivalents. Without a NUL in any operator signature, a node with
-	// n's chain signature has n's operator and parents with n's parents'
-	// signatures. In a prev whose signatures are distinct, a reused
-	// signature's holder is then the predecessor it came from, and a
-	// hashed node's is a child of its first parent's equivalent — or, for
-	// a node without parents, whatever a scan of prev finds. Otherwise
-	// prev's index decides, last node winning.
-	scans := 0
-	for _, n := range hashed {
-		if len(n.parents) == 0 {
-			scans++
-		}
-	}
-	cheap := reuse && !nul && scans <= scanLimit
-	if cheap && prev.distinct && !prev.nul {
-		for _, n := range hashed {
-			equiv[n.ID] = prev.holder(n, equiv)
-		}
-	} else {
-		idx := prev.sigIndex()
-		if equiv == nil {
-			equiv = make([]*Node, len(d.nodes))
-		}
-		for _, n := range d.nodes {
-			equiv[n.ID] = idx[n.chainSig]
-		}
-	}
+	// Equivalents come from prev's index, last node winning.
+	idx := prev.sigIndex()
 	for _, n := range d.nodes {
-		p := equiv[n.ID]
+		p := idx[n.chainSig]
 		n.original = p == nil
 		if p != nil && p.Metrics.Known {
 			n.Metrics = p.Metrics
 		}
 	}
-	// d's signatures are distinct when prev's are (an index just built
-	// may have told) and no hashed node repeats one: reused signatures
-	// came from distinct predecessors.
-	if cheap && prev.distinct {
-		d.distinct = !slices.ContainsFunc(hashed, d.repeats)
-	}
-}
-
-// holder returns the node of d, whose signatures are distinct and hashed
-// from NUL-free operator signatures, that has n's chain signature, or
-// nil. equiv holds the holders of n's parents.
-func (d *DAG) holder(n *Node, equiv []*Node) *Node {
-	if len(n.parents) == 0 {
-		for _, m := range d.nodes {
-			if m.chainSig == n.chainSig {
-				return m
-			}
-		}
-		return nil
-	}
-	if p := equiv[n.parents[0].ID]; p != nil {
-		for _, c := range p.children {
-			if c.chainSig == n.chainSig {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
-// repeats reports whether another node of d shares n's chain signature,
-// as far as the distinctness of d's signatures depends on n: operator
-// signatures are NUL-free, so the first colliding pair in topological
-// order shares its first parent (an earlier pair would collide through
-// two different parents), or has no parents at all.
-func (d *DAG) repeats(n *Node) bool {
-	cands := d.nodes
-	if len(n.parents) > 0 {
-		cands = n.parents[0].children
-	}
-	for _, m := range cands {
-		if m != n && m.chainSig == n.chainSig {
-			return true
-		}
-	}
-	return false
 }
 
 // predecessor returns the node of d named like n: by position first (a

@@ -40,6 +40,33 @@ func TestAddNodeEmptyName(t *testing.T) {
 	}
 }
 
+// TestReserve: a reservation sizes a fresh node's edge lists, and is
+// refused for a node that already has an edge (it would drop that edge) or
+// that belongs to another DAG.
+func TestReserve(t *testing.T) {
+	d := NewDAG()
+	a := d.MustAddNode("a", KindSource, DPR, "a", true)
+	b := d.MustAddNode("b", KindExtractor, DPR, "b", true)
+	if err := d.Reserve(b, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.Parents()) != 1 || cap(b.Children()) != 2 {
+		t.Fatalf("caps %d/%d, want 1/2", cap(b.Parents()), cap(b.Children()))
+	}
+	if err := d.AddEdge(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Reserve(b, 4, 4); err == nil {
+		t.Fatal("reserved over an existing edge")
+	}
+	if len(b.Parents()) != 1 || len(a.Children()) != 1 {
+		t.Fatal("a refused reservation changed the edges")
+	}
+	if err := NewDAG().Reserve(a, 1, 1); err == nil {
+		t.Fatal("reserved a node of another DAG")
+	}
+}
+
 func TestAddEdgeRejectsCycle(t *testing.T) {
 	d := chain(t, 3)
 	if err := d.AddEdge(d.Node("a2"), d.Node("a0")); err == nil {

@@ -495,11 +495,20 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	if len(p.Nodes) != d.Len() {
 		return nil, fmt.Errorf("%w: plan covers %d nodes, program has %d", ErrBadPlan, len(p.Nodes), d.Len())
 	}
+	// Per-node execution records live in one slab; byID indexes them by
+	// node ID, and a plan that lists a node twice leaves a slot empty.
 	nodes := d.Nodes()
-	for _, np := range p.Nodes {
-		if n := np.Node; n.ID < 0 || n.ID >= len(nodes) || nodes[n.ID] != n {
+	slab := make([]nodeRun, len(p.Nodes))
+	byID := make([]*nodeRun, len(p.Nodes))
+	for i, np := range p.Nodes {
+		n := np.Node
+		if n.ID < 0 || n.ID >= len(nodes) || nodes[n.ID] != n {
 			return nil, fmt.Errorf("%w: plan node %q does not belong to this program", ErrBadPlan, n.Name)
 		}
+		if byID[n.ID] != nil {
+			return nil, fmt.Errorf("%w: plan lists node %q twice", ErrBadPlan, n.Name)
+		}
+		byID[n.ID] = &slab[i]
 	}
 
 	// The plan event opens the run's observer stream: the decision is
@@ -534,15 +543,13 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		}
 	}
 
-	// Per-node execution records, allocated in one slab and indexed both by
-	// plan order and by node ID. Every run starts as a unit of one: a view
-	// of its own slot in runs, so the executor has one shape to run and no
-	// per-node slice is allocated. Only what runs gets a done channel of
-	// its own (closed when it finishes) and its function looked up; every
-	// pruned node shares one channel that is closed already.
-	slab := make([]nodeRun, len(p.Nodes))
+	// The execution records, indexed both by plan order and (byID) by node
+	// ID. Every run starts as a unit of one: a view of its own slot in
+	// runs, so the executor has one shape to run and no per-node slice is
+	// allocated. Only what runs gets a done channel of its own (closed when
+	// it finishes) and its function looked up; every pruned node shares one
+	// channel that is closed already.
 	runs := make([]*nodeRun, len(p.Nodes))
-	byID := make([]*nodeRun, len(p.Nodes))
 	for i, np := range p.Nodes {
 		r := &slab[i]
 		r.node, r.np, r.state = np.Node, np, np.State
@@ -554,7 +561,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 			r.fn = prog.Fns[np.Node]
 		}
 		runs[i] = r
-		byID[np.Node.ID] = r
 	}
 
 	// Wire the plan's fused runs into execution units. Each group is

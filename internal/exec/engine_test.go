@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -483,6 +484,44 @@ func TestRunInvalidDAGFails(t *testing.T) {
 	}
 	if len(res.Values) != 0 {
 		t.Fatal("empty workflow produced values")
+	}
+}
+
+// TestExecuteRejectsMispairedPlan: Execute refuses, before any purge or
+// node runs, a plan whose rows do not name each node of the program once —
+// one planned for another compile of the same workflow, or one that lists
+// a node twice.
+func TestExecuteRejectsMispairedPlan(t *testing.T) {
+	e := newEngine(t)
+	var c counters
+	prog := testProgram(&c)
+	prog.DAG.ComputeSignatures()
+	other := testProgram(&c)
+	other.DAG.ComputeSignatures()
+	p, err := e.Plan(other.DAG, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(context.Background(), prog, p); !errors.Is(err, ErrBadPlan) {
+		t.Fatalf("plan of another compile: err = %v, want ErrBadPlan", err)
+	}
+
+	dup, err := e.Plan(prog.DAG, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup.Nodes[len(dup.Nodes)-1] = dup.Nodes[0]
+	if _, err := e.Execute(context.Background(), prog, dup); !errors.Is(err, ErrBadPlan) {
+		t.Fatalf("plan listing a node twice: err = %v, want ErrBadPlan", err)
+	}
+	if n := c.source.Load() + c.extract.Load() + c.learn.Load() + c.check.Load(); n != 0 {
+		t.Fatalf("%d operators ran under a refused plan", n)
+	}
+	if p, err = e.Plan(prog.DAG, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(context.Background(), prog, p); err != nil {
+		t.Fatalf("the program's own plan: %v", err)
 	}
 }
 

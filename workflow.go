@@ -219,7 +219,6 @@ func (w *Workflow) compile() (*exec.Program, error) {
 		}
 	}
 	d := core.NewDAG()
-	d.Grow(len(w.ops))
 	prog := &exec.Program{
 		DAG:  d,
 		Fns:  make(map[*core.Node]exec.OpFunc, len(w.ops)),
@@ -230,7 +229,9 @@ func (w *Workflow) compile() (*exec.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Reserve(n, len(o.inputs)+len(o.uses), outdeg[i])
+		if err := d.Reserve(n, len(o.inputs)+len(o.uses), outdeg[i]); err != nil {
+			return nil, err
+		}
 		nodes[i] = n
 		if o.output {
 			d.MarkOutput(n)
