@@ -197,6 +197,33 @@ func BenchmarkSubstrate_StoreRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrate_StoreLoad times one Get of a 6.6 MB []float64 — the
+// artifact rowstream-ingest's small iterations load — from a store whose
+// file sits in the page cache. The file is read straight into the slice
+// Get returns, so B/op stays near the value's own 8 bytes per element.
+func BenchmarkSubstrate_StoreLoad(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]float64, 825_000)
+	for i := range payload {
+		payload[i] = float64(i) / 3
+	}
+	e, err := st.Put("keep", "keep", payload, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(e.Size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.Get("keep"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSmallEdit times one Session.Run — compile included — of a
 // workflow shaped like the repo benchmark's plan-wide (50 layers × 20
 // operators, each reading five of the layer below; the last layer is

@@ -424,6 +424,10 @@ type nodeRun struct {
 	// keys byte-identical to the cached entry.
 	measured   time.Duration
 	measuredOK bool
+	// recomputed marks a load whose artifact could not be read or
+	// decoded: the value was computed instead, and the node is reported
+	// as computed.
+	recomputed bool
 	// baseC is the compute estimate (seconds) the initial plan priced the
 	// node at; the divergence monitor's correction factors are expressed
 	// against this base so repeated corrections stay idempotent. proj is
@@ -735,8 +739,12 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		res.StateCounts[s] = c
 	}
 	for _, r := range runs {
+		state := r.state
+		if r.recomputed {
+			state = core.StateCompute
+		}
 		res.Nodes[r.node.Name] = NodeReport{
-			State:     r.state,
+			State:     state,
 			Component: r.node.Component,
 			Seconds:   r.ownSecs,
 			MatSecs:   r.matSecs,
@@ -1079,6 +1087,7 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 				return
 			}
 			r.value = value
+			r.recomputed = true
 			r.ownSecs = n.Metrics.Compute.Seconds()
 		} else {
 			r.value = value

@@ -525,23 +525,32 @@ func TestExecuteRejectsMispairedPlan(t *testing.T) {
 	}
 }
 
+// TestLISlowdown: an L/I operator under LISlowdown 3 is billed exactly
+// three times what it slept, and a DPR operator exactly its own sleep — on
+// a model clock, as TestDPRSlowdown, so a busy host cannot leak into the
+// figures.
 func TestLISlowdown(t *testing.T) {
 	e := newEngine(t)
 	e.Opts.LISlowdown = 3
 	var c counters
 	prog := testProgram(&c)
-	res, err := e.Run(context.Background(), prog, nil, 0)
+	prog.Fns[prog.DAG.Node("source")] = func(ctx context.Context, in []any) (any, error) {
+		clock.From(ctx).Sleep(opDelay)
+		return []string{"r1", "r2", "r3"}, nil
+	}
+	prog.Fns[prog.DAG.Node("learn")] = func(ctx context.Context, in []any) (any, error) {
+		clock.From(ctx).Sleep(opDelay)
+		return in[0].(int) * 10, nil
+	}
+	res, err := e.Run(clock.With(context.Background(), new(clock.Model)), prog, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The learner sleeps opDelay; with a 3x slowdown it should report at
-	// least ~2x the base delay.
-	if res.Nodes["learn"].Seconds < 2*opDelay.Seconds() {
-		t.Fatalf("L/I slowdown not applied: %.3fs", res.Nodes["learn"].Seconds)
+	if got := res.Nodes["learn"].Seconds; got != (3 * opDelay).Seconds() {
+		t.Fatalf("learn billed %vs under LISlowdown 3, want exactly 3 × %v", got, opDelay)
 	}
-	// DPR nodes unaffected.
-	if res.Nodes["source"].Seconds > 2*opDelay.Seconds() {
-		t.Fatalf("L/I slowdown leaked into DPR: %.3fs", res.Nodes["source"].Seconds)
+	if got := res.Nodes["source"].Seconds; got != opDelay.Seconds() {
+		t.Fatalf("source billed %vs under LISlowdown 3, want exactly its own %v: the slowdown leaked into DPR", got, opDelay)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"iter"
 	"math"
 	"math/bits"
@@ -34,6 +35,10 @@ type Codec interface {
 	// format header and fall back to legacy gob payloads, so a store
 	// directory written by an older build keeps loading.
 	Decode(data []byte) (any, error)
+	// DecodeFrom is Decode of the size bytes src supplies, pulled as the
+	// decode needs them instead of into one buffer first (see "How a load
+	// reads"): the store's read path, straight from the artifact's file.
+	DecodeFrom(src io.Reader, size int64) (any, error)
 }
 
 // The binary format is a 5-byte header followed by one tagged value:
@@ -79,6 +84,25 @@ type Codec interface {
 // A payload that does not start with the magic is treated as a legacy
 // gob artifact and decoded by gob: old store directories migrate in
 // place, entry by entry, with no rewrite step.
+//
+// # How a load reads
+//
+// A load never holds the whole artifact as bytes next to the value it
+// decodes to. Store reads an artifact through DecodeFrom, whose Reader
+// pulls the file through a window: the first is a few KiB (loadWindow),
+// enough for the header and a small value's fields. When a field runs
+// past the window, the Reader reads everything the file has left in one
+// call into a fresh window; the file is then exhausted, so a load makes
+// at most two such reads. A raw column (Float64s, the dense form of
+// PackedFloat64s, a [][]float64's flat column, a []byte) instead copies
+// what the window already holds into the slice the decoder returns and
+// reads the rest of the column from the file straight into that slice:
+// one allocation and one copy per column, where reading the file whole
+// first made two of each. A window is never overwritten, so the views
+// Bytes and Bitmap return stay valid until the decode ends, across
+// later reads. NewReader's window is the whole payload and has no file
+// behind it: Decode([]byte) is the same decode over bytes already in
+// memory.
 var binaryMagic = [4]byte{'H', 'X', 'B', '1'}
 
 const binaryVersion = 1
@@ -122,13 +146,14 @@ func (GobCodec) Name() string { return "gob" }
 
 func (GobCodec) Encode(value any) ([]byte, error) { return Encode(value) }
 
-// Decode sniffs for the binary header so a directory that once held
-// binary artifacts keeps loading after a switch back to gob.
-func (GobCodec) Decode(data []byte) (any, error) {
-	if hasBinaryHeader(data) {
-		return BinaryCodec{}.Decode(data)
-	}
-	return gobDecode(data)
+// Decode is BinaryCodec's: it sniffs for the binary header, so a directory
+// that once held binary artifacts keeps loading after a switch back to
+// gob, and decodes anything else as gob.
+func (GobCodec) Decode(data []byte) (any, error) { return BinaryCodec{}.Decode(data) }
+
+// DecodeFrom is BinaryCodec's, like Decode.
+func (GobCodec) DecodeFrom(src io.Reader, size int64) (any, error) {
+	return BinaryCodec{}.DecodeFrom(src, size)
 }
 
 // defaultCodec is used by stores whose Codec field is nil.
@@ -246,15 +271,36 @@ func sizeHint(value any) int {
 	return 0
 }
 
-func (BinaryCodec) Decode(data []byte) (any, error) {
-	if !hasBinaryHeader(data) {
+func (BinaryCodec) Decode(data []byte) (any, error) { return decode(NewReader(data)) }
+
+// DecodeFrom decodes the size bytes src supplies. A src that ends early
+// fails the decode, as a payload that size cannot hold the value does.
+func (BinaryCodec) DecodeFrom(src io.Reader, size int64) (any, error) {
+	if size < 0 || int64(int(size)) != size {
+		return nil, fmt.Errorf("store: decode: payload of %d bytes", size)
+	}
+	r := &Reader{src: src, unread: int(size)}
+	if err := r.refill(min(int(size), loadWindow)); err != nil {
+		return nil, fmt.Errorf("store: decode: %w", err)
+	}
+	return decode(r)
+}
+
+// decode reads one whole message from r: the header and one value, and
+// nothing after it.
+func decode(r *Reader) (any, error) {
+	if !hasBinaryHeader(r.data[r.pos:]) {
 		// Legacy artifact written before the binary codec existed.
+		data, err := r.take(r.Remaining())
+		if err != nil {
+			return nil, fmt.Errorf("store: decode: %w", err)
+		}
 		return gobDecode(data)
 	}
-	if data[4] != binaryVersion {
-		return nil, fmt.Errorf("store: decode: unsupported binary format version %d", data[4])
+	if v := r.data[r.pos+4]; v != binaryVersion {
+		return nil, fmt.Errorf("store: decode: unsupported binary format version %d", v)
 	}
-	r := NewReader(data[5:])
+	r.pos += 5
 	v, err := r.Value()
 	if err == nil && r.Remaining() != 0 {
 		// A decoder that stops short of what its encoder wrote would also
@@ -291,22 +337,6 @@ func putFloat64s(dst []byte, src []float64) {
 	}
 	for i, f := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
-	}
-}
-
-// getFloat64s is the inverse of putFloat64s: dst is filled from the
-// first 8*len(dst) bytes of src. A copy, never a view: dst is memory
-// the caller allocated as []float64.
-func getFloat64s(dst []float64, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	if nativeLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst)), src)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 }
 
@@ -652,29 +682,97 @@ func (w *Writer) Value(value any) error {
 // count is checked against the bytes that remain before anything is
 // allocated from it, so a corrupt length cannot demand more than a fixed
 // multiple of the payload's own size.
+//
+// The payload reaches the Reader through a window (see "How a load
+// reads"): data holds the bytes pulled so far, and src the unread bytes
+// after them, if any.
 type Reader struct {
 	data   []byte
 	pos    int
 	intern []string
+	src    io.Reader
+	unread int // bytes of src not yet pulled
 }
 
 // NewReader wraps a payload (past the header) for decoding.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
+// loadWindow is the size of the first window of a Reader with a file
+// behind it: the header and the fields of a small value, never a column.
+const loadWindow = 4 << 10
+
 var errTruncated = fmt.Errorf("truncated payload")
 
-// Remaining reports the bytes not yet consumed: the bound any count read
-// from the payload has to respect.
-func (r *Reader) Remaining() int { return len(r.data) - r.pos }
+// Remaining reports the bytes not yet consumed, in the window and behind
+// it: the bound any count read from the payload has to respect.
+func (r *Reader) Remaining() int { return len(r.data) - r.pos + r.unread }
 
-// take consumes n bytes and returns them (aliasing the payload).
+// refill makes a fresh window of the window's unconsumed bytes and the
+// next n of src. The old window is left as it is, so the views into it
+// that Bytes and Bitmap handed out stay valid.
+func (r *Reader) refill(n int) error {
+	rest := r.data[r.pos:]
+	data := make([]byte, len(rest)+n)
+	copy(data, rest)
+	if err := r.pull(data[len(rest):]); err != nil {
+		return err
+	}
+	r.data, r.pos = data, 0
+	return nil
+}
+
+// pull fills dst from src (reading nothing when dst is empty).
+func (r *Reader) pull(dst []byte) error {
+	if _, err := io.ReadFull(r.src, dst); err != nil {
+		return fmt.Errorf("read payload: %w", err)
+	}
+	r.unread -= len(dst)
+	return nil
+}
+
+// take consumes n bytes and returns them (a view of the window). A take
+// that runs past the window first pulls everything src has left.
 func (r *Reader) take(n int) ([]byte, error) {
 	if n < 0 || n > r.Remaining() {
 		return nil, errTruncated
 	}
+	if n > len(r.data)-r.pos {
+		if err := r.refill(r.unread); err != nil {
+			return nil, err
+		}
+	}
 	b := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return b, nil
+}
+
+// readInto consumes len(dst) bytes into dst: what the window holds is
+// copied, and the rest is read from src straight into dst.
+func (r *Reader) readInto(dst []byte) error {
+	if len(dst) > r.Remaining() {
+		return errTruncated
+	}
+	n := copy(dst, r.data[r.pos:])
+	r.pos += n
+	return r.pull(dst[n:])
+}
+
+// readFloat64s fills dst with the next 8*len(dst) bytes, little-endian
+// IEEE-754 bits, read into dst's own memory.
+func (r *Reader) readFloat64s(dst []float64) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+	if err := r.readInto(raw); err != nil {
+		return err
+	}
+	if !nativeLittleEndian {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	return nil
 }
 
 // Uvarint reads an unsigned varint.
@@ -684,6 +782,13 @@ func (r *Reader) Uvarint() (uint64, error) {
 		return uint64(r.data[r.pos-1]), nil
 	}
 	u, n := binary.Uvarint(r.data[r.pos:])
+	if n == 0 && r.unread > 0 {
+		// The window ends inside the varint.
+		if err := r.refill(r.unread); err != nil {
+			return 0, err
+		}
+		u, n = binary.Uvarint(r.data[r.pos:])
+	}
 	if n <= 0 {
 		return 0, errTruncated
 	}
@@ -694,6 +799,12 @@ func (r *Reader) Uvarint() (uint64, error) {
 // Varint reads a zigzag-encoded signed varint.
 func (r *Reader) Varint() (int64, error) {
 	i, n := binary.Varint(r.data[r.pos:])
+	if n == 0 && r.unread > 0 {
+		if err := r.refill(r.unread); err != nil {
+			return 0, err
+		}
+		i, n = binary.Varint(r.data[r.pos:])
+	}
 	if n <= 0 {
 		return 0, errTruncated
 	}
@@ -767,7 +878,8 @@ func (r *Reader) DictString(table *[]string) (string, error) {
 	return s, err
 }
 
-// Bytes reads a length-prefixed byte slice (aliasing the input).
+// Bytes reads a length-prefixed byte slice: a view of the payload, valid
+// until the decode ends (see "How a load reads").
 func (r *Reader) Bytes() ([]byte, error) {
 	n, err := r.Uvarint()
 	if err != nil {
@@ -795,7 +907,7 @@ func (r *Reader) Count(minBytes int) (int, error) {
 }
 
 // Bits is a bitmap read by Reader.Bitmap: a view of the payload, valid
-// while the payload is.
+// until the decode ends (see "How a load reads").
 type Bits []byte
 
 // At reports bit i.
@@ -849,8 +961,9 @@ func (r *Reader) Float64s() ([]float64, error) {
 		return nil, err
 	}
 	fs := make([]float64, n)
-	raw, _ := r.take(8 * n)
-	getFloat64s(fs, raw)
+	if err := r.readFloat64s(fs); err != nil {
+		return nil, err
+	}
 	return fs, nil
 }
 
@@ -875,12 +988,13 @@ func (r *Reader) PackedFloat64s() ([]float64, error) {
 	}
 	switch form[0] {
 	case 0:
-		raw, err := r.take(8 * int(n))
-		if err != nil {
-			return nil, err
+		if n > uint64(r.Remaining())/8 {
+			return nil, errTruncated
 		}
 		fs := make([]float64, n)
-		getFloat64s(fs, raw)
+		if err := r.readFloat64s(fs); err != nil {
+			return nil, err
+		}
 		return fs, nil
 	case 1:
 		present, err := r.Bitmap(int(n))
@@ -938,11 +1052,18 @@ func (r *Reader) Value() (any, error) {
 	case tagString:
 		return r.String()
 	case tagBytes:
-		b, err := r.Bytes()
+		n, err := r.Count(1)
 		if err != nil {
 			return nil, err
 		}
-		return append([]byte(nil), b...), nil
+		if n == 0 {
+			return []byte(nil), nil
+		}
+		b := make([]byte, n)
+		if err := r.readInto(b); err != nil {
+			return nil, err
+		}
+		return b, nil
 	case tagInts:
 		n, err := r.Count(1)
 		if err != nil {
@@ -1017,12 +1138,13 @@ func (r *Reader) Value() (any, error) {
 				return nil, errTruncated
 			}
 		}
-		raw, err := r.take(8 * total)
-		if err != nil {
-			return nil, err
+		if total > r.Remaining()/8 {
+			return nil, errTruncated
 		}
 		flat := make([]float64, total)
-		getFloat64s(flat, raw)
+		if err := r.readFloat64s(flat); err != nil {
+			return nil, err
+		}
 		rows := make([][]float64, n)
 		off := 0
 		for i, l := range lens {

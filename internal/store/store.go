@@ -538,24 +538,49 @@ func (s *Store) read(c clock.Clock, key string) (any, error) {
 		return nil, fmt.Errorf("store: no entry for key %q", key)
 	}
 	start := c.Now()
-	data, err := os.ReadFile(s.path(key))
+	f, err := os.Open(s.path(key))
+	if err != nil {
+		return nil, fmt.Errorf("store: read %q: %w", key, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("store: read %q: %w", key, err)
 	}
 	s.throttle(c, e.Size)
-	// Feed the bandwidth model the physical transfer only (read plus any
-	// simulated throttle). Decode time is deliberately excluded: the
-	// paper's load model is l_i = s_i / (disk read speed) (§5.3), so the
-	// self-correcting term is the disk-speed denominator, not codec cost —
-	// folding decode in would report a "disk" many times slower than the
-	// one configured and skew every load/compute trade-off.
-	readDur := c.Since(start)
-	value, err := s.codec().Decode(data)
+	// The codec pulls the file as it decodes (codec.go, "How a load
+	// reads"), so the value is the only full-size allocation.
+	src := &timedFile{f: f, c: c}
+	opened := c.Since(start)
+	value, err := s.codec().DecodeFrom(src, fi.Size())
 	if err != nil {
 		return nil, fmt.Errorf("store: %q: %w", key, err)
 	}
-	s.loads.observe(e.Size, readDur, s.staticBandwidth())
+	// Feed the bandwidth model the physical transfer only (the open, the
+	// reads and any simulated throttle). Decode time is deliberately
+	// excluded: the paper's load model is l_i = s_i / (disk read speed)
+	// (§5.3), so the self-correcting term is the disk-speed denominator,
+	// not codec cost — folding decode in would report a "disk" many times
+	// slower than the one configured and skew every load/compute
+	// trade-off.
+	s.loads.observe(e.Size, opened+src.spent, s.staticBandwidth())
 	return value, nil
+}
+
+// timedFile is an artifact's file that sums the time its reads take on
+// the load's clock: the decode runs between those reads and is not
+// counted.
+type timedFile struct {
+	f     *os.File
+	c     clock.Clock
+	spent time.Duration
+}
+
+func (t *timedFile) Read(p []byte) (int, error) {
+	start := t.c.Now()
+	n, err := t.f.Read(p)
+	t.spent += t.c.Since(start)
+	return n, err
 }
 
 // Has reports whether an entry exists for key — the engine's "equivalent

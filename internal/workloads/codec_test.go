@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"helix"
 	"helix/internal/core"
@@ -236,6 +238,15 @@ func generatedCases() []extCase {
 		preds.Train[i] = i%4 != 0
 	}
 	add("workloads.Predictions/2", "sigmoid", preds)
+	// Wider than a load's first window: the scores are a raw column that a
+	// file-backed decode reads straight into its slice.
+	widePreds := Predictions{Scores: make([]float64, 3000), Labels: make([]float64, 3000), Train: make([]bool, 3000)}
+	for i := range widePreds.Scores {
+		widePreds.Scores[i] = 1 / (1 + math.Exp(-float64(i-1500)/300))
+		widePreds.Labels[i] = float64(i % 2)
+		widePreds.Train[i] = i%4 != 0
+	}
+	add("workloads.Predictions/2", "wide", widePreds)
 	add("workloads.Predictions/2", "empty", Predictions{})
 
 	add("workloads.CensusData", "csv", CensusData{Train: "a,b\n1,2\n", Test: "a,b\n"})
@@ -298,6 +309,20 @@ func generatedCases() []extCase {
 		})
 	}
 	add("ml.Dataset", "sparse-no-ids", sparseOnly)
+	// A raw column of 100 KiB mid-message, after IDs that outrun a load's
+	// first window while the split bitmap read before them is still in
+	// use.
+	dense := &ml.Dataset{Dim: 64}
+	drng := rand.New(rand.NewSource(64))
+	for i := 0; i < 200; i++ {
+		x := make(ml.DenseVector, 64)
+		for j := range x {
+			x[j] = drng.NormFloat64()
+		}
+		id := fmt.Sprint("example-", i, "-of-the-wide-dense-set")
+		dense.Examples = append(dense.Examples, ml.Example{X: x, Y: float64(i % 3), Train: i%5 != 0, ID: id})
+	}
+	add("ml.Dataset", "dense-wide", dense)
 
 	// []data.Image
 	images := make([]data.Image, 12)
@@ -401,6 +426,52 @@ func TestExtTruncationAlwaysErrors(t *testing.T) {
 			if v, err := (store.BinaryCodec{}).Decode(bin[:n]); err == nil {
 				t.Fatalf("%s/%s: %d of %d bytes decoded to %#v", tc.ext, tc.name, n, len(bin), v)
 			}
+		}
+	}
+}
+
+// TestExtDecodeFromAgrees: every generated value's payload decodes through
+// the file-backed Reader — fed a byte at a time, in short reads, and from
+// a real file — to what Decode makes of the same bytes, and the payload
+// one byte short or one byte long fails on every source.
+func TestExtDecodeFromAgrees(t *testing.T) {
+	RegisterAll()
+	dir := t.TempDir()
+	for i, tc := range generatedCases() {
+		bin, err := store.BinaryCodec{}.Encode(tc.value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := store.BinaryCodec{}.Decode(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, payload := range []struct {
+			name string
+			data []byte
+		}{{"whole", bin}, {"short", bin[:len(bin)-1]}, {"long", append(bin[:len(bin):len(bin)], 0)}} {
+			path := filepath.Join(dir, fmt.Sprint(i, payload.name))
+			if err := os.WriteFile(path, payload.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for source, src := range map[string]io.Reader{
+				"one-byte": iotest.OneByteReader(bytes.NewReader(payload.data)),
+				"short":    iotest.HalfReader(bytes.NewReader(payload.data)),
+				"file":     f,
+			} {
+				got, err := store.BinaryCodec{}.DecodeFrom(src, int64(len(payload.data)))
+				switch {
+				case payload.name != "whole" && err == nil:
+					t.Errorf("%s/%s: %s payload from %s decoded to %#v", tc.ext, tc.name, payload.name, source, got)
+				case payload.name == "whole" && (err != nil || !sameValue(got, want)):
+					t.Errorf("%s/%s: from %s: DecodeFrom = %#v, %v; Decode = %#v", tc.ext, tc.name, source, got, err, want)
+				}
+			}
+			f.Close()
 		}
 	}
 }
@@ -710,8 +781,13 @@ func TestParentSessionDirectoryReopens(t *testing.T) {
 		}
 	}
 	exercised := false
-	for name, nr := range got.Nodes {
-		exercised = exercised || (nr.State == core.StateLoad && unreadable[name])
+	for _, np := range got.Plan.Nodes {
+		if name := np.Node.Name; np.State == core.StateLoad && unreadable[name] {
+			exercised = true
+			if got.Nodes[name].State != core.StateCompute {
+				t.Errorf("%s fell back from its unreadable artifact but reports %v, want computed", name, got.Nodes[name].State)
+			}
+		}
 	}
 	if !exercised {
 		t.Fatalf("no node with an unreadable parent artifact (%v) was planned as a load: %v", unreadable, got.Nodes)
@@ -725,7 +801,8 @@ func TestParentSessionDirectoryReopens(t *testing.T) {
 // BinaryCodec.Decode, seeded with a valid payload of each: the result is a
 // value or an error — no panic, no allocation beyond a fixed multiple of
 // the input (see store's FuzzBinaryDecode for the bound's derivation) —
-// and whatever decodes encodes again.
+// and whatever decodes encodes again. The file-backed path, fed a byte at
+// a time, keeps the bound and reaches the same outcome.
 func FuzzExtDecode(f *testing.F) {
 	RegisterAll()
 	for _, tc := range generatedCases() {
@@ -738,26 +815,38 @@ func FuzzExtDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		decode := func() (any, error, uint64) {
+		measure := func(decode func() (any, error)) (any, error, uint64) {
 			sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 			metrics.Read(sample)
 			before := sample[0].Value.Uint64()
-			v, err := store.BinaryCodec{}.Decode(raw)
+			v, err := decode()
 			metrics.Read(sample)
 			return v, err, sample[0].Value.Uint64() - before
 		}
-		v, err, grown := decode()
 		bound := 512*uint64(len(raw)) + 64<<10
 		const tagGob = 0x01 // excused: gob's decoder allocates by its own rules
-		if len(raw) > 5 && string(raw[:4]) == "HXB1" && raw[5] != tagGob && grown > bound {
-			// Small allocations are counted when a per-P cache is flushed,
-			// and a GC cycle that flushes them mid-decode bills the decode
-			// for up to a span per size class allocated before it. Measure
-			// again from a collected heap before calling it the decoder's.
-			runtime.GC()
-			if _, _, grown = decode(); grown > bound {
-				t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(raw), grown, bound)
+		bounded := len(raw) > 5 && string(raw[:4]) == "HXB1" && raw[5] != tagGob
+		decodeBounded := func(decode func() (any, error)) (any, error) {
+			v, err, grown := measure(decode)
+			if bounded && grown > bound {
+				// Small allocations are counted when a per-P cache is
+				// flushed, and a GC cycle that flushes them mid-decode bills
+				// the decode for up to a span per size class allocated
+				// before it. Measure again from a collected heap before
+				// calling it the decoder's.
+				runtime.GC()
+				if _, _, grown = measure(decode); grown > bound {
+					t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(raw), grown, bound)
+				}
 			}
+			return v, err
+		}
+		v, err := decodeBounded(func() (any, error) { return store.BinaryCodec{}.Decode(raw) })
+		fv, ferr := decodeBounded(func() (any, error) {
+			return store.BinaryCodec{}.DecodeFrom(iotest.OneByteReader(bytes.NewReader(raw)), int64(len(raw)))
+		})
+		if (err == nil) != (ferr == nil) || err == nil && !sameValue(v, fv) {
+			t.Fatalf("Decode = %#v, %v; DecodeFrom = %#v, %v", v, err, fv, ferr)
 		}
 		if err != nil {
 			return

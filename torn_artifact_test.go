@@ -1,0 +1,120 @@
+package helix
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"helix/internal/store"
+)
+
+// TestTornArtifactFallsBackToCompute: an artifact torn between two runs —
+// one byte cut from the middle of its float column, or one byte appended
+// — fails its load. The node is computed instead, the outputs are the
+// bytes a from-scratch run produces, and the session keeps running.
+func TestTornArtifactFallsBackToCompute(t *testing.T) {
+	const n = 20_000 // a column many load windows wide
+	workflow := func() *Workflow {
+		wf := New("torn")
+		src := wf.Source("data", "v1", func(ctx context.Context, in []Value) (Value, error) {
+			time.Sleep(20 * time.Millisecond) // worth loading vec instead
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i) / 3
+			}
+			return v, nil
+		})
+		wf.Reducer("vec", "scale=2", func(ctx context.Context, in []Value) (Value, error) {
+			xs := in[0].([]float64)
+			out := make([]float64, len(xs))
+			for i, x := range xs {
+				out[i] = 2 * x
+			}
+			return out, nil
+		}, src).IsOutput()
+		return wf
+	}
+	encoded := func(t *testing.T, res *Result) []byte {
+		t.Helper()
+		b, err := store.BinaryCodec{}.Encode(res.Values["vec"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	oracle, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	scratch, err := oracle.Run(context.Background(), workflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encoded(t, scratch)
+
+	for _, tc := range []struct {
+		name string
+		tear func([]byte) []byte
+	}{
+		{"one byte cut mid-column", func(b []byte) []byte { return append(b[:len(b)/2:len(b)/2], b[len(b)/2+1:]...) }},
+		{"one byte appended", func(b []byte) []byte { return append(b, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sess, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			ctx := context.Background()
+			first, err := sess.Run(ctx, workflow())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var key string
+			for _, np := range first.Plan.Nodes {
+				if np.Node.Name == "vec" {
+					key = np.Node.ChainSignature()
+				}
+			}
+			path := filepath.Join(dir, key+".gob")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("the output was not materialized: %v", err)
+			}
+			if err := os.WriteFile(path, tc.tear(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			torn, err := sess.Run(ctx, workflow())
+			if err != nil {
+				t.Fatalf("run over the torn artifact: %v", err)
+			}
+			planned := false
+			for _, np := range torn.Plan.Nodes {
+				planned = planned || np.Node.Name == "vec" && np.State == StateLoad
+			}
+			if !planned {
+				t.Fatal("vec was not planned as a load: the torn artifact was never read")
+			}
+			if got := torn.Nodes["vec"].State; got != StateCompute {
+				t.Errorf("vec reported %v after its load failed, want computed", got)
+			}
+			if !bytes.Equal(encoded(t, torn), want) {
+				t.Error("outputs over the torn artifact differ from a from-scratch run")
+			}
+
+			third, err := sess.Run(ctx, workflow())
+			if err != nil {
+				t.Fatalf("third run: %v", err)
+			}
+			if !bytes.Equal(encoded(t, third), want) {
+				t.Error("third run's outputs differ from a from-scratch run")
+			}
+		})
+	}
+}
