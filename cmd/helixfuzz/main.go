@@ -1,8 +1,9 @@
 // Command helixfuzz runs the property-based invariant harness
 // (internal/fuzz): seed-driven random workflow DAGs (including streaming
 // row-wise operators), random edit sequences, random session
-// configurations, and randomly scheduled mid-sequence restarts and
-// mid-run cancellations, each executed through a real Session and
+// configurations, randomly scheduled mid-sequence restarts and mid-run
+// cancellations, and artifacts damaged between iterations (a flipped
+// bit, a truncation, a deletion), each executed through a real Session and
 // cross-checked against streaming-off, adaptive, shared-store,
 // fresh-solve, and from-scratch oracles.
 //
@@ -65,8 +66,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "helixfuzz: case seed %d: %s\n", *caseSeed, v)
 			os.Exit(1)
 		}
-		logf("helixfuzz: case seed %d clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels)",
-			*caseSeed, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits, stats.Restarts, stats.Cancels)
+		logf("helixfuzz: case seed %d clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels; %d artifacts damaged, %d loads failed)",
+			*caseSeed, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits, stats.Restarts, stats.Cancels,
+			stats.Damaged, stats.LoadFailures)
 
 	default:
 		stats := &fuzz.Stats{}
@@ -86,9 +88,9 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels [%d aborted])",
+		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels [%d aborted]; %d artifacts damaged, %d loads failed)",
 			stats.Cases, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits,
-			stats.Restarts, stats.Cancels, stats.CancelAborted)
+			stats.Restarts, stats.Cancels, stats.CancelAborted, stats.Damaged, stats.LoadFailures)
 	}
 }
 

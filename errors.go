@@ -55,6 +55,9 @@ var (
 	// simply recomputed in every later iteration instead of loaded, which
 	// is why the report is worth checking.
 	ErrUnserializable = exec.ErrUnserializable
+	// ErrLoadFailed is what NodeReport.LoadErr wraps. Run never returns it:
+	// the artifact is removed and the node computed instead.
+	ErrLoadFailed = exec.ErrLoadFailed
 )
 
 // NodeError reports the failure of one operator during Run. Retrieve it

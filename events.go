@@ -18,7 +18,9 @@ import "helix/internal/exec"
 // one FlushEvent (the write-behind barrier), and — on success only — one
 // RunStatsEvent (planner health: cache outcome, solves, re-plans)
 // followed by one DoneEvent. A failed run's stream simply ends; the
-// error reaches the Run caller.
+// error reaches the Run caller. A planned load that fails ends an
+// attempt's stream the same way, and the next attempt's starts with its
+// own PlanEvent.
 type RunObserver = exec.Observer
 
 // RunEvent is one structured occurrence within a running iteration.
@@ -28,8 +30,8 @@ type RunEvent = exec.Event
 
 // PlanEvent reports the plan an iteration is about to execute: the
 // plan-cache outcome (cold/partial/hit), the Equation-1 projection, time
-// spent planning, and the live-node state mix. Exactly one per run,
-// before any node starts.
+// spent planning, and the live-node state mix. One per plan executed
+// (a failed load makes a second), before any of its nodes starts.
 type PlanEvent = exec.PlanEvent
 
 // NodeEvent reports one operator's lifecycle transition (see NodePhase).

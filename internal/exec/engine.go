@@ -10,6 +10,10 @@
 // the engine consults the materialization policy and evicts the value
 // from the in-memory cache eagerly (§5.4, cache pruning).
 //
+// A planned load that fails ends the attempt: the engine removes the entry,
+// returns its bytes to the policy, and Run plans the iteration again over
+// the store without it, so the new plan runs on the same scheduler.
+//
 // # Write-behind materialization
 //
 // By default materialization is write-behind: when a node goes out of
@@ -207,9 +211,13 @@ type NodeReport struct {
 	// MatErr is why a result the policy chose to materialize is not in the
 	// store: ErrUnserializable (wrapping the codec's error) when its type
 	// could not be encoded, otherwise the disk write error. The run still
-	// succeeded — the node is recomputed instead of loaded from now on —
-	// so this is the only place the failure shows.
+	// succeeded — later plans compute the node instead of loading it — so
+	// this is the only place the failure shows.
 	MatErr error
+	// LoadErr is why the node's planned load failed in an earlier attempt
+	// of this run (ErrLoadFailed, naming the key). The entry was removed,
+	// so State is what the plan made after that did, usually StateCompute.
+	LoadErr error
 }
 
 // Result summarizes one iteration's execution.
@@ -224,7 +232,8 @@ type Result struct {
 	// Plan.Explain() for the per-node decision table.
 	Plan *plan.Plan
 	// Wall is the wall-clock duration of the run's compute critical path:
-	// from Run entry until the last node finished. With write-behind
+	// from Run entry until the last node finished, attempts that ended on
+	// a failed load included. With write-behind
 	// materialization (the default) background writes overlap computation
 	// and are excluded; the residual wait for stragglers is FlushWait.
 	// With SyncMaterialization, Wall includes all materialization time,
@@ -232,9 +241,9 @@ type Result struct {
 	Wall time.Duration
 	// PlanTime is the portion of Wall spent planning: change tracking,
 	// slicing, cost assembly, fingerprinting, and — unless the plan cache
-	// hit — the OPT-EXEC-PLAN solve. Zero when Execute was called with a
-	// prebuilt plan. Plan.Cache says whether this iteration's planning
-	// was cold, partial, or a cache hit.
+	// hit — the OPT-EXEC-PLAN solve, summed over every plan the run made.
+	// Zero when Execute was called with a prebuilt plan. Plan.Cache says
+	// whether the executed plan was cold, partial, or a cache hit.
 	PlanTime time.Duration
 	// FlushWait is the time Run spent blocked at the store's Flush
 	// barrier after computation finished, waiting for write-behind
@@ -367,18 +376,11 @@ var closedDone = func() chan struct{} {
 
 // nodeRun is the mutable per-node execution record.
 type nodeRun struct {
-	node  *core.Node
-	np    *plan.NodePlan
-	fn    OpFunc
-	state core.State
-	done  chan struct{}
-	// valMu orders post-completion accesses to value: eviction (retire
-	// setting it nil, possibly from another node's goroutine) versus the
-	// load-failure fallback reading it. The owner's pre-close write and
-	// child-input reads need no lock — they are ordered by the scheduler
-	// (a child runs only after its parents completed) and the pending
-	// counter respectively.
-	valMu   sync.Mutex
+	node    *core.Node
+	np      *plan.NodePlan
+	fn      OpFunc
+	state   core.State
+	done    chan struct{}
 	value   any
 	err     error
 	ownSecs float64
@@ -424,10 +426,6 @@ type nodeRun struct {
 	// keys byte-identical to the cached entry.
 	measured   time.Duration
 	measuredOK bool
-	// recomputed marks a load whose artifact could not be read or
-	// decoded: the value was computed instead, and the node is reported
-	// as computed.
-	recomputed bool
 	// baseC is the compute estimate (seconds) the initial plan priced the
 	// node at; the divergence monitor's correction factors are expressed
 	// against this base so repeated corrections stay idempotent. proj is
@@ -452,29 +450,40 @@ func (e *Engine) Run(ctx context.Context, prog *Program, prev *core.DAG, iterati
 func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, iteration int, opts Options) (*Result, error) {
 	clk := clock.From(ctx)
 	start := clk.Now()
-	var (
-		view plan.MatView = storeView{e.Store}
-		ad   *adaptState
-	)
-	if opts.AdaptiveThreshold > 0 {
-		// Adaptive mode plans the initial plan and every mid-run re-plan
-		// through one memoizing store view: artifacts published while the
-		// run executes are invisible to re-plans, so the only fingerprint
-		// deltas are the monitor's deliberate metric corrections.
-		sv := newSnapView(e.Store)
-		view = sv
-		ad = newAdaptState(e, prog.DAG, prev, opts, sv)
+	// Planning is on the critical path (Result.Wall runs from Run entry)
+	// and reported apart as Result.PlanTime. An attempt whose load failed
+	// removed that entry (execute), so the iteration plans again without
+	// it: each retry removes an entry, and the loop ends.
+	var planTime time.Duration
+	loadErrs := map[string]error{}
+	for {
+		planStart := clk.Now()
+		var (
+			view plan.MatView = storeView{e.Store}
+			ad   *adaptState
+		)
+		if opts.AdaptiveThreshold > 0 {
+			// Adaptive mode plans the initial plan and every mid-run re-plan
+			// through one memoizing store view: artifacts published while the
+			// run executes are invisible to re-plans, so the only fingerprint
+			// deltas are the monitor's deliberate metric corrections.
+			sv := newSnapView(e.Store)
+			view = sv
+			ad = newAdaptState(e, prog.DAG, prev, opts, sv)
+		}
+		p, err := e.planWithView(prog.DAG, prev, iteration, opts, view, false)
+		if err != nil {
+			return nil, err
+		}
+		planTime += clk.Since(planStart)
+		res, err := e.execute(ctx, prog, p, clk, start, planTime, &opts, ad, loadErrs)
+		if !errors.Is(err, ErrLoadFailed) {
+			return res, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	p, err := e.planWithView(prog.DAG, prev, iteration, opts, view, false)
-	if err != nil {
-		return nil, err
-	}
-	// Planning is part of the iteration's critical path: Result.Wall is
-	// measured from Run entry, so the solve and ancestor-table passes
-	// stay on the bill exactly as when they lived inline here. The
-	// planning share is reported separately as Result.PlanTime, which is
-	// what the plan cache shrinks on fingerprint hits.
-	return e.execute(ctx, prog, p, clk, start, clk.Since(start), &opts, ad)
 }
 
 // Execute carries out a previously built plan against the program it was
@@ -483,12 +492,17 @@ func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, ite
 // the plan's purge decision, then runs every non-pruned node on the
 // bounded scheduler. Result.Wall is measured from Execute entry; Run
 // measures from its own entry so planning time is included there.
+//
+// A load that fails removes its entry, and Execute returns a *NodeError
+// wrapping ErrLoadFailed: the caller's next plan computes the node.
 func (e *Engine) Execute(ctx context.Context, prog *Program, p *plan.Plan) (*Result, error) {
 	clk := clock.From(ctx)
-	return e.execute(ctx, prog, p, clk, clk.Now(), 0, &e.Opts, nil)
+	return e.execute(ctx, prog, p, clk, clk.Now(), 0, &e.Opts, nil, map[string]error{})
 }
 
-func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk clock.Clock, start time.Time, planTime time.Duration, opts *Options, ad *adaptState) (*Result, error) {
+// execute carries out one plan. loadErrs holds the run's failed loads by
+// node name, for the Result; this attempt's are added to it.
+func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk clock.Clock, start time.Time, planTime time.Duration, opts *Options, ad *adaptState, loadErrs map[string]error) (*Result, error) {
 	d := prog.DAG
 	// Fail fast on plan/program mispairing: fn lookup is by node pointer,
 	// so a plan built from a different Compile of even the same workflow
@@ -532,19 +546,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		if err != nil {
 			return nil, fmt.Errorf("exec: purge: %w", err)
 		}
-		// Return the freed bytes to budget-tracking policies so storage
-		// reclaimed from deprecated results can be spent again. The credit
-		// goes to the engine's own (session-baseline) policy, not a
-		// run-scoped override's instance: reservations were made by the
-		// baseline in steady state, and crediting whichever configuration
-		// happens to be active when the purge runs would leak budget from
-		// the reserving instance into the override's (the override could
-		// then exceed its cap while the baseline under-materializes
-		// forever). A purge of bytes an override itself reserved is the
-		// rare case and errs in the conservative direction.
-		if rel, ok := e.Opts.Policy.(interface{ Release(int64) }); ok && freed > 0 {
-			rel.Release(freed)
-		}
+		e.release(freed)
 	}
 
 	// The execution records, indexed both by plan order and (byID) by node
@@ -645,7 +647,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		em:        em,
 		plan:      p,
 		runs:      byID,
-		fns:       prog.Fns,
 		rows:      prog.Rows,
 		times:     make([]atomic.Uint64, len(runs)),
 		iteration: p.Iteration,
@@ -674,17 +675,45 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		flushWait = clk.Since(flushStart)
 	}
 	em.flush(flushWait)
+	var peakMem, avgMem uint64
+	if sampler != nil { // stopped on every path out, failed attempts included
+		peakMem, avgMem = sampler.stop()
+	}
 
-	// Fold measured timings into the carried per-node statistics. The
-	// executor defers these writes to this single-threaded point (workers
-	// only record durations on their own nodeRun) so that a mid-run
-	// re-plan reads stable metrics: completed nodes' cost keys stay
-	// byte-identical to the run's cached plan entry, and only the
-	// monitor's deliberate frontier corrections dirty the fingerprint.
-	// Each observation feeds the node's decayed online estimator
-	// (core.CostStat), not a last-value overwrite.
+	// A failed load outranks other failures, which may only be the
+	// cancellation it caused. Delete drops the entry even when the file
+	// cannot be removed: wasted space, never a wrong value.
+	var loadErr error
 	for _, r := range runs {
-		if r.err != nil || !r.measuredOK {
+		if errors.Is(r.err, ErrLoadFailed) {
+			loadErrs[r.node.Name] = r.err
+			freed, _ := e.Store.Delete(r.node.ChainSignature())
+			e.release(freed)
+			if loadErr == nil {
+				loadErr = &NodeError{Op: r.node.Name, Err: r.err}
+			}
+		}
+	}
+	if loadErr != nil {
+		return nil, loadErr
+	}
+	if err := firstError(runs); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Fold measured timings of a successful attempt into the carried
+	// per-node statistics. The executor defers these writes to this
+	// single-threaded point (workers only record durations on their own
+	// nodeRun) so that a mid-run re-plan reads stable metrics: completed
+	// nodes' cost keys stay byte-identical to the run's cached plan entry,
+	// and only the monitor's deliberate frontier corrections dirty the
+	// fingerprint. Each observation feeds the node's decayed online
+	// estimator (core.CostStat), not a last-value overwrite.
+	for _, r := range runs {
+		if !r.measuredOK {
 			continue
 		}
 		if r.state == core.StateLoad {
@@ -692,13 +721,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		} else {
 			r.node.Metrics.ObserveCompute(r.measured)
 		}
-	}
-
-	if err := firstError(runs); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	// Shared-store mode: publish this run's measured metrics to the
@@ -739,17 +761,14 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		res.StateCounts[s] = c
 	}
 	for _, r := range runs {
-		state := r.state
-		if r.recomputed {
-			state = core.StateCompute
-		}
 		res.Nodes[r.node.Name] = NodeReport{
-			State:     state,
+			State:     r.state,
 			Component: r.node.Component,
 			Seconds:   r.ownSecs,
 			MatSecs:   r.matSecs,
 			Bytes:     r.bytes,
 			MatErr:    r.matErr,
+			LoadErr:   loadErrs[r.node.Name],
 		}
 		res.Breakdown[r.node.Component] += time.Duration(r.ownSecs * float64(time.Second))
 		res.MatTime += time.Duration(r.matSecs * float64(time.Second))
@@ -757,15 +776,28 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 			res.Values[r.node.Name] = r.value
 		}
 	}
-	if sampler != nil {
-		res.PeakMemBytes, res.AvgMemBytes = sampler.stop()
-	}
+	res.PeakMemBytes, res.AvgMemBytes = peakMem, avgMem
 	res.StorageBytes = e.Store.UsedBytes()
 	res.Wall = computeWall
 	res.PlanTime = planTime
 	res.FlushWait = flushWait
 	em.done(computeWall, flushWait)
 	return res, nil
+}
+
+// release returns bytes removed from the store to budget-tracking
+// policies, so the storage can be spent again. The credit goes to the
+// engine's own (session-baseline) policy, not a run-scoped override's
+// instance: reservations were made by the baseline in steady state, and
+// crediting whichever configuration happens to be active when the bytes
+// are freed would leak budget from the reserving instance into the
+// override's (the override could then exceed its cap while the baseline
+// under-materializes forever). Freeing bytes an override itself reserved
+// is the rare case and errs in the conservative direction.
+func (e *Engine) release(freed int64) {
+	if rel, ok := e.Opts.Policy.(interface{ Release(int64) }); ok && freed > 0 {
+		rel.Release(freed)
+	}
 }
 
 // firstError scans the runs for failures, preferring a real operator or
@@ -986,9 +1018,6 @@ type runState struct {
 	plan *plan.Plan
 	// runs holds every node's run, indexed by node ID.
 	runs []*nodeRun
-	// fns is Program.Fns, consulted by the load-failure fallback for
-	// nodes that were not going to run.
-	fns map[*core.Node]OpFunc
 	// rows is Program.Rows: per-row implementations for streamable
 	// operators, consulted when executing fused units.
 	rows map[*core.Node]*RowOp
@@ -1006,29 +1035,18 @@ type runState struct {
 	// run state under its read lock; the re-planner mutates unstarted
 	// runs under its write lock.
 	adapt *adaptState
-
-	// fallbackMu serializes concurrent recursive recomputations after
-	// load failures (value accesses are guarded per-run by valMu, so this
-	// is only about not duplicating recomputation work).
-	fallbackMu sync.Mutex
 }
 
 // evict drops a non-output run's in-memory value (eager cache pruning,
-// §5.4) under the run's own valMu. Ordinary child reads of r.value are ordered by
-// the scheduler and the pending counter protocol — a child runs only
-// after its parents completed, and a parent cannot retire until every
-// computing child has finished — but the load-failure fallback reads
-// finished runs' values from an unrelated goroutine, so eviction must
-// synchronize with it. The lock is per-run and held for one store:
-// retirements on the hot path never contend with each other or with an
-// in-flight recomputation's user code.
+// §5.4). Child reads of r.value are ordered by the scheduler and the
+// pending counter protocol — a child runs only after its parents
+// completed, and a parent cannot retire until every computing child has
+// finished — so no lock is needed.
 func (s *runState) evict(r *nodeRun) {
 	if r.np.Output {
 		return // outputs keep their value for Result
 	}
-	r.valMu.Lock()
 	r.value = nil
-	r.valMu.Unlock()
 }
 
 // execNode runs one scheduled unit to completion: loads, or computes the
@@ -1050,8 +1068,8 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 
 	// A canceled run must not start new work: queued nodes can still win
 	// the worker's select race against ctx.Done after a failure elsewhere,
-	// and a throttled disk load (or its recursive recompute fallback)
-	// would delay the error return by whole load durations.
+	// and a throttled disk load would delay the error return by a whole
+	// load duration.
 	if err := ctx.Err(); err != nil {
 		r.err = err
 		return
@@ -1078,23 +1096,15 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	case core.StateLoad:
 		value, dur, err := s.engine.Store.Load(s.clk, n.ChainSignature())
 		if err != nil {
-			// Failure injection path: a corrupt or missing materialization
-			// must not abort the iteration — recompute instead (possibly
-			// recomputing pruned ancestors on demand).
-			value, err = s.recompute(ctx, n)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.value = value
-			r.recomputed = true
-			r.ownSecs = n.Metrics.Compute.Seconds()
-		} else {
-			r.value = value
-			r.ownSecs = dur.Seconds()
-			r.measured = dur
-			r.measuredOK = true
+			// Ends the attempt (finish cancels the run); the store's error
+			// names the key.
+			r.err = fmt.Errorf("%w: %w", ErrLoadFailed, err)
+			return
 		}
+		r.value = value
+		r.ownSecs = dur.Seconds()
+		r.measured = dur
+		r.measuredOK = true
 	case core.StateCompute:
 		inputs := make([]any, len(n.Parents()))
 		for i, p := range n.Parents() {
@@ -1219,20 +1229,16 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 	if r.streamed {
 		// A fused run's non-tail member: its value was never built (rows
 		// streamed straight through), so there is nothing to evict and
-		// nothing the policy could materialize. The member's equivalent
-		// result remains reconstructible via the recompute fallback.
+		// nothing the policy could materialize.
 		return false, 0, nil
 	}
 	if r.state != core.StateCompute || r.err != nil {
-		// Loaded results are already on disk: just release the cache
-		// reference. Pruned nodes have no value. (The store lookup also
-		// reports honestly when a load fell back to recomputation after
-		// its materialization vanished.)
+		// Loaded results are on disk by construction: just release the
+		// cache reference. Pruned nodes have no value.
 		if r.state == core.StateLoad {
 			s.evict(r)
 		}
-		onDisk := r.err == nil && r.state == core.StateLoad && s.engine.Store.Has(n.ChainSignature())
-		return onDisk, n.Metrics.Size, nil
+		return r.err == nil && r.state == core.StateLoad, n.Metrics.Size, nil
 	}
 	e := s.engine
 	pol := s.opts.Policy
@@ -1369,51 +1375,4 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 	// only reference its pending write needs.
 	s.evict(r)
 	return materialized, bytes, matErr
-}
-
-// recompute computes a node's value on demand, recursively ensuring parent
-// values (which may have been pruned or evicted). Used only on the load-
-// failure fallback path, so simplicity beats parallelism here.
-func (s *runState) recompute(ctx context.Context, n *core.Node) (any, error) {
-	s.fallbackMu.Lock()
-	defer s.fallbackMu.Unlock()
-	return s.recomputeLocked(ctx, n, make(map[*core.Node]any))
-}
-
-func (s *runState) recomputeLocked(ctx context.Context, n *core.Node, memo map[*core.Node]any) (any, error) {
-	if v, ok := memo[n]; ok {
-		return v, nil
-	}
-	r := s.runs[n.ID]
-	select {
-	case <-r.done:
-		if r.err == nil {
-			r.valMu.Lock()
-			v := r.value
-			r.valMu.Unlock()
-			if v != nil {
-				memo[n] = v
-				return v, nil
-			}
-		}
-	default:
-	}
-	fn := s.fns[n]
-	if fn == nil {
-		return nil, fmt.Errorf("exec: cannot recompute %q: %w", n.Name, ErrNoFunction)
-	}
-	inputs := make([]any, len(n.Parents()))
-	for i, p := range n.Parents() {
-		v, err := s.recomputeLocked(ctx, p, memo)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = v
-	}
-	v, err := fn(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	memo[n] = v
-	return v, nil
 }

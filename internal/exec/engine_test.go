@@ -300,6 +300,9 @@ func TestDisableReuseRecomputesEverything(t *testing.T) {
 	}
 }
 
+// TestLoadFailureFallsBackToRecompute: every artifact is garbage, so
+// every planned load fails; the run plans again without them and
+// computes the right value.
 func TestLoadFailureFallsBackToRecompute(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)

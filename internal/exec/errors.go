@@ -15,8 +15,15 @@ var (
 	// pointers.
 	ErrBadPlan = errors.New("exec: plan was not built from this program")
 	// ErrNoFunction reports a node scheduled for compute that has no
-	// function — a Source fed no value, or a recompute of an opaque node.
+	// function — a Source fed no value.
 	ErrNoFunction = errors.New("no function for node")
+	// ErrLoadFailed reports a planned load whose artifact could not be
+	// read, decoded or checksummed; it wraps the store's error, which
+	// names the key. Run never returns it: the entry is removed and the
+	// iteration planned again (NodeReport.LoadErr records it). Execute,
+	// which cannot plan, returns it in a *NodeError after removing the
+	// entry, so the caller's next plan computes the node.
+	ErrLoadFailed = errors.New("exec: planned load failed")
 	// ErrRowType reports a streamable operator whose input value or fused
 	// neighbour has another element type than it was declared over: found
 	// when the chain is bound, before any row function runs.

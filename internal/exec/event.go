@@ -25,8 +25,9 @@ type Event interface{ event() }
 
 // PlanEvent reports the plan an iteration is about to execute: how the
 // planner obtained it (cold solve, partial re-solve, or a wholesale cache
-// hit), what it projects, and the state mix. Emitted exactly once per
-// run, before any node starts.
+// hit), what it projects, and the state mix. Emitted once per plan
+// executed, before any of its nodes starts: a run that plans again after
+// a failed load emits one per attempt.
 type PlanEvent struct {
 	// Iteration is the 0-based iteration index.
 	Iteration int

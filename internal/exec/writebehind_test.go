@@ -206,9 +206,9 @@ func TestFlushMakesRunNVisibleToRunN1(t *testing.T) {
 }
 
 // TestLoadFailureRecoversWithAsyncWritesInFlight deletes a materialized
-// blob behind the manifest's back and asserts the engine's recompute()
-// fallback transparently recovers during a run whose own write-behind
-// materializations are concurrently in flight.
+// blob behind the manifest's back and asserts the run recovers — the
+// failed load drops the entry and the iteration plans again — while the
+// run's own write-behind materializations are concurrently in flight.
 func TestLoadFailureRecoversWithAsyncWritesInFlight(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -234,8 +234,8 @@ func TestLoadFailureRecoversWithAsyncWritesInFlight(t *testing.T) {
 	}
 
 	// Change the learner: learn/check recompute and re-materialize via
-	// the writer pool while extract's failed load falls back to
-	// recomputation on the same run.
+	// the writer pool while extract's failed load makes the same run plan
+	// again and compute it.
 	var c2 counters
 	prog2 := testProgram(&c2)
 	lrn := prog2.DAG.Node("learn")

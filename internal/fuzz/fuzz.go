@@ -4,11 +4,12 @@
 // configurations, each executed through a real Session and cross-checked
 // against independent oracles.
 //
-// Seven invariants are enforced on every generated case. The numbering
+// Eight invariants are enforced on every generated case. The numbering
 // has gaps on purpose — corpus entries and CHANGES.md refer to invariants
-// by number. 1, 2 and 8 guard paths no Session option selects (a nil plan
-// cache, FIFO scheduling, the gob codec), so they are checked where that
-// costs no sibling session per iteration:
+// by number, and 11 and 12 are reserved. 1, 2 and 8 guard paths no
+// Session option selects (a nil plan cache, FIFO scheduling, the gob
+// codec), so they are checked where that costs no sibling session per
+// iteration:
 //
 //  1. Plan-cache transparency — subsumed: invariant 3 compares every
 //     output of the (always cache-on) subject with the from-scratch
@@ -53,6 +54,14 @@
 //     threshold) produces byte-for-byte the same output values as the
 //     adaptive-off siblings, whether or not any re-plan or
 //     compute→load swap fired mid-run.
+//  13. Corruption transparency — between iterations the case may flip a
+//     bit in, truncate or delete artifacts of the subject's store behind
+//     its back (Case.Damages). Invariants 3, 5, 7 and 10 still hold over
+//     the damaged store (4 is skipped on an iteration whose executed plan
+//     was made after a failed load, over a store the fresh solve did not
+//     see); only a damaged artifact ever fails to load; and a damaged
+//     artifact fails once — its entry is removed, so its key is never
+//     loaded again unless it is written anew.
 //
 // A failing case is shrunk to a local minimum (dropping iterations,
 // edits, restarts, cancellations, and DAG nodes while the same
@@ -137,6 +146,19 @@ type Case struct {
 	// usable; one that outruns the cancellation counts as the
 	// iteration's run.
 	Cancels []int `json:"cancels,omitempty"`
+	// Damages lists artifacts of the subject's store damaged before an
+	// iteration (invariant 13).
+	Damages []Damage `json:"damages,omitempty"`
+}
+
+// Damage is one artifact of the subject's store damaged behind its back
+// before iteration Iter: one bit flipped ("flip"), the file cut short
+// ("truncate") or removed ("delete"). Pick seeds which artifact and which
+// byte, so a recorded case damages the same ones on replay.
+type Damage struct {
+	Iter int    `json:"iter"`
+	Op   string `json:"op"`
+	Pick int64  `json:"pick"`
 }
 
 // clone deep-copies the case so shrink candidates never alias.
@@ -144,6 +166,7 @@ func (c *Case) clone() *Case {
 	out := &Case{Seed: c.Seed, Config: c.Config}
 	out.Restarts = append([]int(nil), c.Restarts...)
 	out.Cancels = append([]int(nil), c.Cancels...)
+	out.Damages = append([]Damage(nil), c.Damages...)
 	out.Base = cloneSpecs(c.Base)
 	out.Iters = make([][]Edit, len(c.Iters))
 	for i, edits := range c.Iters {
@@ -161,9 +184,9 @@ func (c *Case) clone() *Case {
 }
 
 // size is the shrink metric: total declared nodes plus edits plus
-// restart/cancel injections.
+// restart/cancel/damage injections.
 func (c *Case) size() int {
-	n := len(c.Base) + len(c.Restarts) + len(c.Cancels)
+	n := len(c.Base) + len(c.Restarts) + len(c.Cancels) + len(c.Damages)
 	for _, edits := range c.Iters {
 		n += len(edits)
 	}
@@ -267,9 +290,9 @@ func applyEdits(nodes []NodeSpec, edits []Edit) []NodeSpec {
 // streaming row-wise operators (biased to chain so fusible runs of ≥ 2
 // appear), 2–6 iterations of edits with ~40% deliberate no-op
 // iterations (consecutive quiet iterations are what drives the plan
-// cache to full fingerprint hits), mid-sequence session restarts and
-// mid-run cancellations, and a configuration drawn from policy × budget
-// × parallelism × materialization mode.
+// cache to full fingerprint hits), mid-sequence session restarts,
+// mid-run cancellations and damaged artifacts, and a configuration drawn
+// from policy × budget × parallelism × materialization mode.
 func Generate(seed int64) *Case {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Case{Seed: seed, Config: genConfig(rng)}
@@ -294,6 +317,17 @@ func Generate(seed int64) *Case {
 	}
 	if rng.Float64() < 0.25 {
 		c.Cancels = []int{rng.Intn(iters)}
+	}
+	// Drawn last, so no other field of a seed's case depends on it.
+	// Iteration 0 starts from an empty store.
+	if rng.Float64() < 0.40 {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			c.Damages = append(c.Damages, Damage{
+				Iter: 1 + rng.Intn(iters-1),
+				Op:   []string{"flip", "truncate", "delete"}[rng.Intn(3)],
+				Pick: rng.Int63(),
+			})
+		}
 	}
 	return c
 }

@@ -149,14 +149,17 @@ func TestFuzzSmoke(t *testing.T) {
 	if f != nil {
 		t.Fatalf("fuzz failure: %s\nminimized case: %+v", f, f.Minimized)
 	}
-	t.Logf("coverage: %d cases, %d iterations, %d cold / %d partial / %d full-hit plans, %d restarts, %d cancels (%d aborted)",
+	t.Logf("coverage: %d cases, %d iterations, %d cold / %d partial / %d full-hit plans, %d restarts, %d cancels (%d aborted), %d artifacts damaged, %d loads failed",
 		stats.Cases, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits,
-		stats.Restarts, stats.Cancels, stats.CancelAborted)
+		stats.Restarts, stats.Cancels, stats.CancelAborted, stats.Damaged, stats.LoadFailures)
 	if stats.Partial == 0 {
 		t.Error("smoke run never exercised a partial plan-cache hit")
 	}
 	if !testing.Short() && stats.Restarts == 0 && stats.Cancels == 0 {
 		t.Error("smoke run never scheduled a restart or a cancellation")
+	}
+	if !testing.Short() && stats.LoadFailures == 0 {
+		t.Error("smoke run never failed a load on a damaged artifact (invariant 13)")
 	}
 }
 

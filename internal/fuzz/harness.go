@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
 	"helix"
 	"helix/internal/store"
@@ -47,6 +49,10 @@ type Stats struct {
 	// churn, the behaviour eviction pressure exists to force.
 	EvictCases int
 	Evictions  int
+	// Damaged counts artifacts the corruption mode damaged (invariant 13);
+	// LoadFailures counts the subject's loads that failed on them.
+	Damaged      int
+	LoadFailures int
 }
 
 // options lowers the case configuration to session options.
@@ -190,6 +196,10 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 	mandatorySigs := make(map[string]bool)
 	prevManifest := make(map[string]int64)
 	var purgedMandatoryCredit int64
+	// Invariant 13: the keys whose artifact is damaged on disk, and those
+	// whose damaged artifact already failed a load.
+	damaged := make(map[string]bool)
+	failed := make(map[string]bool)
 
 	cur := cloneSpecs(c.Base)
 	for it, edits := range c.Iters {
@@ -240,6 +250,26 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 			}
 		}
 		subject, streamOff, adaptSess := sess[0], sess[1], sess[2]
+
+		// Invariant 13: damage artifacts behind the subject's back, after
+		// the previous run's write-behind barrier and before anything
+		// plans this iteration.
+		for _, d := range c.Damages {
+			if d.Iter != it {
+				continue
+			}
+			key, err := damage(subjectStoreDir, d)
+			if err != nil {
+				return nil, err
+			}
+			if key != "" {
+				damaged[key] = true
+				delete(failed, key)
+				if stats != nil {
+					stats.Damaged++
+				}
+			}
+		}
 
 		// Invariant-4 oracle: a fresh cold solve against the subject's
 		// current state, taken BEFORE the run so both see the same
@@ -306,6 +336,32 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 		if err != nil {
 			return viol("run-error", "adaptive run failed: %v", err), nil
 		}
+		// Invariant 13: only a damaged artifact fails to load, and it fails
+		// once. (The run may still end loading the key: an attempt after
+		// the failure can write it anew.) The plan that ran was made over a
+		// store the invariant-4 oracle did not see, so invariant 4 skips
+		// the iteration.
+		var loadFailed []string
+		for name, nr := range res.Nodes {
+			if nr.LoadErr == nil {
+				continue
+			}
+			key := res.Plan.ByName(name).Node.ChainSignature()
+			switch {
+			case !errors.Is(nr.LoadErr, helix.ErrLoadFailed):
+				return viol("corrupt-load", "node %s: LoadErr %v does not wrap ErrLoadFailed", name, nr.LoadErr), nil
+			case !damaged[key]:
+				return viol("corrupt-load", "node %s: load of an undamaged artifact failed: %v", name, nr.LoadErr), nil
+			case failed[key]:
+				return viol("corrupt-load", "node %s: damaged artifact %s was loaded again after its load failed", name, key), nil
+			}
+			failed[key] = true
+			loadFailed = append(loadFailed, key)
+		}
+		if stats != nil {
+			stats.LoadFailures += len(loadFailed)
+		}
+
 		if stats != nil {
 			stats.Iterations++
 			switch res.Plan.Cache {
@@ -414,21 +470,23 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 
 		// Invariant 4: plan-cache soundness — whatever the cache outcome,
 		// the executed plan's decisions equal a fresh solve's.
-		if len(res.Plan.Nodes) != len(oracle.Nodes) {
-			return viol("plan-cache-soundness", "%d planned nodes vs oracle's %d", len(res.Plan.Nodes), len(oracle.Nodes)), nil
-		}
-		for _, np := range res.Plan.Nodes {
-			o := oracle.ByName(np.Node.Name)
-			if o == nil {
-				return viol("plan-cache-soundness", "node %s absent from oracle plan", np.Node.Name), nil
+		if len(loadFailed) == 0 {
+			if len(res.Plan.Nodes) != len(oracle.Nodes) {
+				return viol("plan-cache-soundness", "%d planned nodes vs oracle's %d", len(res.Plan.Nodes), len(oracle.Nodes)), nil
 			}
-			if np.State != o.State || np.Live != o.Live || np.Original != o.Original ||
-				np.Output != o.Output || np.MandatoryMat != o.MandatoryMat {
-				return viol("plan-cache-soundness",
-					"node %s under %v plan: executed {state:%v live:%v orig:%v out:%v mandatory:%v} vs fresh solve {state:%v live:%v orig:%v out:%v mandatory:%v}",
-					np.Node.Name, res.Plan.Cache,
-					np.State, np.Live, np.Original, np.Output, np.MandatoryMat,
-					o.State, o.Live, o.Original, o.Output, o.MandatoryMat), nil
+			for _, np := range res.Plan.Nodes {
+				o := oracle.ByName(np.Node.Name)
+				if o == nil {
+					return viol("plan-cache-soundness", "node %s absent from oracle plan", np.Node.Name), nil
+				}
+				if np.State != o.State || np.Live != o.Live || np.Original != o.Original ||
+					np.Output != o.Output || np.MandatoryMat != o.MandatoryMat {
+					return viol("plan-cache-soundness",
+						"node %s under %v plan: executed {state:%v live:%v orig:%v out:%v mandatory:%v} vs fresh solve {state:%v live:%v orig:%v out:%v mandatory:%v}",
+						np.Node.Name, res.Plan.Cache,
+						np.State, np.Live, np.Original, np.Output, np.MandatoryMat,
+						o.State, o.Live, o.Original, o.Output, o.MandatoryMat), nil
+				}
 			}
 		}
 
@@ -452,6 +510,14 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 						purgedMandatoryCredit += size
 						delete(mandatorySigs, key)
 					}
+				}
+			}
+			// A failed load's entry is removed and its bytes released like
+			// a purged one's; one the run wrote again under the same key
+			// never left the manifest above, so its credit is counted here.
+			for _, key := range loadFailed {
+				if _, again := manifest[key]; again && mandatorySigs[key] {
+					purgedMandatoryCredit += prevManifest[key]
 				}
 			}
 			for _, np := range res.Plan.Nodes {
@@ -479,6 +545,35 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 		}
 	}
 	return nil, nil
+}
+
+// damage applies d to one artifact of the store in dir, chosen by d.Pick
+// among the artifacts there, and returns its key; "" when the store holds
+// none.
+func damage(dir string, d Damage) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err != nil || len(paths) == 0 {
+		return "", err
+	}
+	sort.Strings(paths)
+	rng := rand.New(rand.NewSource(d.Pick))
+	path := paths[rng.Intn(len(paths))]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	switch d.Op {
+	case "flip":
+		data[rng.Intn(len(data))] ^= 1 << rng.Intn(8)
+		err = os.WriteFile(path, data, 0o644)
+	case "truncate":
+		err = os.WriteFile(path, data[:rng.Intn(len(data))], 0o644)
+	case "delete":
+		err = os.Remove(path)
+	default:
+		return "", fmt.Errorf("fuzz: unknown damage %q", d.Op)
+	}
+	return strings.TrimSuffix(filepath.Base(path), ".gob"), err
 }
 
 // indexSet lowers an iteration-index list to a membership set;

@@ -34,8 +34,9 @@ func Shrink(ctx context.Context, c *Case, v *Violation, budget int) (*Case, *Vio
 
 	for changed := true; changed && budget > 0; {
 		changed = false
-		// Drop scheduled restarts and cancellations first: if the failure
-		// reproduces without the interruption, the report should say so.
+		// Drop scheduled restarts, cancellations and damages first: if the
+		// failure reproduces without the interruption, the report should
+		// say so.
 		for i := 0; i < len(cur.Restarts) && budget > 0; i++ {
 			cand := cur.clone()
 			cand.Restarts = append(cand.Restarts[:i], cand.Restarts[i+1:]...)
@@ -48,6 +49,15 @@ func Shrink(ctx context.Context, c *Case, v *Violation, budget int) (*Case, *Vio
 		for i := 0; i < len(cur.Cancels) && budget > 0; i++ {
 			cand := cur.clone()
 			cand.Cancels = append(cand.Cancels[:i], cand.Cancels[i+1:]...)
+			if nv, ok := fails(cand); ok {
+				cur, v = cand, nv
+				changed = true
+				i--
+			}
+		}
+		for i := 0; i < len(cur.Damages) && budget > 0; i++ {
+			cand := cur.clone()
+			cand.Damages = append(cand.Damages[:i], cand.Damages[i+1:]...)
 			if nv, ok := fails(cand); ok {
 				cur, v = cand, nv
 				changed = true

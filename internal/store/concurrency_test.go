@@ -61,7 +61,7 @@ func TestConcurrentStress(t *testing.T) {
 					// crashes and inconsistencies count as failures.
 					_, _, _ = s.Get(k)
 				case 7:
-					if err := s.Delete(k); err != nil {
+					if _, err := s.Delete(k); err != nil {
 						t.Errorf("Delete(%s): %v", k, err)
 					}
 				case 8:

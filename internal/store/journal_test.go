@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -80,7 +81,7 @@ func journaledStore(t testing.TB) (dir string, base, journal []byte, ends []int,
 	states = append(states, s.snapshotEntries())
 	for _, mutate := range []func() error{
 		func() error { _, err := s.Put("d", "node-d", payload{N: 3, Rows: []string{"x"}}, 3); return err },
-		func() error { return s.Delete("a") },
+		func() error { _, err := s.Delete("a"); return err },
 		func() error { _, err := s.Put("e", "node-e", payload{N: 4}, 4); return err },
 		func() error { _, err := s.Purge(func(k string, _ Entry) bool { return k != "b" }); return err },
 		func() error { _, err := s.Put("a", "node-a2", payload{N: 5, Rows: []string{"y", "z"}}, 5); return err },
@@ -254,6 +255,21 @@ func FuzzManifestJournal(f *testing.F) {
 	f.Add(journal)
 	f.Add(journal[:ends[1]])
 	f.Add(journal[:ends[0]+5])
+	// Every put above carries a checksum; a journal may also hold an entry
+	// written before artifacts had one, beside one whose checksum is 0.
+	zero := uint32(0)
+	mixed := journal
+	for _, e := range []Entry{
+		{Key: "legacy", Name: "node-legacy", Size: 7, Iteration: 6},
+		{Key: "zero", Name: "node-zero", Size: 9, Iteration: 7, CRC: &zero},
+	} {
+		payload, err := json.Marshal(manifestRecord{Put: &e})
+		if err != nil {
+			f.Fatal(err)
+		}
+		mixed = AppendFrame(mixed, payload)
+	}
+	f.Add(mixed)
 	dir := f.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, manifestFile), base, 0o644); err != nil {
 		f.Fatal(err)
@@ -286,7 +302,7 @@ func FuzzManifestJournal(f *testing.F) {
 		for _, e := range got {
 			w := want[e.Key]
 			w.Refs = 0 // stamped from live pins, of which a fresh store has none
-			if e != w {
+			if !reflect.DeepEqual(e, w) {
 				t.Fatalf("Open holds %+v, the replay %+v", e, w)
 			}
 		}

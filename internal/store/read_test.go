@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -220,5 +221,75 @@ func TestLoadAllocatesOnlyTheValue(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("the loaded value differs from the stored one")
+	}
+}
+
+// TestChecksumFailsFlippedBits: one bit flipped anywhere in an artifact —
+// in the first window, the remainder a refill reads, or a raw column read
+// straight into its slice — fails the load, whatever reopen lies between
+// the write and the read. A flip the decode cannot see as malformed is
+// caught by the checksum. An entry written before artifacts carried a
+// checksum loads unchecked.
+func TestChecksumFailsFlippedBits(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := windowValues()
+	for name, v := range values {
+		if _, err := s.Put(name, name, v, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name := range values {
+		ent, _ := s.Entry(name)
+		if ent.CRC == nil {
+			t.Fatalf("%s: the reopened entry lost its checksum", name)
+		}
+		path := filepath.Join(dir, name+".gob")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int{len(data) / 2, len(data) - 1} {
+			flipped := bytes.Clone(data)
+			flipped[off] ^= 0x10
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Get(name); err == nil {
+				t.Errorf("%s: a bit flipped at byte %d of %d loaded", name, off, len(data))
+			}
+		}
+	}
+
+	// The last byte of a float column is the top of its last float's
+	// exponent: any value decodes, so only the checksum can tell.
+	data, err := os.ReadFile(filepath.Join(dir, "float64s.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(filepath.Join(dir, "float64s.gob"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get("float64s"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("a flipped exponent bit loaded with %v, want ErrChecksum", err)
+	}
+	sh := s.shardFor("float64s")
+	sh.mu.Lock()
+	ent := sh.entries["float64s"]
+	ent.CRC = nil
+	sh.entries["float64s"] = ent
+	sh.mu.Unlock()
+	if _, _, err := s.Get("float64s"); err != nil {
+		t.Fatalf("an entry without a checksum was checked: %v", err)
 	}
 }

@@ -62,7 +62,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/maphash"
 	"os"
 	"path/filepath"
@@ -91,7 +93,14 @@ type Entry struct {
 	// in-memory pin table is authoritative, and a fresh open starts with
 	// zero live sessions regardless of the persisted counts.
 	Refs int `json:"refs,omitempty"`
+	// CRC is the CRC-32C of the artifact, checked by every load. Nil (not
+	// 0, a valid checksum) for entries written before, which load unchecked.
+	CRC *uint32 `json:"crc,omitempty"`
 }
+
+// ErrChecksum reports an artifact whose bytes do not match its entry's
+// CRC-32C.
+var ErrChecksum = errors.New("store: artifact checksum mismatch")
 
 // shardCount is the number of entry-table shards. Power of two so the
 // hash can be masked; 16 comfortably exceeds the engine's worker-level
@@ -456,6 +465,7 @@ func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration
 		return Entry{}, false, fmt.Errorf("store: publish %q: %w", key, err)
 	}
 	s.throttle(c, int64(len(data)))
+	crc := crc32.Checksum(data, castagnoli)
 	e := Entry{
 		Key:       key,
 		Name:      name,
@@ -463,6 +473,7 @@ func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration
 		WriteTime: c.Since(start),
 		Iteration: iteration,
 		Tenant:    tenant,
+		CRC:       &crc,
 	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -556,6 +567,11 @@ func (s *Store) read(c clock.Clock, key string) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %q: %w", key, err)
 	}
+	// A decode that succeeded pulled every byte of the file (it fails on
+	// bytes left over), so the running checksum covers the whole artifact.
+	if e.CRC != nil && src.crc != *e.CRC {
+		return nil, fmt.Errorf("store: %q: %w", key, ErrChecksum)
+	}
 	// Feed the bandwidth model the physical transfer only (the open, the
 	// reads and any simulated throttle). Decode time is deliberately
 	// excluded: the paper's load model is l_i = s_i / (disk read speed)
@@ -568,18 +584,20 @@ func (s *Store) read(c clock.Clock, key string) (any, error) {
 }
 
 // timedFile is an artifact's file that sums the time its reads take on
-// the load's clock: the decode runs between those reads and is not
-// counted.
+// the load's clock (the decode runs between those reads and is not
+// counted) and the CRC-32C of the bytes they return.
 type timedFile struct {
 	f     *os.File
 	c     clock.Clock
 	spent time.Duration
+	crc   uint32
 }
 
 func (t *timedFile) Read(p []byte) (int, error) {
 	start := t.c.Now()
 	n, err := t.f.Read(p)
 	t.spent += t.c.Since(start)
+	t.crc = crc32.Update(t.crc, castagnoli, p[:n])
 	return n, err
 }
 
@@ -602,12 +620,14 @@ func (s *Store) Entry(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Delete removes the entry and its file. Deleting a missing key is a no-op.
-func (s *Store) Delete(key string) error {
+// Delete removes the entry and its file, returning the entry's size.
+// Deleting a missing key is a no-op; a file that cannot be removed still
+// loses its entry.
+func (s *Store) Delete(key string) (freed int64, err error) {
 	s.keyLocks.lock(key)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	_, ok := sh.entries[key]
+	e, ok := sh.entries[key]
 	delete(sh.entries, key)
 	sh.mu.Unlock()
 	var rmErr error
@@ -616,14 +636,14 @@ func (s *Store) Delete(key string) error {
 	}
 	s.keyLocks.unlock(key)
 	if !ok {
-		return nil
+		return 0, nil
 	}
 	s.markDirty(key)
 	s.flushManifest()
 	if rmErr != nil && !os.IsNotExist(rmErr) {
-		return fmt.Errorf("store: delete %q: %w", key, rmErr)
+		return e.Size, fmt.Errorf("store: delete %q: %w", key, rmErr)
 	}
-	return nil
+	return e.Size, nil
 }
 
 // Purge removes every entry for which keep returns false, returning the

@@ -80,13 +80,14 @@ func TestDelete(t *testing.T) {
 	if _, err := s.Put("k", "n", payload{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
+	ent, _ := s.Entry("k")
+	if freed, err := s.Delete("k"); err != nil || freed != ent.Size {
+		t.Fatalf("Delete freed %d B, %v; want %d B", freed, err, ent.Size)
 	}
 	if s.Has("k") {
 		t.Fatal("entry survived delete")
 	}
-	if err := s.Delete("k"); err != nil {
+	if freed, err := s.Delete("k"); err != nil || freed != 0 {
 		t.Fatal("deleting missing key should be a no-op")
 	}
 }

@@ -3,8 +3,11 @@ package helix
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,9 +15,11 @@ import (
 )
 
 // TestTornArtifactFallsBackToCompute: an artifact torn between two runs —
-// one byte cut from the middle of its float column, or one byte appended
-// — fails its load. The node is computed instead, the outputs are the
-// bytes a from-scratch run produces, and the session keeps running.
+// one byte cut from the middle of its float column, one byte appended,
+// or one bit flipped in a float — fails its load. The entry is removed,
+// the run plans again and computes the node, which reports the failure;
+// the outputs are the bytes a from-scratch run produces, and the session
+// keeps running without reading the torn artifact again.
 func TestTornArtifactFallsBackToCompute(t *testing.T) {
 	const n = 20_000 // a column many load windows wide
 	workflow := func() *Workflow {
@@ -57,11 +62,15 @@ func TestTornArtifactFallsBackToCompute(t *testing.T) {
 	want := encoded(t, scratch)
 
 	for _, tc := range []struct {
-		name string
-		tear func([]byte) []byte
+		name     string
+		tear     func([]byte) []byte
+		checksum bool // only the checksum can tell
 	}{
-		{"one byte cut mid-column", func(b []byte) []byte { return append(b[:len(b)/2:len(b)/2], b[len(b)/2+1:]...) }},
-		{"one byte appended", func(b []byte) []byte { return append(b, 0) }},
+		{"one byte cut mid-column", func(b []byte) []byte { return append(b[:len(b)/2:len(b)/2], b[len(b)/2+1:]...) }, false},
+		{"one byte appended", func(b []byte) []byte { return append(b, 0) }, false},
+		// The top byte of the column's last float: it decodes whatever its
+		// value.
+		{"one bit flipped in a float", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -90,19 +99,36 @@ func TestTornArtifactFallsBackToCompute(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			torn, err := sess.Run(ctx, workflow())
+			var plans []PlanEvent
+			torn, err := sess.Run(ctx, workflow(), WithObserver(func(ev RunEvent) {
+				if pe, ok := ev.(PlanEvent); ok {
+					plans = append(plans, pe)
+				}
+			}))
 			if err != nil {
 				t.Fatalf("run over the torn artifact: %v", err)
 			}
-			planned := false
-			for _, np := range torn.Plan.Nodes {
-				planned = planned || np.Node.Name == "vec" && np.State == StateLoad
+			// vec is the output, so a first plan that computes nothing loads
+			// it (and prunes data). Result.Plan is the plan made after the
+			// load failed.
+			if len(plans) == 0 || plans[0].Compute != 0 || plans[0].Load != 1 {
+				t.Fatalf("vec was not planned as a load: the torn artifact was never read (plans %+v)", plans)
 			}
-			if !planned {
-				t.Fatal("vec was not planned as a load: the torn artifact was never read")
+			if len(plans) != 2 {
+				t.Errorf("%d plans executed, want 2: the first, and one after the load failed", len(plans))
+			}
+			if np := torn.Plan.ByName("vec"); np == nil || np.State != StateCompute {
+				t.Errorf("the plan made after the load failed still loads vec")
 			}
 			if got := torn.Nodes["vec"].State; got != StateCompute {
 				t.Errorf("vec reported %v after its load failed, want computed", got)
+			}
+			loadErr := torn.Nodes["vec"].LoadErr
+			if !errors.Is(loadErr, ErrLoadFailed) || !strings.Contains(fmt.Sprint(loadErr), key) {
+				t.Errorf("vec's LoadErr = %v, want ErrLoadFailed naming key %s", loadErr, key)
+			}
+			if tc.checksum && !errors.Is(loadErr, store.ErrChecksum) {
+				t.Errorf("vec's LoadErr = %v, want a checksum mismatch", loadErr)
 			}
 			if !bytes.Equal(encoded(t, torn), want) {
 				t.Error("outputs over the torn artifact differ from a from-scratch run")
@@ -114,6 +140,9 @@ func TestTornArtifactFallsBackToCompute(t *testing.T) {
 			}
 			if !bytes.Equal(encoded(t, third), want) {
 				t.Error("third run's outputs differ from a from-scratch run")
+			}
+			if r := third.Nodes["vec"]; r.State != StateLoad || r.LoadErr != nil {
+				t.Errorf("third run: vec %v with LoadErr %v, want loaded from the artifact the second run wrote", r.State, r.LoadErr)
 			}
 		})
 	}
