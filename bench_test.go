@@ -66,7 +66,7 @@ func BenchmarkOEPSolver(b *testing.B) {
 			costs[nodes[n-1]] = c
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan := opt.OptimalStates(d, costs)
+				plan := new(opt.Solver).OptimalStates(d, costs)
 				if len(plan.States) != n {
 					b.Fatal("incomplete plan")
 				}

@@ -271,7 +271,7 @@ func run(f flags) error {
 		if f.verbose {
 			printNodes(res)
 		}
-		warnUnmaterialized(res, warned)
+		warnNodes(t, res, warned)
 	}
 	if sharedStore != nil {
 		st := sharedStore.PlanCacheStats()
@@ -288,33 +288,45 @@ func run(f flags) error {
 	return nil
 }
 
-// warnUnmaterialized prints one line per operator whose result the policy
-// chose to store and the store could not take: the series still runs, but
-// that operator is recomputed where it would have been loaded.
-func warnUnmaterialized(res *helix.Result, warned map[string]bool) {
-	names := make([]string, 0, len(res.Nodes))
-	for name, n := range res.Nodes {
-		if n.MatErr != nil && !warned[name] {
-			names = append(names, name)
+// warnNodes prints a warning line on stderr for each operator whose result
+// the policy chose to store and the store could not take (once: the engine
+// does not try that type again), and for each planned load that failed
+// (the artifact was dropped and the operator computed instead). The
+// series still runs either way; the operator is recomputed where it would
+// have been loaded.
+func warnNodes(iter int, res *helix.Result, warned map[string]bool) {
+	for _, name := range nodeNames(res) {
+		n := res.Nodes[name]
+		if n.LoadErr != nil {
+			fmt.Fprintf(os.Stderr, "helixrun: warning: iteration %d: node %s: %v\n", iter, name, n.LoadErr)
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		warned[name] = true
-		fmt.Fprintf(os.Stderr, "helixrun: warning: iteration %d: %v\n", res.Iteration, res.Nodes[name].MatErr)
+		if n.MatErr != nil && !warned[name] {
+			warned[name] = true
+			fmt.Fprintf(os.Stderr, "helixrun: warning: iteration %d: %v\n", iter, n.MatErr)
+		}
 	}
 }
 
+// printNodes prints one row per operator; a row whose planned load failed
+// ends in "load failed".
 func printNodes(res *helix.Result) {
+	for _, name := range nodeNames(res) {
+		n := res.Nodes[name]
+		mark := ""
+		if n.LoadErr != nil {
+			mark = "  load failed"
+		}
+		fmt.Printf("        %-20s %-3s %-4v %8.3fs%s\n", name, n.Component, n.State, n.Seconds, mark)
+	}
+}
+
+func nodeNames(res *helix.Result) []string {
 	names := make([]string, 0, len(res.Nodes))
 	for name := range res.Nodes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		n := res.Nodes[name]
-		fmt.Printf("        %-20s %-3s %-4v %8.3fs\n", name, n.Component, n.State, n.Seconds)
-	}
+	return names
 }
 
 func printOutputs(wl workloads.Workload, sess *helix.Session) {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"maps"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -24,6 +27,16 @@ func runBin(t *testing.T, bin string, args ...string) (string, int) {
 	return out.String(), code
 }
 
+// buildBin builds helixrun into a temporary directory.
+func buildBin(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "helixrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestSmoke drives the built binary end to end: a short census series
 // exits 0 and prints the iteration table; -paper prints the paper's tables
 // (one iteration per series, to stay quick); flag combinations that used to
@@ -34,10 +47,7 @@ func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to the go tool")
 	}
-	bin := filepath.Join(t.TempDir(), "helixrun")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildBin(t)
 
 	out, code := runBin(t, bin, "-workload", "census", "-iters", "2")
 	if code != 0 {
@@ -94,5 +104,68 @@ func TestSmoke(t *testing.T) {
 		if strings.Contains(out, "workload=") {
 			t.Errorf("%s: the series ran anyway:\n%s", tc.name, out)
 		}
+	}
+}
+
+// TestFailedLoadWarns: a series rerun over a -dir store whose artifacts
+// each have one bit flipped still completes, prints one stderr warning per
+// failed load naming the node and the artifact's key, and marks those
+// nodes' -v rows.
+func TestFailedLoadWarns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and shells out to the go tool")
+	}
+	bin := buildBin(t)
+	dir := t.TempDir()
+	if out, code := runBin(t, bin, "-workload", "census", "-iters", "1", "-dir", dir); code != 0 {
+		t.Fatalf("first series: exit %d\n%s", code, out)
+	}
+	artifacts, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err != nil || len(artifacts) == 0 {
+		t.Fatalf("no artifacts in %s (%v)", dir, err)
+	}
+	keys := map[string]bool{}
+	for _, path := range artifacts {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-1] ^= 1
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keys[strings.TrimSuffix(filepath.Base(path), ".gob")] = true
+	}
+
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-workload", "census", "-iters", "1", "-dir", dir, "-v")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("rerun over flipped artifacts: %v\n%s%s", err, stdout.String(), stderr.String())
+	}
+	warning := regexp.MustCompile(`^helixrun: warning: iteration 0: node (\S+): .*"([0-9a-f]{64})"`)
+	warned := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		m := warning.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("stderr line is not a failed-load warning naming node and key: %q", line)
+			continue
+		}
+		if !keys[m[2]] {
+			t.Errorf("warning names key %s, which is no flipped artifact", m[2])
+		}
+		warned[m[1]] = true
+	}
+	if len(warned) == 0 {
+		t.Fatalf("no failed-load warning on stderr:\n%s", stderr.String())
+	}
+	marked := map[string]bool{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasSuffix(line, "  load failed") {
+			marked[f[0]] = true
+		}
+	}
+	if !maps.Equal(marked, warned) {
+		t.Errorf("-v rows marked load failed %v, warnings name %v\n%s", marked, warned, stdout.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Package collection is HELIX-Go's dataflow substrate, standing in for
 // Spark in the original system (paper §2.1). It provides partitioned
-// in-memory collections with data-parallel Map / FlatMap / Filter / Join /
-// GroupBy / Reduce operators executed by a configurable number of workers.
+// in-memory collections with data-parallel Map / FlatMap / Distinct
+// operators executed by a configurable number of workers.
 //
 // The worker count models cluster size for the scaling experiments
 // (paper Figure 7b); an optional per-operation barrier overhead models the
@@ -10,8 +10,6 @@
 package collection
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -88,11 +86,6 @@ func New[T any](env *Env, data []T) *Collection[T] {
 	return &Collection[T]{env: env, parts: parts}
 }
 
-// FromPartitions builds a collection directly from partitions.
-func FromPartitions[T any](env *Env, parts [][]T) *Collection[T] {
-	return &Collection[T]{env: env, parts: parts}
-}
-
 // Env returns the collection's environment.
 func (c *Collection[T]) Env() *Env { return c.env }
 
@@ -160,136 +153,4 @@ func FlatMap[T, U any](c *Collection[T], f func(T) []U) *Collection[U] {
 		out[pi] = res
 	})
 	return &Collection[U]{env: c.env, parts: out}
-}
-
-// Filter keeps elements where pred is true.
-func Filter[T any](c *Collection[T], pred func(T) bool) *Collection[T] {
-	out := make([][]T, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		var res []T
-		for _, v := range part {
-			if pred(v) {
-				res = append(res, v)
-			}
-		}
-		out[pi] = res
-	})
-	return &Collection[T]{env: c.env, parts: out}
-}
-
-// Reduce folds the collection: fold accumulates within a partition starting
-// from init(), merge combines partition results. merge must be associative
-// and commutative with respect to fold results.
-func Reduce[T, A any](c *Collection[T], init func() A, fold func(A, T) A, merge func(A, A) A) A {
-	accs := make([]A, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		acc := init()
-		for _, v := range part {
-			acc = fold(acc, v)
-		}
-		accs[pi] = acc
-	})
-	result := init()
-	for _, a := range accs {
-		result = merge(result, a)
-	}
-	return result
-}
-
-// Pair is a keyed join result.
-type Pair[L, R any] struct {
-	Left  L
-	Right R
-}
-
-// Join performs an inner equi-join between two collections — the
-// Synthesizer join ∈ F of the paper. The right side is broadcast (hashed
-// once); the left side streams in parallel.
-func Join[L, R any, K comparable](left *Collection[L], right *Collection[R], keyL func(L) K, keyR func(R) K) *Collection[Pair[L, R]] {
-	index := make(map[K][]R)
-	for _, p := range right.parts {
-		for _, r := range p {
-			k := keyR(r)
-			index[k] = append(index[k], r)
-		}
-	}
-	out := make([][]Pair[L, R], len(left.parts))
-	forEachPartition(left, func(pi int, part []L) {
-		var res []Pair[L, R]
-		for _, l := range part {
-			for _, r := range index[keyL(l)] {
-				res = append(res, Pair[L, R]{Left: l, Right: r})
-			}
-		}
-		out[pi] = res
-	})
-	return &Collection[Pair[L, R]]{env: left.env, parts: out}
-}
-
-// GroupBy groups elements by key. The result is a map from key to all
-// elements with that key, in partition order.
-func GroupBy[T any, K comparable](c *Collection[T], key func(T) K) map[K][]T {
-	groups := make([]map[K][]T, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		g := make(map[K][]T)
-		for _, v := range part {
-			k := key(v)
-			g[k] = append(g[k], v)
-		}
-		groups[pi] = g
-	})
-	merged := make(map[K][]T)
-	for _, g := range groups {
-		for k, vs := range g {
-			merged[k] = append(merged[k], vs...)
-		}
-	}
-	return merged
-}
-
-// Sample returns a deterministic pseudo-random sample of approximately
-// fraction*Len() elements using the given seed.
-func Sample[T any](c *Collection[T], fraction float64, seed int64) *Collection[T] {
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("collection: sample fraction %v out of [0,1]", fraction))
-	}
-	out := make([][]T, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		rng := rand.New(rand.NewSource(seed + int64(pi)))
-		var res []T
-		for _, v := range part {
-			if rng.Float64() < fraction {
-				res = append(res, v)
-			}
-		}
-		out[pi] = res
-	})
-	return &Collection[T]{env: c.env, parts: out}
-}
-
-// Repartition redistributes the collection into one partition per worker
-// of env, rebalancing after size-skewing operations.
-func Repartition[T any](c *Collection[T], env *Env) *Collection[T] {
-	return New(env, c.Collect())
-}
-
-// Split partitions a collection into two by a predicate — used to separate
-// training and test examples while keeping a unified DC (paper §3.2.1,
-// "unified learning support").
-func Split[T any](c *Collection[T], pred func(T) bool) (yes, no *Collection[T]) {
-	yesParts := make([][]T, len(c.parts))
-	noParts := make([][]T, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		var y, n []T
-		for _, v := range part {
-			if pred(v) {
-				y = append(y, v)
-			} else {
-				n = append(n, v)
-			}
-		}
-		yesParts[pi] = y
-		noParts[pi] = n
-	})
-	return &Collection[T]{env: c.env, parts: yesParts}, &Collection[T]{env: c.env, parts: noParts}
 }

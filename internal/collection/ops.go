@@ -1,7 +1,5 @@
 package collection
 
-import "sort"
-
 // Distinct returns the unique elements of c by key, keeping the first
 // occurrence in collection order. The key function makes arbitrary
 // element types deduplicable (Spark's distinct over keyed rows).
@@ -19,65 +17,4 @@ func Distinct[T any, K comparable](c *Collection[T], key func(T) K) *Collection[
 		}
 	}
 	return New(c.env, out)
-}
-
-// Union concatenates two collections, preserving order (left then right).
-// Both must share an environment semantically; the result uses left's.
-func Union[T any](left, right *Collection[T]) *Collection[T] {
-	left.env.barrier()
-	out := make([]T, 0, left.Len()+right.Len())
-	out = append(out, left.Collect()...)
-	out = append(out, right.Collect()...)
-	return New(left.env, out)
-}
-
-// SortBy returns the elements sorted by the given less function. Each
-// partition is sorted in parallel, then merged — the shape of a
-// distributed sort's local-sort + merge phases.
-func SortBy[T any](c *Collection[T], less func(a, b T) bool) *Collection[T] {
-	sorted := make([][]T, len(c.parts))
-	forEachPartition(c, func(pi int, part []T) {
-		local := make([]T, len(part))
-		copy(local, part)
-		sort.SliceStable(local, func(i, j int) bool { return less(local[i], local[j]) })
-		sorted[pi] = local
-	})
-	// K-way merge of sorted partitions.
-	out := make([]T, 0, c.Len())
-	idx := make([]int, len(sorted))
-	for {
-		best := -1
-		for pi, part := range sorted {
-			if idx[pi] >= len(part) {
-				continue
-			}
-			if best == -1 || less(part[idx[pi]], sorted[best][idx[best]]) {
-				best = pi
-			}
-		}
-		if best == -1 {
-			break
-		}
-		out = append(out, sorted[best][idx[best]])
-		idx[best]++
-	}
-	return New(c.env, out)
-}
-
-// CountByKey returns the number of elements per key — the aggregation
-// shape of word counting and vocabulary building.
-func CountByKey[T any, K comparable](c *Collection[T], key func(T) K) map[K]int {
-	type partial = map[K]int
-	return Reduce(c,
-		func() partial { return make(partial) },
-		func(acc partial, v T) partial {
-			acc[key(v)]++
-			return acc
-		},
-		func(a, b partial) partial {
-			for k, n := range b {
-				a[k] += n
-			}
-			return a
-		})
 }

@@ -3,7 +3,6 @@ package collection
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -22,82 +21,6 @@ func TestDistinctByDerivedKey(t *testing.T) {
 	got := Distinct(c, func(p pair) int { return p.K }).Collect()
 	if len(got) != 2 || got[0].V != 10 || got[1].V != 20 {
 		t.Fatalf("distinct = %v", got)
-	}
-}
-
-func TestUnionPreservesOrder(t *testing.T) {
-	a := New(DefaultEnv(), []int{1, 2})
-	b := New(DefaultEnv(), []int{3})
-	got := Union(a, b).Collect()
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("union = %v", got)
-	}
-}
-
-func TestUnionWithEmpty(t *testing.T) {
-	a := New(DefaultEnv(), []int{1})
-	b := New(DefaultEnv(), []int(nil))
-	if got := Union(a, b).Len(); got != 1 {
-		t.Fatalf("len = %d", got)
-	}
-	if got := Union(b, a).Len(); got != 1 {
-		t.Fatalf("len = %d", got)
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	c := New(&Env{Workers: 3}, []int{5, 2, 9, 1, 7, 3})
-	got := SortBy(c, func(a, b int) bool { return a < b }).Collect()
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 5, 7, 9}) {
-		t.Fatalf("sorted = %v", got)
-	}
-}
-
-func TestSortByStableOnEqualKeys(t *testing.T) {
-	type rec struct{ K, Seq int }
-	in := []rec{{1, 0}, {0, 1}, {1, 2}, {0, 3}}
-	c := New(&Env{Workers: 1}, in)
-	got := SortBy(c, func(a, b rec) bool { return a.K < b.K }).Collect()
-	want := []rec{{0, 1}, {0, 3}, {1, 0}, {1, 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sorted = %v", got)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	c := New(&Env{Workers: 4}, []string{"a", "b", "a", "a", "c"})
-	got := CountByKey(c, func(s string) string { return s })
-	if got["a"] != 3 || got["b"] != 1 || got["c"] != 1 {
-		t.Fatalf("counts = %v", got)
-	}
-}
-
-// Property: SortBy output equals sequential sort for random inputs and
-// worker counts.
-func TestQuickSortByMatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200)
-		in := make([]int, n)
-		for i := range in {
-			in[i] = rng.Intn(50)
-		}
-		workers := 1 + rng.Intn(8)
-		got := SortBy(New(&Env{Workers: workers}, in), func(a, b int) bool { return a < b }).Collect()
-		want := append([]int(nil), in...)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -126,22 +49,6 @@ func TestQuickDistinctInvariants(t *testing.T) {
 			}
 		}
 		return len(seen) == len(inSet)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CountByKey sums to the input length.
-func TestQuickCountByKeyTotal(t *testing.T) {
-	f := func(xs []uint8) bool {
-		c := New(&Env{Workers: 4}, xs)
-		counts := CountByKey(c, func(x uint8) uint8 { return x % 7 })
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		return total == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -439,22 +439,6 @@ func Ancestors(n *Node) map[*Node]bool {
 	return anc
 }
 
-// Descendants returns the set of all (transitive) descendants of n.
-func Descendants(n *Node) map[*Node]bool {
-	desc := make(map[*Node]bool)
-	var visit func(*Node)
-	visit = func(m *Node) {
-		for _, c := range m.children {
-			if !desc[c] {
-				desc[c] = true
-				visit(c)
-			}
-		}
-	}
-	visit(n)
-	return desc
-}
-
 // Slice computes the backward program slice from the output nodes
 // (paper §5.4): the set of nodes that contribute to at least one output.
 // If no outputs are declared, every node is live (nothing can be pruned

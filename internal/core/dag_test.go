@@ -320,6 +320,22 @@ func TestCarryMetrics(t *testing.T) {
 	}
 }
 
+// Descendants returns the set of all (transitive) descendants of n.
+func Descendants(n *Node) map[*Node]bool {
+	desc := make(map[*Node]bool)
+	var visit func(*Node)
+	visit = func(m *Node) {
+		for _, c := range m.children {
+			if !desc[c] {
+				desc[c] = true
+				visit(c)
+			}
+		}
+	}
+	visit(n)
+	return desc
+}
+
 func TestAncestorsDescendants(t *testing.T) {
 	d := chain(t, 4)
 	anc := Ancestors(d.Node("a3"))

@@ -2,8 +2,15 @@ package lint
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -107,4 +114,32 @@ func collectWants(dir string) ([]*expectation, error) {
 		}
 	}
 	return wants, nil
+}
+
+// LoadDir parses and typechecks every non-test .go file directly in dir
+// as a single package, resolving imports from the stdlib only. Used for
+// testdata fixtures, which `go list ./...` deliberately skips.
+func LoadDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		files = append(files, name)
+	}
+	sort.Strings(files)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	fset := token.NewFileSet()
+	ci := &combinedImporter{
+		local: map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "source", nil),
+	}
+	return typecheck(fset, "fixture/"+filepath.Base(dir), dir, files, ci)
 }

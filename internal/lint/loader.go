@@ -9,7 +9,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -87,34 +86,6 @@ func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// LoadDir parses and typechecks every non-test .go file directly in dir
-// as a single package, resolving imports from the stdlib only. Used for
-// testdata fixtures, which `go list ./...` deliberately skips.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, name)
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	ci := &combinedImporter{
-		local: map[string]*types.Package{},
-		std:   importer.ForCompiler(fset, "source", nil),
-	}
-	return typecheck(fset, "fixture/"+filepath.Base(dir), dir, files, ci)
 }
 
 func typecheck(fset *token.FileSet, path, dir string, fileNames []string, imp types.Importer) (*Package, error) {

@@ -418,7 +418,7 @@ func randomFlowNetwork(rng *rand.Rand) *network {
 	return nw
 }
 
-// projectSelectionNetwork is the network the planner builds (opt.SolvePSP):
+// projectSelectionNetwork is the network the planner builds (opt.solvePSPInto):
 // source → positive-profit projects, negative-profit projects → sink, Inf
 // prerequisite edges project → requirement. Profits are log-uniform over
 // 1e-6 … 1e12 — the spread the planner's bigM / reward tiers put into one

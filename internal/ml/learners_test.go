@@ -170,38 +170,6 @@ func TestKMeansRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestNaiveBayesSeparatesWordCounts(t *testing.T) {
-	// Class 0 uses features {0,1}; class 1 uses features {2,3}.
-	d := &Dataset{Dim: 4}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		k := i % 2
-		elems := map[int]float64{}
-		if k == 0 {
-			elems[0] = float64(1 + rng.Intn(5))
-			elems[1] = float64(rng.Intn(3))
-		} else {
-			elems[2] = float64(1 + rng.Intn(5))
-			elems[3] = float64(rng.Intn(3))
-		}
-		d.Examples = append(d.Examples, Example{X: Sparse(4, elems), Y: float64(k), Train: i%4 != 0})
-	}
-	m, err := NaiveBayes{}.Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, test := d.Split()
-	if acc := Accuracy(m, test); acc < 0.95 {
-		t.Fatalf("NB accuracy %.3f < 0.95", acc)
-	}
-}
-
-func TestNaiveBayesErrors(t *testing.T) {
-	if _, err := (NaiveBayes{}).Fit(&Dataset{}); err == nil {
-		t.Fatal("expected error on empty dataset")
-	}
-}
-
 func TestWord2VecGroupsCooccurringWords(t *testing.T) {
 	// Two disjoint topic vocabularies; words within a topic co-occur.
 	topicA := []string{"gene", "protein", "dna", "rna", "cell"}
@@ -239,11 +207,11 @@ func TestWord2VecMostSimilar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := emb.MostSimilar("a", 1); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("MostSimilar(a) = %v, want [b]", got)
-	}
-	if emb.MostSimilar("missing", 3) != nil {
-		t.Fatal("OOV word should return nil")
+	for _, w := range []string{"x", "y"} {
+		if emb.Similarity("a", "b") <= emb.Similarity("a", w) {
+			t.Fatalf("similarity(a, b) = %.3f ≤ similarity(a, %s) = %.3f, want b closest to a",
+				emb.Similarity("a", "b"), w, emb.Similarity("a", w))
+		}
 	}
 }
 
@@ -337,5 +305,80 @@ func TestRFFProjectDatasetPreservesMetadata(t *testing.T) {
 	e := out.Examples[0]
 	if e.Y != 1 || !e.Train || e.ID != "e1" {
 		t.Fatal("metadata lost")
+	}
+}
+
+// Accuracy returns the fraction of examples whose predicted class equals
+// the label — the census workflow's checkResults reducer (paper Figure 3a,
+// lines 17-18).
+func Accuracy(m Model, d *Dataset) float64 {
+	if len(d.Examples) == 0 {
+		return 0
+	}
+	var correct int
+	for _, e := range d.Examples {
+		if !e.HasLabel() {
+			continue
+		}
+		if math.Round(m.Predict(e.X)) == e.Y {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(d.Examples))
+}
+
+// Similarity returns the cosine similarity of two words, or 0 if either is
+// out of vocabulary.
+func (e *Embeddings) Similarity(a, b string) float64 {
+	va, oka := e.Vectors[a]
+	vb, okb := e.Vectors[b]
+	if !oka || !okb {
+		return 0
+	}
+	na, nb := va.Norm2(), vb.Norm2()
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return va.Dot(vb) / (na * nb)
+}
+
+// TestDataDrivenPruningEndToEnd trains a model on data where one feature
+// is pure noise with no signal; L2 regularization should drive its weight
+// toward zero relative to the informative feature — the premise of the
+// paper's data-driven pruning (§5.4).
+func TestDataDrivenPruningEndToEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var raw []RawFeatures
+	var labels []float64
+	for i := 0; i < 600; i++ {
+		signal := rng.NormFloat64()
+		noise := rng.NormFloat64()
+		raw = append(raw, RawFeatures{"signal": Num(signal), "noise": Num(noise)})
+		y := 0.0
+		if signal > 0 {
+			y = 1
+		}
+		labels = append(labels, y)
+	}
+	fs := FitFeatureSpace(raw)
+	ds := &Dataset{Dim: fs.Dim()}
+	for i := range raw {
+		ds.Examples = append(ds.Examples, Example{X: fs.Vectorize(raw[i]), Y: labels[i], Train: true})
+	}
+	m, err := LogisticRegression{RegParam: 0.05, Epochs: 30, Seed: 11}.Fit(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wSignal, wNoise float64
+	for i := 0; i < fs.Dim(); i++ {
+		switch fs.SlotName(i) {
+		case "signal":
+			wSignal = m.W[i]
+		case "noise":
+			wNoise = m.W[i]
+		}
+	}
+	if math.Abs(wSignal) < 5*math.Abs(wNoise) {
+		t.Fatalf("signal weight %.3f not dominant over noise %.3f", wSignal, wNoise)
 	}
 }

@@ -1,30 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Accuracy returns the fraction of examples whose predicted class equals
-// the label — the census workflow's checkResults reducer (paper Figure 3a,
-// lines 17-18).
-func Accuracy(m Model, d *Dataset) float64 {
-	if len(d.Examples) == 0 {
-		return 0
-	}
-	var correct int
-	for _, e := range d.Examples {
-		if !e.HasLabel() {
-			continue
-		}
-		if math.Round(m.Predict(e.X)) == e.Y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(d.Examples))
-}
+import "sort"
 
 // BinaryAccuracy thresholds probabilities at 0.5 before comparing.
 func BinaryAccuracy(m Model, d *Dataset) float64 {
@@ -84,68 +60,6 @@ func BinaryPRF1(m Model, d *Dataset) PRF1 {
 		r.F1 = 2 * r.Precision * r.Recall / (r.Precision + r.Recall)
 	}
 	return r
-}
-
-// ConfusionMatrix counts [truth][predicted] over the labeled examples.
-func ConfusionMatrix(m Model, d *Dataset, classes int) [][]int {
-	cm := make([][]int, classes)
-	for i := range cm {
-		cm[i] = make([]int, classes)
-	}
-	for _, e := range d.Examples {
-		if !e.HasLabel() {
-			continue
-		}
-		t := int(e.Y)
-		p := int(math.Round(m.Predict(e.X)))
-		if t >= 0 && t < classes && p >= 0 && p < classes {
-			cm[t][p]++
-		}
-	}
-	return cm
-}
-
-// FormatConfusion renders a confusion matrix for reducer output.
-func FormatConfusion(cm [][]int) string {
-	var b strings.Builder
-	for t, row := range cm {
-		fmt.Fprintf(&b, "true=%d:", t)
-		for _, c := range row {
-			fmt.Fprintf(&b, " %5d", c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// LogLoss returns the mean negative log-likelihood of binary predictions,
-// clipped away from 0 and 1 for stability.
-func LogLoss(m Model, d *Dataset) float64 {
-	const eps = 1e-12
-	var n int
-	var sum float64
-	for _, e := range d.Examples {
-		if !e.HasLabel() {
-			continue
-		}
-		n++
-		p := m.Predict(e.X)
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		if e.Y >= 0.5 {
-			sum -= math.Log(p)
-		} else {
-			sum -= math.Log(1 - p)
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // ClusterSummary describes a clustering for qualitative PPR evaluation

@@ -6,14 +6,6 @@ import (
 	"sort"
 )
 
-// Transformer is a learned feature transformation T: x^d → x^d' (paper
-// §3.1, "Feature Transformation"). Like Scikit-learn's Transformer, its
-// behavior is fit to data before use.
-type Transformer interface {
-	// Transform maps one input value to its transformed representation.
-	Transform(x float64) float64
-}
-
 // Bucketizer discretizes a continuous feature into equal-frequency bins
 // whose boundaries are learned from the data — the ageBucket operator of
 // the census workflow (paper Figure 3a, line 11: "discretizing age into
@@ -91,66 +83,6 @@ func FitStandardScaler(values []float64) (*StandardScaler, error) {
 
 // Transform standardizes x.
 func (s *StandardScaler) Transform(x float64) float64 { return (x - s.Mean) / s.Std }
-
-// Indexer maps categorical string values to stable dense indices — the
-// "human-readable formats (e.g., color=red) into an indexed vector
-// representation" conversion of the paper's census workflow (§2.3). The
-// mapping is learned from a full pass over the data so that train and test
-// share one index space (unified learning support, §3.2.1).
-type Indexer struct {
-	index map[string]int
-	names []string
-}
-
-// FitIndexer learns the value→index mapping from all observed values,
-// assigning indices in sorted value order for determinism.
-func FitIndexer(values []string) *Indexer {
-	seen := make(map[string]bool, len(values))
-	for _, v := range values {
-		seen[v] = true
-	}
-	names := make([]string, 0, len(seen))
-	for v := range seen {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	index := make(map[string]int, len(names))
-	for i, v := range names {
-		index[v] = i
-	}
-	return &Indexer{index: index, names: names}
-}
-
-// Index returns the dense index for value and whether it was seen at fit
-// time.
-func (ix *Indexer) Index(value string) (int, bool) {
-	i, ok := ix.index[value]
-	return i, ok
-}
-
-// Size returns the number of distinct indexed values.
-func (ix *Indexer) Size() int { return len(ix.names) }
-
-// Name returns the value at index i.
-func (ix *Indexer) Name(i int) string { return ix.names[i] }
-
-// OneHot returns the one-hot sparse encoding of value (all-zeros for
-// unseen values, matching Scikit-learn's handle_unknown="ignore").
-func (ix *Indexer) OneHot(value string) Vector {
-	if i, ok := ix.index[value]; ok {
-		return &SparseVector{N: len(ix.names), Idx: []int{i}, Val: []float64{1}}
-	}
-	return &SparseVector{N: len(ix.names)}
-}
-
-// ApproxBytes implements the engine's Sizer.
-func (ix *Indexer) ApproxBytes() int64 {
-	var b int64 = 16
-	for _, n := range ix.names {
-		b += int64(len(n)) + 24
-	}
-	return b
-}
 
 // FeatureSpace assembles named raw features into indexed feature vectors.
 // It is the synthesizer's backing structure: the order of features is

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -126,37 +125,6 @@ func TestStandardScalerConstantInput(t *testing.T) {
 	}
 }
 
-func TestIndexerStableSortedIndices(t *testing.T) {
-	ix := FitIndexer([]string{"red", "blue", "green", "blue"})
-	if ix.Size() != 3 {
-		t.Fatalf("size = %d", ix.Size())
-	}
-	// Sorted order: blue=0, green=1, red=2.
-	for i, want := range []string{"blue", "green", "red"} {
-		if ix.Name(i) != want {
-			t.Fatalf("Name(%d) = %q, want %q", i, ix.Name(i), want)
-		}
-	}
-	if i, ok := ix.Index("green"); !ok || i != 1 {
-		t.Fatalf("Index(green) = %d,%v", i, ok)
-	}
-	if _, ok := ix.Index("magenta"); ok {
-		t.Fatal("unseen value should not index")
-	}
-}
-
-func TestIndexerOneHot(t *testing.T) {
-	ix := FitIndexer([]string{"a", "b"})
-	v := ix.OneHot("b")
-	if v.Dim() != 2 || v.At(1) != 1 || v.At(0) != 0 {
-		t.Fatal("one-hot wrong")
-	}
-	unseen := ix.OneHot("zzz")
-	if unseen.NNZ() != 0 {
-		t.Fatal("unseen one-hot should be all zeros")
-	}
-}
-
 func TestFeatureSpaceAssemblesMixedFeatures(t *testing.T) {
 	all := []RawFeatures{
 		{"age": Num(39), "edu": Cat("Bachelors"), "occ": Cat("Tech")},
@@ -257,31 +225,6 @@ func TestMetricsPRF1(t *testing.T) {
 	}
 	if r.F1 <= 0 || r.F1 > 1 {
 		t.Fatalf("F1 = %v", r.F1)
-	}
-}
-
-func TestMetricsLogLossBounds(t *testing.T) {
-	d := &Dataset{Dim: 1, Examples: []Example{{X: Dense(0), Y: 1}}}
-	perfect := LogLoss(constModel(1), d)
-	bad := LogLoss(constModel(0.1), d)
-	if perfect >= bad {
-		t.Fatal("perfect prediction should have lower log loss")
-	}
-	if math.IsInf(bad, 0) || math.IsNaN(bad) {
-		t.Fatal("log loss must be clipped finite")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	d := &Dataset{Dim: 1, Examples: []Example{
-		{X: Dense(0), Y: 0}, {X: Dense(0), Y: 1}, {X: Dense(0), Y: 1},
-	}}
-	cm := ConfusionMatrix(constModel(1), d, 2)
-	if cm[0][1] != 1 || cm[1][1] != 2 || cm[0][0] != 0 {
-		t.Fatalf("confusion = %v", cm)
-	}
-	if s := FormatConfusion(cm); s == "" {
-		t.Fatal("empty confusion format")
 	}
 }
 

@@ -52,9 +52,6 @@ type Vector interface {
 // DenseVector is a contiguous float64 vector.
 type DenseVector []float64
 
-// Dense returns a dense vector backed by v (no copy).
-func Dense(v ...float64) DenseVector { return DenseVector(v) }
-
 // Zeros returns a dense zero vector of dimension d.
 func Zeros(d int) DenseVector { return make(DenseVector, d) }
 
@@ -163,42 +160,6 @@ func (v *SparseVector) Dot(other Vector) float64 {
 		s += v.Val[j] * other.At(i)
 	}
 	return s
-}
-
-// Concat concatenates vectors into one vector of summed dimension
-// (feature concatenation ∈ F, paper §3.1). The result is dense if any
-// input is dense or if density exceeds ~25%, sparse otherwise — mirroring
-// HELIX's "dense wins mixtures" policy (§3.2.1).
-func Concat(vs ...Vector) Vector {
-	total, nnz := 0, 0
-	anyDense := false
-	for _, v := range vs {
-		total += v.Dim()
-		nnz += v.NNZ()
-		if _, ok := v.(DenseVector); ok {
-			anyDense = true
-		}
-	}
-	if anyDense || (total > 0 && float64(nnz)/float64(total) > 0.25) {
-		out := make(DenseVector, total)
-		off := 0
-		for _, v := range vs {
-			v.ForEach(func(i int, x float64) { out[off+i] = x })
-			off += v.Dim()
-		}
-		return out
-	}
-	idx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	off := 0
-	for _, v := range vs {
-		v.ForEach(func(i int, x float64) {
-			idx = append(idx, off+i)
-			val = append(val, x)
-		})
-		off += v.Dim()
-	}
-	return &SparseVector{N: total, Idx: idx, Val: val}
 }
 
 // Example is one labeled (or unlabeled) training example: the assembled

@@ -9,6 +9,9 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Dense returns a dense vector backed by v (no copy).
+func Dense(v ...float64) DenseVector { return DenseVector(v) }
+
 func TestDenseVectorBasics(t *testing.T) {
 	v := Dense(1, 2, 3)
 	if v.Dim() != 3 || v.NNZ() != 3 {
@@ -80,45 +83,6 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestConcatDense(t *testing.T) {
-	c := Concat(Dense(1, 2), Dense(3))
-	if c.Dim() != 3 {
-		t.Fatalf("dim = %d", c.Dim())
-	}
-	if _, ok := c.(DenseVector); !ok {
-		t.Fatal("concat of dense should be dense")
-	}
-	for i, want := range []float64{1, 2, 3} {
-		if c.At(i) != want {
-			t.Fatalf("c[%d] = %v, want %v", i, c.At(i), want)
-		}
-	}
-}
-
-func TestConcatSparseStaysSparse(t *testing.T) {
-	a := Sparse(100, map[int]float64{1: 1})
-	b := Sparse(100, map[int]float64{50: 2})
-	c := Concat(a, b)
-	if _, ok := c.(*SparseVector); !ok {
-		t.Fatal("concat of sparse low-density vectors should stay sparse")
-	}
-	if c.Dim() != 200 || c.At(1) != 1 || c.At(150) != 2 {
-		t.Fatal("concat offsets wrong")
-	}
-}
-
-func TestConcatMixedGoesDense(t *testing.T) {
-	// Paper §3.2.1: "When assembling a mixture of dense and sparse FVs,
-	// HELIX currently opts for a dense representation".
-	c := Concat(Sparse(10, map[int]float64{2: 5}), Dense(1, 2))
-	if _, ok := c.(DenseVector); !ok {
-		t.Fatal("mixed concat should be dense")
-	}
-	if c.At(2) != 5 || c.At(10) != 1 || c.At(11) != 2 {
-		t.Fatal("mixed concat values wrong")
-	}
-}
-
 // Property: sparse and dense representations agree on Dot for random data.
 func TestPropertySparseDenseDotAgree(t *testing.T) {
 	f := func(seed int64) bool {
@@ -144,38 +108,6 @@ func TestPropertySparseDenseDotAgree(t *testing.T) {
 			other[i] = rng.NormFloat64()
 		}
 		return almostEqual(dense.Dot(other), sparse.Dot(other), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Concat preserves all coordinates at shifted offsets.
-func TestPropertyConcatPreservesCoordinates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(4)
-		vs := make([]Vector, n)
-		var flat []float64
-		for i := range vs {
-			d := 1 + rng.Intn(10)
-			dv := make(DenseVector, d)
-			for j := range dv {
-				dv[j] = rng.NormFloat64()
-			}
-			vs[i] = dv
-			flat = append(flat, dv...)
-		}
-		c := Concat(vs...)
-		if c.Dim() != len(flat) {
-			return false
-		}
-		for i, want := range flat {
-			if !almostEqual(c.At(i), want, 1e-12) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

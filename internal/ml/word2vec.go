@@ -41,60 +41,6 @@ func (e *Embeddings) Vector(word string) (DenseVector, bool) {
 	return v, ok
 }
 
-// Similarity returns the cosine similarity of two words, or 0 if either is
-// out of vocabulary.
-func (e *Embeddings) Similarity(a, b string) float64 {
-	va, oka := e.Vectors[a]
-	vb, okb := e.Vectors[b]
-	if !oka || !okb {
-		return 0
-	}
-	na, nb := va.Norm2(), vb.Norm2()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return va.Dot(vb) / (na * nb)
-}
-
-// MostSimilar returns the k in-vocabulary words closest to word by cosine
-// similarity, excluding word itself, in decreasing order.
-func (e *Embeddings) MostSimilar(word string, k int) []string {
-	v, ok := e.Vectors[word]
-	if !ok || k <= 0 {
-		return nil
-	}
-	type cand struct {
-		w string
-		s float64
-	}
-	cands := make([]cand, 0, len(e.Vectors))
-	nv := v.Norm2()
-	for w, u := range e.Vectors {
-		if w == word {
-			continue
-		}
-		nu := u.Norm2()
-		if nu == 0 || nv == 0 {
-			continue
-		}
-		cands = append(cands, cand{w, v.Dot(u) / (nv * nu)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].s != cands[j].s {
-			return cands[i].s > cands[j].s
-		}
-		return cands[i].w < cands[j].w
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].w
-	}
-	return out
-}
-
 // ApproxBytes implements the engine's Sizer.
 func (e *Embeddings) ApproxBytes() int64 {
 	var b int64 = 16

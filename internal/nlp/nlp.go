@@ -169,52 +169,3 @@ func Parse(id, text string, costFactor int) Document {
 	}
 	return doc
 }
-
-// NGrams returns all contiguous n-grams of the token texts, joined by '_'.
-func NGrams(s Sentence, n int) []string {
-	if n <= 0 || len(s) < n {
-		return nil
-	}
-	out := make([]string, 0, len(s)-n+1)
-	var b strings.Builder
-	for i := 0; i+n <= len(s); i++ {
-		b.Reset()
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				b.WriteByte('_')
-			}
-			b.WriteString(s[i+j].Text)
-		}
-		out = append(out, b.String())
-	}
-	return out
-}
-
-// Vocabulary counts token frequencies across documents.
-type Vocabulary struct {
-	Counts map[string]int
-	Total  int
-}
-
-// BuildVocabulary aggregates token counts over parsed documents.
-func BuildVocabulary(docs []Document) *Vocabulary {
-	v := &Vocabulary{Counts: make(map[string]int)}
-	for _, d := range docs {
-		for _, s := range d.Sentences {
-			for _, t := range s {
-				v.Counts[t.Text]++
-				v.Total++
-			}
-		}
-	}
-	return v
-}
-
-// ApproxBytes implements the engine's Sizer interface.
-func (v *Vocabulary) ApproxBytes() int64 {
-	var b int64 = 16
-	for w := range v.Counts {
-		b += int64(len(w)) + 16
-	}
-	return b
-}

@@ -89,35 +89,6 @@ func TestParseCostFactorPreservesOutput(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	s := TagPOS([]string{"a", "b", "c"})
-	if got := NGrams(s, 2); !reflect.DeepEqual(got, []string{"a_b", "b_c"}) {
-		t.Fatalf("bigrams = %v", got)
-	}
-	if got := NGrams(s, 4); got != nil {
-		t.Fatalf("too-long n-gram = %v, want nil", got)
-	}
-	if got := NGrams(s, 0); got != nil {
-		t.Fatalf("n=0 = %v, want nil", got)
-	}
-}
-
-func TestBuildVocabulary(t *testing.T) {
-	docs := []Document{
-		Parse("a", "gene gene protein.", 1),
-		Parse("b", "gene cell.", 1),
-	}
-	v := BuildVocabulary(docs)
-	if v.Counts["gene"] != 3 || v.Counts["protein"] != 1 || v.Counts["cell"] != 1 {
-		t.Fatalf("counts = %v", v.Counts)
-	}
-	if v.Total != 5 {
-		t.Fatalf("total = %d", v.Total)
-	}
-}
-
-// Property: parsing is deterministic — identical input yields identical
-// documents (the property HELIX's reuse correctness rests on).
 func TestPropertyParseDeterministic(t *testing.T) {
 	words := []string{"gene", "disease", "married", "the", "quickly", "BRCA1", "analysis"}
 	f := func(seed int64) bool {
@@ -162,9 +133,5 @@ func TestDocumentApproxBytes(t *testing.T) {
 	d := Parse("doc", "Some words here.", 1)
 	if d.ApproxBytes() <= 0 {
 		t.Fatal("document size must be positive")
-	}
-	v := BuildVocabulary([]Document{d})
-	if v.ApproxBytes() <= 0 {
-		t.Fatal("vocabulary size must be positive")
 	}
 }

@@ -197,14 +197,6 @@ func (s *Solver) OptimalStates(d *core.DAG, costs map[*core.Node]Costs) Plan {
 	return plan
 }
 
-// OptimalStates solves OPT-EXEC-PLAN with a throwaway Solver. Callers that
-// plan every iteration should retain a Solver and call its method instead,
-// reusing the flow network and buffers across solves.
-func OptimalStates(d *core.DAG, costs map[*core.Node]Costs) Plan {
-	var s Solver
-	return s.OptimalStates(d, costs)
-}
-
 // PlanTime evaluates Equation 1: the total run time of a state assignment
 // under the true costs. Pruned nodes and nodes outside costs contribute 0.
 func PlanTime(states map[*core.Node]core.State, costs map[*core.Node]Costs) float64 {

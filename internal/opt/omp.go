@@ -146,21 +146,6 @@ func (NeverMat) Worthwhile(*core.Node, float64, float64) bool { return false }
 // Decide implements MatPolicy: always false.
 func (NeverMat) Decide(*core.Node, float64, float64, int64) bool { return false }
 
-// CumulativeTimes computes C(n_i) per Definition 6 for every node, given
-// each node's own elapsed time t(n_i) (compute time if computed, load time
-// if loaded, 0 if pruned): C(n_i) = t(n_i) + Σ_{n_j ∈ ancestors(n_i)} t(n_j).
-func CumulativeTimes(d *core.DAG, own map[*core.Node]float64) map[*core.Node]float64 {
-	cum := make(map[*core.Node]float64, d.Len())
-	for _, n := range d.TopoSort() {
-		total := own[n]
-		for anc := range core.Ancestors(n) {
-			total += own[anc]
-		}
-		cum[n] = total
-	}
-	return cum
-}
-
 // MiniBatchOMP adapts the streaming heuristic to mini-batch stream
 // processing (paper §5.3, "Mini-Batches"): materialization decisions are
 // made from the load and compute statistics of the FIRST batch processed

@@ -115,7 +115,7 @@ func TestOEPFigure4(t *testing.T) {
 		ns[1]: {Compute: 100, Load: math.Inf(1)},
 		ns[2]: {Compute: 100, Load: 1, Required: true},
 	}
-	plan := OptimalStates(d, costs)
+	plan := new(Solver).OptimalStates(d, costs)
 	if plan.States[ns[2]] != core.StateLoad {
 		t.Fatalf("n2 state = %v, want Load", plan.States[ns[2]])
 	}
@@ -138,7 +138,7 @@ func TestOEPComputeForcesParent(t *testing.T) {
 		ns[0]: {Compute: 50, Load: 2},
 		ns[1]: {Compute: 5, Load: math.Inf(1), MustCompute: true, Required: true},
 	}
-	plan := OptimalStates(d, costs)
+	plan := new(Solver).OptimalStates(d, costs)
 	if plan.States[ns[1]] != core.StateCompute {
 		t.Fatalf("original node state = %v, want Compute", plan.States[ns[1]])
 	}
@@ -156,7 +156,7 @@ func TestOEPPruneEverythingWhenNothingRequired(t *testing.T) {
 	for _, n := range d.Nodes() {
 		costs[n] = Costs{Compute: 10, Load: 1}
 	}
-	plan := OptimalStates(d, costs)
+	plan := new(Solver).OptimalStates(d, costs)
 	for n, s := range plan.States {
 		if s != core.StatePrune {
 			t.Fatalf("node %s = %v, want Prune (no outputs required)", n.Name, s)
@@ -171,7 +171,7 @@ func TestOEPNodesOutsideSlicePruned(t *testing.T) {
 	d := buildDAG(t, 2, nil)
 	ns := d.Nodes()
 	costs := map[*core.Node]Costs{ns[0]: {Compute: 1, Load: math.Inf(1), Required: true}}
-	plan := OptimalStates(d, costs)
+	plan := new(Solver).OptimalStates(d, costs)
 	if plan.States[ns[1]] != core.StatePrune {
 		t.Fatal("node outside costs must be pruned")
 	}
@@ -226,7 +226,7 @@ func TestQuickOEPOptimalVsBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(7)
 		d, costs := randomOEPInstance(rng, n)
-		plan := OptimalStates(d, costs)
+		plan := new(Solver).OptimalStates(d, costs)
 		if err := CheckFeasible(d, costs, plan.States); err != nil {
 			t.Logf("infeasible: %v", err)
 			return false
@@ -253,7 +253,7 @@ func TestQuickOEPFeasibleLarge(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(60)
 		d, costs := randomOEPInstance(rng, n)
-		plan := OptimalStates(d, costs)
+		plan := new(Solver).OptimalStates(d, costs)
 		return CheckFeasible(d, costs, plan.States) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -275,7 +275,7 @@ func TestQuickGreedyFeasibleAndNeverBeatsOptimal(t *testing.T) {
 			t.Logf("greedy infeasible: %v", err)
 			return false
 		}
-		opt := OptimalStates(d, costs)
+		opt := new(Solver).OptimalStates(d, costs)
 		return greedy.Time >= opt.Time-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -287,7 +287,7 @@ func TestQuickGreedyFeasibleAndNeverBeatsOptimal(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 300; trial++ {
 			d, costs := randomOEPInstance(rng, 2+rng.Intn(20))
-			if GreedyStates(d, costs).Time > OptimalStates(d, costs).Time+1e-6 {
+			if GreedyStates(d, costs).Time > new(Solver).OptimalStates(d, costs).Time+1e-6 {
 				return
 			}
 		}
@@ -305,7 +305,7 @@ func TestGreedySuboptimalExample(t *testing.T) {
 		ns[1]: {Compute: 10, Load: 4},
 		ns[2]: {Compute: 10, Load: 4, Required: true},
 	}
-	opt := OptimalStates(d, costs)
+	opt := new(Solver).OptimalStates(d, costs)
 	if opt.Time != 4 {
 		t.Fatalf("optimal time = %v, want 4 (load sink only)", opt.Time)
 	}
@@ -432,8 +432,8 @@ func TestQuickStreamingOMPNeverWorseThanNeverMat(t *testing.T) {
 			next[node] = Costs{Compute: c.Compute, Load: c.Load, Required: c.Required}
 			nothing[node] = Costs{Compute: c.Compute, Load: math.Inf(1), Required: c.Required}
 		}
-		withMat := matTime + OptimalStates(d, next).Time
-		noMat := OptimalStates(d, nothing).Time
+		withMat := matTime + new(Solver).OptimalStates(d, next).Time
+		noMat := new(Solver).OptimalStates(d, nothing).Time
 		// Algorithm 2 materializes only when 2·load < C, so the investment
 		// should not exceed the recompute-from-scratch bound by more than
 		// the materialization time itself (it is a heuristic, not optimal;
@@ -499,7 +499,7 @@ func TestSolverReuseMatchesFreshSolves(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		d, costs := randomOEPInstance(rng, n)
 		got := pooled.OptimalStates(d, costs)
-		want := OptimalStates(d, costs)
+		want := new(Solver).OptimalStates(d, costs)
 		if math.Abs(got.Time-want.Time) > 1e-9 {
 			t.Fatalf("instance %d: pooled time %v, fresh %v", i, got.Time, want.Time)
 		}
@@ -523,7 +523,7 @@ func TestSolveCountInstrumentation(t *testing.T) {
 		d.Nodes()[1]: {Compute: 1, Load: math.Inf(1), Required: true},
 	}
 	before := SolveCount()
-	OptimalStates(d, costs)
+	new(Solver).OptimalStates(d, costs)
 	var s Solver
 	s.OptimalStates(d, costs)
 	if got := SolveCount() - before; got != 2 {
@@ -650,7 +650,7 @@ func TestDenseMatchesMapWrapper(t *testing.T) {
 		if got := SolveCount() - before; got != 1 {
 			t.Fatalf("%s: dense solve ticked SolveCount by %d, want 1", in.label, got)
 		}
-		want := OptimalStates(in.d, in.costs)
+		want := new(Solver).OptimalStates(in.d, in.costs)
 		var total float64
 		counts := map[core.State]int{}
 		for i, n := range order {

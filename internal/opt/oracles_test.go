@@ -4,7 +4,11 @@ import (
 	"math"
 
 	"helix/internal/core"
+	"helix/internal/maxflow"
 )
+
+// The exponential and textbook reference solvers the property tests check
+// the planner against. No program calls them.
 
 // BruteForceStates solves OPT-EXEC-PLAN by exhaustive enumeration of all
 // 3^n state assignments. Exponential — test oracle only (n ≲ 12).
@@ -88,11 +92,58 @@ func ExactOMP(d *core.DAG, costs map[*core.Node]Costs, sizes map[*core.Node]int6
 			}
 			next[node] = nc
 		}
-		t := matTime + OptimalStates(d, next).Time
+		t := matTime + new(Solver).OptimalStates(d, next).Time
 		if t < bestTime {
 			bestTime = t
 			best = m
 		}
 	}
 	return best, bestTime
+}
+
+// SolvePSP solves the PROJECT SELECTION PROBLEM (paper Problem 2): given
+// per-project profits (positive or negative) and prerequisite constraints,
+// select the subset of projects with maximum total profit such that every
+// prerequisite of a selected project is also selected. Returns the
+// selection as a boolean slice indexed by project.
+//
+// The reduction to MIN-CUT is standard [Kleinberg & Tardos §7.11]: source
+// s connects to positive-profit projects with capacity = profit; negative-
+// profit projects connect to sink t with capacity = -profit; prerequisite
+// pairs get infinite-capacity edges project→prerequisite. The source side
+// of a minimum cut is an optimal selection.
+func SolvePSP(profits []float64, prereqs []Prereq) []bool {
+	return solvePSPInto(maxflow.New(len(profits)+2), profits, prereqs)
+}
+
+// PSPValue returns the total profit of a selection, or false if the
+// selection violates a prerequisite constraint.
+func PSPValue(profits []float64, prereqs []Prereq, selected []bool) (float64, bool) {
+	for _, pr := range prereqs {
+		if selected[pr.Project] && !selected[pr.Requires] {
+			return 0, false
+		}
+	}
+	var total float64
+	for i, sel := range selected {
+		if sel {
+			total += profits[i]
+		}
+	}
+	return total, true
+}
+
+// CumulativeTimes computes C(n_i) per Definition 6 for every node, given
+// each node's own elapsed time t(n_i) (compute time if computed, load time
+// if loaded, 0 if pruned): C(n_i) = t(n_i) + Σ_{n_j ∈ ancestors(n_i)} t(n_j).
+func CumulativeTimes(d *core.DAG, own map[*core.Node]float64) map[*core.Node]float64 {
+	cum := make(map[*core.Node]float64, d.Len())
+	for _, n := range d.TopoSort() {
+		total := own[n]
+		for anc := range core.Ancestors(n) {
+			total += own[anc]
+		}
+		cum[n] = total
+	}
+	return cum
 }

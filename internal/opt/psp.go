@@ -10,8 +10,9 @@
 //     materialize during execution to accelerate future iterations. NP-hard
 //     (Theorem 3); approximated by the streaming heuristic of Algorithm 2.
 //
-// Brute-force reference implementations of both problems are provided for
-// property-based testing on small inputs.
+// Brute-force reference implementations of both problems live in the
+// package's tests (oracles_test.go), for property-based testing on small
+// inputs.
 //
 // helixlint (plandeterminism) holds this package to byte-stable output:
 // state assignments and materialization picks feed the plan fingerprint,
@@ -27,22 +28,7 @@ type Prereq struct {
 	Project, Requires int
 }
 
-// SolvePSP solves the PROJECT SELECTION PROBLEM (paper Problem 2): given
-// per-project profits (positive or negative) and prerequisite constraints,
-// select the subset of projects with maximum total profit such that every
-// prerequisite of a selected project is also selected. Returns the
-// selection as a boolean slice indexed by project.
-//
-// The reduction to MIN-CUT is standard [Kleinberg & Tardos §7.11]: source
-// s connects to positive-profit projects with capacity = profit; negative-
-// profit projects connect to sink t with capacity = -profit; prerequisite
-// pairs get infinite-capacity edges project→prerequisite. The source side
-// of a minimum cut is an optimal selection.
-func SolvePSP(profits []float64, prereqs []Prereq) []bool {
-	return solvePSPInto(maxflow.New(len(profits)+2), profits, prereqs)
-}
-
-// solvePSPInto is SolvePSP over a caller-provided graph (already sized to
+// solvePSPInto is SolvePSP (oracles_test.go) over a caller-provided graph (already sized to
 // len(profits)+2 nodes, typically via Reset), so iterative callers can
 // amortize the flow network across solves. The selection it returns is
 // the graph's own min-cut scratch: valid until g is reset or cut again.
@@ -62,21 +48,4 @@ func solvePSPInto(g *maxflow.Graph, profits []float64, prereqs []Prereq) []bool 
 	}
 	g.MaxFlow(s, t)
 	return g.MinCut(s)[:n]
-}
-
-// PSPValue returns the total profit of a selection, or false if the
-// selection violates a prerequisite constraint.
-func PSPValue(profits []float64, prereqs []Prereq, selected []bool) (float64, bool) {
-	for _, pr := range prereqs {
-		if selected[pr.Project] && !selected[pr.Requires] {
-			return 0, false
-		}
-	}
-	var total float64
-	for i, sel := range selected {
-		if sel {
-			total += profits[i]
-		}
-	}
-	return total, true
 }

@@ -477,7 +477,7 @@ func layered(rng *rand.Rand, layers, width, fanIn, extra int, edited map[string]
 
 // TestPlannerMatchesMapSolver: the planner hands the solver its inputs in
 // topological-index form; the states and T(W,s) it assembles must be the
-// ones the map-based opt.OptimalStates returns for the same live costs —
+// ones the map-based Solver.OptimalStates returns for the same live costs —
 // on the plan-wide shape (50 × 20, fan-in 5) and on random layered DAGs
 // of 200–1000 nodes, cold and through a partial re-solve.
 func TestPlannerMatchesMapSolver(t *testing.T) {
@@ -524,7 +524,7 @@ func TestPlannerMatchesMapSolver(t *testing.T) {
 					costs[np.Node] = np.Costs
 				}
 			}
-			want := opt.OptimalStates(d, costs)
+			want := new(opt.Solver).OptimalStates(d, costs)
 			for _, np := range p.Nodes {
 				if np.State != want.States[np.Node] {
 					t.Fatalf("shape %d step %d node %s: planner %v, map solver %v", si, step, np.Node.Name, np.State, want.States[np.Node])

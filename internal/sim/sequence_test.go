@@ -2,10 +2,13 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"helix/internal/core"
+	"helix/internal/opt"
+	"helix/internal/workloads"
 )
 
 func TestSampleSequenceDistribution(t *testing.T) {
@@ -127,5 +130,53 @@ func TestRobustnessAtPaperScheduleLength(t *testing.T) {
 		if opt, ks := optVsNoReuse(t, 10, seed); !(opt < ks) {
 			t.Errorf("schedule seed %d: helix-opt %.4fs not below keystoneml %.4fs", seed, opt, ks)
 		}
+	}
+}
+
+// SampleSequence draws an iteration-type schedule from the survey
+// distribution of the given domain (paper §6.3: "we use the iteration
+// frequency ... to determine the type of modifications to make in each
+// iteration ... At each iteration, we draw an iteration type from
+// {DPR, L/I, PPR} according to these likelihoods"). Index 0 is the
+// initial version and is fixed to DPR (the first run builds everything).
+func SampleSequence(domain string, iterations int, seed int64) []core.Component {
+	if iterations <= 0 {
+		return nil
+	}
+	model := opt.SurveyChangeModel(domain)
+	rng := rand.New(rand.NewSource(seed))
+	seq := make([]core.Component, iterations)
+	seq[0] = core.DPR
+	for t := 1; t < iterations; t++ {
+		r := rng.Float64()
+		switch {
+		case r < model.P[core.DPR]:
+			seq[t] = core.DPR
+		case r < model.P[core.DPR]+model.P[core.LI]:
+			seq[t] = core.LI
+		default:
+			seq[t] = core.PPR
+		}
+	}
+	return seq
+}
+
+// ScheduledWorkload overrides a workload's canonical schedule with a
+// sampled one, for robustness experiments across random schedules
+// (rather than the single fixed schedule the figures use).
+type ScheduledWorkload struct {
+	workloads.Workload
+	Schedule []core.Component
+}
+
+// Sequence implements workloads.Workload with the overridden schedule.
+func (s ScheduledWorkload) Sequence() []core.Component { return s.Schedule }
+
+// WithSampledSequence wraps wl with a schedule drawn from its domain's
+// survey distribution.
+func WithSampledSequence(wl workloads.Workload, iterations int, seed int64) ScheduledWorkload {
+	return ScheduledWorkload{
+		Workload: wl,
+		Schedule: SampleSequence(wl.Name(), iterations, seed),
 	}
 }

@@ -137,9 +137,9 @@ type BinaryCodec struct{}
 
 func (BinaryCodec) Name() string { return "binary" }
 
-// GobCodec is the legacy encoding: the reference encoder the codec tests
-// and the fuzz harness compare values through, and a Store.Codec a test
-// can install. Sessions always write BinaryCodec.
+// GobCodec is the legacy encoding: the reference encoder the store and
+// workloads codec tests compare values through, and a Store.Codec a test
+// can install. No program uses it; sessions always write BinaryCodec.
 type GobCodec struct{}
 
 func (GobCodec) Name() string { return "gob" }
@@ -206,19 +206,6 @@ func RegisterExt(ext Ext) {
 	e := ext
 	extByType[ext.Type] = &e
 	extByName[ext.Name] = &e
-}
-
-// Extensions lists the names of the registered extensions, sorted: what a
-// round-trip test has to cover.
-func Extensions() []string {
-	extMu.RLock()
-	defer extMu.RUnlock()
-	names := make([]string, 0, len(extByName))
-	for name := range extByName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func lookupExt(v any) *Ext {
@@ -348,10 +335,6 @@ type Writer struct {
 	intern map[string]uint64
 	tmp    [binary.MaxVarintLen64]byte
 }
-
-// NewWriter returns an empty Writer (no header — BinaryCodec.Encode owns
-// the header; extensions receive a Writer mid-message).
-func NewWriter() *Writer { return &Writer{} }
 
 // Grow makes room for n more bytes with at most one allocation. An
 // extension that knows (a bound on) its encoded size calls it first.

@@ -241,7 +241,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		}
 	})
 	t.Run("corrupt-intern-ref", func(t *testing.T) {
-		w := NewWriter()
+		w := &Writer{}
 		buf := append([]byte{}, binaryMagic[:]...)
 		buf = append(buf, binaryVersion, tagString)
 		w.buf = buf
@@ -252,7 +252,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	})
 	t.Run("huge-count", func(t *testing.T) {
 		// A corrupt length prefix must not drive a giant allocation.
-		w := NewWriter()
+		w := &Writer{}
 		buf := append([]byte{}, binaryMagic[:]...)
 		buf = append(buf, binaryVersion, tagFloat64s)
 		w.buf = buf
@@ -267,7 +267,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 // is a clean error (e.g. artifacts from a build with extra workload
 // types).
 func TestUnknownExtensionErrors(t *testing.T) {
-	w := NewWriter()
+	w := &Writer{}
 	w.buf = append(w.buf, binaryMagic[:]...)
 	w.buf = append(w.buf, binaryVersion, tagExt)
 	w.String("no-such-extension")
@@ -331,7 +331,7 @@ func TestPackedFloat64sForms(t *testing.T) {
 		{"neg-zero-is-not-zero", []float64{negZero, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWriter()
+			w := &Writer{}
 			w.PackedFloat64s(tc.fs)
 			if got := w.buf[uvarintLen(uint64(len(tc.fs)))]; got != tc.form {
 				t.Errorf("form %d, want %d (%d bytes)", got, tc.form, len(w.buf))
@@ -350,7 +350,7 @@ func TestPackedFloat64sForms(t *testing.T) {
 				}
 			}
 			if len(tc.fs) > 2 {
-				chunked := NewWriter()
+				chunked := &Writer{}
 				chunked.PackedFloat64Chunks(func(yield func([]float64) bool) {
 					_ = yield(tc.fs[:1]) && yield(nil) && yield(tc.fs[1:])
 				})
@@ -382,7 +382,7 @@ func TestDictStringBoundedTable(t *testing.T) {
 	for i := 0; i < dictMax; i++ {
 		cells = append(cells, fmt.Sprint("cell-", i%7), "", "same", "same")
 	}
-	w := NewWriter()
+	w := &Writer{}
 	var d Dict
 	for _, s := range cells {
 		w.DictString(&d, s)
@@ -418,7 +418,7 @@ func TestDictStringBoundedTable(t *testing.T) {
 // counting the record layouts size their maps with.
 func TestBitmapRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 300} {
-		w := NewWriter()
+		w := &Writer{}
 		set := func(i int) bool { return i%3 == 0 || i == n-1 }
 		w.Bitmap(n, set)
 		if len(w.buf) != (n+7)/8 {
@@ -452,7 +452,7 @@ func TestBitmapRoundTrip(t *testing.T) {
 // that carries one.
 func TestHostileCountsAllocateNothing(t *testing.T) {
 	for _, tag := range []byte{tagBytes, tagInts, tagInt64s, tagFloat64s, tagStrings, tagBools, tagFloatMat, tagStrMat, tagMapSF} {
-		w := NewWriter()
+		w := &Writer{}
 		w.buf = append(append(w.buf, binaryMagic[:]...), binaryVersion, tag)
 		w.Uvarint(1 << 40)
 		w.buf = append(w.buf, 1, 2, 3)

@@ -319,3 +319,39 @@ func allocatedBy(fn func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// FuzzManifestBase: hostile bytes as manifest.json behind an empty
+// journal. Open returns an error or a store that a second Open of the same
+// directory finds with the same entries; it never panics, and reading the
+// base allocates no more than allocationBound of its length.
+func FuzzManifestBase(f *testing.F) {
+	_, base, _, _, _ := journaledStore(f)
+	f.Add(base)
+	for _, seed := range []string{"", "null", "[]", "{}", `[{"key":"a","size":-1},{"key":"a","size":3,"crc":0}]`, `[{"key":"../x","iteration":-9}]`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestJournalFile), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if grown := allocatedBy(func() { readManifest(dir) }); grown > allocationBound(len(data)) {
+			t.Fatalf("reading a %d-byte base allocated %d", len(data), grown)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			return
+		}
+		first := s.snapshotEntries()
+		again, err := Open(dir)
+		if err != nil {
+			t.Fatalf("the first Open succeeded, the second failed: %v", err)
+		}
+		if second := again.snapshotEntries(); !reflect.DeepEqual(first, second) {
+			t.Fatalf("Open found %+v, a reopen %+v", first, second)
+		}
+	})
+}

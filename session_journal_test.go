@@ -470,3 +470,50 @@ func appendRecords(t *testing.T, path string, payloads ...[]byte) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzSessionBase: hostile bytes as session.json behind an empty journal.
+// Open returns an error or a session that a reopen after Close finds in
+// the same state; it never panics, and decoding the base and rebuilding
+// its snapshot allocate no more than the store's allocation bound for a
+// decode of that length (512 bytes per input byte plus 64 KiB).
+func FuzzSessionBase(f *testing.F) {
+	base, _, _, _ := journaledSession(f)
+	f.Add(base)
+	for _, seed := range []string{"", "null", "{}", `{"iteration":-3}`, `{"iteration":2,"snapshot":{"nodes":[{"name":"a"},{"name":"a","chain_signature":"x","metrics":{"compute":-1,"known":true}}]}}`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		grown := allocatedBy(func() {
+			var st sessionState
+			if json.Unmarshal(data, &st) == nil {
+				core.FromSnapshot(st.Snapshot)
+			}
+		})
+		if grown > 512*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding a %d-byte base allocated %d", len(data), grown)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, sessionStateFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sessionJournalFile), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			return
+		}
+		first := viewOf(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		again, err := Open(dir)
+		if err != nil {
+			t.Fatalf("the first Open succeeded, the reopen failed: %v", err)
+		}
+		defer again.Close()
+		if second := viewOf(t, again); !reflect.DeepEqual(first, second) {
+			t.Fatalf("Open restored %+v, the reopen %+v", first, second)
+		}
+	})
+}

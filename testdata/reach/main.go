@@ -1,0 +1,11 @@
+// Command fixture is the program the reachability check walks from. It
+// names lib.Unused only in this comment, which is not a use.
+package main
+
+import (
+	"fmt"
+
+	"fixture/internal/lib"
+)
+
+func main() { fmt.Println(lib.Used().M(), lib.ModeA) }
