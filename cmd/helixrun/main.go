@@ -39,7 +39,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 
 	"helix"
@@ -295,7 +297,7 @@ func run(f flags) error {
 // series still runs either way; the operator is recomputed where it would
 // have been loaded.
 func warnNodes(iter int, res *helix.Result, warned map[string]bool) {
-	for _, name := range nodeNames(res) {
+	for _, name := range slices.Sorted(maps.Keys(res.Nodes)) {
 		n := res.Nodes[name]
 		if n.LoadErr != nil {
 			fmt.Fprintf(os.Stderr, "helixrun: warning: iteration %d: node %s: %v\n", iter, name, n.LoadErr)
@@ -310,7 +312,7 @@ func warnNodes(iter int, res *helix.Result, warned map[string]bool) {
 // printNodes prints one row per operator; a row whose planned load failed
 // ends in "load failed".
 func printNodes(res *helix.Result) {
-	for _, name := range nodeNames(res) {
+	for _, name := range slices.Sorted(maps.Keys(res.Nodes)) {
 		n := res.Nodes[name]
 		mark := ""
 		if n.LoadErr != nil {
@@ -318,15 +320,6 @@ func printNodes(res *helix.Result) {
 		}
 		fmt.Printf("        %-20s %-3s %-4v %8.3fs%s\n", name, n.Component, n.State, n.Seconds, mark)
 	}
-}
-
-func nodeNames(res *helix.Result) []string {
-	names := make([]string, 0, len(res.Nodes))
-	for name := range res.Nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func printOutputs(wl workloads.Workload, sess *helix.Session) {
