@@ -230,8 +230,8 @@ func BenchmarkSubstrate_StoreLoad(b *testing.B) {
 // output) whose operators return a constant, after a cold run that
 // materialized every node. What is left is the engine's own per-iteration
 // cost: "noop" reruns the same workflow (a plan-cache hit), "leaf-edit"
-// gives one output a new params string every run (a partial plan: that
-// node computed, its five parents and the other outputs loaded).
+// gives one output a new params string every run (a cold plan: that node
+// computed, its five parents and the other outputs loaded).
 // plan-ns/op is Result.PlanTime.
 func BenchmarkSmallEdit(b *testing.B) {
 	const layers, width, fanIn = 50, 20, 5

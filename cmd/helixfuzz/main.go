@@ -66,8 +66,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "helixfuzz: case seed %d: %s\n", *caseSeed, v)
 			os.Exit(1)
 		}
-		logf("helixfuzz: case seed %d clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels; %d artifacts damaged, %d loads failed)",
-			*caseSeed, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits, stats.Restarts, stats.Cancels,
+		logf("helixfuzz: case seed %d clean (%d iterations: %d cold / %d full-hit plans; %d restarts, %d cancels; %d artifacts damaged, %d loads failed)",
+			*caseSeed, stats.Iterations, stats.ColdPlans, stats.FullHits, stats.Restarts, stats.Cancels,
 			stats.Damaged, stats.LoadFailures)
 
 	default:
@@ -88,8 +88,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d partial / %d full-hit plans; %d restarts, %d cancels [%d aborted]; %d artifacts damaged, %d loads failed)",
-			stats.Cases, stats.Iterations, stats.ColdPlans, stats.Partial, stats.FullHits,
+		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d full-hit plans; %d restarts, %d cancels [%d aborted]; %d artifacts damaged, %d loads failed)",
+			stats.Cases, stats.Iterations, stats.ColdPlans, stats.FullHits,
 			stats.Restarts, stats.Cancels, stats.CancelAborted, stats.Damaged, stats.LoadFailures)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"maps"
 	"os"
 	"slices"
-	"sort"
 
 	"helix"
 	"helix/internal/core"
@@ -233,8 +232,9 @@ func run(f flags) error {
 	// at the write-behind barrier before Run returns (0 when inline).
 	// Both count toward cum — the latency the user actually observes.
 	// plan(s) is the planning share of seconds, with the plan-cache
-	// outcome (cold/partial/hit) beside it.
+	// outcome (cold/hit) beside it.
 	fmt.Println("iter  type  seconds  flush(s)    cum      plan(s)  cache     Sc  Sl  Sp   mat(s)  storage(KB)")
+	var last *helix.Result
 	for t := 0; t < iters; t++ {
 		if t > 0 {
 			if sys.DPROnly && seq[t] != core.DPR {
@@ -258,6 +258,7 @@ func run(f flags) error {
 		if err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
 		}
+		last = res
 		cum += res.Wall.Seconds() + res.FlushWait.Seconds()
 		outcome := "-"
 		if res.Plan != nil {
@@ -277,16 +278,18 @@ func run(f flags) error {
 	}
 	if sharedStore != nil {
 		st := sharedStore.PlanCacheStats()
-		fmt.Printf("\nshared store: artifacts=%d bytes=%d sessions=%d plan-cache hits=%d partial=%d misses=%d",
+		fmt.Printf("\nshared store: artifacts=%d bytes=%d sessions=%d plan-cache hits=%d misses=%d",
 			sharedStore.Artifacts(), sharedStore.StorageBytes(), sharedStore.Sessions(),
-			st.Hits, st.Partials, st.Misses)
+			st.Hits, st.Misses)
 		if f.tenant != "" {
 			fmt.Printf(" tenant[%s]=%dB", f.tenant, sharedStore.TenantBytes(f.tenant))
 		}
 		fmt.Println()
 	}
 	fmt.Printf("\noutputs of the final iteration:\n")
-	printOutputs(wl, sess)
+	for _, name := range slices.Sorted(maps.Keys(last.Values)) {
+		fmt.Printf("  %s = %v\n", name, last.Values[name])
+	}
 	return nil
 }
 
@@ -319,22 +322,5 @@ func printNodes(res *helix.Result) {
 			mark = "  load failed"
 		}
 		fmt.Printf("        %-20s %-3s %-4v %8.3fs%s\n", name, n.Component, n.State, n.Seconds, mark)
-	}
-}
-
-func printOutputs(wl workloads.Workload, sess *helix.Session) {
-	// Re-run costs nothing extra: everything is reusable, outputs load.
-	res, err := sess.Run(context.Background(), wl.Build())
-	if err != nil {
-		fmt.Println("  (unavailable:", err, ")")
-		return
-	}
-	names := make([]string, 0, len(res.Values))
-	for name := range res.Values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %s = %v\n", name, res.Values[name])
 	}
 }

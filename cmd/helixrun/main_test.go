@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"helix"
 )
 
 func runBin(t *testing.T, bin string, args ...string) (string, int) {
@@ -104,6 +106,32 @@ func TestSmoke(t *testing.T) {
 		if strings.Contains(out, "workload=") {
 			t.Errorf("%s: the series ran anyway:\n%s", tc.name, out)
 		}
+	}
+}
+
+// TestSeriesRunsOnlyItsIterations: printing the final outputs reads the
+// last iteration's result instead of running the workflow again, so a
+// two-iteration series leaves a reopened session at iteration 2.
+func TestSeriesRunsOnlyItsIterations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and shells out to the go tool")
+	}
+	bin := buildBin(t)
+	dir := t.TempDir()
+	out, code := runBin(t, bin, "-workload", "census", "-iters", "2", "-dir", dir)
+	if code != 0 {
+		t.Fatalf("census series: exit %d, want 0\n%s", code, out)
+	}
+	if !strings.Contains(out, "outputs of the final iteration:\n  ") {
+		t.Errorf("no outputs printed after the table:\n%s", out)
+	}
+	sess, err := helix.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if got := sess.Iteration(); got != 2 {
+		t.Errorf("reopened session at iteration %d, want 2 (one per series iteration)", got)
 	}
 }
 

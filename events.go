@@ -29,7 +29,7 @@ type RunObserver = exec.Observer
 type RunEvent = exec.Event
 
 // PlanEvent reports the plan an iteration is about to execute: the
-// plan-cache outcome (cold/partial/hit), the Equation-1 projection, time
+// plan-cache outcome (cold/hit), the Equation-1 projection, time
 // spent planning, and the live-node state mix. One per plan executed
 // (a failed load makes a second), before any of its nodes starts.
 type PlanEvent = exec.PlanEvent

@@ -3,10 +3,9 @@
 // window of batch slots (batch→parse→feat chains feeding a windowed
 // window→model→metrics suffix); each tick either delivers a new batch
 // into one slot or is quiet. Because node names are stable, a delivery
-// dirties only that slot's chain plus the suffix — the plan cache serves
-// a partial hit and the clean slots are loaded, not recomputed — while a
-// quiet stretch converges to full fingerprint hits with near-zero run
-// time.
+// dirties only that slot's chain plus the suffix — the plan is solved
+// cold and the clean slots are loaded, not recomputed — while a quiet
+// stretch converges to full fingerprint hits with near-zero run time.
 //
 // The demo prints the per-tick table, in internal/sim's model seconds:
 // plan-cache outcome, state mix, and the compute time reuse avoided.

@@ -12,7 +12,7 @@ import (
 // testdata/fuzz through the full five-invariant harness
 // (internal/fuzz). The corpus holds minimized cases from past fuzz
 // failures plus seed cases pinning the steady-state plan-cache behavior
-// (cold → partial → full hit) — each one a scenario that must keep
+// (cold solves, then a full fingerprint hit) — each one a scenario that must keep
 // passing. cmd/helixfuzz appends new entries here when a fuzz run
 // fails.
 func TestFuzzRegressionCorpus(t *testing.T) {

@@ -66,20 +66,21 @@ type NodePlan = plan.NodePlan
 // plan whenever the fingerprints match.
 type PlanFingerprint = plan.Fingerprint
 
-// PlanCacheOutcome reports how a plan was obtained: a cold solve, a
-// partial re-solve of changed components, or a wholesale cache hit. See
-// Plan.Cache.
+// PlanCacheOutcome reports how a plan was obtained: a cold solve or a
+// wholesale cache hit. See Plan.Cache.
 type PlanCacheOutcome = plan.CacheOutcome
 
-// Plan cache outcomes.
+// Plan cache outcomes. PlanCachePartial is never produced: it stays
+// declared only because the repository benchmark names it, and goes when
+// the benchmark stops naming it (ROADMAP item 8).
 const (
 	PlanCacheCold    = plan.CacheCold
 	PlanCachePartial = plan.CachePartial
 	PlanCacheHit     = plan.CacheHit
 )
 
-// PlanCacheStats counts a session's plan-cache hits, partial hits, and
-// misses; see Session.PlanCacheStats.
+// PlanCacheStats counts a session's plan-cache hits and misses; see
+// Session.PlanCacheStats.
 type PlanCacheStats = plan.CacheStats
 
 // Value is the unit of data flowing between operators: a data collection,

@@ -86,9 +86,6 @@ func New[T any](env *Env, data []T) *Collection[T] {
 	return &Collection[T]{env: env, parts: parts}
 }
 
-// Env returns the collection's environment.
-func (c *Collection[T]) Env() *Env { return c.env }
-
 // Len returns the total number of elements.
 func (c *Collection[T]) Len() int {
 	n := 0
@@ -97,9 +94,6 @@ func (c *Collection[T]) Len() int {
 	}
 	return n
 }
-
-// NumPartitions returns the partition count.
-func (c *Collection[T]) NumPartitions() int { return len(c.parts) }
 
 // Collect gathers all elements into a single slice in partition order.
 func (c *Collection[T]) Collect() []T {

@@ -9,6 +9,9 @@ import (
 	"helix/internal/clock"
 )
 
+// NumPartitions returns the partition count.
+func (c *Collection[T]) NumPartitions() int { return len(c.parts) }
+
 func ints(n int) []int {
 	out := make([]int, n)
 	for i := range out {

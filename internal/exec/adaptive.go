@@ -6,12 +6,11 @@
 // observable long before the run ends. The divergence monitor accumulates
 // measured-versus-projected time over completed nodes and, past a relative
 // threshold, corrects the estimates of not-yet-started nodes from the
-// timings observed so far, then re-plans through the plan cache's partial
-// path: completed and in-flight nodes' metrics are untouched (the executor
-// defers its metric writes until after the run), so their cost keys are
-// byte-identical to the run's own cached entry and only the weak
-// components containing a corrected node are re-solved. Frontier nodes the
-// revised solve moves from Compute to Load are swapped in the scheduler.
+// timings observed so far, then re-plans the iteration with one cold
+// solve over the corrected estimates (completed and in-flight nodes'
+// metrics are untouched: the executor defers its metric writes until after
+// the run). Frontier nodes the revised solve moves from Compute to Load
+// are swapped in the scheduler.
 //
 // Concurrency protocol: workers claim a run (nodeRun.started) under the
 // monitor's read lock before reading its mutable fields; the re-planner
@@ -261,7 +260,7 @@ func (ad *adaptState) factorFor(n *core.Node) float64 {
 }
 
 // replanLocked runs one re-plan attempt: correct frontier estimates,
-// re-plan through the cache's partial path, adopt Compute→Load swaps for
+// re-plan with one cold solve, adopt Compute→Load swaps for
 // unstarted nodes. Called with ad.mu held; returns the event to emit
 // after unlock, with ok=false when the attempt was suppressed by the
 // solve budget. The event is a named return value, never a heap
@@ -314,9 +313,9 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 
 	// 2. Re-plan. Same options, token, and memoized store view as the
 	// initial plan; SkipCarry because the corrected metrics ARE the
-	// input. Completed nodes' cost keys are unchanged, so the cache's
-	// partial path re-solves only the components a correction touched —
-	// or, when nothing moved since the last attempt, full-hits for free.
+	// input. A correction changes the fingerprint, so this solves cold
+	// unless an earlier attempt already planned these exact estimates
+	// (then it hits, with no solve).
 	p2, err := ad.engine.planWithView(ad.d, ad.prev, s.iteration, ad.opts, ad.view, true)
 	if err != nil {
 		// A mid-run planning failure only means the run proceeds with the

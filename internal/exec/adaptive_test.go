@@ -78,8 +78,8 @@ func (l *adaptiveEventLog) runStats(t *testing.T) RunStatsEvent {
 // attempt actually moves estimates — the rest are idempotent (the same
 // correction factors recompute the same values, the idempotence gate
 // skips the writes, and no solve is spent). Re-plan attempts exceed the
-// bound; solves stay within it; the one solving re-plan goes through the
-// plan cache's partial path.
+// bound; solves stay within it; the one solving re-plan is a cold solve
+// (its corrections change the fingerprint).
 func TestAdaptiveReplansStayUnderSolveBudget(t *testing.T) {
 	const (
 		fan     = 8
@@ -164,11 +164,10 @@ func TestAdaptiveReplansStayUnderSolveBudget(t *testing.T) {
 			if !re.Planned {
 				t.Fatalf("re-plan corrected %d estimates but did not plan: %+v", re.Corrected, re)
 			}
-			// The run's own plan was cached at the initial solve; the
-			// corrections dirty only the touched component, so the
-			// re-plan must come back through the partial path, not cold.
-			if re.Outcome != plan.CachePartial {
-				t.Fatalf("solving re-plan outcome = %v, want CachePartial", re.Outcome)
+			// The corrections change the fingerprint the run's own plan
+			// was cached under, so the re-plan solves cold.
+			if re.Outcome != plan.CacheCold {
+				t.Fatalf("solving re-plan outcome = %v, want CacheCold", re.Outcome)
 			}
 		} else {
 			idempotent++

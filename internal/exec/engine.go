@@ -173,9 +173,7 @@ type Options struct {
 	// from their plan-projected time by more than this relative fraction
 	// (e.g. 0.5 = 50%), the engine corrects the cost estimates of
 	// not-yet-started nodes from the timings observed so far and re-plans
-	// the frontier through the plan cache's partial path — completed
-	// nodes' cost keys are untouched, so only the weak components whose
-	// estimates moved are re-solved. Not-yet-started compute nodes whose
+	// the iteration with one cold solve. Not-yet-started compute nodes whose
 	// corrected estimate makes loading cheaper are swapped to Load.
 	// Applies to Run/RunWith only; Execute carries a prebuilt plan out
 	// verbatim. ≤ 0 disables (the default).
@@ -243,7 +241,7 @@ type Result struct {
 	// slicing, cost assembly, fingerprinting, and — unless the plan cache
 	// hit — the OPT-EXEC-PLAN solve, summed over every plan the run made.
 	// Zero when Execute was called with a prebuilt plan. Plan.Cache says
-	// whether the executed plan was cold, partial, or a cache hit.
+	// whether the executed plan was solved cold or a cache hit.
 	PlanTime time.Duration
 	// FlushWait is the time Run spent blocked at the store's Flush
 	// barrier after computation finished, waiting for write-behind
@@ -266,12 +264,10 @@ type Result struct {
 type Engine struct {
 	Store *store.Store
 	Opts  Options
-	// Cache, when non-nil, enables incremental planning: successive Plan
-	// calls fingerprint their inputs against the previous iteration's
-	// plan and reuse whatever the fingerprint proves unchanged —
-	// wholesale on a full match (zero solves), per-component on a
-	// partial one. A Session always installs one; a bare Engine plans
-	// cold every time.
+	// Cache, when non-nil, enables plan reuse: successive Plan calls
+	// fingerprint their inputs and reuse a recent plan wholesale on a
+	// full match (zero solves). A Session always installs one; a bare
+	// Engine plans cold every time.
 	Cache *plan.Cache
 	// Shared, when non-nil, is the process-wide plan cache + frozen
 	// statistics board for shared-store mode. Session sets Cache to

@@ -24,8 +24,8 @@ type Observer func(Event)
 type Event interface{ event() }
 
 // PlanEvent reports the plan an iteration is about to execute: how the
-// planner obtained it (cold solve, partial re-solve, or a wholesale cache
-// hit), what it projects, and the state mix. Emitted once per plan
+// planner obtained it (cold solve or a wholesale cache hit), what it
+// projects, and the state mix. Emitted once per plan
 // executed, before any of its nodes starts: a run that plans again after
 // a failed load emits one per attempt.
 type PlanEvent struct {
@@ -130,9 +130,8 @@ type ReplanEvent struct {
 	// case the attempt cost one scan and no planning at all.
 	Planned bool
 	// Outcome is the plan cache's verdict for the re-plan (meaningful only
-	// when Planned): CacheHit re-used the run's own cached plan wholesale,
-	// CachePartial re-solved only the weak components whose cost keys
-	// moved.
+	// when Planned): CacheCold solved the corrected estimates afresh,
+	// CacheHit re-used a cached plan for the same estimates wholesale.
 	Outcome plan.CacheOutcome
 	// Solves is the cumulative number of max-flow solves consumed by
 	// re-planning so far this run, bounded by Options.AdaptiveMaxSolves.

@@ -22,8 +22,8 @@
 //     from-scratch reference evaluation of the workflow (so loading a
 //     materialized result never changes a value). Nondeterministic
 //     operators are additionally never assigned the Load state (Def 3).
-//  4. Plan-cache soundness — the plan an iteration executes (cold,
-//     partial, or full fingerprint hit) assigns every node the same
+//  4. Plan-cache soundness — the plan an iteration executes (cold, or a
+//     full fingerprint hit) assigns every node the same
 //     state, liveness, originality, and mandatory-materialization flag
 //     as a fresh solve over the same session state.
 //  5. Storage-budget compliance — under PolicyOpt the bytes held by the

@@ -34,7 +34,6 @@ type Stats struct {
 	Cases      int
 	Iterations int
 	ColdPlans  int
-	Partial    int
 	FullHits   int
 	// Restarts counts mid-sequence close/reopen cycles executed;
 	// Cancels counts mid-run cancellation attempts, of which
@@ -367,8 +366,6 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 			switch res.Plan.Cache {
 			case helix.PlanCacheCold:
 				stats.ColdPlans++
-			case helix.PlanCachePartial:
-				stats.Partial++
 			case helix.PlanCacheHit:
 				stats.FullHits++
 			}
@@ -413,7 +410,7 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 			}
 		}
 		// Invariant 10: adaptive transparency — whatever the divergence
-		// monitor did mid-run (corrected estimates, partial re-solves,
+		// monitor did mid-run (corrected estimates, cold re-solves,
 		// compute→load swaps, or nothing), the outputs are byte-identical
 		// to the adaptive-off subject's.
 		for name := range ref {

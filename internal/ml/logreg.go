@@ -39,18 +39,6 @@ type LRModel struct {
 // Predict returns P(y=1 | x).
 func (m *LRModel) Predict(x Vector) float64 { return sigmoid(dotDense(x, m.W) + m.Bias) }
 
-// PredictClass returns the hard 0/1 decision at threshold 0.5.
-func (m *LRModel) PredictClass(x Vector) float64 {
-	if m.Predict(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// Weights exposes the learned weights (used by data-driven pruning,
-// paper §5.4: operators producing only zero-weight features can be pruned).
-func (m *LRModel) Weights() DenseVector { return m.W }
-
 // ApproxBytes implements the engine's Sizer.
 func (m *LRModel) ApproxBytes() int64 { return int64(8*len(m.W)) + 16 }
 

@@ -95,9 +95,6 @@ func (v DenseVector) Scale(alpha float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm.
-func (v DenseVector) Norm2() float64 { return math.Sqrt(dot(v, v)) }
-
 // SparseVector stores only non-zero coordinates, sorted by index.
 type SparseVector struct {
 	N   int       // dimension d

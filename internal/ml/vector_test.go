@@ -9,6 +9,9 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Norm2 returns the Euclidean norm.
+func (v DenseVector) Norm2() float64 { return math.Sqrt(dot(v, v)) }
+
 // Dense returns a dense vector backed by v (no copy).
 func Dense(v ...float64) DenseVector { return DenseVector(v) }
 

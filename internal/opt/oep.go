@@ -64,8 +64,7 @@ type Solver struct {
 // in: order is the DAG in topological order, pos maps a node's ID to its
 // index in order, costs[i] belongs to order[i], and solve[i] selects the
 // nodes that take part. Nodes with solve[i] false are outside the program
-// slice (or outside the dirty components of a partial re-solve) and come
-// back pruned; their costs are ignored. The result holds one state per
+// slice and come back pruned; their costs are ignored. The result holds one state per
 // node of order.
 //
 // The reduction builds, per node n_i, project a_i with profit -l_i and

@@ -681,7 +681,7 @@ func TestDenseMatchesMapWrapper(t *testing.T) {
 }
 
 // TestDenseSolveMaskRestrictsTheSolve: masking a node out is the same as
-// leaving it out of the cost map — the planner's partial re-solve depends
+// leaving it out of the cost map — the planner's program slicing depends
 // on exactly this.
 func TestDenseSolveMaskRestrictsTheSolve(t *testing.T) {
 	// Two independent chains a0→a1 and b0→b1; solve only the b chain.

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"helix/internal/core"
@@ -13,13 +12,11 @@ type CacheOutcome int
 
 const (
 	// CacheCold means the plan was solved from scratch: no cache was
-	// attached, the cache was empty, or the fingerprint mismatched beyond
-	// what partial reuse covers (topology or configuration changed).
+	// attached, or no cached plan had the same fingerprint.
 	CacheCold CacheOutcome = iota
-	// CachePartial means the DAG topology matched the cached plan and only
-	// the weakly-connected live components containing a changed node were
-	// re-solved; every other row — and the ancestor bitset table — was
-	// reused.
+	// CachePartial is never produced. It stays declared only because the
+	// repository benchmark names it, and goes when the benchmark stops
+	// naming it (ROADMAP item 8).
 	CachePartial
 	// CacheHit means the full fingerprint matched and the previous plan
 	// was reused wholesale: no slicing decision changed, no bitsets were
@@ -43,16 +40,12 @@ func (o CacheOutcome) String() string {
 type CacheStats struct {
 	// Hits counts full-fingerprint reuses: zero max-flow solves.
 	Hits int64
-	// Partials counts topology matches that re-solved only the dirty
-	// components (one restricted solve, or none when no live node was
-	// dirty).
-	Partials int64
 	// Misses counts plans solved entirely from scratch.
 	Misses int64
 }
 
-// Cache holds recent iterations' fingerprinted plans for incremental
-// planning. A Cache belongs to one logical session: its ConfigToken pins
+// Cache holds recent iterations' fingerprinted plans for whole-plan
+// reuse. A Cache belongs to one logical session: its ConfigToken pins
 // the execution configuration (policy, budget, parallelism, …) the cached
 // plans were built under, so a session opened with different options can
 // never reuse another configuration's decisions. The zero value is usable;
@@ -85,19 +78,13 @@ type Cache struct {
 // and one DAG generation, so the bound also caps memory.
 const cacheCapacity = 4
 
-// cacheEntry is the retained previous plan plus the raw fingerprint
-// inputs needed to localize a mismatch. token records the configuration
-// the plan was built under (the Planner's per-call ConfigToken, falling
-// back to the Cache's); partial reuse requires an exact token match so a
-// run-scoped configuration override can never inherit another
-// configuration's decisions.
+// cacheEntry is one retained plan under the fingerprint it was solved
+// for. The fingerprint covers the configuration token, so a run-scoped
+// configuration override can never inherit another configuration's
+// decisions.
 type cacheEntry struct {
-	fp      Fingerprint
-	keys    []nodeKey
-	parents []int32
-	opts    Options
-	token   string
-	plan    *Plan
+	fp   Fingerprint
+	plan *Plan
 }
 
 // NewCache returns an empty plan cache whose fingerprints are bound to
@@ -106,7 +93,7 @@ func NewCache(configToken string) *Cache {
 	return &Cache{ConfigToken: configToken}
 }
 
-// Stats returns a snapshot of the cache's hit/partial/miss counters.
+// Stats returns a snapshot of the cache's hit/miss counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,7 +150,6 @@ func (c *Cache) hit(fp Fingerprint, in *planInputs) *Plan {
 	for i, n := range in.order {
 		rows[i] = *cached.Nodes[i]
 		rows[i].Node = n
-		rows[i].Reused = true
 		p.Nodes[i] = &rows[i]
 	}
 	// Retain the rebound plan so at most one DAG generation per entry
@@ -173,108 +159,12 @@ func (c *Cache) hit(fp Fingerprint, in *planInputs) *Plan {
 	return p
 }
 
-// partial checks whether the cached plan's topology and configuration
-// match the current inputs and, if so, returns the reusable rows: row i
-// is non-nil iff node i's fingerprint key is unchanged AND no node in its
-// weakly-connected live component changed. The caller re-solves exactly
-// the remaining live nodes. The second and third results are the cached
-// ancestor bitset table, shared whenever the topology matched (even if no
-// rows were reusable). Returns (nil, nil, 0) when nothing can be reused.
-//
-// Correctness: the project-selection objective OPT-EXEC-PLAN reduces to
-// is separable across weakly-connected components of the live slice —
-// prerequisite edges exist only along DAG edges between live nodes, and
-// every ancestor of a live node is itself live. A component with no
-// changed node therefore has byte-identical solver inputs and no
-// constraint linking it to the re-solved remainder: its cached states
-// remain exactly optimal. Any change to the live set itself marks every
-// live node dirty (a conservative full re-solve on the reused bitsets),
-// because component boundaries may have moved.
-func (c *Cache) partial(in *planInputs, opts Options, token string, keys []nodeKey, parents []int32) ([]*NodePlan, []uint64, int) {
+// store records the freshly solved plan as the most recent cache entry,
+// ages out the oldest beyond capacity, and tallies the miss.
+func (c *Cache) store(fp Fingerprint, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Most recently used topology/configuration match wins: for the
-	// iterative-editing steady state that is the previous iteration of
-	// the same workflow.
-	var e *cacheEntry
-	for _, ent := range c.entries {
-		if ent.opts == opts && ent.token == token && len(ent.keys) == len(keys) && slices.Equal(ent.parents, parents) {
-			e = ent
-			break
-		}
-	}
-	if e == nil {
-		return nil, nil, 0
-	}
-
-	n := len(keys)
-	dirty := make([]bool, n)
-	liveChanged := false
-	any := false
-	for i := range keys {
-		if keys[i] != e.keys[i] {
-			dirty[i] = true
-			any = true
-			if keys[i].live != e.keys[i].live {
-				liveChanged = true
-			}
-		}
-	}
-	if !any {
-		// Equal keys with an unequal full fingerprint should be
-		// impossible (the fingerprint is derived from the keys, options,
-		// and the cache's own constant token); treat it as a miss rather
-		// than reuse anything on inconsistent evidence.
-		return nil, nil, 0
-	}
-	if liveChanged {
-		for i := range keys {
-			dirty[i] = dirty[i] || keys[i].live
-		}
-	}
-
-	// Union-find over the live slice: live nodes joined by DAG edges
-	// share a component; a component containing any dirty live node is
-	// re-solved in full.
-	uf := newUnionFind(n)
-	for i, nd := range in.order {
-		if !keys[i].live {
-			continue
-		}
-		for _, par := range nd.Parents() {
-			j := in.idx(par)
-			if keys[j].live {
-				uf.union(i, j)
-			}
-		}
-	}
-	dirtyComp := make(map[int]bool)
-	for i := range keys {
-		if dirty[i] && keys[i].live {
-			dirtyComp[uf.find(i)] = true
-		}
-	}
-
-	reused := make([]*NodePlan, n)
-	for i := range keys {
-		if dirty[i] {
-			continue
-		}
-		if keys[i].live && dirtyComp[uf.find(i)] {
-			continue
-		}
-		reused[i] = e.plan.Nodes[i]
-	}
-	return reused, e.plan.anc, e.plan.ancWords
-}
-
-// store records the freshly assembled plan as the most recent cache
-// entry, ages out the oldest beyond capacity, and tallies the outcome
-// that produced it.
-func (c *Cache) store(fp Fingerprint, keys []nodeKey, parents []int32, opts Options, token string, p *Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := &cacheEntry{fp: fp, keys: keys, parents: parents, opts: opts, token: token, plan: p}
+	e := &cacheEntry{fp: fp, plan: p}
 	c.entries = append(c.entries, nil)
 	copy(c.entries[1:], c.entries)
 	c.entries[0] = e
@@ -285,40 +175,10 @@ func (c *Cache) store(fp Fingerprint, keys []nodeKey, parents []int32, opts Opti
 	if len(c.entries) > max {
 		c.entries = c.entries[:max]
 	}
-	if p.Cache == CachePartial {
-		c.stats.Partials++
-	} else {
-		c.stats.Misses++
-	}
-}
-
-// unionFind is a plain path-halving union-find over dense indices.
-type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-func (uf *unionFind) find(i int) int {
-	for uf.parent[i] != i {
-		uf.parent[i] = uf.parent[uf.parent[i]]
-		i = uf.parent[i]
-	}
-	return i
-}
-
-func (uf *unionFind) union(i, j int) {
-	ri, rj := uf.find(i), uf.find(j)
-	if ri != rj {
-		uf.parent[ri] = rj
-	}
+	c.stats.Misses++
 }
 
 // String summarizes the stats for logs.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d partials=%d misses=%d", s.Hits, s.Partials, s.Misses)
+	return fmt.Sprintf("hits=%d misses=%d", s.Hits, s.Misses)
 }

@@ -147,9 +147,6 @@ func TestCacheFullHitEquivalence(t *testing.T) {
 		t.Fatal("hit fingerprint differs from the plan it reused")
 	}
 	for _, np := range hit.Nodes {
-		if !np.Reused {
-			t.Fatalf("hit row %s not marked Reused", np.Node.Name)
-		}
 		if np.Node != d2.Node(np.Node.Name) {
 			t.Fatalf("hit row %s still points at the old DAG", np.Node.Name)
 		}
@@ -168,76 +165,12 @@ func TestCacheFullHitEquivalence(t *testing.T) {
 	assertEquivalent(t, hit, fresh)
 }
 
-// TestCachePartialReusesCleanComponent: editing one chain of a
-// two-component DAG re-solves only that component; the untouched
-// component's rows are reused verbatim and the overall plan still equals
-// a fresh solve.
-func TestCachePartialReusesCleanComponent(t *testing.T) {
-	secs := map[string]float64{"a0": 1, "a1": 1, "a2": 1, "b0": 1, "b1": 1, "b2": 1}
-	mkPrev := func() *core.DAG {
-		prev := twoChains()
-		prev.ComputeSignatures()
-		for _, n := range prev.Nodes() {
-			n.Metrics = core.Metrics{Compute: time.Duration(secs[n.Name] * float64(time.Second)), Known: true}
-		}
-		return prev
-	}
-	view := fakeView{sizes: map[string]int64{
-		sigOf(twoChains(), "a2"): 1 << 20,
-		sigOf(twoChains(), "b2"): 1 << 20,
-	}, rate: 10 << 20}
-
-	pl := &Planner{View: view, Opts: Options{MaterializeOutputs: true}, Cache: NewCache("test")}
-	prev := mkPrev()
-	if _, err := pl.Plan(twoChains(), prev, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Edit chain b's middle operator: chain a is untouched.
-	edit := func() *core.DAG {
-		d := twoChains()
-		d.Node("b1").OpSignature += "|edited"
-		return d
-	}
-	before := opt.SolveCount()
-	partial, err := pl.Plan(edit(), prev, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := opt.SolveCount() - before; got != 1 {
-		t.Fatalf("partial hit performed %d solves, want exactly 1 (the dirty component)", got)
-	}
-	if partial.Cache != CachePartial {
-		t.Fatalf("outcome %v, want partial", partial.Cache)
-	}
-	for _, name := range []string{"a0", "a1", "a2"} {
-		np := partial.ByName(name)
-		if !np.Reused {
-			t.Fatalf("clean-component row %s not reused", name)
-		}
-	}
-	for _, name := range []string{"b0", "b1", "b2"} {
-		np := partial.ByName(name)
-		if np.Reused {
-			t.Fatalf("dirty-component row %s wrongly reused", name)
-		}
-	}
-	if np := partial.ByName("b1"); !np.Original || np.State != core.StateCompute {
-		t.Fatalf("edited b1 = %+v, want original compute", np)
-	}
-
-	fresh, err := (&Planner{View: view, Opts: Options{MaterializeOutputs: true}}).Plan(edit(), prev, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, partial, fresh)
-}
-
-// TestCachePartialDeadBranchEditSkipsSolve: an edit confined to a
-// sliced-away branch dirties only non-live rows, so the partial path
-// needs no solve at all — and the result still matches a fresh solve.
-func TestCachePartialDeadBranchEditSkipsSolve(t *testing.T) {
-	build := func() *core.DAG {
+// TestCacheEditSolvesCold: an edit confined to one weakly-connected
+// component of the DAG, or to a sliced-away branch, misses the cache and
+// solves cold exactly once; the edited row is fresh and the whole plan
+// equals a cache-less solve.
+func TestCacheEditSolvesCold(t *testing.T) {
+	deadBranch := func() *core.DAG {
 		d := chain("a", "b", "c")
 		dead := d.MustAddNode("dead", core.KindReducer, core.PPR, "dead-v1", true)
 		if err := d.AddEdge(d.Node("b"), dead); err != nil {
@@ -245,35 +178,56 @@ func TestCachePartialDeadBranchEditSkipsSolve(t *testing.T) {
 		}
 		return d
 	}
-	pl := &Planner{Opts: Options{MaterializeOutputs: true}, Cache: NewCache("test")}
-	if _, err := pl.Plan(build(), nil, 0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		build  func() *core.DAG
+		edited string
+		want   core.State // the edited node's planned state
+	}{
+		{"component edit", twoChains, "b1", core.StateCompute},
+		{"dead branch edit", deadBranch, "dead", core.StatePrune},
 	}
-
-	edit := func() *core.DAG {
-		d := build()
-		d.Node("dead").OpSignature += "|edited"
-		return d
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := tc.build()
+			prev.ComputeSignatures()
+			view := fakeView{sizes: map[string]int64{}, rate: 10 << 20}
+			for _, n := range prev.Nodes() {
+				n.Metrics = core.Metrics{Compute: time.Second, Known: true}
+				if len(n.Children()) == 0 {
+					view.sizes[n.ChainSignature()] = 1 << 20
+				}
+			}
+			pl := &Planner{View: view, Opts: Options{MaterializeOutputs: true}, Cache: NewCache("test")}
+			if _, err := pl.Plan(tc.build(), prev, 1); err != nil {
+				t.Fatal(err)
+			}
+			edit := func() *core.DAG {
+				d := tc.build()
+				d.Node(tc.edited).OpSignature += "|edited"
+				return d
+			}
+			before := opt.SolveCount()
+			p, err := pl.Plan(edit(), prev, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opt.SolveCount() - before; got != 1 || p.Solves != 1 {
+				t.Fatalf("edit performed %d solves (Plan.Solves %d), want exactly 1", got, p.Solves)
+			}
+			if p.Cache != CacheCold {
+				t.Fatalf("outcome %v, want cold", p.Cache)
+			}
+			if np := p.ByName(tc.edited); !np.Original || np.State != tc.want {
+				t.Fatalf("edited %s = %+v, want original %v", tc.edited, np, tc.want)
+			}
+			fresh, err := (&Planner{View: view, Opts: Options{MaterializeOutputs: true}}).Plan(edit(), prev, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEquivalent(t, p, fresh)
+		})
 	}
-	before := opt.SolveCount()
-	p, err := pl.Plan(edit(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := opt.SolveCount() - before; got != 0 {
-		t.Fatalf("dead-branch edit performed %d solves, want 0", got)
-	}
-	if p.Cache != CachePartial {
-		t.Fatalf("outcome %v, want partial", p.Cache)
-	}
-	if np := p.ByName("dead"); np.Reused || np.State != core.StatePrune {
-		t.Fatalf("dead = %+v, want fresh pruned row", np)
-	}
-	fresh, err := (&Planner{Opts: Options{MaterializeOutputs: true}}).Plan(edit(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, p, fresh)
 }
 
 // TestCacheInvalidation: every class of planning-input change must
@@ -345,8 +299,7 @@ func TestCacheInvalidation(t *testing.T) {
 }
 
 // TestCacheLivenessChangeForcesFullResolve: removing an output changes
-// the live slice; the partial path must not keep any live row cached on
-// stale component boundaries.
+// the live slice, so the cached plan must not be reused.
 func TestCacheLivenessChangeForcesFullResolve(t *testing.T) {
 	// a→b→c with both b and c outputs; dropping c's output mark shrinks
 	// the slice.
@@ -394,8 +347,8 @@ func TestCacheLivenessChangeForcesFullResolve(t *testing.T) {
 	}
 }
 
-// TestCacheHitSummaryAndExplainMarkReuse: Explain output must make reuse
-// visible per decision and in the summary.
+// TestCacheHitSummaryAndExplainMarkReuse: Explain's summary line must
+// say that a cache hit reused every decision.
 func TestCacheHitSummaryAndExplainMarkReuse(t *testing.T) {
 	pl := &Planner{Opts: Options{MaterializeOutputs: true}, Cache: NewCache("t")}
 	if _, err := pl.Plan(chain("a", "b"), nil, 0); err != nil {
@@ -409,9 +362,7 @@ func TestCacheHitSummaryAndExplainMarkReuse(t *testing.T) {
 		t.Fatalf("outcome %v, want hit", p.Cache)
 	}
 	out := p.Explain()
-	for _, want := range []string{"plan cache hit", "[reused]"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Explain output missing %q:\n%s", want, out)
-		}
+	if want := "plan cache hit"; !strings.Contains(out, want) {
+		t.Fatalf("Explain output missing %q:\n%s", want, out)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Summary returns a one-line digest of the plan: node counts per state,
 // slice size, the projected run time of Equation 1, and — when the plan
-// cache contributed — how much of the plan was reused instead of solved.
+// cache answered — that every decision was reused instead of solved.
 func (p *Plan) Summary() string {
 	total := len(p.Nodes)
 	liveCount := p.Counts[core.StateCompute] + p.Counts[core.StateLoad] + p.Counts[core.StatePrune]
@@ -20,11 +20,8 @@ func (p *Plan) Summary() string {
 		p.Iteration, total, liveCount,
 		p.Counts[core.StateCompute], p.Counts[core.StateLoad], p.Counts[core.StatePrune],
 		total-liveCount, p.ProjectedSeconds)
-	switch p.Cache {
-	case CacheHit:
+	if p.Cache == CacheHit {
 		s += fmt.Sprintf("; plan cache hit [%s]: all %d decisions reused, no solve", p.Fingerprint, total)
-	case CachePartial:
-		s += fmt.Sprintf("; plan cache partial [%s]: %d/%d decisions reused, dirty slice re-solved", p.Fingerprint, p.Reuses(), total)
 	}
 	if len(p.Fused) > 0 {
 		fusedNodes := 0
@@ -57,12 +54,6 @@ func (p *Plan) Explain() string {
 			mat = "out"
 		}
 		why := np.Rationale
-		// Mark decisions the plan cache carried over from the previous
-		// iteration's solve, so -explain distinguishes a reused row from
-		// a freshly derived one.
-		if np.Reused {
-			why += " [reused]"
-		}
 		// Mark fused-run membership: the group index plus the member's
 		// role — interiors stream row-by-row and never build a value, the
 		// tail builds the run's single output. The merged signature's

@@ -33,12 +33,10 @@ func (f Fingerprint) String() string {
 	return hex.EncodeToString(f[:6])
 }
 
-// nodeKey is one node's contribution to the fingerprint, kept in raw
-// (comparable) form by the cache so a fingerprint mismatch can be
-// localized to the exact dirty nodes without re-hashing. helixlint
-// requires every field to be digested by fingerprintInputs: a key field
-// that keys cache comparisons but not the hash would let unequal inputs
-// collide.
+// nodeKey is one node's contribution to the fingerprint, staged per node
+// before it is digested. helixlint requires every field to be digested by
+// fingerprintInputs: a planning input added here but left out of the hash
+// would let unequal inputs collide.
 //
 //lint:fingerprint fingerprintInputs
 type nodeKey struct {
@@ -53,14 +51,10 @@ type nodeKey struct {
 	costs      opt.Costs
 }
 
-// fingerprintInputs derives the per-node keys, the flattened parent-index
-// topology, and the overall fingerprint for a prepared set of planning
-// inputs. The parent list is (count, idx...) per node in topological
-// order; equality of the flat list is equality of the DAG's shape, which
-// is what licenses reusing the ancestor bitset table.
-func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]nodeKey, []int32, Fingerprint) {
-	keys := make([]nodeKey, len(in.order))
-	parents := make([]int32, 0, 2*len(in.order))
+// fingerprintInputs derives the fingerprint of a prepared set of planning
+// inputs. Topology enters as (parent count, parent indices...) per node in
+// topological order.
+func fingerprintInputs(in *planInputs, opts Options, configToken string) Fingerprint {
 	h := sha256.New()
 
 	// The digest material is staged in one reusable buffer and written a
@@ -108,7 +102,6 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 			original:   in.originals[i],
 			costs:      in.costs[i], // zero value for non-live nodes
 		}
-		keys[i] = k
 
 		if len(buf) >= 8<<10 {
 			h.Write(buf)
@@ -131,16 +124,13 @@ func fingerprintInputs(in *planInputs, opts Options, configToken string) ([]node
 		bit(k.costs.MustCompute)
 		bit(k.costs.Required)
 		u64(uint64(len(n.Parents())))
-		parents = append(parents, int32(len(n.Parents())))
 		for _, par := range n.Parents() {
-			j := in.idx(par)
-			parents = append(parents, int32(j))
-			u64(uint64(j))
+			u64(uint64(in.idx(par)))
 		}
 	}
 	h.Write(buf)
 
 	var fp Fingerprint
 	h.Sum(fp[:0])
-	return keys, parents, fp
+	return fp
 }

@@ -14,25 +14,20 @@
 // the optimizer's choices become visible and testable in isolation
 // instead of living inline in the engine.
 //
-// # Incremental planning
+// # Plan reuse
 //
-// Planning itself is amortized across iterations. Every Plan call derives
-// a Fingerprint — a stable hash over the DAG's topology, per-node chain
-// signatures, the store's materialized-set view, carried cost statistics,
-// and the planning options. A Planner given a Cache compares the
-// fingerprint against the previous iteration's: on a full match the prior
+// Every Plan call derives a Fingerprint — a stable hash over the DAG's
+// topology, per-node chain signatures, the store's materialized-set view,
+// carried cost statistics, and the planning options. A Planner given a
+// Cache looks the fingerprint up among recent plans: on a match the prior
 // Plan is reused wholesale (no purge spec, no ancestor-bitset
-// construction, no max-flow solve); on a topology match with localized
-// changes, the ancestor bitsets and the unchanged rows are reused and only
-// the weakly-connected live components containing a changed node are
-// re-solved. The saving is a millisecond or two, not an order of
-// magnitude: on a 1000-node, 5000-edge DAG a cold plan costs ~2 ms — the
-// exact solve (Dinic, over the dense inputs gather already holds) is
-// ~0.4 ms of it — against ~0.9 ms for the gather and fingerprint every
-// call pays, hit or not. Reuse is sound because the fingerprint covers
-// every input the solve depends on, and the project-selection objective
-// is separable across weakly-connected components of the live slice — an
-// untouched component's cached states remain exactly optimal.
+// construction, no max-flow solve); otherwise the plan is solved cold.
+// The saving is a millisecond at most, not an order of magnitude:
+// on a 1000-node, 5000-edge DAG a cold plan costs ~2 ms — the exact solve
+// (Dinic, over the dense inputs gather already holds) is ~0.4 ms of it —
+// against ~0.9 ms for the gather and fingerprint every call pays, hit or
+// not. Reuse is sound because the fingerprint covers every input the
+// solve depends on.
 //
 // helixlint (plandeterminism) holds this package to byte-stable output:
 // no wall clocks, no global randomness, no map iteration into
@@ -143,10 +138,6 @@ type NodePlan struct {
 	// Zero when no statistics exist yet (the scheduler then degrades to
 	// FIFO order).
 	ProjectedTail float64
-	// Reused reports that this row was taken verbatim from the cached
-	// previous iteration's plan (full fingerprint hit, or a clean
-	// component of a partial hit) rather than re-derived by the solver.
-	Reused bool
 	// FuseGroup is the index into Plan.Fused of the fused run this node
 	// belongs to, or -1. Within a group, only the last member's value is
 	// ever built; the engine schedules the whole run as one unit.
@@ -192,13 +183,11 @@ type Plan struct {
 	// Purge is the materialization-purge decision; nil when reuse is
 	// disabled.
 	Purge *PurgeSpec
-	// Cache reports how the planner obtained this plan: a fresh solve, a
-	// partial re-solve of dirty components, or a wholesale reuse of the
-	// previous iteration's plan.
+	// Cache reports how the planner obtained this plan: a fresh solve, or
+	// a wholesale reuse of a recent plan with the same fingerprint.
 	Cache CacheOutcome
 	// Solves is the number of max-flow solves this particular Plan call
-	// ran: 0 on a full fingerprint hit (and on a partial hit whose dirty
-	// set held no live node), 1 otherwise. Deterministic per-call
+	// ran: 0 on a full fingerprint hit, 1 otherwise. Deterministic per-call
 	// accounting for the adaptive re-planner's speculation budget —
 	// unlike the process-wide opt.SolveCount, it is unaffected by
 	// concurrent planners.
@@ -237,8 +226,8 @@ type Plan struct {
 	// here so the executor's retirement path can price C(n) from measured
 	// times with a bit scan instead of an O(ancestors) graph traversal
 	// (map allocation and pointer chasing) per retirement. The table
-	// depends only on topology, so cache hits and partial hits share the
-	// previous plan's table instead of rebuilding it.
+	// depends only on topology, so a cache hit shares the cached plan's
+	// table instead of rebuilding it.
 	anc      []uint64
 	ancWords int
 }
@@ -311,18 +300,6 @@ func (p *Plan) CloneRows() *Plan {
 	return q
 }
 
-// Reuses reports how many of the plan's rows were reused from the cached
-// previous plan rather than re-derived.
-func (p *Plan) Reuses() int {
-	reused := 0
-	for _, np := range p.Nodes {
-		if np.Reused {
-			reused++
-		}
-	}
-	return reused
-}
-
 // TestHookMutatePlan, when non-nil, is applied to every plan a Planner
 // returns — fresh solves and cache hits alike — before the caller sees
 // it. It exists solely for the property-based harness (internal/fuzz),
@@ -339,9 +316,8 @@ type Planner struct {
 	View MatView
 	// Opts configures planning.
 	Opts Options
-	// Cache, when non-nil, enables incremental planning: Plan consults it
-	// for the previous iteration's fingerprinted plan and reuses whatever
-	// the fingerprint proves unchanged.
+	// Cache, when non-nil, enables plan reuse: Plan looks its fingerprint
+	// up there and, on a match, returns the cached plan without a solve.
 	Cache *Cache
 	// Solver, when non-nil, is the pooled OPT-EXEC-PLAN solver whose flow
 	// network and buffers are reused across iterations. Nil uses a
@@ -349,9 +325,9 @@ type Planner struct {
 	Solver *opt.Solver
 	// ConfigToken describes the engine-level configuration (policy,
 	// budget, parallelism, …) this particular Plan call runs under. It is
-	// hashed into the fingerprint and recorded on the cache entry, so two
-	// calls under differing configurations can never reuse each other's
-	// decisions — the license run-scoped configuration overrides need.
+	// hashed into the fingerprint, so two calls under differing
+	// configurations can never reuse each other's decisions — the license
+	// run-scoped configuration overrides need.
 	// Empty falls back to the Cache's session-wide ConfigToken.
 	ConfigToken string
 	// Shared, when non-nil, is the process-wide plan cache + frozen
@@ -425,75 +401,40 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 	// computed from.
 	in := pl.gather(d, iteration)
 
-	// 5. Fingerprint the planning inputs and consult the cache: a full
-	// match reuses the previous plan wholesale (no solve at all); a
-	// topology match re-solves only the weakly-connected live components
-	// containing a change, reusing the ancestor bitsets and every clean
-	// row.
-	var (
-		fp      Fingerprint
-		keys    []nodeKey
-		parents []int32
-		reused  []*NodePlan
-		anc     []uint64
-		words   int
-		outcome = CacheCold
-		token   = pl.ConfigToken
-	)
+	// 5. Fingerprint the planning inputs and consult the cache: a match
+	// reuses that plan wholesale, with no solve at all.
+	var fp Fingerprint
 	if pl.Cache != nil {
+		token := pl.ConfigToken
 		if token == "" {
 			token = pl.Cache.ConfigToken
 		}
-		keys, parents, fp = fingerprintInputs(in, pl.Opts, token)
+		fp = fingerprintInputs(in, pl.Opts, token)
 		if p := pl.Cache.hit(fp, in); p != nil {
 			if TestHookMutatePlan != nil {
 				TestHookMutatePlan(p)
 			}
 			return p, nil
 		}
-		reused, anc, words = pl.Cache.partial(in, pl.Opts, token, keys, parents)
-		if reused != nil {
-			outcome = CachePartial
-		}
 	}
 	pl.buildPurge(in)
-	if anc == nil {
-		anc, words = buildAncestors(in.order, in.pos)
-	}
+	anc, words := buildAncestors(in.order, in.pos)
 
-	// 6. OPT-EXEC-PLAN (Problem 1) via the MAX-FLOW reduction, handed to
-	// the solver in the topological-index form gather built. A cold solve
-	// covers the live slice; a partial hit restricts it to the live nodes
-	// whose row was not reused, and needs no solve at all when there are
-	// none (e.g. only a sliced-away branch changed): every non-reused row
-	// is then non-live and prunes.
-	solve := in.live
-	needSolve := true
-	if outcome == CachePartial {
-		solve = make([]bool, len(in.order))
-		needSolve = false
-		for i := range solve {
-			solve[i] = in.live[i] && reused[i] == nil
-			needSolve = needSolve || solve[i]
-		}
+	// 6. OPT-EXEC-PLAN (Problem 1) via the MAX-FLOW reduction over the live
+	// slice, handed to the solver in the topological-index form gather
+	// built.
+	solver := pl.Solver
+	if solver == nil {
+		solver = new(opt.Solver)
 	}
-	var states []core.State
-	solves := 0
-	if needSolve {
-		solver := pl.Solver
-		if solver == nil {
-			solver = new(opt.Solver)
-		}
-		states = solver.OptimalStatesDense(in.order, in.pos, in.costs, solve)
-		solves = 1
-	}
+	states := solver.OptimalStatesDense(in.order, in.pos, in.costs, in.live)
 
 	// 7. Assemble the artifact: states, rationale, ancestor sets, and
 	// cumulative times, all in topological order.
-	p := pl.assemble(in, states, anc, words, reused, outcome, fp)
-	p.Solves = solves
+	p := pl.assemble(in, states, anc, words, fp)
+	p.Solves = 1
 	if pl.Cache != nil {
-		pl.Cache.store(fp, keys, parents, pl.Opts, token, p)
+		pl.Cache.store(fp, p)
 	}
 	if TestHookMutatePlan != nil {
 		TestHookMutatePlan(p)
@@ -505,8 +446,8 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 // cached or not: originality, program slicing, and cost assembly
 // (including the store-view lookups the fingerprint must observe — a
 // cached plan may never survive a store eviction unseen). The purge
-// decision is NOT built here: see buildPurge, which runs only on misses
-// and partial hits — a full hit reuses the cached spec.
+// decision is NOT built here: see buildPurge, which runs only on misses —
+// a hit reuses the cached spec.
 func (pl *Planner) gather(d *core.DAG, iteration int) *planInputs {
 	in := &planInputs{d: d, iteration: iteration}
 	in.order = d.TopoSort()
@@ -589,9 +530,8 @@ func (pl *Planner) gather(d *core.DAG, iteration int) *planInputs {
 // buildPurge records the planner's purge decision: an original node's old
 // results can never be reused (§6.6). Applied by the executor; suppressed
 // when reuse is off (the no-reuse systems — KeystoneML, DeepDive — never
-// touch prior results, stale or not). Built only on cache misses and
-// partial hits; a full hit reuses the cached plan's spec, which the
-// fingerprint proves identical.
+// touch prior results, stale or not). Built only on cache misses; a hit
+// reuses the cached plan's spec, which the fingerprint proves identical.
 func (pl *Planner) buildPurge(in *planInputs) {
 	if pl.Opts.DisableReuse {
 		return
@@ -613,9 +553,8 @@ func (pl *Planner) buildPurge(in *planInputs) {
 // parent itself. One O(V·E/64) pass replaces the per-retirement graph
 // walks the engine used to pay (O(n²) pointer-chasing per run on deep
 // DAGs). The whole table is V²/64 words — ~12 MB even at 10k nodes — and
-// is retained on the Plan for the executor's C(n) pricing. It depends
-// only on topology, so the plan cache shares it across iterations whose
-// DAG shape did not change.
+// is retained on the Plan for the executor's C(n) pricing; a cache hit
+// shares the cached plan's table.
 func buildAncestors(order []*core.Node, pos []int32) ([]uint64, int) {
 	words := (len(order) + 63) / 64
 	anc := make([]uint64, len(order)*words)
@@ -634,18 +573,17 @@ func buildAncestors(order []*core.Node, pos []int32) ([]uint64, int) {
 }
 
 // assemble builds the Plan artifact from solver states (indexed like
-// in.order; nil when no solve ran) and/or reused cached rows: per-node
-// rows with rationale, state counts, cumulative times C(n) from the
-// ancestor bitsets, downstream critical-path tails for the scheduler, and
-// the Equation-1 projection.
-func (pl *Planner) assemble(in *planInputs, states []core.State, anc []uint64, words int, reused []*NodePlan, outcome CacheOutcome, fp Fingerprint) *Plan {
+// in.order): per-node rows with rationale, state counts, cumulative times
+// C(n) from the ancestor bitsets, downstream critical-path tails for the
+// scheduler, and the Equation-1 projection.
+func (pl *Planner) assemble(in *planInputs, states []core.State, anc []uint64, words int, fp Fingerprint) *Plan {
 	order := in.order
 	p := &Plan{
 		Iteration:   in.iteration,
 		Nodes:       make([]*NodePlan, len(order)),
 		Counts:      make(map[core.State]int, 3),
 		Purge:       in.purge,
-		Cache:       outcome,
+		Cache:       CacheCold,
 		Fingerprint: fp,
 		anc:         anc,
 		ancWords:    words,
@@ -657,37 +595,24 @@ func (pl *Planner) assemble(in *planInputs, states []core.State, anc []uint64, w
 	own := make([]float64, len(order))
 	for i, n := range order {
 		np := &rows[i]
-		if reused != nil && reused[i] != nil {
-			*np = *reused[i]
-			np.Index = i
-			np.Node = n
-			np.Reused = true
-		} else {
-			// The solver prunes every node outside the (possibly
-			// restricted) solve, and with no solve at all every
-			// non-reused node is non-live.
-			state := core.StatePrune
-			if states != nil {
-				state = states[i]
-			}
-			*np = NodePlan{
-				Index:        i,
-				Node:         n,
-				State:        state,
-				Live:         in.live[i],
-				Original:     in.originals[i],
-				Output:       in.outputs[i],
-				Costs:        in.costs[i], // zero value for non-live nodes
-				MandatoryMat: pl.Opts.MaterializeOutputs && in.outputs[i] && state == core.StateCompute,
-			}
-			switch state {
-			case core.StateCompute:
-				np.ProjectedOwn = np.Costs.Compute
-			case core.StateLoad:
-				np.ProjectedOwn = np.Costs.Load
-			}
-			np.Rationale = opt.Rationale(np.Costs, state, n.Deterministic, in.live[i])
+		state := states[i]
+		*np = NodePlan{
+			Index:        i,
+			Node:         n,
+			State:        state,
+			Live:         in.live[i],
+			Original:     in.originals[i],
+			Output:       in.outputs[i],
+			Costs:        in.costs[i], // zero value for non-live nodes
+			MandatoryMat: pl.Opts.MaterializeOutputs && in.outputs[i] && state == core.StateCompute,
 		}
+		switch state {
+		case core.StateCompute:
+			np.ProjectedOwn = np.Costs.Compute
+		case core.StateLoad:
+			np.ProjectedOwn = np.Costs.Load
+		}
+		np.Rationale = opt.Rationale(np.Costs, state, n.Deterministic, in.live[i])
 		own[i] = np.ProjectedOwn
 		if in.live[i] {
 			p.Counts[np.State]++

@@ -51,7 +51,7 @@ func NewSharedCache() *SharedCache {
 // planners may consult it concurrently.
 func (sc *SharedCache) Cache() *Cache { return sc.cache }
 
-// Stats reports the inner cache's hit/partial/miss counters.
+// Stats reports the inner cache's hit/miss counters.
 func (sc *SharedCache) Stats() CacheStats { return sc.cache.Stats() }
 
 // PublishStats records the measured metrics of every Known node in an

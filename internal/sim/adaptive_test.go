@@ -82,7 +82,7 @@ func TestRunAdaptiveBeatsStaticOnSkew(t *testing.T) {
 // changing any signature, so tick 1 plans all-compute from stale costs.
 // The static session pays the full recompute; the adaptive session
 // notices the divergence after the first completions, corrects the
-// frontier, re-solves through the plan cache's partial path, and loads
+// frontier, re-solves cold over the corrected estimates, and loads
 // the rest. Tick 2 shows both sessions recovered: post-run observation
 // folded the measured timings into the carried statistics, so even the
 // static session plans loads from then on — adaptation only changes the

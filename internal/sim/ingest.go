@@ -31,12 +31,12 @@ type IngestConfig struct {
 }
 
 // DefaultIngestSchedule is the canonical tick pattern: an initial build,
-// one delivery per slot (each a partial plan-cache hit dirtying one slot
-// chain plus the windowed suffix), then alternating bursts and quiet
-// stretches. Every quiet stretch is ≥3 ticks long: the first quiet tick
-// still re-measures nothing but loads (partial hit), and from the second
-// consecutive no-compute tick on, the plan fingerprint is byte-stable and
-// the cache serves full hits.
+// one delivery per slot (each a cold plan that recomputes one slot chain
+// plus the windowed suffix and loads the rest), then alternating bursts
+// and quiet stretches. Every quiet stretch is ≥3 ticks long: the first
+// quiet tick still re-measures the loads the last delivery planned (a cold
+// plan), and from the second consecutive no-compute tick on, the plan
+// fingerprint is byte-stable and the cache serves full hits.
 func DefaultIngestSchedule(window int) []int {
 	s := []int{-1}
 	for i := 0; i < window; i++ {
@@ -56,7 +56,7 @@ type IngestTick struct {
 	Slot int
 	// Seconds is the tick's run time in model seconds.
 	Seconds float64
-	// PlanCache is the plan-cache outcome: "cold", "partial", or "hit".
+	// PlanCache is the plan-cache outcome: "cold" or "hit".
 	PlanCache string
 	// Computed/Loaded/Pruned count live nodes per assigned state.
 	Computed int
@@ -71,12 +71,11 @@ type IngestTick struct {
 
 // IngestReport aggregates a continuous-ingest run.
 type IngestReport struct {
-	Window      int
-	Mode        string
-	Ticks       []IngestTick
-	ColdPlans   int
-	PartialHits int
-	FullHits    int
+	Window    int
+	Mode      string
+	Ticks     []IngestTick
+	ColdPlans int
+	FullHits  int
 	// TotalSeconds sums tick run times; TotalSavedSeconds sums per-tick
 	// reuse savings.
 	TotalSeconds      float64
@@ -85,8 +84,8 @@ type IngestReport struct {
 
 // String renders the per-tick table.
 func (r *IngestReport) String() string {
-	out := fmt.Sprintf("Continuous ingest (%d %s slots, %d ticks): %d cold / %d partial / %d full-hit plans\n",
-		r.Window, r.Mode, len(r.Ticks), r.ColdPlans, r.PartialHits, r.FullHits)
+	out := fmt.Sprintf("Continuous ingest (%d %s slots, %d ticks): %d cold / %d full-hit plans\n",
+		r.Window, r.Mode, len(r.Ticks), r.ColdPlans, r.FullHits)
 	out += fmt.Sprintf("total %.3fs, ≈%.3fs compute avoided by reuse\n", r.TotalSeconds, r.TotalSavedSeconds)
 	out += "tick  slot   cache    time(s)  C/L/P     saved(s)\n"
 	for _, t := range r.Ticks {
@@ -155,8 +154,6 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 			switch p.Outcome {
 			case helix.PlanCacheCold:
 				rep.ColdPlans++
-			case helix.PlanCachePartial:
-				rep.PartialHits++
 			case helix.PlanCacheHit:
 				rep.FullHits++
 			}

@@ -164,10 +164,6 @@ func (a *Attachment) Detach() error {
 	return err
 }
 
-// SharedMode reports whether the store was opened via OpenShared and
-// therefore uses content-addressed write-once publish semantics.
-func (s *Store) SharedMode() bool { return s.shared != nil }
-
 // refCounts snapshots, per pinned key, how many live attachments pin it.
 func (st *sharedState) refCounts() map[string]int {
 	st.mu.Lock()

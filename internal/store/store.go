@@ -195,9 +195,6 @@ func (s *Store) codec() Codec {
 	return defaultCodec
 }
 
-// CodecName reports the effective codec's name.
-func (s *Store) CodecName() string { return s.codec().Name() }
-
 // The manifest's base and journal within the store directory.
 const (
 	manifestFile        = "manifest.json"

@@ -22,9 +22,9 @@ import (
 // delivered batch enters its slot's SOURCE params, marking exactly that
 // slot's chain original and dirtying the windowed suffix downstream; the
 // other W-1 slots are byte-identical and reusable from the store. That
-// is precisely the shape incremental planning exploits: a delivery tick
-// is a partial plan-cache hit (only the dirty weak component re-solves),
-// and a quiet tick following a tick that computed nothing is a full
+// is precisely the shape intermediate reuse exploits: a delivery tick
+// recomputes one slot chain and the suffix and loads the rest, and a
+// quiet tick following a tick that computed nothing is a full plan-cache
 // fingerprint hit.
 //
 // Operator bodies sleep for a few milliseconds of simulated compute on the
@@ -77,8 +77,8 @@ func NewIngest(window int, scale Scale) *Ingest {
 // slots and the window synthesizer concatenates the slots oldest-first.
 // The slot chains keep their stable names, so a slide still dirties
 // exactly one source chain; only the synthesizer's param (which records
-// the ring's head) changes besides it, which is what keeps delivery
-// ticks partial plan-cache hits rather than cold solves.
+// the ring's head) changes besides it, which is what keeps the other
+// slot chains loadable on every slide.
 func NewSlidingIngest(window int, scale Scale) *Ingest {
 	g := NewIngest(window, scale)
 	g.sliding = true
@@ -160,9 +160,9 @@ func (g *Ingest) Build() *helix.Workflow {
 	// param; sliding windows concatenate oldest-first. The rotation
 	// happens inside the operator body — NOT by reordering the
 	// synthesizer's parents — so the DAG topology is byte-stable across
-	// slides and the plan cache keeps serving partial hits; the param
-	// records the ring head, which is what carries the reordering into
-	// the chain signature.
+	// slides and only the synthesizer's chain changes; the param records
+	// the ring head, which is what carries the reordering into the chain
+	// signature.
 	winParam := fmt.Sprintf("tumbling w=%d v1", g.window)
 	if g.sliding {
 		winParam = fmt.Sprintf("sliding w=%d head=%d v1", g.window, g.head)

@@ -292,11 +292,9 @@ func WithWorkerClass(class WorkerClass, size int) Option {
 //
 // Re-planning is plan-cache safe. Corrections only touch operators that
 // have not started, so completed work never changes the fingerprint
-// retroactively; the recomputed fingerprint differs from the initial
-// plan's only on components whose cost estimates actually moved, and the
-// cache's partial path re-solves just those components, reusing the rest
-// row-for-row. A re-plan whose corrections all fall inside the gating
-// bands writes nothing, fingerprints identically, and costs zero solves.
+// retroactively. A re-plan whose corrections moved an estimate changes
+// the fingerprint and solves cold, once; one whose corrections all fall
+// inside the gating bands writes nothing and costs zero solves.
 // The threshold is folded into the configuration token, so adaptive and
 // non-adaptive runs never share cache entries.
 //

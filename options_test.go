@@ -91,8 +91,8 @@ func TestRunScopedOverridesForceResolveAndRevertHits(t *testing.T) {
 	before := sess.PlanCacheStats()
 
 	// Iteration 3: run-scoped policy + parallelism override. The config
-	// token differs, so neither a full nor a partial reuse of the
-	// baseline's plan is permitted — the cache must record a miss.
+	// token differs, so reusing the baseline's plan is not permitted —
+	// the cache must record a miss.
 	over, err := sess.Run(ctx, wl.Build(),
 		helix.WithPolicy(helix.PolicyAlways), helix.WithParallelism(2))
 	if err != nil {

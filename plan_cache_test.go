@@ -63,7 +63,7 @@ func assertPlansEquivalent(t *testing.T, got, want *helix.Plan) {
 
 // TestSessionPlanCacheEquivalenceOnWorkloads drives the census and
 // genomics workloads through their full iteration schedules and checks,
-// at every iteration, that the cached/partial plan the session produces
+// at every iteration, that the plan the session produces (cold or cached)
 // deep-equals a from-scratch solve of the same inputs — and that a repeat
 // Session.Plan of an unchanged workflow is a full fingerprint hit that
 // performs zero max-flow solves.

@@ -417,8 +417,8 @@ func (s *Session) runConfig(opts []Option) (exec.Options, error) {
 }
 
 // PlanCacheStats reports the session's plan-cache consultation counters:
-// full fingerprint hits (plans reused with zero solves), partial hits
-// (only dirty components re-solved), and misses (cold solves).
+// full fingerprint hits (plans reused with zero solves) and misses (cold
+// solves).
 func (s *Session) PlanCacheStats() plan.CacheStats { return s.engine.Cache.Stats() }
 
 // loadState restores persisted change-tracking state: the base, then the
