@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -111,24 +112,90 @@ func BenchmarkSubstrate_NLPParse(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrate_LogisticRegression times the census learner.
-func BenchmarkSubstrate_LogisticRegression(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ds := &ml.Dataset{Dim: 40}
-	for i := 0; i < 4000; i++ {
-		elems := map[int]float64{}
-		for j := 0; j < 8; j++ {
-			elems[rng.Intn(40)] = rng.NormFloat64()
+// censusDataset is the dataset the census workflow's learner fits at the
+// repo benchmark's scale (census-iter, Scale{Rows: 5}: 20 000 training and
+// 5 000 test rows), assembled as the workflow's first version assembles
+// it: education, occupation, their interaction and a 10-bin age bucket as
+// categories, capital_loss and hours_per_week standardized, vectorized by
+// column into slab-backed sparse rows.
+func censusDataset(b *testing.B) *ml.Dataset {
+	train, test := data.GenerateCensusCSV(data.CensusConfig{TrainRows: 20_000, TestRows: 5_000, Seed: 1})
+	tab, counts, err := data.ParseCSV(nil, train, test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := func(name string) []string {
+		c, err := tab.Col(name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return c
+	}
+	numbers := func(name string) []float64 {
+		out := make([]float64, tab.Rows())
+		for i, c := range cells(name) {
+			if out[i], err = strconv.ParseFloat(c, 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return out
+	}
+	standardized := func(name string) []ml.FeatureValue {
+		xs := numbers(name)
+		sc, err := ml.FitStandardScaler(xs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := make([]ml.FeatureValue, len(xs))
+		for i, x := range xs {
+			out[i] = ml.Num(sc.Transform(x))
+		}
+		return out
+	}
+	categories := func(name string) []ml.FeatureValue {
+		out := make([]ml.FeatureValue, tab.Rows())
+		for i, c := range cells(name) {
+			out[i] = ml.Cat(c)
+		}
+		return out
+	}
+	ages := numbers("age")
+	bk, err := ml.FitBucketizer(ages, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ageBucket := make([]ml.FeatureValue, len(ages))
+	for i, a := range ages {
+		ageBucket[i] = ml.Cat("b" + strconv.Itoa(int(bk.Transform(a))))
+	}
+	edu, occ := cells("education"), cells("occupation")
+	eduXocc := make([]ml.FeatureValue, len(edu))
+	for i := range edu {
+		eduXocc[i] = ml.Cat(edu[i] + "|" + occ[i])
+	}
+	names := []string{"education", "occupation", "capital_loss", "hours_per_week", "ageBucket", "eduXocc"}
+	cols := [][]ml.FeatureValue{categories("education"), categories("occupation"),
+		standardized("capital_loss"), standardized("hours_per_week"), ageBucket, eduXocc}
+	fs := ml.FitFeatureSpaceColumns(names, cols)
+	xs := fs.VectorizeColumns(names, cols)
+	ds := &ml.Dataset{Dim: fs.Dim(), Examples: make([]ml.Example, len(xs))}
+	for i, target := range cells("target") {
 		y := 0.0
-		if rng.Float64() < 0.5 {
+		if target == ">50K" {
 			y = 1
 		}
-		ds.Examples = append(ds.Examples, ml.Example{X: ml.Sparse(40, elems), Y: y, Train: true})
+		ds.Examples[i] = ml.Example{X: &xs[i], Y: y, Train: i < counts[0]}
 	}
+	return ds
+}
+
+// BenchmarkSubstrate_LogisticRegression times the census learner: the
+// census workflow's fit (regParam 0.1, 15 epochs) on census-iter's rows.
+func BenchmarkSubstrate_LogisticRegression(b *testing.B) {
+	ds := censusDataset(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (ml.LogisticRegression{RegParam: 0.1, Epochs: 5, Seed: 1}).Fit(ds); err != nil {
+		if _, err := (ml.LogisticRegression{RegParam: 0.1, Epochs: 15, Seed: 1}).Fit(ds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -691,6 +691,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		}
 	}
 	if loadErr != nil {
+		e.dropDamagedAncestors(runs)
 		return nil, loadErr
 	}
 	if err := firstError(runs); err != nil {
@@ -779,6 +780,32 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	res.FlushWait = flushWait
 	em.done(computeWall, flushWait)
 	return res, nil
+}
+
+// dropDamagedAncestors drops, as a failed load is dropped, every stored
+// artifact upstream of this attempt's failed loads that Store.Verify
+// rejects. Damage rarely stops at one artifact (a torn copy or a renamed
+// codec reaches the whole directory), and the next plan loads the nearest
+// ancestor still stored: unchecked, a chain of damaged artifacts would cost
+// one plan and dispatch per level instead of one.
+func (e *Engine) dropDamagedAncestors(runs []*nodeRun) {
+	checked := make(map[*core.Node]bool)
+	for _, r := range runs {
+		if !errors.Is(r.err, ErrLoadFailed) {
+			continue
+		}
+		for a := range core.Ancestors(r.node) {
+			if checked[a] {
+				continue
+			}
+			checked[a] = true
+			// Verify fails on a key with no entry too; Delete ignores it.
+			if key := a.ChainSignature(); e.Store.Verify(key) != nil {
+				freed, _ := e.Store.Delete(key)
+				e.release(freed)
+			}
+		}
+	}
 }
 
 // release returns bytes removed from the store to budget-tracking

@@ -33,14 +33,24 @@ func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
-// dotSparse returns Σ_j val[j]·w[idx[j]].
-func dotSparse(idx []int, val []float64, w []float64) float64 {
+// dotSparse returns Σ_j val[j]·w[idx[j]]. The index type is a
+// SparseVector's int or a packed training block's int32 (logreg.go).
+func dotSparse[I int | int32](idx []I, val []float64, w []float64) float64 {
 	val = val[:len(idx)]
 	var s float64
 	for j, i := range idx {
 		s += val[j] * w[i]
 	}
 	return s
+}
+
+// axpySparse adds a·x to y for the x that stores val at the coordinates
+// idx.
+func axpySparse[I int | int32](y []float64, a float64, idx []I, val []float64) {
+	val = val[:len(idx)]
+	for j, i := range idx {
+		y[i] += a * val[j]
+	}
 }
 
 // axpy adds a·x to y.
@@ -88,10 +98,7 @@ func axpyDense(y DenseVector, a float64, x Vector) {
 		axpy(y, a, x)
 	case *SparseVector:
 		checkDim("add-scaled", len(y), x.N)
-		val := x.Val[:len(x.Idx)]
-		for j, i := range x.Idx {
-			y[i] += a * val[j]
-		}
+		axpySparse(y, a, x.Idx, x.Val)
 	default:
 		checkDim("add-scaled", len(y), x.Dim())
 		x.ForEach(func(i int, v float64) { y[i] += a * v })

@@ -76,6 +76,9 @@ func refLRFit(lr LogisticRegression, d *Dataset) *LRModel {
 		}
 	}
 	dim, rate, epochs, batch := d.Dim, lr.LearningRate, lr.Epochs, lr.BatchSize
+	if dim == 0 {
+		dim = train[0].X.Dim()
+	}
 	if rate <= 0 {
 		rate = 0.1
 	}
@@ -353,6 +356,23 @@ func TestProjectBitIdentical(t *testing.T) {
 	}
 }
 
+// sameLRFit fits lr on ds and checks the model, and its predictions on
+// every row, bit for bit against refLRFit.
+func sameLRFit(t *testing.T, name string, lr LogisticRegression, ds *Dataset) {
+	t.Helper()
+	got, err := lr.Fit(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refLRFit(lr, ds)
+	sameBits(t, name+" W", got.W, want.W)
+	sameBits(t, name+" Bias", []float64{got.Bias}, []float64{want.Bias})
+	for i, e := range ds.Examples {
+		sameBits(t, fmt.Sprintf("%s Predict[%d]", name, i), []float64{got.Predict(e.X)},
+			[]float64{sigmoid(refDot(e.X, want.W) + want.Bias)})
+	}
+}
+
 func TestLogisticRegressionBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, d := range kernelDims {
@@ -360,20 +380,92 @@ func TestLogisticRegressionBitIdentical(t *testing.T) {
 			for _, reg := range []float64{0, 0.1} {
 				ds := randDataset(rng, 101, d, 2, sparse)
 				lr := LogisticRegression{RegParam: reg, Epochs: 3, BatchSize: 7, Seed: int64(d)}
-				got, err := lr.Fit(ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refLRFit(lr, ds)
-				name := fmt.Sprintf("d=%d sparse=%v reg=%g", d, sparse, reg)
-				sameBits(t, name+" W", got.W, want.W)
-				sameBits(t, name+" Bias", []float64{got.Bias}, []float64{want.Bias})
-				for i, e := range ds.Examples {
-					sameBits(t, fmt.Sprintf("%s Predict[%d]", name, i), []float64{got.Predict(e.X)},
-						[]float64{sigmoid(refDot(e.X, want.W) + want.Bias)})
-				}
+				sameLRFit(t, fmt.Sprintf("d=%d sparse=%v reg=%g", d, sparse, reg), lr, ds)
 			}
 		}
+	}
+
+	// Fit packs its training rows into one block; these datasets vary what
+	// goes into it and what is skipped on the way.
+	lr := LogisticRegression{RegParam: 0.1, Epochs: 4, BatchSize: 6, Seed: 9}
+	for _, d := range kernelDims {
+		// Dense and sparse rows side by side, with unlabeled and test rows
+		// (which the block skips) interleaved among the training rows.
+		ds := &Dataset{Dim: d, Examples: make([]Example, 97)}
+		for i := range ds.Examples {
+			e := Example{X: randVector(rng, d, i%2 == 0), Y: float64(rng.Intn(2)), Train: i%4 != 3}
+			if i%5 == 2 {
+				e.Y = math.NaN()
+			}
+			ds.Examples[i] = e
+		}
+		sameLRFit(t, fmt.Sprintf("d=%d mixed", d), lr, ds)
+
+		// Dim 0: the model takes the first training row's dimension.
+		ds.Dim = 0
+		sameLRFit(t, fmt.Sprintf("d=%d Dim=0", d), lr, ds)
+	}
+
+	// 59 training rows: no batch size below divides them.
+	ds := randDataset(rng, 59, 13, 2, true)
+	for i := range ds.Examples {
+		ds.Examples[i].Train = true
+	}
+	for _, batch := range []int{2, 7, 10, 32, 64} {
+		sameLRFit(t, fmt.Sprintf("batch=%d of 59", batch), LogisticRegression{RegParam: 0.1, Epochs: 3, BatchSize: batch, Seed: 1}, ds)
+	}
+
+	// Census-shaped: categorical and standardized numeric columns assembled
+	// by column into slab-backed sparse rows, as the census workflow does.
+	const rows = 400
+	names := []string{"education", "occupation", "hours", "ageBucket", "eduXocc"}
+	cols := make([][]FeatureValue, len(names))
+	for j := range cols {
+		cols[j] = make([]FeatureValue, rows)
+	}
+	for i := 0; i < rows; i++ {
+		edu, occ := fmt.Sprint("e", rng.Intn(7)), fmt.Sprint("o", rng.Intn(10))
+		cols[0][i], cols[1][i] = Cat(edu), Cat(occ)
+		cols[2][i] = Num(rng.NormFloat64())
+		cols[3][i] = Cat(fmt.Sprint("b", rng.Intn(10)))
+		cols[4][i] = Cat(edu + "|" + occ)
+	}
+	fs := FitFeatureSpaceColumns(names, cols)
+	xs := fs.VectorizeColumns(names, cols)
+	census := &Dataset{Dim: fs.Dim(), Examples: make([]Example, rows)}
+	for i := range census.Examples {
+		census.Examples[i] = Example{X: &xs[i], Y: float64(rng.Intn(2)), Train: i < rows*4/5}
+	}
+	sameLRFit(t, "census-shaped", LogisticRegression{RegParam: 0.1, Epochs: 15, Seed: 1}, census)
+}
+
+// A training row whose dimension is not the dataset's panics as the dot
+// product over it always did; rows Fit skips are not checked.
+func TestLogisticRegressionRowDimensionMismatchPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dim  int
+		x    Vector
+	}{
+		{"shorter dense", 3, Dense(1, 2)},
+		{"longer sparse", 3, Sparse(4, map[int]float64{3: 1})},
+		{"dense after the first row at Dim 0", 0, Dense(1, 2, 3, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := &Dataset{Dim: tc.dim, Examples: []Example{
+				{X: Dense(1, 2, 3), Y: 1, Train: true},
+				{X: Dense(1), Y: 1},                       // test split
+				{X: Dense(1), Y: math.NaN(), Train: true}, // unlabeled
+				{X: tc.x, Y: 0, Train: true},
+			}}
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("ml: dot dimension mismatch %d vs 3", tc.x.Dim()); msg != want {
+					t.Fatalf("panic %q, want %q", msg, want)
+				}
+			}()
+			LogisticRegression{Epochs: 1}.Fit(ds)
+		})
 	}
 }
 

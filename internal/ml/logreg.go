@@ -51,19 +51,13 @@ func sigmoid(z float64) float64 {
 }
 
 // Fit trains on the labeled training examples of d and returns the model.
+// SGD visits the rows in shuffled order, so they are first copied into one
+// packed block (packRows): each visit then reads one contiguous run of
+// indices and values instead of following a Vector to its slices.
 func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
-	train := make([]Example, 0, len(d.Examples))
-	for _, e := range d.Examples {
-		if e.Train && e.HasLabel() {
-			train = append(train, e)
-		}
-	}
-	if len(train) == 0 {
-		return nil, fmt.Errorf("ml: logistic regression: no labeled training examples")
-	}
-	dim := d.Dim
-	if dim == 0 {
-		dim = train[0].X.Dim()
+	train, dim, err := packRows(d)
+	if err != nil {
+		return nil, err
 	}
 	rate := lr.LearningRate
 	if rate <= 0 {
@@ -80,7 +74,7 @@ func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
 	rng := rand.New(rand.NewSource(lr.Seed))
 	w := Zeros(dim)
 	var bias float64
-	order := make([]int, len(train))
+	order := make([]int, len(train.y))
 	for i := range order {
 		order[i] = i
 	}
@@ -98,9 +92,9 @@ func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
 			}
 			var gBias float64
 			for _, j := range order[off:end] {
-				e := train[j]
-				err := sigmoid(dotDense(e.X, w)+bias) - e.Y
-				axpyDense(grad, err, e.X)
+				idx, val := train.row(j)
+				err := sigmoid(dotSparse(idx, val, w)+bias) - train.y[j]
+				axpySparse(grad, err, idx, val)
 				gBias += err
 			}
 			inv := 1 / float64(end-off)
@@ -113,6 +107,83 @@ func (lr LogisticRegression) Fit(d *Dataset) (*LRModel, error) {
 		}
 	}
 	return &LRModel{W: w, Bias: bias}, nil
+}
+
+// packedRows holds a dataset's labeled training rows in one CSR block: row
+// r stores its coordinates idx[off[r]:off[r+1]] with the values at the same
+// positions of val, and its label is y[r]. A dense row stores every
+// coordinate.
+type packedRows struct {
+	idx []int32
+	val []float64
+	off []int32
+	y   []float64
+}
+
+// row returns row r's stored indices and values.
+func (p *packedRows) row(r int) ([]int32, []float64) {
+	lo, hi := p.off[r], p.off[r+1]
+	return p.idx[lo:hi], p.val[lo:hi]
+}
+
+// packRows copies d's labeled training rows, in order, into one packed
+// block and returns it with the model's dimension: d.Dim, or the first
+// training row's when d.Dim is 0. It counts rows and stored coordinates
+// first, so every slice is allocated once at its final size. A row of
+// another dimension panics, as the dot product over it would.
+func packRows(d *Dataset) (packedRows, int, error) {
+	rows, nnz, dim := 0, 0, d.Dim
+	for _, e := range d.Examples {
+		if e.Train && e.HasLabel() {
+			if rows == 0 && dim == 0 {
+				dim = e.X.Dim()
+			}
+			rows++
+			nnz += e.X.NNZ()
+		}
+	}
+	if rows == 0 {
+		return packedRows{}, 0, fmt.Errorf("ml: logistic regression: no labeled training examples")
+	}
+	if nnz > math.MaxInt32 || dim > math.MaxInt32 {
+		return packedRows{}, 0, fmt.Errorf("ml: logistic regression: %d stored coordinates of dimension %d exceed the packed block's 32-bit indices", nnz, dim)
+	}
+	p := packedRows{
+		idx: make([]int32, 0, nnz),
+		val: make([]float64, 0, nnz),
+		off: make([]int32, 1, rows+1),
+		y:   make([]float64, 0, rows),
+	}
+	for _, e := range d.Examples {
+		if !e.Train || !e.HasLabel() {
+			continue
+		}
+		switch x := e.X.(type) {
+		case DenseVector:
+			checkDim("dot", len(x), dim)
+			for i := range x {
+				p.idx = append(p.idx, int32(i))
+			}
+			p.val = append(p.val, x...)
+		case *SparseVector:
+			checkDim("dot", x.N, dim)
+			for _, i := range x.Idx {
+				p.idx = append(p.idx, int32(i))
+			}
+			p.val = append(p.val, x.Val[:len(x.Idx)]...)
+		default:
+			checkDim("dot", x.Dim(), dim)
+			idx, val := p.idx, p.val
+			x.ForEach(func(i int, v float64) {
+				idx = append(idx, int32(i))
+				val = append(val, v)
+			})
+			p.idx, p.val = idx, val
+		}
+		p.off = append(p.off, int32(len(p.idx)))
+		p.y = append(p.y, e.Y)
+	}
+	return p, dim, nil
 }
 
 // SoftmaxRegression is a K-class linear classifier trained by mini-batch

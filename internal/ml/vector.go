@@ -2,9 +2,10 @@
 // JVM libraries the original system delegates to (MLlib, DeepLearning4j,
 // scikit-learn equivalents; paper §2.1, §3.3). It provides dense and sparse
 // feature vectors, learners (logistic regression, softmax regression,
-// naive Bayes, k-means, skip-gram embeddings, random Fourier features),
-// learned feature transformations (bucketizer, standard scaler, indexer),
-// and evaluation metrics.
+// k-means, skip-gram embeddings), random Fourier features, learned feature
+// transformations (bucketizer, standard scaler, the one-hot feature space
+// examples are assembled in), model selection (cross-validation, grid
+// search), and evaluation metrics.
 //
 // Everything is deterministic given an explicit seed, which is what lets
 // the workflow layer distinguish reusable operators from nondeterministic
@@ -17,7 +18,9 @@
 // coordinate. The Vector interface methods (Dot, ForEach, At) serve the
 // cold paths. Every kernel is bit-identical to the in-order sum it
 // replaces: the same summation order, no reassociation, and no fused
-// multiply-add the in-order loop could not form.
+// multiply-add the in-order loop could not form. LogisticRegression.Fit
+// trains over a packed copy of its rows, because SGD visits them in
+// shuffled order; each row's sums still run in its index order.
 package ml
 
 import (

@@ -293,3 +293,53 @@ func TestChecksumFailsFlippedBits(t *testing.T) {
 		t.Fatalf("an entry without a checksum was checked: %v", err)
 	}
 }
+
+// TestVerify: Verify accepts an intact artifact and rejects a flipped bit,
+// a cut or an appended byte as ErrChecksum, and a missing file with the
+// read error, all without decoding; an entry without a checksum verifies.
+func TestVerify(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Put("k", "k", []float64{1, 2, 3, 4}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify("k"); err != nil {
+		t.Fatalf("an intact artifact: %v", err)
+	}
+	path := filepath.Join(dir, "k.gob")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, torn := range map[string][]byte{
+		"bit flipped":   append(bytes.Clone(data[:len(data)-1]), data[len(data)-1]^0x01),
+		"byte cut":      data[:len(data)-1],
+		"byte appended": append(bytes.Clone(data), 0),
+	} {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Verify("k"); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: Verify = %v, want ErrChecksum", name, err)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify("k"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a missing file: Verify = %v, want the read error", err)
+	}
+	sh := s.shardFor("k")
+	sh.mu.Lock()
+	ent := sh.entries["k"]
+	ent.CRC = nil
+	sh.entries["k"] = ent
+	sh.mu.Unlock()
+	if err := s.Verify("k"); err != nil {
+		t.Errorf("an entry without a checksum: Verify = %v", err)
+	}
+}

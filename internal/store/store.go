@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/maphash"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -596,6 +597,36 @@ func (t *timedFile) Read(p []byte) (int, error) {
 	t.spent += t.c.Since(start)
 	t.crc = crc32.Update(t.crc, castagnoli, p[:n])
 	return n, err
+}
+
+// Verify reads key's artifact and checks its size and CRC-32C against the
+// entry, without decoding it. A mismatch is ErrChecksum, an artifact that
+// cannot be read returns the read error, and an entry written without a
+// checksum (see Entry.CRC) verifies as nil.
+func (s *Store) Verify(key string) error {
+	s.keyLocks.lock(key)
+	defer s.keyLocks.unlock(key)
+	e, ok := s.Entry(key)
+	if !ok {
+		return fmt.Errorf("store: no entry for key %q", key)
+	}
+	if e.CRC == nil {
+		return nil
+	}
+	f, err := os.Open(s.path(key))
+	if err != nil {
+		return fmt.Errorf("store: verify %q: %w", key, err)
+	}
+	defer f.Close()
+	h := crc32.New(castagnoli)
+	n, err := io.Copy(h, f)
+	if err != nil {
+		return fmt.Errorf("store: verify %q: %w", key, err)
+	}
+	if n != e.Size || h.Sum32() != *e.CRC {
+		return fmt.Errorf("store: %q: %w", key, ErrChecksum)
+	}
+	return nil
 }
 
 // Has reports whether an entry exists for key — the engine's "equivalent

@@ -147,3 +147,121 @@ func TestTornArtifactFallsBackToCompute(t *testing.T) {
 		})
 	}
 }
+
+// TestDamagedChainCostsOnePlan: when the artifacts of three nodes stacked
+// on one chain are all damaged and the node below them is edited, the
+// first plan loads the nearest one and that load fails. The failed load's
+// ancestors are checked before planning again, so the second plan
+// computes the whole chain: two plans, not one per damaged level, and the
+// outputs are the bytes a from-scratch run produces.
+func TestDamagedChainCostsOnePlan(t *testing.T) {
+	const n = 2_000
+	workflow := func(edit string) *Workflow {
+		wf := New("chain")
+		prev := wf.Source("n1", "v1", func(ctx context.Context, in []Value) (Value, error) {
+			time.Sleep(20 * time.Millisecond) // worth loading a descendant instead
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i) / 7
+			}
+			return v, nil
+		})
+		for i := 2; i <= 6; i++ {
+			sig, k := "add=1", float64(i)
+			if i == 4 {
+				sig = edit
+			}
+			name := fmt.Sprint("n", i)
+			fn := func(ctx context.Context, in []Value) (Value, error) {
+				time.Sleep(20 * time.Millisecond)
+				xs := in[0].([]float64)
+				out := make([]float64, len(xs))
+				for j, x := range xs {
+					out[j] = x*k + 1
+				}
+				if sig != "add=1" {
+					out[0] = -1
+				}
+				return out, nil
+			}
+			if i < 6 {
+				prev = wf.Extractor(name, sig, fn, prev)
+			} else {
+				wf.Reducer(name, sig, fn, prev).IsOutput()
+			}
+		}
+		return wf
+	}
+	encoded := func(t *testing.T, res *Result) []byte {
+		t.Helper()
+		b, err := store.BinaryCodec{}.Encode(res.Values["n6"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ctx := context.Background()
+	oracle, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	scratch, err := oracle.Run(ctx, workflow("edited"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encoded(t, scratch)
+
+	dir := t.TempDir()
+	sess, err := Open(dir, WithPolicy(PolicyAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	first, err := sess.Run(ctx, workflow("add=1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tears := map[string]func([]byte) []byte{
+		"n1": func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, // only the checksum can tell
+		"n2": func(b []byte) []byte { return b[:len(b)-1] },
+		"n3": func(b []byte) []byte { return append(b, 0) },
+	}
+	for name, tear := range tears {
+		path := filepath.Join(dir, first.Plan.ByName(name).Node.ChainSignature()+".gob")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s was not materialized: %v", name, err)
+		}
+		if err := os.WriteFile(path, tear(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var plans []PlanEvent
+	res, err := sess.Run(ctx, workflow("edited"), WithObserver(func(ev RunEvent) {
+		if pe, ok := ev.(PlanEvent); ok {
+			plans = append(plans, pe)
+		}
+	}))
+	if err != nil {
+		t.Fatalf("run over the damaged chain: %v", err)
+	}
+	if len(plans) == 0 || plans[0].Load != 1 {
+		t.Fatalf("the first plan does not load n3: the damaged chain was never read (plans %+v)", plans)
+	}
+	if len(plans) != 2 {
+		t.Errorf("%d plans executed, want 2: the first, and one after n3's load failed", len(plans))
+	}
+	if err := res.Nodes["n3"].LoadErr; !errors.Is(err, ErrLoadFailed) {
+		t.Errorf("n3's LoadErr = %v, want ErrLoadFailed", err)
+	}
+	for _, name := range []string{"n1", "n2", "n3", "n4", "n5", "n6"} {
+		if got := res.Nodes[name].State; got != StateCompute {
+			t.Errorf("%s reported %v, want computed", name, got)
+		}
+	}
+	if !bytes.Equal(encoded(t, res), want) {
+		t.Error("outputs over the damaged chain differ from a from-scratch run")
+	}
+}
