@@ -63,7 +63,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "helixlint: %v\n", err)
 		os.Exit(2)
 	}
-	pkgs, err := lint.LoadPatterns(cwd, patterns)
+	pkgs, err := lint.Load([]string{cwd}, patterns, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "helixlint: %v\n", err)
 		os.Exit(2)

@@ -64,7 +64,6 @@ func TestIdentityFollowsOptions(t *testing.T) {
 		"WithOMPThreshold":  WithOMPThreshold(3),
 		"WithDomain":        WithDomain("nlp"),
 		"WithParallelism":   WithParallelism(3),
-		"WithWorkerClass":   WithWorkerClass(WorkerCompute, 3),
 		"WithAdaptive":      WithAdaptive(0.5),
 	} {
 		if token(o) == base {
@@ -73,5 +72,25 @@ func TestIdentityFollowsOptions(t *testing.T) {
 	}
 	if got := token(WithObserver(func(RunEvent) {}), WithStorageBudget(0)); got != base {
 		t.Errorf("observer + default budget changed the token: %q → %q", base, got)
+	}
+}
+
+// TestWithParallelismSetsComputeWidth: the option writes the engine's
+// compute pool width, at session scope and as a run-scoped override.
+func TestWithParallelismSetsComputeWidth(t *testing.T) {
+	sess, err := Open(t.TempDir(), WithParallelism(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if got := sess.engine.Opts.Parallelism; got != 3 {
+		t.Errorf("session compute width = %d, want 3", got)
+	}
+	eo, err := sess.runConfig([]Option{WithParallelism(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eo.Parallelism; got != 5 {
+		t.Errorf("run-scoped compute width = %d, want 5", got)
 	}
 }

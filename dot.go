@@ -8,30 +8,6 @@ import (
 	"helix/internal/core"
 )
 
-// DOT renders the workflow's DAG in Graphviz DOT format: one node per
-// operator, colored by workflow component as in the paper's Figure 3
-// (purple DPR, orange L/I and PPR), with outputs double-bordered. If
-// result is non-nil, each node is annotated with its execution state and
-// time from that run — a visual version of the paper's optimized-DAG
-// figures with drum/pruned markings.
-func (w *Workflow) DOT(result *Result) (string, error) {
-	return w.renderDOT(func(n *core.Node) (string, []string) {
-		if result == nil {
-			return "", nil
-		}
-		rep, ok := result.Nodes[n.Name]
-		if !ok {
-			return "", nil
-		}
-		label := fmt.Sprintf("\\n%v %.3fs", rep.State, rep.Seconds)
-		attrs := stateStyle(rep.State)
-		if rep.Bytes > 0 {
-			label += fmt.Sprintf("\\n⛁ %dB", rep.Bytes) // the paper's drum
-		}
-		return label, attrs
-	})
-}
-
 // PlanDOT renders the workflow's DAG annotated with an execution plan's
 // decisions rather than a finished run's outcomes: each node shows its
 // assigned state and projected cumulative time C(n), pruned nodes are

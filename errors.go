@@ -34,19 +34,20 @@ var (
 	// iteration, so interleaving two would silently corrupt both.
 	ErrConcurrentRun = errors.New("helix: Run already in progress on this session")
 	// ErrSessionOption tags a session-scoped option (store configuration:
-	// WithDiskThroughput, WithWorkerClass(WorkerMat, …), WithSharedStore,
-	// WithTenant) passed to the run scope of Run or Plan.
+	// WithDiskThroughput, WithSharedStore, WithTenant) passed to the run scope of Run or Plan.
 	ErrSessionOption = errors.New("helix: option is session-scoped")
 	// ErrSharedConfig tags a session opened against a SharedStore with
-	// store-level settings (disk throughput, writer-pool size) conflicting
+	// store-level settings (the simulated disk throughput) conflicting
 	// with those the store was configured with by its first session.
 	// Store-level configuration belongs to the shared store, not
 	// to any one attaching session.
 	ErrSharedConfig = errors.New("helix: conflicting shared-store configuration")
 	// ErrBadConfig tags an option value that can never configure a
-	// session: an unknown WithWorkerClass class or WithSharedStore(nil) —
-	// returned by whichever of Open, Run or Plan the option was passed to
-	// — and, from Open, a WithTenant label without WithSharedStore.
+	// session: an unknown WithDomain domain, a negative or non-finite
+	// WithOMPThreshold, a NaN WithAdaptive threshold or
+	// WithSharedStore(nil) — returned by whichever of Open, Run or Plan
+	// the option was passed to — and, from Open, a WithTenant label
+	// without WithSharedStore.
 	ErrBadConfig = errors.New("helix: invalid configuration")
 	// ErrUnserializable is what NodeReport.MatErr and NodeEvent.MatErr wrap
 	// when an operator's result could not be stored because its Go type is

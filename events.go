@@ -34,7 +34,8 @@ type RunEvent = exec.Event
 // (a failed load makes a second), before any of its nodes starts.
 type PlanEvent = exec.PlanEvent
 
-// NodeEvent reports one operator's lifecycle transition (see NodePhase).
+// NodeEvent reports one operator's lifecycle transition (NodeStarted,
+// then NodeRetired).
 type NodeEvent = exec.NodeEvent
 
 // ReplanEvent reports one mid-run re-planning attempt by the adaptive
@@ -54,9 +55,6 @@ type RunStatsEvent = exec.RunStatsEvent
 
 // DoneEvent reports successful completion of the iteration.
 type DoneEvent = exec.DoneEvent
-
-// NodePhase distinguishes the lifecycle points a NodeEvent reports.
-type NodePhase = exec.NodePhase
 
 // Node lifecycle phases.
 const (

@@ -56,16 +56,6 @@ import (
 // Workflow.PlanDOT.
 type Plan = plan.Plan
 
-// NodePlan is one operator's planned treatment within a Plan.
-type NodePlan = plan.NodePlan
-
-// PlanFingerprint is the stable hash over every planning input a Plan
-// was derived from (DAG topology, chain signatures, store view, carried
-// statistics, options). Two plans with equal fingerprints are
-// equivalent; the session's plan cache reuses the previous iteration's
-// plan whenever the fingerprints match.
-type PlanFingerprint = plan.Fingerprint
-
 // PlanCacheOutcome reports how a plan was obtained: a cold solve or a
 // wholesale cache hit. See Plan.Cache.
 type PlanCacheOutcome = plan.CacheOutcome
@@ -78,10 +68,6 @@ const (
 	PlanCachePartial = plan.CachePartial
 	PlanCacheHit     = plan.CacheHit
 )
-
-// PlanCacheStats counts a session's plan-cache hits and misses; see
-// Session.PlanCacheStats.
-type PlanCacheStats = plan.CacheStats
 
 // Value is the unit of data flowing between operators: a data collection,
 // an ML model, or a scalar (paper §3.2: "A HELIX operator takes one or
@@ -100,11 +86,8 @@ const (
 	StatePrune   = core.StatePrune
 )
 
-// Component classifies operators into the paper's three workflow
-// components (§2): data preprocessing, learning/inference, postprocessing.
-type Component = core.Component
-
-// Workflow component constants.
+// The paper's three workflow components (§2): data preprocessing,
+// learning/inference, postprocessing.
 const (
 	DPR = core.DPR
 	LI  = core.LI

@@ -45,18 +45,6 @@ func (s *CostStat) Observe(x float64) {
 	s.Weight = w
 }
 
-// Var returns the decayed weighted variance, or 0 with fewer than two
-// observations' weight.
-func (s *CostStat) Var() float64 {
-	if s.Weight <= 1 {
-		return 0
-	}
-	return s.M2 / s.Weight
-}
-
-// Std returns the decayed weighted standard deviation.
-func (s *CostStat) Std() float64 { return math.Sqrt(s.Var()) }
-
 // sanitized returns s, or the empty estimator when s cannot have come
 // from Observe: a non-positive or non-finite weight, or a non-finite mean
 // or variance sum.
@@ -68,9 +56,6 @@ func (s CostStat) sanitized() CostStat {
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// Empty reports whether the estimator has seen no observations.
-func (s *CostStat) Empty() bool { return s.Weight == 0 }
 
 // ObserveCompute folds a measured compute duration into the node's
 // statistics: the decayed estimator absorbs the observation and the

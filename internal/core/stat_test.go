@@ -98,3 +98,20 @@ func TestCarryMetricsCarriesStats(t *testing.T) {
 		t.Fatalf("point estimate not carried")
 	}
 }
+
+// The estimator's variance and emptiness: only these tests read them.
+
+// Var returns the decayed weighted variance, or 0 with fewer than two
+// observations' weight.
+func (s *CostStat) Var() float64 {
+	if s.Weight <= 1 {
+		return 0
+	}
+	return s.M2 / s.Weight
+}
+
+// Std returns the decayed weighted standard deviation.
+func (s *CostStat) Std() float64 { return math.Sqrt(s.Var()) }
+
+// Empty reports whether the estimator has seen no observations.
+func (s *CostStat) Empty() bool { return s.Weight == 0 }

@@ -150,11 +150,6 @@ type Options struct {
 	// to exact FIFO. SchedFIFO forces pure arrival order; no Session sets
 	// it — it is the oracle the engine's own tests compare against.
 	Sched SchedMode
-	// IOWorkers sizes the Load-state I/O pool explicitly (the "io"
-	// worker class). ≤0 keeps the heuristic max(Parallelism,
-	// minLoadWorkers); either way the pool is capped by the plan's load
-	// count.
-	IOWorkers int
 	// ConfigToken describes the engine-level configuration the run
 	// executes under, for the plan cache's fingerprint: two runs with
 	// differing tokens can never reuse each other's plans. Empty falls
@@ -995,14 +990,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 			}
 		}()
 	}
-	ioPar := max(par, minLoadWorkers)
-	if st.opts.IOWorkers > 0 {
-		// The "io" worker class was sized explicitly.
-		ioPar = st.opts.IOWorkers
-	}
-	if ioPar > len(loadRuns) {
-		ioPar = len(loadRuns)
-	}
+	ioPar := min(max(par, minLoadWorkers), len(loadRuns))
 	for w := 0; w < ioPar; w++ {
 		wg.Add(1)
 		go func() {

@@ -598,7 +598,7 @@ func TestBlindPolicyStoresNondeterministic(t *testing.T) {
 			}
 		}
 		if stored != tc.want {
-			t.Fatalf("policy %s: nondeterministic stored = %v, want %v", tc.policy.Name(), stored, tc.want)
+			t.Fatalf("policy %T: nondeterministic stored = %v, want %v", tc.policy, stored, tc.want)
 		}
 	}
 }

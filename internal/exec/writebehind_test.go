@@ -63,10 +63,6 @@ func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
 		t.Fatal(err)
 	}
 	st.DiskBytesPerSec = chainDiskBytesPerSec
-	// One writer per node: the throttle is a sleep, so all 8 background
-	// writes overlap fully and the flush barrier waits roughly one write,
-	// not a queue of them.
-	st.Writers = 8
 	e := &Engine{Store: st, Opts: Options{
 		Policy:              opt.AlwaysMat{},
 		Plan:                plan.Options{MaterializeOutputs: true, Streaming: true},
@@ -77,7 +73,11 @@ func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
 		// scheduling slots, skewing the very overlap being measured.
 		Parallelism: 4,
 	}}
-	prog := chainProgram(8, 5*time.Millisecond, 1<<16) // ~512 KiB encoded each
+	// Each node computes for a quarter of one write (~64 ms), so the
+	// store's DefaultWriters (4) writers keep up with the chain: every
+	// background write starts as its node finishes, and the flush barrier
+	// waits roughly one write, not a queue of them.
+	prog := chainProgram(8, 16*time.Millisecond, 1<<16) // ~512 KiB encoded each
 	res, err := e.Run(ctx, prog, nil, 0)
 	if err != nil {
 		t.Fatal(err)

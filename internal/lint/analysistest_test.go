@@ -2,13 +2,10 @@ package lint
 
 import (
 	"fmt"
-	"go/importer"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,29 +114,43 @@ func collectWants(dir string) ([]*expectation, error) {
 }
 
 // LoadDir parses and typechecks every non-test .go file directly in dir
-// as a single package, resolving imports from the stdlib only. Used for
-// testdata fixtures, which `go list ./...` deliberately skips.
+// as a single package. Used for testdata fixtures, which `go list ./...`
+// deliberately skips; their imports are listed in one go list call.
 func LoadDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []string
+	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			names = append(names, name)
 		}
-		files = append(files, name)
 	}
-	sort.Strings(files)
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	ci := &combinedImporter{
-		local: map[string]*types.Package{},
-		std:   importer.ForCompiler(fset, "source", nil),
+	l := newLoader()
+	files, err := l.parse(dir, names)
+	if err != nil {
+		return nil, err
 	}
-	return typecheck(fset, "fixture/"+filepath.Base(dir), dir, files, ci)
+	var imports []string
+	for _, f := range files {
+		for _, s := range f.Imports {
+			if p, _ := strconv.Unquote(s.Path.Value); !slices.Contains(imports, p) {
+				imports = append(imports, p)
+			}
+		}
+	}
+	if len(imports) > 0 {
+		if err := l.list(dir, imports, false); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := l.checkModules(false); err != nil {
+		return nil, err
+	}
+	return l.check("fixture/"+filepath.Base(dir), dir, files, l, false)
 }

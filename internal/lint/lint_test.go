@@ -105,7 +105,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module typecheck is slow; run without -short")
 	}
-	pkgs, err := lint.LoadPatterns(filepath.Join("..", ".."), []string{"./..."})
+	pkgs, err := lint.Load([]string{filepath.Join("..", "..")}, []string{"./..."}, false)
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -114,5 +114,15 @@ func TestRepoClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s", d)
 		}
+	}
+}
+
+// TestLoadDirNamesMissingExportData: an import the go command cannot
+// build has no export data, and the load fails naming it rather than
+// falling back to type-checking from source.
+func TestLoadDirNamesMissingExportData(t *testing.T) {
+	_, err := lint.LoadDir(fixture("noexport"))
+	if err == nil || !strings.Contains(err.Error(), "no export data for nosuchpkg/missing") {
+		t.Fatalf("LoadDir err = %v, want one naming nosuchpkg/missing", err)
 	}
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -9,13 +10,18 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Package is one loaded, typechecked package ready for analysis.
+// Package is one loaded, typechecked package ready for analysis. A test
+// package (Load with tests) holds _test.go files: an in-package test
+// variant checks them together with the package's own files, under the
+// package's path; an external test package has the path's "_test" form.
 type Package struct {
 	Path  string
 	Dir   string
@@ -30,73 +36,247 @@ func (p *Package) NewPass() *Pass { return NewPass(p.Fset, p.Files, p.Types, p.I
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir        string
-	ImportPath string
-	Name       string
-	Standard   bool
-	GoFiles    []string
-	Imports    []string
-}
-
-// combinedImporter resolves module-local packages from the set already
-// typechecked this load and everything else (stdlib) through the source
-// importer, since there is no export data or module cache to lean on.
-type combinedImporter struct {
-	local map[string]*types.Package
-	std   types.Importer
-}
-
-func (ci *combinedImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := ci.local[path]; ok {
-		return pkg, nil
+	Dir          string
+	ImportPath   string
+	Export       string // the compiled export data, with -export
+	DepOnly      bool   // listed by -deps only, not matched by a pattern
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	TestImports  []string
+	XTestImports []string
+	Module       *struct {
+		Path string
+		Main bool
 	}
-	return ci.std.Import(path)
+	Error *struct{ Err string }
 }
 
-// LoadPatterns loads and typechecks the module-local packages matched by
-// the go list patterns (e.g. "./..."), in dependency order. dir is the
-// module root the patterns are resolved against.
-func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+// loader is one type universe. The packages of the main modules it lists
+// are type-checked from source, each after its imports, exactly once, so
+// every import path has one *types.Package and the analyzers can compare
+// types across packages. Every other import — the standard library — is
+// read from the export data `go list -export` reports, which the go
+// command builds offline into its build cache.
+type loader struct {
+	fset    *token.FileSet
+	listed  map[string]*listedPackage
+	mains   map[string]bool     // main module paths
+	checked map[string]*Package // nil while the package is being checked
+	order   []*Package          // checked packages, each after its imports
+	gc      types.Importer
+}
+
+func newLoader() *loader {
+	l := &loader{
+		fset:    token.NewFileSet(),
+		listed:  map[string]*listedPackage{},
+		mains:   map[string]bool{},
+		checked: map[string]*Package{},
+	}
+	l.gc = importer.ForCompiler(l.fset, "gc", l.openExport)
+	return l
+}
+
+// Import type-checks a main-module package from source, after the module
+// packages it imports (in go list's sorted order, so the check order is
+// stable), and imports anything else through the shared export-data
+// importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	lp := l.listed[path]
+	if lp == nil || !l.source(lp) {
+		return l.gc.Import(path)
+	}
+	if pkg, ok := l.checked[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("lint: import cycle through %s", path)
+		}
+		return pkg.Types, nil
+	}
+	l.checked[path] = nil
+	for _, dep := range lp.Imports {
+		if d := l.listed[dep]; d != nil && l.source(d) {
+			if _, err := l.Import(dep); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if lp.Error != nil {
+		return nil, fmt.Errorf("lint: %s: %s", path, lp.Error.Err)
+	}
+	files, err := l.parse(lp.Dir, lp.GoFiles)
+	var pkg *Package
+	if err == nil {
+		pkg, err = l.check(path, lp.Dir, files, l, false)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: %s: %w", path, err)
 	}
-	order, err := topoOrder(listed)
-	if err != nil {
-		return nil, err
-	}
+	l.checked[path] = pkg
+	l.order = append(l.order, pkg)
+	return pkg.Types, nil
+}
 
-	fset := token.NewFileSet()
-	ci := &combinedImporter{
-		local: make(map[string]*types.Package),
-		std:   importer.ForCompiler(fset, "source", nil),
+func (l *loader) openExport(path string) (io.ReadCloser, error) {
+	lp := l.listed[path]
+	if lp == nil || lp.Export == "" {
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	}
+	return os.Open(lp.Export)
+}
+
+// source reports whether lp belongs to a main module, so is checked from
+// source rather than imported.
+func (l *loader) source(lp *listedPackage) bool {
+	return lp.Module != nil && l.mains[lp.Module.Path]
+}
+
+// Load type-checks the packages the go list patterns (e.g. "./...")
+// match in each module root of dirs, in dependency order, with the
+// module packages they import, into one type universe; with tests, each
+// matched package's test packages follow all of them. A module that
+// requires another through a replace directive shares its packages.
+// Type errors in test packages are not reported: an external test that
+// imports its package's test variant beside packages built against the
+// plain one gets mismatches the go command avoids by recompiling, and
+// every identifier still resolves.
+func Load(dirs, patterns []string, tests bool) ([]*Package, error) {
+	l := newLoader()
+	for _, dir := range dirs {
+		if err := l.list(dir, patterns, tests); err != nil {
+			return nil, err
+		}
+	}
+	return l.checkModules(tests)
+}
+
+// list runs `go list -e -export -deps -json` on patterns in dir and
+// merges what it reports; with tests, a second call lists the imports of
+// the main-module packages' test files that the first did not. The proxy
+// is off: the loader reads the module and the build cache, never the
+// network.
+func (l *loader) list(dir string, patterns []string, tests bool) error {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOPROXY=off")
+	out, err := cmd.Output()
+	if err != nil {
+		msg := err.Error()
+		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
+			msg = string(ee.Stderr)
+		}
+		return fmt.Errorf("lint: go list failed: %s", strings.TrimSpace(msg))
+	}
+	var missing []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
+			return fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		main := lp.Module != nil && lp.Module.Main
+		if main {
+			l.mains[lp.Module.Path] = true
+		}
+		if prev := l.listed[lp.ImportPath]; prev == nil || prev.DepOnly {
+			l.listed[lp.ImportPath] = lp // a pattern's match is kept
+		}
+		if tests && main {
+			missing = append(append(missing, lp.TestImports...), lp.XTestImports...)
+		}
+	}
+	missing = slices.DeleteFunc(missing, func(p string) bool { return l.listed[p] != nil })
+	if len(missing) == 0 {
+		return nil
+	}
+	slices.Sort(missing)
+	return l.list(dir, slices.Compact(missing), false)
+}
+
+// checkModules type-checks every listed main-module package and returns
+// those a pattern matched, each after its imports, followed with tests by
+// their test packages. A listed package outside the main modules must
+// have export data.
+func (l *loader) checkModules(tests bool) ([]*Package, error) {
+	var roots []string
+	for path, lp := range l.listed {
+		switch {
+		case l.source(lp):
+			roots = append(roots, path)
+		case lp.Export == "" && path != "unsafe":
+			msg := "go list reported none"
+			if lp.Error != nil {
+				msg = strings.TrimSpace(lp.Error.Err)
+			}
+			return nil, fmt.Errorf("lint: no export data for %s: %s", path, msg)
+		}
+	}
+	sort.Strings(roots)
+	for _, path := range roots {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
+		}
 	}
 	var out []*Package
-	byPath := make(map[string]*listedPackage, len(listed))
-	for i := range listed {
-		byPath[listed[i].ImportPath] = &listed[i]
-	}
-	for _, path := range order {
-		lp := byPath[path]
-		pkg, err := typecheck(fset, lp.ImportPath, lp.Dir, lp.GoFiles, ci)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", lp.ImportPath, err)
+	for _, pkg := range l.order {
+		if !l.listed[pkg.Path].DepOnly {
+			out = append(out, pkg)
 		}
-		ci.local[lp.ImportPath] = pkg.Types
-		out = append(out, pkg)
 	}
-	return out, nil
+	if !tests {
+		return out, nil
+	}
+	var testPkgs []*Package
+	for _, pkg := range out {
+		lp := l.listed[pkg.Path]
+		under := pkg.Types
+		if len(lp.TestGoFiles) > 0 {
+			files, err := l.parse(lp.Dir, lp.TestGoFiles)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %s: %w", pkg.Path, err)
+			}
+			variant, _ := l.check(pkg.Path, lp.Dir, append(slices.Clip(pkg.Files), files...), l, true)
+			under = variant.Types
+			testPkgs = append(testPkgs, variant)
+		}
+		if len(lp.XTestGoFiles) > 0 {
+			files, err := l.parse(lp.Dir, lp.XTestGoFiles)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %s: %w", pkg.Path, err)
+			}
+			imp := importerFunc(func(path string) (*types.Package, error) {
+				if path == pkg.Path {
+					return under, nil
+				}
+				return l.Import(path)
+			})
+			xtest, _ := l.check(pkg.Path+"_test", lp.Dir, files, imp, true)
+			testPkgs = append(testPkgs, xtest)
+		}
+	}
+	return append(out, testPkgs...), nil
 }
 
-func typecheck(fset *token.FileSet, path, dir string, fileNames []string, imp types.Importer) (*Package, error) {
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range fileNames {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// check type-checks files as the package path. A soft check records
+// every type error's position instead of stopping at the first and
+// never fails.
+func (l *loader) check(path, dir string, files []*ast.File, imp types.Importer, soft bool) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -107,91 +287,12 @@ func typecheck(fset *token.FileSet, path, dir string, fileNames []string, imp ty
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
+	if soft {
+		conf.Error = func(error) {}
+	}
+	pkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil && !soft {
 		return nil, err
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		msg := err.Error()
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			msg = string(ee.Stderr)
-		}
-		return nil, fmt.Errorf("lint: go list failed: %s", strings.TrimSpace(msg))
-	}
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	var listed []listedPackage
-	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
-		}
-		if lp.Standard {
-			continue
-		}
-		listed = append(listed, lp)
-	}
-	return listed, nil
-}
-
-// topoOrder orders the listed packages so every package follows its
-// module-local imports.
-func topoOrder(listed []listedPackage) ([]string, error) {
-	local := make(map[string][]string, len(listed))
-	for _, lp := range listed {
-		local[lp.ImportPath] = lp.Imports
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	state := make(map[string]int, len(listed))
-	var order []string
-	var visit func(path string) error
-	visit = func(path string) error {
-		switch state[path] {
-		case black:
-			return nil
-		case grey:
-			return fmt.Errorf("lint: import cycle through %s", path)
-		}
-		state[path] = grey
-		deps := local[path]
-		sorted := make([]string, 0, len(deps))
-		for _, dep := range deps {
-			if _, ok := local[dep]; ok {
-				sorted = append(sorted, dep)
-			}
-		}
-		sort.Strings(sorted)
-		for _, dep := range sorted {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[path] = black
-		order = append(order, path)
-		return nil
-	}
-	roots := make([]string, 0, len(listed))
-	for _, lp := range listed {
-		roots = append(roots, lp.ImportPath)
-	}
-	sort.Strings(roots)
-	for _, root := range roots {
-		if err := visit(root); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
+	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: info}, nil
 }

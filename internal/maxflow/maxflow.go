@@ -86,9 +86,6 @@ func (g *Graph) Reset(n int) {
 	g.indexed = -1
 }
 
-// NumNodes reports the number of nodes in the network.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and returns its
 // edge index. Capacities must be non-negative. Adding an edge also adds a
 // residual reverse edge with zero capacity.

@@ -678,3 +678,6 @@ func BenchmarkMaxFlowPlanWide(b *testing.B) {
 		benchFlow = g.MaxFlow(nw.s, nw.t)
 	}
 }
+
+// NumNodes reports the number of nodes in the network.
+func (g *Graph) NumNodes() int { return g.n }

@@ -65,17 +65,6 @@ func sqDist(c DenseVector, x Vector) float64 {
 	return d
 }
 
-// Inertia returns the total within-cluster squared distance over d —
-// the qualitative evaluation metric of the genomics workflow's PPR step.
-func (m *KMeansModel) Inertia(d *Dataset) float64 {
-	var total float64
-	for _, e := range d.Examples {
-		_, dist := m.nearest(e.X)
-		total += dist
-	}
-	return total
-}
-
 // Fit clusters all examples of d (labels are ignored; unsupervised).
 func (km KMeans) Fit(d *Dataset) (*KMeansModel, error) {
 	if km.K < 1 {

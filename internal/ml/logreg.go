@@ -203,13 +203,6 @@ type SoftmaxModel struct {
 	Bias DenseVector
 }
 
-// Scores returns the unnormalized class scores for x.
-func (m *SoftmaxModel) Scores(x Vector) DenseVector {
-	out := make(DenseVector, len(m.W))
-	m.scoresInto(out, x)
-	return out
-}
-
 // scoresInto writes Scores(x) into out. A dense x is scored against four
 // classes at a time; each w_k·x still sums in index order.
 func (m *SoftmaxModel) scoresInto(out DenseVector, x Vector) {

@@ -257,11 +257,6 @@ func insertSorted(idx []int, val []float64, n, slot int, x float64) int {
 // Dim returns the dimensionality of the assembled vector space.
 func (fs *FeatureSpace) Dim() int { return len(fs.names) }
 
-// SlotName returns the human-readable name of coordinate i — the
-// provenance bookkeeping that lets HELIX trace model weights back to
-// operators (paper §5.4, data-driven pruning).
-func (fs *FeatureSpace) SlotName(i int) string { return fs.names[i] }
-
 // Vectorize converts a raw feature map into a sparse vector in the learned
 // space. Unseen categorical values map to nothing.
 func (fs *FeatureSpace) Vectorize(rf RawFeatures) Vector {

@@ -187,7 +187,7 @@ func TestPropertyFeatureSpaceConsistent(t *testing.T) {
 				return false
 			}
 			for i := 0; i < v1.Dim(); i++ {
-				if v1.At(i) != v2.At(i) {
+				if at(v1, i) != at(v2, i) {
 					return false
 				}
 			}

@@ -15,10 +15,10 @@
 // random projection, the embedding updates) call concrete kernels over
 // DenseVector (kernels.go) that switch once on an input's representation;
 // they never box a DenseVector into a Vector or call a closure per
-// coordinate. The Vector interface methods (Dot, ForEach, At) serve the
-// cold paths. Every kernel is bit-identical to the in-order sum it
-// replaces: the same summation order, no reassociation, and no fused
-// multiply-add the in-order loop could not form. LogisticRegression.Fit
+// coordinate. The Vector interface's ForEach serves the cold paths.
+// Every kernel is bit-identical to the in-order sum it replaces: the same
+// summation order, no reassociation, and no fused multiply-add the
+// in-order loop could not form. LogisticRegression.Fit
 // trains over a packed copy of its rows, because SGD visits them in
 // shuffled order; each row's sums still run in its index order.
 package ml
@@ -36,11 +36,6 @@ import (
 type Vector interface {
 	// Dim returns d, the dimensionality of the enclosing space.
 	Dim() int
-	// At returns the i-th coordinate.
-	At(i int) float64
-	// Dot returns the inner product with other. Panics on dimension
-	// mismatch.
-	Dot(other Vector) float64
 	// NNZ returns the number of explicitly stored (potentially non-zero)
 	// coordinates.
 	NNZ() int
@@ -61,9 +56,6 @@ func Zeros(d int) DenseVector { return make(DenseVector, d) }
 // Dim implements Vector.
 func (v DenseVector) Dim() int { return len(v) }
 
-// At implements Vector.
-func (v DenseVector) At(i int) float64 { return v[i] }
-
 // NNZ implements Vector.
 func (v DenseVector) NNZ() int { return len(v) }
 
@@ -76,9 +68,6 @@ func (v DenseVector) ForEach(f func(i int, x float64)) {
 
 // ApproxBytes implements Vector.
 func (v DenseVector) ApproxBytes() int64 { return int64(8 * len(v)) }
-
-// Dot implements Vector.
-func (v DenseVector) Dot(other Vector) float64 { return dotDense(other, v) }
 
 // Clone returns a copy of v.
 func (v DenseVector) Clone() DenseVector {
@@ -128,15 +117,6 @@ func (v *SparseVector) Dim() int { return v.N }
 // NNZ implements Vector.
 func (v *SparseVector) NNZ() int { return len(v.Idx) }
 
-// At implements Vector (binary search on indices).
-func (v *SparseVector) At(i int) float64 {
-	j := sort.SearchInts(v.Idx, i)
-	if j < len(v.Idx) && v.Idx[j] == i {
-		return v.Val[j]
-	}
-	return 0
-}
-
 // ForEach implements Vector.
 func (v *SparseVector) ForEach(f func(i int, x float64)) {
 	for j, i := range v.Idx {
@@ -146,21 +126,6 @@ func (v *SparseVector) ForEach(f func(i int, x float64)) {
 
 // ApproxBytes implements Vector.
 func (v *SparseVector) ApproxBytes() int64 { return int64(16 * len(v.Idx)) }
-
-// Dot implements Vector.
-func (v *SparseVector) Dot(other Vector) float64 {
-	if v.Dim() != other.Dim() {
-		panic(fmt.Sprintf("ml: dot dimension mismatch %d vs %d", v.Dim(), other.Dim()))
-	}
-	if o, ok := other.(DenseVector); ok {
-		return dotSparse(v.Idx, v.Val, o)
-	}
-	var s float64
-	for j, i := range v.Idx {
-		s += v.Val[j] * other.At(i)
-	}
-	return s
-}
 
 // Example is one labeled (or unlabeled) training example: the assembled
 // feature vector plus an optional label (paper §3.2.1, "Examples").

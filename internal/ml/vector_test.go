@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -153,4 +155,77 @@ func TestApproxBytesPositive(t *testing.T) {
 	if ds.ApproxBytes() <= 0 {
 		t.Fatal("dataset bytes")
 	}
+}
+
+// Accessors and metrics that only these tests read.
+
+// Inertia returns the total within-cluster squared distance over d —
+// the qualitative evaluation metric of the genomics workflow's PPR step.
+func (m *KMeansModel) Inertia(d *Dataset) float64 {
+	var total float64
+	for _, e := range d.Examples {
+		_, dist := m.nearest(e.X)
+		total += dist
+	}
+	return total
+}
+
+// Scores returns the unnormalized class scores for x.
+func (m *SoftmaxModel) Scores(x Vector) DenseVector {
+	out := make(DenseVector, len(m.W))
+	m.scoresInto(out, x)
+	return out
+}
+
+// SlotName returns the human-readable name of coordinate i — the
+// provenance bookkeeping that lets HELIX trace model weights back to
+// operators (paper §5.4, data-driven pruning).
+func (fs *FeatureSpace) SlotName(i int) string { return fs.names[i] }
+
+// At returns the i-th coordinate.
+func (v DenseVector) At(i int) float64 { return v[i] }
+
+// Dot returns the inner product with other. Panics on dimension
+// mismatch.
+func (v DenseVector) Dot(other Vector) float64 { return dotDense(other, v) }
+
+// At returns the i-th coordinate (binary search on indices).
+func (v *SparseVector) At(i int) float64 {
+	j := sort.SearchInts(v.Idx, i)
+	if j < len(v.Idx) && v.Idx[j] == i {
+		return v.Val[j]
+	}
+	return 0
+}
+
+// Dot returns the inner product with other. Panics on dimension
+// mismatch.
+func (v *SparseVector) Dot(other Vector) float64 {
+	if v.Dim() != other.Dim() {
+		panic(fmt.Sprintf("ml: dot dimension mismatch %d vs %d", v.Dim(), other.Dim()))
+	}
+	if o, ok := other.(DenseVector); ok {
+		return dotSparse(v.Idx, v.Val, o)
+	}
+	var s float64
+	for j, i := range v.Idx {
+		s += v.Val[j] * at(other, i)
+	}
+	return s
+}
+
+// at returns v's i-th coordinate, whichever its representation.
+func at(v Vector, i int) float64 {
+	if d, ok := v.(DenseVector); ok {
+		return d.At(i)
+	}
+	return v.(*SparseVector).At(i)
+}
+
+// vdot returns v·w, whichever v's representation.
+func vdot(v, w Vector) float64 {
+	if d, ok := v.(DenseVector); ok {
+		return d.Dot(w)
+	}
+	return v.(*SparseVector).Dot(w)
 }

@@ -21,19 +21,21 @@ type ChangeModel struct {
 // SurveyChangeModel returns the change distribution for a workload
 // domain, mirroring the per-domain schedules of §6.3: social sciences
 // iterate mostly on PPR, NLP entirely on DPR, natural sciences and
-// computer vision mix DPR and L/I.
-func SurveyChangeModel(domain string) ChangeModel {
+// computer vision mix DPR and L/I. The second result reports whether the
+// domain is one of those names or "", which selects the uniform
+// distribution; any other domain also gets the uniform one.
+func SurveyChangeModel(domain string) (ChangeModel, bool) {
 	switch domain {
 	case "social", "census":
-		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.1, core.PPR: 0.6}}
+		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.1, core.PPR: 0.6}}, true
 	case "nlp", "ie":
-		return ChangeModel{P: map[core.Component]float64{core.DPR: 1.0}}
+		return ChangeModel{P: map[core.Component]float64{core.DPR: 1.0}}, true
 	case "natural", "genomics":
-		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.4, core.PPR: 0.3}}
+		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.4, core.PPR: 0.3}}, true
 	case "vision", "mnist":
-		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.4, core.PPR: 0.3}}
+		return ChangeModel{P: map[core.Component]float64{core.DPR: 0.3, core.LI: 0.4, core.PPR: 0.3}}, true
 	default:
-		return ChangeModel{P: map[core.Component]float64{core.DPR: 1.0 / 3, core.LI: 1.0 / 3, core.PPR: 1.0 / 3}}
+		return ChangeModel{P: map[core.Component]float64{core.DPR: 1.0 / 3, core.LI: 1.0 / 3, core.PPR: 1.0 / 3}}, domain == ""
 	}
 }
 
@@ -84,9 +86,6 @@ type AmortizedOMP struct {
 func NewAmortizedOMP(model ChangeModel, budget int64) *AmortizedOMP {
 	return &AmortizedOMP{Model: model, Threshold: 2, remaining: budget, unbounded: budget < 0}
 }
-
-// Name implements MatPolicy.
-func (p *AmortizedOMP) Name() string { return "helix-opt-amortized" }
 
 // Blind implements MatPolicy.
 func (p *AmortizedOMP) Blind() bool { return false }

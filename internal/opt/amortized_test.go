@@ -23,8 +23,11 @@ func pprChain(t *testing.T) (*core.DAG, *core.Node, *core.Node, *core.Node) {
 }
 
 func TestSurveyChangeModelDomains(t *testing.T) {
-	for _, domain := range []string{"census", "nlp", "genomics", "mnist", "unknown"} {
-		m := SurveyChangeModel(domain)
+	for _, domain := range []string{"census", "nlp", "genomics", "mnist", "", "unknown"} {
+		m, known := SurveyChangeModel(domain)
+		if known != (domain != "unknown") {
+			t.Errorf("%q: known = %v", domain, known)
+		}
 		var sum float64
 		for _, p := range m.P {
 			sum += p
@@ -33,14 +36,14 @@ func TestSurveyChangeModelDomains(t *testing.T) {
 			t.Fatalf("%s: probabilities sum to %v", domain, sum)
 		}
 	}
-	if SurveyChangeModel("nlp").P[core.DPR] != 1 {
+	if m, _ := SurveyChangeModel("nlp"); m.P[core.DPR] != 1 {
 		t.Fatal("nlp domain must be all-DPR")
 	}
 }
 
 func TestReuseProbabilityOrdering(t *testing.T) {
 	_, dpr, _, ppr := pprChain(t)
-	m := SurveyChangeModel("census") // PPR-heavy changes
+	m, _ := SurveyChangeModel("census") // PPR-heavy changes
 	// The DPR node is deprecated only by DPR changes (p=0.3); the PPR
 	// node by changes anywhere in its ancestry (p=1.0). So the DPR node
 	// is the safer bet for reuse.
@@ -52,7 +55,7 @@ func TestReuseProbabilityOrdering(t *testing.T) {
 
 func TestAmortizedOMPDiscountsUnstableNodes(t *testing.T) {
 	_, dpr, _, ppr := pprChain(t)
-	m := SurveyChangeModel("census")
+	m, _ := SurveyChangeModel("census")
 	p := NewAmortizedOMP(m, -1)
 	// Marginal case: C = 2.5·load. The stable DPR node's expected payoff
 	// clears the threshold; the unstable PPR leaf's does not.

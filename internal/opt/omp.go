@@ -21,8 +21,6 @@ import (
 // budget bookkeeping must therefore be internally synchronized — a true
 // return from Decide reserves budget atomically with the decision.
 type MatPolicy interface {
-	// Name identifies the policy in benchmark output.
-	Name() string
 	// Worthwhile is the payoff half of Decide, without the size: false
 	// means Decide(n, cumulative, l, size) is false for every size and
 	// every l ≥ load. It has no side effects — it reserves no budget and
@@ -60,9 +58,6 @@ type StreamingOMP struct {
 func NewStreamingOMP(budget int64) *StreamingOMP {
 	return &StreamingOMP{Threshold: 2, remaining: budget, unbounded: budget < 0}
 }
-
-// Name implements MatPolicy.
-func (p *StreamingOMP) Name() string { return "helix-opt" }
 
 // Blind implements MatPolicy: the streaming heuristic never materializes
 // results that cannot be reused.
@@ -117,9 +112,6 @@ func (p *StreamingOMP) Release(size int64) {
 // result, as DeepDive does.
 type AlwaysMat struct{}
 
-// Name implements MatPolicy.
-func (AlwaysMat) Name() string { return "helix-am" }
-
 // Blind implements MatPolicy: AM materializes indiscriminately.
 func (AlwaysMat) Blind() bool { return true }
 
@@ -132,9 +124,6 @@ func (AlwaysMat) Decide(*core.Node, float64, float64, int64) bool { return true 
 // NeverMat is the HELIX NM baseline (§6.1): never materialize, as
 // KeystoneML does.
 type NeverMat struct{}
-
-// Name implements MatPolicy.
-func (NeverMat) Name() string { return "helix-nm" }
 
 // Blind implements MatPolicy: trivially not (it writes nothing).
 func (NeverMat) Blind() bool { return false }
@@ -164,9 +153,6 @@ type MiniBatchOMP struct {
 func NewMiniBatchOMP(inner MatPolicy) *MiniBatchOMP {
 	return &MiniBatchOMP{Inner: inner, decisions: make(map[string]bool)}
 }
-
-// Name implements MatPolicy.
-func (p *MiniBatchOMP) Name() string { return "helix-opt-minibatch" }
 
 // Blind implements MatPolicy.
 func (p *MiniBatchOMP) Blind() bool { return p.Inner.Blind() }

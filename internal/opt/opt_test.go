@@ -347,10 +347,6 @@ func TestAlwaysNeverPolicies(t *testing.T) {
 	if (NeverMat{}).Decide(nil, 1e9, 0, 0) {
 		t.Fatal("NeverMat must never materialize")
 	}
-	names := map[string]bool{(AlwaysMat{}).Name(): true, (NeverMat{}).Name(): true, NewStreamingOMP(0).Name(): true}
-	if len(names) != 3 {
-		t.Fatal("policy names must be distinct")
-	}
 }
 
 func TestCumulativeTimes(t *testing.T) {
@@ -450,7 +446,7 @@ func TestMiniBatchOMPPinsFirstDecision(t *testing.T) {
 	n := d.MustAddNode("op", core.KindExtractor, core.DPR, "op-v1", true)
 	inner := NewStreamingOMP(-1)
 	p := NewMiniBatchOMP(inner)
-	if p.Name() == "" || p.Blind() {
+	if p.Blind() {
 		t.Fatal("metadata wrong")
 	}
 	// First batch: cumulative 10s vs load 1s → materialize (10 > 2).

@@ -54,7 +54,7 @@ func TestWorthwhileIsThePureHalfOfDecide(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		nodes = append(nodes, d.MustAddNode("extra"+string(rune('a'+i)), core.KindExtractor, core.DPR, "x", true))
 	}
-	model := SurveyChangeModel("census")
+	model, _ := SurveyChangeModel("census")
 	one := func(*core.Node) float64 { return 1 }
 
 	// state is what Worthwhile must leave alone: the unreserved budget

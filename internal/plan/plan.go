@@ -243,12 +243,6 @@ func (p *Plan) initMaps() {
 	})
 }
 
-// For returns the plan entry for a node of the planned DAG, or nil.
-func (p *Plan) For(n *core.Node) *NodePlan {
-	p.initMaps()
-	return p.byNode[n]
-}
-
 // ByName returns the plan entry for the named node, or nil.
 func (p *Plan) ByName(name string) *NodePlan {
 	p.initMaps()

@@ -35,7 +35,11 @@ func (r *recorder) Bill(n *core.Node, inputs []any, output any) time.Duration {
 // from: every operator of the four figure workloads recomputed on every
 // iteration of the paper schedule (reuse and materialization off, no
 // slowdown, no throttle), timed on the host clock, summed per operator.
-// Skipped unless -calibrate; paste its output over chargePerByte's cases.
+// Skipped unless -calibrate. Its output is one sample: consecutive runs of
+// one unchanged tree differ by up to 3.2× per operator, so one run must
+// never be pasted over chargePerByte's cases. Constants come from the
+// median of at least five runs, each normalized by a fixed reference loop
+// (ROADMAP item 10(a)).
 func TestCalibrateCharges(t *testing.T) {
 	if !*calibrate {
 		t.Skip("reference run: pass -calibrate")

@@ -143,7 +143,7 @@ func SampleSequence(domain string, iterations int, seed int64) []core.Component 
 	if iterations <= 0 {
 		return nil
 	}
-	model := opt.SurveyChangeModel(domain)
+	model, _ := opt.SurveyChangeModel(domain)
 	rng := rand.New(rand.NewSource(seed))
 	seq := make([]core.Component, iterations)
 	seq[0] = core.DPR

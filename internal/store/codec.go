@@ -26,9 +26,6 @@ import (
 // call site): register value types once via RegisterValueType and every
 // codec sees them.
 type Codec interface {
-	// Name identifies the codec ("binary", "gob") for diagnostics and
-	// configuration fingerprints.
-	Name() string
 	// Encode returns the on-disk representation of value.
 	Encode(value any) ([]byte, error)
 	// Decode reverses Encode. Implementations are expected to sniff the
@@ -135,14 +132,10 @@ const (
 // value is ready to use.
 type BinaryCodec struct{}
 
-func (BinaryCodec) Name() string { return "binary" }
-
 // GobCodec is the legacy encoding: the reference encoder the store and
 // workloads codec tests compare values through, and a Store.Codec a test
 // can install. No program uses it; sessions always write BinaryCodec.
 type GobCodec struct{}
-
-func (GobCodec) Name() string { return "gob" }
 
 func (GobCodec) Encode(value any) ([]byte, error) { return Encode(value) }
 

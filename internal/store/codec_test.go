@@ -134,15 +134,15 @@ func TestCodecRoundTripEquivalence(t *testing.T) {
 			for _, decC := range codecs {
 				enc, err := encC.Encode(g.value)
 				if err != nil {
-					t.Fatalf("%s: %s encode: %v", g.name, encC.Name(), err)
+					t.Fatalf("%s: %T encode: %v", g.name, encC, err)
 				}
 				dec, err := decC.Decode(enc)
 				if err != nil {
-					t.Fatalf("%s: %s→%s decode: %v", g.name, encC.Name(), decC.Name(), err)
+					t.Fatalf("%s: %T→%T decode: %v", g.name, encC, decC, err)
 				}
 				if !reflect.DeepEqual(dec, g.value) {
-					t.Errorf("%s: %s→%s round trip: got %#v, want %#v",
-						g.name, encC.Name(), decC.Name(), dec, g.value)
+					t.Errorf("%s: %T→%T round trip: got %#v, want %#v",
+						g.name, encC, decC, dec, g.value)
 				}
 			}
 		}

@@ -191,6 +191,41 @@ func TestPutAsyncDecideAndOutcome(t *testing.T) {
 	}
 }
 
+// TestWriterPoolHasDefaultWriters: the write-behind pool runs exactly
+// DefaultWriters requests at once. Twice that many requests each block in
+// Decide until released; the most ever inside Decide together is the
+// pool's size.
+func TestWriterPoolHasDefaultWriters(t *testing.T) {
+	s := open(t)
+	release := make(chan struct{})
+	var inside, most atomic.Int64
+	for i := range 2 * DefaultWriters {
+		s.PutAsync(WriteRequest{
+			Key: fmt.Sprintf("w-%d", i), Name: "n", Value: payload{N: i},
+			Decide: func(int64) bool {
+				n := inside.Add(1)
+				for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+				}
+				<-release
+				inside.Add(-1)
+				return true
+			},
+		})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for inside.Load() < DefaultWriters && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a larger pool to show
+	close(release)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := most.Load(); got != DefaultWriters {
+		t.Fatalf("%d writes ran at once, want DefaultWriters = %d", got, DefaultWriters)
+	}
+}
+
 // TestFlushIsBarrier asserts the core Flush contract: once Flush returns,
 // every previously enqueued write is visible in the table, durable in the
 // manifest, and its OnDone has finished (no extra synchronization needed

@@ -93,8 +93,3 @@ func (m *loadModel) bandwidth() float64 {
 func quantizeBandwidth(bw float64) float64 {
 	return math.Exp2(math.Round(math.Log2(bw)))
 }
-
-// LoadBandwidth reports the bandwidth (bytes/sec) the store's load-time
-// estimate currently assumes from observed reads, or 0 while none has
-// been adopted (EstimateLoad then uses its static model). Diagnostic.
-func (s *Store) LoadBandwidth() float64 { return s.loads.bandwidth() }

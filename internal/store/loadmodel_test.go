@@ -105,3 +105,8 @@ func TestLoadModelIgnoresTinyReads(t *testing.T) {
 		t.Fatalf("tiny reads adopted a bandwidth: %.0f", bw)
 	}
 }
+
+// LoadBandwidth reports the bandwidth (bytes/sec) the store's load-time
+// estimate currently assumes from observed reads, or 0 while none has
+// been adopted (EstimateLoad then uses its static model). Diagnostic.
+func (s *Store) LoadBandwidth() float64 { return s.loads.bandwidth() }

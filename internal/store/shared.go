@@ -50,7 +50,7 @@ type sharedState struct {
 // OpenShared opens (creating if needed) a shared content-addressed store
 // rooted at dir. Unlike Open it leaves temp files alone: another process
 // may be mid-publish into the same directory. Store-level configuration
-// (codec, writer-pool size, disk simulation) is set once on the
+// (codec, disk simulation) is set once on the
 // underlying Store() before the first use; attaching sessions inherit it.
 func OpenShared(dir string) (*Shared, error) {
 	s, err := openStore(dir, false)
@@ -125,9 +125,6 @@ type Attachment struct {
 
 // Store returns the shared underlying store.
 func (a *Attachment) Store() *Store { return a.shared.store }
-
-// Tenant returns the namespace label the attachment publishes under.
-func (a *Attachment) Tenant() string { return a.tenant }
 
 // Repin replaces the attachment's pin set with the given chain
 // signatures. The engine calls this after each successful run with the

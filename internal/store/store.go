@@ -125,11 +125,6 @@ type Store struct {
 	// simulation (real I/O timing only).
 	DiskBytesPerSec float64
 
-	// Writers is the size of the background writer pool started lazily by
-	// the first PutAsync; ≤0 selects DefaultWriters. Set before the first
-	// PutAsync.
-	Writers int
-
 	// QueueDepth bounds the write-behind queue; a full queue makes
 	// PutAsync block (backpressure). ≤0 selects DefaultQueueDepth. Set
 	// before the first PutAsync.

@@ -6,8 +6,8 @@ import (
 	"helix/internal/clock"
 )
 
-// DefaultWriters is the writer-pool size used when Store.Writers is unset.
-// Materialization is I/O-bound (and, under disk simulation, sleep-bound),
+// DefaultWriters is the size of the background writer pool the first
+// PutAsync starts. Materialization is I/O-bound (and, under disk simulation, sleep-bound),
 // so a small pool suffices to keep writes off the computation's critical
 // path without swamping the disk.
 const DefaultWriters = 4
@@ -93,16 +93,6 @@ func (o WriteOutcome) OnDisk() bool {
 	return o.Written || (o.Err == nil && o.Entry.Key != "")
 }
 
-// WriterPoolSize reports the effective size of the write-behind writer
-// pool — Writers when positive, DefaultWriters otherwise. This is the
-// number the session's WorkerMat class accounts for.
-func (s *Store) WriterPoolSize() int {
-	if s.Writers > 0 {
-		return s.Writers
-	}
-	return DefaultWriters
-}
-
 // writerPool is the bounded background pool behind PutAsync/Flush/Close.
 type writerPool struct {
 	// mu guards the pool's counters and error slot; workers perform the
@@ -142,16 +132,12 @@ func (s *Store) PutAsync(req WriteRequest) {
 	}
 	if !w.started {
 		w.started = true
-		writers := s.Writers
-		if writers <= 0 {
-			writers = DefaultWriters
-		}
 		depth := s.QueueDepth
 		if depth <= 0 {
 			depth = DefaultQueueDepth
 		}
 		w.queue = make(chan WriteRequest, depth)
-		for i := 0; i < writers; i++ {
+		for range DefaultWriters {
 			go s.writerLoop()
 		}
 	}

@@ -85,12 +85,6 @@ func NewSlidingIngest(window int, scale Scale) *Ingest {
 	return g
 }
 
-// Name identifies the workload.
-func (g *Ingest) Name() string { return "ingest" }
-
-// Window returns the number of batch slots.
-func (g *Ingest) Window() int { return g.window }
-
 // Mode reports the window semantics: "tumbling" or "sliding".
 func (g *Ingest) Mode() string {
 	if g.sliding {

@@ -2,6 +2,7 @@ package helix
 
 import (
 	"fmt"
+	"math"
 
 	"helix/internal/exec"
 	"helix/internal/opt"
@@ -58,12 +59,10 @@ type policyConfig struct {
 // (ErrSharedConfig).
 type storeConfig struct {
 	DiskBytesPerSec float64
-	MatWriters      int
 }
 
 func (sc storeConfig) applyTo(st *store.Store) {
 	st.DiskBytesPerSec = sc.DiskBytesPerSec
-	st.Writers = sc.MatWriters
 }
 
 // config is a Session's resolved configuration. A Session keeps its
@@ -136,26 +135,6 @@ func (c *config) execOptions(pol opt.MatPolicy) exec.Options {
 	return eo
 }
 
-// WorkerClass names one of the execution scheduler's worker pools, for
-// WithWorkerClass.
-type WorkerClass string
-
-const (
-	// WorkerCompute is the compute pool: at most this many operators
-	// compute concurrently (WithParallelism).
-	WorkerCompute WorkerClass = "compute"
-	// WorkerIO is the I/O pool draining Load-state nodes; loads are
-	// disk/throttle-bound, so the pool is sized independently of compute
-	// (default max(compute parallelism, 4), capped by the plan's load
-	// count).
-	WorkerIO WorkerClass = "io"
-	// WorkerMat is the store's background writer pool flushing
-	// write-behind materializations (≤0 restores the store default).
-	// Session-scoped — the pool belongs to the store — so this class is
-	// only accepted by Open.
-	WorkerMat WorkerClass = "mat"
-)
-
 // WithPolicy selects the materialization strategy (the paper's system
 // variants, §6.1). Run-scoped overrides A/B policies within one session;
 // each distinct policy configuration keeps its own policy instance, so
@@ -178,15 +157,30 @@ func WithStorageBudget(bytes int64) Option {
 }
 
 // WithOMPThreshold overrides Algorithm 2's load-cost multiplier; 0
-// restores the paper's value of 2.
+// restores the paper's value of 2. A negative or non-finite t fails the
+// call it is passed to with ErrBadConfig.
 func WithOMPThreshold(t float64) Option {
+	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return badOption("WithOMPThreshold", fmt.Errorf("helix: OMP threshold %v is not a finite number ≥ 0", t))
+	}
 	return Option{name: "WithOMPThreshold", apply: func(c *config) { c.policy.Threshold = t }}
 }
 
 // WithDomain selects the change-probability distribution for
-// PolicyOptAmortized ("census", "nlp", "genomics", "mnist").
+// PolicyOptAmortized ("census", "nlp", "genomics", "mnist" and their
+// aliases; "" is the uniform default). An unknown domain fails the call
+// it is passed to with ErrBadConfig.
 func WithDomain(domain string) Option {
+	if _, ok := opt.SurveyChangeModel(domain); !ok {
+		return badOption("WithDomain", fmt.Errorf("helix: unknown domain %q", domain))
+	}
 	return Option{name: "WithDomain", apply: func(c *config) { c.policy.Domain = domain }}
+}
+
+// badOption is an option built from invalid arguments: applying it fails
+// with err, tagged ErrBadConfig.
+func badOption(name string, err error) Option {
+	return Option{name: name, err: tagged(ErrBadConfig, err)}
 }
 
 // WithReuse toggles cross-iteration reuse of materialized results;
@@ -246,37 +240,16 @@ func WithSyncMaterialization(enabled bool) Option {
 
 // WithParallelism bounds the compute worker pool: at most n operators
 // compute concurrently regardless of DAG width; ≤0 uses
-// runtime.GOMAXPROCS(0). Equivalent to WithWorkerClass(WorkerCompute, n).
+// runtime.GOMAXPROCS(0). It is the one pool size a session sets: the
+// load pool is max(n, 4) capped by the plan's load count, and the store's
+// write-behind pool has store.DefaultWriters writers.
 func WithParallelism(n int) Option {
 	return Option{name: "WithParallelism", apply: func(c *config) { c.exec.Parallelism = n }}
 }
 
-// WithWorkerClass sizes one of the session's worker pools:
-// WorkerCompute bounds concurrent operator computation, WorkerIO sizes
-// the Load-state pool (≤0 restores its max(parallelism, 4) heuristic),
-// and WorkerMat sizes the store's write-behind materialization pool.
-// WorkerMat is session-scoped (the pool belongs to the store); passing
-// it to Run or Plan returns an error satisfying
-// errors.Is(err, ErrSessionOption). An unknown class fails the call the
-// option is passed to with an error satisfying
-// errors.Is(err, ErrBadConfig).
-func WithWorkerClass(class WorkerClass, size int) Option {
-	switch class {
-	case WorkerCompute:
-		return WithParallelism(size)
-	case WorkerIO:
-		return Option{name: "WithWorkerClass", apply: func(c *config) { c.exec.IOWorkers = size }}
-	case WorkerMat:
-		return Option{name: "WithWorkerClass(WorkerMat, …)", sessionOnly: true,
-			apply: func(c *config) { c.store.MatWriters = size }}
-	default:
-		return Option{name: "WithWorkerClass", err: tagged(ErrBadConfig,
-			fmt.Errorf("helix: unknown worker class %q (want %q, %q or %q)", class, WorkerCompute, WorkerIO, WorkerMat))}
-	}
-}
-
 // WithAdaptive arms mid-run adaptive re-planning with the given
-// divergence threshold; threshold ≤ 0 disables it (the default).
+// divergence threshold; threshold ≤ 0 disables it (the default), and a
+// NaN threshold fails the call it is passed to with ErrBadConfig.
 //
 // While a run executes, the engine compares each completed node's
 // measured own time against the plan's projection and accumulates both.
@@ -305,6 +278,9 @@ func WithWorkerClass(class WorkerClass, size int) Option {
 // static-vs-adaptive comparison on model time (README, "Adaptive mid-run
 // re-planning").
 func WithAdaptive(threshold float64) Option {
+	if math.IsNaN(threshold) {
+		return badOption("WithAdaptive", fmt.Errorf("helix: adaptive threshold is NaN"))
+	}
 	if threshold < 0 {
 		threshold = 0
 	}

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -179,7 +180,6 @@ func optionRows(t *testing.T) map[string]optionRow {
 		"WithStreaming":           {false, helix.WithStreaming(false)},
 		"WithSyncMaterialization": {false, helix.WithSyncMaterialization(true)},
 		"WithParallelism":         {false, helix.WithParallelism(2)},
-		"WithWorkerClass":         {false, helix.WithWorkerClass(helix.WorkerIO, 2)},
 		"WithAdaptive":            {false, helix.WithAdaptive(0.5)},
 		"WithObserver":            {false, helix.WithObserver(func(helix.RunEvent) {})},
 		"WithDiskThroughput":      {true, helix.WithDiskThroughput(1e6)},
@@ -262,36 +262,48 @@ func TestSessionScopedOptionRejectedAtRunScope(t *testing.T) {
 	}
 }
 
-// TestWithWorkerClass: compute resizes the compute pool, io the load
-// pool, anything else is rejected — by whichever call the option is
-// passed to — with ErrBadConfig and a message naming the class.
-func TestWithWorkerClass(t *testing.T) {
-	if _, err := helix.Open(t.TempDir(), helix.WithWorkerClass("gpu", 2)); !errors.Is(err, helix.ErrBadConfig) ||
-		!strings.Contains(err.Error(), "gpu") {
-		t.Fatalf("unknown worker class: err = %v, want ErrBadConfig naming gpu", err)
+// TestBadOptionValues: an option built from a value that can configure
+// nothing — an unknown domain, a negative or non-finite OMP threshold, a
+// NaN adaptive threshold — fails whichever call it is passed to with
+// ErrBadConfig, naming the option's value, instead of being reinterpreted
+// as a default. The values at the edge of the valid range still open.
+func TestBadOptionValues(t *testing.T) {
+	bad := map[string]helix.Option{
+		`"cenus"`: helix.WithDomain("cenus"),
+		"-1":      helix.WithOMPThreshold(-1),
+		"NaN":     helix.WithOMPThreshold(math.NaN()),
+		"+Inf":    helix.WithOMPThreshold(math.Inf(1)),
+		"is NaN":  helix.WithAdaptive(math.NaN()),
 	}
-	sess, err := helix.Open(t.TempDir(),
-		helix.WithWorkerClass(helix.WorkerCompute, 2),
-		helix.WithWorkerClass(helix.WorkerIO, 3))
+	sess, err := helix.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	var c atomic.Int64
-	if _, err := sess.Run(context.Background(), optWorkflow(&c, "LR reg=0.1")); err != nil {
-		t.Fatal(err)
+	wf := optWorkflow(&c, "LR reg=0.1")
+	for want, o := range bad {
+		if _, err := helix.Open(t.TempDir(), o); !errors.Is(err, helix.ErrBadConfig) || !strings.Contains(err.Error(), want) {
+			t.Errorf("Open: err = %v, want ErrBadConfig naming %s", err, want)
+		}
+		if _, err := sess.Run(context.Background(), wf, o); !errors.Is(err, helix.ErrBadConfig) {
+			t.Errorf("Run: err = %v, want ErrBadConfig for %s", err, want)
+		}
+		if _, err := sess.Plan(wf, o); !errors.Is(err, helix.ErrBadConfig) {
+			t.Errorf("Plan: err = %v, want ErrBadConfig for %s", err, want)
+		}
 	}
-	var c2 atomic.Int64
-	wf := optWorkflow(&c2, "LR reg=0.1")
-	if _, err := sess.Run(context.Background(), wf, helix.WithWorkerClass("tpu", 1)); !errors.Is(err, helix.ErrBadConfig) ||
-		!strings.Contains(err.Error(), "tpu") {
-		t.Fatalf("unknown run-scoped worker class: Run err = %v, want ErrBadConfig naming tpu", err)
+	if c.Load() != 0 || sess.Iteration() != 0 {
+		t.Fatal("a run rejected for a bad option executed operators or advanced the iteration")
 	}
-	if _, err := sess.Plan(wf, helix.WithWorkerClass("tpu", 1)); !errors.Is(err, helix.ErrBadConfig) {
-		t.Fatalf("unknown run-scoped worker class: Plan err = %v, want ErrBadConfig", err)
-	}
-	if c2.Load() != 0 {
-		t.Fatal("run rejected for a bad option executed operators")
+	for _, o := range []helix.Option{helix.WithDomain(""), helix.WithDomain("mnist"),
+		helix.WithOMPThreshold(0), helix.WithAdaptive(-1)} {
+		s, err := helix.Open(t.TempDir(), o)
+		if err != nil {
+			t.Errorf("valid option rejected: %v", err)
+			continue
+		}
+		s.Close()
 	}
 }
 

@@ -4,278 +4,297 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
-	"path"
+	"go/types"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"helix/internal/lint"
 )
 
 // reachAllowlist names the declarations under internal/ that no program
 // reaches but tests in two or more packages call, so no single package's
-// _test.go files can hold them. Keys are "<dir below internal/>.<Name>";
-// each value is the one-line reason. An entry that a program reaches, or
-// that fewer than two packages' tests call, is stale and fails the test.
+// _test.go files can hold them. Keys are "<dir below internal/>.<Name>",
+// or "<dir below internal/>.<Type>.<Method>" for a method; each value is
+// the one-line reason. An entry that a program reaches, or that fewer
+// than two packages' tests call, is stale and fails the test.
 var reachAllowlist = map[string]string{
-	"ml.Sparse":         "builds test vectors from index maps in the ml, workloads and root package tests",
-	"opt.CheckFeasible": "the OEP constraint oracle the opt and plan tests check every plan against",
-	"store.GobCodec":    "the reference encoder the store and workloads codec tests compare values through",
+	"core.DAG.MustAddNode":       "builds test DAGs without error plumbing in the core, exec, opt, plan, sim and root package tests",
+	"core.DAG.Slice":             "the backward-slice oracle the core and root package tests check pruning against",
+	"ml.Sparse":                  "builds test vectors from index maps in the ml, workloads and root package tests",
+	"opt.CheckFeasible":          "the OEP constraint oracle the opt and plan tests check every plan against",
+	"opt.StreamingOMP.Remaining": "reads the policy's unreserved budget in the opt, exec and root package tests",
+	"store.GobCodec":             "the reference encoder the store and workloads codec tests compare values through",
+}
+
+// publicAPI names the exported identifiers of the root package that no
+// program under cmd/, examples/ or benchmark/ reaches but that the
+// library documents for its users. Keys are "<Name>", or "<Type>.<Method>"
+// for a method; each value names the README section or golden test that
+// documents it. An entry that a program reaches, or that names no
+// exported root identifier, is stale and fails the test.
+var publicAPI = map[string]string{
+	"ErrUnserializable":      `README "Columnar binary codec": what a materialization error of an unregistered type wraps`,
+	"NodeError":              `README "Typed errors": the per-operator error Run returns`,
+	"NodeReport":             `README "Session state and durability" and "Typed errors": NodeReport.LoadErr`,
+	"Session.PlanCacheStats": `README "Planning cache & scheduling": a session's plan-cache hits and misses`,
+	"Workflow.Op":            "TestScheduleOutputsBitIdentical (internal/workloads) declares intermediates outputs through it for its golden digests",
+	"Workflow.PlanDOT":       `README "Layered architecture"; TestPlanDOTGoldenCensus pins it to testdata/census_plandot.golden`,
 }
 
 // TestInternalCodeIsReachable: every package-level func, type, var and
-// const in a non-test file under internal/ is reachable from non-test code
-// of a program — the root package, cmd/, examples/ or the benchmark
-// module. Code that only tests call belongs in the _test.go files of its
-// user; code that nothing calls is deleted.
+// const and every method in a non-test file under internal/ is reachable
+// from non-test code of a program — cmd/, examples/, the benchmark module,
+// or the root package's public surface. Every exported root identifier is
+// reached from the programs or listed in publicAPI. Code that only tests
+// call belongs in the _test.go files of its user; code that nothing calls
+// is deleted.
 func TestInternalCodeIsReachable(t *testing.T) {
-	dead, stale := reachability(t, []string{".", "benchmark"}, reachAllowlist)
-	if len(dead) > 0 {
-		t.Errorf("%d declarations under internal/ that no program reaches; delete them, move them into the _test.go files of their one user, or allowlist one that tests in two packages call:\n  %s",
-			len(dead), strings.Join(dead, "\n  "))
+	r := reachability(t, []string{".", "benchmark"}, reachAllowlist, publicAPI)
+	if len(r.dead) > 0 {
+		t.Errorf("%d declarations that no program reaches; delete them, move them into the _test.go files of their one user, allowlist one under internal/ that tests in two packages call, or list a documented root export in publicAPI:\n  %s",
+			len(r.dead), strings.Join(r.dead, "\n  "))
 	}
-	if len(stale) > 0 {
-		t.Errorf("stale allowlist entries:\n  %s", strings.Join(stale, "\n  "))
+	if len(r.stale) > 0 {
+		t.Errorf("stale allowlist entries:\n  %s", strings.Join(r.stale, "\n  "))
 	}
+	t.Logf("exported root identifiers: %d; publicAPI entries: %d", r.exports, len(publicAPI))
 }
 
 // TestReachabilityFixture: the check reports exactly the dead declarations
 // and the stale allowlist entries of a tree built to hold each case, so it
 // cannot pass everything silently.
 func TestReachabilityFixture(t *testing.T) {
-	dead, stale := reachability(t, []string{"testdata/reach"}, map[string]string{
+	r := reachability(t, []string{"testdata/reach"}, map[string]string{
 		"lib.Oracle":  "the lib and app tests both call it",
 		"lib.Used":    "stale: the program reaches it",
 		"lib.OneTest": "stale: only lib's tests call it",
+	}, map[string]string{
+		"Documented": "documented",
+		"Reached":    "stale: the program reaches it",
+		"Missing":    "stale: no such identifier",
 	})
 	wantDead := []string{
-		"internal/lib/lib.go:19: lib.Unused",
-		"internal/lib/lib.go:22: lib.helper",
-		"internal/lib/lib.go:35: lib.Asserted",
-		"internal/lib/lib.go:43: lib.Color",
-		"internal/lib/lib.go:46: lib.Red", // the group, once; not Green
+		"fixture.go:14: Undocumented",
+		"internal/lib/lib.go:26: lib.Unused",
+		"internal/lib/lib.go:29: lib.helper",
+		"internal/lib/lib.go:43: lib.Asserted", // not its methods apart
+		"internal/lib/lib.go:53: lib.Color",
+		"internal/lib/lib.go:56: lib.Red", // the group, once; not Green
+		"internal/lib/lib.go:75: lib.Box.Put",
 	}
 	wantStale := []string{
+		"Missing: no such exported root identifier",
+		"Reached: a program reaches it",
 		"lib.OneTest: tests in 1 package call it (internal/lib); move it into those _test.go files",
 		"lib.Used: a program reaches it",
 	}
-	if !slices.Equal(dead, wantDead) {
-		t.Errorf("dead:\n  %s\nwant:\n  %s", strings.Join(dead, "\n  "), strings.Join(wantDead, "\n  "))
+	if !slices.Equal(r.dead, wantDead) {
+		t.Errorf("dead:\n  %s\nwant:\n  %s", strings.Join(r.dead, "\n  "), strings.Join(wantDead, "\n  "))
 	}
-	if !slices.Equal(stale, wantStale) {
-		t.Errorf("stale:\n  %s\nwant:\n  %s", strings.Join(stale, "\n  "), strings.Join(wantStale, "\n  "))
+	if !slices.Equal(r.stale, wantStale) {
+		t.Errorf("stale:\n  %s\nwant:\n  %s", strings.Join(r.stale, "\n  "), strings.Join(wantStale, "\n  "))
 	}
 }
 
-// A unit is one node of the reference graph: a package-level func, a type
-// together with all its methods (there is no type-checking, so a reached
-// type keeps every method), one var or const spec, or a whole const group
-// that uses iota. Each package also has an init unit holding its init
-// funcs and untyped blank vars; any use of the package reaches it.
+// A unit is one node of the reference graph: a package-level func, a
+// type, a method, one var or const spec, or a whole const group that uses
+// iota. Each package also has an init unit holding its init funcs and
+// untyped blank vars; any use of the package reaches it.
 type unit struct {
-	pkg     *pkgInfo
-	name    string // the first name declared; "init" for the init unit
-	pos     string // file:line, the file relative to its module root
-	bodies  []ast.Node
-	files   []*fileInfo // the file each body sits in
-	edges   []*unit
-	reached bool
+	pkg    *pkgNode
+	key    string // the allowlist key
+	pos    string // file:line, the file relative to its module root
+	bodies []ast.Node
+	info   *types.Info
+	named  *types.Named // a defined type's type
+	recv   *unit        // a method's receiver type
+	edges  []*unit
+	calls  []*types.Func // interface methods the bodies call
+	// reached: from the programs, or from a publicAPI entry; byProgram:
+	// from the programs alone.
+	reached, byProgram bool
 }
 
-type pkgInfo struct {
+type pkgNode struct {
 	dir      string // slash path relative to its module root
 	internal bool   // dir is internal/ or below it
-	names    map[string]*unit
+	root     bool   // the first module's root package
 	init     *unit
 }
 
-type fileInfo struct {
-	pkg     *pkgInfo
-	path    string // slash path relative to its module root
-	dir     string
-	test    bool
-	file    *ast.File
-	imports map[string]string // local name → import path
-	top     map[any]bool      // the file's package-level FuncDecl/TypeSpec/ValueSpec nodes
-}
-
 type graph struct {
-	pkgs  map[string]*pkgInfo // by import path
 	units []*unit
-	files []*fileInfo
+	byPos map[token.Pos]*unit // by the position of each declared name
+	pkgs  map[*types.Package]*pkgNode
+	// ifaces holds, by method name, the interfaces reached code calls
+	// that method through; implicit those whose methods count as called
+	// without a call in sight (see collectImplicit).
+	ifaces, implicit map[string][]types.Type
+	mset             map[*types.Named]*types.MethodSet
 }
 
-// reachability parses the modules rooted at roots (each dir holds a
-// go.mod), walks references from every non-test declaration outside
-// internal/, and returns "file:line: pkg.Name" for each unreached unit
-// under internal/ that allow does not name, and the stale entries of
-// allow.
-func reachability(t *testing.T, roots []string, allow map[string]string) (dead, stale []string) {
+type reach struct {
+	dead, stale []string
+	exports     int // exported root identifiers
+}
+
+// reachability type-checks the modules rooted at roots (each dir holds a
+// go.mod; the first one's root package is the library surface) in one
+// type universe, walks references from every non-test declaration outside
+// internal/ and the root package, then from the publicAPI entries, and
+// returns "file:line: key" for each unreached unit under internal/ or in
+// the root package that allow or public does not name, and the stale
+// entries of both.
+func reachability(t *testing.T, roots []string, allow, public map[string]string) reach {
 	t.Helper()
-	g := &graph{pkgs: map[string]*pkgInfo{}}
-	fset := token.NewFileSet()
-	for _, root := range roots {
-		if err := g.parse(fset, root, modulePath(t, root)); err != nil {
+	abs := make([]string, len(roots))
+	for i, root := range roots {
+		a, err := filepath.Abs(root)
+		if err != nil {
 			t.Fatal(err)
 		}
+		abs[i] = a
 	}
-	g.declare(fset)
-	for _, u := range g.units {
-		seen := map[*unit]bool{}
-		for i, body := range u.bodies {
-			g.refs(u.files[i], body, func(v *unit) {
-				if !seen[v] {
-					seen[v] = true
-					u.edges = append(u.edges, v)
-				}
-			})
+	pkgs, err := lint.Load(abs, []string{"./..."}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &graph{byPos: map[token.Pos]*unit{}, pkgs: map[*types.Package]*pkgNode{},
+		ifaces: map[string][]types.Type{}, implicit: map[string][]types.Type{}, mset: map[*types.Named]*types.MethodSet{}}
+	var r reach
+	var code, tests []*lint.Package
+	for _, p := range pkgs {
+		if isTest(p) {
+			tests = append(tests, p)
+			continue
+		}
+		code = append(code, p)
+		g.declare(p, moduleRel(abs, p.Dir), p.Dir == abs[0])
+		if p.Dir == abs[0] {
+			r.exports = countExports(p.Types)
 		}
 	}
+	g.edges()
+	g.collectImplicit(code)
 
-	var stack []*unit
+	var programs, api []*unit
 	for _, u := range g.units {
-		if !u.pkg.internal {
-			u.reached = true
-			stack = append(stack, u)
+		if !u.pkg.internal && !u.pkg.root {
+			programs = append(programs, u)
 		}
 	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range u.edges {
-			if !v.reached {
-				v.reached = true
-				stack = append(stack, v)
-			}
+	g.walk(programs)
+	for _, u := range g.units {
+		u.byProgram = u.reached
+	}
+	publicUnits := map[*unit]bool{}
+	for key := range public {
+		switch u := g.lookup(key, true); {
+		case u == nil || !exported(u):
+			r.stale = append(r.stale, key+": no such exported root identifier")
+		case u.byProgram:
+			r.stale = append(r.stale, key+": a program reaches it")
+		default:
+			publicUnits[u] = true
+			api = append(api, u)
 		}
 	}
+	g.walk(api)
 
 	allowed := map[*unit]string{}
 	for key := range allow {
-		switch u := g.lookup(key); {
+		switch u := g.lookup(key, false); {
 		case u == nil:
-			stale = append(stale, key+": no such declaration under internal/")
+			r.stale = append(r.stale, key+": no such declaration under internal/")
 		case u.reached:
-			stale = append(stale, key+": a program reaches it")
+			r.stale = append(r.stale, key+": a program reaches it")
 		default:
 			allowed[u] = key
 		}
 	}
-	users := g.testUsers(allowed)
+	users := g.testUsers(tests, abs, allowed)
 	for u, key := range allowed {
 		if dirs := users[u]; len(dirs) < 2 {
-			stale = append(stale, key+": tests in "+strconv.Itoa(len(dirs))+" package call it ("+strings.Join(dirs, ", ")+"); move it into those _test.go files")
+			r.stale = append(r.stale, key+": tests in "+strconv.Itoa(len(dirs))+" package call it ("+strings.Join(dirs, ", ")+"); move it into those _test.go files")
 		}
 	}
 	for _, u := range g.units {
-		if u.pkg.internal && u != u.pkg.init && !u.reached && allowed[u] == "" {
-			dead = append(dead, u.pos+": "+u.key())
+		if u == u.pkg.init || (u.recv != nil && !u.recv.reached) || allowed[u] != "" {
+			continue // an unreached type's methods go with it
+		}
+		switch {
+		case u.pkg.root && exported(u):
+			if !u.byProgram && !publicUnits[u] {
+				r.dead = append(r.dead, u.pos+": "+u.key)
+			}
+		case u.pkg.internal || u.pkg.root:
+			if !u.reached {
+				r.dead = append(r.dead, u.pos+": "+u.key)
+			}
 		}
 	}
-	sort.Strings(dead)
-	sort.Strings(stale)
-	return dead, stale
+	sort.Strings(r.dead)
+	sort.Strings(r.stale)
+	return r
 }
 
-// parse reads every .go file of the module at root, skipping testdata,
-// hidden directories and nested modules.
-func (g *graph) parse(fset *token.FileSet, root, mod string) error {
-	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p == root {
-				return nil
-			}
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-				return filepath.SkipDir // a nested module is its own root
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		dir := path.Dir(rel)
-		test := strings.HasSuffix(p, "_test.go")
-		ipath := path.Join(mod, dir)
-		if test && strings.HasSuffix(f.Name.Name, "_test") {
-			ipath += "_test" // an external test package
-		}
-		pkg := g.pkgs[ipath]
-		if pkg == nil {
-			pkg = &pkgInfo{dir: dir, internal: dir == "internal" || strings.HasPrefix(dir, "internal/"), names: map[string]*unit{}}
-			pkg.init = &unit{pkg: pkg, name: "init"}
-			g.pkgs[ipath] = pkg
-			g.units = append(g.units, pkg.init)
-		}
-		top := map[any]bool{}
-		for _, d := range f.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok {
-				for _, s := range gd.Specs {
-					top[s] = true
-				}
-			} else {
-				top[d] = true
-			}
-		}
-		g.files = append(g.files, &fileInfo{pkg: pkg, path: rel, dir: dir, test: test, file: f, imports: imports(f), top: top})
-		return nil
+func isTest(p *lint.Package) bool {
+	return slices.ContainsFunc(p.Files, func(f *ast.File) bool {
+		return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 	})
 }
 
-// declare makes the units of every non-test file and records which names
-// each package declares; methods join their receiver type's unit.
-func (g *graph) declare(fset *token.FileSet) {
-	type method struct {
-		recv string
-		decl *ast.FuncDecl
-		fi   *fileInfo
-	}
-	var methods []method
-	for _, fi := range g.files {
-		if fi.test {
-			continue
+// moduleRel is dir's slash path relative to the innermost module root
+// holding it.
+func moduleRel(roots []string, dir string) string {
+	best := ""
+	for _, root := range roots {
+		if (dir == root || strings.HasPrefix(dir, root+string(filepath.Separator))) && len(root) > len(best) {
+			best = root
 		}
-		pkg := fi.pkg
-		add := func(names []*ast.Ident, body ast.Node) {
-			pos := fi.path + ":" + strconv.Itoa(fset.Position(names[0].Pos()).Line)
-			u := &unit{pkg: pkg, name: names[0].Name, pos: pos,
-				bodies: []ast.Node{body}, files: []*fileInfo{fi}}
+	}
+	rel, _ := filepath.Rel(best, dir)
+	return filepath.ToSlash(rel)
+}
+
+// declare makes the units of one non-test package.
+func (g *graph) declare(p *lint.Package, dir string, root bool) {
+	pkg := &pkgNode{dir: dir, internal: dir == "internal" || strings.HasPrefix(dir, "internal/"), root: root}
+	pkg.init = &unit{pkg: pkg, key: "init", info: p.Info}
+	g.pkgs[p.Types] = pkg
+	g.units = append(g.units, pkg.init)
+	prefix := strings.TrimPrefix(dir, "internal/") + "."
+	if root {
+		prefix = ""
+	}
+	var methods []*ast.FuncDecl
+	for _, f := range p.Files {
+		file := filepath.ToSlash(filepath.Join(dir, filepath.Base(p.Fset.Position(f.Pos()).Filename)))
+		add := func(names []*ast.Ident, body ast.Node) *unit {
+			u := &unit{pkg: pkg, key: prefix + names[0].Name, info: p.Info, bodies: []ast.Node{body},
+				pos: file + ":" + strconv.Itoa(p.Fset.Position(names[0].Pos()).Line)}
 			for _, n := range names {
 				if n.Name != "_" {
-					pkg.names[n.Name] = u
+					g.byPos[n.Pos()] = u
 				}
 			}
 			g.units = append(g.units, u)
+			return u
 		}
-		toInit := func(body ast.Node) {
-			pkg.init.bodies = append(pkg.init.bodies, body)
-			pkg.init.files = append(pkg.init.files, fi)
-		}
-		for _, d := range fi.file.Decls {
+		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				switch {
 				case d.Recv != nil:
-					methods = append(methods, method{recvName(d.Recv.List[0].Type), d, fi})
+					methods = append(methods, d)
+					u := add([]*ast.Ident{d.Name}, d)
+					u.key = prefix + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
 				case d.Name.Name == "init":
-					toInit(d)
+					pkg.init.bodies = append(pkg.init.bodies, d)
 				default:
 					add([]*ast.Ident{d.Name}, d)
 				}
@@ -294,11 +313,14 @@ func (g *graph) declare(fset *token.FileSet) {
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						add([]*ast.Ident{s.Name}, s)
+						u := add([]*ast.Ident{s.Name}, s)
+						if tn := p.Info.Defs[s.Name].(*types.TypeName); !tn.IsAlias() {
+							u.named, _ = tn.Type().(*types.Named)
+						}
 					case *ast.ValueSpec:
 						if len(s.Names) == 1 && s.Names[0].Name == "_" {
 							if s.Type == nil { // var _ = f(): runs at init
-								toInit(s)
+								pkg.init.bodies = append(pkg.init.bodies, s)
 							}
 							continue // var _ I = T{}: an assertion, not a use
 						}
@@ -308,28 +330,250 @@ func (g *graph) declare(fset *token.FileSet) {
 			}
 		}
 	}
-	for _, m := range methods {
-		if u := m.fi.pkg.names[m.recv]; u != nil {
-			u.bodies = append(u.bodies, m.decl)
-			u.files = append(u.files, m.fi)
+	for _, d := range methods {
+		recv := p.Info.Defs[d.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			g.byPos[d.Name.Pos()].recv = g.byPos[named.Obj().Pos()]
 		}
 	}
 }
 
-// key is the allowlist key: the package's directory below internal/ and
-// the name.
-func (u *unit) key() string {
-	return strings.TrimPrefix(u.pkg.dir, "internal/") + "." + u.name
+// edges links every unit to the units its bodies use: every identifier
+// the type checker resolves to a declaration — a method selected on a
+// value included — and, for a qualified identifier, the imported
+// package's init unit. A declaration's own name and struct fields are
+// not uses; comments never are. Interface methods the bodies call are
+// kept for the interface rule.
+func (g *graph) edges() {
+	for _, u := range g.units {
+		seen := map[*unit]bool{u: true}
+		for _, body := range u.bodies {
+			ast.Inspect(body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				if fn, ok := u.info.Uses[id].(*types.Func); ok && isInterfaceMethod(fn) {
+					u.calls = append(u.calls, fn)
+				}
+				if v := g.use(u.info.Uses[id]); v != nil && !seen[v] {
+					seen[v] = true
+					u.edges = append(u.edges, v)
+				}
+				return true
+			})
+		}
+	}
 }
 
-// lookup finds the internal unit an allowlist key names.
-func (g *graph) lookup(key string) *unit {
-	dir, name, ok := strings.Cut(key, ".")
-	if !ok {
+// use is the unit obj names, if any.
+func (g *graph) use(obj types.Object) *unit {
+	switch o := obj.(type) {
+	case nil:
 		return nil
+	case *types.PkgName:
+		if pkg := g.pkgs[o.Imported()]; pkg != nil {
+			return pkg.init
+		}
+		return nil
+	case *types.Func:
+		obj = o.Origin()
 	}
-	for _, pkg := range g.pkgs {
-		if u := pkg.names[name]; pkg.internal && u != nil && u.key() == dir+"."+name {
+	return g.byPos[obj.Pos()]
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// collectImplicit records, by method name, the interfaces whose methods
+// count as called wherever a type that implements them is reached:
+//   - every interface a package beyond the modules declares, since that
+//     package may call the method on any value that reaches it. Export
+//     data holds no function bodies, so the errors package's anonymous
+//     interfaces join them by hand;
+//   - the unexported methods of the modules' own interfaces. Such a
+//     method is a seal: it restricts the interface's implementers to its
+//     package, and a type converted to the interface must keep it to
+//     compile, though it never runs.
+func (g *graph) collectImplicit(pkgs []*lint.Package) {
+	const errorsIfaces = `package errors
+type (
+	unwrapper  interface{ Unwrap() error }
+	unwrappers interface{ Unwrap() []error }
+	iser       interface{ Is(error) bool }
+	aser       interface{ As(any) bool }
+)`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "errors.go", errorsIfaces, 0)
+	if err != nil {
+		panic(err)
+	}
+	errs, err := new(types.Config).Check("errors", fset, []*ast.File{f}, nil)
+	if err != nil {
+		panic(err)
+	}
+	scopes := []*types.Scope{types.Universe, errs.Scope()}
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scopes = append(scopes, p.Scope())
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Types)
+	}
+	for _, scope := range scopes {
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := range it.NumMethods() {
+					m := it.Method(i)
+					if g.pkgs[tn.Pkg()] == nil || !m.Exported() {
+						g.implicit[m.Name()] = append(g.implicit[m.Name()], tn.Type())
+					}
+				}
+			}
+		}
+	}
+}
+
+// walk marks everything reachable from from. A method is reached when
+// reached code selects it, and also when its receiver type is reached
+// and implements an interface whose same-named method reached code — or
+// code beyond the modules — calls. That rule may keep a method no
+// program runs; it never drops one that runs.
+func (g *graph) walk(from []*unit) {
+	var stack, named []*unit
+	for _, u := range g.units {
+		if u.reached && u.named != nil {
+			named = append(named, u)
+		}
+	}
+	mark := func(u *unit) {
+		if !u.reached {
+			u.reached = true
+			stack = append(stack, u)
+		}
+	}
+	for _, u := range from {
+		mark(u)
+	}
+	for {
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range u.edges {
+				mark(v)
+			}
+			for _, fn := range u.calls {
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if !slices.ContainsFunc(g.ifaces[fn.Name()], func(t types.Type) bool { return types.Identical(t, recv) }) {
+					g.ifaces[fn.Name()] = append(g.ifaces[fn.Name()], recv)
+				}
+			}
+			if u.named != nil {
+				named = append(named, u)
+			}
+		}
+		for _, tu := range named {
+			ms := g.methods(tu.named)
+			for i := range ms.Len() {
+				m := ms.At(i).Obj()
+				if v := g.use(m); v != nil && !v.reached &&
+					(implementsAny(tu.named, g.ifaces[m.Name()]) || implementsAny(tu.named, g.implicit[m.Name()])) {
+					mark(v)
+				}
+			}
+		}
+		if len(stack) == 0 {
+			return
+		}
+	}
+}
+
+// methods is the method set of *T, promoted methods included.
+func (g *graph) methods(t *types.Named) *types.MethodSet {
+	ms := g.mset[t]
+	if ms == nil {
+		ms = types.NewMethodSet(types.NewPointer(t))
+		g.mset[t] = ms
+	}
+	return ms
+}
+
+// implementsAny reports whether *t implements one of ifaces. A generic
+// type, or a generic interface, matches by method name alone.
+func implementsAny(t *types.Named, ifaces []types.Type) bool {
+	for _, it := range ifaces {
+		if t.TypeParams().Len() > 0 {
+			return true
+		}
+		if n, ok := it.(*types.Named); ok && n.TypeParams().Len() > 0 && n.TypeArgs().Len() == 0 {
+			return true
+		}
+		if types.Implements(types.NewPointer(t), it.Underlying().(*types.Interface)) {
+			return true
+		}
+	}
+	return false
+}
+
+// exported reports whether u is an exported root identifier: an exported
+// package-level name, or an exported method of an exported type.
+func exported(u *unit) bool {
+	if !u.pkg.root || u == u.pkg.init {
+		return false
+	}
+	for _, part := range strings.Split(u.key, ".") {
+		if !token.IsExported(part) {
+			return false
+		}
+	}
+	return true
+}
+
+// countExports counts pkg's exported package-level names and the
+// exported methods of its exported defined types.
+func countExports(pkg *types.Package) int {
+	n := 0
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		n++
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for m := range named.Methods() {
+					if m.Exported() {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// lookup finds the unit an allowlist key names: under internal/, or with
+// root in the root package.
+func (g *graph) lookup(key string, root bool) *unit {
+	for _, u := range g.units {
+		if u.key == key && u != u.pkg.init && (root && u.pkg.root || !root && u.pkg.internal) {
 			return u
 		}
 	}
@@ -337,98 +581,28 @@ func (g *graph) lookup(key string) *unit {
 }
 
 // testUsers lists, for each unit of want, the package directories whose
-// _test.go files refer to it.
-func (g *graph) testUsers(want map[*unit]string) map[*unit][]string {
+// _test.go files refer to it. An in-package test re-checks its package's
+// files, so its objects are matched to units by declaration position.
+func (g *graph) testUsers(tests []*lint.Package, roots []string, want map[*unit]string) map[*unit][]string {
 	out := map[*unit][]string{}
-	for _, fi := range g.files {
-		if !fi.test {
-			continue
-		}
-		g.refs(fi, fi.file, func(v *unit) {
-			if _, ok := want[v]; ok && !slices.Contains(out[v], fi.dir) {
-				out[v] = append(out[v], fi.dir)
+	for _, p := range tests {
+		dir := moduleRel(roots, p.Dir)
+		for _, f := range p.Files {
+			if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
 			}
-		})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if v := g.use(p.Info.Uses[id]); v != nil && want[v] != "" && !slices.Contains(out[v], dir) {
+						out[v] = append(out[v], dir)
+					}
+				}
+				return true
+			})
+		}
 	}
 	for _, dirs := range out {
 		sort.Strings(dirs)
-	}
-	return out
-}
-
-// refs calls use for every unit body refers to: a bare identifier that no
-// local declaration shadows and that one of its package's declarations
-// has as a name, or pkg.Name for an imported package. A declaration's own
-// name, a struct literal's field keys and a selector's field or method
-// name are not uses; comments never are.
-func (g *graph) refs(fi *fileInfo, body ast.Node, use func(*unit)) {
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ImportSpec:
-			return false
-		case *ast.FuncDecl: // a method's name could be mistaken for a func's
-			if n.Recv != nil {
-				ast.Inspect(n.Recv, walk)
-			}
-			ast.Inspect(n.Type, walk)
-			if n.Body != nil {
-				ast.Inspect(n.Body, walk)
-			}
-			return false
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil && fi.pkg.names[id.Name] == nil {
-				if pkg := g.pkgs[fi.imports[id.Name]]; pkg != nil {
-					if u := pkg.names[n.Sel.Name]; u != nil {
-						use(u)
-					}
-					use(pkg.init)
-					return false
-				}
-			}
-			ast.Inspect(n.X, walk)
-			return false // Sel is a field or method: covered by its type
-		case *ast.CompositeLit:
-			if n.Type != nil {
-				ast.Inspect(n.Type, walk)
-			}
-			_, isMap := n.Type.(*ast.MapType)
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if _, bare := kv.Key.(*ast.Ident); !bare || isMap {
-						ast.Inspect(kv.Key, walk)
-					}
-					ast.Inspect(kv.Value, walk)
-					continue
-				}
-				ast.Inspect(elt, walk)
-			}
-			return false
-		case *ast.Ident:
-			if n.Obj != nil && !fi.top[n.Obj.Decl] {
-				return false // a local
-			}
-			if u := fi.pkg.names[n.Name]; u != nil {
-				use(u)
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-}
-
-// imports maps each import's local name in f to its path. An import
-// without a name is known by its last path element, which is the package
-// name throughout this repository.
-func imports(f *ast.File) map[string]string {
-	out := map[string]string{}
-	for _, s := range f.Imports {
-		p, _ := strconv.Unquote(s.Path.Value)
-		name := path.Base(p)
-		if s.Name != nil {
-			name = s.Name.Name
-		}
-		out[name] = p
 	}
 	return out
 }
@@ -462,20 +636,4 @@ func usesIota(d *ast.GenDecl) bool {
 		return !found
 	})
 	return found
-}
-
-// modulePath reads the module line of dir's go.mod.
-func modulePath(t *testing.T, dir string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	t.Fatalf("%s/go.mod has no module line", dir)
-	return ""
 }

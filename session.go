@@ -375,7 +375,8 @@ func buildPolicy(pc policyConfig) (opt.MatPolicy, error) {
 		}
 		return opt.NewMiniBatchOMP(somp), nil
 	case PolicyOptAmortized:
-		aomp := opt.NewAmortizedOMP(opt.SurveyChangeModel(pc.Domain), pc.Budget)
+		model, _ := opt.SurveyChangeModel(pc.Domain) // WithDomain vetted it
+		aomp := opt.NewAmortizedOMP(model, pc.Budget)
 		if pc.Threshold > 0 {
 			aomp.Threshold = pc.Threshold
 		}
@@ -550,7 +551,7 @@ func (s *Session) Plan(wf *Workflow, opts ...Option) (*Plan, error) {
 // fed back to HELIX marks the beginning of a new iteration").
 //
 // Run-scoped options override the session baseline for this call only —
-// policy, budget, parallelism, worker classes, reuse/pruning toggles,
+// policy, budget, parallelism, reuse/pruning toggles,
 // observer. Overrides are plan-cache safe: the effective
 // configuration is folded into the plan fingerprint, so differing
 // configurations never reuse each other's plans, and reverting an

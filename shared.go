@@ -104,7 +104,7 @@ func (h *SharedStore) attach(sc storeConfig, tenant string) (*store.Attachment, 
 // bytes for per-tenant accounting.
 func WithSharedStore(h *SharedStore) Option {
 	if h == nil {
-		return Option{name: "WithSharedStore", err: tagged(ErrBadConfig, fmt.Errorf("helix: WithSharedStore(nil)"))}
+		return badOption("WithSharedStore", fmt.Errorf("helix: WithSharedStore(nil)"))
 	}
 	return Option{name: "WithSharedStore", sessionOnly: true,
 		apply: func(c *config) {

@@ -175,30 +175,28 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 // TestSharedConfigConflict: store-level settings belong to the shared
 // store, not to any one session — the first attaching session's are
 // adopted, an identical request attaches, and a differing disk
-// throughput or writer-pool size fails with ErrSharedConfig (and
-// attaches nothing).
+// throughput fails with ErrSharedConfig (and attaches nothing).
 func TestSharedConfigConflict(t *testing.T) {
 	h, err := OpenSharedStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	first, err := Open("", WithSharedStore(h), WithDiskThroughput(170e6), WithWorkerClass(WorkerMat, 2))
+	first, err := Open("", WithSharedStore(h), WithDiskThroughput(170e6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Close()
-	if first.store.DiskBytesPerSec != 170e6 || first.store.Writers != 2 {
-		t.Fatalf("first session's settings not adopted: disk %g writers %d", first.store.DiskBytesPerSec, first.store.Writers)
+	if first.store.DiskBytesPerSec != 170e6 {
+		t.Fatalf("first session's settings not adopted: disk %g", first.store.DiskBytesPerSec)
 	}
-	same, err := Open("", WithSharedStore(h), WithWorkerClass(WorkerMat, 2), WithDiskThroughput(170e6), WithPolicy(PolicyAlways))
+	same, err := Open("", WithSharedStore(h), WithDiskThroughput(170e6), WithPolicy(PolicyAlways))
 	if err != nil {
 		t.Fatalf("identical store-level settings (run-level ones differ) refused: %v", err)
 	}
 	defer same.Close()
 	for name, conflicting := range map[string][]Option{
-		"disk throughput": {WithDiskThroughput(1e6), WithWorkerClass(WorkerMat, 2)},
-		"mat writers":     {WithDiskThroughput(170e6), WithWorkerClass(WorkerMat, 3)},
+		"disk throughput": {WithDiskThroughput(1e6)},
 		"defaults":        nil,
 	} {
 		if _, err := Open("", append(conflicting, WithSharedStore(h))...); !errors.Is(err, ErrSharedConfig) {
@@ -208,8 +206,8 @@ func TestSharedConfigConflict(t *testing.T) {
 	if got := h.Sessions(); got != 2 {
 		t.Fatalf("%d sessions attached, want 2: a refused session must not attach", got)
 	}
-	if first.store.DiskBytesPerSec != 170e6 || first.store.Writers != 2 {
-		t.Fatalf("a refused session rewrote the store's settings: disk %g writers %d", first.store.DiskBytesPerSec, first.store.Writers)
+	if first.store.DiskBytesPerSec != 170e6 {
+		t.Fatalf("a refused session rewrote the store's settings: disk %g", first.store.DiskBytesPerSec)
 	}
 }
 

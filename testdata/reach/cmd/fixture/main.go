@@ -5,7 +5,8 @@ package main
 import (
 	"fmt"
 
+	"fixture"
 	"fixture/internal/lib"
 )
 
-func main() { fmt.Println(lib.Used().M(), lib.ModeA) }
+func main() { fmt.Println(fixture.Reached(), lib.NewBox().Get(), lib.ModeA) }

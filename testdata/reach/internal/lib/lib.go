@@ -2,12 +2,19 @@
 // must tell apart.
 package lib
 
-// I is used through Used's result type.
-type I interface{ M() int }
+// I is used through Used's result type. Its unexported seal is never
+// called, yet impl must keep it to be an I.
+type I interface {
+	M() int
+	seal()
+}
 
 type impl struct{}
 
-// M is a method of a reached type, so it is reached with it.
+func (impl) seal() {}
+
+// M is reached only through I: the program calls M on the I that Used
+// returns, and impl flows into it.
 func (impl) M() int { return count() }
 
 func count() int { return 1 }
@@ -31,10 +38,13 @@ const (
 	ModeC
 )
 
-// Asserted satisfies I in an assertion and nowhere else.
+// Asserted satisfies I in an assertion and nowhere else. Its method is
+// not reported apart from it.
 type Asserted struct{}
 
 func (Asserted) M() int { return 3 }
+
+func (Asserted) seal() {}
 
 var _ I = Asserted{}
 
@@ -52,3 +62,14 @@ func Oracle() int { return 1 }
 
 // OneTest is called by one package's tests only: a stale allowlist entry.
 func OneTest() int { return 1 }
+
+// Box is reached through NewBox.
+type Box struct{ n int }
+
+func NewBox() *Box { return &Box{n: 4} }
+
+// Get is reached by selection: the program calls it.
+func (b *Box) Get() int { return b.n }
+
+// Put is a method of a reached type that nothing calls.
+func (b *Box) Put(n int) { b.n = n }

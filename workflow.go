@@ -96,12 +96,6 @@ func (w *Workflow) Name() string { return w.name }
 // Op returns the operator declared under name, or nil.
 func (w *Workflow) Op(name string) *Op { return w.by[name] }
 
-// Ops returns all declared operators in declaration order.
-func (w *Workflow) Ops() []*Op { return w.ops }
-
-// Err returns the first declaration error, if any.
-func (w *Workflow) Err() error { return w.err }
-
 func (w *Workflow) fail(err error) {
 	if w.err == nil {
 		w.err = err

@@ -219,3 +219,9 @@ func TestOpSignatureEscapesName(t *testing.T) {
 		t.Fatalf("a name without | or \\ must keep its signature, got %q", got)
 	}
 }
+
+// Ops returns all declared operators in declaration order.
+func (w *Workflow) Ops() []*Op { return w.ops }
+
+// Err returns the first declaration error, if any.
+func (w *Workflow) Err() error { return w.err }
