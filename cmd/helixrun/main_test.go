@@ -197,3 +197,49 @@ func TestFailedLoadWarns(t *testing.T) {
 		t.Errorf("-v rows marked load failed %v, warnings name %v\n%s", marked, warned, stdout.String())
 	}
 }
+
+// TestSharedWarmProcess: a second process on a shared store publishes
+// nothing. Under -tenant bob, after a -tenant alice process filled the
+// store, it reports tenant[bob]=0B, the same artifact count, no
+// materialization time and the same outputs — write-once dedup across
+// processes. Both run helix-am: the cold process then stores everything
+// it computes, where helix-opt's choices follow measured wall time and
+// may leave the warm process something new to store.
+func TestSharedWarmProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and shells out to the go tool")
+	}
+	bin := buildBin(t)
+	dir := t.TempDir()
+	artifacts := regexp.MustCompile(`artifacts=\d+`)
+	series := func(tenant string) (count, outputs string) {
+		out, code := runBin(t, bin, "-workload", "census", "-system", "helix-am", "-iters", "2", "-shared", "-dir", dir, "-tenant", tenant)
+		if code != 0 {
+			t.Fatalf("tenant %s: exit %d, want 0\n%s", tenant, code, out)
+		}
+		_, outputs, ok := strings.Cut(out, "outputs of the final iteration:\n")
+		count = artifacts.FindString(out)
+		if !ok || count == "" {
+			t.Fatalf("tenant %s: no artifact count or outputs:\n%s", tenant, out)
+		}
+		if tenant == "bob" {
+			if !strings.Contains(out, "tenant[bob]=0B") {
+				t.Errorf("warm process published bytes of its own:\n%s", out)
+			}
+			for _, row := range regexp.MustCompile(`(?m)^\d+ .*$`).FindAllString(out, -1) {
+				if f := strings.Fields(row); f[len(f)-2] != "0.000" {
+					t.Errorf("warm process spent mat(s)=%s materializing:\n%s", f[len(f)-2], out)
+				}
+			}
+		}
+		return count, outputs
+	}
+	coldCount, coldOut := series("alice")
+	warmCount, warmOut := series("bob")
+	if warmCount != coldCount {
+		t.Errorf("warm process changed the store: %s, cold process left %s", warmCount, coldCount)
+	}
+	if warmOut != coldOut {
+		t.Errorf("warm outputs\n%s\ndiffer from cold outputs\n%s", warmOut, coldOut)
+	}
+}

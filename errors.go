@@ -47,7 +47,7 @@ var (
 	// WithOMPThreshold, a NaN WithAdaptive threshold or
 	// WithSharedStore(nil) — returned by whichever of Open, Run or Plan
 	// the option was passed to — and, from Open, a WithTenant label
-	// without WithSharedStore.
+	// without WithSharedStore or a closed SharedStore.
 	ErrBadConfig = errors.New("helix: invalid configuration")
 	// ErrUnserializable is what NodeReport.MatErr and NodeEvent.MatErr wrap
 	// when an operator's result could not be stored because its Go type is

@@ -264,12 +264,11 @@ type Engine struct {
 	// full match (zero solves). A Session always installs one; a bare
 	// Engine plans cold every time.
 	Cache *plan.Cache
-	// Shared, when non-nil, is the process-wide plan cache + frozen
-	// statistics board for shared-store mode. Session sets Cache to
-	// Shared.Cache() alongside; the engine additionally publishes each
-	// run's measured metrics to the board so every attached session plans
-	// from identical solver inputs.
-	Shared *plan.SharedCache
+	// Board, when non-nil, is the frozen statistics board of sessions
+	// sharing one store: planning applies it, and each run publishes its
+	// measured metrics to it, so every attached session plans from
+	// identical solver inputs.
+	Board *plan.StatsBoard
 
 	// planMu serializes planning: the pooled solver's scratch buffers
 	// (and the cache's planner pipeline) are not safe for concurrent
@@ -345,7 +344,7 @@ func (e *Engine) planWithView(d *core.DAG, prev *core.DAG, iteration int, opts O
 		View:        view,
 		Opts:        opts.Plan,
 		Cache:       e.Cache,
-		Shared:      e.Shared,
+		Board:       e.Board,
 		Solver:      &e.solver,
 		ConfigToken: opts.ConfigToken,
 		SkipCarry:   skipCarry,
@@ -720,8 +719,8 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	// session's planner sees identical solver inputs — the precondition
 	// for cross-session fingerprint hits. After the flush barrier, so
 	// write-behind size/load metrics have settled.
-	if e.Shared != nil {
-		e.Shared.PublishStats(d)
+	if e.Board != nil {
+		e.Board.Publish(d)
 	}
 
 	// Planner-health summary: cache outcome, total solve count (initial

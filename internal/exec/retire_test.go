@@ -256,9 +256,7 @@ func TestRetireModesAgree(t *testing.T) {
 			err error
 		)
 		if raced {
-			var sh *store.Shared
-			if sh, err = store.OpenShared(t.TempDir()); err == nil {
-				st = sh.Store()
+			if st, err = store.OpenShared(t.TempDir()); err == nil {
 				pol = racingPolicy{omp, st, []string{"sized", "use"}}
 			}
 		} else {

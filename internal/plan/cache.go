@@ -63,9 +63,9 @@ type Cache struct {
 	// is a changed fingerprint, forcing a fresh solve.
 	ConfigToken string
 
-	// capacity bounds the MRU list; ≤0 selects cacheCapacity. The shared
-	// process-wide cache (SharedCache) raises it, since one cache then
-	// serves every attached session's workflows.
+	// capacity bounds the MRU list; ≤0 selects cacheCapacity.
+	// NewProcessCache raises it, since one cache then serves every
+	// attached session's workflows.
 	capacity int
 
 	mu      sync.Mutex

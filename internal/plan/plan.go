@@ -211,15 +211,13 @@ type Plan struct {
 	// guaranteed to produce equivalent plans.
 	Fingerprint Fingerprint
 
-	// byNode/byName are built lazily on first lookup: most plans are
-	// executed, not queried, and two map constructions per iteration were
-	// measurable on 1000-node workflows.
+	// byName is built lazily on first lookup: most plans are executed,
+	// not queried, and a map construction per iteration was measurable on
+	// 1000-node workflows.
 	//
-	//lint:fpexempt lazy lookup index, rebuilt on first For/ByName via initMaps; copying would alias stale rows
+	//lint:fpexempt lazy lookup index, rebuilt on first ByName; copying would alias stale rows
 	mapsOnce sync.Once
-	//lint:fpexempt lazy lookup index, rebuilt on first For/ByName via initMaps; copying would alias stale rows
-	byNode map[*core.Node]*NodePlan
-	//lint:fpexempt lazy lookup index, rebuilt on first For/ByName via initMaps; copying would alias stale rows
+	//lint:fpexempt lazy lookup index, rebuilt on first ByName; copying would alias stale rows
 	byName map[string]*NodePlan
 	// anc holds every node's ancestor set as a bitset over Plan.Nodes
 	// indices, ancWords words per node — V²/64 words total, computed once
@@ -234,10 +232,8 @@ type Plan struct {
 
 func (p *Plan) initMaps() {
 	p.mapsOnce.Do(func() {
-		p.byNode = make(map[*core.Node]*NodePlan, len(p.Nodes))
 		p.byName = make(map[string]*NodePlan, len(p.Nodes))
 		for _, np := range p.Nodes {
-			p.byNode[np.Node] = np
 			p.byName[np.Node.Name] = np
 		}
 	})
@@ -324,12 +320,11 @@ type Planner struct {
 	// run-scoped configuration overrides need.
 	// Empty falls back to the Cache's session-wide ConfigToken.
 	ConfigToken string
-	// Shared, when non-nil, is the process-wide plan cache + frozen
-	// statistics board (shared-store mode). The caller still sets Cache to
-	// Shared.Cache(); this reference exists so Plan can apply the frozen
-	// per-signature metrics after the change-tracking carry, keeping every
-	// session's solver inputs — and therefore fingerprints — identical.
-	Shared *SharedCache
+	// Board, when non-nil, is the frozen statistics board of sessions
+	// sharing one store: Plan applies its per-signature metrics after the
+	// change-tracking carry, keeping every session's solver inputs — and
+	// therefore fingerprints — identical.
+	Board *StatsBoard
 	// SkipCarry suppresses change tracking (DAG.Track, with its metric
 	// carry, and the shared-stats overlay) for this call: the DAG's
 	// current metrics are taken as authoritative. The adaptive re-planner
@@ -385,8 +380,8 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 	// just wrote.
 	if !pl.SkipCarry {
 		d.Track(prev)
-		if pl.Shared != nil {
-			pl.Shared.ApplyStats(d)
+		if pl.Board != nil {
+			pl.Board.Apply(d)
 		}
 	}
 

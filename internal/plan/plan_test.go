@@ -365,6 +365,29 @@ func TestPurgeSpecTracksOriginals(t *testing.T) {
 	}
 }
 
+// TestSharedPlanDeprecatesNothing: under Opts.Shared the same edit that
+// deprecates b and c in a private plan marks no row original and leaves
+// the purge spec's deprecated set empty, so no run of a shared session
+// purges the store (and nothing there needs protecting from a purge).
+func TestSharedPlanDeprecatesNothing(t *testing.T) {
+	build := func() *core.DAG { return chain("a", "b", "c") }
+	d := build()
+	d.Node("b").OpSignature = "b-v2"
+	pl := &Planner{Opts: Options{Shared: true}}
+	p, err := pl.Plan(d, withMetrics(build, map[string]float64{"a": 1, "b": 1, "c": 1}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, np := range p.Nodes {
+		if np.Original {
+			t.Errorf("shared plan marks %s original", np.Node.Name)
+		}
+	}
+	if p.Purge == nil || len(p.Purge.DeprecatedNames) != 0 {
+		t.Fatalf("shared plan's purge spec %+v, want one with no deprecated names", p.Purge)
+	}
+}
+
 func TestExplainIsDeterministicAndComplete(t *testing.T) {
 	build := diamond
 	secs := map[string]float64{"a": 1, "b": 2, "c": 4, "d": 8, "x": 16}

@@ -89,11 +89,6 @@ type Entry struct {
 	// mode only; empty for private stores). Accounting, not access control:
 	// artifacts are shared across tenants by content address.
 	Tenant string `json:"tenant,omitempty"`
-	// Refs is the number of live attachments pinning the entry at the time
-	// the manifest was snapshotted (shared mode only). Diagnostic: the
-	// in-memory pin table is authoritative, and a fresh open starts with
-	// zero live sessions regardless of the persisted counts.
-	Refs int `json:"refs,omitempty"`
 	// CRC is the CRC-32C of the artifact, checked by every load. Nil (not
 	// 0, a valid checksum) for entries written before, which load unchecked.
 	CRC *uint32 `json:"crc,omitempty"`
@@ -172,10 +167,9 @@ type Store struct {
 
 	wp writerPool
 
-	// shared is non-nil when the store was opened via OpenShared: publish
-	// becomes content-addressed write-once and Purge respects attachment
-	// pins. See shared.go.
-	shared *sharedState
+	// shared is set when the store was opened via OpenShared: publish
+	// becomes content-addressed write-once.
+	shared bool
 
 	// loads is the self-correcting load-bandwidth model fed by measured
 	// physical reads; EstimateLoad prefers its adopted bandwidth over the
@@ -202,16 +196,24 @@ const (
 // When a journal is present it is compacted into the base at once. Open
 // also removes what a crash mid-write leaves: a <key>.gob.tmp that never
 // got renamed, and a stale manifest temp file.
-func Open(dir string) (*Store, error) { return openStore(dir, true) }
+func Open(dir string) (*Store, error) { return openStore(dir, false) }
 
-// openStore is Open, with the sweep of temp files optional: a shared store
-// skips it, since another process may be publishing into the directory
-// right now.
-func openStore(dir string, sweep bool) (*Store, error) {
+// OpenShared opens (creating if needed) a store that any number of
+// sessions, in this process or others, publish into and load from at
+// once. It differs from Open in two ways. Publish is content-addressed
+// write-once: a chain signature is a sha256 over the operator chain that
+// produced the value, so two sessions computing the same signature
+// computed equivalent values (Definition 3) and the first publish wins.
+// And it leaves temp files alone: another process may be mid-publish into
+// the same directory.
+func OpenShared(dir string) (*Store, error) { return openStore(dir, true) }
+
+// openStore is Open, or OpenShared when shared is set.
+func openStore(dir string, shared bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	if sweep {
+	if !shared {
 		sweepTemps(dir)
 	}
 	entries, journaled, err := readManifest(dir)
@@ -224,6 +226,7 @@ func openStore(dir string, sweep bool) (*Store, error) {
 		flight:  make(map[string]*flightCall),
 		journal: NewJournal(filepath.Join(dir, manifestJournalFile)),
 		dirty:   make(map[string]struct{}),
+		shared:  shared,
 	}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]Entry)
@@ -438,7 +441,7 @@ func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, e
 func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration int, tenant string, syncManifest bool) (Entry, bool, error) {
 	start := c.Now()
 	s.keyLocks.lock(key)
-	if s.shared != nil {
+	if s.shared {
 		sh := s.shardFor(key)
 		sh.mu.Lock()
 		e, ok := sh.entries[key]
@@ -675,12 +678,11 @@ func (s *Store) Delete(key string) (freed int64, err error) {
 // prior to execution"). keep sees each key with its entry, under the
 // lock of the key's shard: it must not call back into the store.
 //
-// In shared mode an entry pinned by any live attachment is never purged,
-// regardless of keep: a pin means some attached session's last executed
-// plan depends on the artifact, and evicting it under that session would
-// invalidate results it may still load. The pin check is re-taken per key
-// at deletion time, so a Repin that lands between the visit and the
-// delete still protects its entries.
+// No session purges a shared store: shared planning marks no operator
+// original, so no run deprecates a stored result. Should anything else
+// delete a shared artifact, a session that needed it computes the node
+// again: between runs the planner sees no entry, and mid-run the failed
+// load drops the entry and re-plans.
 func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err error) {
 	var doomed []string
 	for i := range s.shards {
@@ -695,9 +697,6 @@ func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err err
 	}
 	var removed []string
 	for _, k := range doomed {
-		if s.shared != nil && s.Pinned(k) {
-			continue
-		}
 		s.keyLocks.lock(k)
 		sh := s.shardFor(k)
 		sh.mu.Lock()
@@ -739,6 +738,22 @@ func (s *Store) UsedBytes() int64 {
 	return total
 }
 
+// TenantBytes reports the total size of entries published under tenant.
+func (s *Store) TenantBytes(tenant string) int64 {
+	var total int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.entries {
+			if e.Tenant == tenant {
+				total += e.Size
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return total
+}
+
 // Len reports the number of stored entries.
 func (s *Store) Len() int {
 	n := 0
@@ -766,21 +781,13 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// snapshotEntries collects a point-in-time copy of the entry table. In
-// shared mode each entry's Refs field is stamped with the current live
-// pin count (taken before the shard locks — pin and shard locks never
-// nest).
+// snapshotEntries collects a point-in-time copy of the entry table.
 func (s *Store) snapshotEntries() []Entry {
-	var refs map[string]int
-	if s.shared != nil {
-		refs = s.shared.refCounts()
-	}
 	var entries []Entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			e.Refs = refs[e.Key]
 			entries = append(entries, e)
 		}
 		sh.mu.Unlock()
@@ -824,7 +831,6 @@ func (s *Store) flushManifest() {
 	for _, k := range keys {
 		var rec manifestRecord
 		if e, ok := s.Entry(k); ok {
-			e.Refs = s.Refs(k)
 			rec.Put = &e
 		} else {
 			rec.Delete = k
@@ -839,7 +845,7 @@ func (s *Store) flushManifest() {
 // the journal. Dirty keys are cleared first, not appended: the table
 // already holds their changes, and a mutation landing after the clear
 // marks its key again. The caller holds manifestMu. A mutation racing
-// the snapshot (only another attachment of a shared store can) is in the
+// the snapshot (only another session on a shared store can) is in the
 // base but not yet in the journal, so a crash between the rename and the
 // removal would replay that key's older record over it: a missing entry
 // or a failed load, which costs recomputation, never a wrong value.

@@ -223,8 +223,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Refs is stamped from the live pin table at snapshot time, so the
-	// persisted count does not survive a reopen.
+	// The refs field older builds wrote (a count of live sessions' pins)
+	// is ignored on read.
 	wantLegacy := []Entry{
 		{Key: "k1", Name: "rows", Size: 1234, WriteTime: 5 * time.Millisecond, Iteration: 7},
 		{Key: "k2", Name: "model", Size: 99, WriteTime: 1, Iteration: 8, Tenant: "alice"},

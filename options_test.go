@@ -296,6 +296,19 @@ func TestBadOptionValues(t *testing.T) {
 	if c.Load() != 0 || sess.Iteration() != 0 {
 		t.Fatal("a run rejected for a bad option executed operators or advanced the iteration")
 	}
+	closed, err := helix.OpenSharedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := helix.Open("", helix.WithSharedStore(closed)); !errors.Is(err, helix.ErrBadConfig) || !strings.Contains(err.Error(), "shared store is closed") {
+		t.Errorf("Open with a closed SharedStore: err = %v, want ErrBadConfig naming the closed store", err)
+	}
+	if n := closed.Sessions(); n != 0 {
+		t.Errorf("a refused session counts as attached: Sessions() = %d", n)
+	}
 	for _, o := range []helix.Option{helix.WithDomain(""), helix.WithDomain("mnist"),
 		helix.WithOMPThreshold(0), helix.WithAdaptive(-1)} {
 		s, err := helix.Open(t.TempDir(), o)

@@ -69,15 +69,13 @@ type Session struct {
 	store  *store.Store
 	engine *exec.Engine
 	dir    string
-	// att is the session's handle on a shared store (WithSharedStore);
-	// nil for a private store. When set, the session detaches on Close
-	// instead of closing the store, pins its last executed plan's
-	// signatures against purging, and skips session-state persistence —
-	// many sessions share one directory, and cross-session reuse flows
-	// through the content-addressed store and shared plan cache instead.
-	att *store.Attachment
 	// base is the session-scoped configuration Open resolved; Run/Plan
-	// copy it and layer run-scoped overrides on the copy.
+	// copy it and layer run-scoped overrides on the copy. Its shared
+	// store, when set, is the one the session is attached to: the
+	// session then detaches on Close instead of closing the store, and
+	// skips session-state persistence — many sessions share one
+	// directory, and cross-session reuse flows through the
+	// content-addressed store and shared plan cache instead.
 	base config
 
 	// polMu guards policies, the memoized materialization-policy
@@ -308,18 +306,17 @@ func Open(dir string, opts ...Option) (*Session, error) {
 		// the store owns its directory). Store-level settings were either
 		// adopted from this config (first attach) or validated against the
 		// first session's (ErrSharedConfig on conflict).
-		s.att, err = cfg.shared.attach(cfg.store, cfg.exec.Tenant)
-		if err != nil {
+		if err := cfg.shared.attach(cfg.store); err != nil {
 			return nil, err
 		}
-		s.store = s.att.Store()
+		s.store = cfg.shared.store
 		// The process-wide plan cache + frozen statistics board replace the
 		// per-session MRU: a workflow any attached session planned is a
 		// zero-solve fingerprint hit for every other session under the same
 		// configuration (the config token is still hashed per call, so
 		// differing configurations never share decisions).
-		s.engine.Shared = cfg.shared.cache
-		s.engine.Cache = cfg.shared.cache.Cache()
+		s.engine.Cache = cfg.shared.cache
+		s.engine.Board = &cfg.shared.board
 	} else {
 		s.store, err = store.Open(dir)
 		if err != nil {
@@ -345,7 +342,7 @@ func Open(dir string, opts ...Option) (*Session, error) {
 	}
 	s.engine.Store = s.store
 	s.dir = s.store.Dir()
-	if s.att == nil {
+	if s.base.shared == nil {
 		// Session state is per-session; shared-mode sessions share one
 		// directory and resume reuse through the content-addressed store
 		// and shared plan cache instead.
@@ -618,17 +615,6 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	// modes), it never fails the iteration — the computed outputs are
 	// already in hand.
 	_ = s.store.Flush()
-	if s.att != nil {
-		// Pin this run's full signature set: everything the session's
-		// current results load from (or could re-load from) is now
-		// protected from another session's purge until the next Run
-		// replaces the pins or Close releases them.
-		sigs := make([]string, 0, len(res.Plan.Nodes))
-		for _, np := range res.Plan.Nodes {
-			sigs = append(sigs, np.Node.ChainSignature())
-		}
-		s.att.Repin(sigs)
-	}
 	s.mu.Lock()
 	s.recordHistory(wf, res, started, changedOperators(prog.DAG))
 	rec := s.history[len(s.history)-1]
@@ -636,7 +622,7 @@ func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Resul
 	s.iter++
 	iterNow := s.iter
 	s.mu.Unlock()
-	if s.att == nil {
+	if s.base.shared == nil {
 		s.journalState(prog.DAG, iterNow, rec)
 	}
 	return res, nil
@@ -670,11 +656,11 @@ func (s *Session) Close() error {
 		s.runDone.Wait()
 	}
 	s.mu.Unlock()
-	if s.att != nil {
-		// Shared store: flush this session's writes and release its pins;
-		// the store itself stays open for other sessions and is torn down
-		// by SharedStore.Close.
-		return s.att.Detach()
+	if s.base.shared != nil {
+		// Shared store: flush this session's writes and detach; the store
+		// itself stays open for other sessions and is torn down by
+		// SharedStore.Close.
+		return s.base.shared.detach()
 	}
 	s.compactState()
 	serr := s.store.Close()

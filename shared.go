@@ -18,25 +18,29 @@ import (
 // (zero max-flow solves) for every later session under the same
 // configuration.
 //
-// Publishes are atomic (temp file + rename) and write-once; entries a
-// live session's executed plan depends on are pinned against purging;
-// per-tenant byte accounting (WithTenant, TenantBytes) layers on the
-// per-session materialization budgets so one tenant's writes cannot drain
-// another's.
+// Publishes are atomic (temp file + rename) and write-once, and no
+// session ever purges the store: shared planning marks no operator
+// original, so no run deprecates a published artifact. Per-tenant byte
+// accounting (WithTenant, TenantBytes) layers on the per-session
+// materialization budgets so one tenant's writes cannot drain another's.
 //
 // Lifecycle: OpenSharedStore once, pass the handle to each Open via
 // WithSharedStore, Close the sessions, then Close the handle. Closing the
 // handle stops the background writer pool; sessions still attached keep
-// working with synchronous writes.
+// working with synchronous writes, and Open with it fails (ErrBadConfig).
 type SharedStore struct {
-	handle *store.Shared
-	cache  *plan.SharedCache
+	store *store.Store
+	cache *plan.Cache
+	board plan.StatsBoard
 
-	// mu guards pinned, the store-level settings the first attaching
-	// session chose (nil until then).
+	// mu guards the fields below: pinned, the store-level settings the
+	// first attaching session chose (nil until then); sessions, the count
+	// of attached sessions; and closed.
 	//lint:nolockio
-	mu     sync.Mutex
-	pinned *storeConfig
+	mu       sync.Mutex
+	pinned   *storeConfig
+	sessions int
+	closed   bool
 }
 
 // OpenSharedStore opens (creating if needed) a shared artifact store
@@ -44,29 +48,33 @@ type SharedStore struct {
 // are adopted from the first session that attaches; a later session
 // requesting different ones fails with ErrSharedConfig.
 func OpenSharedStore(dir string) (*SharedStore, error) {
-	h, err := store.OpenShared(dir)
+	st, err := store.OpenShared(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &SharedStore{handle: h, cache: plan.NewSharedCache()}, nil
+	return &SharedStore{store: st, cache: plan.NewProcessCache()}, nil
 }
 
 // Dir returns the store's root directory.
-func (h *SharedStore) Dir() string { return h.handle.Store().Dir() }
+func (h *SharedStore) Dir() string { return h.store.Dir() }
 
 // Artifacts reports the number of artifacts currently published.
-func (h *SharedStore) Artifacts() int { return h.handle.Store().Len() }
+func (h *SharedStore) Artifacts() int { return h.store.Len() }
 
 // StorageBytes reports total on-disk bytes across all tenants.
-func (h *SharedStore) StorageBytes() int64 { return h.handle.Store().UsedBytes() }
+func (h *SharedStore) StorageBytes() int64 { return h.store.UsedBytes() }
 
 // TenantBytes reports the on-disk bytes published under one tenant label
 // (WithTenant). Accounting, not access control: artifacts are shared
 // across tenants by content address.
-func (h *SharedStore) TenantBytes(tenant string) int64 { return h.handle.TenantBytes(tenant) }
+func (h *SharedStore) TenantBytes(tenant string) int64 { return h.store.TenantBytes(tenant) }
 
 // Sessions reports the number of currently attached sessions.
-func (h *SharedStore) Sessions() int { return h.handle.Attachments() }
+func (h *SharedStore) Sessions() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sessions
+}
 
 // PlanCacheStats reports the shared plan cache's consultation counters
 // across every attached session.
@@ -74,25 +82,48 @@ func (h *SharedStore) PlanCacheStats() plan.CacheStats { return h.cache.Stats() 
 
 // Close flushes pending writes, persists the manifest, and stops the
 // writer pool. Idempotent. Sessions still attached keep working (their
-// writes degrade to synchronous); new attachments fail.
-func (h *SharedStore) Close() error { return h.handle.Close() }
+// writes degrade to synchronous); a later Open with it fails
+// (ErrBadConfig).
+func (h *SharedStore) Close() error {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return nil
+	}
+	h.closed = true
+	h.mu.Unlock()
+	return h.store.Close()
+}
 
 // attach validates a session's store-level settings against the shared
-// store's (first session wins, later conflicts error) and registers the
-// session under its tenant label.
-func (h *SharedStore) attach(sc storeConfig, tenant string) (*store.Attachment, error) {
+// store's (first session wins, later conflicts error) and counts the
+// session as attached.
+func (h *SharedStore) attach(sc storeConfig) error {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return tagged(ErrBadConfig, fmt.Errorf("store: attach: shared store is closed"))
+	}
 	if h.pinned == nil {
 		h.pinned = &sc
-		sc.applyTo(h.handle.Store())
+		sc.applyTo(h.store)
 	}
-	pinned := *h.pinned
+	if *h.pinned != sc {
+		return tagged(ErrSharedConfig, fmt.Errorf(
+			"helix: shared store %s is configured with %+v, session requested %+v", h.Dir(), *h.pinned, sc))
+	}
+	h.sessions++
+	return nil
+}
+
+// detach flushes the session's pending writes and counts it as gone. The
+// store stays open for the other sessions.
+func (h *SharedStore) detach() error {
+	err := h.store.Flush()
+	h.mu.Lock()
+	h.sessions--
 	h.mu.Unlock()
-	if pinned != sc {
-		return nil, tagged(ErrSharedConfig, fmt.Errorf(
-			"helix: shared store %s is configured with %+v, session requested %+v", h.Dir(), pinned, sc))
-	}
-	return h.handle.Attach(tenant)
+	return err
 }
 
 // WithSharedStore attaches the session to a shared content-addressed
@@ -100,8 +131,9 @@ func (h *SharedStore) attach(sc storeConfig, tenant string) (*store.Attachment, 
 // artifacts are published once per chain signature and loaded by any
 // attached session, and planning uses the process-wide shared plan cache
 // (a workflow one session planned is a zero-solve cache hit for the
-// next). Session-scoped. Combine with WithTenant to label published
-// bytes for per-tenant accounting.
+// next). No run of such a session purges the store. Session-scoped. A
+// closed h fails Open with ErrBadConfig. Combine with WithTenant to label
+// published bytes for per-tenant accounting.
 func WithSharedStore(h *SharedStore) Option {
 	if h == nil {
 		return badOption("WithSharedStore", fmt.Errorf("helix: WithSharedStore(nil)"))

@@ -87,13 +87,12 @@ func TestSharedWarmSessionZeroRecompute(t *testing.T) {
 	}
 }
 
-// TestSharedPurgeRespectsLivePins: purging the shared store never
-// invalidates an artifact a live session's executed plan depends on.
-// Pins are per-attachment — released only when that session detaches —
-// so an aggressive purge under one session leaves every other live
-// session's reuse intact, and only a store with no remaining pins can
-// actually be emptied.
-func TestSharedPurgeRespectsLivePins(t *testing.T) {
+// TestSharedPurgeCostsOneRecompute: no session purges a shared store,
+// and when something else empties it between runs, a session pays one
+// recompute and nothing more: its next Run finds no artifact, computes the
+// workflow again with the same outputs and publishes it anew, and another
+// session's Run after that is unaffected.
+func TestSharedPurgeCostsOneRecompute(t *testing.T) {
 	h, err := OpenSharedStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +104,10 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
 	var cA atomic.Int64
-	if _, err := a.Run(ctx, buildWorkflow(&cA, "LR reg=0.1")); err != nil {
+	resA, err := a.Run(ctx, buildWorkflow(&cA, "LR reg=0.1"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := Open("", WithSharedStore(h), WithTenant("b"))
@@ -115,60 +116,85 @@ func TestSharedPurgeRespectsLivePins(t *testing.T) {
 	}
 	defer b.Close()
 	var cB atomic.Int64
-	resB, err := b.Run(ctx, buildWorkflow(&cB, "LR reg=0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := h.handle.Store()
-	n := st.Len()
-	if n == 0 {
-		t.Fatal("no artifacts published")
-	}
-	for _, np := range resB.Plan.Nodes {
-		sig := np.Node.ChainSignature()
-		if st.Has(sig) && st.Refs(sig) < 1 {
-			t.Fatalf("published artifact %s of b's executed plan has %d refs, want ≥1", np.Node.Name, st.Refs(sig))
-		}
-	}
-
-	// A keep-nothing purge — the harshest possible eviction — must leave
-	// every pinned entry alone.
-	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Len(); got != n {
-		t.Fatalf("purge removed pinned artifacts: %d left of %d", got, n)
-	}
-
-	// One session detaching doesn't strand the other: b's pins still hold.
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Len(); got != n {
-		t.Fatalf("purge under one live session removed another's artifacts: %d left of %d", got, n)
-	}
-	before := cB.Load()
 	if _, err := b.Run(ctx, buildWorkflow(&cB, "LR reg=0.1")); err != nil {
 		t.Fatal(err)
 	}
-	if got := cB.Load(); got != before {
-		t.Fatalf("live session recomputed %d operators after a foreign purge, want 0", got-before)
+	if h.Artifacts() == 0 {
+		t.Fatal("no artifacts published")
 	}
 
-	// With the last session detached nothing is pinned and the purge is
-	// free to empty the store.
-	if err := b.Close(); err != nil {
+	// A keep-nothing purge — the harshest possible eviction — empties the
+	// store under two live sessions.
+	if _, err := h.store.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
+	if got := h.Artifacts(); got != 0 {
+		t.Fatalf("keep-nothing purge left %d artifacts", got)
+	}
+
+	before := cB.Load()
+	resB, err := b.Run(ctx, buildWorkflow(&cB, "LR reg=0.1"))
+	if err != nil {
+		t.Fatalf("run after a purge: %v", err)
+	}
+	if got := cB.Load() - before; got != 4 {
+		t.Fatalf("run after a purge computed %d operators, want all 4", got)
+	}
+	if resB.Values["checked"] != resA.Values["checked"] {
+		t.Fatalf("output after a purge %v, want %v", resB.Values["checked"], resA.Values["checked"])
+	}
+	if h.Artifacts() == 0 {
+		t.Fatal("the recompute published nothing")
+	}
+	resA2, err := a.Run(ctx, buildWorkflow(&cA, "LR reg=0.1"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Len(); got != 0 {
-		t.Fatalf("purge with no live sessions left %d artifacts", got)
+	if resA2.Values["checked"] != resA.Values["checked"] {
+		t.Fatalf("other session's output after a purge %v, want %v", resA2.Values["checked"], resA.Values["checked"])
+	}
+}
+
+// TestSharedEditKeepsOldArtifacts: an edit in a shared session
+// deprecates nothing, so every artifact the old version published is
+// still published after the edited run, beside the new version's.
+func TestSharedEditKeepsOldArtifacts(t *testing.T) {
+	h, err := OpenSharedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ctx := context.Background()
+	s, err := Open("", WithSharedStore(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var c atomic.Int64
+	if _, err := s.Run(ctx, buildWorkflow(&c, "LR reg=0.1")); err != nil {
+		t.Fatal(err)
+	}
+	old := h.store.Keys()
+	if len(old) == 0 {
+		t.Fatal("no artifacts published")
+	}
+	res, err := s.Run(ctx, buildWorkflow(&c, "LR reg=0.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Values["checked"] != 600.0 {
+		t.Fatalf("edited output = %v, want 600", res.Values["checked"])
+	}
+	if n := len(res.Plan.Purge.DeprecatedNames); n != 0 {
+		t.Fatalf("edited shared run deprecated %v", res.Plan.Purge.DeprecatedNames)
+	}
+	for _, k := range old {
+		if !h.store.Has(k) {
+			t.Fatalf("the old version's artifact %s is gone after the edit", k)
+		}
+	}
+	if h.Artifacts() <= len(old) {
+		t.Fatalf("%d artifacts after the edit, want more than the old version's %d", h.Artifacts(), len(old))
 	}
 }
 
@@ -238,14 +264,12 @@ func stressWorkflow(worker, iter int) (*Workflow, float64) {
 
 // TestSharedStoreConcurrentStress hammers one shared store with five
 // concurrent sessions for several iterations each while a purger
-// repeatedly attempts keep-nothing evictions, all under the race
-// detector in CI. Invariants checked: every session's outputs stay
-// correct; refcount soundness (every signature of a session's executed
-// plan holds ≥1 ref until that session moves on); manifest consistency
-// after the storm (unique keys, every entry's payload on disk at its
-// recorded size, in-memory table matching the manifest); tenant
-// accounting summing to total usage; and full reclamation once the last
-// session detaches.
+// repeatedly empties it, all under the race detector in CI. Invariants
+// checked: every Run succeeds with correct outputs, a purged artifact
+// costing only a failed load and a recompute; manifest consistency after
+// the storm (unique keys, every entry's payload on disk at its recorded
+// size, in-memory table matching the manifest); and tenant accounting
+// summing to total usage.
 func TestSharedStoreConcurrentStress(t *testing.T) {
 	const workers = 5
 	const iters = 4
@@ -254,7 +278,7 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	st := h.handle.Store()
+	st := h.store
 	ctx := context.Background()
 
 	sessions := make([]*Session, workers)
@@ -269,9 +293,7 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 	}
 
 	// Phase 1: every session runs its first iteration concurrently — the
-	// shared prefix races through single-flight publish — and pins its
-	// plan. From here on each session only ever loads signatures its own
-	// pins protect, so phase 2's purger can never strand a live load.
+	// shared prefix races through single-flight publish.
 	var wg sync.WaitGroup
 	runIter := func(w, it int) {
 		s := sessions[w]
@@ -284,12 +306,6 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 		if got := res.Values["out"]; got != want {
 			t.Errorf("worker %d iteration %d: out = %v, want %v", w, it, got, want)
 		}
-		for _, np := range res.Plan.Nodes {
-			sig := np.Node.ChainSignature()
-			if st.Has(sig) && st.Refs(sig) < 1 {
-				t.Errorf("worker %d iteration %d: executed-plan artifact %s has no refs", w, it, np.Node.Name)
-			}
-		}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -300,7 +316,8 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Phase 2: remaining iterations under concurrent purge pressure.
+	// Phase 2: remaining iterations under concurrent purge pressure: a
+	// session may plan a load whose artifact the purger then deletes.
 	stop := make(chan struct{})
 	var purges sync.WaitGroup
 	purges.Add(1)
@@ -373,22 +390,12 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 		t.Fatalf("tenant bytes sum to %d, store holds %d", tenantTotal, h.StorageBytes())
 	}
 
-	// Reclamation: once every session detaches, nothing is pinned and a
-	// keep-nothing purge empties the store.
 	for _, s := range sessions {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, key := range st.Keys() {
-		if st.Refs(key) != 0 || st.Pinned(key) {
-			t.Fatalf("key %s still pinned after every session detached", key)
-		}
-	}
-	if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Len(); got != 0 {
-		t.Fatalf("purge after all sessions detached left %d artifacts", got)
+	if got := h.Sessions(); got != 0 {
+		t.Fatalf("%d sessions attached after every session closed", got)
 	}
 }
