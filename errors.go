@@ -59,6 +59,10 @@ var (
 	// ErrLoadFailed is what NodeReport.LoadErr wraps. Run never returns it:
 	// the artifact is removed and the node computed instead.
 	ErrLoadFailed = exec.ErrLoadFailed
+	// ErrOperatorPanic is what the *NodeError Run returns wraps when an
+	// operator's function panicked. The panic is recovered: its value and
+	// stack are in the error's message, and the session stays usable.
+	ErrOperatorPanic = exec.ErrOperatorPanic
 )
 
 // NodeError reports the failure of one operator during Run. Retrieve it

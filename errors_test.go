@@ -276,3 +276,62 @@ func TestUnserializableResultIsReported(t *testing.T) {
 		}
 	}
 }
+
+// TestOperatorPanicFailsRun: an operator that panics fails Run with a
+// *NodeError that names it and wraps ErrOperatorPanic (the panic value in
+// its message) instead of killing the process; the run's goroutines all
+// exit, and the next Run with the operator fixed returns correct outputs.
+func TestOperatorPanicFailsRun(t *testing.T) {
+	sess, err := helix.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	build := func(panics bool) *helix.Workflow {
+		wf := helix.New("panic")
+		src := wf.Source("data", "v1", func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			return 21, nil
+		})
+		params := "fixed"
+		if panics {
+			params = "panics"
+		}
+		wf.Reducer("double", params, func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			if panics {
+				panic("reducer exploded")
+			}
+			return in[0].(int) * 2, nil
+		}, src).IsOutput()
+		return wf
+	}
+
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	_, err = sess.Run(context.Background(), build(true))
+	if !errors.Is(err, helix.ErrOperatorPanic) {
+		t.Fatalf("Run err = %v, want ErrOperatorPanic", err)
+	}
+	var ne *helix.NodeError
+	if !errors.As(err, &ne) || ne.Op != "double" {
+		t.Fatalf("Run err = %v, want a *NodeError naming %q", err, "double")
+	}
+	if !strings.Contains(err.Error(), "reducer exploded") {
+		t.Fatalf("Run err lost the panic value: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("panicking run leaked goroutines: %d before, %d after", before, after)
+	}
+
+	res, err := sess.Run(context.Background(), build(false))
+	if err != nil {
+		t.Fatalf("run after the panic: %v", err)
+	}
+	if got := res.Values["double"]; got != 42 {
+		t.Fatalf("double = %v after the panic, want 42", got)
+	}
+}

@@ -41,7 +41,8 @@ type NodeEvent = exec.NodeEvent
 // ReplanEvent reports one mid-run re-planning attempt by the adaptive
 // divergence monitor (WithAdaptive): measured times diverged past the
 // threshold, frontier cost estimates were corrected from observation, and
-// the planner reconsidered the not-yet-started remainder of the run.
+// the planner reconsidered the not-yet-started remainder of the run with
+// one cold solve that bypasses the plan cache.
 type ReplanEvent = exec.ReplanEvent
 
 // FlushEvent reports the write-behind flush barrier after the last node

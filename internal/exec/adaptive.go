@@ -10,93 +10,50 @@
 // solve over the corrected estimates (completed and in-flight nodes'
 // metrics are untouched: the executor defers its metric writes until after
 // the run). Frontier nodes the revised solve moves from Compute to Load
-// are swapped in the scheduler.
+// are swapped. A re-plan reads the live store and never enters the plan
+// cache: a correction changes the fingerprint, so it could never hit, and
+// storing it could only evict the steady-state plan.
 //
-// Concurrency protocol: workers claim a run (nodeRun.started) under the
-// monitor's read lock before reading its mutable fields; the re-planner
-// runs inline on whichever worker tripped the threshold, holds the write
-// lock, and mutates only runs it observes unstarted. Lock order is
-// adaptState.mu → Engine.planMu; the emitter's and ready queue's internal
-// mutexes are leaves.
+// Concurrency protocol: each run has one claim word (nodeRun.claim). The
+// worker that pops a run claims it to run as planned (claimCompute); the
+// re-planner swaps an unclaimed Compute run by claiming it for load.
+// Whichever CAS wins decides, and the run stays where it is in the
+// scheduler: it becomes ready when its parents finish, and the worker
+// that pops a run claimed for load loads it. Only that worker writes nodeRun.state; everyone
+// else reads the plan row. adaptState.mu guards the monitor's own fields
+// and is taken only by completing workers and the re-planner; lock order
+// is adaptState.mu → Engine.planMu.
 package exec
 
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"helix/internal/core"
 	"helix/internal/plan"
-	"helix/internal/store"
 )
 
 const (
-	// defaultAdaptiveMaxSolves bounds mid-run re-solve speculation when
-	// Options.AdaptiveMaxSolves is unset.
-	defaultAdaptiveMaxSolves = 3
+	// maxReplanSolves bounds the max-flow solves mid-run re-planning may
+	// spend per run; once reached the monitor disarms.
+	maxReplanSolves = 3
 	// biasApplyGate: a correction factor within this band of 1 is noise,
 	// not a regime change — leave the estimate alone.
 	biasApplyGate = 0.15
 	// biasIdemGate: skip rewriting an estimate that would move by less
 	// than this fraction. Repeated triggers under a stable skew therefore
-	// write nothing, keep the fingerprint unchanged, and re-plan as a
-	// free full cache hit — the property that lets re-plan attempts
-	// outnumber the solve budget without exceeding it.
+	// write nothing and plan nothing — the property that lets re-plan
+	// attempts outnumber the solve budget without exceeding it.
 	biasIdemGate = 0.10
 )
 
-// snapView is a memoizing store view: the first Lookup/EstimateLoad per
-// key is answered by the store, every later one from the memo. The
-// adaptive runner plans its initial plan and all mid-run re-plans through
-// one snapView, so artifacts published or evicted while the run executes
-// cannot dirty a re-plan's fingerprint — the only deltas versus the run's
-// cached entry are the monitor's deliberate metric corrections.
-type snapView struct {
-	mu    sync.Mutex
-	st    *store.Store
-	sizes map[string]int64
-	miss  map[string]bool
-	ests  map[int64]time.Duration
-}
-
-func newSnapView(st *store.Store) *snapView {
-	return &snapView{
-		st:    st,
-		sizes: make(map[string]int64),
-		miss:  make(map[string]bool),
-		ests:  make(map[int64]time.Duration),
-	}
-}
-
-func (v *snapView) Lookup(key string) (int64, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if size, ok := v.sizes[key]; ok {
-		return size, true
-	}
-	if v.miss[key] {
-		return 0, false
-	}
-	ent, ok := v.st.Entry(key)
-	if !ok {
-		v.miss[key] = true
-		return 0, false
-	}
-	v.sizes[key] = ent.Size
-	return ent.Size, true
-}
-
-func (v *snapView) EstimateLoad(size int64) time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if d, ok := v.ests[size]; ok {
-		return d
-	}
-	d := v.st.EstimateLoad(size)
-	v.ests[size] = d
-	return d
-}
+// Values of nodeRun.claim.
+const (
+	claimNone int32 = iota
+	claimCompute
+	claimLoad
+)
 
 // biasSums accumulates measured seconds against planned compute seconds
 // for one correction key (operator signature, kind, or globally).
@@ -122,20 +79,16 @@ func (b *biasSums) factor(minSamples int) float64 {
 	return b.meas / b.base
 }
 
-// adaptState is the armed divergence monitor for one run.
+// adaptState is the armed divergence monitor for one run. mu guards its
+// own fields and the proj of every run; the runs' claims are atomic.
 type adaptState struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 
 	engine *Engine
 	d      *core.DAG
 	prev   *core.DAG
 	opts   Options
-	view   *snapView
 
-	threshold float64
-	maxSolves int
-
-	st   *runState
 	runs []*nodeRun
 
 	// Divergence accumulators over completions since the last re-plan
@@ -162,21 +115,14 @@ type adaptState struct {
 	cloned *plan.Plan
 }
 
-func newAdaptState(e *Engine, d, prev *core.DAG, opts Options, view *snapView) *adaptState {
-	maxSolves := opts.AdaptiveMaxSolves
-	if maxSolves <= 0 {
-		maxSolves = defaultAdaptiveMaxSolves
-	}
+func newAdaptState(e *Engine, d, prev *core.DAG, opts Options) *adaptState {
 	return &adaptState{
-		engine:    e,
-		d:         d,
-		prev:      prev,
-		opts:      opts,
-		view:      view,
-		threshold: opts.AdaptiveThreshold,
-		maxSolves: maxSolves,
-		perOp:     make(map[string]*biasSums),
-		perKind:   make(map[core.Kind]*biasSums),
+		engine:  e,
+		d:       d,
+		prev:    prev,
+		opts:    opts,
+		perOp:   make(map[string]*biasSums),
+		perKind: make(map[core.Kind]*biasSums),
 	}
 }
 
@@ -184,7 +130,6 @@ func newAdaptState(e *Engine, d, prev *core.DAG, opts Options, view *snapView) *
 // no locking: it snapshots each run's planned compute estimate (the
 // correction base) and initial projection.
 func (ad *adaptState) arm(st *runState, runs []*nodeRun) {
-	ad.st = st
 	ad.runs = runs
 	st.adapt = ad
 	for _, r := range runs {
@@ -196,8 +141,8 @@ func (ad *adaptState) arm(st *runState, runs []*nodeRun) {
 // note feeds one successful completion into the monitor and, when the
 // accumulated divergence crosses the threshold, re-plans inline on the
 // calling worker goroutine. The event (if any) is emitted after the lock
-// is released so a slow observer never blocks claims.
-func (ad *adaptState) note(s *runState, r *nodeRun, ready *readyQueue) {
+// is released so a slow observer never blocks another completion.
+func (ad *adaptState) note(s *runState, r *nodeRun) {
 	ad.mu.Lock()
 	for _, m := range r.unit {
 		ad.noteOne(m)
@@ -205,8 +150,8 @@ func (ad *adaptState) note(s *runState, r *nodeRun, ready *readyQueue) {
 	var ev ReplanEvent
 	replanned := false
 	if !ad.disabled && ad.projSum > 0 {
-		if div := math.Abs(ad.measSum-ad.projSum) / ad.projSum; div > ad.threshold {
-			ev, replanned = ad.replanLocked(s, div, ready)
+		if div := math.Abs(ad.measSum-ad.projSum) / ad.projSum; div > ad.opts.AdaptiveThreshold {
+			ev, replanned = ad.replanLocked(s, div)
 		}
 	}
 	ad.mu.Unlock()
@@ -215,7 +160,8 @@ func (ad *adaptState) note(s *runState, r *nodeRun, ready *readyQueue) {
 	}
 }
 
-// noteOne accumulates one completed run. Called with ad.mu held.
+// noteOne accumulates one completed run. Called with ad.mu held, on the
+// worker that ran r.
 func (ad *adaptState) noteOne(r *nodeRun) {
 	if !r.measuredOK {
 		return
@@ -260,13 +206,13 @@ func (ad *adaptState) factorFor(n *core.Node) float64 {
 }
 
 // replanLocked runs one re-plan attempt: correct frontier estimates,
-// re-plan with one cold solve, adopt Compute→Load swaps for
-// unstarted nodes. Called with ad.mu held; returns the event to emit
-// after unlock, with ok=false when the attempt was suppressed by the
-// solve budget. The event is a named return value, never a heap
-// literal, so the observer-off path allocates nothing.
-func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) (ev ReplanEvent, ok bool) {
-	if ad.solves >= ad.maxSolves {
+// re-plan with one cold solve, adopt Compute→Load swaps for unclaimed
+// runs. Called with ad.mu held; returns the event to emit after unlock,
+// with ok=false when the attempt was suppressed by the solve budget. The
+// event is a named return value, never a heap literal, so the
+// observer-off path allocates nothing.
+func (ad *adaptState) replanLocked(s *runState, div float64) (ev ReplanEvent, ok bool) {
+	if ad.solves >= maxReplanSolves {
 		ad.disabled = true
 		return ev, false
 	}
@@ -277,14 +223,15 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 	// persist (they are estimates, not triggers).
 	ad.projSum, ad.measSum = 0, 0
 
-	// 1. Correct the frontier: rewrite unstarted compute nodes' estimates
+	// 1. Correct the frontier: rewrite unclaimed compute runs' estimates
 	// from observed factors. Factors multiply the initial estimate
 	// (baseC), so a repeat trigger under the same skew computes the same
-	// value and the idempotence gate skips the write — leaving the
-	// fingerprint, and therefore the cache outcome, untouched.
+	// value and the idempotence gate skips the write — and the re-plan. No
+	// worker reads a node's compute estimate, so a run claimed during this
+	// loop is unaffected by the write.
 	corrected := 0
 	for _, r := range ad.runs {
-		if atomic.LoadInt32(&r.started) != 0 || r.state != core.StateCompute {
+		if r.claim.Load() != claimNone || r.np.State != core.StateCompute {
 			continue
 		}
 		if len(r.unit) > 1 {
@@ -311,12 +258,9 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 		return ev, true
 	}
 
-	// 2. Re-plan. Same options, token, and memoized store view as the
-	// initial plan; SkipCarry because the corrected metrics ARE the
-	// input. A correction changes the fingerprint, so this solves cold
-	// unless an earlier attempt already planned these exact estimates
-	// (then it hits, with no solve).
-	p2, err := ad.engine.planWithView(ad.d, ad.prev, s.iteration, ad.opts, ad.view, true)
+	// 2. Re-plan: one cold solve through the live store, over the
+	// corrected metrics as they stand (no carry from prev).
+	p2, err := ad.engine.plan(ad.d, ad.prev, s.iteration, ad.opts, true)
 	if err != nil {
 		// A mid-run planning failure only means the run proceeds with the
 		// plan it already has.
@@ -324,36 +268,38 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 		return ev, true
 	}
 	ev.Planned = true
-	ev.Outcome = p2.Cache
 	ev.ProjectedSeconds = p2.ProjectedSeconds
-	ad.solves += p2.Solves
+	ad.solves++
 	ev.Solves = ad.solves
-	if ad.solves >= ad.maxSolves {
+	if ad.solves >= maxReplanSolves {
 		ad.disabled = true
 	}
 
-	// 3. Adopt. Projections refresh for every unstarted node; state
-	// changes are adopted only as Compute→Load on deterministic,
-	// unfused, unstarted nodes — the one swap that is always sound
-	// mid-run (the artifact existed at run start; loading it is an
-	// equivalent materialization by Definition 3).
+	// 3. Adopt. Projections refresh for every unclaimed run; state
+	// changes are adopted only as Compute→Load on deterministic, unfused,
+	// unclaimed runs — the one swap that is always sound mid-run (the
+	// artifact existed at run start; loading it is an equivalent
+	// materialization by Definition 3).
 	swapped := 0
 	for i, np2 := range p2.Nodes {
 		if i >= len(ad.runs) || np2.Node != ad.runs[i].node {
 			break // defensive: plan/run misalignment, adopt nothing further
 		}
 		r := ad.runs[i]
-		if atomic.LoadInt32(&r.started) != 0 || len(r.unit) > 1 {
+		if r.claim.Load() != claimNone || len(r.unit) > 1 {
 			continue
 		}
-		if r.state == np2.State {
+		if r.np.State == np2.State {
 			r.proj = np2.ProjectedOwn
 			continue
 		}
-		if r.state != core.StateCompute || np2.State != core.StateLoad || !r.node.Deterministic {
+		if r.np.State != core.StateCompute || np2.State != core.StateLoad || !r.node.Deterministic {
 			continue
 		}
-		ad.swapLocked(s, r, np2, ready)
+		if !r.claim.CompareAndSwap(claimNone, claimLoad) {
+			continue // its worker claimed it first: it computes
+		}
+		ad.recordSwap(s, r, np2)
 		swapped++
 	}
 	ev.Swapped = swapped
@@ -364,11 +310,10 @@ func (ad *adaptState) replanLocked(s *runState, div float64, ready *readyQueue) 
 	return ev, true
 }
 
-// swapLocked moves one unstarted run from Compute to Load: record the
-// decision on the row-cloned plan, release the parents' pending counts
-// (the load reads disk, not their values), and make the run schedulable
-// immediately if it was still waiting on parents. Called with ad.mu held.
-func (ad *adaptState) swapLocked(s *runState, r *nodeRun, np2 *plan.NodePlan, ready *readyQueue) {
+// recordSwap records a run claimed for load on the row-cloned plan. The
+// run itself stays queued behind its parents; the worker that pops it
+// finds the claim taken and loads. Called with ad.mu held.
+func (ad *adaptState) recordSwap(s *runState, r *nodeRun, np2 *plan.NodePlan) {
 	if ad.cloned == nil {
 		ad.cloned = s.plan.CloneRows()
 	}
@@ -379,29 +324,7 @@ func (ad *adaptState) swapLocked(s *runState, r *nodeRun, np2 *plan.NodePlan, re
 	row.Rationale = "adaptive: observed compute cost exceeded load, swapped mid-run"
 	ad.cloned.Counts[core.StateCompute]--
 	ad.cloned.Counts[core.StateLoad]++
-
-	hadDeps := atomic.LoadInt32(&r.deps) > 0
-	r.state = core.StateLoad
 	r.proj = np2.ProjectedOwn
-
-	// The load consumes no parent values: release each parent's pending
-	// count as the compute's completion would have. A parent that is
-	// already finished and reaches zero retires here; an unfinished one
-	// retires on its own completion path (its finished flag is set before
-	// its own pending check, so exactly one side fires).
-	for _, p := range r.node.Parents() {
-		if pr := s.runs[p.ID]; atomic.AddInt32(&pr.pending, -1) == 0 && atomic.LoadInt32(&pr.finished) == 1 {
-			s.retire(pr)
-		}
-	}
-	if hadDeps {
-		// Still queued behind unfinished parents as a compute; as a load
-		// it is ready now. Future release() calls skip it (state is no
-		// longer Compute), so this is the only push. A push after the
-		// queue closed (cancellation) is dropped, which is fine — the run
-		// is unwinding.
-		ready.push(r)
-	}
 }
 
 // summary reports the monitor's totals and the row-cloned plan (nil when

@@ -58,6 +58,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,17 +169,14 @@ type Options struct {
 	// from their plan-projected time by more than this relative fraction
 	// (e.g. 0.5 = 50%), the engine corrects the cost estimates of
 	// not-yet-started nodes from the timings observed so far and re-plans
-	// the iteration with one cold solve. Not-yet-started compute nodes whose
-	// corrected estimate makes loading cheaper are swapped to Load.
-	// Applies to Run/RunWith only; Execute carries a prebuilt plan out
-	// verbatim. ≤ 0 disables (the default).
+	// the iteration with one cold solve through the live store, outside the
+	// plan cache. Not-yet-started compute nodes whose corrected estimate
+	// makes loading cheaper are swapped to Load; a swapped node still
+	// waits for its parents. At most 3 re-plans per run solve; one whose
+	// corrections move no estimate plans nothing. Applies to Run/RunWith
+	// only; Execute carries a prebuilt plan out verbatim. ≤ 0 disables
+	// (the default).
 	AdaptiveThreshold float64
-	// AdaptiveMaxSolves bounds the extra max-flow solves mid-run
-	// re-planning may consume per run; once reached the monitor disarms.
-	// Re-plan attempts that hit the plan cache (or change no estimate)
-	// cost no solve and are not counted against it. ≤ 0 means the
-	// default of 3.
-	AdaptiveMaxSolves int
 }
 
 // SchedMode selects the scheduler's ready-queue ordering policy.
@@ -329,25 +327,27 @@ func (e *Engine) Plan(d *core.DAG, prev *core.DAG, iteration int) (*plan.Plan, e
 // ConfigToken flows into the plan fingerprint, so plans built under
 // differing configurations are never confused by the cache.
 func (e *Engine) PlanWith(d *core.DAG, prev *core.DAG, iteration int, opts Options) (*plan.Plan, error) {
-	return e.planWithView(d, prev, iteration, opts, storeView{e.Store}, false)
+	return e.plan(d, prev, iteration, opts, false)
 }
 
-// planWithView is PlanWith with an injected store view and carry control:
-// the adaptive re-planner plans the initial plan and every mid-run
-// re-plan through one memoizing view (so the only fingerprint deltas are
-// its own deliberate metric corrections) and skips the metric carry on
-// re-plans (the DAG's current metrics are the corrections).
-func (e *Engine) planWithView(d *core.DAG, prev *core.DAG, iteration int, opts Options, view plan.MatView, skipCarry bool) (*plan.Plan, error) {
+// plan plans d through the live store. A mid-run re-plan (replan) solves
+// cold over the DAG's metrics as they stand — the adaptive monitor's
+// corrections, which a carry from prev would undo — and bypasses the plan
+// cache: a correction changes the fingerprint, so the re-plan could never
+// hit, and storing it could only evict the steady-state plan.
+func (e *Engine) plan(d *core.DAG, prev *core.DAG, iteration int, opts Options, replan bool) (*plan.Plan, error) {
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	pl := &plan.Planner{
-		View:        view,
+		View:        storeView{e.Store},
 		Opts:        opts.Plan,
-		Cache:       e.Cache,
 		Board:       e.Board,
 		Solver:      &e.solver,
 		ConfigToken: opts.ConfigToken,
-		SkipCarry:   skipCarry,
+		SkipCarry:   replan,
+	}
+	if !replan {
+		pl.Cache = e.Cache
 	}
 	p, err := pl.Plan(d, prev, iteration)
 	if err != nil {
@@ -356,21 +356,15 @@ func (e *Engine) planWithView(d *core.DAG, prev *core.DAG, iteration int, opts O
 	return p, nil
 }
 
-// closedDone is the done channel of every pruned run: it never runs, so it
-// is done from the start.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
 // nodeRun is the mutable per-node execution record.
 type nodeRun struct {
-	node    *core.Node
-	np      *plan.NodePlan
-	fn      OpFunc
+	node *core.Node
+	np   *plan.NodePlan
+	fn   OpFunc
+	// state is the state the run executes in: the plan row's, or Load
+	// when the adaptive re-planner claimed the run first. After setup only
+	// the worker that claims the run writes it; others read np.State.
 	state   core.State
-	done    chan struct{}
 	value   any
 	err     error
 	ownSecs float64
@@ -400,15 +394,10 @@ type nodeRun struct {
 	unit     []*nodeRun
 	streamed bool
 
-	// started is set (under the adaptive monitor's read lock, when armed)
-	// by the worker that claims the run; the re-planner only touches runs
-	// it observes unstarted under the write lock, so a claimed run's
-	// state and metrics are never written concurrently with execution.
-	started int32
-	// finished is set before the completion path's own pending check, so
-	// a swap-time pending decrement racing with it retires the node on
-	// exactly one side.
-	finished int32
+	// claim decides how the run executes (see adaptive.go): the worker
+	// that pops it CASes claimNone→claimCompute (as planned), the
+	// re-planner swaps it by CASing claimNone→claimLoad.
+	claim atomic.Int32
 	// measured is the node's observed own duration (load or compute wall,
 	// per the final state); valid when measuredOK. Folding it into the
 	// node's carried Metrics is deferred to a single-threaded pass after
@@ -448,24 +437,15 @@ func (e *Engine) RunWith(ctx context.Context, prog *Program, prev *core.DAG, ite
 	loadErrs := map[string]error{}
 	for {
 		planStart := clk.Now()
-		var (
-			view plan.MatView = storeView{e.Store}
-			ad   *adaptState
-		)
-		if opts.AdaptiveThreshold > 0 {
-			// Adaptive mode plans the initial plan and every mid-run re-plan
-			// through one memoizing store view: artifacts published while the
-			// run executes are invisible to re-plans, so the only fingerprint
-			// deltas are the monitor's deliberate metric corrections.
-			sv := newSnapView(e.Store)
-			view = sv
-			ad = newAdaptState(e, prog.DAG, prev, opts, sv)
-		}
-		p, err := e.planWithView(prog.DAG, prev, iteration, opts, view, false)
+		p, err := e.plan(prog.DAG, prev, iteration, opts, false)
 		if err != nil {
 			return nil, err
 		}
 		planTime += clk.Since(planStart)
+		var ad *adaptState
+		if opts.AdaptiveThreshold > 0 {
+			ad = newAdaptState(e, prog.DAG, prev, opts)
+		}
 		res, err := e.execute(ctx, prog, p, clk, start, planTime, &opts, ad, loadErrs)
 		if !errors.Is(err, ErrLoadFailed) {
 			return res, err
@@ -542,18 +522,13 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	// The execution records, indexed both by plan order and (byID) by node
 	// ID. Every run starts as a unit of one: a view of its own slot in
 	// runs, so the executor has one shape to run and no per-node slice is
-	// allocated. Only what runs gets a done channel of its own (closed when
-	// it finishes) and its function looked up; every pruned node shares one
-	// channel that is closed already.
+	// allocated. Only what runs has its function looked up.
 	runs := make([]*nodeRun, len(p.Nodes))
 	for i, np := range p.Nodes {
 		r := &slab[i]
 		r.node, r.np, r.state = np.Node, np, np.State
 		r.unit = runs[i : i+1 : i+1]
-		if r.state == core.StatePrune {
-			r.done = closedDone
-		} else {
-			r.done = make(chan struct{})
+		if r.state != core.StatePrune {
 			r.fn = prog.Fns[np.Node]
 		}
 		runs[i] = r
@@ -725,7 +700,10 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 
 	// Planner-health summary: cache outcome, total solve count (initial
 	// plan plus adaptive re-plans), and what the divergence monitor did.
-	totalSolves, replans, swapped := p.Solves, 0, 0
+	totalSolves, replans, swapped := 0, 0, 0
+	if p.Cache != plan.CacheHit {
+		totalSolves = 1
+	}
 	if ad != nil {
 		s, r, w, final := ad.summary()
 		totalSolves += s
@@ -933,19 +911,9 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 	// member is released by its own head's unit completing, never by an
 	// upstream finish.
 	release := func(n *core.Node) {
-		// Under the adaptive monitor a child's state can be swapped
-		// (Compute→Load) by the re-planner; reading it under the
-		// monitor's read lock orders this scan against those writes. A
-		// swapped child was pushed to the ready queue at swap time and
-		// must not be pushed again here — the state check already skips
-		// it, since swaps only ever leave the Compute state.
-		if ad := st.adapt; ad != nil {
-			ad.mu.RLock()
-			defer ad.mu.RUnlock()
-		}
 		for _, ch := range n.Children() {
 			cr := st.runs[ch.ID]
-			if cr.state != core.StateCompute || cr.unit[0] != cr {
+			if cr.np.State != core.StateCompute || cr.unit[0] != cr {
 				continue
 			}
 			if atomic.AddInt32(&cr.deps, -1) == 0 {
@@ -967,7 +935,7 @@ func (e *Engine) schedule(ctx context.Context, st *runState, runs []*nodeRun, sc
 		if ad := st.adapt; ad != nil {
 			// Feed the divergence monitor; this may trigger an inline
 			// re-plan on this worker goroutine while the others proceed.
-			ad.note(st, r, ready)
+			ad.note(st, r)
 		}
 		if remaining.Add(-1) == 0 {
 			ready.close()
@@ -1041,9 +1009,7 @@ type runState struct {
 	iteration int
 	cancel    context.CancelFunc
 	// adapt, when non-nil, is the armed mid-run divergence monitor
-	// (Options.AdaptiveThreshold): workers claim runs and read mutable
-	// run state under its read lock; the re-planner mutates unstarted
-	// runs under its write lock.
+	// (Options.AdaptiveThreshold), fed by every successful completion.
 	adapt *adaptState
 }
 
@@ -1067,14 +1033,14 @@ func (s *runState) evict(r *nodeRun) {
 // finished, so inputs are read directly — no per-parent waiting.
 func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	unit := r.unit
-	// Every member completes (successfully or not) exactly when the head
-	// does.
+	n := r.node
+	// A panicking operator fails its run like an operator error: finish
+	// cancels the run and firstError reports it.
 	defer func() {
-		for _, m := range unit {
-			close(m.done)
+		if v := recover(); v != nil {
+			r.err = fmt.Errorf("%w: %v\n%s", ErrOperatorPanic, v, debug.Stack())
 		}
 	}()
-	n := r.node
 
 	// A canceled run must not start new work: queued nodes can still win
 	// the worker's select race against ctx.Done after a failure elsewhere,
@@ -1085,15 +1051,10 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 		return
 	}
 
-	// Claim the run before reading its state or metrics. Under the
-	// adaptive monitor the claim happens inside the monitor's read lock:
-	// the re-planner (holding the write lock) only mutates runs it
-	// observes unstarted, so everything this function reads after the
-	// claim is stable.
-	if ad := s.adapt; ad != nil {
-		ad.mu.RLock()
-		atomic.StoreInt32(&r.started, 1)
-		ad.mu.RUnlock()
+	// Claim the run. Losing the CAS means the adaptive re-planner swapped
+	// it to a load first.
+	if !r.claim.CompareAndSwap(claimNone, claimCompute) {
+		r.state = core.StateLoad
 	}
 
 	fused := len(unit) > 1
@@ -1180,12 +1141,9 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	}
 
 	// Publish the measured times for ancestor C(n) sums before any
-	// retirement can read them. finished is set before the cascade so an
-	// adaptive swap's pending decrement racing with the tail's self-check
-	// below retires the node on exactly one side.
+	// retirement can read them.
 	for _, m := range unit {
 		s.times[m.np.Index].Store(math.Float64bits(m.ownSecs))
-		atomic.StoreInt32(&m.finished, 1)
 	}
 
 	// Retirement cascade: the unit's completion may put the head's parents
@@ -1194,8 +1152,10 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 	// streamed flag short-circuits the materialization decision; the tail
 	// retires if it has no computing children, and can materialize under
 	// its own chain signature, keeping cross-iteration reuse keyed exactly
-	// as batch execution would.
-	if r.state == core.StateCompute {
+	// as batch execution would. A run planned Compute counts in its
+	// parents' pending even when swapped to a load, so it releases them
+	// either way.
+	if r.np.State == core.StateCompute {
 		for _, p := range n.Parents() {
 			if pr := s.runs[p.ID]; atomic.AddInt32(&pr.pending, -1) == 0 {
 				s.retire(pr)

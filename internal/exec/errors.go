@@ -35,6 +35,11 @@ var (
 	// computing); it is carried by NodeReport.MatErr and NodeEvent.MatErr,
 	// wrapping the codec's own message.
 	ErrUnserializable = errors.New("exec: result not materialized: value type cannot be serialized")
+	// ErrOperatorPanic reports an operator whose function (or, in a fused
+	// run, one of whose row operators) panicked. The worker recovers, so
+	// the run fails with a *NodeError wrapping it — the message carries
+	// the panic value and the stack — and the process and session live on.
+	ErrOperatorPanic = errors.New("exec: operator panicked")
 )
 
 // NodeError reports the failure of one operator during an iteration. It

@@ -115,7 +115,8 @@ func (FlushEvent) event() {}
 // divergence monitor (Options.AdaptiveThreshold): measured times on
 // completed nodes drifted past the threshold, so the engine corrected the
 // cost estimates of not-yet-started nodes and asked the planner to
-// reconsider the frontier. Zero or more per run, between node events.
+// reconsider the frontier: one cold solve through the live store, never a
+// plan-cache lookup. Zero or more per run, between node events.
 type ReplanEvent struct {
 	// Iteration is the 0-based iteration index.
 	Iteration int
@@ -129,12 +130,8 @@ type ReplanEvent struct {
 	// moved enough to matter (the correction was idempotent), in which
 	// case the attempt cost one scan and no planning at all.
 	Planned bool
-	// Outcome is the plan cache's verdict for the re-plan (meaningful only
-	// when Planned): CacheCold solved the corrected estimates afresh,
-	// CacheHit re-used a cached plan for the same estimates wholesale.
-	Outcome plan.CacheOutcome
 	// Solves is the cumulative number of max-flow solves consumed by
-	// re-planning so far this run, bounded by Options.AdaptiveMaxSolves.
+	// re-planning so far this run (one per planned attempt), at most 3.
 	Solves int
 	// Swapped counts nodes this attempt moved from Compute to Load.
 	Swapped int

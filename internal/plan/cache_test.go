@@ -212,8 +212,8 @@ func TestCacheEditSolvesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := opt.SolveCount() - before; got != 1 || p.Solves != 1 {
-				t.Fatalf("edit performed %d solves (Plan.Solves %d), want exactly 1", got, p.Solves)
+			if got := opt.SolveCount() - before; got != 1 {
+				t.Fatalf("edit performed %d solves, want exactly 1", got)
 			}
 			if p.Cache != CacheCold {
 				t.Fatalf("outcome %v, want cold", p.Cache)

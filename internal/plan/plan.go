@@ -186,14 +186,6 @@ type Plan struct {
 	// Cache reports how the planner obtained this plan: a fresh solve, or
 	// a wholesale reuse of a recent plan with the same fingerprint.
 	Cache CacheOutcome
-	// Solves is the number of max-flow solves this particular Plan call
-	// ran: 0 on a full fingerprint hit, 1 otherwise. Deterministic per-call
-	// accounting for the adaptive re-planner's speculation budget —
-	// unlike the process-wide opt.SolveCount, it is unaffected by
-	// concurrent planners.
-	//
-	//lint:fpexempt per-call accounting, not plan state: a hit runs zero solves, so the rebind's zero value is the correct count
-	Solves int
 	// Fused lists the plan's fused runs (Options.Streaming): each entry is
 	// ≥2 Plan.Nodes indices forming a linear chain of streamable compute
 	// nodes the engine executes as one unit with per-element pull. Interior
@@ -272,7 +264,6 @@ func (p *Plan) CloneRows() *Plan {
 		Counts:           make(map[core.State]int, len(p.Counts)),
 		Purge:            p.Purge,
 		Cache:            p.Cache,
-		Solves:           p.Solves,
 		Fused:            p.Fused,
 		FusedSigs:        p.FusedSigs,
 		Fingerprint:      p.Fingerprint,
@@ -331,10 +322,8 @@ type Planner struct {
 	// sets it when re-planning mid-run — it has just written corrected
 	// frontier metrics into the very DAG being planned, and carrying the
 	// previous iteration's statistics back over them would undo the
-	// correction.
-	// Deliberately NOT part of Options: it changes no planning decision
-	// given the same metrics, and folding it into the fingerprinted
-	// options would sever re-plans from the run's own cache entries.
+	// correction. Deliberately NOT part of Options: it changes no planning
+	// decision given the same metrics. The re-planner passes no Cache.
 	SkipCarry bool
 }
 
@@ -421,7 +410,6 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 	// 7. Assemble the artifact: states, rationale, ancestor sets, and
 	// cumulative times, all in topological order.
 	p := pl.assemble(in, states, anc, words, fp)
-	p.Solves = 1
 	if pl.Cache != nil {
 		pl.Cache.store(fp, p)
 	}

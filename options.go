@@ -263,20 +263,20 @@ func WithParallelism(n int) Option {
 // reported as a ReplanEvent (see WithObserver), and the run's
 // RunStatsEvent totals solves, re-plans, and swaps.
 //
-// Re-planning is plan-cache safe. Corrections only touch operators that
-// have not started, so completed work never changes the fingerprint
-// retroactively. A re-plan whose corrections moved an estimate changes
-// the fingerprint and solves cold, once; one whose corrections all fall
-// inside the gating bands writes nothing and costs zero solves.
-// The threshold is folded into the configuration token, so adaptive and
-// non-adaptive runs never share cache entries.
+// A re-plan whose corrections moved an estimate solves cold, once,
+// through the live store; one whose corrections all fall inside the
+// gating bands writes nothing and costs zero solves. Re-plans never enter
+// the plan cache, so they cannot evict the steady-state plan. A swapped
+// operator still waits for its inputs' operators to finish before it
+// loads. The threshold is folded into the configuration token, so
+// adaptive and non-adaptive runs never share cache entries.
 //
-// Extra max-flow solves per run are bounded (3) to keep speculation
-// cheap; once the bound is spent the monitor disarms for the rest of the
-// run. Usable at session scope (every run adapts) or run scope (that run
-// only). internal/sim's TestRunAdaptiveBeatsStaticOnSkew holds the
-// static-vs-adaptive comparison on model time (README, "Adaptive mid-run
-// re-planning").
+// Extra max-flow solves per run are bounded at a fixed 3 to keep
+// speculation cheap; once the bound is spent the monitor disarms for the
+// rest of the run. Usable at session scope (every run adapts) or run
+// scope (that run only). internal/sim's TestRunAdaptiveBeatsStaticOnSkew
+// holds the static-vs-adaptive comparison on model time (README,
+// "Adaptive mid-run re-planning").
 func WithAdaptive(threshold float64) Option {
 	if math.IsNaN(threshold) {
 		return badOption("WithAdaptive", fmt.Errorf("helix: adaptive threshold is NaN"))

@@ -37,6 +37,7 @@ var reachAllowlist = map[string]string{
 // documents it. An entry that a program reaches, or that names no
 // exported root identifier, is stale and fails the test.
 var publicAPI = map[string]string{
+	"ErrOperatorPanic":       `README "Typed errors": what the *NodeError of a panicking operator wraps`,
 	"ErrUnserializable":      `README "Columnar binary codec": what a materialization error of an unregistered type wraps`,
 	"NodeError":              `README "Typed errors": the per-operator error Run returns`,
 	"NodeReport":             `README "Session state and durability" and "Typed errors": NodeReport.LoadErr`,
