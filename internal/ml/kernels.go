@@ -6,9 +6,15 @@ import "fmt"
 // Each sums in index order with one accumulator per output, exactly as the
 // in-order loop it replaces; the blocked ones run four such sums side by
 // side, so the loop is no longer bound by one add-latency chain but no sum
-// is reassociated. The callers guarantee the lengths: dot, dot4 and axpy
-// read y (or w) only up to len(x), and dotSparse indexes w by stored
-// coordinates.
+// is reassociated. The callers guarantee the lengths: dot, dot4, axpy and
+// the scaleAxpyDot kernels read y (or w, xn) only up to len(x), and
+// dotSparse indexes w by stored coordinates.
+//
+// The scaleAxpyDot kernels fuse two passes of softmax SGD over the K×dim
+// weights: the update of one example and the scoring of the next. They
+// are bit-identical to the two passes because each score still sums in
+// index order, over the weights just stored, and the explicit float64(w·c)
+// keeps the shrinkage rounded before the step is added.
 
 // dot returns Σ x[i]·y[i].
 func dot(x, y []float64) float64 {
@@ -61,14 +67,60 @@ func axpy(y []float64, a float64, x []float64) {
 	}
 }
 
-// scaleAxpy sets y to c·y + a·x in one pass. The conversion rounds c·y
-// before the add, as the two passes (Scale, then AddScaled) it replaces
-// stored it, so no multiply-add is fused that they could not fuse.
-func scaleAxpy(y []float64, c, a float64, x []float64) {
-	y = y[:len(x)]
+// scaleAxpyDot4 sets w_k to c·w_k + a[k]·x for the four classes w[0…3]
+// and returns each updated w_k·xn, the next example's score before its
+// bias, in one pass over the weights.
+func scaleAxpyDot4(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	w0, w1, w2, w3 := w[0][:n], w[1][:n], w[2][:n], w[3][:n]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	xn = xn[:n]
 	for i, v := range x {
-		y[i] = float64(y[i]*c) + a*v
+		u := xn[i]
+		t := float64(w0[i]*c) + a0*v
+		w0[i] = t
+		s0 += t * u
+		t = float64(w1[i]*c) + a1*v
+		w1[i] = t
+		s1 += t * u
+		t = float64(w2[i]*c) + a2*v
+		w2[i] = t
+		s2 += t * u
+		t = float64(w3[i]*c) + a3*v
+		w3[i] = t
+		s3 += t * u
 	}
+	return s0, s1, s2, s3
+}
+
+// scaleAxpyDot2 is scaleAxpyDot4 for the two classes w[0] and w[1].
+func scaleAxpyDot2(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1 float64) {
+	n := len(x)
+	w0, w1 := w[0][:n], w[1][:n]
+	a0, a1 := a[0], a[1]
+	xn = xn[:n]
+	for i, v := range x {
+		u := xn[i]
+		t := float64(w0[i]*c) + a0*v
+		w0[i] = t
+		s0 += t * u
+		t = float64(w1[i]*c) + a1*v
+		w1[i] = t
+		s1 += t * u
+	}
+	return s0, s1
+}
+
+// scaleAxpyDot is scaleAxpyDot4 for one class.
+func scaleAxpyDot(w []float64, c, a float64, x, xn []float64) (s float64) {
+	n := len(x)
+	w, xn = w[:n], xn[:n]
+	for i, v := range x {
+		t := float64(w[i]*c) + a*v
+		w[i] = t
+		s += t * xn[i]
+	}
+	return s
 }
 
 // dotDense returns x·w for a vector of either representation without

@@ -497,6 +497,115 @@ func TestSoftmaxRegressionBitIdentical(t *testing.T) {
 	}
 }
 
+// sameSoftmaxFit fits sr on ds and checks the model, and its scores and
+// predictions on every row, bit for bit against refSoftmaxFit.
+func sameSoftmaxFit(t *testing.T, name string, sr SoftmaxRegression, ds *Dataset) {
+	t.Helper()
+	got, err := sr.Fit(ds)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := refSoftmaxFit(sr, ds)
+	for k := range want.W {
+		sameBits(t, fmt.Sprintf("%s W[%d]", name, k), got.W[k], want.W[k])
+	}
+	sameBits(t, name+" Bias", got.Bias, want.Bias)
+	for i, e := range ds.Examples {
+		sameBits(t, fmt.Sprintf("%s Scores[%d]", name, i), got.Scores(e.X), refScores(want, e.X))
+		sameBits(t, fmt.Sprintf("%s Predict[%d]", name, i), []float64{got.Predict(e.X)}, []float64{refSoftmaxPredict(want, e.X)})
+	}
+}
+
+// Fit updates the weights for one dense example and scores the next dense
+// example in one pass. These cases vary where that pass can and cannot
+// run: the next row sparse, no next row in the epoch, a partial block of
+// classes, batches of one and batches larger than the data.
+func TestSoftmaxFusedUpdateAndScoreBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, reg := range []float64{0, 0.01} {
+		// Dense and sparse rows side by side: a dense row followed by a
+		// sparse one updates in two passes, and the sparse row is scored
+		// on its own.
+		for _, classes := range []int{5, 6} {
+			ds := &Dataset{Dim: 13, Examples: make([]Example, 61)}
+			for i := range ds.Examples {
+				ds.Examples[i] = Example{X: randVector(rng, 13, rng.Intn(3) == 0), Y: float64(rng.Intn(classes)), Train: i%6 != 5}
+			}
+			sr := SoftmaxRegression{Classes: classes, RegParam: reg, Epochs: 3, BatchSize: 4, LearningRate: 0.5, Seed: 11}
+			sameSoftmaxFit(t, fmt.Sprintf("mixed K=%d reg=%g", classes, reg), sr, ds)
+		}
+
+		dense := randDataset(rng, 23, 7, 9, false)
+		for i := range dense.Examples {
+			dense.Examples[i].Train = true
+		}
+		// K = 1 and K = 2 mod 4: the blocks of four classes leave one
+		// class, or two, to the narrower kernels.
+		for _, classes := range []int{5, 9, 6, 10} {
+			for i := range dense.Examples {
+				dense.Examples[i].Y = float64(i % classes)
+			}
+			// The last example of each epoch, which no pass scores ahead
+			// of, ends a batch of one (1), a partial batch (4), a batch of
+			// exactly the data (23) and one larger than the data (64).
+			for _, batch := range []int{1, 4, 23, 64} {
+				sr := SoftmaxRegression{Classes: classes, RegParam: reg, Epochs: 3, BatchSize: batch, LearningRate: 0.5, Seed: int64(batch)}
+				sameSoftmaxFit(t, fmt.Sprintf("K=%d batch=%d reg=%g", classes, batch, reg), sr, dense)
+			}
+		}
+
+		// One training example: no example ever follows it.
+		one := randDataset(rng, 3, 7, 4, false)
+		one.Examples[0].Train, one.Examples[1].Train, one.Examples[2].Train = false, true, false
+		sameSoftmaxFit(t, fmt.Sprintf("one example reg=%g", reg), SoftmaxRegression{Classes: 4, RegParam: reg, Epochs: 4, LearningRate: 0.5, Seed: 1}, one)
+	}
+}
+
+// An out-of-range label is found before its example's update, also when
+// the previous example's pass has already scored that example.
+func TestSoftmaxLabelOutOfRangeAfterFusedScore(t *testing.T) {
+	const n, classes = 12, 6
+	sr := SoftmaxRegression{Classes: classes, Epochs: 2, BatchSize: 5, Seed: 3}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rand.New(rand.NewSource(sr.Seed)).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	rng := rand.New(rand.NewSource(12))
+	// Positions 3 (inside the first batch) and 5 (the first of the
+	// second): a dense example precedes both in the first epoch.
+	for _, pos := range []int{3, 5} {
+		for _, label := range []float64{classes, -1} {
+			ds := randDataset(rng, n, 7, classes, false)
+			for i := range ds.Examples {
+				ds.Examples[i].Train = true
+			}
+			ds.Examples[order[pos]].Y = label
+			_, err := sr.Fit(ds)
+			want := fmt.Sprintf("ml: softmax regression: label %v out of range [0,%d)", label, classes)
+			if err == nil || err.Error() != want {
+				t.Errorf("position %d label %v: error %v, want %q", pos, label, err, want)
+			}
+		}
+	}
+}
+
+// A dense training row of another dimension panics with the named dot
+// mismatch when its turn comes; the pass before it does not score it.
+func TestSoftmaxRowDimensionMismatchPanics(t *testing.T) {
+	ds := &Dataset{Dim: 3, Examples: []Example{
+		{X: Dense(1, 2, 3), Y: 0, Train: true},
+		{X: Dense(3, 2, 1), Y: 1, Train: true},
+		{X: Dense(1, 2, 3, 4), Y: 1, Train: true},
+	}}
+	defer func() {
+		if msg, _ := recover().(string); msg != "ml: dot dimension mismatch 4 vs 3" {
+			t.Fatalf("panic %q, want the named dot mismatch", msg)
+		}
+	}()
+	SoftmaxRegression{Classes: 2, Epochs: 1}.Fit(ds)
+}
+
 func w2vCorpus(rng *rand.Rand, sentences int) [][]string {
 	vocab := []string{"gene", "protein", "dna", "rna", "cell", "stock", "market", "price", "trade", "bond", "once"}
 	out := make([][]string, sentences)

@@ -225,11 +225,27 @@ func (m *SoftmaxModel) scoresInto(out DenseVector, x Vector) {
 	}
 }
 
-// Predict implements Model: it returns the argmax class as a float64.
+// Predict implements Model: it returns the argmax class as a float64. A
+// dense x is scored against four classes at a time, the classes still
+// compared in order.
 func (m *SoftmaxModel) Predict(x Vector) float64 {
 	best, bestV := 0, math.Inf(-1)
-	for k, w := range m.W {
-		if v := dotDense(x, w) + m.Bias[k]; v > bestV {
+	k := 0
+	if dx, ok := x.(DenseVector); ok {
+		for _, w := range m.W {
+			checkDim("dot", len(dx), len(w))
+		}
+		for ; k+4 <= len(m.W); k += 4 {
+			s0, s1, s2, s3 := dot4(m.W[k], m.W[k+1], m.W[k+2], m.W[k+3], dx)
+			for i, s := range [4]float64{s0, s1, s2, s3} {
+				if v := s + m.Bias[k+i]; v > bestV {
+					best, bestV = k+i, v
+				}
+			}
+		}
+	}
+	for ; k < len(m.W); k++ {
+		if v := dotDense(x, m.W[k]) + m.Bias[k]; v > bestV {
 			best, bestV = k, v
 		}
 	}
@@ -285,48 +301,88 @@ func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 		order[i] = i
 	}
 	scores, probs := Zeros(sr.Classes), make([]float64, sr.Classes)
+	// scored says scores already hold the current example's scores: the
+	// previous example's update computed them. It is never set across an
+	// epoch's end, where the next epoch's order is not drawn yet.
+	scored := false
 	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		step := rate / (1 + 0.1*float64(ep))
 		for off := 0; off < len(order); off += batch {
-			end := off + batch
-			if end > len(order) {
-				end = len(order)
-			}
+			end := min(off+batch, len(order))
 			inv := 1 / float64(end-off)
-			for _, j := range order[off:end] {
-				e := train[j]
-				m.scoresInto(scores, e.X)
+			// L2 shrinkage; c = 1 is exact, so it stands for no shrinkage.
+			c := 1.0
+			if sr.RegParam > 0 {
+				c = 1 - step*inv*sr.RegParam
+			}
+			for p := off; p < end; p++ {
+				e := train[order[p]]
+				if !scored {
+					m.scoresInto(scores, e.X)
+				}
 				softmaxInPlace(scores, probs)
 				y := int(e.Y)
 				if y < 0 || y >= sr.Classes {
 					return nil, fmt.Errorf("ml: softmax regression: label %v out of range [0,%d)", e.Y, sr.Classes)
 				}
-				dx, dense := e.X.(DenseVector)
-				for k := 0; k < sr.Classes; k++ {
-					g := probs[k]
+				// probs becomes the gradient step a_k on each class's weights.
+				for k, g := range probs {
 					if k == y {
 						g -= 1
 					}
-					// L2 shrinkage then gradient step: one pass for a dense
-					// x, two for a sparse one (the shrinkage touches every
-					// weight, the step only x's stored coordinates).
-					a := -step * inv * g
-					if sr.RegParam > 0 && dense {
-						checkDim("add-scaled", len(m.W[k]), len(dx))
-						scaleAxpy(m.W[k], 1-step*inv*sr.RegParam, a, dx)
-					} else {
-						if sr.RegParam > 0 {
-							m.W[k].Scale(1 - step*inv*sr.RegParam)
-						}
-						axpyDense(m.W[k], a, e.X)
-					}
+					probs[k] = -step * inv * g
 					m.Bias[k] -= step * inv * g
 				}
+				var next Vector
+				if p+1 < len(order) {
+					next = train[order[p+1]].X
+				}
+				scored = m.sgdStep(scores, c, probs, e.X, next)
 			}
 		}
 	}
 	return m, nil
+}
+
+// sgdStep sets every class's weights w_k to c·w_k + a[k]·x; the biases are
+// already stepped. When x and next are dense rows of one dimension it also
+// writes next's scores against the updated model into scores, in the same
+// pass over the weights, and reports true. Otherwise it updates in two
+// passes, the shrinkage touching every weight and the step only x's stored
+// coordinates, and the caller scores next.
+func (m *SoftmaxModel) sgdStep(scores DenseVector, c float64, a []float64, x, next Vector) bool {
+	dx, ok := x.(DenseVector)
+	dn, nextOK := next.(DenseVector)
+	if !ok || !nextOK || len(dn) != len(dx) {
+		for k, w := range m.W {
+			if c != 1 {
+				w.Scale(c)
+			}
+			axpyDense(w, a[k], x)
+		}
+		return false
+	}
+	w, bias := m.W, m.Bias[:len(m.W)]
+	scores, a = scores[:len(w)], a[:len(w)]
+	k := 0
+	for ; k+4 <= len(w); k += 4 {
+		s0, s1, s2, s3 := scaleAxpyDot4(w[k:], c, a[k:], dx, dn)
+		scores[k] = s0 + bias[k]
+		scores[k+1] = s1 + bias[k+1]
+		scores[k+2] = s2 + bias[k+2]
+		scores[k+3] = s3 + bias[k+3]
+	}
+	if k+2 <= len(w) {
+		s0, s1 := scaleAxpyDot2(w[k:], c, a[k:], dx, dn)
+		scores[k] = s0 + bias[k]
+		scores[k+1] = s1 + bias[k+1]
+		k += 2
+	}
+	if k < len(w) {
+		scores[k] = scaleAxpyDot(w[k], c, a[k], dx, dn) + bias[k]
+	}
+	return true
 }
 
 func softmaxInPlace(scores DenseVector, out []float64) {

@@ -21,6 +21,11 @@
 // in-order loop could not form. LogisticRegression.Fit
 // trains over a packed copy of its rows, because SGD visits them in
 // shuffled order; each row's sums still run in its index order.
+// SoftmaxRegression.Fit updates the weights for one dense example and
+// scores the next dense example in the same pass (scaleAxpyDot4): each
+// new weight is stored, rounded as the separate update would round it,
+// before it enters the next example's in-order sum, so the weights and
+// scores are those of the two separate passes.
 package ml
 
 import (
