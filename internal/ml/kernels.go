@@ -15,6 +15,16 @@ import "fmt"
 // are bit-identical to the two passes because each score still sums in
 // index order, over the weights just stored, and the explicit float64(w·c)
 // keeps the shrinkage rounded before the step is added.
+//
+// projectGo and the AVX2 kernel behind projectDense (rff_amd64.s) compute
+// the projection's sums over its transposed weights, many outputs side by
+// side: a vector lane, or a slot of out, holds one output's sum, and takes
+// its terms in i order, so lanes across outputs reassociate nothing. The
+// assembly uses VMULPD then VADDPD, never VFMADD: a fused multiply-add
+// skips the product's rounding and would change the bits. The kernel is
+// chosen once at package init (useAVX2, from CPUID and XGETBV), with no
+// knob; projectGo serves CPUs without AVX2, other architectures and the
+// columns past the last block of 32.
 
 // dot returns Σ x[i]·y[i].
 func dot(x, y []float64) float64 {
@@ -37,6 +47,38 @@ func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
 		s3 += w3[i] * v
 	}
 	return s0, s1, s2, s3
+}
+
+// projectGo sets out[j] = Σ_i x[i]·wt[i·len(out)+j] for the columns
+// j ≥ from of the transposed projection wt. It adds four rows of wt at a
+// time into out[from:], each column's sum still taken in i order. Rows are
+// read along, not down: a column's InDim entries lie OutDim·8 bytes apart,
+// which at 192 or 256 outputs maps them to a few L1 sets, and a loop over
+// four columns at a time ran slower than dot4 over row-major weights.
+func projectGo(out, wt, x []float64, from int) {
+	d := len(out)
+	o := out[from:]
+	n := len(o)
+	if n == 0 {
+		return
+	}
+	clear(o)
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		p := i*d + from
+		w0, w1, w2, w3 := wt[p:][:n], wt[p+d:][:n], wt[p+2*d:][:n], wt[p+3*d:][:n]
+		v0, v1, v2, v3 := x[i], x[i+1], x[i+2], x[i+3]
+		for j, s := range o {
+			s += w0[j] * v0
+			s += w1[j] * v1
+			s += w2[j] * v2
+			s += w3[j] * v3
+			o[j] = s
+		}
+	}
+	for ; i < len(x); i++ {
+		axpy(o, x[i], wt[i*d+from:][:n])
+	}
 }
 
 // dotSparse returns Σ_j val[j]·w[idx[j]]. The index type is a

@@ -340,19 +340,121 @@ func TestDotAndAddScaledBitIdentical(t *testing.T) {
 	}
 }
 
+// projectKernel is a dense projection kernel called directly: it sets
+// out[j] = w_j·x for the transposed projection wt.
+type projectKernel struct {
+	name string
+	fn   func(out, wt, x []float64)
+}
+
+// projectKernels are the dense kernels this build runs: the pure-Go kernel
+// everywhere, and the assembly kernel where the CPU has AVX2
+// (rff_amd64_test.go adds it).
+var projectKernels = []projectKernel{
+	{"go", func(out, wt, x []float64) { projectGo(out, wt, x, 0) }},
+}
+
 func TestProjectBitIdentical(t *testing.T) {
+	if len(projectKernels) == 1 {
+		t.Log("no AVX2 kernel on this build or CPU: checking the pure-Go kernel only")
+	}
 	rng := rand.New(rand.NewSource(2))
 	for _, in := range kernelDims {
-		for _, out := range []int{1, 3, 4, 7, 13, 192} {
+		for _, out := range []int{1, 3, 4, 7, 13, 31, 32, 33, 64, 65, 192, 256} {
 			r, err := NewRFF(in, out, 0, int64(in*1000+out))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sparse := range []bool{false, true} {
 				x := randVector(rng, in, sparse)
-				sameBits(t, fmt.Sprintf("in=%d out=%d sparse=%v", in, out, sparse), r.Project(x), refProject(r, x))
+				name := fmt.Sprintf("in=%d out=%d sparse=%v", in, out, sparse)
+				want := refProject(r, x)
+				sameBits(t, name, r.Project(x), want)
+				dense, ok := x.(DenseVector)
+				if !ok {
+					continue
+				}
+				for _, k := range projectKernels {
+					got := make([]float64, out)
+					for j := range got {
+						got[j] = math.NaN() // a column the kernel skips stays NaN
+					}
+					k.fn(got, r.wt, dense)
+					r.cosines(got)
+					sameBits(t, name+" kernel="+k.name, got, want)
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkProjectKernels times the dense projection sums w_j·x (no
+// cosine) of 64 random 256-dimensional inputs at mnist's two feature
+// counts, for each kernel in projectKernels and for "dot4-rows": dot4 over
+// a row-major projection, the layout and kernel before the transpose.
+func BenchmarkProjectKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	const in = 256
+	xs := make([][]float64, 64)
+	for k := range xs {
+		xs[k] = randVector(rng, in, false).(DenseVector)
+	}
+	for _, out := range []int{192, 256} {
+		r, err := NewRFF(in, out, 0, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([][]float64, out)
+		for j := range rows {
+			rows[j] = make([]float64, in)
+			for i := range rows[j] {
+				rows[j][i] = r.wt[i*out+j]
+			}
+		}
+		kernels := append(projectKernels[:len(projectKernels):len(projectKernels)], projectKernel{"dot4-rows", func(s, _, x []float64) {
+			for j := 0; j < len(s); j += 4 {
+				s[j], s[j+1], s[j+2], s[j+3] = dot4(rows[j], rows[j+1], rows[j+2], rows[j+3], x)
+			}
+		}})
+		sums := make([]float64, out)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%d->%d/%s", in, out, k.name), func(b *testing.B) {
+				for b.Loop() {
+					for _, x := range xs {
+						k.fn(sums, r.wt, x)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestCosBitIdentical(t *testing.T) {
+	check := func(x float64) {
+		if got, want := cos(x), math.Cos(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("cos(%v [%#x]) = %v [%#x], want %v [%#x]", x, math.Float64bits(x),
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	const reduce = 1 << 29
+	special := []float64{0, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 0x1p-1022, math.MaxFloat64,
+		reduce, math.Nextafter(reduce, 0), math.Nextafter(reduce, math.Inf(1)),
+		math.Nextafter(math.Nextafter(reduce, 0), 0)}
+	for k := -64; k <= 64; k++ {
+		m := float64(k) * (math.Pi / 4)
+		special = append(special, m, math.Nextafter(m, math.Inf(-1)), math.Nextafter(m, math.Inf(1)))
+	}
+	for _, x := range special {
+		check(x)
+		check(-x)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2_500_000; i++ {
+		check(rng.Float64()*40 - 20)
+		check(rng.NormFloat64() * 5)
+		check((rng.Float64()*2 - 1) * reduce)
+		check(math.Float64frombits(rng.Uint64()))
 	}
 }
 

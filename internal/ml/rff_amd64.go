@@ -1,0 +1,29 @@
+package ml
+
+// useAVX2 is fixed at package init: the CPU has AVX2 and the operating
+// system saves the YMM registers.
+var useAVX2 = hasAVX2()
+
+// hasAVX2 reports CPUID's AVX2 bit (leaf 7), with AVX and OSXSAVE (leaf 1),
+// and XCR0's SSE and AVX state bits: the CPU has the instructions and the
+// operating system saves the YMM registers across context switches.
+func hasAVX2() bool
+
+// projectAVX2 sets out[j] = Σ_i x[i]·wt[i·len(out)+j] for the columns
+// j < len(out) &^ 31, 32 columns per pass, each sum in i order.
+//
+//go:noescape
+func projectAVX2(out, wt, x []float64)
+
+// projectDense sets out[j] to w_j·x for the transposed projection wt:
+// the assembly kernel takes the columns in whole blocks of 32, projectGo
+// the rest.
+func projectDense(out, wt, x []float64) {
+	wt = wt[:len(x)*len(out)] // the assembly reads this much, unchecked
+	from := 0
+	if useAVX2 {
+		projectAVX2(out, wt, x)
+		from = len(out) &^ 31
+	}
+	projectGo(out, wt, x, from)
+}

@@ -26,6 +26,20 @@
 // new weight is stored, rounded as the separate update would round it,
 // before it enters the next example's in-order sum, so the weights and
 // scores are those of the two separate passes.
+//
+// RandomFourierFeatures stores its projection transposed, so the sums of
+// many outputs advance together over one input coordinate: on amd64 with
+// AVX2 an assembly kernel (rff_amd64.s) keeps 32 outputs in eight YMM
+// registers, one output per lane. Lanes never mix, and each lane takes
+// x[i]·w_j[i] for i in order with a multiply then an add, so every output
+// is the scalar in-order sum bit for bit. Fused multiply-add is banned in
+// the kernels: it rounds once where the in-order loop rounds twice. The
+// kernel runs only where CPUID reports AVX2 and XGETBV shows the OS saves
+// the YMM registers, checked once at package init; elsewhere, and for the
+// OutDim mod 32 columns, projectGo adds four rows at a time in the same
+// order. The cosine is a copy of math.Cos's algorithm (same reduction, same
+// polynomials, same operation order) with the octant branches replaced by
+// bit selects, so it returns math.Cos's bits without its mispredictions.
 package ml
 
 import (
