@@ -15,7 +15,7 @@
 //   - nilemitter — run events are only constructed behind a nil-observer
 //     guard, preserving the documented zero-allocation guarantee when no
 //     observer is installed.
-//   - lockio — a mutex annotated as I/O-free (store shards, session
+//   - lockio — a mutex annotated as I/O-free (the store's table, session
 //     state) is never held across a disk syscall, a Flush, or the
 //     simulated-disk throttle sleep.
 //   - plandeterminism — packages annotated deterministic (plan, opt,

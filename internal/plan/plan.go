@@ -332,7 +332,6 @@ type Planner struct {
 // the hit path runs every iteration, and four map constructions per call
 // were a measurable tax on 1000-node workflows.
 type planInputs struct {
-	d         *core.DAG
 	iteration int
 	order     []*core.Node
 	// pos maps a node's (dense) ID to its index in order.
@@ -426,7 +425,7 @@ func (pl *Planner) Plan(d *core.DAG, prev *core.DAG, iteration int) (*Plan, erro
 // decision is NOT built here: see buildPurge, which runs only on misses —
 // a hit reuses the cached spec.
 func (pl *Planner) gather(d *core.DAG, iteration int) *planInputs {
-	in := &planInputs{d: d, iteration: iteration}
+	in := &planInputs{iteration: iteration}
 	in.order = d.TopoSort()
 	n := len(in.order)
 	in.pos = make([]int32, n)

@@ -219,10 +219,16 @@ func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, erro
 	defer os.RemoveAll(dir)
 	ctx = clock.With(ctx, newModel())
 	var tally runTally
+	var stats *helix.RunStatsEvent
 	sess, err := helix.Open(dir,
 		helix.WithDiskThroughput(PaperDiskBytesPerSec),
 		helix.WithSyncMaterialization(true),
-		helix.WithObserver(tally.observe))
+		helix.WithObserver(func(ev helix.RunEvent) {
+			tally.observe(ev)
+			if e, ok := ev.(helix.RunStatsEvent); ok {
+				stats = &e
+			}
+		}))
 	if err != nil {
 		return mode, err
 	}
@@ -238,6 +244,7 @@ func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, erro
 			runOpts = append(runOpts, helix.WithAdaptive(threshold))
 		}
 		tally.reset()
+		stats = nil
 		res, err := sess.Run(ctx, adaptiveWorkflow(&slow), runOpts...)
 		if err != nil {
 			return mode, fmt.Errorf("tick %d: %w", tick, err)
@@ -254,7 +261,7 @@ func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, erro
 				t.ProjectedSeconds = re.ProjectedSeconds
 			}
 		}
-		if rs := tally.stats; rs != nil {
+		if rs := stats; rs != nil {
 			t.Replans, t.Solves, t.Swapped = rs.Replans, rs.Solves, rs.Swapped
 		}
 		t.GapSeconds = math.Abs(t.Seconds - t.ProjectedSeconds)

@@ -189,14 +189,13 @@ func NewWorkload(name string, scale workloads.Scale, seed int64) (workloads.Work
 }
 
 // runTally collects one iteration's structured run events. The observer
-// is invoked serially by the engine; plan and run-stats events are emitted
-// on the Run caller's goroutine and re-plan events on worker goroutines
+// is invoked serially by the engine; plan events are emitted on the Run
+// caller's goroutine and re-plan events on worker goroutines
 // the run joins before returning, so reading the tally after Run returns
 // needs no extra synchronization.
 type runTally struct {
 	plan    *helix.PlanEvent
 	replans []helix.ReplanEvent
-	stats   *helix.RunStatsEvent
 }
 
 func (t *runTally) observe(ev helix.RunEvent) {
@@ -205,8 +204,6 @@ func (t *runTally) observe(ev helix.RunEvent) {
 		t.plan = &e
 	case helix.ReplanEvent:
 		t.replans = append(t.replans, e)
-	case helix.RunStatsEvent:
-		t.stats = &e
 	}
 }
 

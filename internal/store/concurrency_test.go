@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"helix/internal/clock"
 )
 
 // TestConcurrentStress hammers every mutating and reading operation from
@@ -299,6 +301,102 @@ func TestSingleFlightGet(t *testing.T) {
 	// couple of non-overlapping flights plus scheduling noise.
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Errorf("concurrent Gets not single-flighted: %v for %d readers", elapsed, readers)
+	}
+}
+
+// gateClock is the host's clock except that Sleep — the simulated-disk
+// throttle — announces itself on entered and then blocks until release
+// is closed.
+type gateClock struct {
+	clock.Real
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gateClock) Sleep(time.Duration) {
+	g.entered <- struct{}{}
+	<-g.release
+}
+
+// TestBusyKeyBlocksOnlyItsKey holds a Write of key a inside its
+// simulated-disk throttle, with a's file claimed. Meanwhile every
+// operation on another key, and the table-wide reads, must return, and a
+// Get of a must wait for the write and then load what it wrote. The gate
+// is released before any t.Fatal: were the store's mutex held across the
+// throttle, the deferred Close would otherwise wait on it forever.
+func TestBusyKeyBlocksOnlyItsKey(t *testing.T) {
+	s := open(t)
+	defer s.Close()
+	s.DiskBytesPerSec = 1 << 30
+	gate := gateClock{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer release()
+
+	wrote := make(chan WriteOutcome, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wrote <- s.Write(WriteRequest{Key: "a", Name: "a", Value: payload{N: 1}, Clock: gate})
+	}()
+	<-gate.entered
+
+	type loaded struct {
+		v   any
+		err error
+	}
+	getA := make(chan loaded, 1)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		v, _, err := s.Get("a")
+		getA <- loaded{v, err}
+	}()
+	others := make(chan error, 1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.Put("b", "b", payload{N: 2}, 0); err != nil {
+			others <- err
+			return
+		}
+		if v, _, err := s.Get("b"); err != nil || !reflect.DeepEqual(v, payload{N: 2}) {
+			others <- fmt.Errorf("Get(b) = %v, %v", v, err)
+			return
+		}
+		if _, err := s.Delete("b"); err != nil {
+			others <- err
+			return
+		}
+		s.Has("a")
+		s.UsedBytes()
+		s.Keys()
+		others <- nil
+	}()
+	select {
+	case err := <-others:
+		if err != nil {
+			release()
+			t.Fatalf("operations on b while a was busy: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("operations on b blocked while a's write held its file")
+	}
+	select {
+	case got := <-getA:
+		release()
+		t.Fatalf("Get(a) returned %v, %v while a's write held its file", got.v, got.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	if out := <-wrote; !out.Written {
+		t.Fatalf("write of a: %+v", out)
+	}
+	if got := <-getA; got.err != nil || !reflect.DeepEqual(got.v, payload{N: 1}) {
+		t.Fatalf("Get(a) after the write = %v, %v, want %v", got.v, got.err, payload{N: 1})
 	}
 }
 

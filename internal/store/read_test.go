@@ -283,12 +283,11 @@ func TestChecksumFailsFlippedBits(t *testing.T) {
 	if _, _, err := s.Get("float64s"); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("a flipped exponent bit loaded with %v, want ErrChecksum", err)
 	}
-	sh := s.shardFor("float64s")
-	sh.mu.Lock()
-	ent := sh.entries["float64s"]
+	s.mu.Lock()
+	ent := s.entries["float64s"]
 	ent.CRC = nil
-	sh.entries["float64s"] = ent
-	sh.mu.Unlock()
+	s.entries["float64s"] = ent
+	s.mu.Unlock()
 	if _, _, err := s.Get("float64s"); err != nil {
 		t.Fatalf("an entry without a checksum was checked: %v", err)
 	}
@@ -333,12 +332,11 @@ func TestVerify(t *testing.T) {
 	if err := s.Verify("k"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("a missing file: Verify = %v, want the read error", err)
 	}
-	sh := s.shardFor("k")
-	sh.mu.Lock()
-	ent := sh.entries["k"]
+	s.mu.Lock()
+	ent := s.entries["k"]
 	ent.CRC = nil
-	sh.entries["k"] = ent
-	sh.mu.Unlock()
+	s.entries["k"] = ent
+	s.mu.Unlock()
 	if err := s.Verify("k"); err != nil {
 		t.Errorf("an entry without a checksum: Verify = %v", err)
 	}

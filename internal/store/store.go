@@ -22,31 +22,33 @@
 //
 // # Concurrency model
 //
-// The store is built for many goroutines hammering it at once — the
-// execution engine retires nodes from every worker goroutine, and the
-// write-behind pool (writer.go) adds background writers on top:
+// The engine retires nodes from its worker goroutines and the write-behind
+// pool (writer.go) adds background writers on top, so the store is safe
+// for concurrent use:
 //
-//   - The entry table is sharded: each key hashes to one of shardCount
-//     shards with its own mutex, so metadata operations on different keys
-//     never contend on a single store-wide lock.
-//   - No shard (or any store-wide) lock is ever held across disk I/O or
-//     the simulated-disk throttle sleep. Mutual exclusion for a key's
-//     file is provided by a per-key lock, which serializes Put/Delete/
-//     load on the *same* key while leaving every other key unobstructed.
-//   - Concurrent Gets of the same key are single-flighted: one goroutine
+//   - One mutex, Store.mu, guards the in-memory state: the entry table,
+//     the dirty keys, the keys whose file is in use, and the in-flight
+//     loads. A run does a few map operations per node it plans, retires
+//     or writes, so nothing contends on it for long.
+//   - mu is never held across disk I/O or the simulated-disk throttle
+//     sleep. A key's file is claimed instead (lockKey/unlockKey): Put,
+//     Delete, load and Verify of the same key take turns, waiting on a
+//     condition variable over mu, while every other key proceeds.
+//   - Concurrent loads of the same key are single-flighted: one goroutine
 //     performs the read+decode, the rest wait and share the decoded
 //     value. Stored values are treated as immutable (the engine already
 //     shares them freely across node goroutines), so sharing the decode
 //     is safe.
 //   - The manifest is manifest.json, a compacted base, plus
 //     manifest.journal, an append-only record of the keys changed since
-//     (journal.go). Every mutation marks its key dirty; a synchronous
-//     Put/Delete/Purge appends put/delete records for the dirty keys at
-//     once, and write-behind writes leave theirs to the Flush barrier, so
-//     N background writes cost one append, not N. Appending is one
-//     write(2) under a dedicated mutex, never an fsync: the base is
-//     rewritten (tmp file + fsync + rename) only by the compaction in Close
-//     and in Open when a journal is present.
+//     (journal.go). A mutation marks its key dirty in the critical section
+//     that changes the table; a synchronous Put/Delete/Purge appends
+//     put/delete records for the dirty keys at once, and write-behind
+//     writes leave theirs to the Flush barrier, so N background writes
+//     cost one append, not N. Appending is one write(2) under a dedicated
+//     mutex, never an fsync: the base is rewritten (tmp file + fsync +
+//     rename) only by the compaction in Close and in Open when a journal
+//     is present.
 //
 // # Write-behind
 //
@@ -65,12 +67,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/maphash"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -98,19 +99,6 @@ type Entry struct {
 // CRC-32C.
 var ErrChecksum = errors.New("store: artifact checksum mismatch")
 
-// shardCount is the number of entry-table shards. Power of two so the
-// hash can be masked; 16 comfortably exceeds the engine's worker-level
-// parallelism on the synthetic workloads.
-const shardCount = 16
-
-// shard is one slice of the entry table with its own lock. The lock
-// guards only the map — never disk I/O.
-type shard struct {
-	//lint:nolockio
-	mu      sync.Mutex
-	entries map[string]Entry
-}
-
 // Store is a directory-backed materialization store, safe for concurrent
 // use by any number of goroutines.
 type Store struct {
@@ -133,19 +121,18 @@ type Store struct {
 
 	dir string
 
-	shards [shardCount]shard
-	seed   maphash.Seed // shardFor's
-
-	// keyLocks serializes file operations per key (Put vs Delete vs load
-	// races on the same key) without any cross-key contention.
-	keyLocks keyedMutex
-
-	// flight single-flights concurrent Gets of the same key. The lock
-	// guards only the call map; waiting for a flight's disk read happens
-	// on the flightCall's done channel after release.
+	// mu guards the fields below it up to manifestMu, and only them.
 	//lint:nolockio
-	flightMu sync.Mutex
-	flight   map[string]*flightCall
+	mu      sync.Mutex
+	entries map[string]Entry
+	// dirty holds the keys mutated since the journal last recorded them.
+	dirty map[string]struct{}
+	// busy holds the keys whose file is in use (lockKey); keyFree is
+	// signalled whenever one leaves it.
+	busy    map[string]bool
+	keyFree sync.Cond
+	// flight holds the in-flight load of each key being loaded.
+	flight map[string]*flightCall
 
 	// manifestMu serializes journal appends and compactions, and guards
 	// journal, journaled and persistErr. It is held across that I/O.
@@ -158,12 +145,6 @@ type Store struct {
 	// no mutation fails on (the entry is in the table, and the next
 	// compaction records it); Close returns it.
 	persistErr error
-
-	// dirtyMu guards dirty, the keys mutated since the journal last
-	// recorded them.
-	//lint:nolockio
-	dirtyMu sync.Mutex
-	dirty   map[string]struct{}
 
 	wp writerPool
 
@@ -221,31 +202,31 @@ func openStore(dir string, shared bool) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		seed:    maphash.MakeSeed(),
 		dir:     dir,
+		entries: entries,
+		dirty:   make(map[string]struct{}),
+		busy:    make(map[string]bool),
 		flight:  make(map[string]*flightCall),
 		journal: NewJournal(filepath.Join(dir, manifestJournalFile)),
-		dirty:   make(map[string]struct{}),
 		shared:  shared,
 	}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[string]Entry)
-	}
-	s.keyLocks.init()
+	s.keyFree.L = &s.mu
 	s.wp.init()
-	for _, e := range entries {
-		if e.Size < 0 {
-			// A size is where the manifest's statistics enter planning
-			// (the load estimate), and a negative one is garbage: read it
-			// as unknown and ask the artifact itself. An artifact that is
-			// gone takes its entry with it.
-			fi, err := os.Stat(s.path(e.Key))
-			if err != nil {
-				continue
-			}
-			e.Size = fi.Size()
+	for k, e := range entries {
+		if e.Size >= 0 {
+			continue
 		}
-		s.shardFor(e.Key).entries[e.Key] = e
+		// A size is where the manifest's statistics enter planning (the
+		// load estimate), and a negative one is garbage: read it as
+		// unknown and ask the artifact itself. An artifact that is gone
+		// takes its entry with it.
+		fi, err := os.Stat(s.path(k))
+		if err != nil {
+			delete(entries, k)
+			continue
+		}
+		e.Size = fi.Size()
+		entries[k] = e
 	}
 	if journaled {
 		// Start from an empty journal: a torn tail a crash left would
@@ -356,15 +337,6 @@ func replayManifest(byKey map[string]Entry, journal []byte) int {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// shardFor picks a key's shard. This sits on every metadata operation
-// from every worker and writer goroutine, and on one lookup per live node
-// of every plan, so it takes the runtime's hash of the key (seeded per
-// store): a byte-at-a-time loop over a 64-character signature cost more
-// than the map lookup it precedes.
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[maphash.String(s.seed, key)&(shardCount-1)]
-}
-
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".gob")
 }
@@ -416,10 +388,10 @@ func (s *Store) staticBandwidth() float64 {
 
 // PutBytes writes pre-encoded bytes under key and records the entry. The
 // write is timed (including simulated disk delay); the measured duration is
-// stored in the entry and returned. The key's per-key lock is held across
-// the file write so a concurrent Delete or Get of the same key cannot
-// observe a half-updated file/manifest pair; no shard lock is held during
-// I/O. The manifest journal records the entry before returning.
+// stored in the entry and returned. The key's file is claimed (lockKey)
+// across the write so a concurrent Delete or Get of the same key cannot
+// observe a half-updated file/manifest pair; mu is not held during I/O.
+// The manifest journal records the entry before returning.
 func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, error) {
 	e, _, err := s.putBytes(clock.Real{}, key, name, data, iteration, "", true)
 	return e, err
@@ -435,29 +407,22 @@ func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, e
 // file and renamed over the final path, so no reader — in this process or
 // any other session attached to a shared store — can observe a partially
 // written artifact. In shared mode the publish is additionally write-once:
-// if the key is already present when the per-key lock is acquired, the
-// write is skipped (same signature ⇒ equivalent value, Definition 3) and
-// the existing entry is returned with written=false.
+// if the key is already present when its file is claimed, the write is
+// skipped (same signature ⇒ equivalent value, Definition 3) and the
+// existing entry is returned with written=false.
 func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration int, tenant string, syncManifest bool) (Entry, bool, error) {
 	start := c.Now()
-	s.keyLocks.lock(key)
-	if s.shared {
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		e, ok := sh.entries[key]
-		sh.mu.Unlock()
-		if ok {
-			s.keyLocks.unlock(key)
-			return e, false, nil
-		}
+	if e, ok := s.lockKey(key); ok && s.shared {
+		s.unlockKey(key)
+		return e, false, nil
 	}
 	tmp := s.path(key) + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.keyLocks.unlock(key)
+		s.unlockKey(key)
 		return Entry{}, false, fmt.Errorf("store: write %q: %w", key, err)
 	}
 	if err := os.Rename(tmp, s.path(key)); err != nil {
-		s.keyLocks.unlock(key)
+		s.unlockKey(key)
 		return Entry{}, false, fmt.Errorf("store: publish %q: %w", key, err)
 	}
 	s.throttle(c, int64(len(data)))
@@ -471,12 +436,11 @@ func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration
 		Tenant:    tenant,
 		CRC:       &crc,
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	s.keyLocks.unlock(key)
-	s.markDirty(key)
+	s.mu.Lock()
+	s.entries[key] = e
+	s.dirty[key] = struct{}{}
+	s.mu.Unlock()
+	s.unlockKey(key)
 	if syncManifest {
 		s.flushManifest()
 	}
@@ -513,34 +477,30 @@ func (s *Store) Get(key string) (any, time.Duration, error) {
 // stores.
 func (s *Store) Load(c clock.Clock, key string) (any, time.Duration, error) {
 	start := c.Now()
-	s.flightMu.Lock()
+	s.mu.Lock()
 	if f, ok := s.flight[key]; ok {
-		s.flightMu.Unlock()
+		s.mu.Unlock()
 		<-f.done
 		return f.val, c.Since(start), f.err
 	}
 	f := &flightCall{done: make(chan struct{})}
 	s.flight[key] = f
-	s.flightMu.Unlock()
+	s.mu.Unlock()
 
 	f.val, f.err = s.read(c, key)
 
-	s.flightMu.Lock()
+	s.mu.Lock()
 	delete(s.flight, key)
-	s.flightMu.Unlock()
+	s.mu.Unlock()
 	close(f.done)
 	return f.val, c.Since(start), f.err
 }
 
-// read performs the physical read for Load under the key's per-key lock,
+// read performs the physical read for Load with the key's file claimed,
 // so it cannot interleave with a Put or Delete of the same key.
 func (s *Store) read(c clock.Clock, key string) (any, error) {
-	s.keyLocks.lock(key)
-	defer s.keyLocks.unlock(key)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	sh.mu.Unlock()
+	e, ok := s.lockKey(key)
+	defer s.unlockKey(key)
 	if !ok {
 		return nil, fmt.Errorf("store: no entry for key %q", key)
 	}
@@ -602,9 +562,8 @@ func (t *timedFile) Read(p []byte) (int, error) {
 // cannot be read returns the read error, and an entry written without a
 // checksum (see Entry.CRC) verifies as nil.
 func (s *Store) Verify(key string) error {
-	s.keyLocks.lock(key)
-	defer s.keyLocks.unlock(key)
-	e, ok := s.Entry(key)
+	e, ok := s.lockKey(key)
+	defer s.unlockKey(key)
 	if !ok {
 		return fmt.Errorf("store: no entry for key %q", key)
 	}
@@ -630,19 +589,15 @@ func (s *Store) Verify(key string) error {
 // Has reports whether an entry exists for key — the engine's "equivalent
 // materialization" check (Definition 3).
 func (s *Store) Has(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
+	_, ok := s.Entry(key)
 	return ok
 }
 
 // Entry returns the metadata for key.
 func (s *Store) Entry(key string) (Entry, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[key]
 	return e, ok
 }
 
@@ -650,33 +605,41 @@ func (s *Store) Entry(key string) (Entry, bool) {
 // Deleting a missing key is a no-op; a file that cannot be removed still
 // loses its entry.
 func (s *Store) Delete(key string) (freed int64, err error) {
-	s.keyLocks.lock(key)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	delete(sh.entries, key)
-	sh.mu.Unlock()
-	var rmErr error
-	if ok {
-		rmErr = os.Remove(s.path(key))
-	}
-	s.keyLocks.unlock(key)
+	e, ok, err := s.remove(key)
 	if !ok {
 		return 0, nil
 	}
-	s.markDirty(key)
 	s.flushManifest()
-	if rmErr != nil && !os.IsNotExist(rmErr) {
-		return e.Size, fmt.Errorf("store: delete %q: %w", key, rmErr)
+	if err != nil {
+		return e.Size, fmt.Errorf("store: delete %q: %w", key, err)
 	}
 	return e.Size, nil
+}
+
+// remove deletes key's entry, marking the key dirty, and then its file,
+// reporting whether there was an entry and the error of a file that is
+// there but could not be removed. It leaves the journal to the caller.
+func (s *Store) remove(key string) (Entry, bool, error) {
+	e, ok := s.lockKey(key)
+	defer s.unlockKey(key)
+	if !ok {
+		return e, false, nil
+	}
+	s.mu.Lock()
+	delete(s.entries, key)
+	s.dirty[key] = struct{}{}
+	s.mu.Unlock()
+	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
+		return e, true, err
+	}
+	return e, true, nil
 }
 
 // Purge removes every entry for which keep returns false, returning the
 // bytes freed. Used to deprecate old results when operators change (paper
 // §6.6: "HELIX purges any previous materialization of original operators
-// prior to execution"). keep sees each key with its entry, under the
-// lock of the key's shard: it must not call back into the store.
+// prior to execution"). keep sees each key with its entry under mu: it
+// must not call back into the store.
 //
 // No session purges a shared store: shared planning marks no operator
 // original, so no run deprecates a stored result. Should anything else
@@ -684,126 +647,78 @@ func (s *Store) Delete(key string) (freed int64, err error) {
 // again: between runs the planner sees no entry, and mid-run the failed
 // load drops the entry and re-plans.
 func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err error) {
+	s.mu.Lock()
 	var doomed []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if !keep(k, e) {
-				doomed = append(doomed, k)
-			}
+	for k, e := range s.entries {
+		if !keep(k, e) {
+			doomed = append(doomed, k)
 		}
-		sh.mu.Unlock()
 	}
-	var removed []string
+	s.mu.Unlock()
+	removed := 0
 	for _, k := range doomed {
-		s.keyLocks.lock(k)
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		e, ok := sh.entries[k]
+		e, ok, rmErr := s.remove(k)
 		if ok {
-			delete(sh.entries, k)
-		}
-		sh.mu.Unlock()
-		if ok {
-			removed = append(removed, k)
+			removed++
 			freed += e.Size
-			if rmErr := os.Remove(s.path(k)); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
-				err = fmt.Errorf("store: purge %q: %w", k, rmErr)
-			}
 		}
-		s.keyLocks.unlock(k)
+		if rmErr != nil && err == nil {
+			err = fmt.Errorf("store: purge %q: %w", k, rmErr)
+		}
 	}
 	// The common case — most iterations deprecate no stored result —
 	// leaves the manifest untouched.
-	if len(removed) == 0 {
+	if removed == 0 {
 		return 0, nil
 	}
-	s.markDirty(removed...)
 	s.flushManifest()
 	return freed, err
 }
 
 // UsedBytes reports the total size of stored entries.
 func (s *Store) UsedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			total += e.Size
-		}
-		sh.mu.Unlock()
+	for _, e := range s.entries {
+		total += e.Size
 	}
 	return total
 }
 
 // TenantBytes reports the total size of entries published under tenant.
 func (s *Store) TenantBytes(tenant string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.Tenant == tenant {
-				total += e.Size
-			}
+	for _, e := range s.entries {
+		if e.Tenant == tenant {
+			total += e.Size
 		}
-		sh.mu.Unlock()
 	}
 	return total
 }
 
 // Len reports the number of stored entries.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
 }
 
 // Keys returns all stored keys, sorted (for deterministic iteration).
 func (s *Store) Keys() []string {
-	var keys []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.entries {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(keys)
-	return keys
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.entries))
 }
 
-// snapshotEntries collects a point-in-time copy of the entry table.
+// snapshotEntries collects a point-in-time copy of the entry table,
+// sorted by key.
 func (s *Store) snapshotEntries() []Entry {
-	var entries []Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			entries = append(entries, e)
-		}
-		sh.mu.Unlock()
-	}
-	slices.SortFunc(entries, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
-	return entries
-}
-
-// markDirty records that keys' entries changed since the journal last
-// recorded them.
-func (s *Store) markDirty(keys ...string) {
-	s.dirtyMu.Lock()
-	for _, k := range keys {
-		s.dirty[k] = struct{}{}
-	}
-	s.dirtyMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.SortedFunc(maps.Values(s.entries), func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // flushManifest appends one journal record per dirty key — its entry as
@@ -815,28 +730,24 @@ func (s *Store) markDirty(keys ...string) {
 func (s *Store) flushManifest() {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
-	s.dirtyMu.Lock()
-	keys := make([]string, 0, len(s.dirty))
-	for k := range s.dirty {
-		keys = append(keys, k)
+	s.mu.Lock()
+	recs := make([]manifestRecord, 0, len(s.dirty))
+	for _, k := range slices.Sorted(maps.Keys(s.dirty)) {
+		if e, ok := s.entries[k]; ok {
+			recs = append(recs, manifestRecord{Put: &e})
+		} else {
+			recs = append(recs, manifestRecord{Delete: k})
+		}
 	}
 	clear(s.dirty)
-	s.dirtyMu.Unlock()
-	if len(keys) == 0 {
+	s.mu.Unlock()
+	if len(recs) == 0 {
 		return
 	}
-	sort.Strings(keys)
 	s.journaled = true
-	payloads := make([][]byte, 0, len(keys))
-	for _, k := range keys {
-		var rec manifestRecord
-		if e, ok := s.Entry(k); ok {
-			rec.Put = &e
-		} else {
-			rec.Delete = k
-		}
-		data, _ := json.Marshal(rec) // strings and integers: always encodes
-		payloads = append(payloads, data)
+	payloads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		payloads[i], _ = json.Marshal(rec) // strings and integers: always encodes
 	}
 	s.keepErr(s.journal.Append(payloads...))
 }
@@ -850,9 +761,9 @@ func (s *Store) flushManifest() {
 // removal would replay that key's older record over it: a missing entry
 // or a failed load, which costs recomputation, never a wrong value.
 func (s *Store) compactManifest() {
-	s.dirtyMu.Lock()
+	s.mu.Lock()
 	clear(s.dirty)
-	s.dirtyMu.Unlock()
+	s.mu.Unlock()
 	data, err := json.Marshal(s.snapshotEntries())
 	if err == nil {
 		err = WriteFileSync(filepath.Join(s.dir, manifestFile), data)
@@ -875,45 +786,27 @@ func (s *Store) keepErr(err error) {
 	}
 }
 
-// keyedMutex provides a mutex per string key, created on demand and
-// reclaimed when the last holder releases it.
-type keyedMutex struct {
-	// mu guards only the per-key lock map; the per-key locks themselves
-	// (keyLockEntry.mu) are held across file I/O by design and are
-	// deliberately not annotated.
-	//lint:nolockio
-	mu    sync.Mutex
-	locks map[string]*keyLockEntry
-}
-
-type keyLockEntry struct {
-	mu   sync.Mutex
-	refs int
-}
-
-func (k *keyedMutex) init() {
-	k.locks = make(map[string]*keyLockEntry)
-}
-
-func (k *keyedMutex) lock(key string) {
-	k.mu.Lock()
-	e, ok := k.locks[key]
-	if !ok {
-		e = &keyLockEntry{}
-		k.locks[key] = e
+// lockKey claims key's file for a file operation — Put, Delete, load or
+// Verify — waiting while another goroutine has it, and returns the key's
+// entry, which stays as it is until unlockKey: every change to the table
+// is made with the key claimed. mu is held only to wait and to mark the
+// key busy, never across the file operation that follows.
+func (s *Store) lockKey(key string) (Entry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.busy[key] {
+		s.keyFree.Wait()
 	}
-	e.refs++
-	k.mu.Unlock()
-	e.mu.Lock()
+	s.busy[key] = true
+	e, ok := s.entries[key]
+	return e, ok
 }
 
-func (k *keyedMutex) unlock(key string) {
-	k.mu.Lock()
-	e := k.locks[key]
-	e.refs--
-	if e.refs == 0 {
-		delete(k.locks, key)
-	}
-	k.mu.Unlock()
-	e.mu.Unlock()
+// unlockKey releases key's file and wakes the goroutines waiting to claim
+// a key.
+func (s *Store) unlockKey(key string) {
+	s.mu.Lock()
+	delete(s.busy, key)
+	s.mu.Unlock()
+	s.keyFree.Broadcast()
 }

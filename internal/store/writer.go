@@ -121,7 +121,8 @@ func (w *writerPool) init() {
 //
 // Requests for the same key are not ordered relative to one another; the
 // engine never issues concurrent writes for one key (retirement is
-// once-per-node), and the per-key lock keeps any such race consistent.
+// once-per-node), and the claim on the key's file (lockKey) keeps any
+// such race consistent.
 func (s *Store) PutAsync(req WriteRequest) {
 	w := &s.wp
 	w.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"helix/internal/core"
@@ -86,9 +85,6 @@ type Session struct {
 	polMu    sync.Mutex
 	policies map[policyConfig]opt.MatPolicy
 
-	// running rejects concurrent Run calls (ErrConcurrentRun).
-	running atomic.Bool
-
 	// mu guards the iteration state below; critical sections are short
 	// (snapshot at Run entry, update at Run exit) so Plan and History can
 	// read consistently while a Run is in flight. State persistence
@@ -99,9 +95,10 @@ type Session struct {
 	iter    int
 	history []IterationRecord
 	closed  bool
-	// runActive is true while a Run is between its entry snapshot and its
-	// final state update; Close waits on runDone until it clears so the
-	// store is never torn down under an executing iteration.
+	// runActive is the run slot: true from a Run's entry to its return, so
+	// a second Run meanwhile gets ErrConcurrentRun, and Close waits on
+	// runDone until it clears so the store is never torn down under an
+	// executing iteration.
 	runActive bool
 	runDone   *sync.Cond
 
@@ -570,11 +567,11 @@ func (s *Session) Plan(wf *Workflow, opts ...Option) (*Plan, error) {
 // that costs recomputation, never a wrong value. A failed append does not
 // fail Run; Close reports it.
 func (s *Session) Run(ctx context.Context, wf *Workflow, opts ...Option) (*Result, error) {
-	if !s.running.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if s.runActive {
+		s.mu.Unlock()
 		return nil, ErrConcurrentRun
 	}
-	defer s.running.Store(false)
-	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrSessionClosed
