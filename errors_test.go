@@ -3,6 +3,7 @@ package helix_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"helix"
+	"helix/internal/collection"
 )
 
 // TestErrBadWorkflow: declaration and compilation failures satisfy
@@ -333,5 +335,68 @@ func TestOperatorPanicFailsRun(t *testing.T) {
 	}
 	if got := res.Values["double"]; got != 42 {
 		t.Fatalf("double = %v after the panic, want 42", got)
+	}
+}
+
+// TestPartitionPanicFailsRun: an operator whose data-parallel closure
+// panics on one of internal/collection's partition goroutines fails Run
+// with ErrOperatorPanic, as a panic on the engine worker does, instead of
+// killing the process. The partitions' goroutines all exit, and the next
+// Run with the closure fixed returns correct outputs.
+func TestPartitionPanicFailsRun(t *testing.T) {
+	sess, err := helix.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	build := func(panics bool) *helix.Workflow {
+		wf := helix.New("partition-panic")
+		src := wf.Source("data", "v1", func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			return []int{1, 2, 3, 4, 5, 6, 7, 8}, nil
+		})
+		params := "fixed"
+		if panics {
+			params = "panics"
+		}
+		wf.Reducer("square", params, func(ctx context.Context, in []helix.Value) (helix.Value, error) {
+			sq := collection.Map(collection.New(&collection.Env{Workers: 4}, in[0].([]int)), func(v int) int {
+				if panics && v == 6 {
+					panic("partition exploded")
+				}
+				return v * v
+			})
+			return sq.Collect(), nil
+		}, src).IsOutput()
+		return wf
+	}
+
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	_, err = sess.Run(context.Background(), build(true))
+	if !errors.Is(err, helix.ErrOperatorPanic) {
+		t.Fatalf("Run err = %v, want ErrOperatorPanic", err)
+	}
+	var ne *helix.NodeError
+	if !errors.As(err, &ne) || ne.Op != "square" {
+		t.Fatalf("Run err = %v, want a *NodeError naming %q", err, "square")
+	}
+	if !strings.Contains(err.Error(), "partition exploded") {
+		t.Fatalf("Run err lost the panic value: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("panicking run leaked goroutines: %d before, %d after", before, after)
+	}
+
+	res, err := sess.Run(context.Background(), build(false))
+	if err != nil {
+		t.Fatalf("run after the panic: %v", err)
+	}
+	if got := res.Values["square"]; !reflect.DeepEqual(got, []int{1, 4, 9, 16, 25, 36, 49, 64}) {
+		t.Fatalf("square = %v after the panic", got)
 	}
 }

@@ -104,10 +104,18 @@ func (c *Collection[T]) Collect() []T {
 	return out
 }
 
-// forEachPartition runs f over partitions on the env's workers.
+// forEachPartition runs f over partitions on the env's workers. A panic in
+// f does not kill the process from a partition's goroutine: it is
+// recovered there, the other partitions run to completion, and the first
+// panic is raised again on the caller's goroutine, where the engine's
+// recover fails the run with exec.ErrOperatorPanic.
 func forEachPartition[T any](c *Collection[T], f func(pi int, part []T)) {
 	c.env.barrier()
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first any // never nil once set: recover returns a *runtime.PanicNilError for panic(nil)
+	)
 	sem := make(chan struct{}, c.env.normalize())
 	for pi, part := range c.parts {
 		wg.Add(1)
@@ -115,10 +123,18 @@ func forEachPartition[T any](c *Collection[T], f func(pi int, part []T)) {
 		go func(pi int, part []T) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer func() {
+				if v := recover(); v != nil {
+					once.Do(func() { first = v })
+				}
+			}()
 			f(pi, part)
 		}(pi, part)
 	}
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
 }
 
 // Map applies f to every element in parallel.

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -136,4 +137,27 @@ func TestQuickMapComposition(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A panic in one partition's f is raised again on the caller's goroutine,
+// after every other partition has run to completion.
+func TestPartitionPanicReraisedOnCaller(t *testing.T) {
+	var ran atomic.Int64
+	defer func() {
+		if v := recover(); v != "element 7" {
+			t.Fatalf("recovered %v, want the partition's panic value", v)
+		}
+		if got := ran.Load(); got != 7 {
+			t.Fatalf("%d elements mapped before the panic was raised, want the 7 of the other partitions", got)
+		}
+	}()
+	// Partitions [0 1] [2 3 4] [5 6] [7 8 9]: the last one panics first.
+	Map(New(&Env{Workers: 4}, ints(10)), func(v int) int {
+		if v == 7 {
+			panic("element 7")
+		}
+		ran.Add(1)
+		return v
+	})
+	t.Fatal("Map returned after a panicking partition")
 }

@@ -1,37 +1,50 @@
 package ml
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // The concrete kernels behind the hot loops (see the package comment).
 // Each sums in index order with one accumulator per output, exactly as the
 // in-order loop it replaces; the blocked ones run four such sums side by
 // side, so the loop is no longer bound by one add-latency chain but no sum
-// is reassociated. The callers guarantee the lengths: dot, dot4, axpy and
-// the scaleAxpyDot kernels read y (or w, xn) only up to len(x), and
-// dotSparse indexes w by stored coordinates.
+// is reassociated. The callers guarantee the lengths: dot, dot4 and axpy
+// read y (or w) only up to len(x), updateScoreGo reads xn and len(x) rows
+// of the working copy, and dotSparse indexes w by stored coordinates.
 //
-// The scaleAxpyDot kernels fuse two passes of softmax SGD over the K×dim
-// weights: the update of one example and the scoring of the next. They
-// are bit-identical to the two passes because each score still sums in
-// index order, over the weights just stored, and the explicit float64(w·c)
-// keeps the shrinkage rounded before the step is added.
+// A product that feeds an add is written float64(x*y). The Go spec rounds
+// an explicit conversion, so a compiler that fuses x*y + z into one
+// multiply-add (arm64, ppc64le, s390x, riscv64) cannot fuse it, and these
+// kernels give amd64's bits everywhere; on amd64 the conversion compiles to
+// nothing. projectGo and cos are not yet written so (ROADMAP item 19).
+//
+// updateScoreGo and the AVX2 kernel behind classLanes.updateScore
+// (rff_amd64.s) fuse two passes of softmax SGD over the weights' working
+// copy, dim rows of one lane per class (logreg.go): the update of one
+// example and the scoring of the next. They are bit-identical to the two
+// passes because each score still sums in index order, over the weights
+// just stored, and each weight is rounded as the separate update rounds
+// it.
 //
 // projectGo and the AVX2 kernel behind projectDense (rff_amd64.s) compute
 // the projection's sums over its transposed weights, many outputs side by
 // side: a vector lane, or a slot of out, holds one output's sum, and takes
-// its terms in i order, so lanes across outputs reassociate nothing. The
-// assembly uses VMULPD then VADDPD, never VFMADD: a fused multiply-add
-// skips the product's rounding and would change the bits. The kernel is
-// chosen once at package init (useAVX2, from CPUID and XGETBV), with no
-// knob; projectGo serves CPUs without AVX2, other architectures and the
-// columns past the last block of 32.
+// its terms in i order, so lanes across outputs reassociate nothing.
+//
+// Both assembly kernels use VMULPD then VADDPD, never VFMADD: a fused
+// multiply-add skips the product's rounding and would change the bits.
+// They are chosen once at package init (useAVX2, from CPUID and XGETBV),
+// with no knob; the Go kernels serve CPUs without AVX2, other
+// architectures and, for the projection, the columns past the last block
+// of 32.
 
 // dot returns Σ x[i]·y[i].
 func dot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -41,10 +54,10 @@ func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
 	n := len(x)
 	w0, w1, w2, w3 = w0[:n], w1[:n], w2[:n], w3[:n]
 	for i, v := range x {
-		s0 += w0[i] * v
-		s1 += w1[i] * v
-		s2 += w2[i] * v
-		s3 += w3[i] * v
+		s0 += float64(w0[i] * v)
+		s1 += float64(w1[i] * v)
+		s2 += float64(w2[i] * v)
+		s3 += float64(w3[i] * v)
 	}
 	return s0, s1, s2, s3
 }
@@ -87,7 +100,7 @@ func dotSparse[I int | int32](idx []I, val []float64, w []float64) float64 {
 	val = val[:len(idx)]
 	var s float64
 	for j, i := range idx {
-		s += val[j] * w[i]
+		s += float64(val[j] * w[i])
 	}
 	return s
 }
@@ -97,7 +110,7 @@ func dotSparse[I int | int32](idx []I, val []float64, w []float64) float64 {
 func axpySparse[I int | int32](y []float64, a float64, idx []I, val []float64) {
 	val = val[:len(idx)]
 	for j, i := range idx {
-		y[i] += a * val[j]
+		y[i] += float64(a * val[j])
 	}
 }
 
@@ -105,62 +118,96 @@ func axpySparse[I int | int32](y []float64, a float64, idx []I, val []float64) {
 func axpy(y []float64, a float64, x []float64) {
 	y = y[:len(x)]
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 
-// scaleAxpyDot4 sets w_k to c·w_k + a[k]·x for the four classes w[0…3]
-// and returns each updated w_k·xn, the next example's score before its
-// bias, in one pass over the weights.
-func scaleAxpyDot4(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1, s2, s3 float64) {
-	n := len(x)
-	w0, w1, w2, w3 := w[0][:n], w[1][:n], w[2][:n], w[3][:n]
+// updateScoreGo is the update-and-score step over the working copy w, whose
+// row i holds weight i of each class, one lane per class, at w[i·kp:]. For
+// the lanes k < len(a) it sets every weight to float64(w·c) + a[k]·x[i] and
+// s[k] to the updated lane's Σ_i w·xn[i], four lanes at a time down the
+// rows, then two, then one; the lanes past len(a) are not touched.
+func updateScoreGo(w []float64, kp int, c float64, a, x, xn, s []float64) {
+	if len(x) > 0 && len(a) > 0 {
+		_ = w[(len(x)-1)*kp+len(a)-1] // the last lane of the last row
+	}
+	xn = xn[:len(x)]
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		s[k], s[k+1], s[k+2], s[k+3] = updateScore4(w[k:], kp, c, a[k:k+4], x, xn)
+	}
+	if k+2 <= len(a) {
+		s[k], s[k+1] = updateScore2(w[k:], kp, c, a[k:k+2], x, xn)
+		k += 2
+	}
+	if k < len(a) {
+		s[k] = updateScore1(w[k:], kp, c, a[k], x, xn)
+	}
+}
+
+// The three block kernels below address row i's lanes as &w[0] + i·kp
+// without a bounds check: updateScoreGo checked the last lane of the last
+// row, and x and xn are of one length. Slicing each row cost two checks
+// per row and per block, and left the Go kernel 5–10 % behind the
+// per-class rows it replaced.
+
+// updateScore4 is updateScoreGo for the four lanes at the start of w's rows.
+func updateScore4(w []float64, kp int, c float64, a []float64, x, xn []float64) (s0, s1, s2, s3 float64) {
+	a = a[:4]
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	xn = xn[:n]
+	xn = xn[:len(x)]
+	base := unsafe.Pointer(unsafe.SliceData(w))
+	p := 0
 	for i, v := range x {
-		u := xn[i]
-		t := float64(w0[i]*c) + a0*v
-		w0[i] = t
-		s0 += t * u
-		t = float64(w1[i]*c) + a1*v
-		w1[i] = t
-		s1 += t * u
-		t = float64(w2[i]*c) + a2*v
-		w2[i] = t
-		s2 += t * u
-		t = float64(w3[i]*c) + a3*v
-		w3[i] = t
-		s3 += t * u
+		r, u := (*[4]float64)(unsafe.Add(base, 8*p)), xn[i]
+		t := float64(r[0]*c) + float64(a0*v)
+		r[0] = t
+		s0 += float64(t * u)
+		t = float64(r[1]*c) + float64(a1*v)
+		r[1] = t
+		s1 += float64(t * u)
+		t = float64(r[2]*c) + float64(a2*v)
+		r[2] = t
+		s2 += float64(t * u)
+		t = float64(r[3]*c) + float64(a3*v)
+		r[3] = t
+		s3 += float64(t * u)
+		p += kp
 	}
 	return s0, s1, s2, s3
 }
 
-// scaleAxpyDot2 is scaleAxpyDot4 for the two classes w[0] and w[1].
-func scaleAxpyDot2(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1 float64) {
-	n := len(x)
-	w0, w1 := w[0][:n], w[1][:n]
+// updateScore2 is updateScore4 for two lanes.
+func updateScore2(w []float64, kp int, c float64, a []float64, x, xn []float64) (s0, s1 float64) {
+	a = a[:2]
 	a0, a1 := a[0], a[1]
-	xn = xn[:n]
+	xn = xn[:len(x)]
+	base := unsafe.Pointer(unsafe.SliceData(w))
+	p := 0
 	for i, v := range x {
-		u := xn[i]
-		t := float64(w0[i]*c) + a0*v
-		w0[i] = t
-		s0 += t * u
-		t = float64(w1[i]*c) + a1*v
-		w1[i] = t
-		s1 += t * u
+		r, u := (*[2]float64)(unsafe.Add(base, 8*p)), xn[i]
+		t := float64(r[0]*c) + float64(a0*v)
+		r[0] = t
+		s0 += float64(t * u)
+		t = float64(r[1]*c) + float64(a1*v)
+		r[1] = t
+		s1 += float64(t * u)
+		p += kp
 	}
 	return s0, s1
 }
 
-// scaleAxpyDot is scaleAxpyDot4 for one class.
-func scaleAxpyDot(w []float64, c, a float64, x, xn []float64) (s float64) {
-	n := len(x)
-	w, xn = w[:n], xn[:n]
+// updateScore1 is updateScore4 for one lane.
+func updateScore1(w []float64, kp int, c, a float64, x, xn []float64) (s float64) {
+	xn = xn[:len(x)]
+	base := unsafe.Pointer(unsafe.SliceData(w))
+	p := 0
 	for i, v := range x {
-		t := float64(w[i]*c) + a*v
-		w[i] = t
-		s += t * xn[i]
+		r := (*float64)(unsafe.Add(base, 8*p))
+		t := float64(*r*c) + float64(a*v)
+		*r = t
+		s += float64(t * xn[i])
+		p += kp
 	}
 	return s
 }
@@ -178,7 +225,7 @@ func dotDense(x Vector, w DenseVector) float64 {
 	default:
 		checkDim("dot", x.Dim(), len(w))
 		var s float64
-		x.ForEach(func(i int, v float64) { s += w[i] * v })
+		x.ForEach(func(i int, v float64) { s += float64(w[i] * v) })
 		return s
 	}
 }
@@ -195,7 +242,7 @@ func axpyDense(y DenseVector, a float64, x Vector) {
 		axpySparse(y, a, x.Idx, x.Val)
 	default:
 		checkDim("add-scaled", len(y), x.Dim())
-		x.ForEach(func(i int, v float64) { y[i] += a * v })
+		x.ForEach(func(i int, v float64) { y[i] += float64(a * v) })
 	}
 }
 

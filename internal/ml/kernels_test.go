@@ -12,7 +12,9 @@ import (
 // kernels replaced, kept verbatim in their arithmetic: every sum in index
 // order through Vector.ForEach or Vector.At, Scale and AddScaled as two
 // passes. The kernels must agree with them bit for bit (math.Float64bits),
-// not within a tolerance.
+// not within a tolerance. On the softmax path a product that feeds an add
+// is written float64(x*y), as in the kernels, so that a compiler that fuses
+// multiply-adds fuses neither side.
 
 func refDot(a, b Vector) float64 {
 	var s float64
@@ -20,21 +22,21 @@ func refDot(a, b Vector) float64 {
 	case DenseVector:
 		if o, ok := b.(DenseVector); ok {
 			for i, x := range a {
-				s += x * o[i]
+				s += float64(x * o[i])
 			}
 			return s
 		}
-		b.ForEach(func(i int, x float64) { s += a[i] * x })
+		b.ForEach(func(i int, x float64) { s += float64(a[i] * x) })
 	case *SparseVector:
 		for j, i := range a.Idx {
-			s += a.Val[j] * at(b, i)
+			s += float64(a.Val[j] * at(b, i))
 		}
 	}
 	return s
 }
 
 func refAddScaled(v DenseVector, alpha float64, other Vector) {
-	other.ForEach(func(i int, x float64) { v[i] += alpha * x })
+	other.ForEach(func(i int, x float64) { v[i] += float64(alpha * x) })
 }
 
 func refScale(v DenseVector, alpha float64) {
@@ -169,7 +171,7 @@ func refSoftmaxFit(sr SoftmaxRegression, d *Dataset) *SoftmaxModel {
 	probs := make([]float64, sr.Classes)
 	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		step := rate / (1 + 0.1*float64(ep))
+		step := rate / (1 + float64(0.1*float64(ep)))
 		for off := 0; off < len(order); off += batch {
 			end := min(off+batch, len(order))
 			inv := 1 / float64(end-off)
@@ -184,10 +186,10 @@ func refSoftmaxFit(sr SoftmaxRegression, d *Dataset) *SoftmaxModel {
 						g -= 1
 					}
 					if sr.RegParam > 0 {
-						refScale(m.W[k], 1-step*inv*sr.RegParam)
+						refScale(m.W[k], 1-float64(step*inv*sr.RegParam))
 					}
 					refAddScaled(m.W[k], -step*inv*g, e.X)
-					m.Bias[k] -= step * inv * g
+					m.Bias[k] -= float64(step * inv * g)
 				}
 			}
 		}
@@ -706,6 +708,237 @@ func TestSoftmaxRowDimensionMismatchPanics(t *testing.T) {
 		}
 	}()
 	SoftmaxRegression{Classes: 2, Epochs: 1}.Fit(ds)
+}
+
+// softmaxKernel is an update-and-score kernel called directly on a
+// working copy: every class's weights w_k become c·w_k + a[k]·x, and s[k]
+// the updated w_k·xn.
+type softmaxKernel struct {
+	name string
+	fn   func(l *classLanes, c float64, x, xn []float64)
+}
+
+// softmaxKernels are the update-and-score kernels this build runs: the
+// pure-Go kernel everywhere, and the assembly kernel where the CPU has
+// AVX2 (rff_amd64_test.go adds it).
+var softmaxKernels = []softmaxKernel{
+	{"go", func(l *classLanes, c float64, x, xn []float64) { updateScoreGo(l.w, l.kp, c, l.a[:l.k], x, xn, l.s) }},
+}
+
+// TestSoftmaxKernelsBitIdentical drives each kernel through SGD steps over
+// dense and sparse rows as Fit does (the kernel where a dense row follows a
+// dense row, the two-pass update and a score otherwise) and checks the
+// working copy and every sum bit for bit against per-class weights stepped
+// by refScale and refAddScaled and scored by refScores. The sums are
+// pre-filled with NaN before each step, and the padding lanes must stay 0.
+func TestSoftmaxKernelsBitIdentical(t *testing.T) {
+	if len(softmaxKernels) == 1 {
+		t.Log("no AVX2 kernel on this build or CPU: checking the pure-Go kernel only")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, kern := range softmaxKernels {
+		for _, classes := range []int{1, 2, 3, 4, 5, 9, 10, 13, 16, 17} {
+			for _, d := range kernelDims {
+				name := fmt.Sprintf("kernel=%s K=%d d=%d", kern.name, classes, d)
+				ref := &SoftmaxModel{W: make([]DenseVector, classes), Bias: make(DenseVector, classes)}
+				l := newClassLanes(classes, d)
+				for k := range ref.W {
+					ref.W[k] = randVector(rng, d, false).(DenseVector)
+					ref.W[k][rng.Intn(d)] = math.Copysign(0, -1) // the score pass must not make it +0
+					for i, w := range ref.W[k] {
+						l.w[i*l.kp+k] = w
+					}
+					ref.Bias[k] = rng.NormFloat64()
+				}
+				checkLanes := func(what string) {
+					t.Helper()
+					got := make([]float64, d)
+					for k, w := range ref.W {
+						for i := range got {
+							got[i] = l.w[i*l.kp+k]
+						}
+						sameBits(t, fmt.Sprintf("%s %s W[%d]", name, what, k), got, w)
+					}
+					for i := 0; i < d; i++ {
+						for k := classes; k < l.kp; k++ {
+							if v := l.w[i*l.kp+k]; v != 0 {
+								t.Fatalf("%s %s: padding lane %d of row %d = %v, want 0", name, what, k, i, v)
+							}
+						}
+					}
+				}
+				checkSums := func(what string, x Vector) {
+					t.Helper()
+					got := make([]float64, classes)
+					for k := range got {
+						got[k] = l.s[k] + ref.Bias[k]
+					}
+					sameBits(t, name+" "+what, got, refScores(ref, x))
+				}
+				fillNaN := func() {
+					for k := range l.s {
+						l.s[k] = math.NaN()
+					}
+				}
+
+				rows := make([]Vector, 16)
+				for j := range rows {
+					rows[j] = randVector(rng, d, rng.Intn(3) == 0)
+				}
+				fillNaN()
+				l.score(rows[0])
+				checkSums("score[0]", rows[0])
+				checkLanes("after score[0]")
+				for j := 0; j+1 < len(rows); j++ {
+					x, next := rows[j], rows[j+1]
+					c := 1.0
+					if j%3 != 0 {
+						c = 1 - 0.05*rng.Float64()
+					}
+					for k := range classes {
+						l.a[k] = rng.NormFloat64()
+					}
+					l.a[rng.Intn(classes)] = 0
+					for k, w := range ref.W {
+						if c != 1 {
+							refScale(w, c)
+						}
+						refAddScaled(w, l.a[k], x)
+					}
+					fillNaN()
+					dx, ok := x.(DenseVector)
+					dn, nextOK := next.(DenseVector)
+					if ok && nextOK {
+						kern.fn(l, c, dx, dn)
+					} else {
+						if l.step(c, x, next) {
+							t.Fatalf("%s step %d: a sparse row took the fused step", name, j)
+						}
+						l.score(next)
+					}
+					what := fmt.Sprintf("step %d (dense %v→%v)", j, ok, nextOK)
+					checkSums(what, next)
+					checkLanes(what)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSoftmaxKernels times one update-and-score step per row over 64
+// random dense rows at mnist's shape (10 classes; the projection's 192 and
+// 256 features) for each kernel in softmaxKernels, and for "rows": the
+// per-class weight rows and kernels (scaleAxpyDot4) the working copy
+// replaced.
+func BenchmarkSoftmaxKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	const classes = 10
+	for _, d := range []int{192, 256} {
+		xs := make([][]float64, 65)
+		for j := range xs {
+			xs[j] = randVector(rng, d, false).(DenseVector)
+		}
+		a := make([]float64, classes)
+		for k := range a {
+			a[k] = 1e-3 * rng.NormFloat64()
+		}
+		const c = 0.999
+		for _, kern := range softmaxKernels {
+			b.Run(fmt.Sprintf("d=%d/%s", d, kern.name), func(b *testing.B) {
+				l := newClassLanes(classes, d)
+				copy(l.a, a)
+				for b.Loop() {
+					for j := 0; j+1 < len(xs); j++ {
+						kern.fn(l, c, xs[j], xs[j+1])
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("d=%d/rows", d), func(b *testing.B) {
+			w := make([]DenseVector, classes)
+			for k := range w {
+				w[k] = Zeros(d)
+			}
+			s := make([]float64, classes)
+			for b.Loop() {
+				for j := 0; j+1 < len(xs); j++ {
+					sgdStepRows(w, c, a, xs[j], xs[j+1], s)
+				}
+			}
+		})
+	}
+}
+
+// sgdStepRows is the update-and-score step over per-class weight rows, as
+// SoftmaxRegression.Fit ran it before the working copy: four classes at a
+// time, then two, then one.
+func sgdStepRows(w []DenseVector, c float64, a, x, xn, s []float64) {
+	k := 0
+	for ; k+4 <= len(w); k += 4 {
+		s[k], s[k+1], s[k+2], s[k+3] = scaleAxpyDot4(w[k:], c, a[k:], x, xn)
+	}
+	if k+2 <= len(w) {
+		s[k], s[k+1] = scaleAxpyDot2(w[k:], c, a[k:], x, xn)
+		k += 2
+	}
+	if k < len(w) {
+		s[k] = scaleAxpyDot(w[k], c, a[k], x, xn)
+	}
+}
+
+// scaleAxpyDot4 sets w_k to c·w_k + a[k]·x for the four classes w[0…3]
+// and returns each updated w_k·xn, in one pass over the weights.
+func scaleAxpyDot4(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	w0, w1, w2, w3 := w[0][:n], w[1][:n], w[2][:n], w[3][:n]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	xn = xn[:n]
+	for i, v := range x {
+		u := xn[i]
+		t := float64(w0[i]*c) + a0*v
+		w0[i] = t
+		s0 += t * u
+		t = float64(w1[i]*c) + a1*v
+		w1[i] = t
+		s1 += t * u
+		t = float64(w2[i]*c) + a2*v
+		w2[i] = t
+		s2 += t * u
+		t = float64(w3[i]*c) + a3*v
+		w3[i] = t
+		s3 += t * u
+	}
+	return s0, s1, s2, s3
+}
+
+// scaleAxpyDot2 is scaleAxpyDot4 for the two classes w[0] and w[1].
+func scaleAxpyDot2(w []DenseVector, c float64, a []float64, x, xn []float64) (s0, s1 float64) {
+	n := len(x)
+	w0, w1 := w[0][:n], w[1][:n]
+	a0, a1 := a[0], a[1]
+	xn = xn[:n]
+	for i, v := range x {
+		u := xn[i]
+		t := float64(w0[i]*c) + a0*v
+		w0[i] = t
+		s0 += t * u
+		t = float64(w1[i]*c) + a1*v
+		w1[i] = t
+		s1 += t * u
+	}
+	return s0, s1
+}
+
+// scaleAxpyDot is scaleAxpyDot4 for one class.
+func scaleAxpyDot(w []float64, c, a float64, x, xn []float64) (s float64) {
+	n := len(x)
+	w, xn = w[:n], xn[:n]
+	for i, v := range x {
+		t := float64(w[i]*c) + a*v
+		w[i] = t
+		s += t * xn[i]
+	}
+	return s
 }
 
 func w2vCorpus(rng *rand.Rand, sentences int) [][]string {

@@ -203,28 +203,6 @@ type SoftmaxModel struct {
 	Bias DenseVector
 }
 
-// scoresInto writes Scores(x) into out. A dense x is scored against four
-// classes at a time; each w_k·x still sums in index order.
-func (m *SoftmaxModel) scoresInto(out DenseVector, x Vector) {
-	out, bias := out[:len(m.W)], m.Bias[:len(m.W)]
-	k := 0
-	if dx, ok := x.(DenseVector); ok {
-		for _, w := range m.W {
-			checkDim("dot", len(dx), len(w))
-		}
-		for ; k+4 <= len(out); k += 4 {
-			s0, s1, s2, s3 := dot4(m.W[k], m.W[k+1], m.W[k+2], m.W[k+3], dx)
-			out[k] = s0 + bias[k]
-			out[k+1] = s1 + bias[k+1]
-			out[k+2] = s2 + bias[k+2]
-			out[k+3] = s3 + bias[k+3]
-		}
-	}
-	for ; k < len(out); k++ {
-		out[k] = dotDense(x, m.W[k]) + bias[k]
-	}
-}
-
 // Predict implements Model: it returns the argmax class as a float64. A
 // dense x is scored against four classes at a time, the classes still
 // compared in order.
@@ -261,7 +239,9 @@ func (m *SoftmaxModel) ApproxBytes() int64 {
 	return b + int64(8*len(m.Bias))
 }
 
-// Fit trains on the labeled training examples of d.
+// Fit trains on the labeled training examples of d. For the length of the
+// fit the weights live in a working copy with one lane per class
+// (classLanes), written back to the model's per-class rows at the end.
 func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 	if sr.Classes < 2 {
 		return nil, fmt.Errorf("ml: softmax regression: need ≥2 classes, got %d", sr.Classes)
@@ -292,97 +272,156 @@ func (sr SoftmaxRegression) Fit(d *Dataset) (*SoftmaxModel, error) {
 		batch = 32
 	}
 	rng := rand.New(rand.NewSource(sr.Seed))
-	m := &SoftmaxModel{W: make([]DenseVector, sr.Classes), Bias: Zeros(sr.Classes)}
-	for k := range m.W {
-		m.W[k] = Zeros(dim)
-	}
+	l := newClassLanes(sr.Classes, dim)
+	bias := Zeros(sr.Classes)
 	order := make([]int, len(train))
 	for i := range order {
 		order[i] = i
 	}
-	scores, probs := Zeros(sr.Classes), make([]float64, sr.Classes)
-	// scored says scores already hold the current example's scores: the
+	// scores holds the current example's scores; a becomes each class's
+	// gradient step.
+	scores, a, probs := l.s[:sr.Classes], l.a[:sr.Classes], make([]float64, sr.Classes)
+	// scored says l.s already holds the current example's sums: the
 	// previous example's update computed them. It is never set across an
 	// epoch's end, where the next epoch's order is not drawn yet.
 	scored := false
 	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		step := rate / (1 + 0.1*float64(ep))
+		step := rate / (1 + float64(0.1*float64(ep)))
 		for off := 0; off < len(order); off += batch {
 			end := min(off+batch, len(order))
 			inv := 1 / float64(end-off)
 			// L2 shrinkage; c = 1 is exact, so it stands for no shrinkage.
 			c := 1.0
 			if sr.RegParam > 0 {
-				c = 1 - step*inv*sr.RegParam
+				c = 1 - float64(step*inv*sr.RegParam)
 			}
 			for p := off; p < end; p++ {
 				e := train[order[p]]
 				if !scored {
-					m.scoresInto(scores, e.X)
+					l.score(e.X)
+				}
+				for k, b := range bias {
+					scores[k] += b
 				}
 				softmaxInPlace(scores, probs)
 				y := int(e.Y)
 				if y < 0 || y >= sr.Classes {
 					return nil, fmt.Errorf("ml: softmax regression: label %v out of range [0,%d)", e.Y, sr.Classes)
 				}
-				// probs becomes the gradient step a_k on each class's weights.
 				for k, g := range probs {
 					if k == y {
 						g -= 1
 					}
-					probs[k] = -step * inv * g
-					m.Bias[k] -= step * inv * g
+					a[k] = -step * inv * g
+					bias[k] -= float64(step * inv * g)
 				}
 				var next Vector
 				if p+1 < len(order) {
 					next = train[order[p+1]].X
 				}
-				scored = m.sgdStep(scores, c, probs, e.X, next)
+				scored = l.step(c, e.X, next)
 			}
 		}
+	}
+	m := &SoftmaxModel{W: make([]DenseVector, sr.Classes), Bias: bias}
+	for k := range m.W {
+		w := Zeros(dim)
+		for i := range w {
+			w[i] = l.w[i*l.kp+k]
+		}
+		m.W[k] = w
 	}
 	return m, nil
 }
 
-// sgdStep sets every class's weights w_k to c·w_k + a[k]·x; the biases are
-// already stepped. When x and next are dense rows of one dimension it also
-// writes next's scores against the updated model into scores, in the same
-// pass over the weights, and reports true. Otherwise it updates in two
-// passes, the shrinkage touching every weight and the step only x's stored
-// coordinates, and the caller scores next.
-func (m *SoftmaxModel) sgdStep(scores DenseVector, c float64, a []float64, x, next Vector) bool {
+// classLanes is softmax SGD's working copy of the weights, transposed:
+// row i, at w[i·kp:], holds weight i of every class, one lane per class,
+// and kp rounds the k classes up to a multiple of 4. The padding lanes
+// have step 0 in a, so their weights stay 0 and no class reads them. The
+// sums of the classes advance side by side over one coordinate, the lanes
+// of a vector kernel, each still in index order.
+type classLanes struct {
+	w     []float64
+	a     []float64 // each lane's gradient step
+	s     []float64 // each lane's sum w_k·x, before its bias
+	k, kp int
+}
+
+func newClassLanes(k, dim int) *classLanes {
+	kp := (k + 3) &^ 3
+	return &classLanes{w: make([]float64, dim*kp), a: make([]float64, kp), s: make([]float64, kp), k: k, kp: kp}
+}
+
+// step sets every class's weights w_k to c·w_k + a[k]·x. When x and next
+// are dense rows of one dimension it also writes next's sums against the
+// updated weights into s, in the same pass (updateScore), and reports
+// true. Otherwise it updates in two passes, the shrinkage touching every
+// weight and the step only x's stored coordinates, and the caller scores
+// next.
+func (l *classLanes) step(c float64, x, next Vector) bool {
 	dx, ok := x.(DenseVector)
 	dn, nextOK := next.(DenseVector)
-	if !ok || !nextOK || len(dn) != len(dx) {
-		for k, w := range m.W {
-			if c != 1 {
-				w.Scale(c)
-			}
-			axpyDense(w, a[k], x)
+	if ok && nextOK && len(dn) == len(dx) {
+		l.updateScore(c, dx, dn)
+		return true
+	}
+	checkDim("add-scaled", len(l.w)/l.kp, x.Dim())
+	if c != 1 {
+		for i := range l.w {
+			l.w[i] *= c
 		}
-		return false
 	}
-	w, bias := m.W, m.Bias[:len(m.W)]
-	scores, a = scores[:len(w)], a[:len(w)]
-	k := 0
-	for ; k+4 <= len(w); k += 4 {
-		s0, s1, s2, s3 := scaleAxpyDot4(w[k:], c, a[k:], dx, dn)
-		scores[k] = s0 + bias[k]
-		scores[k+1] = s1 + bias[k+1]
-		scores[k+2] = s2 + bias[k+2]
-		scores[k+3] = s3 + bias[k+3]
+	switch x := x.(type) {
+	case DenseVector:
+		for i, v := range x {
+			l.addScaled(i, v)
+		}
+	case *SparseVector:
+		for j, i := range x.Idx {
+			l.addScaled(i, x.Val[j])
+		}
+	default:
+		x.ForEach(l.addScaled)
 	}
-	if k+2 <= len(w) {
-		s0, s1 := scaleAxpyDot2(w[k:], c, a[k:], dx, dn)
-		scores[k] = s0 + bias[k]
-		scores[k+1] = s1 + bias[k+1]
-		k += 2
+	return false
+}
+
+// addScaled adds a[k]·v to each class's weight i.
+func (l *classLanes) addScaled(i int, v float64) {
+	a := l.a[:l.k]
+	r := l.w[i*l.kp:][:len(a)]
+	for k, ak := range a {
+		r[k] += float64(ak * v)
 	}
-	if k < len(w) {
-		scores[k] = scaleAxpyDot(w[k], c, a[k], dx, dn) + bias[k]
+}
+
+// score writes each class's sum w_k·x into s, in x's index order. It
+// reads the weights only: a step of 0 would turn a weight of −0 into +0.
+func (l *classLanes) score(x Vector) {
+	checkDim("dot", x.Dim(), len(l.w)/l.kp)
+	clear(l.s[:l.k])
+	switch x := x.(type) {
+	case DenseVector:
+		for i, v := range x {
+			l.addTerm(i, v)
+		}
+	case *SparseVector:
+		for j, i := range x.Idx {
+			l.addTerm(i, x.Val[j])
+		}
+	default:
+		x.ForEach(l.addTerm)
 	}
-	return true
+}
+
+// addTerm adds w_k[i]·v to each class's sum.
+func (l *classLanes) addTerm(i int, v float64) {
+	s := l.s[:l.k]
+	r := l.w[i*l.kp:][:len(s)]
+	for k, w := range r {
+		s[k] += float64(w * v)
+	}
 }
 
 func softmaxInPlace(scores DenseVector, out []float64) {

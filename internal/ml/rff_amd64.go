@@ -27,3 +27,23 @@ func projectDense(out, wt, x []float64) {
 	}
 	projectGo(out, wt, x, from)
 }
+
+// updateScoreAVX2 is updateScoreGo over every lane: len(x) rows of
+// len(a) lanes, len(a) a multiple of 4, up to 16 lanes per pass down the
+// rows, each score in i order.
+//
+//go:noescape
+func updateScoreAVX2(w []float64, c float64, a, x, xn, s []float64)
+
+// updateScore sets each class's weights w_k to c·w_k + a[k]·x and s[k] to
+// the updated w_k·xn, in one pass: the assembly kernel over every lane
+// where the CPU has AVX2, updateScoreGo over the classes' lanes elsewhere.
+func (l *classLanes) updateScore(c float64, x, xn []float64) {
+	if useAVX2 {
+		// The assembly reads and writes this much, unchecked.
+		w, a, s := l.w[:len(x)*l.kp], l.a[:l.kp], l.s[:l.kp]
+		updateScoreAVX2(w, c, a, x, xn[:len(x)], s)
+		return
+	}
+	updateScoreGo(l.w, l.kp, c, l.a[:l.k], x, xn, l.s)
+}

@@ -101,3 +101,158 @@ store:
 
 done:
 	RET
+
+// LANES updates four lanes of the row at R10 and adds their score terms:
+// t = float64(w·c) + float64(a·x[i]) (c in Y12, x[i] in Y13) is stored
+// over w, then t·xn[i] (Y14) is added to acc. A multiply then an add,
+// never a fused multiply-add, and the accumulator is the add's first
+// operand, as in projectAVX2.
+#define LANES(off, a, acc) \
+	VMULPD  off(R10), Y12, Y8; \
+	VMULPD  a, Y13, Y9;        \
+	VADDPD  Y9, Y8, Y8;        \
+	VMOVUPD Y8, off(R10);      \
+	VMULPD  Y14, Y8, Y9;       \
+	VADDPD  Y9, acc, acc
+
+// BEGIN zeroes the four accumulators and points R10, R11, R12 at row 0's
+// lanes of this pass, x[0] and xn[0], with R14 rows to go.
+#define BEGIN \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	MOVQ   SI, R10;    \
+	MOVQ   R8, R11;    \
+	MOVQ   R9, R12;    \
+	MOVQ   CX, R14
+
+// ROW loads x[i] and xn[i]; NEXT steps to row i+1 and counts R14 down.
+#define ROW \
+	VBROADCASTSD (R11), Y13; \
+	VBROADCASTSD (R12), Y14
+
+#define NEXT \
+	ADDQ $8, R11;   \
+	ADDQ $8, R12;   \
+	ADDQ R13, R10;  \
+	DECQ R14
+
+// func updateScoreAVX2(w []float64, c float64, a, x, xn, s []float64)
+//
+// Passes of 16 lanes (four YMM accumulators) while 16 or more are left,
+// then one pass of the remaining 12, 8 or 4. Each pass runs i =
+// 0…len(x)−1 over its lanes of row i, with the lanes' steps held in
+// Y4–Y7, and stores its sums to s.
+TEXT ·updateScoreAVX2(SB), NOSPLIT, $0-128
+	MOVQ         w_base+0(FP), SI
+	MOVQ         a_base+32(FP), BX
+	MOVQ         a_len+40(FP), DX
+	MOVQ         x_base+56(FP), R8
+	MOVQ         x_len+64(FP), CX
+	MOVQ         xn_base+80(FP), R9
+	MOVQ         s_base+104(FP), DI
+	VBROADCASTSD c+24(FP), Y12
+	MOVQ         DX, R13
+	SHLQ         $3, R13      // row stride in bytes
+
+pass16:
+	CMPQ    DX, $16
+	JB      tail
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD 64(BX), Y6
+	VMOVUPD 96(BX), Y7
+	BEGIN
+	TESTQ   R14, R14
+	JZ      store16
+
+	PCALIGN $32
+loop16:
+	ROW
+	LANES(0, Y4, Y0)
+	LANES(32, Y5, Y1)
+	LANES(64, Y6, Y2)
+	LANES(96, Y7, Y3)
+	NEXT
+	JNZ loop16
+
+store16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, BX
+	ADDQ    $128, DI
+	SUBQ    $16, DX
+	JMP     pass16
+
+tail:
+	CMPQ  DX, $8
+	JA    tail12
+	JE    tail8
+	TESTQ DX, DX
+	JZ    done
+
+	VMOVUPD (BX), Y4
+	BEGIN
+	TESTQ   R14, R14
+	JZ      store4
+
+	PCALIGN $32
+loop4:
+	ROW
+	LANES(0, Y4, Y0)
+	NEXT
+	JNZ loop4
+
+store4:
+	VMOVUPD Y0, (DI)
+	JMP     done
+
+tail8:
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	BEGIN
+	TESTQ   R14, R14
+	JZ      store8
+
+	PCALIGN $32
+loop8:
+	ROW
+	LANES(0, Y4, Y0)
+	LANES(32, Y5, Y1)
+	NEXT
+	JNZ loop8
+
+store8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	JMP     done
+
+tail12:
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD 64(BX), Y6
+	BEGIN
+	TESTQ   R14, R14
+	JZ      store12
+
+	PCALIGN $32
+loop12:
+	ROW
+	LANES(0, Y4, Y0)
+	LANES(32, Y5, Y1)
+	LANES(64, Y6, Y2)
+	NEXT
+	JNZ loop12
+
+store12:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+
+done:
+	VZEROUPPER
+	RET

@@ -17,15 +17,23 @@
 // they never box a DenseVector into a Vector or call a closure per
 // coordinate. The Vector interface's ForEach serves the cold paths.
 // Every kernel is bit-identical to the in-order sum it replaces: the same
-// summation order, no reassociation, and no fused multiply-add the
-// in-order loop could not form. LogisticRegression.Fit
-// trains over a packed copy of its rows, because SGD visits them in
-// shuffled order; each row's sums still run in its index order.
-// SoftmaxRegression.Fit updates the weights for one dense example and
-// scores the next dense example in the same pass (scaleAxpyDot4): each
-// new weight is stored, rounded as the separate update would round it,
-// before it enters the next example's in-order sum, so the weights and
-// scores are those of the two separate passes.
+// summation order, no reassociation, and no fused multiply-add. On the
+// softmax path every product that feeds an add is written float64(x*y),
+// so that compilers which fuse (arm64 and others) give amd64's bits.
+// LogisticRegression.Fit trains over a packed copy of its rows, because
+// SGD visits them in shuffled order; each row's sums still run in its
+// index order.
+//
+// SoftmaxRegression.Fit trains on a transposed working copy of the weights
+// (classLanes): row i holds weight i of every class, one lane per class,
+// padded to a multiple of 4 with lanes whose step is 0. For a dense
+// example followed by a dense example, one pass down the rows updates the
+// weights for the first and scores the second (updateScoreGo, or on amd64
+// with AVX2 the assembly kernel updateScoreAVX2, up to 16 classes in four
+// YMM registers): each new weight is stored, rounded as the separate
+// update would round it, before it enters the next example's in-order
+// sum, so the weights and scores are those of the two separate passes.
+// The model keeps one weight row per class; Fit writes it back once.
 //
 // RandomFourierFeatures stores its projection transposed, so the sums of
 // many outputs advance together over one input coordinate: on amd64 with
@@ -34,12 +42,13 @@
 // x[i]·w_j[i] for i in order with a multiply then an add, so every output
 // is the scalar in-order sum bit for bit. Fused multiply-add is banned in
 // the kernels: it rounds once where the in-order loop rounds twice. The
-// kernel runs only where CPUID reports AVX2 and XGETBV shows the OS saves
-// the YMM registers, checked once at package init; elsewhere, and for the
-// OutDim mod 32 columns, projectGo adds four rows at a time in the same
-// order. The cosine is a copy of math.Cos's algorithm (same reduction, same
-// polynomials, same operation order) with the octant branches replaced by
-// bit selects, so it returns math.Cos's bits without its mispredictions.
+// assembly kernels run only where CPUID reports AVX2 and XGETBV shows the
+// OS saves the YMM registers, checked once at package init; elsewhere, and
+// for the OutDim mod 32 columns, projectGo adds four rows at a time in the
+// same order. The cosine is a copy of math.Cos's algorithm (same
+// reduction, same polynomials, same operation order) with the octant
+// branches replaced by bit selects, so it returns math.Cos's bits without
+// its mispredictions.
 package ml
 
 import (

@@ -173,7 +173,9 @@ func (m *KMeansModel) Inertia(d *Dataset) float64 {
 // Scores returns the unnormalized class scores for x.
 func (m *SoftmaxModel) Scores(x Vector) DenseVector {
 	out := make(DenseVector, len(m.W))
-	m.scoresInto(out, x)
+	for k, w := range m.W {
+		out[k] = dotDense(x, w) + m.Bias[k]
+	}
 	return out
 }
 
