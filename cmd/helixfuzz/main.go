@@ -88,9 +88,10 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d full-hit plans; %d restarts, %d cancels [%d aborted]; %d artifacts damaged, %d loads failed)",
+		logf("helixfuzz: %d cases clean (%d iterations: %d cold / %d full-hit plans; %d restarts, %d cancels [%d aborted]; %d artifacts damaged, %d loads failed; %d eviction-pressure cases, %d evictions)",
 			stats.Cases, stats.Iterations, stats.ColdPlans, stats.FullHits,
-			stats.Restarts, stats.Cancels, stats.CancelAborted, stats.Damaged, stats.LoadFailures)
+			stats.Restarts, stats.Cancels, stats.CancelAborted, stats.Damaged, stats.LoadFailures,
+			stats.EvictCases, stats.Evictions)
 	}
 }
 

@@ -10,9 +10,10 @@
 // the engine consults the materialization policy and evicts the value
 // from the in-memory cache eagerly (§5.4, cache pruning).
 //
-// A planned load that fails ends the attempt: the engine removes the entry,
-// returns its bytes to the policy, and Run plans the iteration again over
-// the store without it, so the new plan runs on the same scheduler.
+// A planned load that fails ends the attempt: the engine removes the entry
+// (its bytes leave the store's ledger with it) and Run plans the iteration
+// again over the store without it, so the new plan runs on the same
+// scheduler.
 //
 // # Write-behind materialization
 //
@@ -162,7 +163,8 @@ type Options struct {
 	// observer costs nothing.
 	Observer Observer
 	// Tenant labels this run's published artifacts for per-tenant byte
-	// accounting in a shared store; empty outside shared mode.
+	// accounting in a shared store, which charges the policy's budget to
+	// that label; empty outside shared mode.
 	Tenant string
 	// AdaptiveThreshold, when > 0, arms the mid-run divergence monitor:
 	// whenever the cumulative measured time of completed nodes diverges
@@ -287,8 +289,9 @@ type Engine struct {
 }
 
 // New returns an engine with the paper's default configuration: streaming
-// OMP with the given storage budget, mandatory output materialization and
-// operator fusion on.
+// OMP with the given storage budget (≤ 0: none), which the store applies
+// to every byte it holds, mandatory output materialization and operator
+// fusion on.
 func New(st *store.Store, budget int64) *Engine {
 	return &Engine{
 		Store: st,
@@ -510,13 +513,12 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	// never deprecates) the keep predicate retains every entry, so the
 	// whole scan is skipped.
 	if p.Purge != nil && len(p.Purge.DeprecatedNames) > 0 {
-		freed, err := e.Store.Purge(func(key string, ent store.Entry) bool {
+		err := e.Store.Purge(func(key string, ent store.Entry) bool {
 			return p.Purge.CurrentSigs[key] || !p.Purge.DeprecatedNames[ent.Name]
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exec: purge: %w", err)
 		}
-		e.release(freed)
 	}
 
 	// The execution records, indexed both by plan order and (byID) by node
@@ -652,8 +654,7 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	for _, r := range runs {
 		if errors.Is(r.err, ErrLoadFailed) {
 			loadErrs[r.node.Name] = r.err
-			freed, _ := e.Store.Delete(r.node.ChainSignature())
-			e.release(freed)
+			_ = e.Store.Delete(r.node.ChainSignature())
 			if loadErr == nil {
 				loadErr = &NodeError{Op: r.node.Name, Err: r.err}
 			}
@@ -773,25 +774,9 @@ func (e *Engine) dropDamagedAncestors(runs []*nodeRun) {
 			checked[a] = true
 			// Verify fails on a key with no entry too; Delete ignores it.
 			if key := a.ChainSignature(); e.Store.Verify(key) != nil {
-				freed, _ := e.Store.Delete(key)
-				e.release(freed)
+				_ = e.Store.Delete(key)
 			}
 		}
-	}
-}
-
-// release returns bytes removed from the store to budget-tracking
-// policies, so the storage can be spent again. The credit goes to the
-// engine's own (session-baseline) policy, not a run-scoped override's
-// instance: reservations were made by the baseline in steady state, and
-// crediting whichever configuration happens to be active when the bytes
-// are freed would leak budget from the reserving instance into the
-// override's (the override could then exceed its cap while the baseline
-// under-materializes forever). Freeing bytes an override itself reserved
-// is the rare case and errs in the conservative direction.
-func (e *Engine) release(freed int64) {
-	if rel, ok := e.Opts.Policy.(interface{ Release(int64) }); ok && freed > 0 {
-		rel.Release(freed)
 	}
 }
 
@@ -1266,7 +1251,10 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 	// One request, whoever processes it. Values that can report their size
 	// cheaply (Sizer) get the size-dependent policy decision here —
 	// skipping the request entirely on a "no" — while the rest defer it to
-	// the request's Decide, which learns the size by encoding.
+	// the request's Decide, which learns the size by encoding. Either way
+	// the store admits the write against the policy's budget by its
+	// encoded size; a mandatory output carries no budget, so it is written
+	// past one, though its bytes count against it like any others.
 	req := store.WriteRequest{
 		Key:       key,
 		Name:      n.Name,
@@ -1275,27 +1263,16 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 		Value:     r.value,
 		Clock:     s.clk,
 	}
-	// reservedSize tracks bytes a "yes" from Decide reserved against the
-	// policy's budget, so a shared-mode dedup (another session published
-	// the signature first; the write is skipped) can refund them. Decide
-	// and OnDone run sequentially on one goroutine, so plain closure
-	// variables suffice.
-	reservedSize := int64(-1)
 	if !mandatory {
+		req.Budget = pol.Budget()
 		if sz, ok := r.value.(Sizer); ok {
-			size := sz.ApproxBytes()
-			if !pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds(), size) {
+			if !pol.Decide(n, cum, e.Store.EstimateLoad(sz.ApproxBytes()).Seconds()) {
 				s.evict(r)
 				return false, 0, nil
 			}
-			reservedSize = size
 		} else {
 			req.Decide = func(size int64) bool {
-				if !pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds(), size) {
-					return false
-				}
-				reservedSize = size
-				return true
+				return pol.Decide(n, cum, e.Store.EstimateLoad(size).Seconds())
 			}
 		}
 	}
@@ -1315,14 +1292,6 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 			r.bytes = out.Entry.Size
 			n.Metrics.Size = out.Entry.Size
 			n.Metrics.Load = e.Store.EstimateLoad(out.Entry.Size)
-		}
-		if !out.Written && out.Err == nil && reservedSize >= 0 {
-			// Decide said yes but nothing landed — a deduplicated publish
-			// or an unserializable value. The reservation goes back to the
-			// tenant's budget in both cases.
-			if rel, ok := pol.(interface{ Release(int64) }); ok {
-				rel.Release(reservedSize)
-			}
 		}
 	}
 	// SyncMaterialization selects only who processes the request: this

@@ -603,38 +603,50 @@ func TestBlindPolicyStoresNondeterministic(t *testing.T) {
 	}
 }
 
+// TestPurgeReleasesOMPBudget: purging deprecated results lowers the
+// store's ledger, so under a budget that holds exactly one iteration's
+// artifacts the next iteration's new versions are still admitted.
 func TestPurgeReleasesOMPBudget(t *testing.T) {
+	ctx := context.Background()
+	var c counters
+	prog := testProgram(&c)
+	// The first iteration under no budget learns what one iteration
+	// stores; the same iteration then runs on a fresh store under a
+	// budget of exactly that.
+	probe, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(probe, -1).Run(ctx, prog, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	budget := probe.UsedBytes()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget fits roughly one iteration's intermediates; purging the
-	// deprecated results must return the bytes so the next iteration's
-	// versions can be materialized too.
-	policy := opt.NewStreamingOMP(64 << 10)
-	e := &Engine{Store: st, Opts: Options{Policy: policy, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
-	ctx := context.Background()
-
-	var c counters
-	prog := testProgram(&c)
+	e := New(st, budget)
 	if _, err := e.Run(ctx, prog, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	before := policy.Remaining()
+	if got := st.UsedBytes(); got != budget {
+		t.Fatalf("first iteration stored %d B, want the unbudgeted run's %d B", got, budget)
+	}
 
 	// Change the extractor: everything downstream deprecates and is
-	// purged, so the reserved budget must come back.
+	// purged, and the new versions, of the same sizes, must fit again.
 	var c2 counters
 	prog2 := testProgram(&c2)
 	prog2.DAG.Node("extract").OpSignature = "ext-v2"
 	if _, err := e.Run(ctx, prog2, prog.DAG, 1); err != nil {
 		t.Fatal(err)
 	}
-	after := policy.Remaining()
-	// After purging 3 deprecated entries and re-materializing 3 new
-	// versions of similar size, remaining budget should be close to the
-	// pre-iteration level — not monotonically drained.
-	if after < before-(8<<10) {
-		t.Fatalf("budget drained: before=%d after=%d (purge not released)", before, after)
+	for _, name := range []string{"extract", "learn"} {
+		if key := prog2.DAG.Node(name).ChainSignature(); !st.Has(key) {
+			t.Errorf("edited %s not stored: the purge did not release its old version's bytes", name)
+		}
+	}
+	if got := st.UsedBytes(); got > budget {
+		t.Fatalf("store holds %d B against a %d B budget", got, budget)
 	}
 }

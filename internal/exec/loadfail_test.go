@@ -32,25 +32,16 @@ func tear(t *testing.T, st *store.Store, key string) {
 	}
 }
 
-// releaseLog is a materialization policy that records every Release.
-type releaseLog struct {
-	opt.AlwaysMat
-	released []int64
-}
-
-func (p *releaseLog) Release(n int64) { p.released = append(p.released, n) }
-
 // TestExecuteOverTornArtifact: a prebuilt plan cannot be made again, so
 // Execute over a torn artifact fails with ErrLoadFailed naming the node —
-// having removed the entry and returned its bytes to the policy. The next
-// Run plans no load of that key and succeeds.
+// having removed the entry, whose bytes leave the store's ledger with it.
+// The next Run plans no load of that key and succeeds.
 func TestExecuteOverTornArtifact(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := &releaseLog{}
-	e := &Engine{Store: st, Opts: Options{Policy: pol, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.AlwaysMat{}, Plan: plan.Options{MaterializeOutputs: true, Streaming: true}}}
 	ctx := context.Background()
 	var c counters
 	prog := testProgram(&c)
@@ -68,6 +59,7 @@ func TestExecuteOverTornArtifact(t *testing.T) {
 	}
 	key := prog2.DAG.Node("check").ChainSignature()
 	ent, _ := st.Entry(key)
+	used := st.UsedBytes()
 	tear(t, st, key)
 
 	_, err = e.Execute(ctx, prog2, p)
@@ -78,8 +70,8 @@ func TestExecuteOverTornArtifact(t *testing.T) {
 	if st.Has(key) {
 		t.Fatal("the torn entry is still in the store")
 	}
-	if fmt.Sprint(pol.released) != fmt.Sprint([]int64{ent.Size}) {
-		t.Fatalf("policy got %v back, want the removed entry's %d B", pol.released, ent.Size)
+	if got := st.UsedBytes(); got != used-ent.Size {
+		t.Fatalf("store holds %d B after the failed load, want %d − the removed entry's %d B", got, used, ent.Size)
 	}
 
 	res, err := e.Run(ctx, prog2, prog.DAG, 1)

@@ -131,7 +131,7 @@ type sizedInts []int
 func (v sizedInts) ApproxBytes() int64 { return int64(8 * len(v)) }
 
 // blob is a Sizer the codec below cannot serialize: the policy says yes
-// (and reserves budget) before the encode fails.
+// before the encode fails.
 type blob struct{ payload [256]byte }
 
 func (*blob) ApproxBytes() int64 { return 256 }
@@ -215,8 +215,8 @@ type racingPolicy struct {
 
 const racedPayload = "published by another session"
 
-func (p racingPolicy) Decide(n *core.Node, cum, load float64, size int64) bool {
-	ok := p.StreamingOMP.Decide(n, cum, load, size)
+func (p racingPolicy) Decide(n *core.Node, cum, load float64) bool {
+	ok := p.StreamingOMP.Decide(n, cum, load)
 	if ok && slices.Contains(p.victims, n.Name) {
 		if _, err := p.st.PutBytes(n.ChainSignature(), n.Name, []byte(racedPayload), 0); err != nil {
 			panic(err)
@@ -228,24 +228,26 @@ func (p racingPolicy) Decide(n *core.Node, cum, load float64, size int64) bool {
 // TestRetireModesAgree: SyncMaterialization selects who processes a
 // retired value's write request, nothing else. Under a budgeted
 // StreamingOMP the two modes land the same artifacts, settle the same
-// per-node bytes, materialization bill and carried sizes, leave the
-// policy the same budget (the reservation of the value that failed to
-// encode is refunded), and release every retired value at retirement —
+// per-node bytes, materialization bill and carried sizes, leave no
+// admission reserved in the store (a write of exactly the budget's
+// headroom still fits after the value that failed to encode), and
+// release every retired value at retirement —
 // including the one whose encode failed. They differ only in what is
 // known at retirement: an inline write reports its outcome in the
 // NodeRetired event — the same outcome Result.Nodes settles on — a
 // handed-off one reports unmaterialized. The raced case repeats all of it
 // on a shared store where another session wins the publish of a Sizer
 // (found when the request is picked up) and of a deferred decision (found
-// by the write-once check): both modes adopt the artifact that is there
-// and refund what they had reserved for their own.
+// by the write-once check): both modes adopt the artifact that is there,
+// and nothing stays reserved for their own.
 func TestRetireModesAgree(t *testing.T) {
 	type settled struct {
-		keys      []string
-		bytes     map[string]int64
-		billed    map[string]bool
-		sizes     map[string]int64
-		remaining int64
+		keys     []string
+		bytes    map[string]int64
+		billed   map[string]bool
+		sizes    map[string]int64
+		used     int64
+		headroom bool
 	}
 	const budget = 1 << 20
 	run := func(t *testing.T, sync, raced bool) settled {
@@ -288,7 +290,12 @@ func TestRetireModesAgree(t *testing.T) {
 		if !released.Load() {
 			t.Errorf("sync=%v: blob's value was still referenced after it retired", sync)
 		}
-		out := settled{bytes: map[string]int64{}, billed: map[string]bool{}, sizes: map[string]int64{}, remaining: omp.Remaining()}
+		out := settled{bytes: map[string]int64{}, billed: map[string]bool{}, sizes: map[string]int64{}, used: st.UsedBytes()}
+		fill := store.WriteRequest{Key: "headroom", Data: make([]byte, budget-out.used), Budget: budget}
+		out.headroom = st.Write(fill).Written
+		if err := st.Delete(fill.Key); err != nil {
+			t.Fatal(err)
+		}
 		for _, key := range st.Keys() {
 			ent, _ := st.Entry(key)
 			out.keys = append(out.keys, ent.Name)
@@ -320,11 +327,17 @@ func TestRetireModesAgree(t *testing.T) {
 				t.Errorf("the unserializable value settled as %d bytes (carried size %d) and the refused source as %d, want not materialized",
 					async.bytes["blob"], async.sizes["blob"], async.bytes["lines"])
 			}
-			// What stays reserved: the encoded size of each deferred decision
-			// that landed and the Sizer's own estimate for sized; nothing for
-			// the mandatory output, nothing for blob, whose reservation was
-			// refunded — and nothing for a publish another session won.
-			reserved := async.bytes["features"] + async.bytes["probe"]
+			// What the ledger holds: the bytes of each artifact that landed,
+			// whoever wrote it — nothing for blob, and no reservation for
+			// any write, so the headroom write fits.
+			var stored int64
+			for _, name := range async.keys {
+				stored += async.bytes[name]
+			}
+			if async.used != stored || !async.headroom {
+				t.Errorf("write-behind ledger holds %d B for %d B of artifacts; a write of the remaining budget fits: %v",
+					async.used, stored, async.headroom)
+			}
 			if raced {
 				for _, name := range []string{"sized", "use"} {
 					if got := async.bytes[name]; got != int64(len(racedPayload)) || async.sizes[name] != got {
@@ -332,11 +345,6 @@ func TestRetireModesAgree(t *testing.T) {
 							name, got, async.sizes[name], len(racedPayload))
 					}
 				}
-			} else {
-				reserved += async.bytes["use"] + sizedInts(make([]int, 300)).ApproxBytes()
-			}
-			if async.remaining != budget-reserved {
-				t.Errorf("write-behind left %d of a %d budget, want %d: a reservation for a write that never landed was not refunded", async.remaining, budget, budget-reserved)
 			}
 			if !reflect.DeepEqual(async, sync) {
 				t.Errorf("the two modes settled differently:\nwrite-behind %+v\ninline       %+v", async, sync)

@@ -175,7 +175,7 @@ func TestPlanCacheInvalidatedByStorePurge(t *testing.T) {
 
 	// Purge everything: the cached Load decisions are now stale and must
 	// not be reused.
-	if _, err := e.Store.Purge(func(string, store.Entry) bool { return false }); err != nil {
+	if err := e.Store.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	solves = opt.SolveCount()

@@ -28,9 +28,8 @@
 //     as a fresh solve over the same session state.
 //  5. Storage-budget compliance — under PolicyOpt the bytes held by the
 //     store after a run's write-behind barrier, minus mandatory output
-//     materializations (which bypass Algorithm 2 by design), never
-//     exceed the configured budget plus the credit released by purged
-//     mandatory entries.
+//     materializations (written past the budget by design, though their
+//     bytes count against it), never exceed the configured budget.
 //  6. Restart consistency — closing every session mid-sequence and
 //     reopening on the same directories preserves the iteration counter
 //     and the per-iteration history records (introspection survives a
@@ -115,8 +114,8 @@ type Config struct {
 	// EvictPressure marks a case whose budget was drawn deliberately
 	// below a handful of entries (512–1535 B against ~150–600 B values),
 	// so Algorithm 2 must constantly evict to admit: every admission
-	// churns a slot, exercising invariant 5's purge-credit accounting
-	// and the store's delete-under-load paths instead of the steady
+	// churns a slot, exercising the store's budget admission (invariant
+	// 5) and its delete-under-load paths instead of the steady
 	// state where the budget is merely tight.
 	EvictPressure bool `json:"evict_pressure,omitempty"`
 	// Adaptive is the divergence threshold the adaptive sibling session

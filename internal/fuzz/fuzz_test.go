@@ -167,7 +167,7 @@ func TestFuzzSmoke(t *testing.T) {
 // of one-to-three entries that force Algorithm 2 to churn slots on
 // every admission — and asserts the mode both appears in generation and
 // actually evicts (manifest keys disappearing between iterations), so
-// invariant 5's purge-credit accounting is exercised rather than
+// invariant 5's budget admission is exercised rather than
 // vacuously satisfied.
 func TestEvictionPressure(t *testing.T) {
 	want := 6

@@ -194,7 +194,6 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 	subjectStoreDir := filepath.Join(dir, "subject")
 	mandatorySigs := make(map[string]bool)
 	prevManifest := make(map[string]int64)
-	var purgedMandatoryCredit int64
 	// Invariant 13: the keys whose artifact is damaged on disk, and those
 	// whose damaged artifact already failed a load.
 	damaged := make(map[string]bool)
@@ -488,33 +487,22 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 		}
 
 		// Invariant 5: storage-budget compliance (PolicyOpt only; blind
-		// policies ignore the budget by design). Mandatory output
-		// materializations bypass Algorithm 2, so their bytes sit outside
-		// the budget; purging a mandatory entry credits the policy's
-		// remaining budget (Release is unconditional), so that credit is
-		// allowed for too.
+		// policies ignore the budget by design). The store admits every
+		// optional write against the budget with the bytes already
+		// stored, outputs included, so what it holds besides the
+		// mandatory outputs — which are written past the budget — fits
+		// the budget.
 		if c.Config.Policy == "opt" {
 			manifest, err := readManifest(subjectStoreDir)
 			if err != nil {
 				return nil, err
 			}
-			for key, size := range prevManifest {
+			for key := range prevManifest {
 				if _, still := manifest[key]; !still {
 					if stats != nil {
 						stats.Evictions++
 					}
-					if mandatorySigs[key] {
-						purgedMandatoryCredit += size
-						delete(mandatorySigs, key)
-					}
-				}
-			}
-			// A failed load's entry is removed and its bytes released like
-			// a purged one's; one the run wrote again under the same key
-			// never left the manifest above, so its credit is counted here.
-			for _, key := range loadFailed {
-				if _, again := manifest[key]; again && mandatorySigs[key] {
-					purgedMandatoryCredit += prevManifest[key]
+					delete(mandatorySigs, key)
 				}
 			}
 			for _, np := range res.Plan.Nodes {
@@ -533,10 +521,10 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 			if budget <= 0 {
 				budget = helix.DefaultStorageBudget
 			}
-			if used-mandatory > budget+purgedMandatoryCredit {
+			if used-mandatory > budget {
 				return viol("storage-budget",
-					"store holds %d B (%d B mandatory) against budget %d B + %d B purged-mandatory credit",
-					used, mandatory, budget, purgedMandatoryCredit), nil
+					"store holds %d B (%d B mandatory) against budget %d B",
+					used, mandatory, budget), nil
 			}
 			prevManifest = manifest
 		}

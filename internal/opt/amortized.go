@@ -1,10 +1,6 @@
 package opt
 
-import (
-	"sync"
-
-	"helix/internal/core"
-)
+import "helix/internal/core"
 
 // ChangeModel gives the probability that the next iteration modifies each
 // workflow component — the user model the paper defers to future work
@@ -67,62 +63,20 @@ func (m ChangeModel) ReuseProbability(n *core.Node) float64 {
 
 // AmortizedOMP extends the streaming heuristic with the change model:
 // materialize iff expected payoff p(reuse)·C(n) exceeds the write+load
-// cost. With p(reuse)=1 it reduces exactly to Algorithm 2. Like every
-// MatPolicy it is safe for concurrent Decide calls, including from the
-// store's write-behind writer goroutines; the budget is reserved under
-// an internal mutex.
+// cost. With p(reuse)=1 it reduces exactly to Algorithm 2; the embedded
+// StreamingOMP supplies the threshold and the budget.
 type AmortizedOMP struct {
+	StreamingOMP
 	Model ChangeModel
-	// Threshold as in StreamingOMP; 0 selects 2.
-	Threshold float64
-
-	mu        sync.Mutex
-	remaining int64
-	unbounded bool
 }
 
-// NewAmortizedOMP returns the amortized policy with the given budget in
-// bytes (negative = unbounded).
-func NewAmortizedOMP(model ChangeModel, budget int64) *AmortizedOMP {
-	return &AmortizedOMP{Model: model, Threshold: 2, remaining: budget, unbounded: budget < 0}
-}
-
-// Blind implements MatPolicy.
-func (p *AmortizedOMP) Blind() bool { return false }
-
-// Worthwhile implements MatPolicy: C(n)·p(reuse) > threshold·load
-// (negated refusal, as in StreamingOMP).
+// Worthwhile implements MatPolicy: C(n)·p(reuse) > threshold·load.
 func (p *AmortizedOMP) Worthwhile(n *core.Node, cumulative, load float64) bool {
-	th := p.Threshold
-	if th <= 0 {
-		th = 2
-	}
-	return !(cumulative*p.Model.ReuseProbability(n) <= th*load)
+	return p.StreamingOMP.Worthwhile(n, cumulative*p.Model.ReuseProbability(n), load)
 }
 
-// Decide implements MatPolicy: C(n)·p(reuse) > threshold·load and budget.
-func (p *AmortizedOMP) Decide(n *core.Node, cumulative, load float64, size int64) bool {
-	if !p.Worthwhile(n, cumulative, load) {
-		return false
-	}
-	if p.unbounded {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.remaining < size {
-		return false
-	}
-	p.remaining -= size
-	return true
-}
-
-// Release returns budget (e.g. after purging deprecated entries).
-func (p *AmortizedOMP) Release(size int64) {
-	if p.unbounded {
-		return
-	}
-	p.mu.Lock()
-	p.remaining += size
-	p.mu.Unlock()
+// Decide implements MatPolicy: the same payoff test at the artifact's own
+// load time.
+func (p *AmortizedOMP) Decide(n *core.Node, cumulative, load float64) bool {
+	return p.Worthwhile(n, cumulative, load)
 }

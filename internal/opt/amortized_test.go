@@ -56,17 +56,17 @@ func TestReuseProbabilityOrdering(t *testing.T) {
 func TestAmortizedOMPDiscountsUnstableNodes(t *testing.T) {
 	_, dpr, _, ppr := pprChain(t)
 	m, _ := SurveyChangeModel("census")
-	p := NewAmortizedOMP(m, -1)
+	p := newAmortizedOMP(m, -1)
 	// Marginal case: C = 2.5·load. The stable DPR node's expected payoff
 	// clears the threshold; the unstable PPR leaf's does not.
-	if !p.Decide(dpr, 2.5, 1, 10) {
+	if !p.Decide(dpr, 2.5, 1) {
 		t.Fatal("stable DPR node should materialize")
 	}
-	if p.Decide(ppr, 2.5, 1, 10) {
+	if p.Decide(ppr, 2.5, 1) {
 		t.Fatal("unstable PPR node should be discounted below threshold")
 	}
 	// Overwhelming payoff clears either.
-	if !p.Decide(ppr, 100, 1, 10) {
+	if !p.Decide(ppr, 100, 1) {
 		t.Fatal("huge payoff should still materialize")
 	}
 }
@@ -74,27 +74,33 @@ func TestAmortizedOMPDiscountsUnstableNodes(t *testing.T) {
 func TestAmortizedOMPReducesToStreamingWithCertainReuse(t *testing.T) {
 	_, dpr, _, _ := pprChain(t)
 	certain := ChangeModel{P: map[core.Component]float64{}} // nothing ever changes
-	am := NewAmortizedOMP(certain, -1)
+	am := newAmortizedOMP(certain, -1)
 	st := NewStreamingOMP(-1)
 	for _, c := range []struct{ cum, load float64 }{{1, 1}, {2.1, 1}, {3, 1}, {0.5, 1}} {
-		if am.Decide(dpr, c.cum, c.load, 1) != st.Decide(dpr, c.cum, c.load, 1) {
+		if am.Decide(dpr, c.cum, c.load) != st.Decide(dpr, c.cum, c.load) {
 			t.Fatalf("divergence at C=%v l=%v", c.cum, c.load)
 		}
 	}
 }
 
+// TestAmortizedOMPBudget: the amortized policy reports the budget of the
+// streaming policy it embeds and, like it, keeps no counter.
 func TestAmortizedOMPBudget(t *testing.T) {
 	_, dpr, _, _ := pprChain(t)
 	m := ChangeModel{P: map[core.Component]float64{}}
-	p := NewAmortizedOMP(m, 100)
-	if !p.Decide(dpr, 100, 1, 80) {
-		t.Fatal("first decision within budget")
+	p := newAmortizedOMP(m, 100)
+	if got := p.Budget(); got != 100 {
+		t.Fatalf("Budget() = %d, want 100", got)
 	}
-	if p.Decide(dpr, 100, 1, 80) {
-		t.Fatal("second decision should exceed budget")
+	for i := 0; i < 3; i++ {
+		if !p.Decide(dpr, 100, 1) {
+			t.Fatalf("decision %d: a payoff that clears the threshold was refused", i)
+		}
 	}
-	p.Release(80)
-	if !p.Decide(dpr, 100, 1, 80) {
-		t.Fatal("released budget should be spendable")
-	}
+}
+
+// newAmortizedOMP builds the amortized policy as the session does: the
+// paper's threshold of 2 and the given budget (≤ 0: unbounded).
+func newAmortizedOMP(m ChangeModel, budget int64) *AmortizedOMP {
+	return &AmortizedOMP{StreamingOMP: *NewStreamingOMP(budget), Model: m}
 }

@@ -315,36 +315,43 @@ func TestGreedySuboptimalExample(t *testing.T) {
 
 func TestStreamingOMPThreshold(t *testing.T) {
 	p := NewStreamingOMP(-1)
-	if p.Decide(nil, 10, 6, 100) {
+	if p.Decide(nil, 10, 6) {
 		t.Fatal("materialized although C <= 2l")
 	}
-	if !p.Decide(nil, 13, 6, 100) {
+	if !p.Decide(nil, 13, 6) {
 		t.Fatal("did not materialize although C > 2l")
 	}
 }
 
+// TestStreamingOMPBudget: the policy reports its budget for the store to
+// admit against and keeps no counter of its own, so a yes is a yes
+// however many came before it.
 func TestStreamingOMPBudget(t *testing.T) {
 	p := NewStreamingOMP(150)
-	if !p.Decide(nil, 100, 1, 100) {
-		t.Fatal("first decision should fit budget")
+	if got := p.Budget(); got != 150 {
+		t.Fatalf("Budget() = %d, want 150", got)
 	}
-	if p.Decide(nil, 100, 1, 100) {
-		t.Fatal("second decision should exceed budget")
+	for i := 0; i < 3; i++ {
+		if !p.Decide(nil, 100, 1) {
+			t.Fatalf("decision %d: a payoff that clears the threshold was refused", i)
+		}
 	}
-	if got := p.Remaining(); got != 50 {
-		t.Fatalf("remaining = %d, want 50", got)
+	if got := NewStreamingOMP(-1).Budget(); got > 0 {
+		t.Fatalf("unbounded policy reports budget %d", got)
 	}
-	p.Release(100)
-	if !p.Decide(nil, 100, 1, 100) {
-		t.Fatal("released budget should allow materialization")
+	if got := (AlwaysMat{}).Budget(); got > 0 {
+		t.Fatalf("AlwaysMat reports budget %d", got)
+	}
+	if got := NewMiniBatchOMP(p).Budget(); got != 150 {
+		t.Fatalf("mini-batch policy reports budget %d, want its inner policy's 150", got)
 	}
 }
 
 func TestAlwaysNeverPolicies(t *testing.T) {
-	if !(AlwaysMat{}).Decide(nil, 0, 1e9, 1<<40) {
+	if !(AlwaysMat{}).Decide(nil, 0, 1e9) {
 		t.Fatal("AlwaysMat must always materialize")
 	}
-	if (NeverMat{}).Decide(nil, 1e9, 0, 0) {
+	if (NeverMat{}).Decide(nil, 1e9, 0) {
 		t.Fatal("NeverMat must never materialize")
 	}
 }
@@ -409,7 +416,7 @@ func TestQuickStreamingOMPNeverWorseThanNeverMat(t *testing.T) {
 		mat := make(map[*core.Node]bool)
 		for _, node := range d.Nodes() {
 			load := float64(1 + rng.Intn(10))
-			if pol.Decide(node, cum[node], load, 1) {
+			if pol.Decide(node, cum[node], load) {
 				mat[node] = true
 				matTime += load
 				c := costs[node]
@@ -450,19 +457,19 @@ func TestMiniBatchOMPPinsFirstDecision(t *testing.T) {
 		t.Fatal("metadata wrong")
 	}
 	// First batch: cumulative 10s vs load 1s → materialize (10 > 2).
-	if !p.Decide(n, 10, 1, 100) {
+	if !p.Decide(n, 10, 1) {
 		t.Fatal("first batch should materialize")
 	}
 	// Later batches with contradicting statistics replay the decision.
-	if !p.Decide(n, 0.1, 1, 100) {
+	if !p.Decide(n, 0.1, 1) {
 		t.Fatal("pinned decision not replayed")
 	}
 	// A different operator gets its own first-batch decision.
 	m := d.MustAddNode("other", core.KindExtractor, core.DPR, "o-v1", true)
-	if p.Decide(m, 0.1, 1, 100) {
+	if p.Decide(m, 0.1, 1) {
 		t.Fatal("cheap operator should not materialize")
 	}
-	if p.Decide(m, 100, 1, 100) {
+	if p.Decide(m, 100, 1) {
 		t.Fatal("pinned negative decision not replayed")
 	}
 }
@@ -474,7 +481,7 @@ func TestMiniBatchOMPConcurrent(t *testing.T) {
 	const workers = 16
 	results := make(chan bool, workers)
 	for i := 0; i < workers; i++ {
-		go func() { results <- p.Decide(n, 10, 1, 100) }()
+		go func() { results <- p.Decide(n, 10, 1) }()
 	}
 	first := <-results
 	for i := 1; i < workers; i++ {

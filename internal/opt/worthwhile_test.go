@@ -8,36 +8,27 @@ import (
 )
 
 // refPolicy is a policy's Decide as it was before Worthwhile existed,
-// written out in full with its own budget and pin state: the reference
-// the refactored Decide is replayed against.
-type refPolicy func(n *core.Node, cum, load float64, size int64) bool
+// written out in full with its own pin state: the reference the
+// refactored Decide is replayed against.
+type refPolicy func(n *core.Node, cum, load float64) bool
 
-// refBudgeted is the payoff-then-budget decision StreamingOMP and
-// AmortizedOMP shared: weight scales C(n) (1 for the streaming policy).
-func refBudgeted(threshold float64, budget int64, weight func(*core.Node) float64) refPolicy {
-	remaining, unbounded := budget, budget < 0
-	return func(n *core.Node, cum, load float64, size int64) bool {
-		if cum*weight(n) <= threshold*load {
-			return false
-		}
-		if unbounded {
-			return true
-		}
-		if remaining < size {
-			return false
-		}
-		remaining -= size
-		return true
+// refPayoff is the payoff decision StreamingOMP and AmortizedOMP share:
+// weight scales C(n) (1 for the streaming policy). The budget half of
+// Algorithm 2 is the store's admission, whose reference is in
+// internal/store's admission tests.
+func refPayoff(threshold float64, weight func(*core.Node) float64) refPolicy {
+	return func(n *core.Node, cum, load float64) bool {
+		return cum*weight(n) > threshold*load
 	}
 }
 
 func refMiniBatch(inner refPolicy) refPolicy {
 	pinned := map[string]bool{}
-	return func(n *core.Node, cum, load float64, size int64) bool {
+	return func(n *core.Node, cum, load float64) bool {
 		if d, ok := pinned[n.Name]; ok {
 			return d
 		}
-		d := inner(n, cum, load, size)
+		d := inner(n, cum, load)
 		pinned[n.Name] = d
 		return d
 	}
@@ -46,8 +37,8 @@ func refMiniBatch(inner refPolicy) refPolicy {
 // TestWorthwhileIsThePureHalfOfDecide holds all five policies to the
 // MatPolicy contract over a random decision sequence: a false Worthwhile
 // implies a false Decide at that load time or any longer one, Worthwhile
-// neither reserves budget nor pins a mini-batch decision, and Decide
-// still answers exactly as the pre-Worthwhile formulae did.
+// pins no mini-batch decision, and Decide still answers exactly as the
+// pre-Worthwhile formulae did.
 func TestWorthwhileIsThePureHalfOfDecide(t *testing.T) {
 	d, dpr, li, ppr := pprChain(t)
 	nodes := []*core.Node{dpr, li, ppr}
@@ -57,35 +48,22 @@ func TestWorthwhileIsThePureHalfOfDecide(t *testing.T) {
 	model, _ := SurveyChangeModel("census")
 	one := func(*core.Node) float64 { return 1 }
 
-	// state is what Worthwhile must leave alone: the unreserved budget
-	// and the number of pinned mini-batch decisions.
-	type state struct{ remaining, pins int64 }
+	// pins is what Worthwhile must leave alone: the number of pinned
+	// mini-batch decisions.
 	type policyCase struct {
-		name  string
-		pol   MatPolicy
-		ref   refPolicy
-		state func() state
+		name string
+		pol  MatPolicy
+		ref  refPolicy
+		pins func() int
 	}
-	stateless := func() state { return state{} }
+	none := func() int { return 0 }
+	mb := NewMiniBatchOMP(NewStreamingOMP(-1))
 	cases := []policyCase{
-		{"always", AlwaysMat{}, func(*core.Node, float64, float64, int64) bool { return true }, stateless},
-		{"never", NeverMat{}, func(*core.Node, float64, float64, int64) bool { return false }, stateless},
-	}
-	for _, budget := range []int64{-1, 4000} {
-		somp := NewStreamingOMP(budget)
-		aomp := NewAmortizedOMP(model, budget)
-		inner := NewStreamingOMP(budget)
-		mb := NewMiniBatchOMP(inner)
-		cases = append(cases,
-			policyCase{"streaming", somp, refBudgeted(2, budget, one), func() state {
-				return state{remaining: somp.Remaining()}
-			}},
-			policyCase{"amortized", aomp, refBudgeted(2, budget, model.ReuseProbability), func() state {
-				return state{remaining: aomp.remaining}
-			}},
-			policyCase{"minibatch", mb, refMiniBatch(refBudgeted(2, budget, one)), func() state {
-				return state{remaining: inner.Remaining(), pins: int64(len(mb.decisions))}
-			}})
+		{"always", AlwaysMat{}, func(*core.Node, float64, float64) bool { return true }, none},
+		{"never", NeverMat{}, func(*core.Node, float64, float64) bool { return false }, none},
+		{"streaming", NewStreamingOMP(4000), refPayoff(2, one), none},
+		{"amortized", newAmortizedOMP(model, 4000), refPayoff(2, model.ReuseProbability), none},
+		{"minibatch", mb, refMiniBatch(refPayoff(2, one)), func() int { return len(mb.decisions) }},
 	}
 
 	for _, tc := range cases {
@@ -94,16 +72,15 @@ func TestWorthwhileIsThePureHalfOfDecide(t *testing.T) {
 			n := nodes[rng.Intn(len(nodes))]
 			cum, load := rng.Float64()*4, rng.Float64()*2
 			longer := load + rng.Float64()*float64(rng.Intn(2))
-			size := int64(rng.Intn(300))
 
-			before := tc.state()
+			before := tc.pins()
 			worth := tc.pol.Worthwhile(n, cum, load)
-			if after := tc.state(); after != before {
-				t.Fatalf("%s step %d: Worthwhile changed the policy's state: %+v → %+v", tc.name, step, before, after)
+			if after := tc.pins(); after != before {
+				t.Fatalf("%s step %d: Worthwhile pinned a decision: %d → %d pins", tc.name, step, before, after)
 			}
-			got, want := tc.pol.Decide(n, cum, longer, size), tc.ref(n, cum, longer, size)
+			got, want := tc.pol.Decide(n, cum, longer), tc.ref(n, cum, longer)
 			if got != want {
-				t.Fatalf("%s step %d: Decide(%s, %g, %g, %d) = %v, the old formula says %v", tc.name, step, n.Name, cum, longer, size, got, want)
+				t.Fatalf("%s step %d: Decide(%s, %g, %g) = %v, the old formula says %v", tc.name, step, n.Name, cum, longer, got, want)
 			}
 			if !worth && got {
 				t.Fatalf("%s step %d: Worthwhile refused at load %g but Decide accepted at load %g", tc.name, step, load, longer)

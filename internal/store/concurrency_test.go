@@ -63,7 +63,7 @@ func TestConcurrentStress(t *testing.T) {
 					// crashes and inconsistencies count as failures.
 					_, _, _ = s.Get(k)
 				case 7:
-					if _, err := s.Delete(k); err != nil {
+					if err := s.Delete(k); err != nil {
 						t.Errorf("Delete(%s): %v", k, err)
 					}
 				case 8:
@@ -72,7 +72,7 @@ func TestConcurrentStress(t *testing.T) {
 					s.UsedBytes()
 				case 9:
 					victim := keys[rng.Intn(keySpan)]
-					if _, err := s.Purge(func(key string, _ Entry) bool { return key != victim }); err != nil {
+					if err := s.Purge(func(key string, _ Entry) bool { return key != victim }); err != nil {
 						t.Errorf("Purge: %v", err)
 					}
 				}
@@ -365,7 +365,7 @@ func TestBusyKeyBlocksOnlyItsKey(t *testing.T) {
 			others <- fmt.Errorf("Get(b) = %v, %v", v, err)
 			return
 		}
-		if _, err := s.Delete("b"); err != nil {
+		if err := s.Delete("b"); err != nil {
 			others <- err
 			return
 		}

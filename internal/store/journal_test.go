@@ -81,9 +81,9 @@ func journaledStore(t testing.TB) (dir string, base, journal []byte, ends []int,
 	states = append(states, s.snapshotEntries())
 	for _, mutate := range []func() error{
 		func() error { _, err := s.Put("d", "node-d", payload{N: 3, Rows: []string{"x"}}, 3); return err },
-		func() error { _, err := s.Delete("a"); return err },
+		func() error { return s.Delete("a") },
 		func() error { _, err := s.Put("e", "node-e", payload{N: 4}, 4); return err },
-		func() error { _, err := s.Purge(func(k string, _ Entry) bool { return k != "b" }); return err },
+		func() error { return s.Purge(func(k string, _ Entry) bool { return k != "b" }) },
 		func() error { _, err := s.Put("a", "node-a2", payload{N: 5, Rows: []string{"y", "z"}}, 5); return err },
 	} {
 		if err := mutate(); err != nil {

@@ -26,10 +26,11 @@
 // pool (writer.go) adds background writers on top, so the store is safe
 // for concurrent use:
 //
-//   - One mutex, Store.mu, guards the in-memory state: the entry table,
-//     the dirty keys, the keys whose file is in use, and the in-flight
-//     loads. A run does a few map operations per node it plans, retires
-//     or writes, so nothing contends on it for long.
+//   - One mutex, Store.mu, guards the in-memory state: the entry table
+//     and the byte ledger beside it, the dirty keys, the keys whose file
+//     is in use, and the in-flight loads. A run does a few map operations
+//     per node it plans, retires or writes, so nothing contends on it for
+//     long.
 //   - mu is never held across disk I/O or the simulated-disk throttle
 //     sleep. A key's file is claimed instead (lockKey/unlockKey): Put,
 //     Delete, load and Verify of the same key take turns, waiting on a
@@ -133,6 +134,14 @@ type Store struct {
 	keyFree sync.Cond
 	// flight holds the in-flight load of each key being loaded.
 	flight map[string]*flightCall
+	// The byte ledger, kept in step with entries (putEntry, dropEntry):
+	// used is every entry's bytes, held the bytes of each tenant label,
+	// and reserved the bytes of budgeted writes admitted and not yet
+	// settled, per budget account (see charged). Nothing else counts
+	// stored bytes.
+	used     int64
+	held     map[string]int64
+	reserved map[string]int64
 
 	// manifestMu serializes journal appends and compactions, and guards
 	// journal, journaled and persistErr. It is held across that I/O.
@@ -202,31 +211,31 @@ func openStore(dir string, shared bool) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:     dir,
-		entries: entries,
-		dirty:   make(map[string]struct{}),
-		busy:    make(map[string]bool),
-		flight:  make(map[string]*flightCall),
-		journal: NewJournal(filepath.Join(dir, manifestJournalFile)),
-		shared:  shared,
+		dir:      dir,
+		entries:  make(map[string]Entry, len(entries)),
+		dirty:    make(map[string]struct{}),
+		busy:     make(map[string]bool),
+		flight:   make(map[string]*flightCall),
+		held:     make(map[string]int64),
+		reserved: make(map[string]int64),
+		journal:  NewJournal(filepath.Join(dir, manifestJournalFile)),
+		shared:   shared,
 	}
 	s.keyFree.L = &s.mu
 	s.wp.init()
 	for k, e := range entries {
-		if e.Size >= 0 {
-			continue
+		if e.Size < 0 {
+			// A size is where the manifest's statistics enter planning
+			// (the load estimate) and the budget's ledger, and a negative
+			// one is garbage: read it as unknown and ask the artifact
+			// itself. An artifact that is gone takes its entry with it.
+			fi, err := os.Stat(s.path(k))
+			if err != nil {
+				continue
+			}
+			e.Size = fi.Size()
 		}
-		// A size is where the manifest's statistics enter planning (the
-		// load estimate), and a negative one is garbage: read it as
-		// unknown and ask the artifact itself. An artifact that is gone
-		// takes its entry with it.
-		fi, err := os.Stat(s.path(k))
-		if err != nil {
-			delete(entries, k)
-			continue
-		}
-		e.Size = fi.Size()
-		entries[k] = e
+		s.putEntry(e)
 	}
 	if journaled {
 		// Start from an empty journal: a torn tail a crash left would
@@ -241,7 +250,7 @@ func openStore(dir string, shared bool) (*Store, error) {
 }
 
 // sweepTemps removes the temp files of writes a crash interrupted: an
-// artifact's <key>.gob.tmp (putBytes) and the manifest's temp file, under
+// artifact's <key>.gob.tmp (writeArtifact) and the manifest's temp file, under
 // both the name WriteFileSync gives it and the fixed one older builds
 // used. Best effort: what cannot be removed is only wasted space.
 func sweepTemps(dir string) {
@@ -393,15 +402,22 @@ func (s *Store) staticBandwidth() float64 {
 // observe a half-updated file/manifest pair; mu is not held during I/O.
 // The manifest journal records the entry before returning.
 func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, error) {
-	e, _, err := s.putBytes(clock.Real{}, key, name, data, iteration, "", true)
+	e, _, err := s.putBytes(clock.Real{}, WriteRequest{Key: key, Name: name, Iteration: iteration}, data, true)
 	return e, err
 }
 
-// putBytes is PutBytes on a given clock, with a tenant label (shared-mode
-// byte accounting) and the manifest record optional: the write-behind
-// pool passes syncManifest=false and leaves the key dirty for the Flush
-// barrier, so N background writes cost one journal append instead of N
-// serialized ones.
+// putBytes writes data as req's artifact on clock c, reporting whether
+// it landed. The write-behind pool passes syncManifest=false and leaves
+// the key dirty for the Flush barrier, so N background writes cost one
+// journal append instead of N serialized ones.
+//
+// A request with a Budget is admitted by the size of data: the bytes its
+// account holds, plus the budgeted writes admitted before it and not yet
+// settled, plus data must fit the budget, or the write is declined
+// (written=false, no error). The admission reserves the bytes, and this
+// function settles the reservation whatever the write's fate: landed
+// bytes move from reserved to held in one critical section, and a failed
+// write returns them.
 //
 // The payload lands atomically: it is written to a same-directory temp
 // file and renamed over the final path, so no reader — in this process or
@@ -410,41 +426,67 @@ func (s *Store) PutBytes(key, name string, data []byte, iteration int) (Entry, e
 // if the key is already present when its file is claimed, the write is
 // skipped (same signature ⇒ equivalent value, Definition 3) and the
 // existing entry is returned with written=false.
-func (s *Store) putBytes(c clock.Clock, key, name string, data []byte, iteration int, tenant string, syncManifest bool) (Entry, bool, error) {
+func (s *Store) putBytes(c clock.Clock, req WriteRequest, data []byte, syncManifest bool) (Entry, bool, error) {
 	start := c.Now()
+	key, size := req.Key, int64(len(data))
 	if e, ok := s.lockKey(key); ok && s.shared {
 		s.unlockKey(key)
 		return e, false, nil
 	}
-	tmp := s.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.unlockKey(key)
-		return Entry{}, false, fmt.Errorf("store: write %q: %w", key, err)
+	var account string
+	var charged, reserved int64
+	if req.Budget > 0 {
+		s.mu.Lock()
+		account, charged = s.charged(req.Tenant)
+		fits := charged+size <= req.Budget
+		if fits {
+			reserved = size
+			s.reserved[account] += size
+		}
+		s.mu.Unlock()
+		if !fits {
+			s.unlockKey(key)
+			return Entry{}, false, nil
+		}
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		s.unlockKey(key)
-		return Entry{}, false, fmt.Errorf("store: publish %q: %w", key, err)
-	}
-	s.throttle(c, int64(len(data)))
-	crc := crc32.Checksum(data, castagnoli)
-	e := Entry{
-		Key:       key,
-		Name:      name,
-		Size:      int64(len(data)),
-		WriteTime: c.Since(start),
-		Iteration: iteration,
-		Tenant:    tenant,
-		CRC:       &crc,
+	e := Entry{Key: key, Name: req.Name, Size: size, Iteration: req.Iteration, Tenant: req.Tenant}
+	err := s.writeArtifact(c, key, data)
+	if err == nil {
+		crc := crc32.Checksum(data, castagnoli)
+		e.CRC = &crc
+		e.WriteTime = c.Since(start)
 	}
 	s.mu.Lock()
-	s.entries[key] = e
-	s.dirty[key] = struct{}{}
+	if s.reserved[account] -= reserved; s.reserved[account] == 0 {
+		delete(s.reserved, account)
+	}
+	if err == nil {
+		s.putEntry(e)
+		s.dirty[key] = struct{}{}
+	}
 	s.mu.Unlock()
 	s.unlockKey(key)
+	if err != nil {
+		return Entry{}, false, err
+	}
 	if syncManifest {
 		s.flushManifest()
 	}
 	return e, true, nil
+}
+
+// writeArtifact writes data to key's temp file, renames it over the
+// artifact and takes the simulated-disk throttle.
+func (s *Store) writeArtifact(c clock.Clock, key string, data []byte) error {
+	tmp := s.path(key) + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("store: write %q: %w", key, err)
+	}
+	if err := os.Rename(tmp, s.path(key)); err != nil {
+		return fmt.Errorf("store: publish %q: %w", key, err)
+	}
+	s.throttle(c, int64(len(data)))
+	return nil
 }
 
 // Put encodes (with the store's codec) and writes a value under key.
@@ -601,19 +643,18 @@ func (s *Store) Entry(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Delete removes the entry and its file, returning the entry's size.
-// Deleting a missing key is a no-op; a file that cannot be removed still
-// loses its entry.
-func (s *Store) Delete(key string) (freed int64, err error) {
-	e, ok, err := s.remove(key)
+// Delete removes the entry and its file. Deleting a missing key is a
+// no-op; a file that cannot be removed still loses its entry.
+func (s *Store) Delete(key string) error {
+	_, ok, err := s.remove(key)
 	if !ok {
-		return 0, nil
+		return nil
 	}
 	s.flushManifest()
 	if err != nil {
-		return e.Size, fmt.Errorf("store: delete %q: %w", key, err)
+		return fmt.Errorf("store: delete %q: %w", key, err)
 	}
-	return e.Size, nil
+	return nil
 }
 
 // remove deletes key's entry, marking the key dirty, and then its file,
@@ -626,7 +667,7 @@ func (s *Store) remove(key string) (Entry, bool, error) {
 		return e, false, nil
 	}
 	s.mu.Lock()
-	delete(s.entries, key)
+	s.dropEntry(key)
 	s.dirty[key] = struct{}{}
 	s.mu.Unlock()
 	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
@@ -635,18 +676,18 @@ func (s *Store) remove(key string) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// Purge removes every entry for which keep returns false, returning the
-// bytes freed. Used to deprecate old results when operators change (paper
-// §6.6: "HELIX purges any previous materialization of original operators
-// prior to execution"). keep sees each key with its entry under mu: it
-// must not call back into the store.
+// Purge removes every entry for which keep returns false. Used to
+// deprecate old results when operators change (paper §6.6: "HELIX purges
+// any previous materialization of original operators prior to
+// execution"). keep sees each key with its entry under mu: it must not
+// call back into the store.
 //
 // No session purges a shared store: shared planning marks no operator
 // original, so no run deprecates a stored result. Should anything else
 // delete a shared artifact, a session that needed it computes the node
 // again: between runs the planner sees no entry, and mid-run the failed
 // load drops the entry and re-plans.
-func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err error) {
+func (s *Store) Purge(keep func(key string, e Entry) bool) (err error) {
 	s.mu.Lock()
 	var doomed []string
 	for k, e := range s.entries {
@@ -655,48 +696,70 @@ func (s *Store) Purge(keep func(key string, e Entry) bool) (freed int64, err err
 		}
 	}
 	s.mu.Unlock()
-	removed := 0
+	removed := false
 	for _, k := range doomed {
-		e, ok, rmErr := s.remove(k)
-		if ok {
-			removed++
-			freed += e.Size
-		}
+		_, ok, rmErr := s.remove(k)
+		removed = removed || ok
 		if rmErr != nil && err == nil {
 			err = fmt.Errorf("store: purge %q: %w", k, rmErr)
 		}
 	}
 	// The common case — most iterations deprecate no stored result —
 	// leaves the manifest untouched.
-	if removed == 0 {
-		return 0, nil
+	if removed {
+		s.flushManifest()
 	}
-	s.flushManifest()
-	return freed, err
+	return err
 }
 
 // UsedBytes reports the total size of stored entries.
 func (s *Store) UsedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total int64
-	for _, e := range s.entries {
-		total += e.Size
-	}
-	return total
+	return s.used
 }
 
 // TenantBytes reports the total size of entries published under tenant.
 func (s *Store) TenantBytes(tenant string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total int64
-	for _, e := range s.entries {
-		if e.Tenant == tenant {
-			total += e.Size
-		}
+	return s.held[tenant]
+}
+
+// charged names the budget account a write under tenant is admitted
+// against — the tenant label's in a shared store, the one account "" of a
+// private store, whose budget covers every byte it holds whatever label
+// an entry carries — and reports the bytes the account is charged with:
+// those it holds and those of its admitted writes still in flight. The
+// caller holds mu.
+func (s *Store) charged(tenant string) (account string, bytes int64) {
+	if !s.shared {
+		return "", s.used + s.reserved[""]
 	}
-	return total
+	return tenant, s.held[tenant] + s.reserved[tenant]
+}
+
+// putEntry records e in the table and the ledger, in place of the key's
+// previous entry. The caller holds mu.
+func (s *Store) putEntry(e Entry) {
+	s.dropEntry(e.Key)
+	s.entries[e.Key] = e
+	s.used += e.Size
+	s.held[e.Tenant] += e.Size
+}
+
+// dropEntry removes key's entry, if any, from the table and the ledger.
+// The caller holds mu.
+func (s *Store) dropEntry(key string) {
+	e, ok := s.entries[key]
+	if !ok {
+		return
+	}
+	delete(s.entries, key)
+	s.used -= e.Size
+	if s.held[e.Tenant] -= e.Size; s.held[e.Tenant] == 0 {
+		delete(s.held, e.Tenant)
+	}
 }
 
 // Len reports the number of stored entries.

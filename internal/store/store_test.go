@@ -80,14 +80,13 @@ func TestDelete(t *testing.T) {
 	if _, err := s.Put("k", "n", payload{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	ent, _ := s.Entry("k")
-	if freed, err := s.Delete("k"); err != nil || freed != ent.Size {
-		t.Fatalf("Delete freed %d B, %v; want %d B", freed, err, ent.Size)
+	if err := s.Delete("k"); err != nil || s.UsedBytes() != 0 {
+		t.Fatalf("Delete: %v, %d B still used; want nil, 0 B", err, s.UsedBytes())
 	}
 	if s.Has("k") {
 		t.Fatal("entry survived delete")
 	}
-	if freed, err := s.Delete("k"); err != nil || freed != 0 {
+	if err := s.Delete("k"); err != nil || s.UsedBytes() != 0 {
 		t.Fatal("deleting missing key should be a no-op")
 	}
 }
@@ -99,12 +98,12 @@ func TestPurgeKeepsSelected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	freed, err := s.Purge(func(k string, _ Entry) bool { return k == "b" })
-	if err != nil {
+	b, _ := s.Entry("b")
+	if err := s.Purge(func(k string, _ Entry) bool { return k == "b" }); err != nil {
 		t.Fatal(err)
 	}
-	if freed <= 0 {
-		t.Fatal("purge freed nothing")
+	if s.UsedBytes() != b.Size {
+		t.Fatalf("after purge: %d B used, want b's %d B", s.UsedBytes(), b.Size)
 	}
 	if s.Len() != 1 || !s.Has("b") {
 		t.Fatalf("after purge: len=%d has(b)=%v", s.Len(), s.Has("b"))
@@ -246,15 +245,15 @@ func TestPurgeNothingLeavesManifestAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freed, err := s.Purge(func(string, Entry) bool { return true })
-	if err != nil || freed != 0 {
-		t.Fatalf("Purge = %d, %v; want 0, nil", freed, err)
+	used := s.UsedBytes()
+	if err := s.Purge(func(string, Entry) bool { return true }); err != nil || s.UsedBytes() != used {
+		t.Fatalf("Purge = %v, %d B used; want nil, %d B", err, s.UsedBytes(), used)
 	}
 	if got, _ := os.ReadFile(journal); !bytes.Equal(got, before) {
 		t.Fatalf("no-op purge appended to the journal: %d → %d bytes", len(before), len(got))
 	}
 	// One that does remove something still records the new table.
-	if _, err := s.Purge(func(string, Entry) bool { return false }); err != nil {
+	if err := s.Purge(func(string, Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := ReadManifest(s.Dir()); err != nil || len(got) != 0 {

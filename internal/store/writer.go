@@ -31,6 +31,13 @@ type WriteRequest struct {
 	// Tenant labels the publishing tenant for shared-mode byte accounting;
 	// empty for private stores.
 	Tenant string
+	// Budget, when positive, caps the bytes the request's account holds:
+	// Tenant's in a shared store, every byte of a private one. The write
+	// is admitted by its encoded size iff those bytes, plus the budgeted
+	// writes admitted before it and not yet landed, plus its own fit;
+	// otherwise it is declined like a false Decide. Zero or negative: no
+	// cap.
+	Budget int64
 
 	// Value is encoded on the writer goroutine when Data is nil. The pool
 	// holds the only required reference: callers may drop theirs
@@ -60,14 +67,14 @@ type WriteRequest struct {
 
 // WriteOutcome reports how one WriteRequest ended.
 type WriteOutcome struct {
-	// Entry is the recorded entry; zero unless Written, except when a
-	// shared-mode publish found the signature already on disk — then it is
-	// the existing entry (Written false, Err nil), so callers can refund
-	// budget reserved for the deduplicated write.
+	// Entry is the recorded entry; zero unless Written, except when an
+	// equivalent entry was already in the store (a shared-mode publish
+	// another session won) — then it is that entry (Written false, Err
+	// nil), whose size the caller can adopt.
 	Entry Entry
 	// Written reports whether the payload landed in the store. False when
-	// Decide declined, an equivalent entry already existed, or Err or
-	// EncodeErr is set.
+	// Decide or the Budget declined, an equivalent entry already existed,
+	// or Err or EncodeErr is set.
 	Written bool
 	// Err is the disk write error, if any. A failed write leaves the store
 	// without the entry — callers degrade to "not materialized".
@@ -188,10 +195,10 @@ func (s *Store) writerLoop() {
 }
 
 // processWrite performs one request: encode if needed, consult Decide,
-// write. Timing starts here — queue wait is deliberately not charged as
-// materialization cost. With syncManifest false (writer goroutines) the
-// manifest record is deferred to the Flush barrier instead of appended
-// per write.
+// admit against the Budget and write. Timing starts here — queue wait is
+// deliberately not charged as materialization cost. With syncManifest
+// false (writer goroutines) the manifest record is deferred to the Flush
+// barrier instead of appended per write.
 func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	c := req.Clock
 	if c == nil {
@@ -200,8 +207,8 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	start := c.Now()
 	if ent, ok := s.Entry(req.Key); ok {
 		// An equivalent result landed since the request was enqueued. The
-		// existing entry is reported so callers can refund reserved budget
-		// and adopt the artifact's size.
+		// existing entry is reported so callers can adopt the artifact's
+		// size.
 		return WriteOutcome{Entry: ent, Secs: c.Since(start).Seconds()}
 	}
 	data := req.Data
@@ -217,7 +224,7 @@ func (s *Store) processWrite(req WriteRequest, syncManifest bool) WriteOutcome {
 	if req.Decide != nil && !req.Decide(int64(len(data))) {
 		return WriteOutcome{Secs: c.Since(start).Seconds()}
 	}
-	ent, wrote, err := s.putBytes(c, req.Key, req.Name, data, req.Iteration, req.Tenant, syncManifest)
+	ent, wrote, err := s.putBytes(c, req, data, syncManifest)
 	return WriteOutcome{
 		Entry:   ent,
 		Written: wrote && err == nil,

@@ -44,8 +44,8 @@ type Option struct {
 // policyConfig selects and parameterizes the materialization policy.
 // It is comparable and keys Session.policies directly: a run-scoped
 // override that reverts to an earlier configuration resumes that
-// configuration's policy instance (e.g. OMP's consumed budget) instead
-// of resetting it.
+// configuration's policy instance (e.g. the mini-batch policy's pinned
+// decisions) instead of resetting it.
 type policyConfig struct {
 	Policy    Policy
 	Budget    int64 // resolved: never ≤ 0
@@ -138,8 +138,8 @@ func (c *config) execOptions(pol opt.MatPolicy) exec.Options {
 // WithPolicy selects the materialization strategy (the paper's system
 // variants, §6.1). Run-scoped overrides A/B policies within one session;
 // each distinct policy configuration keeps its own policy instance, so
-// budget accounting survives switching away and back. PolicyNever also
-// drops the mandatory materialization of outputs.
+// pinned mini-batch decisions survive switching away and back.
+// PolicyNever also drops the mandatory materialization of outputs.
 func WithPolicy(p Policy) Option {
 	return Option{name: "WithPolicy", apply: func(c *config) {
 		c.policy.Policy = p
@@ -147,8 +147,15 @@ func WithPolicy(p Policy) Option {
 	}}
 }
 
-// WithStorageBudget caps materialized bytes for the budgeted policies;
-// ≤0 restores the paper's 10 GB default (§6.3).
+// WithStorageBudget caps the bytes the session's tenant holds in the
+// store, for the budgeted policies (PolicyOpt and its variants): every
+// byte of a private store; in a shared one, the bytes published under the
+// session's WithTenant label (untenanted sessions share the label "").
+// The store admits each optional write against it by encoded size, and
+// what is already stored counts, whichever configuration or earlier
+// process wrote it. Outputs count once written, and a mandatory output is
+// still written past the cap. ≤0 restores the paper's 10 GB default
+// (§6.3).
 func WithStorageBudget(bytes int64) Option {
 	if bytes <= 0 {
 		bytes = DefaultStorageBudget

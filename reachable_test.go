@@ -22,12 +22,11 @@ import (
 // the one-line reason. An entry that a program reaches, or that fewer
 // than two packages' tests call, is stale and fails the test.
 var reachAllowlist = map[string]string{
-	"core.DAG.MustAddNode":       "builds test DAGs without error plumbing in the core, exec, opt, plan, sim and root package tests",
-	"core.DAG.Slice":             "the backward-slice oracle the core and root package tests check pruning against",
-	"ml.Sparse":                  "builds test vectors from index maps in the ml, workloads and root package tests",
-	"opt.CheckFeasible":          "the OEP constraint oracle the opt and plan tests check every plan against",
-	"opt.StreamingOMP.Remaining": "reads the policy's unreserved budget in the opt, exec and root package tests",
-	"store.GobCodec":             "the reference encoder the store and workloads codec tests compare values through",
+	"core.DAG.MustAddNode": "builds test DAGs without error plumbing in the core, exec, opt, plan, sim and root package tests",
+	"core.DAG.Slice":       "the backward-slice oracle the core and root package tests check pruning against",
+	"ml.Sparse":            "builds test vectors from index maps in the ml, workloads and root package tests",
+	"opt.CheckFeasible":    "the OEP constraint oracle the opt and plan tests check every plan against",
+	"store.GobCodec":       "the reference encoder the store and workloads codec tests compare values through",
 }
 
 // publicAPI names the exported identifiers of the root package that no

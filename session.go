@@ -80,7 +80,9 @@ type Session struct {
 	// polMu guards policies, the memoized materialization-policy
 	// instances keyed by their configuration. Memoization makes run-scoped
 	// policy overrides stateful in the useful sense: reverting to a
-	// configuration resumes its policy's budget accounting.
+	// configuration resumes its policy's pinned mini-batch decisions. The
+	// budget is not policy state: the store counts what the session's
+	// tenant holds, whichever configuration wrote it.
 	//lint:nolockio
 	polMu    sync.Mutex
 	policies map[policyConfig]opt.MatPolicy
@@ -320,16 +322,6 @@ func Open(dir string, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 		cfg.store.applyTo(s.store)
-		// What the store already holds was admitted under this budget by
-		// an earlier process; a fresh policy that ignored it would let a
-		// reopened store grow to twice its budget. Charged whole, mandatory
-		// outputs included: Open cannot tell them apart, and a purge
-		// releases every byte it frees (Release of a negative size).
-		if used := s.store.UsedBytes(); used > 0 {
-			if rel, ok := pol.(interface{ Release(int64) }); ok {
-				rel.Release(-used)
-			}
-		}
 		// The config token pins every engine-level setting plan reuse
 		// must be conditioned on: a run under a different policy, budget,
 		// threshold, domain, or parallelism — whether a differently
@@ -351,30 +343,22 @@ func Open(dir string, opts ...Option) (*Session, error) {
 // buildPolicy constructs the materialization policy pc selects, or an
 // error satisfying errors.Is(err, ErrPolicyUnknown).
 func buildPolicy(pc policyConfig) (opt.MatPolicy, error) {
+	omp := opt.NewStreamingOMP(pc.Budget)
+	if pc.Threshold > 0 {
+		omp.Threshold = pc.Threshold
+	}
 	switch pc.Policy {
 	case PolicyOpt:
-		somp := opt.NewStreamingOMP(pc.Budget)
-		if pc.Threshold > 0 {
-			somp.Threshold = pc.Threshold
-		}
-		return somp, nil
+		return omp, nil
 	case PolicyAlways:
 		return opt.AlwaysMat{}, nil
 	case PolicyNever:
 		return opt.NeverMat{}, nil
 	case PolicyOptMiniBatch:
-		somp := opt.NewStreamingOMP(pc.Budget)
-		if pc.Threshold > 0 {
-			somp.Threshold = pc.Threshold
-		}
-		return opt.NewMiniBatchOMP(somp), nil
+		return opt.NewMiniBatchOMP(omp), nil
 	case PolicyOptAmortized:
 		model, _ := opt.SurveyChangeModel(pc.Domain) // WithDomain vetted it
-		aomp := opt.NewAmortizedOMP(model, pc.Budget)
-		if pc.Threshold > 0 {
-			aomp.Threshold = pc.Threshold
-		}
-		return aomp, nil
+		return &opt.AmortizedOMP{StreamingOMP: *omp, Model: model}, nil
 	default:
 		return nil, tagged(ErrPolicyUnknown, fmt.Errorf("helix: unknown policy %d", pc.Policy))
 	}

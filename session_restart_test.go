@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"helix/internal/opt"
+	"helix/internal/store"
 )
 
 // TestSessionRestartResumesReuse: reopening a session on the same
@@ -121,10 +121,10 @@ func TestSessionCorruptStateDegrades(t *testing.T) {
 }
 
 // TestSessionReopenChargesStoredBytes: a session reopened on a store that
-// already holds materializations starts its budget net of them, so a
-// restart cannot let the store grow past its budget (the seed-15
-// eviction-pressure failure: the store held two budgets' worth after a
-// restart at iteration 1).
+// already holds materializations is admitted against its budget net of
+// them, so a restart cannot let the store grow past its budget (the
+// seed-15 eviction-pressure failure: the store held two budgets' worth
+// after a restart at iteration 1).
 func TestSessionReopenChargesStoredBytes(t *testing.T) {
 	dir := t.TempDir()
 	const budget = 1 << 20
@@ -148,11 +148,18 @@ func TestSessionReopenChargesStoredBytes(t *testing.T) {
 	if used == 0 {
 		t.Fatal("the first session stored nothing")
 	}
-	omp, ok := sess2.policies[sess2.base.policy].(*opt.StreamingOMP)
-	if !ok {
-		t.Fatalf("policy %T, want *opt.StreamingOMP", sess2.policies[sess2.base.policy])
+	pol := sess2.policies[sess2.base.policy]
+	if got := pol.Budget(); got != budget {
+		t.Fatalf("policy %T reports budget %d, want %d", pol, got, budget)
 	}
-	if got := omp.Remaining(); got != budget-used {
-		t.Fatalf("reopened budget remaining %d, want %d − %d stored = %d", got, budget, used, budget-used)
+	for _, tc := range []struct {
+		size  int64
+		admit bool
+	}{{budget - used + 1, false}, {budget - used, true}} {
+		out := sess2.store.Write(store.WriteRequest{Key: "headroom", Data: make([]byte, tc.size), Budget: pol.Budget()})
+		if out.Written != tc.admit || out.Err != nil {
+			t.Fatalf("a %d B write against %d B stored under a %d B budget: written=%v err=%v, want written=%v",
+				tc.size, used, budget, out.Written, out.Err, tc.admit)
+		}
 	}
 }

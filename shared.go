@@ -21,8 +21,8 @@ import (
 // Publishes are atomic (temp file + rename) and write-once, and no
 // session ever purges the store: shared planning marks no operator
 // original, so no run deprecates a published artifact. Per-tenant byte
-// accounting (WithTenant, TenantBytes) layers on the per-session
-// materialization budgets so one tenant's writes cannot drain another's.
+// accounting (WithTenant, TenantBytes) is what a session's storage budget
+// caps, so one tenant's writes cannot drain another's.
 //
 // Lifecycle: OpenSharedStore once, pass the handle to each Open via
 // WithSharedStore, Close the sessions, then Close the handle. Closing the

@@ -125,7 +125,7 @@ func TestSharedPurgeCostsOneRecompute(t *testing.T) {
 
 	// A keep-nothing purge — the harshest possible eviction — empties the
 	// store under two live sessions.
-	if _, err := h.store.Purge(func(string, store.Entry) bool { return false }); err != nil {
+	if err := h.store.Purge(func(string, store.Entry) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Artifacts(); got != 0 {
@@ -328,7 +328,7 @@ func TestSharedStoreConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
+				if err := st.Purge(func(string, store.Entry) bool { return false }); err != nil {
 					t.Errorf("purge: %v", err)
 					return
 				}
