@@ -14,6 +14,9 @@
 // Workloads: census, census10x, genomics, nlp, mnist.
 // Systems: helix-opt, helix-am, helix-nm, keystoneml, deepdive.
 //
+// A series writes behind on the host's clock, as any Session does (flush(s)
+// is the barrier's wait); only -paper's model clock writes inline.
+//
 // With -explain, each iteration first prints the optimizer's plan — the
 // per-node decision table from Plan.Explain(): state, costs, projected
 // C(n), and the rationale for every Load/Compute/Prune choice — and then
@@ -51,11 +54,10 @@ import (
 
 // flags is the parsed command line.
 type flags struct {
-	workload, system, dir, tenant                   string
-	scale, cost, iters, parallelism                 int
-	seed                                            int64
-	shared, writeBehind, explain, progress, verbose bool
-	paper                                           bool
+	workload, system, dir, tenant             string
+	scale, cost, iters, parallelism           int
+	seed                                      int64
+	shared, explain, progress, verbose, paper bool
 }
 
 // validate rejects flag combinations that would silently do nothing.
@@ -80,7 +82,6 @@ func main() {
 	flag.StringVar(&f.dir, "dir", "", "materialization directory (default: temp, removed at exit)")
 	flag.BoolVar(&f.shared, "shared", false, "attach to a shared content-addressed store at -dir (required): artifacts publish once per chain signature and are reused by any session (or process) sharing the directory")
 	flag.StringVar(&f.tenant, "tenant", "", "tenant label for shared-store byte accounting (only with -shared)")
-	flag.BoolVar(&f.writeBehind, "writebehind", false, "materialize via the background writer pool instead of the paper-faithful inline write")
 	flag.IntVar(&f.parallelism, "parallelism", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&f.explain, "explain", false, "print the optimizer's per-node decision table before each iteration")
 	flag.BoolVar(&f.progress, "progress", false, "stream per-node live progress from the run's event stream")
@@ -190,9 +191,6 @@ func run(f flags) error {
 	// exposes; the system preset supplies the baseline and the flags
 	// append overrides (later options win).
 	opts := append([]helix.Option(nil), sys.Options...)
-	if f.writeBehind {
-		opts = append(opts, helix.WithSyncMaterialization(false))
-	}
 	opts = append(opts, helix.WithParallelism(f.parallelism))
 	// -shared attaches to a content-addressed store rooted at -dir: a
 	// second invocation on the same directory loads this one's artifacts
@@ -229,7 +227,7 @@ func run(f flags) error {
 	warned := map[string]bool{} // nodes whose failed materialization was already reported
 	fmt.Printf("workload=%s system=%s store=%s\n\n", f.workload, sys.Name, dir)
 	// seconds covers the compute critical path; flush(s) is the extra wait
-	// at the write-behind barrier before Run returns (0 when inline).
+	// at the write-behind barrier before Run returns.
 	// Both count toward cum — the latency the user actually observes.
 	// plan(s) is the planning share of seconds, with the plan-cache
 	// outcome (cold/hit) beside it.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"helix"
+	"helix/internal/clock"
 	"helix/internal/collection"
 )
 
@@ -232,8 +233,12 @@ func TestUnserializableResultIsReported(t *testing.T) {
 		}, src).IsOutput()
 		return wf
 	}
-	for _, sync := range []bool{true, false} {
-		sess, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.PolicyAlways), helix.WithSyncMaterialization(sync))
+	for _, inline := range []bool{true, false} {
+		ctx := context.Background()
+		if inline {
+			ctx = clock.With(ctx, helix.HostBiller{}) // a model clock writes inline
+		}
+		sess, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.PolicyAlways))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,34 +249,34 @@ func TestUnserializableResultIsReported(t *testing.T) {
 			}
 		})
 		for it, reducer := range []string{"a", "b"} {
-			res, err := sess.Run(context.Background(), build(reducer), obs)
+			res, err := sess.Run(ctx, build(reducer), obs)
 			if err != nil {
-				t.Fatalf("sync=%v iteration %d: %v", sync, it, err)
+				t.Fatalf("inline=%v iteration %d: %v", inline, it, err)
 			}
 			if res.Values["out"] != 7 {
-				t.Fatalf("sync=%v iteration %d: out = %v", sync, it, res.Values["out"])
+				t.Fatalf("inline=%v iteration %d: out = %v", inline, it, res.Values["out"])
 			}
 			rep := res.Nodes["src"]
 			if !errors.Is(rep.MatErr, helix.ErrUnserializable) || !strings.Contains(rep.MatErr.Error(), `"src"`) {
-				t.Fatalf("sync=%v iteration %d: src MatErr = %v, want ErrUnserializable naming the node", sync, it, rep.MatErr)
+				t.Fatalf("inline=%v iteration %d: src MatErr = %v, want ErrUnserializable naming the node", inline, it, rep.MatErr)
 			}
 			if res.Nodes["out"].MatErr != nil {
-				t.Fatalf("sync=%v iteration %d: out (an int) reported %v", sync, it, res.Nodes["out"].MatErr)
+				t.Fatalf("inline=%v iteration %d: out (an int) reported %v", inline, it, res.Nodes["out"].MatErr)
 			}
 			if it == 1 && rep.MatSecs != 0 {
-				t.Fatalf("sync=%v: second iteration spent %.6fs encoding a type already known to fail", sync, rep.MatSecs)
+				t.Fatalf("inline=%v: second iteration spent %.6fs encoding a type already known to fail", inline, rep.MatSecs)
 			}
 		}
 		if len(retired) != 2 {
-			t.Fatalf("sync=%v: %d retirement events for src, want 2", sync, len(retired))
+			t.Fatalf("inline=%v: %d retirement events for src, want 2", inline, len(retired))
 		}
 		// The first write-behind failure is still in the writer pool when the
 		// node retires; everything else is known by then.
-		if sync && !errors.Is(retired[0].MatErr, helix.ErrUnserializable) {
+		if inline && !errors.Is(retired[0].MatErr, helix.ErrUnserializable) {
 			t.Fatalf("inline write: retirement event carries %v", retired[0].MatErr)
 		}
 		if !errors.Is(retired[1].MatErr, helix.ErrUnserializable) {
-			t.Fatalf("sync=%v: second retirement event carries %v", sync, retired[1].MatErr)
+			t.Fatalf("inline=%v: second retirement event carries %v", inline, retired[1].MatErr)
 		}
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)

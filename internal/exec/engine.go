@@ -17,24 +17,20 @@
 //
 // # Write-behind materialization
 //
-// By default materialization is write-behind: when a node goes out of
-// scope, retire() hands the value to the store's bounded background
-// writer pool (store.PutAsync) and computation proceeds immediately;
-// gob-encoding, the size-dependent policy check, the disk write, and the
-// manifest update all happen off the critical path — for values whose
-// fate depends on their size: one the policy refuses even at an empty
-// artifact's load time (MatPolicy.Worthwhile) is evicted at retirement
-// and never serialized, in either mode. Run drains the pool with a
-// store.Flush barrier after the last node finishes, before the Result
-// is assembled — so Result.MatTime still reports the full
-// serialize+write cost, cross-iteration reuse observes every accepted
-// materialization, and the manifest is current when Run returns.
-// Result.Wall covers only the compute critical path; the (mostly
-// overlapped) tail spent waiting at the barrier is reported separately as
-// Result.FlushWait. Options.SyncMaterialization changes only who
-// processes the request retirement builds: the retiring worker, in place
-// (store.Write), instead of the pool — the paper-figure systems in
-// internal/sim measure materialization on the critical path that way.
+// On the host's clock materialization is write-behind: when a node goes
+// out of scope, retire() hands the value to the store's bounded
+// background writer pool (store.PutAsync) and computation proceeds
+// immediately; gob-encoding, the size-dependent policy check, the disk
+// write, and the manifest update all happen off the critical path — for
+// values whose fate depends on their size: one the policy refuses even at
+// an empty artifact's load time (MatPolicy.Worthwhile) is evicted at
+// retirement and never serialized. Run drains the pool with a store.Flush
+// barrier after the last node finishes, before the Result is assembled —
+// so Result.MatTime still reports the full serialize+write cost,
+// cross-iteration reuse observes every accepted materialization, and the
+// manifest is current when Run returns. Result.Wall covers only the
+// compute critical path; the (mostly overlapped) tail spent waiting at
+// the barrier is reported separately as Result.FlushWait.
 //
 // # Clocks
 //
@@ -43,7 +39,11 @@
 // per run: the host's clock unless the caller installed another. A clock
 // that is also a Biller is a model (internal/sim's): the run then executes
 // one node at a time, so each node is timed with exactly what it was
-// billed and the run's wall is the serial sum.
+// billed and the run's wall is the serial sum. A serial run has nothing
+// to overlap a write with, so on a Biller the retiring worker writes each
+// materialization itself (store.Write) and Run skips the flush barrier:
+// the paper-figure systems pay materialization on the critical path, as
+// the paper measures them.
 //
 // helixlint (errtaxonomy) holds this package's error returns to the
 // typed taxonomy: wrapped sentinels (ErrBadPlan, ErrNoFunction, the
@@ -132,11 +132,6 @@ type Options struct {
 	LISlowdown float64
 	// SampleMemory enables the memory sampler (Figure 10).
 	SampleMemory bool
-	// SyncMaterialization disables write-behind: retire() serializes and
-	// writes inline on the worker goroutine, putting the full
-	// materialization cost back on the critical path. Kept as an escape
-	// hatch and for A/B benchmarking against the async default.
-	SyncMaterialization bool
 	// Parallelism bounds the scheduler's compute worker pool: at most
 	// this many operators compute concurrently, regardless of DAG width.
 	// ≤0 uses runtime.GOMAXPROCS(0). Load-state nodes run on a separate
@@ -226,11 +221,11 @@ type Result struct {
 	Plan *plan.Plan
 	// Wall is the wall-clock duration of the run's compute critical path:
 	// from Run entry until the last node finished, attempts that ended on
-	// a failed load included. With write-behind
-	// materialization (the default) background writes overlap computation
-	// and are excluded; the residual wait for stragglers is FlushWait.
-	// With SyncMaterialization, Wall includes all materialization time,
-	// as the paper measures.
+	// a failed load included. On the host's clock materialization is
+	// write-behind: background writes overlap computation and are
+	// excluded; the residual wait for stragglers is FlushWait. On a Biller
+	// writes are inline, so Wall includes all materialization time, as
+	// the paper measures.
 	Wall time.Duration
 	// PlanTime is the portion of Wall spent planning: change tracking,
 	// slicing, cost assembly, fingerprinting, and — unless the plan cache
@@ -240,7 +235,7 @@ type Result struct {
 	PlanTime time.Duration
 	// FlushWait is the time Run spent blocked at the store's Flush
 	// barrier after computation finished, waiting for write-behind
-	// stragglers. Zero under SyncMaterialization.
+	// stragglers. Zero on a Biller, whose writes are inline.
 	FlushWait time.Duration
 	// Breakdown sums node times by workflow component (Figure 6).
 	Breakdown map[core.Component]time.Duration
@@ -632,11 +627,11 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 	// failed iteration still quiesces its background writes. The flush
 	// error is not returned: a failed write degrades to "not materialized",
 	// and the request's OnDone has already recorded it on the node it
-	// belongs to (NodeReport.MatErr) — in either mode. Sync runs skip the
-	// barrier (nothing was handed off, and Result.FlushWait is documented
-	// as zero there).
+	// belongs to (NodeReport.MatErr) — in either mode. A run on a Biller
+	// skips the barrier: it wrote inline, so nothing was handed off, and
+	// Result.FlushWait is documented as zero there.
 	var flushWait time.Duration
-	if !opts.SyncMaterialization {
+	if bill == nil {
 		flushStart := clk.Now()
 		_ = e.Store.Flush()
 		flushWait = clk.Since(flushStart)
@@ -1294,15 +1289,15 @@ func (s *runState) retireValue(r *nodeRun) (materialized bool, bytes int64, matE
 			n.Metrics.Load = e.Store.EstimateLoad(out.Entry.Size)
 		}
 	}
-	// SyncMaterialization selects only who processes the request: this
-	// goroutine, in place, charging serialization and the write to the
-	// critical path (and knowing the outcome at retirement), or the
-	// store's writer pool, so the nodes waiting on this goroutine are not
-	// held behind either — the write is then still in flight when the node
-	// retires and reports unmaterialized; Result.Nodes carries the settled
-	// outcome after Flush. A failed encode or write degrades to "not
-	// materialized" in both.
-	if s.opts.SyncMaterialization {
+	// The run's clock selects only who processes the request: on a Biller
+	// this goroutine, in place, charging serialization and the write to
+	// the critical path (and knowing the outcome at retirement); on any
+	// other clock the store's writer pool, so the nodes waiting on this
+	// goroutine are not held behind either — the write is then still in
+	// flight when the node retires and reports unmaterialized; Result.Nodes
+	// carries the settled outcome after Flush. A failed encode or write
+	// degrades to "not materialized" in both.
+	if s.bill != nil {
 		if out := e.Store.Write(req); out.OnDisk() {
 			materialized, bytes = true, out.Entry.Size
 		}

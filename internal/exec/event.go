@@ -79,18 +79,18 @@ type NodeEvent struct {
 	Seconds float64
 	// Materialized reports, at retirement, whether the node's result is
 	// known to be on disk (loaded results, already-stored equivalents, and
-	// inline synchronous writes count; a write-behind write still in the
-	// writer pool reports false — consult Result.Nodes after the run for
-	// the settled outcome).
+	// the inline writes of a run on a Biller count; a write-behind write
+	// still in the writer pool reports false — consult Result.Nodes after
+	// the run for the settled outcome).
 	Materialized bool
 	// Bytes is the serialized size when known at emission time.
 	Bytes int64
 	// MatErr is why a result the policy chose to materialize is not in the
-	// store, when that is known at retirement: an inline synchronous write
-	// that failed, or a value type this session has already seen the codec
-	// refuse (ErrUnserializable). The first failure of a write-behind
-	// write is still in the writer pool — Result.Nodes has the settled
-	// NodeReport.MatErr after the run.
+	// store, when that is known at retirement: an inline write (a run on a
+	// Biller) that failed, or a value type this session has already seen
+	// the codec refuse (ErrUnserializable). The first failure of a
+	// write-behind write is still in the writer pool — Result.Nodes has
+	// the settled NodeReport.MatErr after the run.
 	MatErr error
 	// Fused reports that the node executed as a member of a streaming
 	// fused run: its Seconds are an even share of the unit's measured
@@ -103,7 +103,7 @@ func (NodeEvent) event() {}
 
 // FlushEvent reports the write-behind flush barrier after the last node
 // finished: Wait is the straggler wait before every handed-off write was
-// durable (zero under SyncMaterialization, where writes were inline).
+// durable (zero on a Biller, where writes were inline).
 type FlushEvent struct {
 	Iteration int
 	Wait      time.Duration

@@ -172,6 +172,13 @@ func (b *chargeBiller) Bill(*core.Node, []any, any) time.Duration {
 	return b.charge
 }
 
+// hostBiller is a Biller on the host's clock that bills nothing: nodes
+// are timed as on the host, so policy decisions match a host-clock run,
+// while the run executes serially and writes inline as on any model.
+type hostBiller struct{ clock.Real }
+
+func (hostBiller) Bill(*core.Node, []any, any) time.Duration { return 0 }
+
 // TestLoadFailureRecomputeIsBilled: on a model clock, the node computed
 // after its load failed is billed like any other compute — its time is
 // what the model charged this run, not a figure carried from the last
@@ -214,7 +221,7 @@ func TestFailedRunStopsMemSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.NeverMat{}, SampleMemory: true, SyncMaterialization: true}}
+	e := &Engine{Store: st, Opts: Options{Policy: opt.NeverMat{}, SampleMemory: true}}
 	var c counters
 	prog := testProgram(&c)
 	prog.Fns[prog.DAG.Node("learn")] = func(context.Context, []any) (any, error) {

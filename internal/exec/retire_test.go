@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/opt"
 	"helix/internal/plan"
@@ -60,10 +61,11 @@ func ingestProgram() *Program {
 
 // TestRefusedValuesAreNeverSerialized: the engine asks the policy before
 // it pays for the answer. Whatever the policy refuses on payoff alone is
-// evicted without reaching the encoder — on a worker or on a writer
-// goroutine — so the encoder sees exactly the artifacts that land, the
-// materialization bill holds no dropped encode, and the materialized
-// set is what it was when every value was serialized first.
+// evicted without reaching the encoder — on a worker (a run on a Biller
+// writes inline) or on a writer goroutine — so the encoder sees exactly
+// the artifacts that land, the materialization bill holds no dropped
+// encode, and the materialized set is what it was when every value was
+// serialized first.
 func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 	var c counters
 	cases := []struct {
@@ -81,7 +83,11 @@ func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 			func() opt.MatPolicy { return opt.NeverMat{} }, true, []string{"check"}},
 	}
 	for _, tc := range cases {
-		for _, sync := range []bool{false, true} {
+		for _, inline := range []bool{false, true} {
+			ctx := context.Background()
+			if inline {
+				ctx = clock.With(ctx, hostBiller{})
+			}
 			st, err := store.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -89,13 +95,12 @@ func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 			codec := &countingCodec{}
 			st.Codec = codec
 			e := &Engine{Store: st, Opts: Options{
-				Policy:              tc.policy(),
-				Plan:                plan.Options{MaterializeOutputs: tc.outputs, Streaming: true},
-				SyncMaterialization: sync,
+				Policy: tc.policy(),
+				Plan:   plan.Options{MaterializeOutputs: tc.outputs, Streaming: true},
 			}}
-			res, err := e.Run(context.Background(), tc.prog, nil, 0)
+			res, err := e.Run(ctx, tc.prog, nil, 0)
 			if err != nil {
-				t.Fatalf("%s (sync=%v): %v", tc.name, sync, err)
+				t.Fatalf("%s (inline=%v): %v", tc.name, inline, err)
 			}
 			var got []string
 			for _, key := range st.Keys() {
@@ -104,21 +109,21 @@ func TestRefusedValuesAreNeverSerialized(t *testing.T) {
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, tc.want) {
-				t.Errorf("%s (sync=%v): materialized %v, want %v", tc.name, sync, got, tc.want)
+				t.Errorf("%s (inline=%v): materialized %v, want %v", tc.name, inline, got, tc.want)
 			}
 			if n := codec.encodes.Load(); n != int64(len(tc.want)) {
-				t.Errorf("%s (sync=%v): %d values serialized for %d artifacts written", tc.name, sync, n, len(tc.want))
+				t.Errorf("%s (inline=%v): %d values serialized for %d artifacts written", tc.name, inline, n, len(tc.want))
 			}
 			var bill time.Duration
 			for name, rep := range res.Nodes {
 				if slices.Contains(tc.want, name) {
 					bill += time.Duration(rep.MatSecs * float64(time.Second))
 				} else if rep.MatSecs != 0 {
-					t.Errorf("%s (sync=%v): %s was refused yet billed %.6fs of materialization", tc.name, sync, name, rep.MatSecs)
+					t.Errorf("%s (inline=%v): %s was refused yet billed %.6fs of materialization", tc.name, inline, name, rep.MatSecs)
 				}
 			}
 			if res.MatTime != bill {
-				t.Errorf("%s (sync=%v): MatTime %v, the written artifacts account for %v", tc.name, sync, res.MatTime, bill)
+				t.Errorf("%s (inline=%v): MatTime %v, the written artifacts account for %v", tc.name, inline, res.MatTime, bill)
 			}
 		}
 	}
@@ -225,8 +230,10 @@ func (p racingPolicy) Decide(n *core.Node, cum, load float64) bool {
 	return ok
 }
 
-// TestRetireModesAgree: SyncMaterialization selects who processes a
-// retired value's write request, nothing else. Under a budgeted
+// TestRetireModesAgree: the run's clock selects who processes a retired
+// value's write request, nothing else — the writer pool on the host's
+// clock, the retiring worker on a Biller (hostBiller, which times nodes
+// as the host does, so both runs decide alike). Under a budgeted
 // StreamingOMP the two modes land the same artifacts, settle the same
 // per-node bytes, materialization bill and carried sizes, leave no
 // admission reserved in the store (a write of exactly the budget's
@@ -250,7 +257,7 @@ func TestRetireModesAgree(t *testing.T) {
 		headroom bool
 	}
 	const budget = 1 << 20
-	run := func(t *testing.T, sync, raced bool) settled {
+	run := func(t *testing.T, inline, raced bool) settled {
 		omp := opt.NewStreamingOMP(budget)
 		var (
 			st  *store.Store
@@ -271,10 +278,9 @@ func TestRetireModesAgree(t *testing.T) {
 		st.Codec = modesCodec{}
 		retired := map[string]NodeEvent{}
 		e := &Engine{Store: st, Opts: Options{
-			Policy:              pol,
-			Plan:                plan.Options{MaterializeOutputs: true, Streaming: true},
-			SyncMaterialization: sync,
-			Parallelism:         1,
+			Policy:      pol,
+			Plan:        plan.Options{MaterializeOutputs: true, Streaming: true},
+			Parallelism: 1,
 			Observer: func(ev Event) {
 				if ne, ok := ev.(NodeEvent); ok && ne.Phase == NodeRetired {
 					retired[ne.Name] = ne
@@ -283,12 +289,16 @@ func TestRetireModesAgree(t *testing.T) {
 		}}
 		var released atomic.Bool
 		prog := modesProgram(&released)
-		res, err := e.Run(context.Background(), prog, nil, 0)
+		ctx := context.Background()
+		if inline {
+			ctx = clock.With(ctx, hostBiller{})
+		}
+		res, err := e.Run(ctx, prog, nil, 0)
 		if err != nil {
-			t.Fatalf("sync=%v: %v", sync, err)
+			t.Fatalf("inline=%v: %v", inline, err)
 		}
 		if !released.Load() {
-			t.Errorf("sync=%v: blob's value was still referenced after it retired", sync)
+			t.Errorf("inline=%v: blob's value was still referenced after it retired", inline)
 		}
 		out := settled{bytes: map[string]int64{}, billed: map[string]bool{}, sizes: map[string]int64{}, used: st.UsedBytes()}
 		fill := store.WriteRequest{Key: "headroom", Data: make([]byte, budget-out.used), Budget: budget}
@@ -306,20 +316,20 @@ func TestRetireModesAgree(t *testing.T) {
 			out.billed[name] = rep.MatSecs > 0
 			out.sizes[name] = prog.DAG.Node(name).Metrics.Size
 			// Known at retirement only inline, and then it is what settles.
-			wantMat, wantBytes := sync && rep.Bytes > 0, int64(0)
-			if sync {
+			wantMat, wantBytes := inline && rep.Bytes > 0, int64(0)
+			if inline {
 				wantBytes = rep.Bytes
 			}
 			if ev := retired[name]; ev.Materialized != wantMat || ev.Bytes != wantBytes {
-				t.Errorf("sync=%v: NodeRetired(%s) reported materialized=%v bytes=%d, want %v and %d (Result.Nodes settled on %d bytes)",
-					sync, name, ev.Materialized, ev.Bytes, wantMat, wantBytes, rep.Bytes)
+				t.Errorf("inline=%v: NodeRetired(%s) reported materialized=%v bytes=%d, want %v and %d (Result.Nodes settled on %d bytes)",
+					inline, name, ev.Materialized, ev.Bytes, wantMat, wantBytes, rep.Bytes)
 			}
 		}
 		return out
 	}
 	for _, raced := range []bool{false, true} {
 		t.Run(map[bool]string{false: "uncontended", true: "raced"}[raced], func(t *testing.T) {
-			async, sync := run(t, false, raced), run(t, true, raced)
+			async, inline := run(t, false, raced), run(t, true, raced)
 			if want := []string{"features", "probe", "score", "sized", "use"}; !slices.Equal(async.keys, want) {
 				t.Errorf("write-behind materialized %v, want %v", async.keys, want)
 			}
@@ -346,8 +356,8 @@ func TestRetireModesAgree(t *testing.T) {
 					}
 				}
 			}
-			if !reflect.DeepEqual(async, sync) {
-				t.Errorf("the two modes settled differently:\nwrite-behind %+v\ninline       %+v", async, sync)
+			if !reflect.DeepEqual(async, inline) {
+				t.Errorf("the two modes settled differently:\nwrite-behind %+v\ninline       %+v", async, inline)
 			}
 		})
 	}

@@ -22,10 +22,9 @@ func runSched(t *testing.T, prog *Program, mode SchedMode, par int) *Result {
 		t.Fatal(err)
 	}
 	e := &Engine{Store: st, Opts: Options{
-		Policy:              opt.NeverMat{},
-		SyncMaterialization: true,
-		Parallelism:         par,
-		Sched:               mode,
+		Policy:      opt.NeverMat{},
+		Parallelism: par,
+		Sched:       mode,
 	}}
 	res, err := e.Run(context.Background(), prog, nil, 0)
 	if err != nil {

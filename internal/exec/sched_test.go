@@ -67,8 +67,8 @@ func fanoutProgram(n int) *Program {
 }
 
 // runBounded executes prog on a fresh engine with the given parallelism,
-// NeverMat policy and inline materialization (so the only goroutines in
-// play are the scheduler's workers), returning the output value and the
+// NeverMat policy and no mandatory outputs (nothing reaches the store's
+// writer pool, so the only goroutines in play are the scheduler's workers), returning the output value and the
 // peak goroutine-count delta observed during the run.
 func runBounded(t *testing.T, prog *Program, parallelism int) (any, int) {
 	t.Helper()
@@ -77,9 +77,8 @@ func runBounded(t *testing.T, prog *Program, parallelism int) (any, int) {
 		t.Fatal(err)
 	}
 	e := &Engine{Store: st, Opts: Options{
-		Policy:              opt.NeverMat{},
-		SyncMaterialization: true,
-		Parallelism:         parallelism,
+		Policy:      opt.NeverMat{},
+		Parallelism: parallelism,
 	}}
 
 	before := runtime.NumGoroutine()
@@ -194,9 +193,8 @@ func TestSchedulerParallelismActuallyOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Store: st, Opts: Options{
-		Policy:              opt.NeverMat{},
-		SyncMaterialization: true,
-		Parallelism:         par,
+		Policy:      opt.NeverMat{},
+		Parallelism: par,
 	}}
 	res, err := e.Run(context.Background(), prog, nil, 0)
 	if err != nil {

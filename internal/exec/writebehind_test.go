@@ -21,10 +21,11 @@ func init() {
 }
 
 // chainProgram builds a linear chain of n nodes, each sleeping compute
-// per step on the run's clock and emitting a fresh ~payloadFloats·8-byte slice. A linear
-// chain puts every materialization on the critical path in sync mode:
-// node i's write happens on the goroutine of node i+1 before i+1's done
-// channel closes, so node i+2 cannot start until the write finishes.
+// per step on the run's clock and emitting a fresh ~payloadFloats·8-byte
+// slice. A linear chain puts every materialization on the critical path
+// when writes are inline (a run on a Biller): node i's write happens on
+// the goroutine of node i+1 before i+1's done channel closes, so node i+2
+// cannot start until the write finishes.
 // Payload values are reciprocals so every mantissa is fully populated —
 // gob trims trailing zero bytes of the byte-reversed float encoding, and
 // integer-valued floats would encode to a fraction of their in-memory
@@ -56,7 +57,9 @@ func chainProgram(n int, compute time.Duration, payloadFloats int) *Program {
 // 512 KiB write.
 const chainDiskBytesPerSec = 8 << 20
 
-func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
+// runChain runs the chain on ctx's clock: write-behind on the host's
+// clock or a plain clock.Model, inline on a Biller.
+func runChain(t *testing.T, ctx context.Context) *Result {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -64,13 +67,12 @@ func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
 	}
 	st.DiskBytesPerSec = chainDiskBytesPerSec
 	e := &Engine{Store: st, Opts: Options{
-		Policy:              opt.AlwaysMat{},
-		Plan:                plan.Options{MaterializeOutputs: true, Streaming: true},
-		SyncMaterialization: sync,
-		// Pinned pool width: this test compares sync/async timing, and on a
-		// single-CPU host the GOMAXPROCS default would leave one worker
-		// whose raced, instrumented compute starves the writer pool of
-		// scheduling slots, skewing the very overlap being measured.
+		Policy: opt.AlwaysMat{},
+		Plan:   plan.Options{MaterializeOutputs: true, Streaming: true},
+		// Pinned pool width: this test measures write-behind overlap, and
+		// on a single-CPU host the GOMAXPROCS default would leave one
+		// worker whose raced, instrumented compute starves the writer pool
+		// of scheduling slots, skewing the very overlap being measured.
 		Parallelism: 4,
 	}}
 	// Each node computes for a quarter of one write (~64 ms), so the
@@ -83,41 +85,51 @@ func runChain(t *testing.T, ctx context.Context, sync bool) *Result {
 		t.Fatal(err)
 	}
 	if got := st.Len(); got != 8 {
-		t.Fatalf("sync=%v stored %d entries, want 8", sync, got)
+		t.Fatalf("stored %d entries, want 8", got)
 	}
 	return res
 }
 
-// TestWriteBehindExcludesMatFromWall is the PR's acceptance criterion: on
-// a materialization-heavy chain, write-behind wall-clock must exclude at
-// least 80% of the simulated-disk time that sync mode pays on the
-// critical path, while MatTime accounting stays honest in both modes.
+// inlineBill is what res would have cost with every write inline: the
+// nodes' own times plus the whole materialization bill, one after the
+// other, as a serial run pays them.
+func inlineBill(res *Result) time.Duration {
+	bill := res.MatTime
+	for _, rep := range res.Nodes {
+		bill += time.Duration(rep.Seconds * float64(time.Second))
+	}
+	return bill
+}
+
+// TestWriteBehindExcludesMatFromWall: on a materialization-heavy chain, a
+// write-behind run's end-to-end latency must exclude at least 80% of the
+// simulated-disk time its own inline bill pays on the critical path,
+// while MatTime accounting stays honest.
 func TestWriteBehindExcludesMatFromWall(t *testing.T) {
-	syncRes := runChain(t, context.Background(), true)
-	asyncRes := runChain(t, context.Background(), false)
+	res := runChain(t, context.Background())
 
 	// Sanity: the workload is actually materialization-heavy — the
 	// simulated disk alone costs 8 × ~64ms.
-	if syncRes.MatTime < 400*time.Millisecond {
-		t.Fatalf("sync MatTime = %v, workload not materialization-heavy", syncRes.MatTime)
+	if res.MatTime < 400*time.Millisecond {
+		t.Fatalf("MatTime = %v, workload not materialization-heavy", res.MatTime)
 	}
-	// Accounting stays honest: async still reports the serialize+write
-	// bill (the simulated-disk sleeps are identical in both modes).
-	if asyncRes.MatTime < syncRes.MatTime/2 {
-		t.Errorf("async MatTime = %v vs sync %v: materialization cost unaccounted", asyncRes.MatTime, syncRes.MatTime)
+	// Accounting stays honest: write-behind still reports the
+	// serialize+write bill, which holds every write's simulated-disk
+	// sleep (the bytes stored over the disk speed, 8 × ~64 ms).
+	diskTime := time.Duration(float64(res.StorageBytes) / chainDiskBytesPerSec * float64(time.Second))
+	if res.MatTime < diskTime {
+		t.Errorf("MatTime = %v below the %v simulated-disk time: materialization cost unaccounted", res.MatTime, diskTime)
 	}
-	// The criterion: async end-to-end latency — compute wall plus the
-	// flush-barrier wait Run blocks on — excludes ≥80% of the part of
-	// sync's materialization bill that can always overlap: the simulated
-	// disk's sleeps, a constant of the test (the bytes stored over the
-	// disk speed, 8 × ~64 ms). Measured MatTime also holds the encode CPU,
-	// which overlaps only when a core is idle — other packages' tests
-	// sharing the box took it below 80% of that. Under the race detector
-	// the instrumented encode work runs several times slower and contends
-	// with the compute chain, so the raced bar drops to 40% — still a firm
-	// "the pool overlaps most of the bill" check — while the strict bound
-	// is enforced by every unraced (tier-1) run.
-	diskTime := time.Duration(float64(syncRes.StorageBytes) / chainDiskBytesPerSec * float64(time.Second))
+	// The criterion: end-to-end latency — compute wall plus the
+	// flush-barrier wait Run blocks on — excludes ≥80% of the part of the
+	// inline bill that can always overlap: the simulated disk's sleeps.
+	// Measured MatTime also holds the encode CPU, which overlaps only when
+	// a core is idle — other packages' tests sharing the box took it below
+	// 80% of that. Under the race detector the instrumented encode work
+	// runs several times slower and contends with the compute chain, so
+	// the raced bar drops to 40% — still a firm "the pool overlaps most of
+	// the bill" check — while the strict bound is enforced by every
+	// unraced (tier-1) run.
 	threshold := 0.8
 	if raceEnabled {
 		threshold = 0.4
@@ -130,46 +142,51 @@ func TestWriteBehindExcludesMatFromWall(t *testing.T) {
 			threshold = 0
 		}
 	}
-	excluded := syncRes.Wall - (asyncRes.Wall + asyncRes.FlushWait)
+	bill := inlineBill(res)
+	excluded := bill - (res.Wall + res.FlushWait)
 	min := time.Duration(1)
 	if threshold > 0 {
 		min = time.Duration(threshold * float64(diskTime))
 	}
 	if excluded < min {
-		t.Errorf("write-behind excluded only %v of %v simulated-disk time (want ≥ %v); sync wall %v, async wall %v + flush %v",
-			excluded, diskTime, min, syncRes.Wall, asyncRes.Wall, asyncRes.FlushWait)
-	}
-	if syncRes.FlushWait != 0 {
-		t.Errorf("sync run reported FlushWait %v", syncRes.FlushWait)
+		t.Errorf("write-behind excluded only %v of %v simulated-disk time (want ≥ %v); inline bill %v (MatTime %v), wall %v + flush %v",
+			excluded, diskTime, min, bill, res.MatTime, res.Wall, res.FlushWait)
 	}
 }
 
-// TestWriteBehindComparison is the sync-vs-async A/B on a model clock,
-// where only the chain's compute and the simulated disk move time, so the
-// invariants that hold at any scale hold exactly. Both modes sleep the same
-// total (same compute, same bytes through the same disk); sync sleeps it
+// TestWriteBehindComparison is the write-behind A/B on model time, where
+// only the chain's compute and the simulated disk move the clock, so the
+// invariants that hold at any scale hold exactly. On a plain clock.Model
+// the run writes behind; on a Biller (chargeBiller, charging nothing of
+// its own) the same chain writes inline. Both sleep the same total (same
+// compute, same bytes through the same disk); the inline run sleeps it
 // all on the critical path, one thing at a time. Write-behind therefore
-// stores the same bytes, never adds to end-to-end latency, and still
-// reports at least the whole materialization bill — a writer's span on the
+// stores the same bytes, never adds to end-to-end latency — neither
+// against the inline run nor against its own inline bill — and still
+// reports at least the whole materialization bill: a writer's span on the
 // shared model clock also covers whatever slept beside it, so it can only
 // bill more.
 func TestWriteBehindComparison(t *testing.T) {
-	syncRes := runChain(t, clock.With(context.Background(), &clock.Model{}), true)
-	asyncRes := runChain(t, clock.With(context.Background(), &clock.Model{}), false)
-	if syncRes.MatTime <= 0 || asyncRes.MatTime < syncRes.MatTime {
-		t.Errorf("MatTime: sync %v, async %v: want sync positive and async no less", syncRes.MatTime, asyncRes.MatTime)
+	inline := runChain(t, clock.With(context.Background(), &chargeBiller{}))
+	behind := runChain(t, clock.With(context.Background(), &clock.Model{}))
+	if inline.MatTime <= 0 || behind.MatTime < inline.MatTime {
+		t.Errorf("MatTime: inline %v, write-behind %v: want inline positive and write-behind no less", inline.MatTime, behind.MatTime)
 	}
-	if syncRes.StorageBytes != asyncRes.StorageBytes {
-		t.Errorf("StorageBytes: sync %d, async %d: want equal", syncRes.StorageBytes, asyncRes.StorageBytes)
+	if inline.StorageBytes != behind.StorageBytes {
+		t.Errorf("StorageBytes: inline %d, write-behind %d: want equal", inline.StorageBytes, behind.StorageBytes)
 	}
-	if syncRes.Wall < syncRes.MatTime {
-		t.Errorf("sync wall %v below its materialization bill %v: writes left the critical path", syncRes.Wall, syncRes.MatTime)
+	if inline.Wall < inline.MatTime {
+		t.Errorf("inline wall %v below its materialization bill %v: writes left the critical path", inline.Wall, inline.MatTime)
 	}
-	if total := asyncRes.Wall + asyncRes.FlushWait; total > syncRes.Wall {
-		t.Errorf("async wall %v + flush %v exceeds sync wall %v", asyncRes.Wall, asyncRes.FlushWait, syncRes.Wall)
+	total := behind.Wall + behind.FlushWait
+	if total > inline.Wall {
+		t.Errorf("write-behind wall %v + flush %v exceeds the inline wall %v", behind.Wall, behind.FlushWait, inline.Wall)
 	}
-	if syncRes.FlushWait != 0 {
-		t.Errorf("sync run reported FlushWait %v", syncRes.FlushWait)
+	if bill := inlineBill(behind); total > bill {
+		t.Errorf("write-behind wall %v + flush %v exceeds its own inline bill %v", behind.Wall, behind.FlushWait, bill)
+	}
+	if inline.FlushWait != 0 {
+		t.Errorf("inline run reported FlushWait %v", inline.FlushWait)
 	}
 }
 

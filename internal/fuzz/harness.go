@@ -70,9 +70,6 @@ func (c Config) options() ([]helix.Option, error) {
 	default:
 		return nil, fmt.Errorf("fuzz: unknown policy %q", c.Policy)
 	}
-	if c.SyncMat {
-		opts = append(opts, helix.WithSyncMaterialization(true))
-	}
 	return opts, nil
 }
 
@@ -100,12 +97,11 @@ func adaptiveSiblingThreshold(c Config) float64 {
 }
 
 // RunCase executes one fuzz case end to end and checks every invariant
-// at every iteration. Three private sibling sessions run the same
-// workflow sequence — the subject (streaming fused execution), a
-// streaming-off oracle, and an adaptive sibling with the mid-run
-// divergence monitor armed — beside the invariant-9 pair on one shared
-// store, and a from-scratch reference evaluation provides ground-truth
-// values. The case may also schedule mid-sequence restarts
+// at every iteration. Two private sibling sessions run the same
+// workflow sequence — the subject and an adaptive sibling with the
+// mid-run divergence monitor armed — beside the invariant-9 pair on one
+// shared store, and a from-scratch reference evaluation provides
+// ground-truth values. The case may also schedule mid-sequence restarts
 // (every session closed and reopened) and mid-run cancellations of the
 // subject. The returned Violation is nil when every invariant held; err
 // reports harness infrastructure failures only. stats may be nil.
@@ -119,7 +115,6 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 		extra []helix.Option
 	}{
 		{"subject", nil},
-		{"streamoff", []helix.Option{helix.WithStreaming(false)}},
 		{"adaptive", []helix.Option{helix.WithAdaptive(adaptiveSiblingThreshold(c.Config))}},
 	}
 	// Invariant-9 pair: two sessions attached to one shared
@@ -247,7 +242,7 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 				}
 			}
 		}
-		subject, streamOff, adaptSess := sess[0], sess[1], sess[2]
+		subject, adaptSess := sess[0], sess[1]
 
 		// Invariant 13: damage artifacts behind the subject's back, after
 		// the previous run's write-behind barrier and before anything
@@ -326,10 +321,6 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 				return viol("run-error", "subject run failed: %v", err), nil
 			}
 		}
-		streamRes, err := streamOff.Run(ctx, wf)
-		if err != nil {
-			return viol("run-error", "streaming-off run failed: %v", err), nil
-		}
 		adaptRes, err := adaptSess.Run(ctx, wf)
 		if err != nil {
 			return viol("run-error", "adaptive run failed: %v", err), nil
@@ -400,14 +391,6 @@ func RunCase(ctx context.Context, dir string, c *Case, stats *Stats) (*Violation
 			}
 		}
 
-		// Invariant 7: streaming transparency — fused row-wise execution
-		// produces the same bytes as batch execution of the same operators.
-		for name := range ref {
-			if d := valueDiff(res.Values[name], streamRes.Values[name]); d != "" {
-				return viol("stream-equivalence", "output %s: streaming vs batch: %s (subject plan %v)",
-					name, d, res.Plan.Cache), nil
-			}
-		}
 		// Invariant 10: adaptive transparency — whatever the divergence
 		// monitor did mid-run (corrected estimates, cold re-solves,
 		// compute→load swaps, or nothing), the outputs are byte-identical

@@ -83,8 +83,9 @@ type Options struct {
 	// deterministic, streamable compute nodes are grouped into fused runs
 	// (Plan.Fused) the engine executes as single scheduled units with
 	// per-element pull, never building the interior collections. Off in
-	// the zero value; exec.New and helix.Open turn it on, and
-	// helix.WithStreaming(false) turns it back off.
+	// the zero value; exec.New and helix.Open turn it on, and no Session
+	// option turns it off: only an engine built directly, as the fusion
+	// equivalence tests build their batch oracle, plans without it.
 	Streaming bool
 	// Shared plans against a content-addressed shared store: originality
 	// (Definition 2's "no equivalent in the previous iteration") is

@@ -222,7 +222,6 @@ func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, erro
 	var stats *helix.RunStatsEvent
 	sess, err := helix.Open(dir,
 		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true),
 		helix.WithObserver(func(ev helix.RunEvent) {
 			tally.observe(ev)
 			if e, ok := ev.(helix.RunStatsEvent); ok {

@@ -121,7 +121,6 @@ func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale,
 		sess, err := helix.Open("", helix.WithSharedStore(shared),
 			helix.WithTenant(fmt.Sprintf("tenant-%d", i)),
 			helix.WithDiskThroughput(PaperDiskBytesPerSec),
-			helix.WithSyncMaterialization(true),
 			helix.WithObserver(tally.observe))
 		if err != nil {
 			return SharedRun{}, err

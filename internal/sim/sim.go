@@ -58,39 +58,35 @@ const PaperDiskBytesPerSec = 170e6
 // data preprocessing with Python and shell scripts, while HELIX OPT uses
 // Spark").
 //
-// Every system forces SyncMaterialization: each system the paper
-// measures serializes and writes intermediates on its execution critical
-// path, and the evaluation's comparative shapes (e.g. AM losing to OPT
-// precisely because it pays materialization inline, §6.6) depend on that
-// cost being on the run's wall. The write-behind pipeline — this
-// reproduction's own improvement — overlaps real work with real writes,
-// which a serial model cannot show; exec.TestWriteBehindExcludesMatFromWall
-// asserts it on the host's clock.
+// Every system runs on the model clock, where the engine writes each
+// materialization inline: each system the paper measures serializes and
+// writes intermediates on its execution critical path, and the
+// evaluation's comparative shapes (e.g. AM losing to OPT precisely because
+// it pays materialization inline, §6.6) depend on that cost being on the
+// run's wall. The write-behind pipeline — this reproduction's own
+// improvement — overlaps real work with real writes, which a serial model
+// cannot show; exec.TestWriteBehindExcludesMatFromWall asserts it on the
+// host's clock.
 var (
 	HelixOpt = System{Name: "helix-opt", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyOpt),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true)}}
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)}}
 	HelixAM = System{Name: "helix-am", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyAlways),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true)}}
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)}}
 	HelixNM = System{Name: "helix-nm", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyNever),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true)}}
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)}}
 	// KeystoneML's L/I runs ~2× long: its caching optimizer fails to
 	// cache the training data for learning (paper §6.5.2).
 	KeystoneML = System{Name: "keystoneml", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyNever), helix.WithReuse(false),
 		helix.WithLISlowdown(2.0),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true)}}
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)}}
 	DeepDive = System{Name: "deepdive", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyAlways), helix.WithReuse(false),
 		helix.WithDPRSlowdown(2.0),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec),
-		helix.WithSyncMaterialization(true)},
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)},
 		DPROnly: true}
 )
 

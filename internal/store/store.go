@@ -57,8 +57,8 @@
 // goroutines and returns immediately; Flush is the barrier that waits for
 // every enqueued write (and its manifest update) to land. See writer.go
 // for the contract. Write processes the same request in place on the
-// caller's goroutine — what the engine's SyncMaterialization mode uses;
-// Put/PutBytes remain as the plain synchronous writes.
+// caller's goroutine — what the engine uses on a model clock, whose runs
+// are serial; Put/PutBytes remain as the plain synchronous writes.
 package store
 
 import (
@@ -108,11 +108,6 @@ type Store struct {
 	// reproducing the paper's 170 MB/s HDD on faster media. Zero disables
 	// simulation (real I/O timing only).
 	DiskBytesPerSec float64
-
-	// QueueDepth bounds the write-behind queue; a full queue makes
-	// PutAsync block (backpressure). ≤0 selects DefaultQueueDepth. Set
-	// before the first PutAsync.
-	QueueDepth int
 
 	// Codec serializes stored values; nil selects the default binary
 	// codec (codec.go). Set before first use. Both bundled codecs sniff

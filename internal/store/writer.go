@@ -12,9 +12,9 @@ import (
 // path without swamping the disk.
 const DefaultWriters = 4
 
-// DefaultQueueDepth bounds the write-behind queue when Store.QueueDepth is
-// unset. A full queue applies backpressure to PutAsync callers, bounding
-// the memory pinned by values awaiting serialization.
+// DefaultQueueDepth bounds the write-behind queue. A full queue applies
+// backpressure to PutAsync callers, bounding the memory pinned by values
+// awaiting serialization.
 const DefaultQueueDepth = 64
 
 // WriteRequest is one unit of materialization work: handed to the writer
@@ -140,11 +140,7 @@ func (s *Store) PutAsync(req WriteRequest) {
 	}
 	if !w.started {
 		w.started = true
-		depth := s.QueueDepth
-		if depth <= 0 {
-			depth = DefaultQueueDepth
-		}
-		w.queue = make(chan WriteRequest, depth)
+		w.queue = make(chan WriteRequest, DefaultQueueDepth)
 		for range DefaultWriters {
 			go s.writerLoop()
 		}

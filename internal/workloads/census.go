@@ -48,8 +48,7 @@ type Column struct {
 // the social sciences conduct extensive fine-grained analysis of
 // results").
 type Census struct {
-	ScaleCfg Scale
-	Seed     int64
+	Seed int64
 
 	// Env is the dataflow environment (stands in for the Spark cluster;
 	// Figure 7b varies Workers and pays BarrierOverhead per operation).
@@ -69,7 +68,6 @@ type Census struct {
 // without the + lines) at the given scale.
 func NewCensus(scale Scale, seed int64) *Census {
 	return &Census{
-		ScaleCfg:   scale,
 		Seed:       seed,
 		trainRows:  scale.rows(4000),
 		testRows:   scale.rows(1000),

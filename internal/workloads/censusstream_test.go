@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"helix"
+	"helix/internal/exec"
 	"helix/internal/store"
 )
 
@@ -36,14 +37,25 @@ func TestCensusStreamByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	off, err := helix.Open(t.TempDir(), helix.WithStreaming(false))
+	// The batch side: the same compiled workflow on an engine whose
+	// planner fuses nothing, the path no Session selects.
+	prog, err := wf.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
-	resOff, err := off.Run(context.Background(), wf)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer st.Close()
+	batch := exec.New(st, -1)
+	batch.Opts.Plan.Streaming = false
+	resOff, err := batch.Run(context.Background(), prog, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resOff.Plan.Fused) != 0 {
+		t.Fatalf("batch plan fused %v, want none", resOff.Plan.Fused)
 	}
 
 	stats, ok := resOn.Values["stats"].([]float64)

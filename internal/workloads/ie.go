@@ -48,8 +48,7 @@ type Candidate struct {
 // schedule is all-DPR (paper Figure 5c runs 6 iterations, "NLP, which has
 // only DPR iterations").
 type IE struct {
-	ScaleCfg Scale
-	Seed     int64
+	Seed int64
 
 	articles   int
 	parseCost  int    // calibrated NLP parse expense
@@ -65,7 +64,6 @@ func NewIE(scale Scale, seed int64) *IE {
 		cost = 40
 	}
 	return &IE{
-		ScaleCfg:   scale,
 		Seed:       seed,
 		articles:   scale.rows(200),
 		parseCost:  cost,

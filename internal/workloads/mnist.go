@@ -18,8 +18,7 @@ import (
 // profitable reuse is of the small L/I outputs on PPR iterations
 // (paper §6.5.2, Figure 5d/6d).
 type MNIST struct {
-	ScaleCfg Scale
-	Seed     int64
+	Seed int64
 
 	trainImages, testImages int
 	side                    int
@@ -38,7 +37,6 @@ type MNIST struct {
 // NewMNIST returns the workload at its initial version.
 func NewMNIST(scale Scale, seed int64) *MNIST {
 	return &MNIST{
-		ScaleCfg:    scale,
 		Seed:        seed,
 		trainImages: scale.rows(1500),
 		testImages:  scale.rows(400),

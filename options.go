@@ -210,39 +210,19 @@ func WithMemorySampling(enabled bool) Option {
 }
 
 // WithDPRSlowdown multiplies DPR operator cost (models DeepDive's
-// Python/shell preprocessing, §6.5.2). 0 or 1 disables. A fused run
-// (WithStreaming) charges each member its even share of the run's
+// Python/shell preprocessing, §6.5.2). 0 or 1 disables. A fused chain of
+// row-wise operators charges each member its even share of the chain's
 // measured time multiplied by its own component's factor.
 func WithDPRSlowdown(factor float64) Option {
 	return Option{name: "WithDPRSlowdown", apply: func(c *config) { c.exec.DPRSlowdown = factor }}
 }
 
 // WithLISlowdown multiplies L/I operator cost (models KeystoneML's
-// training-data caching miss, §6.5.2). 0 or 1 disables. A fused run
+// training-data caching miss, §6.5.2). 0 or 1 disables. A fused chain
 // charges each member its even share times its own component's factor,
 // as under WithDPRSlowdown.
 func WithLISlowdown(factor float64) Option {
 	return Option{name: "WithLISlowdown", apply: func(c *config) { c.exec.LISlowdown = factor }}
-}
-
-// WithStreaming toggles fused streaming execution of row-wise operators
-// (MapRows, FilterRows, FlatMapRows): when on (the default), the planner
-// fuses linear chains of them into single scheduled units with
-// per-element pull, so interior collections are never built. Disabling
-// falls back to per-operator batch execution — byte-identical results
-// (asserted by the fuzz harness), one collection and one barrier per
-// operator. Run-scoped overrides are plan-cache safe: the streaming bit
-// is part of the plan fingerprint.
-func WithStreaming(enabled bool) Option {
-	return Option{name: "WithStreaming", apply: func(c *config) { c.exec.Plan.Streaming = enabled }}
-}
-
-// WithSyncMaterialization, when enabled, serializes and writes
-// materializations inline on the worker goroutine that computed them —
-// the paper-faithful accounting — instead of the default write-behind
-// pipeline.
-func WithSyncMaterialization(enabled bool) Option {
-	return Option{name: "WithSyncMaterialization", apply: func(c *config) { c.exec.SyncMaterialization = enabled }}
 }
 
 // WithParallelism bounds the compute worker pool: at most n operators

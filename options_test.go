@@ -168,23 +168,21 @@ func optionRows(t *testing.T) map[string]optionRow {
 	}
 	t.Cleanup(func() { shared.Close() })
 	return map[string]optionRow{
-		"WithPolicy":              {false, helix.WithPolicy(helix.PolicyAlways)},
-		"WithStorageBudget":       {false, helix.WithStorageBudget(1 << 20)},
-		"WithOMPThreshold":        {false, helix.WithOMPThreshold(3)},
-		"WithDomain":              {false, helix.WithDomain("census")},
-		"WithReuse":               {false, helix.WithReuse(false)},
-		"WithPruning":             {false, helix.WithPruning(false)},
-		"WithMemorySampling":      {false, helix.WithMemorySampling(true)},
-		"WithDPRSlowdown":         {false, helix.WithDPRSlowdown(1.5)},
-		"WithLISlowdown":          {false, helix.WithLISlowdown(1.5)},
-		"WithStreaming":           {false, helix.WithStreaming(false)},
-		"WithSyncMaterialization": {false, helix.WithSyncMaterialization(true)},
-		"WithParallelism":         {false, helix.WithParallelism(2)},
-		"WithAdaptive":            {false, helix.WithAdaptive(0.5)},
-		"WithObserver":            {false, helix.WithObserver(func(helix.RunEvent) {})},
-		"WithDiskThroughput":      {true, helix.WithDiskThroughput(1e6)},
-		"WithSharedStore":         {true, helix.WithSharedStore(shared)},
-		"WithTenant":              {true, helix.WithTenant("alice")},
+		"WithPolicy":         {false, helix.WithPolicy(helix.PolicyAlways)},
+		"WithStorageBudget":  {false, helix.WithStorageBudget(1 << 20)},
+		"WithOMPThreshold":   {false, helix.WithOMPThreshold(3)},
+		"WithDomain":         {false, helix.WithDomain("census")},
+		"WithReuse":          {false, helix.WithReuse(false)},
+		"WithPruning":        {false, helix.WithPruning(false)},
+		"WithMemorySampling": {false, helix.WithMemorySampling(true)},
+		"WithDPRSlowdown":    {false, helix.WithDPRSlowdown(1.5)},
+		"WithLISlowdown":     {false, helix.WithLISlowdown(1.5)},
+		"WithParallelism":    {false, helix.WithParallelism(2)},
+		"WithAdaptive":       {false, helix.WithAdaptive(0.5)},
+		"WithObserver":       {false, helix.WithObserver(func(helix.RunEvent) {})},
+		"WithDiskThroughput": {true, helix.WithDiskThroughput(1e6)},
+		"WithSharedStore":    {true, helix.WithSharedStore(shared)},
+		"WithTenant":         {true, helix.WithTenant("alice")},
 	}
 }
 

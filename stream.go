@@ -15,8 +15,9 @@ import (
 // row beyond those calls. Fusion is a pure execution strategy: each
 // member keeps its own chain signature, so plan fingerprints,
 // materialization keys, and cross-iteration reuse behave exactly as they
-// do for batch operators, and the fuzz harness proves streaming-on and
-// streaming-off runs byte-identical.
+// do for batch operators. Every Session fuses; an engine planning with
+// fusion off (plan.Options.Streaming false) runs each operator in batch,
+// and exec.TestPropertyFusedMatchesBatch proves both byte-identical.
 //
 // Adjacent operators must agree on the element type; a mismatch (or an
 // input value that is not an []In) fails the run with ErrBadWorkflow
@@ -28,9 +29,8 @@ import (
 // MapRows declares a row-wise 1:1 transformation over a []In input,
 // producing []Out. params must identify f for equivalence tracking, as
 // with every operator declaration. The operator is an Extractor (feature
-// extraction/transformation ∈ F) and is streamable: when streaming is
-// enabled (the default) the planner may fuse it with adjacent row-wise
-// operators.
+// extraction/transformation ∈ F) and is streamable: the planner may fuse
+// it with adjacent row-wise operators.
 func MapRows[In, Out any](w *Workflow, name, params string, f func(In) Out, input *Op) *Op {
 	return declareRowOp(w, name, extractorKind, params, input, func(down func(Out)) func(In) {
 		return func(row In) { down(f(row)) }

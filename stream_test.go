@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"helix/internal/exec"
 	"helix/internal/store"
 )
 
@@ -98,24 +99,9 @@ func TestStreamingFusesChainAndMatchesBatch(t *testing.T) {
 		t.Fatalf("saw %d fused node events, want 6", fusedEvents)
 	}
 
-	// The same workflow with streaming disabled must produce
+	// The same workflow run operator by operator must produce
 	// byte-identical output under canonical encoding.
-	off, err := Open(t.TempDir(), WithStreaming(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	pOff, err := off.Plan(streamWorkflow())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pOff.Fused) != 0 {
-		t.Fatalf("streaming-off plan fused %v, want none", pOff.Fused)
-	}
-	resOff, err := off.Run(context.Background(), streamWorkflow())
-	if err != nil {
-		t.Fatal(err)
-	}
+	resOff := runBatch(t, streamWorkflow())
 	for name, v := range res.Values {
 		a, err := store.Encode(v)
 		if err != nil {
@@ -129,6 +115,32 @@ func TestStreamingFusesChainAndMatchesBatch(t *testing.T) {
 			t.Fatalf("output %q differs between streaming on and off", name)
 		}
 	}
+}
+
+// runBatch runs wf once on a fresh engine whose planner fuses nothing —
+// every streamable operator a batch operator of its own, the path no
+// Session selects — and returns its result.
+func runBatch(t *testing.T, wf *Workflow) *exec.Result {
+	t.Helper()
+	prog, err := wf.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e := exec.New(st, -1)
+	e.Opts.Plan.Streaming = false
+	res, err := e.Run(context.Background(), prog, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Plan.Fused) != 0 {
+		t.Fatalf("streaming-off plan fused %v, want none", res.Plan.Fused)
+	}
+	return res
 }
 
 // Interior values of a fused run are never built, but the run's tail
@@ -156,28 +168,6 @@ func TestStreamingTailReusedAcrossIterations(t *testing.T) {
 	// fused chain — its members are pruned or loaded.
 	if got := res.Nodes["scale"].State.String(); got == "Sc" {
 		t.Fatalf("fused interior recomputed on unchanged iteration (state %s)", got)
-	}
-}
-
-// A run-scoped WithStreaming override flips execution mode for one call
-// and is plan-cache safe: each mode keeps its own fingerprint.
-func TestStreamingRunScopedOverride(t *testing.T) {
-	sess, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	ctx := context.Background()
-	resOff, err := sess.Run(ctx, streamWorkflow(), WithStreaming(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOn, err := sess.Run(ctx, streamWorkflow(), WithStreaming(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resOff.Values["total"] != streamWant || resOn.Values["total"] != streamWant {
-		t.Fatalf("totals = %v / %v, want %v", resOff.Values["total"], resOn.Values["total"], streamWant)
 	}
 }
 
@@ -212,45 +202,47 @@ func TestSingleStreamableNodeRunsUnfused(t *testing.T) {
 	}
 }
 
-// Adjacent streamable operators that disagree on the element type are a
-// declaration error in both execution modes: batch mode finds it when
-// the consumer sees its input value, fused mode when the chain is bound
-// — before any row function has run (it used to panic a worker
-// goroutine on the first row's type assertion).
+// A streamable operator whose input disagrees on the element type is a
+// declaration error on both paths: unfused, when the operator sees its
+// input value (a one-operator chain, which never fuses); fused, when the
+// chain is bound — before any row function has run (it used to panic a
+// worker goroutine on the first row's type assertion).
 func TestStreamingElementTypeMismatchIsBadWorkflow(t *testing.T) {
-	for _, streaming := range []bool{true, false} {
+	for _, fused := range []bool{true, false} {
 		var parseCalls, halveCalls atomic.Int64
 		wf := New("mismatch")
-		src := wf.Source("lines", "v1", func(ctx context.Context, in []Value) (Value, error) {
+		rows := wf.Source("lines", "v1", func(ctx context.Context, in []Value) (Value, error) {
 			return []string{"1 2", "3"}, nil
 		})
-		parse := FlatMapRows(wf, "parse", "ints", func(line string) []int {
-			parseCalls.Add(1)
-			return []int{len(line)}
-		}, src)
+		if fused {
+			rows = FlatMapRows(wf, "parse", "ints", func(line string) []int {
+				parseCalls.Add(1)
+				return []int{len(line)}
+			}, rows)
+		}
 		MapRows(wf, "halve", "/2", func(v float64) float64 {
 			halveCalls.Add(1)
 			return v / 2
-		}, parse).IsOutput()
+		}, rows).IsOutput()
 
-		sess, err := Open(t.TempDir(), WithStreaming(streaming))
+		sess, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = sess.Run(context.Background(), wf)
 		sess.Close()
 		if !errors.Is(err, ErrBadWorkflow) {
-			t.Fatalf("streaming=%v: err = %v, want ErrBadWorkflow", streaming, err)
+			t.Fatalf("fused=%v: err = %v, want ErrBadWorkflow", fused, err)
 		}
 		var ne *NodeError
 		if !errors.As(err, &ne) {
-			t.Fatalf("streaming=%v: err = %v, want a *NodeError", streaming, err)
+			t.Fatalf("fused=%v: err = %v, want a *NodeError", fused, err)
 		}
-		t.Logf("streaming=%v: %v", streaming, err)
+		t.Logf("fused=%v: %v", fused, err)
 		if halveCalls.Load() != 0 {
-			t.Fatalf("streaming=%v: halve ran %d times on rows of the wrong type", streaming, halveCalls.Load())
+			t.Fatalf("fused=%v: halve ran %d times on rows of the wrong type", fused, halveCalls.Load())
 		}
-		if streaming && parseCalls.Load() != 0 {
+		if parseCalls.Load() != 0 {
 			t.Fatalf("fused chain ran parse %d times before the mismatch was reported", parseCalls.Load())
 		}
 	}
