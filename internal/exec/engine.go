@@ -119,19 +119,6 @@ type Options struct {
 	// originality. The zero value plans batch-only with nothing mandatory;
 	// New turns MaterializeOutputs and Streaming on, as a Session does.
 	Plan plan.Options
-	// DPRSlowdown multiplies the cost of DPR operators by sleeping
-	// (factor-1)·elapsed after each DPR compute — for a fused run's
-	// member, elapsed is its even share of the unit's time. Models
-	// DeepDive's Python/shell preprocessing being ~2× slower than Spark
-	// (paper §6.5.2). 0 or 1 means no slowdown. Its effect reaches the
-	// fingerprint through the carried cost statistics of the runs it slows.
-	DPRSlowdown float64
-	// LISlowdown does the same for L/I operators. Models KeystoneML's
-	// "longer L/I time incurred by its caching optimizer's failing to
-	// cache the training data for learning" (paper §6.5.2).
-	LISlowdown float64
-	// SampleMemory enables the memory sampler (Figure 10).
-	SampleMemory bool
 	// Parallelism bounds the scheduler's compute worker pool: at most
 	// this many operators compute concurrently, regardless of DAG width.
 	// ≤0 uses runtime.GOMAXPROCS(0). Load-state nodes run on a separate
@@ -243,9 +230,6 @@ type Result struct {
 	MatTime time.Duration
 	// StorageBytes is the store usage after the run (Figure 9c,d).
 	StorageBytes int64
-	// PeakMemBytes / AvgMemBytes are heap statistics (Figure 10); zero
-	// unless Options.SampleMemory.
-	PeakMemBytes, AvgMemBytes uint64
 	// StateCounts counts nodes per state among live nodes (Figure 8).
 	StateCounts map[core.State]int
 }
@@ -593,11 +577,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		}
 	}
 
-	var sampler *memSampler
-	if opts.SampleMemory {
-		sampler = startMemSampler(5 * time.Millisecond)
-	}
-
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	bill, _ := clk.(Biller)
@@ -637,10 +616,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 		flushWait = clk.Since(flushStart)
 	}
 	em.flush(flushWait)
-	var peakMem, avgMem uint64
-	if sampler != nil { // stopped on every path out, failed attempts included
-		peakMem, avgMem = sampler.stop()
-	}
 
 	// A failed load outranks other failures, which may only be the
 	// cancellation it caused. Delete drops the entry even when the file
@@ -741,7 +716,6 @@ func (e *Engine) execute(ctx context.Context, prog *Program, p *plan.Plan, clk c
 			res.Values[r.node.Name] = r.value
 		}
 	}
-	res.PeakMemBytes, res.AvgMemBytes = peakMem, avgMem
 	res.StorageBytes = e.Store.UsedBytes()
 	res.Wall = computeWall
 	res.PlanTime = planTime
@@ -1097,25 +1071,11 @@ func (s *runState) execNode(ctx context.Context, r *nodeRun) {
 		// Per-member timing is unobservable inside a fused pipeline by
 		// design: each member is charged an even share of the measured
 		// wall, which keeps C(n) sums and Metrics-based cost models finite
-		// and order-of-magnitude right. The modelled slowdown of a member's
-		// own component (Options.DPRSlowdown / LISlowdown) applies to its
-		// share, slept out here so the critical path pays it.
+		// and order-of-magnitude right.
 		share := elapsed / time.Duration(len(unit))
 		for _, m := range unit {
-			elapsed, f := share, 1.0
-			switch m.node.Component {
-			case core.DPR:
-				f = s.opts.DPRSlowdown
-			case core.LI:
-				f = s.opts.LISlowdown
-			}
-			if f > 1 {
-				extra := time.Duration(float64(elapsed) * (f - 1))
-				s.clk.Sleep(extra)
-				elapsed += extra
-			}
-			m.ownSecs = elapsed.Seconds()
-			m.measured = elapsed
+			m.ownSecs = share.Seconds()
+			m.measured = share
 			m.measuredOK = true
 		}
 	}

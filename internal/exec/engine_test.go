@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"helix/internal/clock"
 	"helix/internal/core"
 	"helix/internal/opt"
 	"helix/internal/plan"
@@ -393,50 +392,6 @@ func TestBreakdownByComponent(t *testing.T) {
 	}
 }
 
-func TestMemorySampling(t *testing.T) {
-	e := newEngine(t)
-	e.Opts.SampleMemory = true
-	var c counters
-	prog := testProgram(&c)
-	res, err := e.Run(context.Background(), prog, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakMemBytes == 0 || res.AvgMemBytes == 0 {
-		t.Fatalf("memory not sampled: peak=%d avg=%d", res.PeakMemBytes, res.AvgMemBytes)
-	}
-	if res.PeakMemBytes < res.AvgMemBytes {
-		t.Fatal("peak < average")
-	}
-}
-
-// TestDPRSlowdown: a DPR operator under DPRSlowdown 3 is billed exactly
-// three times what it slept — on a model clock, so the check is an
-// equality rather than a bound on host time.
-func TestDPRSlowdown(t *testing.T) {
-	source := func(slowdown float64) float64 {
-		e := newEngine(t)
-		e.Opts.DPRSlowdown = slowdown
-		var c counters
-		prog := testProgram(&c)
-		prog.Fns[prog.DAG.Node("source")] = func(ctx context.Context, in []any) (any, error) {
-			clock.From(ctx).Sleep(20 * time.Millisecond)
-			return []string{"r"}, nil
-		}
-		res, err := e.Run(clock.With(context.Background(), new(clock.Model)), prog, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Nodes["source"].Seconds
-	}
-	if base := source(0); base != (20 * time.Millisecond).Seconds() {
-		t.Fatalf("source billed %vs without a slowdown, want exactly its 20ms sleep", base)
-	}
-	if got := source(3); got != (60 * time.Millisecond).Seconds() {
-		t.Fatalf("source billed %vs under DPRSlowdown 3, want exactly 3 × 20ms", got)
-	}
-}
-
 func TestDeprecatedMaterializationsPurged(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -525,35 +480,6 @@ func TestExecuteRejectsMispairedPlan(t *testing.T) {
 	}
 	if _, err := e.Execute(context.Background(), prog, p); err != nil {
 		t.Fatalf("the program's own plan: %v", err)
-	}
-}
-
-// TestLISlowdown: an L/I operator under LISlowdown 3 is billed exactly
-// three times what it slept, and a DPR operator exactly its own sleep — on
-// a model clock, as TestDPRSlowdown, so a busy host cannot leak into the
-// figures.
-func TestLISlowdown(t *testing.T) {
-	e := newEngine(t)
-	e.Opts.LISlowdown = 3
-	var c counters
-	prog := testProgram(&c)
-	prog.Fns[prog.DAG.Node("source")] = func(ctx context.Context, in []any) (any, error) {
-		clock.From(ctx).Sleep(opDelay)
-		return []string{"r1", "r2", "r3"}, nil
-	}
-	prog.Fns[prog.DAG.Node("learn")] = func(ctx context.Context, in []any) (any, error) {
-		clock.From(ctx).Sleep(opDelay)
-		return in[0].(int) * 10, nil
-	}
-	res, err := e.Run(clock.With(context.Background(), new(clock.Model)), prog, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Nodes["learn"].Seconds; got != (3 * opDelay).Seconds() {
-		t.Fatalf("learn billed %vs under LISlowdown 3, want exactly 3 × %v", got, opDelay)
-	}
-	if got := res.Nodes["source"].Seconds; got != opDelay.Seconds() {
-		t.Fatalf("source billed %vs under LISlowdown 3, want exactly its own %v: the slowdown leaked into DPR", got, opDelay)
 	}
 }
 

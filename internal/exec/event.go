@@ -94,8 +94,8 @@ type NodeEvent struct {
 	MatErr error
 	// Fused reports that the node executed as a member of a streaming
 	// fused run: its Seconds are an even share of the unit's measured
-	// wall time (times any modelled slowdown of its own component), and
-	// interior members retire without a value of their own.
+	// wall time, and interior members retire without a value of their
+	// own.
 	Fused bool
 }
 

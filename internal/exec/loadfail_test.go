@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,32 +208,5 @@ func TestLoadFailureRecomputeIsBilled(t *testing.T) {
 	}
 	if res.Wall != 2*charge {
 		t.Fatalf("wall %v, want learn's and check's charges, %v", res.Wall, 2*charge)
-	}
-}
-
-// TestFailedRunStopsMemSampler: a run that fails — as every attempt
-// ending on a failed load does — stops its memory sampler; it used to
-// keep ticking, and reading the heap's statistics, for the life of the
-// process.
-func TestFailedRunStopsMemSampler(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &Engine{Store: st, Opts: Options{Policy: opt.NeverMat{}, SampleMemory: true}}
-	var c counters
-	prog := testProgram(&c)
-	prog.Fns[prog.DAG.Node("learn")] = func(context.Context, []any) (any, error) {
-		return nil, errors.New("boom")
-	}
-	before := runtime.NumGoroutine()
-	if _, err := e.Run(context.Background(), prog, nil, 0); err == nil {
-		t.Fatal("a failing operator did not fail the run")
-	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

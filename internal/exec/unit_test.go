@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,42 +56,6 @@ func fusedProgram(rows int, keepSig string, perRow func()) *Program {
 		prog.Fns[n] = func(ctx context.Context, in []any) (any, error) { return RunRowOp(ctx, op, in) }
 	}
 	return prog
-}
-
-// TestSlowdownAppliesToFusedChain: a modelled component slowdown is a
-// property of the operator, not of how the engine happened to schedule
-// it. A three-member DPR chain whose row functions account their own
-// busy time T reports ≥ 3·T under DPRSlowdown 3 whether it ran as one
-// fused unit (each member: its even share of the wall, times 3) or as
-// three batch operators.
-func TestSlowdownAppliesToFusedChain(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		var busy atomic.Int64
-		prog := fusedProgram(12, "keep-v1", func() {
-			start := time.Now()
-			time.Sleep(time.Millisecond)
-			busy.Add(int64(time.Since(start)))
-		})
-		e := newEngine(t)
-		e.Opts.DPRSlowdown = 3
-		e.Opts.Plan.Streaming = !batch
-		res, err := e.Run(context.Background(), prog, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused := len(res.Plan.Fused) == 1; fused == batch {
-			t.Fatalf("batch=%v: plan has %d fused runs", batch, len(res.Plan.Fused))
-		}
-		T := time.Duration(busy.Load()).Seconds()
-		if T < 0.030 {
-			t.Fatalf("row functions were busy %.3fs, want ≥ 0.030", T)
-		}
-		got := res.Nodes["parse"].Seconds + res.Nodes["norm"].Seconds + res.Nodes["keep"].Seconds
-		if got < 0.9*3*T {
-			t.Errorf("batch=%v: chain members report %.3fs for %.3fs of row work under DPRSlowdown 3, want ≥ %.3fs",
-				batch, got, T, 0.9*3*T)
-		}
-	}
 }
 
 // nodeEvents records a run's NodeEvents as "phase name state[ fused]".

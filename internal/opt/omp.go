@@ -49,7 +49,8 @@ type MatPolicy interface {
 // must beat recomputing the node's entire ancestor chain.
 type StreamingOMP struct {
 	// Threshold is the load-cost multiplier; the paper uses 2 (write once,
-	// load once). Exposed for the ablation benchmark.
+	// load once). WithOMPThreshold sets it, and internal/sim's threshold
+	// ablation sweeps it.
 	Threshold float64
 
 	budget int64

@@ -189,6 +189,27 @@ func adaptiveWorkflow(slow *atomic.Bool) *helix.Workflow {
 	return wf
 }
 
+// runTally collects one iteration's structured run events. The observer
+// is invoked serially by the engine; plan events are emitted on the Run
+// caller's goroutine and re-plan events on worker goroutines
+// the run joins before returning, so reading the tally after Run returns
+// needs no extra synchronization.
+type runTally struct {
+	plan    *helix.PlanEvent
+	replans []helix.ReplanEvent
+}
+
+func (t *runTally) observe(ev helix.RunEvent) {
+	switch e := ev.(type) {
+	case helix.PlanEvent:
+		t.plan = &e
+	case helix.ReplanEvent:
+		t.replans = append(t.replans, e)
+	}
+}
+
+func (t *runTally) reset() { *t = runTally{} }
+
 // RunAdaptive drives the skewed fan through three ticks under one mode
 // pair — static (adaptive off) and adaptive (run-scoped WithAdaptive on
 // the skewed tick and after) — in separate sessions with identical
@@ -217,7 +238,7 @@ func runAdaptiveMode(ctx context.Context, threshold float64) (AdaptiveMode, erro
 		return mode, err
 	}
 	defer os.RemoveAll(dir)
-	ctx = clock.With(ctx, newModel())
+	ctx = clock.With(ctx, newModel(HelixOpt))
 	var tally runTally
 	var stats *helix.RunStatsEvent
 	sess, err := helix.Open(dir,

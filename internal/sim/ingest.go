@@ -120,10 +120,9 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	ctx = clock.With(ctx, newModel())
+	ctx = clock.With(ctx, newModel(HelixOpt))
 
-	var tally runTally
-	sess, err := helix.Open(dir, HelixOpt.options(helix.WithObserver(tally.observe))...)
+	sess, err := helix.Open(dir, HelixOpt.Options...)
 	if err != nil {
 		return nil, err
 	}
@@ -142,21 +141,24 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (*IngestReport, error) {
 				wl.Deliver(slot, tick+1)
 			}
 		}
-		tally.reset()
 		res, err := sess.Run(ctx, wl.Build())
 		if err != nil {
 			return nil, fmt.Errorf("sim: ingest tick %d: %w", tick, err)
 		}
-		t := IngestTick{Tick: tick, Slot: slot, Seconds: res.Wall.Seconds()}
-		if p := tally.plan; p != nil {
-			t.PlanCache = p.Outcome.String()
-			t.Computed, t.Loaded, t.Pruned = p.Compute, p.Load, p.Prune
-			switch p.Outcome {
-			case helix.PlanCacheCold:
-				rep.ColdPlans++
-			case helix.PlanCacheHit:
-				rep.FullHits++
-			}
+		t := IngestTick{
+			Tick:      tick,
+			Slot:      slot,
+			Seconds:   res.Wall.Seconds(),
+			PlanCache: res.Plan.Cache.String(),
+			Computed:  res.StateCounts[core.StateCompute],
+			Loaded:    res.StateCounts[core.StateLoad],
+			Pruned:    res.StateCounts[core.StatePrune],
+		}
+		switch res.Plan.Cache {
+		case helix.PlanCacheCold:
+			rep.ColdPlans++
+		case helix.PlanCacheHit:
+			rep.FullHits++
 		}
 		// Reuse savings: known compute cost avoided, net of the load time
 		// actually paid. Costs come from the executed plan's solver inputs

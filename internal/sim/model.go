@@ -15,12 +15,13 @@ import (
 // an exact comparison. Billed are:
 //
 //   - what an operator sleeps on its run's clock: the simulated-disk
-//     throttle (bytes ÷ 170 MB/s on every read and write), the DPR and L/I
-//     slowdowns of the DeepDive and KeystoneML models, the dataflow
+//     throttle (bytes ÷ 170 MB/s on every read and write), the dataflow
 //     substrate's per-worker barrier (Figure 7b), and the operators that
 //     model their own cost by sleeping (the ingest and adaptive scenarios);
 //   - a deterministic charge per computed operator: its seconds per byte
-//     (below) times the bytes of its inputs and output (sizeOf).
+//     (below) times the bytes of its inputs and output (sizeOf), times the
+//     system's slowdown for the operator's component (System.DPRSlowdown
+//     and LISlowdown: the DeepDive and KeystoneML models).
 //
 // The operators still run for real and their outputs are checked; only the
 // time they are billed is modelled. Heap (Figure 10) is measured, not
@@ -120,6 +121,9 @@ func operatorKey(n *core.Node) string { return n.Kind.String() + " " + n.Name }
 // each computed operator its charge (exec.Biller).
 type model struct {
 	clock.Model
+	// dpr and li are the system's slowdowns (System.DPRSlowdown and
+	// LISlowdown).
+	dpr, li float64
 
 	mu sync.Mutex
 	// sizes memoizes sizeOf per node output, so a value read by many
@@ -127,12 +131,27 @@ type model struct {
 	sizes map[*core.Node]int64
 }
 
-func newModel() *model { return &model{sizes: make(map[*core.Node]int64)} }
+// newModel returns a fresh model clock billing for sys.
+func newModel(sys System) *model {
+	return &model{dpr: sys.DPRSlowdown, li: sys.LISlowdown, sizes: make(map[*core.Node]int64)}
+}
 
-// Bill charges n chargePerByte(n) × (input bytes + output bytes) and
-// advances the clock by it.
+// Bill charges n chargePerByte(n) × (input bytes + output bytes), times
+// the slowdown f of n's component when f > 1, and advances the clock by
+// it. A fused unit is billed as its head; every row-wise operator is a
+// Scanner or an Extractor, so the unit is one component.
 func (m *model) Bill(n *core.Node, inputs []any, output any) time.Duration {
 	d := time.Duration(chargePerByte(n) * float64(m.bytes(n, inputs, output)) * float64(time.Second))
+	var f float64
+	switch n.Component {
+	case core.DPR:
+		f = m.dpr
+	case core.LI:
+		f = m.li
+	}
+	if f > 1 {
+		d += time.Duration(float64(d) * (f - 1))
+	}
 	m.Sleep(d)
 	return d
 }

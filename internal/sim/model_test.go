@@ -50,7 +50,7 @@ func TestCalibrateCharges(t *testing.T) {
 		bytes   int64
 	}
 	sums := map[string]*sum{}
-	rec := &recorder{sizes: newModel()}
+	rec := &recorder{sizes: newModel(HelixOpt)}
 	ctx := clock.With(context.Background(), rec)
 	for _, name := range figureWorkloads() {
 		wl, err := NewWorkload(name, paperScale, 1)
@@ -134,7 +134,7 @@ func TestModelBillsKindRateTimesBytes(t *testing.T) {
 	if err := d.AddEdge(src, ext); err != nil {
 		t.Fatal(err)
 	}
-	m := newModel()
+	m := newModel(HelixOpt)
 	in, out := make([]float64, 1000), make([]float64, 10)
 	m.Bill(src, nil, in)
 	before := m.Elapsed()
@@ -145,5 +145,127 @@ func TestModelBillsKindRateTimesBytes(t *testing.T) {
 	}
 	if len(m.sizes) != 2 {
 		t.Fatalf("memoized %d sizes, want one per node", len(m.sizes))
+	}
+}
+
+// slowdownBiller bills a DPR node (rows) and an L/I node (predictions)
+// on a fresh model of a system, checking that each bill moves the clock
+// by exactly what it returns, and gives HELIX OPT's bills as the baseline.
+func slowdownBiller(t *testing.T) (bill func(System, *core.Node) time.Duration, rows, pred *core.Node, dpr, li time.Duration) {
+	t.Helper()
+	d := core.NewDAG()
+	rows = d.MustAddNode("rows", core.KindScanner, core.DPR, "rows", true)
+	pred = d.MustAddNode("predictions", core.KindLearner, core.LI, "predictions", true)
+	if err := d.AddEdge(rows, pred); err != nil {
+		t.Fatal(err)
+	}
+	in, out := make([]float64, 1000), make([]float64, 10000)
+	bill = func(sys System, n *core.Node) time.Duration {
+		m := newModel(sys)
+		got := m.Bill(n, []any{in}, out)
+		if m.Elapsed() != got {
+			t.Fatalf("%s billed %s %v but moved the clock %v", sys.Name, n.Name, got, m.Elapsed())
+		}
+		return got
+	}
+	dpr, li = bill(HelixOpt, rows), bill(HelixOpt, pred)
+	if dpr == 0 || li == 0 {
+		t.Fatalf("HELIX OPT billed rows %v and predictions %v, want both above zero", dpr, li)
+	}
+	return bill, rows, pred, dpr, li
+}
+
+// TestDPRSlowdown: DeepDive's DPR slowdown scales the model's charge for
+// DPR nodes only. A DPR node is billed exactly twice its charge under
+// HELIX OPT and an L/I node exactly once.
+func TestDPRSlowdown(t *testing.T) {
+	bill, rows, pred, dpr, li := slowdownBiller(t)
+	if got := bill(DeepDive, rows); got != 2*dpr {
+		t.Errorf("%s billed the DPR node %v, want %v", DeepDive.Name, got, 2*dpr)
+	}
+	if got := bill(DeepDive, pred); got != li {
+		t.Errorf("%s billed the L/I node %v, want %v", DeepDive.Name, got, li)
+	}
+}
+
+// TestLISlowdown: KeystoneML's L/I slowdown scales the model's charge for
+// L/I nodes only. An L/I node is billed exactly twice its charge under
+// HELIX OPT and a DPR node exactly once.
+func TestLISlowdown(t *testing.T) {
+	bill, rows, pred, dpr, li := slowdownBiller(t)
+	if got := bill(KeystoneML, rows); got != dpr {
+		t.Errorf("%s billed the DPR node %v, want %v", KeystoneML.Name, got, dpr)
+	}
+	if got := bill(KeystoneML, pred); got != 2*li {
+		t.Errorf("%s billed the L/I node %v, want %v", KeystoneML.Name, got, 2*li)
+	}
+}
+
+// fusedChain is src → rows → x10 → keep → total, whose three row-wise
+// DPR operators fuse into one unit headed by the Scanner rows. Only rows
+// has a charge (chargePerByte), so a run's model wall is the unit's bill.
+func fusedChain() *helix.Workflow {
+	wf := helix.New("fused-chain")
+	src := wf.Source("src", "v1", func(context.Context, []helix.Value) (helix.Value, error) {
+		lines := make([]string, 200)
+		for i := range lines {
+			lines[i] = "1 2 3 4 5"
+		}
+		return lines, nil
+	})
+	rows := helix.FlatMapRows(wf, "rows", "fields", func(line string) []float64 {
+		out := make([]float64, 0, 5)
+		for _, f := range strings.Fields(line) {
+			out = append(out, float64(len(f)))
+		}
+		return out
+	}, src)
+	x10 := helix.MapRows(wf, "x10", "x10", func(v float64) float64 { return 10 * v }, rows)
+	keep := helix.FilterRows(wf, "keep", ">0", func(v float64) bool { return v > 0 }, x10)
+	wf.Reducer("total", "sum", func(_ context.Context, in []helix.Value) (helix.Value, error) {
+		var sum float64
+		for _, v := range in[0].([]float64) {
+			sum += v
+		}
+		return sum, nil
+	}, keep).IsOutput()
+	return wf
+}
+
+// TestSlowdownAppliesToFusedChain: the model bills a fused DPR chain as
+// one unit under its head's component, so DeepDive's factor doubles the
+// unit's bill exactly and KeystoneML's leaves it alone, and each member
+// reports an even share of what the unit was billed.
+func TestSlowdownAppliesToFusedChain(t *testing.T) {
+	run := func(sys System) *helix.Result {
+		sess, err := helix.Open(t.TempDir(), helix.WithPolicy(helix.PolicyNever))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		res, err := sess.Run(clock.With(context.Background(), newModel(sys)), fusedChain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Plan.Fused) != 1 || len(res.Plan.Fused[0]) != 3 {
+			t.Fatalf("%s: fused units %v, want one of three members", sys.Name, res.Plan.Fused)
+		}
+		share := (res.Wall / 3).Seconds()
+		for _, name := range []string{"rows", "x10", "keep"} {
+			if got := res.Nodes[name].Seconds; got != share {
+				t.Errorf("%s: %s reports %vs, want its share %vs of the unit's %v", sys.Name, name, got, share, res.Wall)
+			}
+		}
+		return res
+	}
+	base := run(HelixOpt).Wall
+	if base <= 0 {
+		t.Fatalf("HELIX OPT billed the unit %v, want above zero", base)
+	}
+	if got := run(DeepDive).Wall; got != 2*base {
+		t.Errorf("DeepDive billed the unit %v, want exactly 2 × %v", got, base)
+	}
+	if got := run(KeystoneML).Wall; got != base {
+		t.Errorf("KeystoneML billed the DPR unit %v, want exactly HELIX OPT's %v", got, base)
 	}
 }

@@ -97,7 +97,7 @@ func RunSharedWarmStart(ctx context.Context, name string, scale workloads.Scale,
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	ctx = clock.With(ctx, newModel())
+	ctx = clock.With(ctx, newModel(HelixOpt))
 	shared, err := helix.OpenSharedStore(dir)
 	if err != nil {
 		return nil, err

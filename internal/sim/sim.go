@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"time"
 
 	"helix"
 	"helix/internal/clock"
@@ -34,12 +35,15 @@ type System struct {
 	// Name is the display name used in benchmark output.
 	Name string
 	// Options are the functional options that configure a session to
-	// model the system; RunSeries appends its own overrides after them.
+	// model the system.
 	Options []helix.Option
 	// DPROnly restricts the system to DPR iterations: DeepDive supports
 	// only DPR changes (paper §6.5.1), so its series stops at the first
 	// non-DPR iteration.
 	DPROnly bool
+	// DPRSlowdown and LISlowdown multiply the model's charge for DPR and
+	// L/I operators (paper §6.5.2); 0 or 1 bills the charge as is.
+	DPRSlowdown, LISlowdown float64
 }
 
 // options returns the system's options followed by extra, in a fresh
@@ -56,7 +60,8 @@ const PaperDiskBytesPerSec = 170e6
 // shell preprocessing versus Spark (paper §6.5.2: "the 2× reduction
 // between HELIX OPT and DeepDive is due to the fact that DeepDive does
 // data preprocessing with Python and shell scripts, while HELIX OPT uses
-// Spark").
+// Spark"). Both slowdowns are part of the model's bill (model.go), so
+// they exist only on the model clock.
 //
 // Every system runs on the model clock, where the engine writes each
 // materialization inline: each system the paper measures serializes and
@@ -81,13 +86,12 @@ var (
 	// cache the training data for learning (paper §6.5.2).
 	KeystoneML = System{Name: "keystoneml", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyNever), helix.WithReuse(false),
-		helix.WithLISlowdown(2.0),
-		helix.WithDiskThroughput(PaperDiskBytesPerSec)}}
+		helix.WithDiskThroughput(PaperDiskBytesPerSec)},
+		LISlowdown: 2}
 	DeepDive = System{Name: "deepdive", Options: []helix.Option{
 		helix.WithPolicy(helix.PolicyAlways), helix.WithReuse(false),
-		helix.WithDPRSlowdown(2.0),
 		helix.WithDiskThroughput(PaperDiskBytesPerSec)},
-		DPROnly: true}
+		DPROnly: true, DPRSlowdown: 2}
 )
 
 // Supports reproduces Table 2's support matrix: which systems can run
@@ -161,7 +165,8 @@ type Config struct {
 	// Iterations caps the number of iterations; 0 runs the workload's
 	// full sequence.
 	Iterations int
-	// SampleMemory enables heap sampling (Figure 10); costs a goroutine.
+	// SampleMemory samples the heap around each iteration's Run
+	// (Figure 10); costs a goroutine while the Run is in flight.
 	SampleMemory bool
 }
 
@@ -184,41 +189,18 @@ func NewWorkload(name string, scale workloads.Scale, seed int64) (workloads.Work
 	}
 }
 
-// runTally collects one iteration's structured run events. The observer
-// is invoked serially by the engine; plan events are emitted on the Run
-// caller's goroutine and re-plan events on worker goroutines
-// the run joins before returning, so reading the tally after Run returns
-// needs no extra synchronization.
-type runTally struct {
-	plan    *helix.PlanEvent
-	replans []helix.ReplanEvent
-}
-
-func (t *runTally) observe(ev helix.RunEvent) {
-	switch e := ev.(type) {
-	case helix.PlanEvent:
-		t.plan = &e
-	case helix.ReplanEvent:
-		t.replans = append(t.replans, e)
-	}
-}
-
-func (t *runTally) reset() { *t = runTally{} }
-
 // RunSeries drives wl through its iteration sequence under the given
 // system on a fresh model clock, returning per-iteration metrics.
 // Iteration 0 runs the initial workflow; iteration t ≥ 1 first applies the
-// sequence's mutation for t. The state mix comes from the session's
-// structured event stream rather than post-hoc Result scraping.
+// sequence's mutation for t.
 func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Config) (*SeriesResult, error) {
 	dir, err := os.MkdirTemp("", "helix-sim-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	ctx = clock.With(ctx, newModel())
-	var tally runTally
-	sess, err := helix.Open(dir, sys.options(helix.WithMemorySampling(cfg.SampleMemory), helix.WithObserver(tally.observe))...)
+	ctx = clock.With(ctx, newModel(sys))
+	sess, err := helix.Open(dir, sys.Options...)
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +219,15 @@ func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Confi
 			}
 			wl.Mutate(t, seq[t])
 		}
-		tally.reset()
+		var sampler *memSampler
+		if cfg.SampleMemory {
+			sampler = startMemSampler(5 * time.Millisecond)
+		}
 		out, err := sess.Run(ctx, wl.Build())
+		var peak, avg uint64
+		if sampler != nil { // stopped on every path out, the error path included
+			peak, avg = sampler.stop()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s/%s iteration %d: %w", wl.Name(), sys.Name, t, err)
 		}
@@ -249,18 +238,14 @@ func RunSeries(ctx context.Context, wl workloads.Workload, sys System, cfg Confi
 			Breakdown:    make(map[core.Component]float64, 3),
 			MatSeconds:   out.MatTime.Seconds(),
 			StorageBytes: out.StorageBytes,
-			PeakMemBytes: out.PeakMemBytes,
-			AvgMemBytes:  out.AvgMemBytes,
-			Outputs:      out.Values,
-		}
-		// Planning metrics come from the run's event stream — the same typed
-		// events a live progress consumer sees.
-		if p := tally.plan; p != nil {
-			m.States = map[core.State]int{
-				core.StateCompute: p.Compute,
-				core.StateLoad:    p.Load,
-				core.StatePrune:   p.Prune,
-			}
+			PeakMemBytes: peak,
+			AvgMemBytes:  avg,
+			States: map[core.State]int{
+				core.StateCompute: out.StateCounts[core.StateCompute],
+				core.StateLoad:    out.StateCounts[core.StateLoad],
+				core.StatePrune:   out.StateCounts[core.StatePrune],
+			},
+			Outputs: out.Values,
 		}
 		for comp, d := range out.Breakdown {
 			m.Breakdown[comp] = d.Seconds()

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
+	"helix"
 	"helix/internal/core"
 	"helix/internal/workloads"
 )
@@ -149,5 +153,52 @@ func TestRunSeriesStateCountsRecorded(t *testing.T) {
 	}
 	if m1.States[core.StatePrune] == 0 && m1.States[core.StateLoad] == 0 {
 		t.Fatal("iteration 1 should reuse something (load or prune)")
+	}
+}
+
+// TestMemorySampling: a series run with Config.SampleMemory reports the
+// heap its Run sampled, the peak at or above the average and the average
+// above zero.
+func TestMemorySampling(t *testing.T) {
+	wl, err := NewWorkload("census", paperScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSeries(context.Background(), wl, HelixOpt, Config{Iterations: 1, SampleMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.Metrics[0]; m.AvgMemBytes == 0 || m.PeakMemBytes < m.AvgMemBytes {
+		t.Fatalf("heap peak %d, avg %d: want peak ≥ avg > 0", m.PeakMemBytes, m.AvgMemBytes)
+	}
+}
+
+// failingWorkload is one iteration whose only operator fails.
+type failingWorkload struct{}
+
+func (failingWorkload) Name() string                           { return "failing" }
+func (failingWorkload) Sequence() []core.Component             { return []core.Component{core.DPR} }
+func (failingWorkload) Mutate(iteration int, c core.Component) {}
+func (failingWorkload) Build() *helix.Workflow {
+	wf := helix.New("failing")
+	wf.Source("boom", "v1", func(context.Context, []helix.Value) (helix.Value, error) {
+		return nil, errors.New("boom")
+	}).IsOutput()
+	return wf
+}
+
+// TestFailedRunStopsMemSampler: a series whose Run fails stops the heap
+// sampler it started for that Run, instead of leaving it ticking, and
+// reading the heap's statistics, for the life of the process.
+func TestFailedRunStopsMemSampler(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := RunSeries(context.Background(), failingWorkload{}, HelixOpt, Config{SampleMemory: true}); err == nil {
+		t.Fatal("a failing operator did not fail the series")
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed series, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

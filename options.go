@@ -203,28 +203,6 @@ func WithPruning(enabled bool) Option {
 	return Option{name: "WithPruning", apply: func(c *config) { c.exec.Plan.DisablePruning = !enabled }}
 }
 
-// WithMemorySampling toggles heap sampling for Figure 10; costs a
-// background goroutine while a run is in flight. Default off.
-func WithMemorySampling(enabled bool) Option {
-	return Option{name: "WithMemorySampling", apply: func(c *config) { c.exec.SampleMemory = enabled }}
-}
-
-// WithDPRSlowdown multiplies DPR operator cost (models DeepDive's
-// Python/shell preprocessing, §6.5.2). 0 or 1 disables. A fused chain of
-// row-wise operators charges each member its even share of the chain's
-// measured time multiplied by its own component's factor.
-func WithDPRSlowdown(factor float64) Option {
-	return Option{name: "WithDPRSlowdown", apply: func(c *config) { c.exec.DPRSlowdown = factor }}
-}
-
-// WithLISlowdown multiplies L/I operator cost (models KeystoneML's
-// training-data caching miss, §6.5.2). 0 or 1 disables. A fused chain
-// charges each member its even share times its own component's factor,
-// as under WithDPRSlowdown.
-func WithLISlowdown(factor float64) Option {
-	return Option{name: "WithLISlowdown", apply: func(c *config) { c.exec.LISlowdown = factor }}
-}
-
 // WithParallelism bounds the compute worker pool: at most n operators
 // compute concurrently regardless of DAG width; ≤0 uses
 // runtime.GOMAXPROCS(0). It is the one pool size a session sets: the

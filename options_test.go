@@ -174,9 +174,6 @@ func optionRows(t *testing.T) map[string]optionRow {
 		"WithDomain":         {false, helix.WithDomain("census")},
 		"WithReuse":          {false, helix.WithReuse(false)},
 		"WithPruning":        {false, helix.WithPruning(false)},
-		"WithMemorySampling": {false, helix.WithMemorySampling(true)},
-		"WithDPRSlowdown":    {false, helix.WithDPRSlowdown(1.5)},
-		"WithLISlowdown":     {false, helix.WithLISlowdown(1.5)},
 		"WithParallelism":    {false, helix.WithParallelism(2)},
 		"WithAdaptive":       {false, helix.WithAdaptive(0.5)},
 		"WithObserver":       {false, helix.WithObserver(func(helix.RunEvent) {})},

@@ -40,6 +40,7 @@ var publicAPI = map[string]string{
 	"ErrUnserializable":      `README "Columnar binary codec": what a materialization error of an unregistered type wraps`,
 	"NodeError":              `README "Typed errors": the per-operator error Run returns`,
 	"NodeReport":             `README "Session state and durability" and "Typed errors": NodeReport.LoadErr`,
+	"ReplanEvent":            `README "Structured run events": one per mid-run re-plan attempt under WithAdaptive`,
 	"RunStatsEvent":          `README "Structured run events": the run's closing planner counters (solves, re-plans, swaps)`,
 	"Session.PlanCacheStats": `README "Planning cache & scheduling": a session's plan-cache hits and misses`,
 	"Workflow.Op":            "TestScheduleOutputsBitIdentical (internal/workloads) declares intermediates outputs through it for its golden digests",
